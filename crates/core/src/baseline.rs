@@ -98,6 +98,9 @@ impl WorkflowScheduler for FifoScheduler {
         kind: SlotKind,
         _now: SimTime,
     ) -> Option<(WorkflowId, JobId)> {
+        if pool.ready_workflows(kind) == 0 {
+            return None;
+        }
         self.queue
             .iter()
             .copied()
@@ -163,6 +166,9 @@ impl WorkflowScheduler for FairScheduler {
         kind: SlotKind,
         _now: SimTime,
     ) -> Option<(WorkflowId, JobId)> {
+        if pool.ready_workflows(kind) == 0 {
+            return None;
+        }
         // The eligible workflow with the smallest current usage wins the
         // slot; ties go to the earlier workflow id.
         let target = pool
@@ -232,6 +238,9 @@ impl WorkflowScheduler for EdfScheduler {
         kind: SlotKind,
         _now: SimTime,
     ) -> Option<(WorkflowId, JobId)> {
+        if pool.ready_workflows(kind) == 0 {
+            return None;
+        }
         let target = pool
             .incomplete()
             .filter(|&wf| pool.workflow(wf).has_eligible_task(kind))

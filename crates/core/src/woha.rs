@@ -30,9 +30,11 @@ use crate::priority::{JobPriorities, PriorityPolicy};
 use crate::progress::WorkflowProgress;
 use crate::replan::{replan, ReplanConfig};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use woha_model::{JobId, SimDuration, SimTime, SlotKind, WorkflowId};
-use woha_sim::{SchedTrace, SchedulerState, WorkflowPool, WorkflowScheduler};
+use woha_sim::{
+    FastMap, FxBuildHasher, SchedTrace, SchedulerState, WorkflowPool, WorkflowScheduler,
+};
 
 /// Which data structure orders the queued workflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -568,7 +570,13 @@ impl WorkflowScheduler for WohaScheduler {
                 choice
             }
             _ => {
+                // The refresh stays ahead of the early-out: it is what
+                // keeps `lag()` current for `maybe_replan` and
+                // `slack_fraction`, offer after offer.
                 self.refresh_due_workflows(now);
+                if pool.ready_workflows(kind) == 0 {
+                    return None; // the walk below would reject every entry
+                }
                 let records = &self.records;
                 let index = self.index.as_mut().expect("indexed strategy");
                 // Lazy descent of the priority list: in the common case
@@ -621,14 +629,22 @@ impl WorkflowScheduler for WohaScheduler {
         // shares `now`, so requirements cannot change mid-batch.
         self.refresh_due_workflows(now);
         let mut picks: Vec<(WorkflowId, JobId)> = Vec::new();
+        // The batch cannot claim more tasks than the pool has eligible, so
+        // an empty offer returns here and a short batch stops at its last
+        // pick, without the walk that would reject every entry.
+        let budget = u64::from(max_tasks).min(pool.eligible_task_count(kind));
+        if budget == 0 {
+            return Some(picks);
+        }
         // Tasks claimed by this batch, not yet reflected in `pool` (the
-        // driver starts them after we return).
-        let mut taken: HashMap<(u64, u32), u32> = HashMap::new();
+        // driver starts them after we return). Neither table is iterated,
+        // so the deterministic hasher cannot leak an order.
+        let mut taken: FastMap<(u64, u32), u32> = FastMap::default();
         // Workflows found task-less during this batch. Sound to cache: at
         // fixed `now` a workflow only *loses* eligible tasks as the batch
         // claims them, so a rejection cannot become acceptance later.
-        let mut blocked: HashSet<u64> = HashSet::new();
-        while (picks.len() as u32) < max_tasks {
+        let mut blocked: HashSet<u64, FxBuildHasher> = HashSet::default();
+        while (picks.len() as u64) < budget {
             let records = &self.records;
             let index = self.index.as_mut().expect("checked above");
             let mut choice = None;

@@ -80,7 +80,7 @@ pub use scheduler::{
     WorkflowScheduler,
 };
 pub use snapshot::MasterSnapshot;
-pub use state::{JobPhase, JobState, WorkflowPool, WorkflowState};
+pub use state::{JobPhase, JobState, WorkflowMut, WorkflowPool, WorkflowState};
 
 /// Compile-time Send/Sync audit of the types a parallel sweep moves (or
 /// shares) across worker threads: the bench orchestrator borrows workload

@@ -149,6 +149,14 @@ pub trait WorkflowScheduler: SchedulerState {
     /// leave the slot idle. Called repeatedly while slots remain free, so a
     /// work-conserving scheduler keeps returning pairs until nothing is
     /// eligible.
+    ///
+    /// Most offers find nothing: when
+    /// [`pool.ready_workflows(kind)`](WorkflowPool::ready_workflows) is
+    /// zero no job has an eligible task of `kind`, so an implementation
+    /// **must** return `None` — and should test that O(1) counter before
+    /// walking its queue, after any per-offer upkeep it needs regardless.
+    /// Filter candidates with the O(1)
+    /// [`WorkflowState::has_eligible_task`](crate::WorkflowState::has_eligible_task).
     fn assign_task(
         &mut self,
         pool: &WorkflowPool,
@@ -275,7 +283,11 @@ impl WorkflowScheduler for SubmitOrderScheduler {
         kind: SlotKind,
         _now: SimTime,
     ) -> Option<(WorkflowId, JobId)> {
+        if pool.ready_workflows(kind) == 0 {
+            return None;
+        }
         pool.incomplete()
+            .filter(|&wf| pool.workflow(wf).has_eligible_task(kind))
             .find_map(|wf| first_eligible_job(pool, wf, kind).map(|job| (wf, job)))
     }
 }

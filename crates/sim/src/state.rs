@@ -4,8 +4,31 @@
 //! read-only view handed to [`WorkflowScheduler`](crate::WorkflowScheduler)
 //! implementations: schedulers inspect it to pick a `(workflow, job)` pair
 //! but only the driver mutates it.
+//!
+//! # Ready accounting
+//!
+//! Most slot offers find nothing to schedule, so "is anything eligible?"
+//! must not cost a walk. Eligibility is therefore kept incrementally at
+//! three levels, each derived from the one below:
+//!
+//! - a job's [`JobState::eligible_tasks`] is a function of its own
+//!   counters (pending maps while active; pending reduces once
+//!   [`JobState::maps_done`]);
+//! - a workflow carries the per-[`SlotKind`] sum over its jobs — every
+//!   mutator goes through one helper that folds the mutated job's
+//!   before/after difference into the sum, which also covers the three
+//!   places `maps_done` can flip and release or re-block a job's reduces
+//!   (`finish_task`, `finish_speculative`, `invalidate_completed_maps`);
+//! - the pool carries, per kind, how many workflows have at least one
+//!   eligible task and the total over all workflows, reconciled when the
+//!   [`WorkflowMut`] guard handed out by [`WorkflowPool::workflow_mut`]
+//!   drops.
+//!
+//! The totals are derived state: they are not part of the serialized form
+//! and are recounted from the job counters on decode.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::ops::{Deref, DerefMut};
 use woha_model::{JobId, SimTime, SlotKind, WorkflowId, WorkflowSpec};
 
 /// Lifecycle of one wjob inside the simulator.
@@ -135,7 +158,7 @@ impl JobState {
 }
 
 /// Runtime state of one workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowState {
     id: WorkflowId,
     spec: WorkflowSpec,
@@ -143,6 +166,51 @@ pub struct WorkflowState {
     jobs_completed: usize,
     tasks_scheduled: u64,
     finished_at: Option<SimTime>,
+    /// Eligible tasks per [`SlotKind`] summed over `jobs` (see the module
+    /// docs); derived, so absent from the serialized form.
+    eligible: [u64; 2],
+}
+
+/// Sum of [`JobState::eligible_tasks`] over `jobs`, per kind.
+fn count_eligible(jobs: &[JobState]) -> [u64; 2] {
+    SlotKind::ALL.map(|kind| jobs.iter().map(|j| u64::from(j.eligible_tasks(kind))).sum())
+}
+
+// Hand-written so the derived `eligible` totals stay out of the encoding
+// (the vendored derive has no `skip`): the shape is exactly what
+// `#[derive(Serialize, Deserialize)]` produced before the totals existed.
+impl Serialize for WorkflowState {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("id".to_owned(), self.id.to_value()),
+            ("spec".to_owned(), self.spec.to_value()),
+            ("jobs".to_owned(), self.jobs.to_value()),
+            ("jobs_completed".to_owned(), self.jobs_completed.to_value()),
+            (
+                "tasks_scheduled".to_owned(),
+                self.tasks_scheduled.to_value(),
+            ),
+            ("finished_at".to_owned(), self.finished_at.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for WorkflowState {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for `WorkflowState`"))?;
+        let jobs: Vec<JobState> = serde::__field(obj, "jobs")?;
+        Ok(WorkflowState {
+            id: serde::__field(obj, "id")?,
+            spec: serde::__field(obj, "spec")?,
+            eligible: count_eligible(&jobs),
+            jobs,
+            jobs_completed: serde::__field(obj, "jobs_completed")?,
+            tasks_scheduled: serde::__field(obj, "tasks_scheduled")?,
+            finished_at: serde::__field(obj, "finished_at")?,
+        })
+    }
 }
 
 impl WorkflowState {
@@ -164,6 +232,8 @@ impl WorkflowState {
             jobs_completed: 0,
             tasks_scheduled: 0,
             finished_at: None,
+            // Every job starts blocked.
+            eligible: [0; 2],
         }
     }
 
@@ -225,17 +295,14 @@ impl WorkflowState {
             .sum()
     }
 
-    /// Whether any active job has an eligible task of `kind`.
+    /// Whether any active job has an eligible task of `kind`. O(1).
     pub fn has_eligible_task(&self, kind: SlotKind) -> bool {
-        self.jobs.iter().any(|j| j.eligible_tasks(kind) > 0)
+        self.eligible[kind as usize] > 0
     }
 
-    /// Total eligible tasks of `kind` across active jobs.
+    /// Total eligible tasks of `kind` across active jobs. O(1).
     pub fn eligible_tasks(&self, kind: SlotKind) -> u64 {
-        self.jobs
-            .iter()
-            .map(|j| u64::from(j.eligible_tasks(kind)))
-            .sum()
+        self.eligible[kind as usize]
     }
 
     // ---- mutations ---------------------------------------------------
@@ -244,8 +311,18 @@ impl WorkflowState {
     // them; they are public so custom drivers and scheduler tests can
     // construct mid-execution states.
 
-    fn job_mut(&mut self, job: JobId) -> &mut JobState {
-        &mut self.jobs[job.index()]
+    /// The single path by which a job's counters change: applies `f` and
+    /// folds the job's eligible-task difference into the workflow totals,
+    /// whatever `f` did to the phase or to `maps_done`.
+    fn update_job<R>(&mut self, job: JobId, f: impl FnOnce(&mut JobState) -> R) -> R {
+        let j = &mut self.jobs[job.index()];
+        let before = SlotKind::ALL.map(|kind| j.eligible_tasks(kind));
+        let result = f(j);
+        for kind in SlotKind::ALL {
+            let total = &mut self.eligible[kind as usize];
+            *total = *total + u64::from(j.eligible_tasks(kind)) - u64::from(before[kind as usize]);
+        }
+        result
     }
 
     /// Marks prerequisites of `job` satisfied by one completed predecessor;
@@ -255,10 +332,11 @@ impl WorkflowState {
     ///
     /// Debug builds panic if the job has no outstanding prerequisites.
     pub fn satisfy_prereq(&mut self, job: JobId) -> bool {
-        let j = self.job_mut(job);
-        debug_assert!(j.remaining_prereqs > 0, "over-satisfied prerequisite");
-        j.remaining_prereqs -= 1;
-        j.remaining_prereqs == 0
+        self.update_job(job, |j| {
+            debug_assert!(j.remaining_prereqs > 0, "over-satisfied prerequisite");
+            j.remaining_prereqs -= 1;
+            j.remaining_prereqs == 0
+        })
     }
 
     /// Moves a job from [`JobPhase::Blocked`] to [`JobPhase::Submitting`]
@@ -268,9 +346,10 @@ impl WorkflowState {
     ///
     /// Debug builds panic unless the job is blocked.
     pub fn begin_submitting(&mut self, job: JobId) {
-        let j = self.job_mut(job);
-        debug_assert_eq!(j.phase, JobPhase::Blocked);
-        j.phase = JobPhase::Submitting;
+        self.update_job(job, |j| {
+            debug_assert_eq!(j.phase, JobPhase::Blocked);
+            j.phase = JobPhase::Submitting;
+        });
     }
 
     /// Moves a job from [`JobPhase::Submitting`] to [`JobPhase::Active`].
@@ -279,10 +358,11 @@ impl WorkflowState {
     ///
     /// Debug builds panic unless the job is submitting.
     pub fn activate(&mut self, job: JobId, now: SimTime) {
-        let j = self.job_mut(job);
-        debug_assert_eq!(j.phase, JobPhase::Submitting);
-        j.phase = JobPhase::Active;
-        j.activated_at = Some(now);
+        self.update_job(job, |j| {
+            debug_assert_eq!(j.phase, JobPhase::Submitting);
+            j.phase = JobPhase::Active;
+            j.activated_at = Some(now);
+        });
     }
 
     /// Records a task assignment; updates true progress.
@@ -291,8 +371,7 @@ impl WorkflowState {
     ///
     /// Debug builds panic if the job has no eligible task of `kind`.
     pub fn start_task(&mut self, job: JobId, kind: SlotKind) {
-        {
-            let j = self.job_mut(job);
+        self.update_job(job, |j| {
             debug_assert!(j.eligible_tasks(kind) > 0, "assigning ineligible task");
             match kind {
                 SlotKind::Map => {
@@ -304,7 +383,7 @@ impl WorkflowState {
                     j.running_reduces += 1;
                 }
             }
-        }
+        });
         self.tasks_scheduled += 1;
     }
 
@@ -312,11 +391,10 @@ impl WorkflowState {
     /// a slot (running count rises) but does not consume a pending task or
     /// advance true progress.
     pub fn start_speculative(&mut self, job: JobId, kind: SlotKind) {
-        let j = self.job_mut(job);
-        match kind {
+        self.update_job(job, |j| match kind {
             SlotKind::Map => j.running_maps += 1,
             SlotKind::Reduce => j.running_reduces += 1,
-        }
+        });
     }
 
     /// Reverses [`start_speculative`](Self::start_speculative) when the
@@ -326,8 +404,7 @@ impl WorkflowState {
     ///
     /// Debug builds panic if no task of `kind` is running.
     pub fn finish_speculative(&mut self, job: JobId, kind: SlotKind) {
-        let j = self.job_mut(job);
-        match kind {
+        self.update_job(job, |j| match kind {
             SlotKind::Map => {
                 debug_assert!(j.running_maps > 0);
                 j.running_maps -= 1;
@@ -336,7 +413,7 @@ impl WorkflowState {
                 debug_assert!(j.running_reduces > 0);
                 j.running_reduces -= 1;
             }
-        }
+        });
     }
 
     /// Records a failed task attempt: the task leaves its slot and is
@@ -346,8 +423,7 @@ impl WorkflowState {
     ///
     /// Debug builds panic if no task of `kind` is running.
     pub fn fail_task(&mut self, job: JobId, kind: SlotKind) {
-        let j = self.job_mut(job);
-        match kind {
+        self.update_job(job, |j| match kind {
             SlotKind::Map => {
                 debug_assert!(j.running_maps > 0);
                 j.running_maps -= 1;
@@ -360,7 +436,7 @@ impl WorkflowState {
                 j.pending_reduces += 1;
                 j.retried_reduces += 1;
             }
-        }
+        });
     }
 
     /// Invalidates `count` completed map outputs of `job` after their host
@@ -373,12 +449,13 @@ impl WorkflowState {
     /// Debug builds panic if fewer than `count` maps have completed, or the
     /// job already finished (its reducers no longer need map output).
     pub fn invalidate_completed_maps(&mut self, job: JobId, count: u32) {
-        let j = self.job_mut(job);
-        debug_assert!(j.completed_maps >= count, "invalidating unfinished maps");
-        debug_assert_ne!(j.phase, JobPhase::Complete, "job no longer needs maps");
-        j.completed_maps -= count;
-        j.pending_maps += count;
-        j.retried_maps += count;
+        self.update_job(job, |j| {
+            debug_assert!(j.completed_maps >= count, "invalidating unfinished maps");
+            debug_assert_ne!(j.phase, JobPhase::Complete, "job no longer needs maps");
+            j.completed_maps -= count;
+            j.pending_maps += count;
+            j.retried_maps += count;
+        });
     }
 
     /// Records a task completion; returns true when the whole job finished.
@@ -387,8 +464,7 @@ impl WorkflowState {
     ///
     /// Debug builds panic if no task of `kind` is running.
     pub fn finish_task(&mut self, job: JobId, kind: SlotKind, now: SimTime) -> bool {
-        let job_done = {
-            let j = self.job_mut(job);
+        let job_done = self.update_job(job, |j| {
             match kind {
                 SlotKind::Map => {
                     debug_assert!(j.running_maps > 0);
@@ -410,7 +486,7 @@ impl WorkflowState {
                 j.completed_at = Some(now);
             }
             done
-        };
+        });
         if job_done {
             self.jobs_completed += 1;
             if self.is_complete() {
@@ -421,13 +497,98 @@ impl WorkflowState {
     }
 }
 
+/// Pool-level ready accounting, per [`SlotKind`] (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ReadyCounts {
+    /// Workflows with at least one eligible task.
+    workflows: [usize; 2],
+    /// Eligible tasks over all workflows.
+    tasks: [u64; 2],
+}
+
+impl ReadyCounts {
+    /// Replaces one workflow's contribution `was` by `is`.
+    fn replace(&mut self, was: [u64; 2], is: [u64; 2]) {
+        for kind in 0..2 {
+            self.tasks[kind] = self.tasks[kind] + is[kind] - was[kind];
+            match (was[kind] > 0, is[kind] > 0) {
+                (false, true) => self.workflows[kind] += 1,
+                (true, false) => self.workflows[kind] -= 1,
+                _ => {}
+            }
+        }
+    }
+}
+
 /// All workflows known to the JobTracker, indexed by [`WorkflowId`].
 ///
 /// Ids are assigned densely in submission order, so `WorkflowId::as_u64()`
 /// indexes into the pool.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkflowPool {
     workflows: Vec<WorkflowState>,
+    /// Derived from `workflows`; absent from the serialized form.
+    ready: ReadyCounts,
+}
+
+// Hand-written for the same reason as `WorkflowState`'s: the encoding is
+// the `{ workflows }` object the derive produced, `ready` is recounted.
+impl Serialize for WorkflowPool {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("workflows".to_owned(), self.workflows.to_value())])
+    }
+}
+
+impl Deserialize for WorkflowPool {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for `WorkflowPool`"))?;
+        let workflows: Vec<WorkflowState> = serde::__field(obj, "workflows")?;
+        let mut ready = ReadyCounts::default();
+        for w in &workflows {
+            ready.replace([0; 2], w.eligible);
+        }
+        Ok(WorkflowPool { workflows, ready })
+    }
+}
+
+/// Exclusive access to one workflow of a [`WorkflowPool`], handed out by
+/// [`WorkflowPool::workflow_mut`]. It dereferences to the
+/// [`WorkflowState`], so the lifecycle mutators are called on it directly;
+/// when it drops, the pool's ready accounting absorbs whatever they did to
+/// the workflow's eligible tasks. The pool cannot be read while the guard
+/// lives, so the two are never observed out of step.
+#[derive(Debug)]
+pub struct WorkflowMut<'a> {
+    state: &'a mut WorkflowState,
+    ready: &'a mut ReadyCounts,
+    before: [u64; 2],
+}
+
+impl Deref for WorkflowMut<'_> {
+    type Target = WorkflowState;
+
+    fn deref(&self) -> &WorkflowState {
+        self.state
+    }
+}
+
+impl DerefMut for WorkflowMut<'_> {
+    fn deref_mut(&mut self) -> &mut WorkflowState {
+        self.state
+    }
+}
+
+impl Drop for WorkflowMut<'_> {
+    fn drop(&mut self) {
+        // Not while unwinding: a second panic would abort the process.
+        debug_assert!(
+            std::thread::panicking() || self.state.eligible == count_eligible(&self.state.jobs),
+            "eligible-task totals drifted from the job counters"
+        );
+        self.ready.replace(self.before, self.state.eligible);
+    }
 }
 
 impl WorkflowPool {
@@ -440,6 +601,7 @@ impl WorkflowPool {
     /// workflow arrival; public for custom drivers and tests.
     pub fn register(&mut self, spec: WorkflowSpec) -> WorkflowId {
         let id = WorkflowId::new(self.workflows.len() as u64);
+        // Every job starts blocked, so `ready` is unaffected.
         self.workflows.push(WorkflowState::new(id, spec));
         id
     }
@@ -454,13 +616,35 @@ impl WorkflowPool {
     }
 
     /// Mutable access to a workflow's runtime state (drivers only;
-    /// schedulers receive `&WorkflowPool`).
+    /// schedulers receive `&WorkflowPool`). This is the only way to mutate
+    /// a pooled workflow, and the returned guard keeps
+    /// [`ready_workflows`](Self::ready_workflows) and
+    /// [`eligible_task_count`](Self::eligible_task_count) in step.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this pool.
-    pub fn workflow_mut(&mut self, id: WorkflowId) -> &mut WorkflowState {
-        &mut self.workflows[id.as_u64() as usize]
+    pub fn workflow_mut(&mut self, id: WorkflowId) -> WorkflowMut<'_> {
+        let state = &mut self.workflows[id.as_u64() as usize];
+        WorkflowMut {
+            before: state.eligible,
+            state,
+            ready: &mut self.ready,
+        }
+    }
+
+    /// Number of workflows with at least one eligible task of `kind`.
+    /// O(1). Zero means no slot of `kind` can be filled right now, so
+    /// [`WorkflowScheduler::assign_task`](crate::WorkflowScheduler::assign_task)
+    /// must return `None`.
+    pub fn ready_workflows(&self, kind: SlotKind) -> usize {
+        self.ready.workflows[kind as usize]
+    }
+
+    /// Eligible tasks of `kind` over all workflows: an upper bound on how
+    /// many slots of `kind` one heartbeat can fill. O(1).
+    pub fn eligible_task_count(&self, kind: SlotKind) -> u64 {
+        self.ready.tasks[kind as usize]
     }
 
     /// All registered workflows in submission order.
@@ -609,5 +793,26 @@ mod tests {
         assert_eq!(w.eligible_tasks(SlotKind::Reduce), 0);
         assert!(w.has_eligible_task(SlotKind::Map));
         assert_eq!(w.active_jobs().collect::<Vec<_>>(), vec![j0]);
+        assert_eq!(pool.ready_workflows(SlotKind::Map), 1);
+        assert_eq!(pool.eligible_task_count(SlotKind::Map), 2);
+        assert_eq!(pool.ready_workflows(SlotKind::Reduce), 0);
+    }
+
+    #[test]
+    fn guard_reconciles_several_mutations_at_once() {
+        let (mut pool, id) = pool_with_one();
+        let j0 = JobId::new(0);
+        {
+            let mut w = pool.workflow_mut(id);
+            w.begin_submitting(j0);
+            w.activate(j0, SimTime::ZERO);
+            w.start_task(j0, SlotKind::Map);
+            assert_eq!(w.eligible_tasks(SlotKind::Map), 1);
+        }
+        assert_eq!(pool.ready_workflows(SlotKind::Map), 1);
+        assert_eq!(pool.eligible_task_count(SlotKind::Map), 1);
+        pool.workflow_mut(id).start_task(j0, SlotKind::Map);
+        assert_eq!(pool.ready_workflows(SlotKind::Map), 0);
+        assert_eq!(pool.eligible_task_count(SlotKind::Map), 0);
     }
 }

@@ -4,116 +4,82 @@
 //! [`MasterSnapshot`] round-trips through its encoding, and a scripted
 //! master crash preserves the simulator's global invariants.
 
+mod common;
+
+use common::{apply_op, arb_ops, arb_workflow};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use woha_model::{JobId, JobSpec, SimDuration, SimTime, SlotKind, WorkflowBuilder, WorkflowSpec};
+use std::hash::BuildHasher;
+use woha_model::{SimDuration, SimTime, SlotKind};
 use woha_sim::snapshot::{FaultSnapshot, SnapshotCounters};
 use woha_sim::{
-    run_simulation, ClusterConfig, FaultConfig, JobPhase, MasterFaultConfig, MasterSnapshot,
+    run_simulation, ClusterConfig, FaultConfig, FxBuildHasher, MasterFaultConfig, MasterSnapshot,
     SimConfig, SubmitOrderScheduler, WorkflowPool,
 };
 
-/// An arbitrary small workflow: forward-edge layered DAG, 2–6 jobs.
-fn arb_workflow() -> impl Strategy<Value = WorkflowSpec> {
-    (
-        2usize..6,
-        vec((0usize..6, 0usize..6), 0..8),
-        vec((1u32..5, 0u32..3, 5u64..40, 5u64..80), 6),
-        30u64..120,
-    )
-        .prop_map(|(n, edges, jobs, deadline_mins)| {
-            let mut b = WorkflowBuilder::new("prop");
-            let ids: Vec<_> = (0..n)
-                .map(|i| {
-                    let (m, r, md, rd) = jobs[i];
-                    b.add_job(JobSpec::new(
-                        format!("j{i}"),
-                        m,
-                        r,
-                        SimDuration::from_secs(md),
-                        SimDuration::from_secs(rd),
-                    ))
-                })
-                .collect();
-            for (a, z) in edges {
-                let (a, z) = (a % n, z % n);
-                if a < z {
-                    b.add_dependency(ids[a], ids[z]);
-                }
-            }
-            b.relative_deadline(SimDuration::from_mins(deadline_mins));
-            b.build().expect("forward edges are acyclic")
-        })
-}
-
-/// Completing a job unblocks its dependents, exactly as the driver does.
-fn complete_job(pool: &mut WorkflowPool, wf: usize, job: JobId) {
-    let id = pool.workflows()[wf].id();
-    let deps: Vec<JobId> = pool.workflow(id).spec().dependents(job).to_vec();
-    for dep in deps {
-        if pool.workflow_mut(id).satisfy_prereq(dep) {
-            pool.workflow_mut(id).begin_submitting(dep);
-        }
+/// A master snapshot around `pool` with every other field fixed.
+fn snapshot_of(pool: WorkflowPool, now: SimTime) -> MasterSnapshot {
+    let arrived = vec![true; pool.len()];
+    MasterSnapshot {
+        taken_at: now,
+        pool,
+        source_cursor: arrived.len() as u64,
+        arrived,
+        attempts: Vec::new(),
+        groups: Vec::new(),
+        next_attempt: 17,
+        next_group: 3,
+        pending_map_ids: Vec::new(),
+        delay_skips: Vec::new(),
+        map_output_hosts: Vec::new(),
+        node_slots: Vec::new(),
+        busy_count: [2, 1],
+        completion_seq: 41,
+        counters: SnapshotCounters::default(),
+        fault: FaultSnapshot::default(),
+        scheduler: woha_sim::scheduler::SchedulerState::snapshot_state(&SubmitOrderScheduler::new()),
+        health: None,
+        reshuffle_debt: Vec::new(),
     }
 }
 
-/// Applies one lifecycle step chosen by `(wf, job, action)` codes; a no-op
-/// when the step is illegal in the current phase. Mirrors the driver's
-/// phase machine so every reachable state is a state a checkpoint could
-/// capture.
-fn apply_op(pool: &mut WorkflowPool, wf_code: usize, job_code: usize, action: u8, now: SimTime) {
-    let wf = wf_code % pool.len();
-    let id = pool.workflows()[wf].id();
-    let jobs: Vec<JobId> = pool.workflow(id).spec().job_ids().collect();
-    let job = jobs[job_code % jobs.len()];
-    let phase = pool.workflow(id).job(job).phase();
-    let kind = if action.is_multiple_of(2) {
-        SlotKind::Map
-    } else {
-        SlotKind::Reduce
-    };
-    match action {
-        0 | 1 => {
-            // Submit the workflow's roots (prerequisite-free jobs).
-            for &j in &jobs {
-                let w = pool.workflow_mut(id);
-                if w.job(j).phase() == JobPhase::Blocked && w.spec().prerequisites(j).is_empty() {
-                    w.begin_submitting(j);
-                }
-            }
-        }
-        2 | 3 => {
-            if phase == JobPhase::Submitting {
-                pool.workflow_mut(id).activate(job, now);
-            }
-        }
-        4 | 5 => {
-            if phase == JobPhase::Active && pool.workflow(id).job(job).eligible_tasks(kind) > 0 {
-                pool.workflow_mut(id).start_task(job, kind);
-            }
-        }
-        6 | 7 => {
-            let j = pool.workflow(id).job(job);
-            let running = match kind {
-                SlotKind::Map => j.running_maps(),
-                SlotKind::Reduce => j.running_reduces(),
-            };
-            if running > 0 && pool.workflow_mut(id).finish_task(job, kind, now) {
-                complete_job(pool, wf, job);
-            }
-        }
-        _ => {
-            let j = pool.workflow(id).job(job);
-            let running = match kind {
-                SlotKind::Map => j.running_maps(),
-                SlotKind::Reduce => j.running_reduces(),
-            };
-            if running > 0 {
-                pool.workflow_mut(id).fail_task(job, kind);
-            }
-        }
+/// The ready counters are derived state: a pool's encoding is what it was
+/// before they existed. The fixture is a fixed walk (the generators are
+/// seeded by test name and case); the digests were recorded by running
+/// this test at the commit before ready accounting.
+#[test]
+fn ready_counters_are_not_encoded() {
+    let digest = |text: &str| FxBuildHasher::default().hash_one(text);
+    let mut rng = proptest::TestRng::for_case("ready_counters_are_not_encoded", 0);
+    let workflows = Strategy::generate(&vec(arb_workflow(), 3), &mut rng);
+    let ops = Strategy::generate(&arb_ops(150), &mut rng);
+    let mut pool = WorkflowPool::new();
+    for w in workflows {
+        pool.register(w);
     }
+    let mut now = SimTime::ZERO;
+    for op in ops {
+        now = now.saturating_add(SimDuration::from_secs(1));
+        apply_op(&mut pool, op, now);
+    }
+    // The walk must leave work in flight, or the pin would be vacuous.
+    let workflows = pool.workflows();
+    assert!(workflows.iter().any(|w| w.has_eligible_task(SlotKind::Map)));
+    assert!(workflows.iter().any(|w| w.jobs_completed() > 0));
+
+    let pool_json = serde_json::to_string(&pool).expect("pool serializes");
+    assert_eq!(digest(&pool_json), POOL_DIGEST, "pool encoding changed");
+    let snap_json =
+        serde_json::to_string(&snapshot_of(pool, now).encode()).expect("snapshot serializes");
+    assert_eq!(
+        digest(&snap_json),
+        SNAPSHOT_DIGEST,
+        "snapshot encoding changed"
+    );
 }
+
+const POOL_DIGEST: u64 = 9067611327331025590;
+const SNAPSHOT_DIGEST: u64 = 16288784504432108560;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -124,48 +90,34 @@ proptest! {
     #[test]
     fn pool_roundtrips_through_snapshot(
         workflows in vec(arb_workflow(), 1..3),
-        ops in vec((0usize..4, 0usize..8, 0u8..10), 0..40),
+        ops in arb_ops(0..60),
     ) {
         let mut pool = WorkflowPool::new();
         for w in &workflows {
             pool.register(w.clone());
         }
         let mut now = SimTime::ZERO;
-        for (wf, job, action) in ops {
+        for op in ops {
             now = now.saturating_add(SimDuration::from_secs(1));
-            apply_op(&mut pool, wf, job, action, now);
+            apply_op(&mut pool, op, now);
         }
 
         // The pool itself is serde-stable.
         let json = serde_json::to_string(&pool).expect("pool serializes");
         let back: WorkflowPool = serde_json::from_str(&json).expect("pool deserializes");
         prop_assert_eq!(&pool, &back);
+        // The ready counters are not encoded; the decoded pool recounts
+        // them and reports what the live pool does.
+        for kind in SlotKind::ALL {
+            prop_assert_eq!(back.ready_workflows(kind), pool.ready_workflows(kind));
+            prop_assert_eq!(back.eligible_task_count(kind), pool.eligible_task_count(kind));
+            for (live, decoded) in pool.workflows().iter().zip(back.workflows()) {
+                prop_assert_eq!(decoded.eligible_tasks(kind), live.eligible_tasks(kind));
+            }
+        }
 
         // So is the full master snapshot wrapping it.
-        let arrived = vec![true; pool.len()];
-        let snap = MasterSnapshot {
-            taken_at: now,
-            pool,
-            source_cursor: arrived.len() as u64,
-            arrived,
-            attempts: Vec::new(),
-            groups: Vec::new(),
-            next_attempt: 17,
-            next_group: 3,
-            pending_map_ids: Vec::new(),
-            delay_skips: Vec::new(),
-            map_output_hosts: Vec::new(),
-            node_slots: Vec::new(),
-            busy_count: [2, 1],
-            completion_seq: 41,
-            counters: SnapshotCounters::default(),
-            fault: FaultSnapshot::default(),
-            scheduler: woha_sim::scheduler::SchedulerState::snapshot_state(
-                &SubmitOrderScheduler::new(),
-            ),
-            health: None,
-            reshuffle_debt: Vec::new(),
-        };
+        let snap = snapshot_of(pool, now);
         let decoded = MasterSnapshot::decode(&snap.encode()).expect("snapshot decodes");
         prop_assert_eq!(snap, decoded);
     }

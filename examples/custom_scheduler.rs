@@ -60,6 +60,11 @@ impl WorkflowScheduler for LeastLaxityFirst {
         kind: SlotKind,
         now: SimTime,
     ) -> Option<(WorkflowId, JobId)> {
+        // Most offers find nothing; the pool counts ready workflows, so
+        // that case costs O(1) instead of a scan of every workflow.
+        if pool.ready_workflows(kind) == 0 {
+            return None;
+        }
         // Pick the eligible workflow with the least laxity.
         let wf = pool
             .incomplete()
