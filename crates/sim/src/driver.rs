@@ -57,18 +57,17 @@ use crate::obs::{
     MemorySink, ObservabilityConfig, Observations, TraceEvent, TraceRecord, TraceSink,
 };
 use crate::scheduler::{SchedTrace, WorkflowScheduler};
-use crate::snapshot::{
-    completed_workflows, AttemptRecord, FaultSnapshot, GroupRecord, LostTaskRecord, MasterSnapshot,
-    NodeSlotsRecord, RackStateRecord, SnapshotCounters,
-};
-use crate::state::{JobPhase, WorkflowPool};
+use crate::state::WorkflowPool;
 use serde::Value;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::hash::FastMap;
 use std::fmt;
 use woha_model::{JobId, NodeId, SimDuration, SimTime, SlotKind, WorkflowId, WorkflowSpec};
 use woha_trace::{SourcePoll, VecSource, WorkloadSource};
+
+mod faults;
+mod master;
 
 /// A configuration error detected before the simulation starts.
 ///
@@ -1320,294 +1319,6 @@ impl<'a> Sim<'a> {
         );
     }
 
-    /// A node crashes: every attempt on it dies, its slots leave the pool,
-    /// and detection (plus repair, for stochastic crashes) is scheduled.
-    /// The JobTracker's pool is *not* touched yet — it still believes the
-    /// tasks are running until [`Self::requeue_lost`].
-    fn handle_node_down(&mut self, node: NodeId) {
-        self.node_down_core(node, false);
-    }
-
-    /// The node-crash core. `rack_outage` marks crashes injected by a
-    /// correlated rack-switch failure: those suppress the per-node
-    /// stochastic repair (the whole rack repairs atomically via
-    /// [`Event::RackUp`]). Returns whether the crash took effect (the node
-    /// was up and not blacklisted).
-    fn node_down_core(&mut self, node: NodeId, rack_outage: bool) -> bool {
-        let i = node.index();
-        if !self.alive[i] || self.node_blacklisted[i] {
-            return false;
-        }
-        self.alive[i] = false;
-        self.incident[i] += 1;
-        self.crash_count[i] += 1;
-        self.node_failures += 1;
-        self.emit(TraceEvent::NodeDown {
-            node: i,
-            rack: self.cluster.rack_of(node),
-        });
-        if let Some(m) = &mut self.metrics {
-            m.node_failures.inc();
-        }
-        self.touch_busy();
-        // Kill every live attempt on the node, in attempt-id order (the
-        // map iterates in arbitrary order; sorting keeps runs seeded).
-        let mut victims: Vec<u64> = self
-            .attempts
-            .iter()
-            .filter(|(_, a)| a.node == node && !a.cancelled)
-            .map(|(&id, _)| id)
-            .collect();
-        victims.sort_unstable();
-        let victim_count = victims.len();
-        for id in victims {
-            let a = self.attempts.get_mut(&id).expect("victim is registered");
-            a.cancelled = true;
-            let a = *a;
-            self.busy_count[Self::kind_index(a.kind)] -= 1;
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.record(self.now, a.wf, a.kind, -1);
-            }
-            if self.sink.is_some() {
-                self.emit(TraceEvent::TaskKilled {
-                    node: i,
-                    workflow: a.wf,
-                    job: a.job.as_u32() as usize,
-                    kind: a.kind,
-                });
-            }
-            self.work_lost_slot_ms += u128::from(self.now.saturating_since(a.started).as_millis());
-            let group = self.groups.get(&a.group).expect("live group");
-            let twin_alive = group.attempts[..usize::from(group.attempt_count)]
-                .iter()
-                .any(|&o| o != id && self.attempts.get(&o).is_some_and(|t| !t.cancelled));
-            if !twin_alive {
-                self.groups.remove(&a.group);
-            }
-            self.lost_pending[i].push(LostTask {
-                wf: a.wf,
-                job: a.job,
-                kind: a.kind,
-                solo: !twin_alive,
-                task: a.task,
-            });
-        }
-        // Slots leave the pool until the node re-registers.
-        self.nodes[i].free_maps = 0;
-        self.nodes[i].free_reduces = 0;
-        let node_cfg = self.cluster.node(node);
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record_down(self.now, node_cfg.total_slots() as i32);
-        }
-        let faults = self.cluster.faults();
-        // Failure prediction: fold this crash into the node's propensity
-        // score — the crash itself plus a per-victim term, since a crash
-        // that took running work down with it is stronger evidence.
-        if let Some(p) = self.config.prediction {
-            self.health
-                .as_mut()
-                .expect("prediction implies health tracker")
-                .bump(
-                    node,
-                    self.now,
-                    p.crash_weight + p.kill_weight * victim_count as f64,
-                );
-        }
-        // Blacklisting: the adaptive propensity-threshold policy when
-        // configured, otherwise the fixed crash-count policy (the default,
-        // preserved for byte-identical replays).
-        let adaptive = self.config.prediction.and_then(|p| p.adaptive_blacklist);
-        let blacklist = match adaptive {
-            Some(threshold) => self
-                .health
-                .as_ref()
-                .expect("adaptive blacklist implies health tracker")
-                .risky(node, self.now, threshold),
-            None => faults.blacklist_after > 0 && self.crash_count[i] >= faults.blacklist_after,
-        };
-        if blacklist {
-            self.node_blacklisted[i] = true;
-            self.nodes_blacklisted += 1;
-            if adaptive.is_some() {
-                self.health
-                    .as_mut()
-                    .expect("checked above")
-                    .adaptive_blacklists += 1;
-            }
-            self.emit(TraceEvent::NodeBlacklisted {
-                node: i,
-                rack: self.cluster.rack_of(node),
-            });
-        }
-        // Failure detector: the JobTracker declares the node lost after it
-        // misses the configured number of heartbeats.
-        let detect = SimDuration::from_millis(
-            self.cluster.heartbeat_interval().as_millis()
-                * u64::from(faults.detect_missed_heartbeats.max(1)),
-        );
-        self.schedule(
-            self.now.saturating_add(detect),
-            Event::NodeLost {
-                node,
-                incident: self.incident[i],
-            },
-        );
-        // Stochastic crashes sample their repair time now; scripted faults
-        // carry their own absolute repair times, and rack outages repair
-        // atomically via [`Event::RackUp`].
-        if !rack_outage {
-            if let Some(mttr) = faults.mtbf.map(|_| faults.mttr) {
-                let ttr = self.rng.time_to_repair(node, self.incident[i], mttr);
-                self.schedule(self.now.saturating_add(ttr), Event::NodeUp(node));
-            }
-        }
-        true
-    }
-
-    /// A rack switch fails: every live, non-blacklisted node of the rack
-    /// crashes atomically (one correlated incident), and the rack's repair
-    /// is scheduled as a single [`Event::RackUp`]. Detection still runs
-    /// per node — the failure detector has no rack awareness.
-    fn handle_rack_down(&mut self, rack: u32) {
-        let idx = rack as usize;
-        self.rack_incident[idx] += 1;
-        let incident = self.rack_incident[idx];
-        let mut victims = Vec::new();
-        for node in self.cluster.rack_nodes(rack) {
-            if self.node_down_core(node, true) {
-                victims.push(node);
-            }
-        }
-        self.rack_victims[idx] = victims;
-        let mttr = self.cluster.faults().rack_repair_mean();
-        let ttr = self.rng.rack_time_to_repair(rack, incident, mttr);
-        self.schedule(self.now.saturating_add(ttr), Event::RackUp { rack });
-    }
-
-    /// The rack switch finishes repair: every node the outage took down
-    /// re-registers (blacklisted victims stay out), and the next rack
-    /// failure chains off this recovery.
-    fn handle_rack_up(&mut self, scheduler: &mut dyn WorkflowScheduler, rack: u32) {
-        let idx = rack as usize;
-        let victims = std::mem::take(&mut self.rack_victims[idx]);
-        for node in victims {
-            self.handle_node_up(scheduler, node);
-        }
-        if let Some(mtbf) = self.cluster.faults().rack_mtbf {
-            let ttf = self
-                .rng
-                .rack_time_to_failure(rack, self.rack_incident[idx], mtbf);
-            self.schedule(self.now.saturating_add(ttf), Event::RackDown { rack });
-        }
-    }
-
-    /// A node finishes repair and re-registers with the JobTracker. Any
-    /// work not yet requeued is requeued now (re-registration proves the
-    /// old attempts are gone), and its slots rejoin the pool empty.
-    fn handle_node_up(&mut self, scheduler: &mut dyn WorkflowScheduler, node: NodeId) {
-        let i = node.index();
-        if self.alive[i] || self.node_blacklisted[i] {
-            return;
-        }
-        self.requeue_lost(scheduler, node);
-        self.alive[i] = true;
-        self.node_recoveries += 1;
-        self.emit(TraceEvent::NodeUp {
-            node: i,
-            rack: self.cluster.rack_of(node),
-        });
-        let node_cfg = self.cluster.node(node);
-        self.nodes[i].free_maps = node_cfg.map_slots;
-        self.nodes[i].free_reduces = node_cfg.reduce_slots;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record_down(self.now, -(node_cfg.total_slots() as i32));
-        }
-        if !self.heartbeat_live[i] {
-            self.heartbeat_live[i] = true;
-            self.schedule(self.now, Event::Heartbeat(node));
-        }
-        if let Some(mtbf) = self.cluster.faults().mtbf {
-            let ttf = self.rng.time_to_failure(node, self.incident[i], mtbf);
-            self.schedule(self.now.saturating_add(ttf), Event::NodeDown(node));
-        }
-    }
-
-    /// The failure detector fires: if the node is still down and the
-    /// detection belongs to the current outage, requeue its work and give
-    /// the scheduler its node-loss checkpoint.
-    fn handle_node_lost(
-        &mut self,
-        scheduler: &mut dyn WorkflowScheduler,
-        node: NodeId,
-        incident: u64,
-    ) {
-        let i = node.index();
-        if self.alive[i] || self.incident[i] != incident {
-            return;
-        }
-        self.requeue_lost(scheduler, node);
-        scheduler.on_node_lost(&self.pool, node, self.now);
-    }
-
-    /// Applies the JobTracker-side consequences of a crash: killed attempts
-    /// re-enter the pending queues, and completed map outputs hosted on the
-    /// node are invalidated and re-executed while reducers still need them.
-    fn requeue_lost(&mut self, scheduler: &mut dyn WorkflowScheduler, node: NodeId) {
-        let lost = std::mem::take(&mut self.lost_pending[node.index()]);
-        for t in lost {
-            if t.solo {
-                self.pool.workflow_mut(t.wf).fail_task(t.job, t.kind);
-                self.tasks_requeued += 1;
-                if t.kind == SlotKind::Map && self.config.locality.is_some() {
-                    let spec_maps = self.pool.workflow(t.wf).spec().job(t.job).map_tasks();
-                    let retried = self.pool.workflow(t.wf).job(t.job).retried(t.kind);
-                    if self
-                        .data
-                        .requeue_map(t.wf, t.job, spec_maps + retried, t.task)
-                    {
-                        self.survivor_requeues += 1;
-                    }
-                }
-                scheduler.on_task_failed(&self.pool, t.wf, t.job, t.kind, self.now);
-            } else {
-                // A twin is still racing on another node: only undo this
-                // attempt's running count.
-                self.pool
-                    .workflow_mut(t.wf)
-                    .finish_speculative(t.job, t.kind);
-            }
-        }
-        // Completed map outputs on the node are gone; jobs whose reducers
-        // still need them re-execute those maps (the data plane reports
-        // them in key order, so runs stay seeded).
-        for inv in self.data.invalidate_node(node) {
-            let (wf, job, lost) = (inv.wf, inv.job, inv.lost);
-            self.pool
-                .workflow_mut(wf)
-                .invalidate_completed_maps(job, lost);
-            self.map_outputs_lost += u64::from(lost);
-            if !self.config.reshuffle_cost.is_zero() {
-                self.data.add_reshuffle_debt(wf, job, u64::from(lost));
-            }
-            if self.config.locality.is_some() {
-                let spec_maps = self.pool.workflow(wf).spec().job(job).map_tasks();
-                let retried = self.pool.workflow(wf).job(job).retried(SlotKind::Map);
-                for k in 0..lost {
-                    let original = inv.tasks.get(k as usize).copied();
-                    if self
-                        .data
-                        .requeue_map(wf, job, spec_maps + retried - k, original)
-                    {
-                        self.survivor_requeues += 1;
-                    }
-                }
-            }
-            for _ in 0..lost {
-                scheduler.on_task_failed(&self.pool, wf, job, SlotKind::Map, self.now);
-            }
-        }
-    }
-
     /// A TaskTracker heartbeat: dead nodes stop the chain; live ones get
     /// their free slots offered and the next beat scheduled.
     fn handle_heartbeat(&mut self, scheduler: &mut dyn WorkflowScheduler, node: NodeId) {
@@ -1677,613 +1388,6 @@ impl<'a> Sim<'a> {
             }
         }
         self.drain_sched(scheduler);
-    }
-
-    /// Serializes the full master state (see [`crate::snapshot`]). Maps
-    /// are emitted as key-sorted vectors so the encoding is deterministic.
-    fn build_snapshot(&self, scheduler: &dyn WorkflowScheduler) -> MasterSnapshot {
-        let mut attempts: Vec<AttemptRecord> = self
-            .attempts
-            .iter()
-            .map(|(&id, a)| AttemptRecord {
-                id,
-                wf: a.wf,
-                job: a.job,
-                kind: a.kind,
-                node: a.node,
-                group: a.group,
-                started: a.started,
-                estimate: a.estimate,
-                speculative: a.speculative,
-                cancelled: a.cancelled,
-                task: a.task,
-            })
-            .collect();
-        attempts.sort_unstable_by_key(|a| a.id);
-        let mut groups: Vec<GroupRecord> = self
-            .groups
-            .iter()
-            .map(|(&id, g)| GroupRecord {
-                id,
-                done: g.done,
-                twin_launched: g.twin_launched,
-                attempts: g.attempts,
-                attempt_count: g.attempt_count,
-            })
-            .collect();
-        groups.sort_unstable_by_key(|g| g.id);
-        MasterSnapshot {
-            taken_at: self.now,
-            pool: self.pool.clone(),
-            source_cursor: self.arrived.len() as u64,
-            arrived: self.arrived.clone(),
-            attempts,
-            groups,
-            next_attempt: self.next_attempt,
-            next_group: self.next_group,
-            pending_map_ids: self.data.pending_map_records(),
-            delay_skips: self.data.delay_skip_records(),
-            map_output_hosts: self.data.map_output_records(),
-            node_slots: self
-                .nodes
-                .iter()
-                .map(|n| NodeSlotsRecord {
-                    free_maps: n.free_maps,
-                    free_reduces: n.free_reduces,
-                })
-                .collect(),
-            busy_count: self.busy_count,
-            completion_seq: self.completion_seq,
-            counters: SnapshotCounters {
-                tasks_executed: self.tasks_executed,
-                task_failures: self.task_failures,
-                assign_calls: self.assign_calls,
-                invalid_assignments: self.invalid_assignments,
-                local_map_tasks: self.local_map_tasks,
-                remote_map_tasks: self.remote_map_tasks,
-                delay_skip_count: self.delay_skip_count,
-                stragglers: self.stragglers,
-                speculative_launched: self.speculative_launched,
-                speculative_wins: self.speculative_wins,
-                node_failures: self.node_failures,
-                node_recoveries: self.node_recoveries,
-                nodes_blacklisted: self.nodes_blacklisted,
-                tasks_requeued: self.tasks_requeued,
-                map_outputs_lost: self.map_outputs_lost,
-                work_lost_slot_ms: self.work_lost_slot_ms,
-                survivor_requeues: self.survivor_requeues,
-                reshuffle_events: self.reshuffle_events,
-                reshuffle_charged_ms: self.reshuffle_charged_ms,
-            },
-            fault: FaultSnapshot {
-                alive: self.alive.clone(),
-                blacklisted: self.node_blacklisted.clone(),
-                incident: self.incident.clone(),
-                crash_count: self.crash_count.clone(),
-                heartbeat_live: self.heartbeat_live.clone(),
-                lost_pending: self
-                    .lost_pending
-                    .iter()
-                    .map(|v| {
-                        v.iter()
-                            .map(|t| LostTaskRecord {
-                                wf: t.wf,
-                                job: t.job,
-                                kind: t.kind,
-                                solo: t.solo,
-                                task: t.task,
-                            })
-                            .collect()
-                    })
-                    .collect(),
-                racks: (0..self.rack_incident.len())
-                    .filter(|&r| self.rack_incident[r] != 0 || !self.rack_victims[r].is_empty())
-                    .map(|r| RackStateRecord {
-                        rack: r as u32,
-                        incident: self.rack_incident[r],
-                        victims: self.rack_victims[r].clone(),
-                    })
-                    .collect(),
-            },
-            scheduler: scheduler.snapshot_state(),
-            health: self.health.as_ref().map(NodeHealth::to_record),
-            reshuffle_debt: self.data.reshuffle_records(),
-        }
-    }
-
-    /// Replaces the master's logical state with a decoded checkpoint.
-    fn install_snapshot(&mut self, scheduler: &mut dyn WorkflowScheduler, snap: MasterSnapshot) {
-        self.pool = snap.pool;
-        self.arrived = snap.arrived;
-        debug_assert_eq!(
-            snap.source_cursor as usize,
-            self.arrived.len(),
-            "snapshot arrival cursor matches its arrival ledger"
-        );
-        self.attempts = snap
-            .attempts
-            .into_iter()
-            .map(|r| {
-                (
-                    r.id,
-                    Attempt {
-                        wf: r.wf,
-                        job: r.job,
-                        kind: r.kind,
-                        node: r.node,
-                        group: r.group,
-                        started: r.started,
-                        estimate: r.estimate,
-                        speculative: r.speculative,
-                        cancelled: r.cancelled,
-                        task: r.task,
-                    },
-                )
-            })
-            .collect();
-        self.groups = snap
-            .groups
-            .into_iter()
-            .map(|r| {
-                (
-                    r.id,
-                    AttemptGroup {
-                        done: r.done,
-                        twin_launched: r.twin_launched,
-                        attempts: r.attempts,
-                        attempt_count: r.attempt_count,
-                    },
-                )
-            })
-            .collect();
-        self.next_attempt = snap.next_attempt;
-        self.next_group = snap.next_group;
-        self.data.install(
-            snap.pending_map_ids,
-            snap.delay_skips,
-            snap.map_output_hosts,
-            snap.reshuffle_debt,
-        );
-        for (slots, r) in self.nodes.iter_mut().zip(&snap.node_slots) {
-            slots.free_maps = r.free_maps;
-            slots.free_reduces = r.free_reduces;
-        }
-        self.busy_count = snap.busy_count;
-        self.completion_seq = snap.completion_seq;
-        let c = snap.counters;
-        self.tasks_executed = c.tasks_executed;
-        self.task_failures = c.task_failures;
-        self.assign_calls = c.assign_calls;
-        self.invalid_assignments = c.invalid_assignments;
-        self.local_map_tasks = c.local_map_tasks;
-        self.remote_map_tasks = c.remote_map_tasks;
-        self.delay_skip_count = c.delay_skip_count;
-        self.stragglers = c.stragglers;
-        self.speculative_launched = c.speculative_launched;
-        self.speculative_wins = c.speculative_wins;
-        self.node_failures = c.node_failures;
-        self.node_recoveries = c.node_recoveries;
-        self.nodes_blacklisted = c.nodes_blacklisted;
-        self.tasks_requeued = c.tasks_requeued;
-        self.map_outputs_lost = c.map_outputs_lost;
-        self.work_lost_slot_ms = c.work_lost_slot_ms;
-        self.survivor_requeues = c.survivor_requeues;
-        self.reshuffle_events = c.reshuffle_events;
-        self.reshuffle_charged_ms = c.reshuffle_charged_ms;
-        let f = snap.fault;
-        self.alive = f.alive;
-        self.node_blacklisted = f.blacklisted;
-        self.incident = f.incident;
-        self.crash_count = f.crash_count;
-        self.heartbeat_live = f.heartbeat_live;
-        self.lost_pending = f
-            .lost_pending
-            .into_iter()
-            .map(|v| {
-                v.into_iter()
-                    .map(|t| LostTask {
-                        wf: t.wf,
-                        job: t.job,
-                        kind: t.kind,
-                        solo: t.solo,
-                        task: t.task,
-                    })
-                    .collect()
-            })
-            .collect();
-        for r in &mut self.rack_incident {
-            *r = 0;
-        }
-        for v in &mut self.rack_victims {
-            v.clear();
-        }
-        for r in f.racks {
-            self.rack_incident[r.rack as usize] = r.incident;
-            self.rack_victims[r.rack as usize] = r.victims;
-        }
-        self.remaining = self.arrived.len() - completed_workflows(&self.pool);
-        if let (Some(health), Some(rec)) = (self.health.as_mut(), snap.health.as_ref()) {
-            // Propensity is logical (learned) state: restore the
-            // checkpoint and let WAL replay re-apply later crashes.
-            health.restore(rec);
-        }
-        scheduler.restore_state(&self.pool, &snap.scheduler);
-    }
-
-    /// Takes a checkpoint: encodes the current master state and truncates
-    /// the WAL.
-    fn take_checkpoint(&mut self, scheduler: &mut dyn WorkflowScheduler) {
-        let snap = self.build_snapshot(scheduler);
-        self.checkpoint = Some(snap.encode());
-        let superseded = self.wal.len() as u64;
-        self.wal.clear();
-        self.recovery.checkpoints_taken += 1;
-        self.emit(TraceEvent::CheckpointTaken {
-            wal_records: superseded,
-        });
-        if let Some(m) = &mut self.metrics {
-            m.checkpoints.inc();
-        }
-    }
-
-    fn handle_checkpoint(&mut self, scheduler: &mut dyn WorkflowScheduler) {
-        self.take_checkpoint(scheduler);
-        let interval = self.cluster.faults().master.checkpoint_interval;
-        self.schedule(self.now.saturating_add(interval), Event::Checkpoint);
-    }
-
-    /// The JobTracker crashes. The world freezes for the restart duration
-    /// (every pending event shifts by the outage); the replacement master
-    /// restores the latest checkpoint, replays the WAL, and reconciles
-    /// with the physical cluster as TaskTrackers re-register.
-    fn handle_master_crash(&mut self, scheduler: &mut dyn WorkflowScheduler, incident: u64) {
-        if incident != self.recovery.master_crashes {
-            // A stale crash from before an earlier recovery.
-            return;
-        }
-        let cluster = self.cluster;
-        let mcfg = &cluster.faults().master;
-        self.recovery.master_crashes += 1;
-        self.emit(TraceEvent::MasterCrashed);
-        self.touch_busy();
-        // Pure-scripted schedules restart in exactly `mttr` (deterministic
-        // for tests); stochastic ones sample an exponential restart time.
-        let outage = if mcfg.mtbf.is_some() {
-            self.rng.master_time_to_repair(incident, mcfg.mttr)
-        } else {
-            mcfg.mttr
-        };
-        self.recovery.master_downtime_ms += outage.as_millis();
-        self.master_alive = false;
-        let crash_time = self.now;
-        let recover_at = crash_time.saturating_add(outage);
-
-        // The physical world at the crash: node liveness, outage ordinals,
-        // and blacklists do not reset because the master restarted.
-        let phys_alive = std::mem::take(&mut self.alive);
-        let phys_blacklisted = std::mem::take(&mut self.node_blacklisted);
-        let phys_incident = std::mem::take(&mut self.incident);
-        let phys_crash_count = std::mem::take(&mut self.crash_count);
-        let phys_heartbeat_live = std::mem::take(&mut self.heartbeat_live);
-        let phys_rack_incident = self.rack_incident.clone();
-        let phys_rack_victims = self.rack_victims.clone();
-
-        let pending = self.queue.drain_ordered();
-
-        // Restore the latest checkpoint and replay the WAL onto it. The
-        // replay re-derives every post-checkpoint decision (same RNG
-        // streams, same attempt ids) without scheduling new events.
-        let snap = MasterSnapshot::decode(self.checkpoint.as_ref().expect("genesis checkpoint"))
-            .expect("checkpoint decodes");
-        let wal = std::mem::take(&mut self.wal);
-        self.install_snapshot(scheduler, snap);
-        self.replaying = true;
-        // Replay re-derives decisions the original master already made and
-        // recorded: observability (like the timeline recorder) suspends so
-        // nothing is double-counted or double-traced.
-        let recorder = self.recorder.take();
-        let sink = self.sink.take();
-        let metrics = self.metrics.take();
-        if self.sched_tracing {
-            scheduler.set_tracing(false);
-        }
-        let replayed = wal.len() as u64;
-        for (t, event) in wal {
-            self.now = t;
-            self.recovery.wal_records_replayed += 1;
-            self.dispatch(scheduler, event);
-        }
-        self.recorder = recorder;
-        self.sink = sink;
-        self.metrics = metrics;
-        if self.sched_tracing {
-            // Re-arming also discards anything buffered during replay.
-            scheduler.set_tracing(true);
-        }
-        self.replaying = false;
-        self.now = crash_time;
-        // The replay span is stamped at the recovery instant and stretches
-        // back over the outage; nothing else fires inside that window.
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(TraceRecord {
-                at: recover_at,
-                event: TraceEvent::WalReplayed {
-                    records: replayed,
-                    outage,
-                },
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            m.wal_replayed.add(replayed);
-        }
-
-        // The source cursor never rewinds: arrival slots the restored
-        // checkpoint (plus WAL) predates belong to workflows already pulled
-        // from the source, whose arrival events were pending at the crash
-        // (or lost with it and resubmitted below).
-        while self.arrived.len() < self.workflows.len() {
-            self.arrived.push(false);
-            self.remaining += 1;
-        }
-        // Workflows not yet pulled shift with the frozen world: their
-        // effective arrival time gains the outage, exactly like the
-        // pending events re-pushed below.
-        self.arrival_shift = self.arrival_shift.saturating_add(outage);
-
-        // Node failures that happened but fell into a lost WAL suffix still
-        // count toward the report; derive per-node recoveries from the
-        // crash-count delta and the liveness transition.
-        for i in 0..self.node_count {
-            let missed_downs = i64::from(phys_crash_count[i]) - i64::from(self.crash_count[i]);
-            let missed_ups = missed_downs + i64::from(phys_alive[i]) - i64::from(self.alive[i]);
-            self.node_failures += missed_downs.max(0) as u64;
-            self.node_recoveries += missed_ups.max(0) as u64;
-            if phys_blacklisted[i] && !self.node_blacklisted[i] {
-                self.nodes_blacklisted += 1;
-            }
-        }
-        self.alive = phys_alive;
-        self.node_blacklisted = phys_blacklisted;
-        self.incident = phys_incident;
-        self.crash_count = phys_crash_count;
-        self.heartbeat_live = phys_heartbeat_live;
-        self.rack_incident = phys_rack_incident;
-        self.rack_victims = phys_rack_victims;
-
-        // Reconciliation: TaskTrackers re-register with the new master and
-        // report what they are running. An attempt the recovered state
-        // knows about is re-adopted if its node is live and its completion
-        // is still pending; otherwise it is killed and requeued (Hadoop-1
-        // kills attempts the restarted JobTracker cannot account for).
-        let pending_attempts: HashSet<u64> = pending
-            .iter()
-            .filter_map(|(_, e)| match e {
-                Event::TaskComplete { attempt, .. } => Some(*attempt),
-                _ => None,
-            })
-            .collect();
-        let mut ids: Vec<u64> = self.attempts.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let a = self.attempts[&id];
-            if a.cancelled {
-                continue;
-            }
-            if self.alive[a.node.index()] && pending_attempts.contains(&id) {
-                // Re-adopted: the attempt kept running through the outage;
-                // its completion shifts with everything else.
-                let a = self.attempts.get_mut(&id).expect("registered");
-                a.started = a.started.saturating_add(outage);
-                self.recovery.attempts_readopted += 1;
-                continue;
-            }
-            // Dead node, or the completion fell into the lost WAL suffix:
-            // kill the attempt and requeue its task.
-            let a = self.attempts.get_mut(&id).expect("registered");
-            a.cancelled = true;
-            let a = *a;
-            let twin_alive = self.groups.get(&a.group).is_some_and(|g| {
-                g.attempts[..usize::from(g.attempt_count)]
-                    .iter()
-                    .any(|&o| o != id && self.attempts.get(&o).is_some_and(|t| !t.cancelled))
-            });
-            if twin_alive {
-                self.pool
-                    .workflow_mut(a.wf)
-                    .finish_speculative(a.job, a.kind);
-            } else {
-                self.groups.remove(&a.group);
-                self.pool.workflow_mut(a.wf).fail_task(a.job, a.kind);
-                self.tasks_requeued += 1;
-                if a.kind == SlotKind::Map && self.config.locality.is_some() {
-                    let spec_maps = self.pool.workflow(a.wf).spec().job(a.job).map_tasks();
-                    let retried = self.pool.workflow(a.wf).job(a.job).retried(a.kind);
-                    if self
-                        .data
-                        .requeue_map(a.wf, a.job, spec_maps + retried, a.task)
-                    {
-                        self.survivor_requeues += 1;
-                    }
-                }
-                scheduler.on_task_failed(&self.pool, a.wf, a.job, a.kind, self.now);
-                self.recovery.attempts_requeued += 1;
-            }
-            self.work_lost_slot_ms +=
-                u128::from(crash_time.saturating_since(a.started).as_millis());
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.record(crash_time, a.wf, a.kind, -1);
-            }
-            if self.sink.is_some() {
-                self.emit(TraceEvent::TaskKilled {
-                    node: a.node.index(),
-                    workflow: a.wf,
-                    job: a.job.as_u32() as usize,
-                    kind: a.kind,
-                });
-            }
-            if !pending_attempts.contains(&id) {
-                // No event will ever reference this attempt again.
-                self.attempts.remove(&id);
-            }
-        }
-
-        // Crash work whose detection (NodeLost) and repair (NodeUp) both
-        // fell into the lost suffix would otherwise never be requeued:
-        // re-registration at recovery surfaces it now.
-        for i in 0..self.node_count {
-            if self.lost_pending[i].is_empty() {
-                continue;
-            }
-            let node = NodeId::new(i as u32);
-            let has_wakeup = pending.iter().any(|(_, e)| match e {
-                Event::NodeUp(n) => *n == node,
-                Event::NodeLost {
-                    node: n,
-                    incident: inc,
-                } => *n == node && *inc == self.incident[i],
-                _ => false,
-            });
-            if !has_wakeup {
-                self.requeue_lost(scheduler, node);
-            }
-        }
-
-        // Rebuild slot occupancy from the surviving attempts.
-        self.busy_count = [0, 0];
-        for (i, slots) in self.nodes.iter_mut().enumerate() {
-            if self.alive[i] && !self.node_blacklisted[i] {
-                let cfg = cluster.node(NodeId::new(i as u32));
-                slots.free_maps = cfg.map_slots;
-                slots.free_reduces = cfg.reduce_slots;
-            } else {
-                slots.free_maps = 0;
-                slots.free_reduces = 0;
-            }
-        }
-        for a in self.attempts.values() {
-            if !a.cancelled {
-                self.busy_count[Self::kind_index(a.kind)] += 1;
-                self.nodes[a.node.index()].take(a.kind);
-            }
-        }
-
-        // Rebuild the event queue: recovery fires first, then the frozen
-        // future shifted by the outage. Orphaned completions (attempts the
-        // recovered master has no record of) are discarded; activations of
-        // jobs no longer in the Submitting phase are stale; the checkpoint
-        // cycle restarts fresh at recovery.
-        let mut has_arrival = vec![false; self.arrived.len()];
-        let mut has_activation: Vec<(WorkflowId, JobId)> = Vec::new();
-        for (_, e) in &pending {
-            match e {
-                Event::WorkflowArrival(i) => has_arrival[*i] = true,
-                Event::JobActivated(wf, job) => has_activation.push((*wf, *job)),
-                _ => {}
-            }
-        }
-        self.queue
-            .push(recover_at, Event::MasterRecovered { incident });
-        for (t, event) in pending {
-            let keep = match &event {
-                Event::TaskComplete {
-                    attempt,
-                    workflow,
-                    job,
-                    kind,
-                    node,
-                } => {
-                    if self.attempts.contains_key(attempt) {
-                        true
-                    } else {
-                        self.recovery.attempts_orphaned += 1;
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.record(crash_time, *workflow, *kind, -1);
-                        }
-                        if let Some(sink) = self.sink.as_deref_mut() {
-                            sink.record(TraceRecord {
-                                at: crash_time,
-                                event: TraceEvent::TaskKilled {
-                                    node: node.index(),
-                                    workflow: *workflow,
-                                    job: job.as_u32() as usize,
-                                    kind: *kind,
-                                },
-                            });
-                        }
-                        false
-                    }
-                }
-                Event::JobActivated(wf, job) => {
-                    // A workflow that arrived after the checkpoint is
-                    // unknown to the restored master: its activation is as
-                    // orphaned as the arrival, which gets resubmitted.
-                    (wf.as_u64() as usize) < self.pool.len()
-                        && self.pool.workflow(*wf).job(*job).phase() == JobPhase::Submitting
-                }
-                Event::Checkpoint => false,
-                _ => true,
-            };
-            if keep {
-                self.queue.push(t.saturating_add(outage), event);
-            }
-        }
-
-        // Arrivals and submitter jobs consumed in the lost suffix are gone
-        // from both the recovered state and the queue: the client (or the
-        // workflow manager) resubmits them to the new master at recovery.
-        let lost: Vec<usize> = (0..self.arrived.len())
-            .filter(|&i| !self.arrived[i] && !has_arrival[i])
-            .collect();
-        for i in lost {
-            self.queue.push(recover_at, Event::WorkflowArrival(i));
-            self.recovery.workflows_resubmitted += 1;
-        }
-        let mut resubmit: Vec<(WorkflowId, JobId)> = Vec::new();
-        for w in self.pool.workflows() {
-            for job in w.spec().job_ids() {
-                if w.job(job).phase() == JobPhase::Submitting
-                    && !has_activation.contains(&(w.id(), job))
-                {
-                    resubmit.push((w.id(), job));
-                }
-            }
-        }
-        for (wf, job) in resubmit {
-            self.queue.push(
-                recover_at.saturating_add(self.config.submit_latency),
-                Event::JobActivated(wf, job),
-            );
-            self.recovery.jobs_resubmitted += 1;
-        }
-    }
-
-    /// The replacement JobTracker finishes recovery and resumes.
-    fn handle_master_recovered(&mut self, scheduler: &mut dyn WorkflowScheduler, incident: u64) {
-        debug_assert_eq!(incident + 1, self.recovery.master_crashes);
-        // The outage contributes zero busy time: the integral window
-        // restarts at recovery.
-        self.last_busy_touch = self.now;
-        self.master_alive = true;
-        // A fresh checkpoint cycle starts immediately.
-        self.take_checkpoint(scheduler);
-        let cluster = self.cluster;
-        let mcfg = &cluster.faults().master;
-        self.schedule(
-            self.now.saturating_add(mcfg.checkpoint_interval),
-            Event::Checkpoint,
-        );
-        // Chain the next stochastic crash (scripted schedules were queued
-        // up front and override stochastic crashes entirely).
-        if mcfg.scripted.is_empty() {
-            if let Some(mtbf) = mcfg.mtbf {
-                let n = self.recovery.master_crashes;
-                let ttf = self.rng.master_time_to_failure(n, mtbf);
-                self.schedule(
-                    self.now.saturating_add(ttf),
-                    Event::MasterCrash { incident: n },
-                );
-            }
-        }
     }
 }
 
@@ -2977,1053 +2081,4 @@ fn run_inner_clocked<'a>(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scheduler::SubmitOrderScheduler;
-    use woha_model::{JobSpec, WorkflowBuilder};
-
-    fn simple_workflow(name: &str, submit_s: u64, deadline_rel_s: u64) -> WorkflowSpec {
-        let mut b = WorkflowBuilder::new(name);
-        let a = b.add_job(JobSpec::new(
-            "a",
-            4,
-            2,
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(20),
-        ));
-        let z = b.add_job(JobSpec::new(
-            "z",
-            2,
-            1,
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(15),
-        ));
-        b.add_dependency(a, z);
-        b.submit_at(SimTime::from_secs(submit_s));
-        b.relative_deadline(SimDuration::from_secs(deadline_rel_s));
-        b.build().unwrap()
-    }
-
-    fn default_run(workflows: &[WorkflowSpec]) -> SimReport {
-        run_simulation(
-            workflows,
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(2, 2, 1),
-            &SimConfig::default(),
-        )
-    }
-
-    #[test]
-    fn single_workflow_completes() {
-        let report = default_run(&[simple_workflow("w", 0, 600)]);
-        assert!(report.completed);
-        assert_eq!(report.outcomes.len(), 1);
-        assert!(report.outcomes[0].finished.is_some());
-        assert_eq!(report.invalid_assignments, 0);
-        // 4 + 2 + 2 + 1 tasks.
-        assert_eq!(report.tasks_executed, 9);
-    }
-
-    #[test]
-    fn phases_respect_dependencies() {
-        // With 4 map slots and 2 reduce slots: job a needs one map wave
-        // (10s) + one reduce wave (20s); then job z one map wave (5s) +
-        // reduce (15s). Plus ~1s submit latency each and heartbeat slack.
-        let report = default_run(&[simple_workflow("w", 0, 600)]);
-        let finish = report.outcomes[0].finished.unwrap();
-        // Lower bound: pure critical path 10+20+5+15 = 50s + 2 submit
-        // latencies = 52s.
-        assert!(finish >= SimTime::from_secs(52), "finish {finish}");
-        // Upper bound with heartbeat slack: well under 70s.
-        assert!(finish <= SimTime::from_secs(70), "finish {finish}");
-    }
-
-    #[test]
-    fn deadline_outcome_reflects_finish() {
-        let tight = default_run(&[simple_workflow("w", 0, 10)]);
-        assert_eq!(tight.deadline_misses(), 1);
-        assert!(tight.max_tardiness() > SimDuration::ZERO);
-        let loose = default_run(&[simple_workflow("w", 0, 600)]);
-        assert_eq!(loose.deadline_misses(), 0);
-    }
-
-    #[test]
-    fn later_submission_time_is_respected() {
-        let report = default_run(&[simple_workflow("w", 120, 600)]);
-        let o = &report.outcomes[0];
-        assert_eq!(o.submitted, SimTime::from_secs(120));
-        assert!(o.finished.unwrap() > SimTime::from_secs(120));
-        // Workspan is measured from submission, not from zero.
-        assert!(o.workspan(report.end_time) < SimDuration::from_secs(100));
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let w = vec![
-            simple_workflow("a", 0, 600),
-            simple_workflow("b", 5, 600),
-            simple_workflow("c", 10, 600),
-        ];
-        let r1 = default_run(&w);
-        let r2 = default_run(&w);
-        assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn jitter_changes_durations_but_stays_deterministic() {
-        let w = vec![simple_workflow("w", 0, 600)];
-        let cfg = SimConfig {
-            duration_jitter: 0.3,
-            seed: 7,
-            ..SimConfig::default()
-        };
-        let cluster = ClusterConfig::uniform(2, 2, 1);
-        let r1 = run_simulation(&w, &mut SubmitOrderScheduler::new(), &cluster, &cfg);
-        let r2 = run_simulation(&w, &mut SubmitOrderScheduler::new(), &cluster, &cfg);
-        assert_eq!(r1, r2);
-        let r0 = default_run(&w);
-        assert_ne!(
-            r0.outcomes[0].finished, r1.outcomes[0].finished,
-            "jitter should perturb the schedule"
-        );
-        let other_seed = SimConfig { seed: 8, ..cfg };
-        let r3 = run_simulation(&w, &mut SubmitOrderScheduler::new(), &cluster, &other_seed);
-        assert_ne!(r1.outcomes[0].finished, r3.outcomes[0].finished);
-    }
-
-    #[test]
-    fn max_sim_time_truncates() {
-        let cfg = SimConfig {
-            max_sim_time: SimTime::from_secs(20),
-            ..SimConfig::default()
-        };
-        let report = run_simulation(
-            &[simple_workflow("w", 0, 600)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(1, 1, 1),
-            &cfg,
-        );
-        assert!(!report.completed);
-        assert_eq!(report.outcomes[0].finished, None);
-        assert!(report.end_time <= SimTime::from_secs(20));
-    }
-
-    #[test]
-    fn utilization_bounded_and_positive() {
-        let report = default_run(&[simple_workflow("w", 0, 600)]);
-        let u = report.overall_utilization();
-        assert!(u > 0.0 && u <= 1.0, "utilization {u}");
-    }
-
-    #[test]
-    fn timelines_track_slot_occupancy() {
-        let cfg = SimConfig {
-            track_timelines: true,
-            sample_interval: SimDuration::from_secs(1),
-            ..SimConfig::default()
-        };
-        let report = run_simulation(
-            &[simple_workflow("w", 0, 600)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(2, 2, 1),
-            &cfg,
-        );
-        let tl = report.timelines.as_ref().unwrap();
-        let maps = tl.series(WorkflowId::new(0), SlotKind::Map);
-        // At some instant all 4 map slots are busy.
-        assert_eq!(*maps.iter().max().unwrap(), 4);
-        // Never exceeds cluster capacity.
-        assert!(maps.iter().all(|&m| m <= 4));
-        let reduces = tl.series(WorkflowId::new(0), SlotKind::Reduce);
-        assert_eq!(*reduces.iter().max().unwrap(), 2);
-    }
-
-    #[test]
-    fn work_conserving_with_parallel_workflows() {
-        // Two identical workflows, cluster big enough for both: the second
-        // must not wait for the first.
-        let w = vec![simple_workflow("a", 0, 600), simple_workflow("b", 0, 600)];
-        let report = run_simulation(
-            &w,
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(8, 2, 1),
-            &SimConfig::default(),
-        );
-        let f0 = report.outcomes[0].finished.unwrap();
-        let f1 = report.outcomes[1].finished.unwrap();
-        let spread = if f0 > f1 { f0 - f1 } else { f1 - f0 };
-        assert!(spread < SimDuration::from_secs(5), "spread {spread}");
-    }
-
-    #[test]
-    fn zero_submit_latency_works() {
-        let cfg = SimConfig {
-            submit_latency: SimDuration::ZERO,
-            ..SimConfig::default()
-        };
-        let report = run_simulation(
-            &[simple_workflow("w", 0, 600)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(2, 2, 1),
-            &cfg,
-        );
-        assert!(report.completed);
-    }
-
-    #[test]
-    fn failure_injection_retries_and_terminates() {
-        let cfg = SimConfig {
-            task_failure_prob: 0.3,
-            seed: 5,
-            ..SimConfig::default()
-        };
-        let report = run_simulation(
-            &[simple_workflow("w", 0, 3_000)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(2, 2, 1),
-            &cfg,
-        );
-        assert!(report.completed);
-        assert!(report.task_failures > 0, "30% failure rate must fire");
-        // Every failed attempt re-executes: executed = tasks + failures.
-        assert_eq!(report.tasks_executed, 9 + report.task_failures);
-        // Deterministic.
-        let again = run_simulation(
-            &[simple_workflow("w", 0, 3_000)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(2, 2, 1),
-            &cfg,
-        );
-        assert_eq!(report, again);
-    }
-
-    #[test]
-    fn failures_delay_completion() {
-        let base = default_run(&[simple_workflow("w", 0, 3_000)]);
-        let cfg = SimConfig {
-            task_failure_prob: 0.5,
-            seed: 3,
-            ..SimConfig::default()
-        };
-        let faulty = run_simulation(
-            &[simple_workflow("w", 0, 3_000)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(2, 2, 1),
-            &cfg,
-        );
-        assert!(
-            faulty.outcomes[0].finished.unwrap() > base.outcomes[0].finished.unwrap(),
-            "failures must slow the workflow down"
-        );
-    }
-
-    #[test]
-    fn speculation_duplicates_stragglers_and_terminates() {
-        // High straggler probability and patient threshold: speculation
-        // must fire, resolve races, and the run must stay consistent.
-        let cfg = SimConfig {
-            speculation: Some(SpeculationConfig {
-                straggler_prob: 0.4,
-                straggler_factor: 8.0,
-                speculate_after: 1.3,
-            }),
-            seed: 11,
-            ..SimConfig::default()
-        };
-        // A workload wide enough to leave idle slots while stragglers run.
-        let workflows = vec![simple_workflow("w", 0, 3_000)];
-        let report = run_simulation(
-            &workflows,
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(4, 2, 1),
-            &cfg,
-        );
-        assert!(report.completed);
-        assert!(report.stragglers > 0, "stragglers must be injected");
-        assert!(
-            report.speculative_launched > 0,
-            "speculation must fire: {report:?}"
-        );
-        assert!(report.speculative_wins <= report.speculative_launched);
-        // Deterministic.
-        let again = run_simulation(
-            &workflows,
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(4, 2, 1),
-            &cfg,
-        );
-        assert_eq!(report, again);
-    }
-
-    #[test]
-    fn speculation_beats_stragglers() {
-        // With heavy stragglers, speculation should shorten the makespan
-        // relative to no speculation (same straggler injection).
-        let base_spec = SpeculationConfig {
-            straggler_prob: 0.3,
-            straggler_factor: 10.0,
-            speculate_after: 1.2,
-        };
-        let run_with = |speculate: bool| {
-            let cfg = SimConfig {
-                speculation: Some(SpeculationConfig {
-                    // Disable duplicates by making the threshold absurd.
-                    speculate_after: if speculate {
-                        base_spec.speculate_after
-                    } else {
-                        1e9
-                    },
-                    ..base_spec
-                }),
-                seed: 21,
-                ..SimConfig::default()
-            };
-            run_simulation(
-                &[simple_workflow("w", 0, 30_000)],
-                &mut SubmitOrderScheduler::new(),
-                &ClusterConfig::uniform(4, 2, 1),
-                &cfg,
-            )
-        };
-        let with = run_with(true);
-        let without = run_with(false);
-        assert!(with.completed && without.completed);
-        assert!(without.speculative_launched == 0);
-        assert!(
-            with.end_time < without.end_time,
-            "speculation should cut the straggler tail: {} vs {}",
-            with.end_time,
-            without.end_time
-        );
-    }
-
-    #[test]
-    fn speculation_composes_with_woha_style_accounting() {
-        // Tasks executed still counts every *launch* (original + dup), and
-        // per-workflow progress is untouched by duplicates.
-        let cfg = SimConfig {
-            speculation: Some(SpeculationConfig {
-                straggler_prob: 0.5,
-                straggler_factor: 6.0,
-                speculate_after: 1.2,
-            }),
-            seed: 3,
-            ..SimConfig::default()
-        };
-        let report = run_simulation(
-            &[simple_workflow("w", 0, 30_000)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(4, 2, 1),
-            &cfg,
-        );
-        assert!(report.completed);
-        // 9 real tasks, plus one launch per original attempt only.
-        assert_eq!(report.tasks_executed, 9);
-        assert_eq!(report.invalid_assignments, 0);
-    }
-
-    #[test]
-    fn locality_tracks_local_and_remote_tasks() {
-        let cfg = SimConfig {
-            locality: Some(LocalityConfig::default()),
-            ..SimConfig::default()
-        };
-        let report = run_simulation(
-            &[simple_workflow("w", 0, 600)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(4, 2, 1),
-            &cfg,
-        );
-        assert!(report.completed);
-        // Every map task is classified.
-        assert_eq!(report.local_map_tasks + report.remote_map_tasks, 6);
-        let ratio = report.map_locality_ratio();
-        assert!((0.0..=1.0).contains(&ratio));
-        // With 3 replicas over 4 nodes most tasks should find a local slot
-        // eventually, but the run still completes either way.
-    }
-
-    #[test]
-    fn delay_scheduling_improves_locality() {
-        let workflows: Vec<WorkflowSpec> = (0..4)
-            .map(|i| simple_workflow(&format!("w{i}"), i * 3, 3_000))
-            .collect();
-        let run_with = |skips: u32| {
-            let cfg = SimConfig {
-                locality: Some(LocalityConfig {
-                    replicas: 1,
-                    remote_penalty: 2.0,
-                    max_delay_skips: skips,
-                    ..LocalityConfig::default()
-                }),
-                ..SimConfig::default()
-            };
-            run_simulation(
-                &workflows,
-                &mut SubmitOrderScheduler::new(),
-                &ClusterConfig::uniform(8, 2, 1),
-                &cfg,
-            )
-        };
-        let eager = run_with(0);
-        let patient = run_with(4);
-        assert!(eager.completed && patient.completed);
-        assert_eq!(eager.delay_skips, 0);
-        assert!(
-            patient.delay_skips > 0,
-            "delay scheduling must decline offers"
-        );
-        assert!(
-            patient.map_locality_ratio() >= eager.map_locality_ratio(),
-            "waiting for local slots must not hurt locality: {} vs {}",
-            patient.map_locality_ratio(),
-            eager.map_locality_ratio()
-        );
-    }
-
-    #[test]
-    fn locality_composes_with_failures() {
-        let cfg = SimConfig {
-            locality: Some(LocalityConfig::default()),
-            task_failure_prob: 0.3,
-            seed: 7,
-            ..SimConfig::default()
-        };
-        let report = run_simulation(
-            &[simple_workflow("w", 0, 3_000)],
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(4, 2, 1),
-            &cfg,
-        );
-        assert!(report.completed);
-        assert!(report.task_failures > 0);
-        assert_eq!(
-            report.local_map_tasks + report.remote_map_tasks,
-            // 6 original maps plus every retried map attempt.
-            6 + report.task_failures - reduce_failures(&report)
-        );
-    }
-
-    /// Failures on reduce tasks (no locality classification).
-    fn reduce_failures(report: &SimReport) -> u64 {
-        // executed = 9 tasks + all failures; map executions are classified.
-        report.tasks_executed - (report.local_map_tasks + report.remote_map_tasks) - 3
-    }
-
-    mod faults {
-        use super::*;
-        use crate::fault::{FaultConfig, ScriptedFault};
-
-        fn fault_cluster(faults: FaultConfig) -> ClusterConfig {
-            ClusterConfig::uniform(2, 2, 1).with_faults(faults)
-        }
-
-        fn run(workflows: &[WorkflowSpec], cluster: &ClusterConfig, cfg: &SimConfig) -> SimReport {
-            run_simulation(workflows, &mut SubmitOrderScheduler::new(), cluster, cfg)
-        }
-
-        #[test]
-        fn disabled_fault_config_is_bit_identical() {
-            let w = vec![simple_workflow("w", 0, 600)];
-            let plain = default_run(&w);
-            let with_default = run(
-                &w,
-                &fault_cluster(FaultConfig::default()),
-                &SimConfig::default(),
-            );
-            assert_eq!(plain, with_default);
-        }
-
-        #[test]
-        fn scripted_crash_requeues_and_recovers() {
-            // Crash node 1 while job a's maps run; it recovers at 20 s.
-            let faults = FaultConfig::scripted(vec![ScriptedFault::one(
-                NodeId::new(1),
-                SimTime::from_secs(5),
-                Some(SimTime::from_secs(20)),
-            )]);
-            let cfg = SimConfig {
-                track_timelines: true,
-                sample_interval: SimDuration::from_secs(1),
-                ..SimConfig::default()
-            };
-            let cluster = fault_cluster(faults);
-            let w = [simple_workflow("w", 0, 3_000)];
-            let report = run(&w, &cluster, &cfg);
-            assert!(report.completed);
-            assert_eq!(report.node_failures, 1);
-            assert_eq!(report.node_recoveries, 1);
-            assert!(report.tasks_requeued > 0, "running maps died with the node");
-            assert!(report.work_lost_slot_ms > 0);
-            // Every requeued or invalidated task launches again.
-            assert_eq!(
-                report.tasks_executed,
-                9 + report.tasks_requeued + report.map_outputs_lost
-            );
-            // The node's 3 slots leave the pool during the outage and
-            // return after it.
-            let tl = report.timelines.as_ref().unwrap();
-            assert!(tl.down_slots().contains(&3));
-            assert_eq!(*tl.down_slots().last().unwrap(), 0);
-            assert_eq!(report, run(&w, &cluster, &cfg), "fault runs are seeded");
-        }
-
-        #[test]
-        fn node_loss_invalidates_completed_map_outputs() {
-            // Crash node 1 after job a's maps finished (~11.5 s), while its
-            // reduces still run: the two map outputs it hosted must
-            // re-execute before the requeued reduce can restart.
-            let faults = FaultConfig::scripted(vec![ScriptedFault::one(
-                NodeId::new(1),
-                SimTime::from_secs(15),
-                Some(SimTime::from_secs(40)),
-            )]);
-            let report = run(
-                &[simple_workflow("w", 0, 3_000)],
-                &fault_cluster(faults),
-                &SimConfig::default(),
-            );
-            assert!(report.completed);
-            assert!(
-                report.map_outputs_lost > 0,
-                "completed maps died with the node"
-            );
-            assert_eq!(
-                report.tasks_executed,
-                9 + report.tasks_requeued + report.map_outputs_lost
-            );
-        }
-
-        #[test]
-        fn crashes_delay_completion() {
-            let w = [simple_workflow("w", 0, 3_000)];
-            let base = default_run(&w);
-            let faults = FaultConfig::scripted(vec![ScriptedFault::one(
-                NodeId::new(1),
-                SimTime::from_secs(5),
-                Some(SimTime::from_secs(60)),
-            )]);
-            let faulty = run(&w, &fault_cluster(faults), &SimConfig::default());
-            assert!(
-                faulty.outcomes[0].finished.unwrap() > base.outcomes[0].finished.unwrap(),
-                "losing a node must slow the workflow down"
-            );
-        }
-
-        #[test]
-        fn blacklisted_node_never_rejoins() {
-            let faults = FaultConfig {
-                blacklist_after: 2,
-                scripted: vec![
-                    ScriptedFault::one(
-                        NodeId::new(1),
-                        SimTime::from_secs(5),
-                        Some(SimTime::from_secs(10)),
-                    ),
-                    ScriptedFault::one(
-                        NodeId::new(1),
-                        SimTime::from_secs(15),
-                        Some(SimTime::from_secs(20)),
-                    ),
-                ],
-                ..FaultConfig::default()
-            };
-            let cfg = SimConfig {
-                track_timelines: true,
-                sample_interval: SimDuration::from_secs(1),
-                ..SimConfig::default()
-            };
-            let report = run(
-                &[simple_workflow("w", 0, 3_000)],
-                &fault_cluster(faults),
-                &cfg,
-            );
-            assert!(report.completed, "node 0 alone still finishes the work");
-            assert_eq!(report.node_failures, 2);
-            assert_eq!(report.node_recoveries, 1, "second repair is refused");
-            assert_eq!(report.nodes_blacklisted, 1);
-            // The blacklisted node's slots stay out of the pool for good.
-            let tl = report.timelines.as_ref().unwrap();
-            assert_eq!(*tl.down_slots().last().unwrap(), 3);
-        }
-
-        #[test]
-        fn stochastic_faults_are_seeded() {
-            let faults =
-                FaultConfig::with_mtbf(SimDuration::from_secs(45), SimDuration::from_secs(10));
-            let cluster = ClusterConfig::uniform(4, 2, 1).with_faults(faults);
-            let w = [simple_workflow("w", 0, 30_000)];
-            let cfg = SimConfig {
-                seed: 13,
-                ..SimConfig::default()
-            };
-            let r1 = run(&w, &cluster, &cfg);
-            assert!(r1.completed);
-            assert!(r1.node_failures > 0, "45 s MTBF must crash something");
-            assert_eq!(r1, run(&w, &cluster, &cfg));
-            let other = SimConfig {
-                seed: 14,
-                ..SimConfig::default()
-            };
-            assert_ne!(
-                r1,
-                run(&w, &cluster, &other),
-                "seed drives the fault schedule"
-            );
-        }
-
-        #[test]
-        fn faults_compose_with_speculation_failures_and_locality() {
-            let faults = FaultConfig {
-                mtbf: Some(SimDuration::from_secs(60)),
-                mttr: SimDuration::from_secs(8),
-                ..FaultConfig::default()
-            };
-            let cluster = ClusterConfig::uniform(4, 2, 1).with_faults(faults);
-            let cfg = SimConfig {
-                task_failure_prob: 0.2,
-                locality: Some(LocalityConfig::default()),
-                speculation: Some(SpeculationConfig {
-                    straggler_prob: 0.3,
-                    straggler_factor: 6.0,
-                    speculate_after: 1.3,
-                }),
-                seed: 17,
-                ..SimConfig::default()
-            };
-            let w = [simple_workflow("w", 0, 30_000)];
-            let report = run(&w, &cluster, &cfg);
-            assert!(report.completed);
-            assert_eq!(report, run(&w, &cluster, &cfg));
-        }
-    }
-
-    mod racks {
-        use super::*;
-        use crate::fault::{FaultConfig, ScriptedFault};
-
-        fn run(workflows: &[WorkflowSpec], cluster: &ClusterConfig, cfg: &SimConfig) -> SimReport {
-            run_simulation(workflows, &mut SubmitOrderScheduler::new(), cluster, cfg)
-        }
-
-        #[test]
-        fn flat_rack_default_is_bit_identical() {
-            let w = vec![simple_workflow("w", 0, 600)];
-            let plain = default_run(&w);
-            let racked = run(
-                &w,
-                &ClusterConfig::uniform(2, 2, 1).with_racks(1),
-                &SimConfig::default(),
-            );
-            assert_eq!(plain, racked);
-            assert!(racked.data_plane.is_none(), "off is invisible");
-        }
-
-        #[test]
-        fn rack_outage_takes_the_rack_down_atomically() {
-            let faults = FaultConfig {
-                rack_mtbf: Some(SimDuration::from_secs(25)),
-                rack_mttr: Some(SimDuration::from_secs(10)),
-                ..FaultConfig::default()
-            };
-            let cluster = ClusterConfig::uniform(6, 2, 1)
-                .with_racks(2)
-                .with_faults(faults);
-            let cfg = SimConfig {
-                seed: 5,
-                ..SimConfig::default()
-            };
-            let w = [simple_workflow("w", 0, 30_000)];
-            let report = run(&w, &cluster, &cfg);
-            assert!(report.completed);
-            let dp = report.data_plane.expect("rack mode reports");
-            assert_eq!(dp.racks, 2);
-            assert!(dp.rack_outages > 0, "25 s rack MTBF must trip a switch");
-            // The first switch failure kills its whole rack (3 of 6 nodes)
-            // in one atomic event.
-            assert!(
-                report.node_failures >= 3,
-                "rack outage must take all rack members down: {}",
-                report.node_failures
-            );
-            assert_eq!(report, run(&w, &cluster, &cfg), "rack faults are seeded");
-        }
-
-        #[test]
-        fn survivor_preference_keeps_task_identity() {
-            // Crash a node while job a's maps run; with survivor preference
-            // the killed maps re-queue under their original task ids.
-            let faults = FaultConfig::scripted(vec![ScriptedFault::one(
-                NodeId::new(1),
-                SimTime::from_secs(5),
-                Some(SimTime::from_secs(40)),
-            )]);
-            let cluster = ClusterConfig::uniform(4, 2, 1)
-                .with_racks(2)
-                .with_faults(faults);
-            let cfg_with = |prefer_survivors: bool| SimConfig {
-                locality: Some(LocalityConfig {
-                    prefer_survivors,
-                    ..LocalityConfig::default()
-                }),
-                ..SimConfig::default()
-            };
-            let w = [simple_workflow("w", 0, 3_000)];
-            let legacy = run(&w, &cluster, &cfg_with(false));
-            let survivor = run(&w, &cluster, &cfg_with(true));
-            assert!(legacy.completed && survivor.completed);
-            let legacy_dp = legacy.data_plane.expect("rack topology reports");
-            let survivor_dp = survivor.data_plane.expect("rack topology reports");
-            assert_eq!(legacy_dp.survivor_requeues, 0);
-            assert!(
-                survivor_dp.survivor_requeues > 0,
-                "killed maps must re-queue under their original identity"
-            );
-            assert_eq!(
-                survivor,
-                run(&w, &cluster, &cfg_with(true)),
-                "survivor preference is deterministic"
-            );
-        }
-
-        #[test]
-        fn reshuffle_cost_charges_reduce_launches() {
-            // Crash node 1 after job a's maps completed (~15 s) so its map
-            // outputs are invalidated while reduces still need them; the
-            // re-launched reduces must then pay for the re-fetch.
-            let faults = FaultConfig::scripted(vec![ScriptedFault::one(
-                NodeId::new(1),
-                SimTime::from_secs(15),
-                Some(SimTime::from_secs(40)),
-            )]);
-            let cluster = ClusterConfig::uniform(2, 2, 1).with_faults(faults);
-            let cfg_with = |cost: SimDuration| SimConfig {
-                reshuffle_cost: cost,
-                ..SimConfig::default()
-            };
-            let w = [simple_workflow("w", 0, 3_000)];
-            let free = run(&w, &cluster, &cfg_with(SimDuration::ZERO));
-            let charged = run(&w, &cluster, &cfg_with(SimDuration::from_secs(5)));
-            assert!(free.completed && charged.completed);
-            assert!(free.map_outputs_lost > 0, "the scenario must lose outputs");
-            assert!(free.data_plane.is_none(), "zero cost is invisible");
-            let dp = charged.data_plane.expect("re-shuffle mode reports");
-            assert!(dp.reshuffle_events > 0, "re-launched reduces must pay");
-            assert!(dp.reshuffle_charged_ms > 0);
-            assert!(
-                charged.outcomes[0].finished.unwrap() > free.outcomes[0].finished.unwrap(),
-                "paying for re-fetches must slow the workflow down"
-            );
-            assert_eq!(
-                charged,
-                run(&w, &cluster, &cfg_with(SimDuration::from_secs(5)))
-            );
-        }
-
-        #[test]
-        fn invalid_data_plane_configs_are_rejected() {
-            let w = vec![simple_workflow("w", 0, 600)];
-            let mut s = SubmitOrderScheduler::new();
-            let cluster = ClusterConfig::uniform(2, 2, 1);
-            let zero_replicas = SimConfig {
-                locality: Some(LocalityConfig {
-                    replicas: 0,
-                    ..LocalityConfig::default()
-                }),
-                ..SimConfig::default()
-            };
-            assert_eq!(
-                try_run_simulation(&w, &mut s, &cluster, &zero_replicas),
-                Err(SimError::ZeroLocalityReplicas)
-            );
-            let weak_penalty = SimConfig {
-                locality: Some(LocalityConfig {
-                    remote_penalty: 0.5,
-                    ..LocalityConfig::default()
-                }),
-                ..SimConfig::default()
-            };
-            assert_eq!(
-                try_run_simulation(&w, &mut s, &cluster, &weak_penalty),
-                Err(SimError::SubUnityRemotePenalty)
-            );
-            let nan_penalty = SimConfig {
-                locality: Some(LocalityConfig {
-                    remote_penalty: f64::NAN,
-                    ..LocalityConfig::default()
-                }),
-                ..SimConfig::default()
-            };
-            assert_eq!(
-                try_run_simulation(&w, &mut s, &cluster, &nan_penalty),
-                Err(SimError::SubUnityRemotePenalty)
-            );
-            let zero_rack_mtbf =
-                ClusterConfig::uniform(2, 2, 1)
-                    .with_racks(2)
-                    .with_faults(FaultConfig {
-                        rack_mtbf: Some(SimDuration::ZERO),
-                        ..FaultConfig::default()
-                    });
-            assert_eq!(
-                try_run_simulation(&w, &mut s, &zero_rack_mtbf, &SimConfig::default()),
-                Err(SimError::ZeroRackMtbf)
-            );
-            assert!(SimError::ZeroLocalityReplicas
-                .to_string()
-                .contains("replica"));
-            assert!(SimError::SubUnityRemotePenalty.to_string().contains("1.0"));
-            assert!(SimError::ZeroRackMtbf.to_string().contains("MTBF"));
-        }
-    }
-
-    mod master {
-        use super::*;
-        use crate::fault::{FaultConfig, MasterFaultConfig, ScriptedFault};
-
-        fn master_faults(m: MasterFaultConfig) -> FaultConfig {
-            FaultConfig {
-                master: m,
-                ..FaultConfig::default()
-            }
-        }
-
-        fn cluster_with(m: MasterFaultConfig) -> ClusterConfig {
-            ClusterConfig::uniform(2, 2, 1).with_faults(master_faults(m))
-        }
-
-        fn run(workflows: &[WorkflowSpec], cluster: &ClusterConfig, cfg: &SimConfig) -> SimReport {
-            run_simulation(workflows, &mut SubmitOrderScheduler::new(), cluster, cfg)
-        }
-
-        #[test]
-        fn disabled_master_faults_are_bit_identical_and_unreported() {
-            let w = vec![simple_workflow("w", 0, 600)];
-            let plain = default_run(&w);
-            assert!(plain.recovery.is_none());
-            let with_default = run(
-                &w,
-                &ClusterConfig::uniform(2, 2, 1).with_faults(FaultConfig::default()),
-                &SimConfig::default(),
-            );
-            assert_eq!(plain, with_default);
-        }
-
-        #[test]
-        fn lossless_crash_shifts_completion_by_exactly_the_restart_time() {
-            // With the WAL, recovery replays to the crash instant and no
-            // work is lost: under an order-based scheduler the whole run
-            // is the uninterrupted run shifted by the outage.
-            let w = vec![simple_workflow("w", 0, 3_000)];
-            let base = default_run(&w);
-            let mttr = SimDuration::from_secs(30);
-            let cluster = cluster_with(MasterFaultConfig {
-                mttr,
-                scripted: vec![SimTime::from_secs(5)],
-                ..MasterFaultConfig::default()
-            });
-            let report = run(&w, &cluster, &SimConfig::default());
-            assert!(report.completed);
-            let rec = report.recovery.as_ref().expect("master mode reports");
-            assert_eq!(rec.master_crashes, 1);
-            assert_eq!(rec.master_downtime_ms, mttr.as_millis());
-            assert!(rec.wal_records_replayed > 0, "events since genesis replay");
-            assert!(rec.attempts_readopted > 0, "crash lands mid-task");
-            assert_eq!(rec.attempts_requeued, 0, "lossless recovery");
-            assert_eq!(rec.attempts_orphaned, 0, "lossless recovery");
-            assert_eq!(rec.workflows_resubmitted, 0);
-            assert_eq!(rec.jobs_resubmitted, 0);
-            // No work re-executes...
-            assert_eq!(report.tasks_executed, base.tasks_executed);
-            assert_eq!(report.tasks_requeued, 0);
-            // ...and every completion shifts by exactly the outage.
-            for (o, b) in report.outcomes.iter().zip(&base.outcomes) {
-                assert_eq!(
-                    o.finished.unwrap(),
-                    b.finished.unwrap().saturating_add(mttr),
-                    "{}",
-                    o.name
-                );
-            }
-            assert_eq!(report, run(&w, &cluster, &SimConfig::default()));
-        }
-
-        #[test]
-        fn stale_snapshot_recovery_requeues_and_stays_deterministic() {
-            // Without the WAL, recovery falls back to the last checkpoint:
-            // everything since (including the arrival, with a checkpoint
-            // interval longer than the crash time) is lost and must be
-            // resubmitted, requeued, or orphaned.
-            let w = vec![simple_workflow("w", 0, 3_000)];
-            let cluster = cluster_with(MasterFaultConfig {
-                mttr: SimDuration::from_secs(20),
-                checkpoint_interval: SimDuration::from_mins(10),
-                wal: false,
-                scripted: vec![SimTime::from_secs(12)],
-                ..MasterFaultConfig::default()
-            });
-            let cfg = SimConfig::default();
-            let report = run(&w, &cluster, &cfg);
-            assert!(report.completed);
-            let rec = report.recovery.as_ref().expect("master mode reports");
-            assert_eq!(rec.master_crashes, 1);
-            assert_eq!(rec.wal_records_replayed, 0, "no WAL to replay");
-            assert_eq!(
-                rec.workflows_resubmitted, 1,
-                "the arrival fell into the lost suffix"
-            );
-            assert!(
-                rec.attempts_orphaned > 0,
-                "in-flight completions reference attempts the stale master never saw"
-            );
-            // Work conservation still holds across the restart.
-            assert_eq!(
-                report.tasks_executed,
-                9 + report.tasks_requeued + report.map_outputs_lost
-            );
-            assert_eq!(report, run(&w, &cluster, &cfg), "recovery is seeded");
-        }
-
-        #[test]
-        fn recovery_counters_reconcile_with_attempt_bookkeeping() {
-            // Lossless crash mid-run: every attempt in flight at the crash
-            // is either re-adopted or requeued, and nothing is orphaned.
-            let w = vec![
-                simple_workflow("w", 0, 3_000),
-                simple_workflow("x", 2, 3_000),
-            ];
-            let cluster = cluster_with(MasterFaultConfig {
-                mttr: SimDuration::from_secs(10),
-                checkpoint_interval: SimDuration::from_secs(7),
-                scripted: vec![SimTime::from_secs(16)],
-                ..MasterFaultConfig::default()
-            });
-            let report = run(&w, &cluster, &SimConfig::default());
-            assert!(report.completed);
-            let rec = report.recovery.as_ref().expect("master mode reports");
-            assert_eq!(rec.master_crashes, 1);
-            // Genesis + at least one periodic + one at recovery.
-            assert!(rec.checkpoints_taken >= 3, "{}", rec.checkpoints_taken);
-            assert_eq!(rec.attempts_requeued + rec.attempts_orphaned, 0);
-            assert_eq!(report.tasks_executed, 18, "no work re-executes");
-            assert!(rec.wal_records_replayed > 0, "2 s of WAL since t=14 s");
-            assert_eq!(
-                rec.master_downtime_ms,
-                SimDuration::from_secs(10).as_millis()
-            );
-        }
-
-        #[test]
-        fn stochastic_master_crashes_are_seeded() {
-            let w = vec![simple_workflow("w", 0, 30_000)];
-            let cluster = cluster_with(MasterFaultConfig {
-                mtbf: Some(SimDuration::from_secs(20)),
-                mttr: SimDuration::from_secs(5),
-                checkpoint_interval: SimDuration::from_secs(15),
-                ..MasterFaultConfig::default()
-            });
-            let cfg = SimConfig {
-                seed: 3,
-                ..SimConfig::default()
-            };
-            let r1 = run(&w, &cluster, &cfg);
-            assert!(r1.completed);
-            let rec = r1.recovery.as_ref().expect("master mode reports");
-            assert!(rec.master_crashes >= 1, "20 s MTBF must crash the master");
-            assert_eq!(r1, run(&w, &cluster, &cfg));
-            let other = SimConfig {
-                seed: 4,
-                ..SimConfig::default()
-            };
-            assert_ne!(r1, run(&w, &cluster, &other));
-        }
-
-        #[test]
-        fn master_and_node_faults_compose() {
-            let faults = FaultConfig {
-                scripted: vec![ScriptedFault::one(
-                    NodeId::new(1),
-                    SimTime::from_secs(8),
-                    Some(SimTime::from_secs(40)),
-                )],
-                master: MasterFaultConfig {
-                    mttr: SimDuration::from_secs(15),
-                    checkpoint_interval: SimDuration::from_secs(10),
-                    scripted: vec![SimTime::from_secs(12)],
-                    ..MasterFaultConfig::default()
-                },
-                ..FaultConfig::default()
-            };
-            let cluster = ClusterConfig::uniform(3, 2, 1).with_faults(faults);
-            let w = vec![simple_workflow("w", 0, 3_000)];
-            let cfg = SimConfig::default();
-            let report = run(&w, &cluster, &cfg);
-            assert!(report.completed);
-            assert_eq!(report.node_failures, 1);
-            assert_eq!(report.recovery.as_ref().unwrap().master_crashes, 1);
-            assert_eq!(
-                report.tasks_executed,
-                9 + report.tasks_requeued + report.map_outputs_lost
-            );
-            assert_eq!(report, run(&w, &cluster, &cfg));
-        }
-
-        #[test]
-        fn invalid_configs_are_rejected() {
-            let w = vec![simple_workflow("w", 0, 600)];
-            let mut s = SubmitOrderScheduler::new();
-            let cfg = SimConfig::default();
-            let bad_node =
-                ClusterConfig::uniform(2, 2, 1).with_faults(FaultConfig::scripted(vec![
-                    ScriptedFault::one(NodeId::new(9), SimTime::ZERO, None),
-                ]));
-            assert_eq!(
-                try_run_simulation(&w, &mut s, &bad_node, &cfg),
-                Err(SimError::UnknownScriptedNode {
-                    node: NodeId::new(9),
-                    node_count: 2
-                })
-            );
-            let zero_interval = cluster_with(MasterFaultConfig {
-                checkpoint_interval: SimDuration::ZERO,
-                scripted: vec![SimTime::from_secs(1)],
-                ..MasterFaultConfig::default()
-            });
-            assert_eq!(
-                try_run_simulation(&w, &mut s, &zero_interval, &cfg),
-                Err(SimError::ZeroCheckpointInterval)
-            );
-            let zero_mttr = cluster_with(MasterFaultConfig {
-                mttr: SimDuration::ZERO,
-                scripted: vec![SimTime::from_secs(1)],
-                ..MasterFaultConfig::default()
-            });
-            assert_eq!(
-                try_run_simulation(&w, &mut s, &zero_mttr, &cfg),
-                Err(SimError::ZeroMasterMttr)
-            );
-            assert!(SimError::ZeroMasterMttr.to_string().contains("MTTR"));
-        }
-
-        #[test]
-        #[should_panic(expected = "scripted fault names node")]
-        fn run_simulation_panics_on_invalid_config() {
-            let bad = ClusterConfig::uniform(1, 1, 1).with_faults(FaultConfig::scripted(vec![
-                ScriptedFault::one(NodeId::new(3), SimTime::ZERO, None),
-            ]));
-            run(&[simple_workflow("w", 0, 600)], &bad, &SimConfig::default());
-        }
-    }
-
-    #[test]
-    fn jitter_factor_is_deterministic_and_bounded() {
-        let wf = WorkflowId::new(3);
-        let job = JobId::new(1);
-        for idx in 0..100 {
-            let f = jitter_factor(9, wf, job, SlotKind::Map, idx, 0.2);
-            assert!((0.8..=1.2).contains(&f), "factor {f}");
-            assert_eq!(f, jitter_factor(9, wf, job, SlotKind::Map, idx, 0.2));
-        }
-        assert_eq!(jitter_factor(9, wf, job, SlotKind::Map, 0, 0.0), 1.0);
-    }
-}
+mod tests;
