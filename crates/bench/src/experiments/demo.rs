@@ -7,7 +7,7 @@ use crate::scenarios::{demo_cluster, fig11_workflows, fig12_workflows};
 use crate::schedulers::SchedulerKind;
 use crate::table::{fmt_f64, fmt_secs, Table};
 use woha_model::{SimDuration, SlotKind, WorkflowId};
-use woha_sim::{SimConfig, SimReport};
+use woha_sim::{ObservabilityConfig, SimConfig, SimReport};
 
 /// Result of the Fig 11 run: per-scheduler workspans and deadline verdicts.
 #[derive(Debug, Clone)]
@@ -34,8 +34,10 @@ pub fn run_fig11_jobs(track_timelines: bool, jobs: usize) -> Fig11Result {
     let workflows = fig11_workflows();
     let cluster = demo_cluster();
     let config = SimConfig {
-        track_timelines,
-        sample_interval: SimDuration::from_secs(10),
+        observability: ObservabilityConfig {
+            timelines: track_timelines,
+            ..ObservabilityConfig::default()
+        },
         ..SimConfig::default()
     };
     let reports = run_many_jobs(&SchedulerKind::ALL, &workflows, &cluster, &config, jobs);

@@ -113,8 +113,8 @@ pub fn run_ingest_throughput(quick: bool, runs: u32) -> IngestReport {
         }
         points.push(record("generator", size, best_ms, 1, max_bytes));
 
-        // Batch: the same stream materialized up front, as the deprecated
-        // `into_workflows()` path (and every pre-streaming caller) did.
+        // Batch: the same stream materialized up front, as every
+        // pre-streaming caller did.
         let mut best_ms = f64::INFINITY;
         let mut peak_bytes = 0;
         for _ in 0..runs {

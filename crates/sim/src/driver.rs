@@ -55,8 +55,12 @@ use crate::metrics::{
 };
 use crate::obs::{
     MemorySink, ObservabilityConfig, Observations, TraceEvent, TraceRecord, TraceSink,
+    DEFAULT_SAMPLE_INTERVAL,
 };
 use crate::scheduler::{SchedTrace, WorkflowScheduler};
+use crate::snapshot::{
+    AttemptRecord, FaultSnapshot, GroupRecord, NodeSlotsRecord, SnapshotCounters,
+};
 use crate::state::WorkflowPool;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -93,6 +97,8 @@ pub enum SimError {
     SubUnityRemotePenalty,
     /// Rack faults are enabled with a zero MTBF.
     ZeroRackMtbf,
+    /// [`ObservabilityConfig::sample_interval`] is set to zero.
+    ZeroSampleInterval,
 }
 
 impl fmt::Display for SimError {
@@ -118,6 +124,9 @@ impl fmt::Display for SimError {
             }
             SimError::ZeroRackMtbf => {
                 write!(f, "rack faults need a positive MTBF")
+            }
+            SimError::ZeroSampleInterval => {
+                write!(f, "the observability sample interval must be positive")
             }
         }
     }
@@ -204,11 +213,6 @@ pub struct SimConfig {
     pub task_failure_prob: f64,
     /// Seed of the jitter stream.
     pub seed: u64,
-    /// Record per-workflow slot timelines (Figs 14–19). Off by default; it
-    /// costs memory proportional to task count.
-    pub track_timelines: bool,
-    /// Sampling interval of the recorded timelines.
-    pub sample_interval: SimDuration,
     /// Hard cutoff: events after this instant are not processed and
     /// unfinished workflows are reported as such.
     pub max_sim_time: SimTime,
@@ -255,8 +259,6 @@ impl Default for SimConfig {
             duration_jitter: 0.0,
             task_failure_prob: 0.0,
             seed: 0,
-            track_timelines: false,
-            sample_interval: SimDuration::from_secs(10),
             max_sim_time: SimTime::from_mins(60 * 24 * 30),
             locality: None,
             speculation: None,
@@ -266,66 +268,6 @@ impl Default for SimConfig {
             reshuffle_cost: SimDuration::ZERO,
         }
     }
-}
-
-impl SimConfig {
-    /// The sampling interval that actually drives gauge and timeline
-    /// sampling: [`ObservabilityConfig::sample_interval`] when set,
-    /// otherwise the legacy [`SimConfig::sample_interval`].
-    pub fn effective_sample_interval(&self) -> SimDuration {
-        self.observability
-            .sample_interval
-            .unwrap_or(self.sample_interval)
-    }
-
-    /// Whether per-workflow slot timelines are recorded: the deprecated
-    /// [`SimConfig::track_timelines`] flag OR-ed with
-    /// [`ObservabilityConfig::timelines`].
-    pub fn effective_timelines(&self) -> bool {
-        self.track_timelines || self.observability.timelines
-    }
-}
-
-/// One running task attempt (speculation mode only).
-#[derive(Debug, Clone, Copy)]
-struct Attempt {
-    wf: WorkflowId,
-    job: JobId,
-    kind: SlotKind,
-    node: NodeId,
-    group: u64,
-    started: SimTime,
-    estimate: SimDuration,
-    speculative: bool,
-    cancelled: bool,
-    /// Original map-task identity (survivor preference only): lets a
-    /// failed execution re-queue the *same* task, whose replica set still
-    /// names the surviving copies.
-    task: Option<u32>,
-}
-
-/// One logical task with up to two attempts racing (speculation mode).
-#[derive(Debug, Clone, Copy, Default)]
-struct AttemptGroup {
-    done: bool,
-    twin_launched: bool,
-    attempts: [u64; 2],
-    attempt_count: u8,
-}
-
-/// Work destroyed by a node crash, parked until the JobTracker learns of
-/// the crash (failure-detector timeout or the node re-registering).
-#[derive(Debug, Clone, Copy)]
-struct LostTask {
-    wf: WorkflowId,
-    job: JobId,
-    kind: SlotKind,
-    /// Whether this was the only live attempt of its logical task: solo
-    /// attempts are requeued as pending; non-solo ones just release their
-    /// running count because a twin is still racing elsewhere.
-    solo: bool,
-    /// Original map-task identity (survivor preference only).
-    task: Option<u32>,
 }
 
 /// Deterministic per-task jitter factor: a splitmix64 hash of the task's
@@ -353,40 +295,69 @@ fn jitter_factor(
     1.0 + jitter * (2.0 * u - 1.0)
 }
 
-struct NodeSlots {
-    free_maps: u32,
-    free_reduces: u32,
+/// In-flight task attempts and their speculation groups, tracked whenever
+/// duplicates can race or a node can die under a running task.
+struct AttemptTable {
+    attempts: FastMap<u64, AttemptRecord>,
+    groups: FastMap<u64, GroupRecord>,
+    next_attempt: u64,
+    next_group: u64,
 }
 
-impl NodeSlots {
-    fn free(&self, kind: SlotKind) -> u32 {
-        match kind {
-            SlotKind::Map => self.free_maps,
-            SlotKind::Reduce => self.free_reduces,
-        }
+impl AttemptTable {
+    /// Running original attempts of `kind` that have no twin yet: the
+    /// candidates for a speculative duplicate.
+    fn unpaired(&self, kind: SlotKind) -> impl Iterator<Item = &AttemptRecord> {
+        self.attempts.values().filter(move |a| {
+            a.kind == kind && !a.speculative && !a.cancelled && {
+                let g = &self.groups[&a.group];
+                !g.done && !g.twin_launched
+            }
+        })
     }
 
-    fn take(&mut self, kind: SlotKind) {
-        match kind {
-            SlotKind::Map => self.free_maps -= 1,
-            SlotKind::Reduce => self.free_reduces -= 1,
-        }
-    }
-
-    fn release(&mut self, kind: SlotKind) {
-        match kind {
-            SlotKind::Map => self.free_maps += 1,
-            SlotKind::Reduce => self.free_reduces += 1,
-        }
+    /// Whether a live attempt other than `id` is still racing in `group`.
+    fn twin_alive(&self, id: u64, group: u64) -> bool {
+        self.groups.get(&group).is_some_and(|g| {
+            g.attempts[..usize::from(g.attempt_count)]
+                .iter()
+                .any(|&o| o != id && self.attempts.get(&o).is_some_and(|t| !t.cancelled))
+        })
     }
 }
 
+/// Master-failover state (master mode only).
+#[derive(Default)]
+struct MasterState {
+    /// Whether the JobTracker process is down. While it is, the world is
+    /// frozen: no event fires until the replacement master recovers.
+    down: bool,
+    /// Whether the driver is replaying the WAL during recovery. Handlers
+    /// mutate state normally but [`Sim::schedule`] drops new events: the
+    /// pending future was captured at the crash and is re-applied there.
+    replaying: bool,
+    /// The latest checkpoint, as an encoded [`MasterSnapshot`](crate::MasterSnapshot).
+    checkpoint: Option<Value>,
+    /// Events processed since the latest checkpoint (the write-ahead log).
+    wal: Vec<(SimTime, Event)>,
+    recovery: RecoveryReport,
+    /// Accumulated master outages: the effective arrival time of a not yet
+    /// pulled workflow is its submit time plus this shift. (A pending
+    /// arrival already in the queue is shifted by the crash handler
+    /// instead, exactly like every other pending event.)
+    arrival_shift: SimDuration,
+}
+
+/// The simulated master and the world around it. What a checkpoint carries
+/// is kept as the [`crate::snapshot`] types themselves (`counters`, `fault`,
+/// `table`'s records, `nodes`): [`Sim::build_snapshot`] clones them and
+/// [`Sim::install_snapshot`] assigns them back.
 struct Sim<'a> {
     config: &'a SimConfig,
     cluster: &'a ClusterConfig,
     queue: EventQueue,
     pool: WorkflowPool,
-    nodes: Vec<NodeSlots>,
+    nodes: Vec<NodeSlotsRecord>,
     remaining: usize,
     now: SimTime,
     /// Unified seeded stream behind failure, straggler, crash, and repair
@@ -396,80 +367,29 @@ struct Sim<'a> {
     busy_count: [u32; 2],
     busy_integral_ms: [u128; 2],
     last_busy_touch: SimTime,
-    // counters
-    tasks_executed: u64,
-    task_failures: u64,
+    /// Completion sequence number (salts the failure RNG).
     completion_seq: u64,
-    assign_calls: u64,
-    invalid_assignments: u64,
+    /// The report counters that survive a master restart.
+    counters: SnapshotCounters,
+    // Wall-clock measurements: physical, never checkpointed.
     events_processed: u64,
+    scheduler_nanos: u64,
     recorder: Option<TimelineRecorder>,
-    node_count: usize,
     /// The data-plane layer: topology, replica placement, pending-map
     /// queues, map-output locations, and re-shuffle debt.
     data: DataPlane,
-    local_map_tasks: u64,
-    remote_map_tasks: u64,
-    delay_skip_count: u64,
-    /// Map re-queues that kept their task identity (survivor preference).
-    survivor_requeues: u64,
-    /// Reduce launches that paid a re-shuffle cost, and the total charged.
-    reshuffle_events: u64,
-    reshuffle_charged_ms: u64,
-    scheduler_nanos: u64,
-    // Attempt bookkeeping (speculation and/or fault mode).
-    attempts: FastMap<u64, Attempt>,
-    groups: FastMap<u64, AttemptGroup>,
-    next_attempt: u64,
-    next_group: u64,
-    stragglers: u64,
-    speculative_launched: u64,
-    speculative_wins: u64,
+    table: AttemptTable,
     /// Whether per-attempt state is tracked (needed to race duplicates and
     /// to know what died with a node).
     track_attempts: bool,
-    // Fault-injection state (fault mode only).
     fault_mode: bool,
-    /// Whether each node is currently up.
-    alive: Vec<bool>,
-    /// Whether each node has been blacklisted (never rejoins).
-    node_blacklisted: Vec<bool>,
-    /// Outage counter per node; stamps [`Event::NodeLost`] detections so
-    /// stale ones (the node already recovered) are dropped.
-    incident: Vec<u64>,
-    /// Crashes per node (drives blacklisting).
-    crash_count: Vec<u32>,
-    /// Whether the node's periodic heartbeat chain is still scheduled.
-    heartbeat_live: Vec<bool>,
-    /// Work killed by a crash, awaiting requeue at detection or recovery.
-    lost_pending: Vec<Vec<LostTask>>,
-    /// Rack-switch outage ordinal per rack (salts the rack fault RNG).
-    /// Physical state: survives master crashes, like [`Self::incident`].
-    rack_incident: Vec<u64>,
-    /// Nodes each ongoing rack outage took down, awaiting the rack's
-    /// atomic repair. Physical state, like [`Self::alive`].
-    rack_victims: Vec<Vec<NodeId>>,
-    node_failures: u64,
-    node_recoveries: u64,
-    nodes_blacklisted: u64,
-    tasks_requeued: u64,
-    map_outputs_lost: u64,
-    work_lost_slot_ms: u128,
+    /// Node and rack fault bookkeeping (all-alive and idle outside fault
+    /// mode). Liveness, incident ordinals, blacklists and rack outages are
+    /// physical: the crash handler carries them across a master restart.
+    fault: FaultSnapshot,
     /// Per-node failure-propensity tracker (prediction mode only).
     health: Option<NodeHealth>,
-    // Master-failover state (master mode only).
-    master_mode: bool,
-    /// Whether the JobTracker process is up. While it is down the world is
-    /// frozen: no event fires until the replacement master recovers.
-    master_alive: bool,
-    /// Whether the driver is replaying the WAL during recovery. Handlers
-    /// mutate state normally but [`Self::schedule`] drops new events: the
-    /// pending future was captured at the crash and is re-applied there.
-    replaying: bool,
-    /// The latest checkpoint, as an encoded [`MasterSnapshot`].
-    checkpoint: Option<Value>,
-    /// Events processed since the latest checkpoint (the write-ahead log).
-    wal: Vec<(SimTime, Event)>,
+    master: MasterState,
     /// Which pulled workflows have had their arrival event processed, by
     /// pull (source cursor) order. Grows as the source is pulled;
     /// `arrived.len()` is the source cursor.
@@ -480,18 +400,11 @@ struct Sim<'a> {
     workflows: Vec<WorkflowSpec>,
     /// Whether the workload source has been drained.
     exhausted: bool,
-    /// Accumulated master outages: the effective arrival time of a not yet
-    /// pulled workflow is its submit time plus this shift. (A pending
-    /// arrival already in the queue is shifted by the crash handler
-    /// instead, exactly like every other pending event.)
-    arrival_shift: SimDuration,
     /// Admission gate at the front door; `None` admits everything.
     gate: Option<&'a mut dyn AdmissionGate>,
-    /// Workflows the gate turned away.
-    workflows_rejected: u64,
-    /// Per-reason rejection counts (sorted for deterministic reports).
+    /// Workflows the gate turned away, by reason (sorted for deterministic
+    /// reports).
     rejections: BTreeMap<String, u64>,
-    recovery: RecoveryReport,
     // Observability state (see crate::obs). All `None`/off by default,
     // leaving only `Option` checks on the hot path.
     /// Structured trace sink; `None` when tracing is off (and while the
@@ -499,16 +412,11 @@ struct Sim<'a> {
     sink: Option<&'a mut dyn TraceSink>,
     /// Metrics registry; `None` when metrics are off (and during replay).
     metrics: Option<MetricsRegistry>,
-    /// Whether scheduler-internal tracing was requested (trace or metrics
-    /// on), so replay suspension knows to toggle it.
-    sched_tracing: bool,
-    /// Priority-index backend label, captured once from the scheduler.
-    backend: &'static str,
     /// Reusable buffer for draining scheduler trace records.
     sched_scratch: Vec<SchedTrace>,
     /// Next gauge-sampling grid instant.
     next_sample: SimTime,
-    /// Gauge-sampling interval (zero disables sampling).
+    /// Gauge- and timeline-sampling interval.
     obs_interval: SimDuration,
 }
 
@@ -517,7 +425,7 @@ impl<'a> Sim<'a> {
     /// (the original master already scheduled this future; it was captured
     /// at the crash and is re-applied shifted by the outage).
     fn schedule(&mut self, time: SimTime, event: Event) {
-        if !self.replaying {
+        if !self.master.replaying {
             self.queue.push(time, event);
         }
     }
@@ -548,6 +456,141 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// Occupies a `kind` slot of `node` with `attempt` and schedules its
+    /// completion `duration` from now.
+    #[allow(clippy::too_many_arguments)]
+    fn occupy_slot(
+        &mut self,
+        node: NodeId,
+        wf: WorkflowId,
+        job: JobId,
+        kind: SlotKind,
+        attempt: u64,
+        duration: SimDuration,
+        speculative: bool,
+    ) {
+        self.nodes[node.index()].take(kind);
+        self.touch_busy();
+        self.busy_count[Self::kind_index(kind)] += 1;
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.record(self.now, wf, kind, 1);
+        }
+        self.emit(TraceEvent::TaskStart {
+            node: node.index(),
+            workflow: wf,
+            job: job.as_u32() as usize,
+            kind,
+            speculative,
+        });
+        if let Some(m) = &mut self.metrics {
+            m.tasks_started.inc();
+        }
+        self.schedule(
+            self.now + duration,
+            Event::TaskComplete {
+                node,
+                workflow: wf,
+                job,
+                kind,
+                attempt,
+            },
+        );
+    }
+
+    /// Frees the slot a completed or killed attempt held on `node`.
+    fn release_slot(&mut self, node: NodeId, kind: SlotKind) {
+        self.touch_busy();
+        self.busy_count[Self::kind_index(kind)] -= 1;
+        self.nodes[node.index()].release(kind);
+    }
+
+    /// Kills running attempt `id` — it lost its race, its node died, or a
+    /// restarted master cannot account for it — and returns it. The
+    /// attempt stays registered, cancelled, for its now-stale completion
+    /// event to find.
+    fn kill_attempt(&mut self, id: u64) -> AttemptRecord {
+        let a = self.table.attempts.get_mut(&id).expect("registered");
+        a.cancelled = true;
+        let a = *a;
+        self.release_slot(a.node, a.kind);
+        self.record_kill(a.node, a.wf, a.job, a.kind);
+        a
+    }
+
+    /// The timeline and trace side of a kill.
+    fn record_kill(&mut self, node: NodeId, wf: WorkflowId, job: JobId, kind: SlotKind) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.record(self.now, wf, kind, -1);
+        }
+        self.emit(TraceEvent::TaskKilled {
+            node: node.index(),
+            workflow: wf,
+            job: job.as_u32() as usize,
+            kind,
+        });
+    }
+
+    /// Returns a task whose only attempt died to its job's pending queue
+    /// and tells the scheduler. `task` is the dead attempt's original
+    /// map-task identity, when known.
+    fn fail_and_requeue(
+        &mut self,
+        scheduler: &mut dyn WorkflowScheduler,
+        wf: WorkflowId,
+        job: JobId,
+        kind: SlotKind,
+        task: Option<u32>,
+    ) {
+        self.pool.workflow_mut(wf).fail_task(job, kind);
+        if kind == SlotKind::Map {
+            self.requeue_map(wf, job, 0, task);
+        }
+        scheduler.on_task_failed(&self.pool, wf, job, kind, self.now);
+    }
+
+    /// Puts one map of `(wf, job)` that must run again back on the data
+    /// plane's pending queue (locality mode only). The re-execution gets
+    /// fresh preferred nodes — an id beyond the original task range, with
+    /// `k` telling apart maps re-queued together — unless survivor
+    /// preference keeps the `original` identity.
+    fn requeue_map(&mut self, wf: WorkflowId, job: JobId, k: u32, original: Option<u32>) {
+        if self.config.locality.is_none() {
+            return;
+        }
+        let w = self.pool.workflow(wf);
+        let fresh = w.spec().job(job).map_tasks() + w.job(job).retried(SlotKind::Map) - k;
+        if self.data.requeue_map(wf, job, fresh, original) {
+            self.counters.survivor_requeues += 1;
+        }
+    }
+
+    /// Allocates the next attempt id and rolls whether that attempt
+    /// straggles, returning the id and its duration multiplier.
+    fn next_attempt(&mut self) -> (u64, f64) {
+        let attempt = self.table.next_attempt;
+        self.table.next_attempt += 1;
+        match self.config.speculation {
+            Some(spec) if self.rng.straggler(attempt) < spec.straggler_prob => {
+                self.counters.stragglers += 1;
+                (attempt, spec.straggler_factor.max(1.0))
+            }
+            _ => (attempt, 1.0),
+        }
+    }
+
+    /// Runs one scheduler decision against the pool, charging its wall
+    /// time to `scheduler_nanos` and the decision-latency histogram.
+    fn timed<T>(&mut self, decide: impl FnOnce(&WorkflowPool, SimTime) -> T) -> T {
+        let started = std::time::Instant::now();
+        let choice = decide(&self.pool, self.now);
+        let elapsed = started.elapsed();
+        self.scheduler_nanos += elapsed.as_nanos() as u64;
+        if let Some(m) = &mut self.metrics {
+            m.decision_seconds.observe(elapsed.as_secs_f64());
+        }
+        choice
+    }
+
     /// Drains the scheduler's buffered [`SchedTrace`] records into the
     /// sink and the counters. Called after every dispatched event; a no-op
     /// unless tracing or metrics are on (schedulers only buffer while
@@ -569,7 +612,7 @@ impl<'a> Sim<'a> {
                 }
             }
             if self.sink.is_some() {
-                let backend = self.backend;
+                let backend = scheduler.backend_label();
                 let event = match t {
                     SchedTrace::Pick {
                         workflow,
@@ -596,27 +639,15 @@ impl<'a> Sim<'a> {
     /// Samples the gauges at every grid instant strictly before `t` (the
     /// state between events is constant, so a grid instant inherits the
     /// state left by the last event before it). Instants exactly at `t`
-    /// are sampled once the *next* event arrives — or by the final
-    /// inclusive flush — so a sample at an event's instant observes that
-    /// event, matching the timeline recorder's cutoff semantics.
-    fn sample_gauges_before(&mut self, t: SimTime) {
-        if self.metrics.is_none() || self.obs_interval.is_zero() {
+    /// are sampled once the *next* event arrives — or by the final flush,
+    /// which passes `inclusive` — so a sample at an event's instant
+    /// observes that event, matching the timeline recorder's cutoff
+    /// semantics.
+    fn sample_gauges_until(&mut self, t: SimTime, inclusive: bool) {
+        if self.metrics.is_none() {
             return;
         }
-        while self.next_sample < t {
-            let at = self.next_sample;
-            self.sample_gauges_at(at);
-            self.next_sample = self.next_sample.saturating_add(self.obs_interval);
-        }
-    }
-
-    /// Final flush: samples every remaining grid instant up to and
-    /// including `end`.
-    fn sample_gauges_through(&mut self, end: SimTime) {
-        if self.metrics.is_none() || self.obs_interval.is_zero() {
-            return;
-        }
-        while self.next_sample <= end {
+        while self.next_sample < t || (inclusive && self.next_sample == t) {
             let at = self.next_sample;
             self.sample_gauges_at(at);
             self.next_sample = self.next_sample.saturating_add(self.obs_interval);
@@ -664,8 +695,24 @@ impl<'a> Sim<'a> {
         );
     }
 
-    fn handle_arrival(&mut self, scheduler: &mut dyn WorkflowScheduler, spec: &WorkflowSpec) {
-        let wf = self.pool.register(spec.clone());
+    /// Extends the arrival ledger to `len` pulled workflows, each one more
+    /// the run still has to finish.
+    fn grow_ledger(&mut self, len: usize) {
+        while self.arrived.len() < len {
+            self.arrived.push(false);
+            self.remaining += 1;
+        }
+    }
+
+    /// Registers pulled workflow `index` with the pool and the scheduler
+    /// and starts submitting its initially-ready jobs.
+    fn handle_arrival(&mut self, scheduler: &mut dyn WorkflowScheduler, index: usize) {
+        // WAL replay may carry arrivals pulled after the restored
+        // checkpoint was taken; grow the ledger exactly as the injection
+        // path did originally.
+        self.grow_ledger(index + 1);
+        self.arrived[index] = true;
+        let wf = self.pool.register(self.workflows[index].clone());
         scheduler.on_workflow_submitted(&self.pool, wf, self.now);
         let ready = self.pool.workflow(wf).spec().initially_ready();
         for job in ready {
@@ -701,6 +748,7 @@ impl<'a> Sim<'a> {
         let mut completed_task: Option<u32> = None;
         if self.track_attempts {
             let info = self
+                .table
                 .attempts
                 .remove(&attempt)
                 .expect("completion for a registered attempt");
@@ -711,57 +759,33 @@ impl<'a> Sim<'a> {
                 return;
             }
             // This attempt wins its group. Kill the twin, if racing.
-            let group = self.groups.remove(&info.group).expect("live group");
+            let group = self.table.groups.remove(&info.group).expect("live group");
             if info.speculative {
-                self.speculative_wins += 1;
+                self.counters.speculative_wins += 1;
             }
-            for &other_id in group.attempts[..usize::from(group.attempt_count)].iter() {
-                if other_id == attempt {
-                    continue;
-                }
-                if let Some(other) = self.attempts.get_mut(&other_id) {
-                    if other.cancelled {
-                        // Already killed by a node crash; its accounting
-                        // was settled then.
-                        continue;
-                    }
-                    other.cancelled = true;
-                    let other = *other;
-                    // Free the loser's slot immediately (Hadoop kills it).
-                    self.touch_busy();
-                    self.busy_count[Self::kind_index(other.kind)] -= 1;
-                    self.nodes[other.node.index()].release(other.kind);
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.record(self.now, other.wf, other.kind, -1);
-                    }
-                    if self.sink.is_some() {
-                        self.emit(TraceEvent::TaskKilled {
-                            node: other.node.index(),
-                            workflow: other.wf,
-                            job: other.job.as_u32() as usize,
-                            kind: other.kind,
-                        });
-                    }
+            for &other in &group.attempts[..usize::from(group.attempt_count)] {
+                // A twin a node crash already killed had its accounting
+                // settled then; a live one loses its slot immediately
+                // (Hadoop kills it).
+                let racing = |a: &AttemptRecord| !a.cancelled;
+                if other != attempt && self.table.attempts.get(&other).is_some_and(racing) {
+                    let loser = self.kill_attempt(other);
                     self.pool
-                        .workflow_mut(other.wf)
-                        .finish_speculative(other.job, other.kind);
+                        .workflow_mut(loser.wf)
+                        .finish_speculative(loser.job, loser.kind);
                 }
             }
         }
-        self.touch_busy();
-        self.busy_count[Self::kind_index(kind)] -= 1;
-        self.nodes[node.index()].release(kind);
+        self.release_slot(node, kind);
         if let Some(rec) = self.recorder.as_mut() {
             rec.record(self.now, wf, kind, -1);
         }
-        if self.sink.is_some() {
-            self.emit(TraceEvent::TaskComplete {
-                node: node.index(),
-                workflow: wf,
-                job: job.as_u32() as usize,
-                kind,
-            });
-        }
+        self.emit(TraceEvent::TaskComplete {
+            node: node.index(),
+            workflow: wf,
+            job: job.as_u32() as usize,
+            kind,
+        });
         if let Some(m) = &mut self.metrics {
             m.tasks_completed.inc();
         }
@@ -776,23 +800,10 @@ impl<'a> Sim<'a> {
                 SlotKind::Reduce => spec.reduce_tasks(),
             };
             let already = self.pool.workflow(wf).job(job).retried(kind);
-            if already < budget && self.roll_failure() {
-                self.task_failures += 1;
-                self.pool.workflow_mut(wf).fail_task(job, kind);
-                if kind == SlotKind::Map && self.config.locality.is_some() {
-                    // The retried attempt gets fresh preferred nodes (a
-                    // new attempt id beyond the original task range) —
-                    // unless survivor preference keeps its identity.
-                    let spec_maps = self.pool.workflow(wf).spec().job(job).map_tasks();
-                    let retried = self.pool.workflow(wf).job(job).retried(kind);
-                    if self
-                        .data
-                        .requeue_map(wf, job, spec_maps + retried, completed_task)
-                    {
-                        self.survivor_requeues += 1;
-                    }
-                }
-                scheduler.on_task_failed(&self.pool, wf, job, kind, self.now);
+            let roll = self.rng.task_failure(self.completion_seq);
+            if already < budget && roll < self.config.task_failure_prob {
+                self.counters.task_failures += 1;
+                self.fail_and_requeue(scheduler, wf, job, kind, completed_task);
                 self.assign_node(scheduler, node);
                 return;
             }
@@ -820,7 +831,7 @@ impl<'a> Sim<'a> {
                 self.remaining -= 1;
                 // The original master already released this workflow before
                 // the crash; replay must not release it twice.
-                if !self.replaying {
+                if !self.master.replaying {
                     if let Some(gate) = self.gate.as_deref_mut() {
                         gate.release(self.pool.workflow(wf).spec().name());
                     }
@@ -828,11 +839,6 @@ impl<'a> Sim<'a> {
             }
         }
         self.assign_node(scheduler, node);
-    }
-
-    /// Deterministic failure roll for the current completion.
-    fn roll_failure(&self) -> bool {
-        self.rng.task_failure(self.completion_seq) < self.config.task_failure_prob
     }
 
     /// Offers all of `node`'s free slots to the scheduler, as a heartbeat
@@ -847,94 +853,53 @@ impl<'a> Sim<'a> {
             && !self.risk_placement_on();
         for kind in SlotKind::ALL {
             let free = self.nodes[node.index()].free(kind);
-            if batchable && free > 0 {
-                let started = std::time::Instant::now();
-                let picks = scheduler.assign_batch(&self.pool, kind, self.now, free);
-                let elapsed = started.elapsed();
-                self.scheduler_nanos += elapsed.as_nanos() as u64;
-                if let Some(m) = &mut self.metrics {
-                    m.decision_seconds.observe(elapsed.as_secs_f64());
-                }
-                if let Some(picks) = picks {
-                    // Count probes as the sequential path would have made:
-                    // one per pick, plus the trailing `None` probe when the
-                    // batch under-fills the node.
-                    self.assign_calls +=
-                        picks.len() as u64 + u64::from((picks.len() as u32) < free);
-                    let mut invalid = false;
-                    for (wf, job) in picks {
-                        if !self.pool.eligible(wf, job, kind) {
-                            self.invalid_assignments += 1;
-                            invalid = true;
-                            break;
-                        }
-                        // Batch picks are pre-committed inside the
-                        // scheduler: start without re-notifying it.
-                        if self.sink.is_some() {
-                            self.emit(TraceEvent::Assign {
-                                node: node.index(),
-                                kind,
-                                workflow: wf,
-                                job: job.as_u32() as usize,
-                            });
-                        }
-                        let ok = self.start_task(scheduler, node, wf, job, kind, false);
-                        debug_assert!(ok, "batch picks cannot be declined");
+            let picks = (batchable && free > 0)
+                .then(|| self.timed(|pool, now| scheduler.assign_batch(pool, kind, now, free)))
+                .flatten();
+            // Whether the scheduler ran out of work for this kind, leaving
+            // the node's idle slots free to duplicate overdue attempts
+            // (speculative execution).
+            let mut drained = false;
+            if let Some(picks) = picks {
+                // Count probes as the sequential path would have made: one
+                // per pick, plus the trailing `None` probe when the batch
+                // under-fills the node.
+                self.counters.assign_calls +=
+                    picks.len() as u64 + u64::from((picks.len() as u32) < free);
+                // Batch picks are pre-committed inside the scheduler:
+                // start without re-notifying it. Nothing declines offers
+                // on this path, so a refusal is an invalid pick.
+                drained = picks
+                    .into_iter()
+                    .all(|(wf, job)| self.start_task(scheduler, node, wf, job, kind, false));
+            } else {
+                while self.nodes[node.index()].free(kind) > 0 {
+                    self.counters.assign_calls += 1;
+                    let choice = self.timed(|pool, now| scheduler.assign_task(pool, kind, now));
+                    let Some((wf, job)) = choice else {
+                        drained = true;
+                        break;
+                    };
+                    if !self.start_task(scheduler, node, wf, job, kind, true) {
+                        // Invalid pick, or delay scheduling declined the
+                        // offer: leave the node's remaining slots of this
+                        // kind for a later, better-placed heartbeat.
+                        break;
                     }
-                    if !invalid {
-                        // Leftover slots may duplicate overdue attempts
-                        // (speculative execution), as in the `None` arm of
-                        // the sequential path.
-                        while self.nodes[node.index()].free(kind) > 0
-                            && self.try_speculate(node, kind)
-                        {}
-                    }
-                    continue;
                 }
             }
-            while self.nodes[node.index()].free(kind) > 0 {
-                self.assign_calls += 1;
-                let started = std::time::Instant::now();
-                let choice = scheduler.assign_task(&self.pool, kind, self.now);
-                let elapsed = started.elapsed();
-                self.scheduler_nanos += elapsed.as_nanos() as u64;
-                if let Some(m) = &mut self.metrics {
-                    m.decision_seconds.observe(elapsed.as_secs_f64());
-                }
-                let Some((wf, job)) = choice else {
-                    // Nothing pending: an idle slot may duplicate an
-                    // overdue attempt (speculative execution).
-                    while self.nodes[node.index()].free(kind) > 0 && self.try_speculate(node, kind)
-                    {
-                    }
-                    break;
-                };
-                if !self.pool.eligible(wf, job, kind) {
-                    self.invalid_assignments += 1;
-                    break;
-                }
-                if self.sink.is_some() {
-                    self.emit(TraceEvent::Assign {
-                        node: node.index(),
-                        kind,
-                        workflow: wf,
-                        job: job.as_u32() as usize,
-                    });
-                }
-                if !self.start_task(scheduler, node, wf, job, kind, true) {
-                    // Delay scheduling declined the offer; leave the
-                    // node's remaining slots of this kind for a later,
-                    // better-placed heartbeat.
-                    break;
-                }
+            while drained && self.nodes[node.index()].free(kind) > 0 {
+                drained = self.try_speculate(node, kind);
             }
         }
     }
 
-    /// Starts one task of `(wf, job, kind)` on `node`. Returns `false` if
-    /// the offer was declined under delay scheduling (the slot stays free).
-    /// `notify` fires the scheduler's `on_task_assigned` hook; batch picks
-    /// pass `false` because `assign_batch` already applied it per pick.
+    /// Starts one task of `(wf, job, kind)`, the scheduler's pick, on
+    /// `node`. Returns `false`, with the slot still free, if the pick is
+    /// not eligible (counted as an invalid assignment) or the offer was
+    /// declined under delay scheduling or risk-aware placement. `notify`
+    /// fires the scheduler's `on_task_assigned` hook; batch picks pass
+    /// `false` because `assign_batch` already applied it per pick.
     fn start_task(
         &mut self,
         scheduler: &mut dyn WorkflowScheduler,
@@ -944,6 +909,16 @@ impl<'a> Sim<'a> {
         kind: SlotKind,
         notify: bool,
     ) -> bool {
+        if !self.pool.eligible(wf, job, kind) {
+            self.counters.invalid_assignments += 1;
+            return false;
+        }
+        self.emit(TraceEvent::Assign {
+            node: node.index(),
+            kind,
+            workflow: wf,
+            job: job.as_u32() as usize,
+        });
         // Risk-aware placement: decline the offer outright (before any
         // state is touched) when a deadline-critical task would land on a
         // failure-prone node and a safer node could still take it.
@@ -970,44 +945,35 @@ impl<'a> Sim<'a> {
         let mut picked_task: Option<u32> = None;
         if let (SlotKind::Map, Some(loc)) = (kind, self.config.locality) {
             let spec_maps = self.pool.workflow(wf).spec().job(job).map_tasks();
-            match self.data.pick_map_task(wf, job, node, spec_maps) {
-                Some((task, true)) => {
-                    picked_task = Some(task);
-                    self.local_map_tasks += 1;
-                }
-                Some((task, false)) => {
-                    picked_task = Some(task);
-                    self.remote_map_tasks += 1;
-                    locality_factor = loc.remote_penalty;
-                }
-                None => {
-                    self.delay_skip_count += 1;
-                    return false;
-                }
+            let Some((task, local)) = self.data.pick_map_task(wf, job, node, spec_maps) else {
+                self.counters.delay_skip_count += 1;
+                return false;
+            };
+            picked_task = Some(task);
+            if local {
+                self.counters.local_map_tasks += 1;
+            } else {
+                self.counters.remote_map_tasks += 1;
+                locality_factor = loc.remote_penalty;
             }
         }
-        let mut factor = jitter_factor(
+        let jitter = jitter_factor(
             self.config.seed,
             wf,
             job,
             kind,
             index,
             self.config.duration_jitter,
-        ) * locality_factor;
-        let attempt = self.next_attempt;
-        self.next_attempt += 1;
-        if let Some(spec) = self.config.speculation {
-            if self.rng.straggler(attempt) < spec.straggler_prob {
-                factor *= spec.straggler_factor.max(1.0);
-                self.stragglers += 1;
-            }
-        }
+        );
+        let (attempt, straggle) = self.next_attempt();
+        let factor = jitter * locality_factor * straggle;
         if self.track_attempts {
-            let group = self.next_group;
-            self.next_group += 1;
-            self.attempts.insert(
+            let group = self.table.next_group;
+            self.table.next_group += 1;
+            self.table.attempts.insert(
                 attempt,
-                Attempt {
+                AttemptRecord {
+                    id: attempt,
                     wf,
                     job,
                     kind,
@@ -1020,9 +986,10 @@ impl<'a> Sim<'a> {
                     task: picked_task,
                 },
             );
-            self.groups.insert(
+            self.table.groups.insert(
                 group,
-                AttemptGroup {
+                GroupRecord {
+                    id: group,
                     done: false,
                     twin_launched: false,
                     attempts: [attempt, 0],
@@ -1042,49 +1009,20 @@ impl<'a> Sim<'a> {
                     self.config.reshuffle_cost.as_millis().saturating_mul(debt),
                 );
                 duration = duration.saturating_add(extra);
-                self.reshuffle_events += 1;
-                self.reshuffle_charged_ms += extra.as_millis();
-                if self.sink.is_some() {
-                    self.emit(TraceEvent::ReshuffleCharged {
-                        workflow: wf,
-                        job: job.as_u32() as usize,
-                        lost: debt,
-                        charged_ms: extra.as_millis(),
-                    });
-                }
+                self.counters.reshuffle_events += 1;
+                self.counters.reshuffle_charged_ms += extra.as_millis();
+                self.emit(TraceEvent::ReshuffleCharged {
+                    workflow: wf,
+                    job: job.as_u32() as usize,
+                    lost: debt,
+                    charged_ms: extra.as_millis(),
+                });
             }
         }
 
         self.pool.workflow_mut(wf).start_task(job, kind);
-        self.nodes[node.index()].take(kind);
-        self.touch_busy();
-        self.busy_count[Self::kind_index(kind)] += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(self.now, wf, kind, 1);
-        }
-        if self.sink.is_some() {
-            self.emit(TraceEvent::TaskStart {
-                node: node.index(),
-                workflow: wf,
-                job: job.as_u32() as usize,
-                kind,
-                speculative: false,
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            m.tasks_started.inc();
-        }
-        self.tasks_executed += 1;
-        self.schedule(
-            self.now + duration,
-            Event::TaskComplete {
-                node,
-                workflow: wf,
-                job,
-                kind,
-                attempt,
-            },
-        );
+        self.occupy_slot(node, wf, job, kind, attempt, duration, false);
+        self.counters.tasks_executed += 1;
         if notify {
             scheduler.on_task_assigned(&self.pool, wf, job, kind, self.now);
         }
@@ -1126,10 +1064,10 @@ impl<'a> Sim<'a> {
         if scheduler.slack_fraction(&self.pool, wf, self.now) >= p.slack_threshold {
             return false;
         }
-        let escape_exists = (0..self.node_count).any(|i| {
+        let escape_exists = (0..self.nodes.len()).any(|i| {
             i != node.index()
-                && self.alive[i]
-                && !self.node_blacklisted[i]
+                && self.fault.alive[i]
+                && !self.fault.blacklisted[i]
                 && self.nodes[i].free(kind) > 0
                 && !health.risky(NodeId::new(i as u32), self.now, p.risk_threshold)
         });
@@ -1137,12 +1075,10 @@ impl<'a> Sim<'a> {
             return false;
         }
         self.health.as_mut().expect("checked above").risk_averted += 1;
-        if self.sink.is_some() {
-            self.emit(TraceEvent::RiskAverted {
-                node: node.index(),
-                workflow: wf,
-            });
-        }
+        self.emit(TraceEvent::RiskAverted {
+            node: node.index(),
+            workflow: wf,
+        });
         if let Some(m) = &mut self.metrics {
             m.risk_averted.inc();
         }
@@ -1158,12 +1094,9 @@ impl<'a> Sim<'a> {
     /// id, so the choice is deterministic. Returns whether a duplicate was
     /// launched.
     fn try_speculate_risk(&mut self, node: NodeId, kind: SlotKind) -> bool {
-        let Some(p) = self.config.prediction else {
+        let Some(p) = self.config.prediction.filter(|p| p.risk_placement) else {
             return false;
         };
-        if !p.risk_placement {
-            return false;
-        }
         let Some(health) = &self.health else {
             return false;
         };
@@ -1173,17 +1106,12 @@ impl<'a> Sim<'a> {
             return false;
         }
         let candidate = self
-            .attempts
-            .iter()
-            .filter(|(_, a)| {
-                a.kind == kind && !a.speculative && !a.cancelled && a.node != node && {
-                    let g = &self.groups[&a.group];
-                    !g.done && !g.twin_launched
-                }
-            })
-            .filter_map(|(&id, a)| {
+            .table
+            .unpaired(kind)
+            .filter(|a| a.node != node)
+            .filter_map(|a| {
                 let score = health.score(a.node, now);
-                (score >= 2.0 * p.risk_threshold).then_some((id, score))
+                (score >= 2.0 * p.risk_threshold).then_some((a.id, score))
             })
             .fold(None::<(u64, f64)>, |best, (id, score)| match best {
                 Some((best_id, best_score))
@@ -1216,18 +1144,12 @@ impl<'a> Sim<'a> {
         let now = self.now;
         // Most-overdue original attempt without a twin.
         let candidate = self
-            .attempts
-            .iter()
-            .filter(|(_, a)| {
-                a.kind == kind && !a.speculative && !a.cancelled && {
-                    let g = &self.groups[&a.group];
-                    !g.done && !g.twin_launched
-                }
-            })
-            .filter_map(|(&id, a)| {
+            .table
+            .unpaired(kind)
+            .filter_map(|a| {
                 let elapsed = now.saturating_since(a.started).as_millis() as f64;
                 let budget = a.estimate.as_millis().max(1) as f64 * spec.speculate_after;
-                (elapsed > budget).then_some((id, elapsed / budget))
+                (elapsed > budget).then_some((a.id, elapsed / budget))
             })
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite ratios"))
             .map(|(id, _)| id);
@@ -1248,35 +1170,31 @@ impl<'a> Sim<'a> {
         kind: SlotKind,
         preemptive: bool,
     ) {
-        let now = self.now;
-        let original = self.attempts[&original_id];
-        let attempt = self.next_attempt;
-        self.next_attempt += 1;
+        let original = self.table.attempts[&original_id];
         // The duplicate gets a fresh duration (its own straggler roll).
-        let mut factor = 1.0;
-        if let Some(spec) = self.config.speculation {
-            if self.rng.straggler(attempt) < spec.straggler_prob {
-                factor *= spec.straggler_factor.max(1.0);
-                self.stragglers += 1;
-            }
-        }
+        let (attempt, factor) = self.next_attempt();
         let duration =
             SimDuration::from_millis(original.estimate.mul_f64(factor).as_millis().max(1));
-        self.attempts.insert(
+        self.table.attempts.insert(
             attempt,
-            Attempt {
+            AttemptRecord {
+                id: attempt,
                 node,
-                started: now,
+                started: self.now,
                 speculative: true,
                 cancelled: false,
                 ..original
             },
         );
-        let group = self.groups.get_mut(&original.group).expect("live group");
+        let group = self
+            .table
+            .groups
+            .get_mut(&original.group)
+            .expect("live group");
         group.twin_launched = true;
         group.attempts[1] = attempt;
         group.attempt_count = 2;
-        self.speculative_launched += 1;
+        self.counters.speculative_launched += 1;
         if preemptive {
             if let Some(h) = self.health.as_mut() {
                 h.preemptive_speculations += 1;
@@ -1289,55 +1207,33 @@ impl<'a> Sim<'a> {
         self.pool
             .workflow_mut(original.wf)
             .start_speculative(original.job, kind);
-        self.nodes[node.index()].take(kind);
-        self.touch_busy();
-        self.busy_count[Self::kind_index(kind)] += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(now, original.wf, kind, 1);
-        }
-        if self.sink.is_some() {
-            self.emit(TraceEvent::TaskStart {
-                node: node.index(),
-                workflow: original.wf,
-                job: original.job.as_u32() as usize,
-                kind,
-                speculative: true,
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            m.tasks_started.inc();
-        }
-        self.schedule(
-            now + duration,
-            Event::TaskComplete {
-                node,
-                workflow: original.wf,
-                job: original.job,
-                kind,
-                attempt,
-            },
+        self.occupy_slot(
+            node,
+            original.wf,
+            original.job,
+            kind,
+            attempt,
+            duration,
+            true,
         );
     }
 
     /// A TaskTracker heartbeat: dead nodes stop the chain; live ones get
     /// their free slots offered and the next beat scheduled.
     fn handle_heartbeat(&mut self, scheduler: &mut dyn WorkflowScheduler, node: NodeId) {
-        if self.fault_mode && !self.alive[node.index()] {
+        if self.fault_mode && !self.fault.alive[node.index()] {
             // A dead node stops heartbeating; NodeUp restarts the chain
             // when it re-registers.
-            self.heartbeat_live[node.index()] = false;
+            self.fault.heartbeat_live[node.index()] = false;
         } else {
-            if self.sink.is_some() || self.metrics.is_some() {
-                let slots = &self.nodes[node.index()];
-                let (free_maps, free_reduces) = (slots.free_maps, slots.free_reduces);
-                self.emit(TraceEvent::Heartbeat {
-                    node: node.index(),
-                    free_maps,
-                    free_reduces,
-                });
-                if let Some(m) = &mut self.metrics {
-                    m.heartbeats.inc();
-                }
+            let slots = self.nodes[node.index()];
+            self.emit(TraceEvent::Heartbeat {
+                node: node.index(),
+                free_maps: slots.free_maps,
+                free_reduces: slots.free_reduces,
+            });
+            if let Some(m) = &mut self.metrics {
+                m.heartbeats.inc();
             }
             self.assign_node(scheduler, node);
             // Keep the chain alive while work remains — including work the
@@ -1355,18 +1251,7 @@ impl<'a> Sim<'a> {
     /// and, with [`Self::replaying`] set, from WAL replay during recovery.
     fn dispatch(&mut self, scheduler: &mut dyn WorkflowScheduler, event: Event) {
         match event {
-            Event::WorkflowArrival(i) => {
-                // WAL replay may carry arrivals pulled after the restored
-                // checkpoint was taken; grow the ledger exactly as the
-                // injection path did originally.
-                while self.arrived.len() <= i {
-                    self.arrived.push(false);
-                    self.remaining += 1;
-                }
-                self.arrived[i] = true;
-                let spec = self.workflows[i].clone();
-                self.handle_arrival(scheduler, &spec);
-            }
+            Event::WorkflowArrival(i) => self.handle_arrival(scheduler, i),
             Event::JobActivated(wf, job) => self.handle_activation(scheduler, wf, job),
             Event::Heartbeat(node) => self.handle_heartbeat(scheduler, node),
             Event::TaskComplete {
@@ -1376,7 +1261,9 @@ impl<'a> Sim<'a> {
                 kind,
                 attempt,
             } => self.handle_completion(scheduler, node, workflow, job, kind, attempt),
-            Event::NodeDown(node) => self.handle_node_down(node),
+            Event::NodeDown(node) => {
+                self.handle_node_down(node, false);
+            }
             Event::NodeUp(node) => self.handle_node_up(scheduler, node),
             Event::NodeLost { node, incident } => self.handle_node_lost(scheduler, node, incident),
             Event::RackDown { rack } => self.handle_rack_down(rack),
@@ -1453,32 +1340,15 @@ pub fn try_run_simulation(
     try_run_simulation_streamed(&mut source, scheduler, cluster, config, None)
 }
 
-/// Streaming variant of [`run_simulation`]: pulls workflows lazily from a
-/// [`WorkloadSource`] as simulated time advances instead of materializing
-/// the whole workload up front, and optionally screens each arrival
-/// through an [`AdmissionGate`].
+/// Streaming variant of [`try_run_simulation`]: pulls workflows lazily
+/// from a [`WorkloadSource`] as simulated time advances instead of
+/// materializing the whole workload up front, and optionally screens each
+/// arrival through an [`AdmissionGate`].
 ///
 /// For a [`VecSource`] over the same workflows the report is byte-identical
 /// to [`run_simulation`]. A rejected workflow never enters the cluster: it
 /// produces no [`WorkflowOutcome`](crate::metrics::WorkflowOutcome) and is
 /// only counted in [`SimReport::admission`].
-///
-/// # Panics
-///
-/// Panics on an invalid configuration (see [`SimError`]); use
-/// [`try_run_simulation_streamed`] for a fallible variant.
-pub fn run_simulation_streamed<'a>(
-    source: &mut dyn WorkloadSource,
-    scheduler: &mut dyn WorkflowScheduler,
-    cluster: &'a ClusterConfig,
-    config: &'a SimConfig,
-    gate: Option<&'a mut dyn AdmissionGate>,
-) -> SimReport {
-    try_run_simulation_streamed(source, scheduler, cluster, config, gate)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run_simulation_streamed`].
 ///
 /// # Errors
 ///
@@ -1491,7 +1361,11 @@ pub fn try_run_simulation_streamed<'a>(
     gate: Option<&'a mut dyn AdmissionGate>,
 ) -> Result<SimReport, SimError> {
     validate(cluster, config)?;
-    Ok(run_inner(source, scheduler, cluster, config, gate, None, None).0)
+    let mut clock = SimClock;
+    let (report, _) = run_inner_clocked(
+        source, scheduler, cluster, config, gate, None, None, &mut clock,
+    );
+    Ok(report)
 }
 
 /// Streaming-and-observed variant: like [`try_run_simulation_streamed`],
@@ -1512,27 +1386,21 @@ pub fn try_run_simulation_streamed_observed<'a>(
     gate: Option<&'a mut dyn AdmissionGate>,
     sink: Option<&'a mut dyn TraceSink>,
 ) -> Result<(SimReport, Option<MetricsRegistry>), SimError> {
-    validate(cluster, config)?;
-    let metrics = config
-        .observability
-        .metrics
-        .then(|| MetricsRegistry::new(scheduler.backend_label()));
-    let sched_tracing = sink.is_some() || metrics.is_some();
-    if sched_tracing {
-        scheduler.set_tracing(true);
-    }
-    let result = run_inner(source, scheduler, cluster, config, gate, sink, metrics);
-    if sched_tracing {
-        scheduler.set_tracing(false);
-    }
-    Ok(result)
+    try_run_simulation_clocked(
+        source,
+        scheduler,
+        cluster,
+        config,
+        gate,
+        sink,
+        &mut SimClock,
+    )
 }
 
 /// Clocked variant of [`try_run_simulation_streamed_observed`]: the same
 /// event loop, but time is governed by a caller-supplied [`Clock`].
 ///
-/// With [`SimClock`] this is byte-identical to the streamed-observed entry
-/// point (pinned by the E2E identity tests). With a
+/// With [`SimClock`] this is the streamed-observed entry point. With a
 /// [`WallClock`](crate::clock::WallClock) the loop paces events against
 /// real time and waits for live sources — this is the engine under
 /// `woha serve --wall-clock`, where the source is typically a
@@ -1558,6 +1426,8 @@ pub fn try_run_simulation_clocked<'a>(
         .observability
         .metrics
         .then(|| MetricsRegistry::new(scheduler.backend_label()));
+    // Scheduler-internal tracing feeds both the trace (pick records) and
+    // the counters (plans/replans/rollbacks), so either switch arms it.
     let sched_tracing = sink.is_some() || metrics.is_some();
     if sched_tracing {
         scheduler.set_tracing(true);
@@ -1591,7 +1461,9 @@ pub fn run_simulation_observed(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible variant of [`run_simulation_observed`].
+/// Fallible variant of [`run_simulation_observed`]:
+/// [`try_run_simulation_streamed_observed`] over a [`VecSource`], tracing
+/// into a [`MemorySink`].
 ///
 /// # Errors
 ///
@@ -1602,31 +1474,16 @@ pub fn try_run_simulation_observed(
     cluster: &ClusterConfig,
     config: &SimConfig,
 ) -> Result<(SimReport, Observations), SimError> {
-    validate(cluster, config)?;
-    let obs = &config.observability;
-    let mut sink = obs.trace.then(MemorySink::new);
-    let metrics = obs
-        .metrics
-        .then(|| MetricsRegistry::new(scheduler.backend_label()));
-    // Scheduler-internal tracing feeds both the trace (pick records) and
-    // the counters (plans/replans/rollbacks), so either switch arms it.
-    let sched_tracing = obs.trace || obs.metrics;
-    if sched_tracing {
-        scheduler.set_tracing(true);
-    }
+    let mut sink = config.observability.trace.then(MemorySink::new);
     let mut source = VecSource::new(workflows.to_vec());
-    let (report, metrics) = run_inner(
+    let (report, metrics) = try_run_simulation_streamed_observed(
         &mut source,
         scheduler,
         cluster,
         config,
         None,
         sink.as_mut().map(|s| s as &mut dyn TraceSink),
-        metrics,
-    );
-    if sched_tracing {
-        scheduler.set_tracing(false);
-    }
+    )?;
     let observations = Observations {
         trace: sink.map(MemorySink::into_records).unwrap_or_default(),
         metrics,
@@ -1636,7 +1493,7 @@ pub fn try_run_simulation_observed(
 }
 
 /// Validates the cluster's fault configuration and the driver's data-plane
-/// knobs before a run starts.
+/// and observability knobs before a run starts.
 fn validate(cluster: &ClusterConfig, config: &SimConfig) -> Result<(), SimError> {
     let node_count = cluster.node_count();
     for f in &cluster.faults().scripted {
@@ -1672,28 +1529,10 @@ fn validate(cluster: &ClusterConfig, config: &SimConfig) -> Result<(), SimError>
     if cluster.faults().rack_mtbf.is_some_and(|d| d.is_zero()) {
         return Err(SimError::ZeroRackMtbf);
     }
+    if config.observability.sample_interval == Some(SimDuration::ZERO) {
+        return Err(SimError::ZeroSampleInterval);
+    }
     Ok(())
-}
-
-fn run_inner<'a>(
-    source: &mut dyn WorkloadSource,
-    scheduler: &mut dyn WorkflowScheduler,
-    cluster: &'a ClusterConfig,
-    config: &'a SimConfig,
-    gate: Option<&'a mut dyn AdmissionGate>,
-    sink: Option<&'a mut dyn TraceSink>,
-    metrics: Option<MetricsRegistry>,
-) -> (SimReport, Option<MetricsRegistry>) {
-    run_inner_clocked(
-        source,
-        scheduler,
-        cluster,
-        config,
-        gate,
-        sink,
-        metrics,
-        &mut SimClock,
-    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1710,93 +1549,65 @@ fn run_inner_clocked<'a>(
     let fault_mode = cluster.faults().enabled();
     let master_mode = cluster.faults().master.enabled();
     let node_count = cluster.node_count();
-    let rack_count = cluster.rack_count() as usize;
-    let sched_tracing = sink.is_some() || metrics.is_some();
     let mut sim = Sim {
         config,
         cluster,
         queue: EventQueue::new(),
         pool: WorkflowPool::new(),
-        nodes: cluster
-            .nodes()
-            .iter()
-            .map(|n| NodeSlots {
-                free_maps: n.map_slots,
-                free_reduces: n.reduce_slots,
-            })
-            .collect(),
+        nodes: cluster.nodes().iter().map(NodeSlotsRecord::idle).collect(),
         remaining: 0,
         now: SimTime::ZERO,
         rng: FaultStream::new(config.seed),
         busy_count: [0, 0],
         busy_integral_ms: [0, 0],
         last_busy_touch: SimTime::ZERO,
-        tasks_executed: 0,
-        task_failures: 0,
         completion_seq: 0,
-        assign_calls: 0,
-        invalid_assignments: 0,
+        counters: SnapshotCounters::default(),
         events_processed: 0,
-        recorder: config.effective_timelines().then(TimelineRecorder::default),
-        node_count: cluster.node_count(),
-        data: DataPlane::new(config.seed, cluster, config.locality),
-        local_map_tasks: 0,
-        remote_map_tasks: 0,
-        delay_skip_count: 0,
-        survivor_requeues: 0,
-        reshuffle_events: 0,
-        reshuffle_charged_ms: 0,
         scheduler_nanos: 0,
-        attempts: FastMap::default(),
-        groups: FastMap::default(),
-        next_attempt: 1,
-        next_group: 1,
-        stragglers: 0,
-        speculative_launched: 0,
-        speculative_wins: 0,
+        recorder: config
+            .observability
+            .timelines
+            .then(TimelineRecorder::default),
+        data: DataPlane::new(config.seed, cluster, config.locality),
+        table: AttemptTable {
+            attempts: FastMap::default(),
+            groups: FastMap::default(),
+            next_attempt: 1,
+            next_group: 1,
+        },
         track_attempts: config.speculation.is_some()
             || fault_mode
             || master_mode
             || config.prediction.is_some(),
         fault_mode,
-        alive: vec![true; node_count],
-        node_blacklisted: vec![false; node_count],
-        incident: vec![0; node_count],
-        crash_count: vec![0; node_count],
-        heartbeat_live: vec![true; node_count],
-        lost_pending: vec![Vec::new(); node_count],
-        rack_incident: vec![0; rack_count],
-        rack_victims: vec![Vec::new(); rack_count],
-        node_failures: 0,
-        node_recoveries: 0,
-        nodes_blacklisted: 0,
-        tasks_requeued: 0,
-        map_outputs_lost: 0,
-        work_lost_slot_ms: 0,
+        fault: FaultSnapshot {
+            alive: vec![true; node_count],
+            blacklisted: vec![false; node_count],
+            incident: vec![0; node_count],
+            crash_count: vec![0; node_count],
+            heartbeat_live: vec![true; node_count],
+            lost_pending: vec![Vec::new(); node_count],
+            racks: Vec::new(),
+        },
         health: config
             .prediction
             .as_ref()
             .map(|p| NodeHealth::new(p, node_count)),
-        master_mode,
-        master_alive: true,
-        replaying: false,
-        checkpoint: None,
-        wal: Vec::new(),
+        master: MasterState::default(),
         arrived: vec![],
         workflows: Vec::new(),
         exhausted: false,
-        arrival_shift: SimDuration::ZERO,
         gate,
-        workflows_rejected: 0,
         rejections: BTreeMap::new(),
-        recovery: RecoveryReport::default(),
         sink,
         metrics,
-        sched_tracing,
-        backend: scheduler.backend_label(),
         sched_scratch: Vec::new(),
         next_sample: SimTime::ZERO,
-        obs_interval: config.effective_sample_interval(),
+        obs_interval: config
+            .observability
+            .sample_interval
+            .unwrap_or(DEFAULT_SAMPLE_INTERVAL),
     };
 
     // Workflow arrivals are NOT pushed here: the main loop below pulls
@@ -1808,59 +1619,10 @@ fn run_inner_clocked<'a>(
         sim.queue
             .push(SimTime::ZERO + offset, Event::Heartbeat(node));
     }
-    // Fault schedule: scripted outages verbatim (each fault takes its node
-    // set down atomically), plus the first stochastic crash per node
-    // (later crashes chain off each recovery).
-    if fault_mode {
-        for f in &cluster.faults().scripted {
-            for &node in &f.nodes {
-                sim.queue.push(f.down_at, Event::NodeDown(node));
-                if let Some(up) = f.up_at {
-                    sim.queue.push(up, Event::NodeUp(node));
-                }
-            }
-        }
-        if let Some(mtbf) = cluster.faults().mtbf {
-            for node in cluster.node_ids() {
-                let ttf = sim.rng.time_to_failure(node, 0, mtbf);
-                sim.queue.push(SimTime::ZERO + ttf, Event::NodeDown(node));
-            }
-        }
-        // Correlated rack-switch faults: the first failure per rack (later
-        // ones chain off each rack recovery).
-        if let Some(rack_mtbf) = cluster.faults().rack_mtbf {
-            for rack in 0..cluster.rack_count() {
-                let ttf = sim.rng.rack_time_to_failure(rack, 0, rack_mtbf);
-                sim.queue
-                    .push(SimTime::ZERO + ttf, Event::RackDown { rack });
-            }
-        }
-    }
-    // Master-fault schedule: a genesis checkpoint (recovery always has a
-    // snapshot to restore), the periodic checkpoint chain, and the crash
-    // schedule — scripted crash times verbatim (stamped with their crash
-    // ordinal), or the first stochastic crash when nothing is scripted.
+    sim.schedule_faults();
     let wal_enabled = master_mode && cluster.faults().master.wal;
     if master_mode {
-        let mcfg = &cluster.faults().master;
-        sim.take_checkpoint(scheduler);
-        sim.queue.push(
-            SimTime::ZERO.saturating_add(mcfg.checkpoint_interval),
-            Event::Checkpoint,
-        );
-        let mut crashes = mcfg.scripted.clone();
-        crashes.sort_unstable();
-        for (k, &at) in crashes.iter().enumerate() {
-            sim.queue
-                .push(at, Event::MasterCrash { incident: k as u64 });
-        }
-        if crashes.is_empty() {
-            if let Some(mtbf) = mcfg.mtbf {
-                let ttf = sim.rng.master_time_to_failure(0, mtbf);
-                sim.queue
-                    .push(SimTime::ZERO + ttf, Event::MasterCrash { incident: 0 });
-            }
-        }
+        sim.start_master(scheduler);
     }
 
     let mut truncated = false;
@@ -1891,14 +1653,13 @@ fn run_inner_clocked<'a>(
                     }
                 },
             };
-            let at = clock.stamp(submit.saturating_add(sim.arrival_shift), sim.now);
+            let at = clock.stamp(submit.saturating_add(sim.master.arrival_shift), sim.now);
             if sim.queue.peek_time().is_some_and(|head| at > head) {
                 break;
             }
             let spec = source.next_workflow().expect("peeked source yields");
             if let Some(gate) = sim.gate.as_deref_mut() {
                 if let Err(reason) = gate.admit(&spec, at) {
-                    sim.workflows_rejected += 1;
                     *sim.rejections.entry(reason.clone()).or_insert(0) += 1;
                     if let Some(s) = sim.sink.as_deref_mut() {
                         s.record(TraceRecord {
@@ -1914,8 +1675,7 @@ fn run_inner_clocked<'a>(
             }
             let index = sim.workflows.len();
             sim.workflows.push(spec);
-            sim.arrived.push(false);
-            sim.remaining += 1;
+            sim.grow_ledger(index + 1);
             sim.queue.push_arrival(at, Event::WorkflowArrival(index));
         }
         if sim.remaining == 0 && sim.exhausted {
@@ -1938,17 +1698,19 @@ fn run_inner_clocked<'a>(
             break;
         }
         debug_assert!(t >= sim.now, "time went backwards");
-        sim.sample_gauges_before(t);
+        sim.sample_gauges_until(t, false);
         sim.now = t;
         sim.events_processed += 1;
-        if wal_enabled
-            && sim.master_alive
+        // The master's own lifecycle events are not logged: the WAL holds
+        // what a recovering master must re-apply, and only while one is up.
+        let logging = wal_enabled && !sim.master.down;
+        if logging
             && !matches!(
                 event,
                 Event::Checkpoint | Event::MasterCrash { .. } | Event::MasterRecovered { .. }
             )
         {
-            sim.wal.push((t, event.clone()));
+            sim.master.wal.push((t, event.clone()));
         }
         if sim.config.batch_heartbeats && matches!(event, Event::Heartbeat(_)) {
             // Coalesce the run of same-tick heartbeats behind this one:
@@ -1965,8 +1727,8 @@ fn run_inner_clocked<'a>(
                 }
                 let (_, next) = sim.queue.pop().expect("peeked event");
                 sim.events_processed += 1;
-                if wal_enabled && sim.master_alive {
-                    sim.wal.push((t, next.clone()));
+                if logging {
+                    sim.master.wal.push((t, next.clone()));
                 }
                 run.push(next);
             }
@@ -1991,7 +1753,7 @@ fn run_inner_clocked<'a>(
     sim.touch_busy();
 
     let end_time = sim.now;
-    sim.sample_gauges_through(end_time);
+    sim.sample_gauges_until(end_time, true);
     let metrics = sim.metrics.take();
     let outcomes: Vec<WorkflowOutcome> = sim
         .pool
@@ -2010,9 +1772,9 @@ fn run_inner_clocked<'a>(
     let timelines = sim
         .recorder
         .take()
-        .map(|rec| rec.finish(sim.pool.len(), end_time, config.effective_sample_interval()));
+        .map(|rec| rec.finish(sim.pool.len(), end_time, sim.obs_interval));
     let admission = sim.gate.is_some().then(|| AdmissionReport {
-        workflows_rejected: sim.workflows_rejected,
+        workflows_rejected: sim.rejections.values().sum(),
         rejections: sim
             .rejections
             .iter()
@@ -2038,11 +1800,12 @@ fn run_inner_clocked<'a>(
         || config.locality.is_some_and(|l| l.prefer_survivors))
     .then(|| DataPlaneReport {
         racks: cluster.rack_count(),
-        rack_outages: sim.rack_incident.iter().sum(),
-        survivor_requeues: sim.survivor_requeues,
-        reshuffle_events: sim.reshuffle_events,
-        reshuffle_charged_ms: sim.reshuffle_charged_ms,
+        rack_outages: sim.fault.racks.iter().map(|r| r.incident).sum(),
+        survivor_requeues: sim.counters.survivor_requeues,
+        reshuffle_events: sim.counters.reshuffle_events,
+        reshuffle_charged_ms: sim.counters.reshuffle_charged_ms,
     });
+    let c = sim.counters;
     let report = SimReport {
         scheduler: scheduler.name().to_string(),
         outcomes,
@@ -2053,26 +1816,26 @@ fn run_inner_clocked<'a>(
             cluster.total_slots(SlotKind::Map),
             cluster.total_slots(SlotKind::Reduce),
         ],
-        tasks_executed: sim.tasks_executed,
-        task_failures: sim.task_failures,
-        local_map_tasks: sim.local_map_tasks,
-        remote_map_tasks: sim.remote_map_tasks,
-        delay_skips: sim.delay_skip_count,
+        tasks_executed: c.tasks_executed,
+        task_failures: c.task_failures,
+        local_map_tasks: c.local_map_tasks,
+        remote_map_tasks: c.remote_map_tasks,
+        delay_skips: c.delay_skip_count,
         scheduler_nanos: sim.scheduler_nanos,
-        stragglers: sim.stragglers,
-        speculative_launched: sim.speculative_launched,
-        speculative_wins: sim.speculative_wins,
-        assign_calls: sim.assign_calls,
-        invalid_assignments: sim.invalid_assignments,
+        stragglers: c.stragglers,
+        speculative_launched: c.speculative_launched,
+        speculative_wins: c.speculative_wins,
+        assign_calls: c.assign_calls,
+        invalid_assignments: c.invalid_assignments,
         events_processed: sim.events_processed,
-        node_failures: sim.node_failures,
-        node_recoveries: sim.node_recoveries,
-        nodes_blacklisted: sim.nodes_blacklisted,
-        tasks_requeued: sim.tasks_requeued,
-        map_outputs_lost: sim.map_outputs_lost,
-        work_lost_slot_ms: sim.work_lost_slot_ms,
+        node_failures: c.node_failures,
+        node_recoveries: c.node_recoveries,
+        nodes_blacklisted: c.nodes_blacklisted,
+        tasks_requeued: c.tasks_requeued,
+        map_outputs_lost: c.map_outputs_lost,
+        work_lost_slot_ms: c.work_lost_slot_ms,
         timelines,
-        recovery: sim.master_mode.then_some(sim.recovery),
+        recovery: master_mode.then_some(sim.master.recovery),
         admission,
         prediction,
         data_plane,

@@ -1,35 +1,73 @@
 //! Node and rack fault handlers: crash, failure detection, repair, and
 //! the requeue of work a crash destroyed.
 
-use super::{LostTask, Sim};
+use super::Sim;
 use crate::event::Event;
 use crate::obs::TraceEvent;
 use crate::scheduler::WorkflowScheduler;
+use crate::snapshot::{LostTaskRecord, NodeSlotsRecord};
 use woha_model::{NodeId, SimDuration, SlotKind};
 
 impl Sim<'_> {
+    /// Queues the fault schedule at the start of a run: scripted outages
+    /// verbatim (each fault takes its node set down atomically), plus the
+    /// first stochastic crash per node and per rack. Nothing, when the
+    /// cluster has no fault source.
+    pub(super) fn schedule_faults(&mut self) {
+        let cluster = self.cluster;
+        for f in &cluster.faults().scripted {
+            for &node in &f.nodes {
+                self.queue.push(f.down_at, Event::NodeDown(node));
+                if let Some(up) = f.up_at {
+                    self.queue.push(up, Event::NodeUp(node));
+                }
+            }
+        }
+        for node in cluster.node_ids() {
+            self.chain_node_failure(node);
+        }
+        for rack in 0..cluster.rack_count() {
+            self.chain_rack_failure(rack, 0);
+        }
+    }
+
+    /// Schedules `node`'s next stochastic crash, if nodes crash at all;
+    /// each crash chains off the recovery before it.
+    fn chain_node_failure(&mut self, node: NodeId) {
+        if let Some(mtbf) = self.cluster.faults().mtbf {
+            let incident = self.fault.incident[node.index()];
+            let ttf = self.rng.time_to_failure(node, incident, mtbf);
+            self.schedule(self.now.saturating_add(ttf), Event::NodeDown(node));
+        }
+    }
+
+    /// Schedules `rack`'s next switch failure after outage number
+    /// `incident`, if rack switches fail at all.
+    fn chain_rack_failure(&mut self, rack: u32, incident: u64) {
+        if let Some(mtbf) = self.cluster.faults().rack_mtbf {
+            let ttf = self.rng.rack_time_to_failure(rack, incident, mtbf);
+            self.schedule(self.now.saturating_add(ttf), Event::RackDown { rack });
+        }
+    }
+
     /// A node crashes: every attempt on it dies, its slots leave the pool,
     /// and detection (plus repair, for stochastic crashes) is scheduled.
     /// The JobTracker's pool is *not* touched yet — it still believes the
     /// tasks are running until [`Self::requeue_lost`].
-    pub(super) fn handle_node_down(&mut self, node: NodeId) {
-        self.node_down_core(node, false);
-    }
-
-    /// The node-crash core. `rack_outage` marks crashes injected by a
-    /// correlated rack-switch failure: those suppress the per-node
-    /// stochastic repair (the whole rack repairs atomically via
-    /// [`Event::RackUp`]). Returns whether the crash took effect (the node
-    /// was up and not blacklisted).
-    fn node_down_core(&mut self, node: NodeId, rack_outage: bool) -> bool {
+    ///
+    /// `rack_outage` marks crashes injected by a correlated rack-switch
+    /// failure: those suppress the per-node stochastic repair (the whole
+    /// rack repairs atomically via [`Event::RackUp`]). Returns whether the
+    /// crash took effect (the node was up and not blacklisted).
+    pub(super) fn handle_node_down(&mut self, node: NodeId, rack_outage: bool) -> bool {
         let i = node.index();
-        if !self.alive[i] || self.node_blacklisted[i] {
+        if !self.fault.alive[i] || self.fault.blacklisted[i] {
             return false;
         }
-        self.alive[i] = false;
-        self.incident[i] += 1;
-        self.crash_count[i] += 1;
-        self.node_failures += 1;
+        self.fault.alive[i] = false;
+        self.fault.incident[i] += 1;
+        self.fault.crash_count[i] += 1;
+        self.counters.node_failures += 1;
         self.emit(TraceEvent::NodeDown {
             node: i,
             rack: self.cluster.rack_of(node),
@@ -37,10 +75,10 @@ impl Sim<'_> {
         if let Some(m) = &mut self.metrics {
             m.node_failures.inc();
         }
-        self.touch_busy();
         // Kill every live attempt on the node, in attempt-id order (the
         // map iterates in arbitrary order; sorting keeps runs seeded).
         let mut victims: Vec<u64> = self
+            .table
             .attempts
             .iter()
             .filter(|(_, a)| a.node == node && !a.cancelled)
@@ -49,30 +87,14 @@ impl Sim<'_> {
         victims.sort_unstable();
         let victim_count = victims.len();
         for id in victims {
-            let a = self.attempts.get_mut(&id).expect("victim is registered");
-            a.cancelled = true;
-            let a = *a;
-            self.busy_count[Self::kind_index(a.kind)] -= 1;
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.record(self.now, a.wf, a.kind, -1);
-            }
-            if self.sink.is_some() {
-                self.emit(TraceEvent::TaskKilled {
-                    node: i,
-                    workflow: a.wf,
-                    job: a.job.as_u32() as usize,
-                    kind: a.kind,
-                });
-            }
-            self.work_lost_slot_ms += u128::from(self.now.saturating_since(a.started).as_millis());
-            let group = self.groups.get(&a.group).expect("live group");
-            let twin_alive = group.attempts[..usize::from(group.attempt_count)]
-                .iter()
-                .any(|&o| o != id && self.attempts.get(&o).is_some_and(|t| !t.cancelled));
+            let a = self.kill_attempt(id);
+            self.counters.work_lost_slot_ms +=
+                u128::from(self.now.saturating_since(a.started).as_millis());
+            let twin_alive = self.table.twin_alive(id, a.group);
             if !twin_alive {
-                self.groups.remove(&a.group);
+                self.table.groups.remove(&a.group);
             }
-            self.lost_pending[i].push(LostTask {
+            self.fault.lost_pending[i].push(LostTaskRecord {
                 wf: a.wf,
                 job: a.job,
                 kind: a.kind,
@@ -80,9 +102,9 @@ impl Sim<'_> {
                 task: a.task,
             });
         }
-        // Slots leave the pool until the node re-registers.
-        self.nodes[i].free_maps = 0;
-        self.nodes[i].free_reduces = 0;
+        // Slots leave the pool until the node re-registers (including the
+        // ones the kills above just freed).
+        self.nodes[i] = NodeSlotsRecord::default();
         let node_cfg = self.cluster.node(node);
         if let Some(rec) = self.recorder.as_mut() {
             rec.record_down(self.now, node_cfg.total_slots() as i32);
@@ -111,11 +133,13 @@ impl Sim<'_> {
                 .as_ref()
                 .expect("adaptive blacklist implies health tracker")
                 .risky(node, self.now, threshold),
-            None => faults.blacklist_after > 0 && self.crash_count[i] >= faults.blacklist_after,
+            None => {
+                faults.blacklist_after > 0 && self.fault.crash_count[i] >= faults.blacklist_after
+            }
         };
         if blacklist {
-            self.node_blacklisted[i] = true;
-            self.nodes_blacklisted += 1;
+            self.fault.blacklisted[i] = true;
+            self.counters.nodes_blacklisted += 1;
             if adaptive.is_some() {
                 self.health
                     .as_mut()
@@ -137,7 +161,7 @@ impl Sim<'_> {
             self.now.saturating_add(detect),
             Event::NodeLost {
                 node,
-                incident: self.incident[i],
+                incident: self.fault.incident[i],
             },
         );
         // Stochastic crashes sample their repair time now; scripted faults
@@ -145,7 +169,7 @@ impl Sim<'_> {
         // atomically via [`Event::RackUp`].
         if !rack_outage {
             if let Some(mttr) = faults.mtbf.map(|_| faults.mttr) {
-                let ttr = self.rng.time_to_repair(node, self.incident[i], mttr);
+                let ttr = self.rng.time_to_repair(node, self.fault.incident[i], mttr);
                 self.schedule(self.now.saturating_add(ttr), Event::NodeUp(node));
             }
         }
@@ -157,16 +181,16 @@ impl Sim<'_> {
     /// is scheduled as a single [`Event::RackUp`]. Detection still runs
     /// per node — the failure detector has no rack awareness.
     pub(super) fn handle_rack_down(&mut self, rack: u32) {
-        let idx = rack as usize;
-        self.rack_incident[idx] += 1;
-        let incident = self.rack_incident[idx];
         let mut victims = Vec::new();
         for node in self.cluster.rack_nodes(rack) {
-            if self.node_down_core(node, true) {
+            if self.handle_node_down(node, true) {
                 victims.push(node);
             }
         }
-        self.rack_victims[idx] = victims;
+        let state = self.fault.rack_state(rack);
+        state.incident += 1;
+        state.victims = victims;
+        let incident = state.incident;
         let mttr = self.cluster.faults().rack_repair_mean();
         let ttr = self.rng.rack_time_to_repair(rack, incident, mttr);
         self.schedule(self.now.saturating_add(ttr), Event::RackUp { rack });
@@ -176,17 +200,12 @@ impl Sim<'_> {
     /// re-registers (blacklisted victims stay out), and the next rack
     /// failure chains off this recovery.
     pub(super) fn handle_rack_up(&mut self, scheduler: &mut dyn WorkflowScheduler, rack: u32) {
-        let idx = rack as usize;
-        let victims = std::mem::take(&mut self.rack_victims[idx]);
-        for node in victims {
+        let state = self.fault.rack_state(rack);
+        let incident = state.incident;
+        for node in std::mem::take(&mut state.victims) {
             self.handle_node_up(scheduler, node);
         }
-        if let Some(mtbf) = self.cluster.faults().rack_mtbf {
-            let ttf = self
-                .rng
-                .rack_time_to_failure(rack, self.rack_incident[idx], mtbf);
-            self.schedule(self.now.saturating_add(ttf), Event::RackDown { rack });
-        }
+        self.chain_rack_failure(rack, incident);
     }
 
     /// A node finishes repair and re-registers with the JobTracker. Any
@@ -194,30 +213,26 @@ impl Sim<'_> {
     /// old attempts are gone), and its slots rejoin the pool empty.
     pub(super) fn handle_node_up(&mut self, scheduler: &mut dyn WorkflowScheduler, node: NodeId) {
         let i = node.index();
-        if self.alive[i] || self.node_blacklisted[i] {
+        if self.fault.alive[i] || self.fault.blacklisted[i] {
             return;
         }
         self.requeue_lost(scheduler, node);
-        self.alive[i] = true;
-        self.node_recoveries += 1;
+        self.fault.alive[i] = true;
+        self.counters.node_recoveries += 1;
         self.emit(TraceEvent::NodeUp {
             node: i,
             rack: self.cluster.rack_of(node),
         });
         let node_cfg = self.cluster.node(node);
-        self.nodes[i].free_maps = node_cfg.map_slots;
-        self.nodes[i].free_reduces = node_cfg.reduce_slots;
+        self.nodes[i] = NodeSlotsRecord::idle(&node_cfg);
         if let Some(rec) = self.recorder.as_mut() {
             rec.record_down(self.now, -(node_cfg.total_slots() as i32));
         }
-        if !self.heartbeat_live[i] {
-            self.heartbeat_live[i] = true;
+        if !self.fault.heartbeat_live[i] {
+            self.fault.heartbeat_live[i] = true;
             self.schedule(self.now, Event::Heartbeat(node));
         }
-        if let Some(mtbf) = self.cluster.faults().mtbf {
-            let ttf = self.rng.time_to_failure(node, self.incident[i], mtbf);
-            self.schedule(self.now.saturating_add(ttf), Event::NodeDown(node));
-        }
+        self.chain_node_failure(node);
     }
 
     /// The failure detector fires: if the node is still down and the
@@ -230,7 +245,7 @@ impl Sim<'_> {
         incident: u64,
     ) {
         let i = node.index();
-        if self.alive[i] || self.incident[i] != incident {
+        if self.fault.alive[i] || self.fault.incident[i] != incident {
             return;
         }
         self.requeue_lost(scheduler, node);
@@ -241,22 +256,11 @@ impl Sim<'_> {
     /// re-enter the pending queues, and completed map outputs hosted on the
     /// node are invalidated and re-executed while reducers still need them.
     pub(super) fn requeue_lost(&mut self, scheduler: &mut dyn WorkflowScheduler, node: NodeId) {
-        let lost = std::mem::take(&mut self.lost_pending[node.index()]);
+        let lost = std::mem::take(&mut self.fault.lost_pending[node.index()]);
         for t in lost {
             if t.solo {
-                self.pool.workflow_mut(t.wf).fail_task(t.job, t.kind);
-                self.tasks_requeued += 1;
-                if t.kind == SlotKind::Map && self.config.locality.is_some() {
-                    let spec_maps = self.pool.workflow(t.wf).spec().job(t.job).map_tasks();
-                    let retried = self.pool.workflow(t.wf).job(t.job).retried(t.kind);
-                    if self
-                        .data
-                        .requeue_map(t.wf, t.job, spec_maps + retried, t.task)
-                    {
-                        self.survivor_requeues += 1;
-                    }
-                }
-                scheduler.on_task_failed(&self.pool, t.wf, t.job, t.kind, self.now);
+                self.fail_and_requeue(scheduler, t.wf, t.job, t.kind, t.task);
+                self.counters.tasks_requeued += 1;
             } else {
                 // A twin is still racing on another node: only undo this
                 // attempt's running count.
@@ -273,22 +277,12 @@ impl Sim<'_> {
             self.pool
                 .workflow_mut(wf)
                 .invalidate_completed_maps(job, lost);
-            self.map_outputs_lost += u64::from(lost);
+            self.counters.map_outputs_lost += u64::from(lost);
             if !self.config.reshuffle_cost.is_zero() {
                 self.data.add_reshuffle_debt(wf, job, u64::from(lost));
             }
-            if self.config.locality.is_some() {
-                let spec_maps = self.pool.workflow(wf).spec().job(job).map_tasks();
-                let retried = self.pool.workflow(wf).job(job).retried(SlotKind::Map);
-                for k in 0..lost {
-                    let original = inv.tasks.get(k as usize).copied();
-                    if self
-                        .data
-                        .requeue_map(wf, job, spec_maps + retried - k, original)
-                    {
-                        self.survivor_requeues += 1;
-                    }
-                }
+            for k in 0..lost {
+                self.requeue_map(wf, job, k, inv.tasks.get(k as usize).copied());
             }
             for _ in 0..lost {
                 scheduler.on_task_failed(&self.pool, wf, job, SlotKind::Map, self.now);

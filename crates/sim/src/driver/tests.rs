@@ -138,8 +138,11 @@ fn utilization_bounded_and_positive() {
 #[test]
 fn timelines_track_slot_occupancy() {
     let cfg = SimConfig {
-        track_timelines: true,
-        sample_interval: SimDuration::from_secs(1),
+        observability: ObservabilityConfig {
+            timelines: true,
+            sample_interval: Some(SimDuration::from_secs(1)),
+            ..ObservabilityConfig::default()
+        },
         ..SimConfig::default()
     };
     let report = run_simulation(
@@ -463,8 +466,11 @@ mod faults {
             Some(SimTime::from_secs(20)),
         )]);
         let cfg = SimConfig {
-            track_timelines: true,
-            sample_interval: SimDuration::from_secs(1),
+            observability: ObservabilityConfig {
+                timelines: true,
+                sample_interval: Some(SimDuration::from_secs(1)),
+                ..ObservabilityConfig::default()
+            },
             ..SimConfig::default()
         };
         let cluster = fault_cluster(faults);
@@ -549,8 +555,11 @@ mod faults {
             ..FaultConfig::default()
         };
         let cfg = SimConfig {
-            track_timelines: true,
-            sample_interval: SimDuration::from_secs(1),
+            observability: ObservabilityConfig {
+                timelines: true,
+                sample_interval: Some(SimDuration::from_secs(1)),
+                ..ObservabilityConfig::default()
+            },
             ..SimConfig::default()
         };
         let report = run(
@@ -791,8 +800,23 @@ mod racks {
         assert!(SimError::ZeroLocalityReplicas
             .to_string()
             .contains("replica"));
+        let zero_interval = SimConfig {
+            observability: ObservabilityConfig {
+                timelines: true,
+                sample_interval: Some(SimDuration::ZERO),
+                ..ObservabilityConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        assert_eq!(
+            try_run_simulation(&w, &mut s, &cluster, &zero_interval),
+            Err(SimError::ZeroSampleInterval)
+        );
         assert!(SimError::SubUnityRemotePenalty.to_string().contains("1.0"));
         assert!(SimError::ZeroRackMtbf.to_string().contains("MTBF"));
+        assert!(SimError::ZeroSampleInterval
+            .to_string()
+            .contains("positive"));
     }
 }
 
@@ -985,6 +1009,70 @@ mod master {
             9 + report.tasks_requeued + report.map_outputs_lost
         );
         assert_eq!(report, run(&w, &cluster, &cfg));
+    }
+
+    #[test]
+    fn crash_recovery_round_trips_every_snapshot_fragment() {
+        // Every optional part of the master state at once — node and rack
+        // faults, speculation, survivor-preferring locality, prediction
+        // with risk placement, re-shuffle debt — under frequent
+        // checkpoints and repeated master crashes, so the debug
+        // assertions in `take_checkpoint` (encode/decode) and in the crash
+        // handler (install/build) see each fragment populated.
+        let faults = FaultConfig {
+            mtbf: Some(SimDuration::from_secs(200)),
+            mttr: SimDuration::from_secs(12),
+            rack_mtbf: Some(SimDuration::from_secs(120)),
+            rack_mttr: Some(SimDuration::from_secs(10)),
+            master: MasterFaultConfig {
+                mttr: SimDuration::from_secs(5),
+                checkpoint_interval: SimDuration::from_secs(3),
+                scripted: [40, 95, 150, 230]
+                    .into_iter()
+                    .map(SimTime::from_secs)
+                    .collect(),
+                ..MasterFaultConfig::default()
+            },
+            ..FaultConfig::default()
+        };
+        let cluster = ClusterConfig::uniform(6, 2, 1)
+            .with_racks(2)
+            .with_faults(faults);
+        let cfg = SimConfig {
+            locality: Some(LocalityConfig {
+                prefer_survivors: true,
+                ..LocalityConfig::default()
+            }),
+            speculation: Some(SpeculationConfig {
+                straggler_prob: 0.3,
+                straggler_factor: 6.0,
+                speculate_after: 1.3,
+            }),
+            prediction: Some(PredictionConfig {
+                risk_placement: true,
+                risk_threshold: 0.5,
+                ..PredictionConfig::default()
+            }),
+            reshuffle_cost: SimDuration::from_secs(2),
+            seed: 9,
+            ..SimConfig::default()
+        };
+        let w: Vec<WorkflowSpec> = (0..8)
+            .map(|i| simple_workflow(&format!("w{i}"), i * 20, 30_000))
+            .collect();
+        let report = run(&w, &cluster, &cfg);
+        assert!(report.completed);
+        let rec = report.recovery.as_ref().expect("master mode reports");
+        assert_eq!(rec.master_crashes, 4);
+        assert!(rec.wal_records_replayed > 0);
+        assert!(report.node_failures > 0 && report.map_outputs_lost > 0);
+        assert!(report.speculative_launched > 0);
+        let dp = report.data_plane.as_ref().expect("racked cluster reports");
+        assert!(dp.rack_outages > 0 && dp.survivor_requeues > 0);
+        assert!(dp.reshuffle_events > 0);
+        let pred = report.prediction.as_ref().expect("prediction reports");
+        assert!(pred.node_propensity.iter().any(|&p| p > 0.0));
+        assert_eq!(report, run(&w, &cluster, &cfg), "recovery is seeded");
     }
 
     #[test]

@@ -36,14 +36,17 @@ pub struct ObservabilityConfig {
     /// Maintain the [`MetricsRegistry`] (counters, histograms, and gauges
     /// sampled on the observability grid).
     pub metrics: bool,
-    /// Record per-workflow slot timelines (Figs 14–19). Supersedes the
-    /// deprecated `SimConfig::track_timelines`, which is OR-ed in for
-    /// backward compatibility.
+    /// Record per-workflow slot timelines (Figs 14–19). Costs memory
+    /// proportional to task count.
     pub timelines: bool,
-    /// Sampling interval for gauges and timelines. `None` falls back to
-    /// the legacy `SimConfig::sample_interval`.
+    /// Sampling interval for gauges and timelines; `None` means 10 s.
+    /// Must be positive when set.
     pub sample_interval: Option<SimDuration>,
 }
+
+/// The sampling interval used when [`ObservabilityConfig::sample_interval`]
+/// is unset.
+pub(crate) const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 impl ObservabilityConfig {
     /// Whether any subsystem that hooks the driver's event loop is on.

@@ -15,16 +15,23 @@
 //! counters themselves — those describe the *physical* world or the report,
 //! not the master's logical state.
 //!
+//! The driver keeps its master-logical state *in* these types: its counters
+//! are a [`SnapshotCounters`], its fault bookkeeping a [`FaultSnapshot`], its
+//! attempt tables hold [`AttemptRecord`]s and [`GroupRecord`]s. Building a
+//! snapshot clones them and installing one assigns them back, so a field
+//! added here is checkpointed and restored with no further code.
+//!
 //! All maps are stored as key-sorted vectors so a snapshot of a given
 //! master state is byte-for-byte deterministic.
 
 use serde::{Deserialize, Serialize, Value};
 use woha_model::{JobId, NodeId, SimDuration, SimTime, SlotKind, WorkflowId};
 
+use crate::cluster::NodeConfig;
 use crate::state::WorkflowPool;
 
 /// One in-flight task attempt, keyed by its attempt id.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AttemptRecord {
     /// Attempt id (the driver's `attempts` map key).
     pub id: u64,
@@ -55,7 +62,7 @@ pub struct AttemptRecord {
 }
 
 /// One speculation group (original attempt + optional speculative twin).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupRecord {
     /// Group id (the driver's `groups` map key).
     pub id: u64,
@@ -107,8 +114,9 @@ pub struct MapOutputRecord {
     pub tasks: Vec<u32>,
 }
 
-/// Free-slot counters of one node at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Free-slot counters of one node at snapshot time; the default is a node
+/// with no slots to offer (down or blacklisted).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeSlotsRecord {
     /// Free map slots.
     pub free_maps: u32,
@@ -116,8 +124,39 @@ pub struct NodeSlotsRecord {
     pub free_reduces: u32,
 }
 
+impl NodeSlotsRecord {
+    /// All of `node`'s slots free.
+    pub(crate) fn idle(node: &NodeConfig) -> Self {
+        NodeSlotsRecord {
+            free_maps: node.map_slots,
+            free_reduces: node.reduce_slots,
+        }
+    }
+
+    pub(crate) fn free(&self, kind: SlotKind) -> u32 {
+        match kind {
+            SlotKind::Map => self.free_maps,
+            SlotKind::Reduce => self.free_reduces,
+        }
+    }
+
+    pub(crate) fn take(&mut self, kind: SlotKind) {
+        match kind {
+            SlotKind::Map => self.free_maps -= 1,
+            SlotKind::Reduce => self.free_reduces -= 1,
+        }
+    }
+
+    pub(crate) fn release(&mut self, kind: SlotKind) {
+        match kind {
+            SlotKind::Map => self.free_maps += 1,
+            SlotKind::Reduce => self.free_reduces += 1,
+        }
+    }
+}
+
 /// A task lost to a node failure, awaiting requeue at failure detection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LostTaskRecord {
     /// Owning workflow.
     pub wf: WorkflowId,
@@ -125,7 +164,9 @@ pub struct LostTaskRecord {
     pub job: JobId,
     /// Map or reduce.
     pub kind: SlotKind,
-    /// Whether the attempt was the only member of its speculation group.
+    /// Whether the attempt was the only live member of its speculation
+    /// group: a solo task is requeued as pending, while a non-solo one
+    /// only releases its running count because its twin is still racing.
     pub solo: bool,
     /// Original map-task index (survivor-preference mode only; `None`
     /// otherwise, and omitted so prior snapshots stay byte-identical).
@@ -196,6 +237,25 @@ pub struct FaultSnapshot {
     /// snapshots byte-identical to pre-rack ones.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub racks: Vec<RackStateRecord>,
+}
+
+impl FaultSnapshot {
+    /// The bookkeeping of `rack`, entered in rack order at its first outage.
+    pub(crate) fn rack_state(&mut self, rack: u32) -> &mut RackStateRecord {
+        let pos = self
+            .racks
+            .binary_search_by_key(&rack, |r| r.rack)
+            .unwrap_or_else(|pos| {
+                let fresh = RackStateRecord {
+                    rack,
+                    incident: 0,
+                    victims: Vec::new(),
+                };
+                self.racks.insert(pos, fresh);
+                pos
+            });
+        &mut self.racks[pos]
+    }
 }
 
 /// Rack-switch fault bookkeeping for one rack at snapshot time.
@@ -293,15 +353,6 @@ impl MasterSnapshot {
     pub fn decode(value: &Value) -> Result<Self, serde::Error> {
         Self::from_value(value)
     }
-}
-
-/// Convenience: number of completed workflows in a pool (used to recompute
-/// the driver's `remaining` counter after a restore).
-pub fn completed_workflows(pool: &WorkflowPool) -> usize {
-    pool.workflows()
-        .iter()
-        .filter(|wf| wf.is_complete())
-        .count()
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 //! lifecycle corners.
 
 use woha_model::{JobSpec, SimDuration, SimTime, SlotKind, WorkflowBuilder, WorkflowSpec};
-use woha_sim::{run_simulation, ClusterConfig, SimConfig, SubmitOrderScheduler};
+use woha_sim::{
+    run_simulation, ClusterConfig, ObservabilityConfig, SimConfig, SubmitOrderScheduler,
+};
 
 fn one_job(name: &str, maps: u32, reduces: u32, submit_s: u64) -> WorkflowSpec {
     let mut b = WorkflowBuilder::new(name);
@@ -184,7 +186,10 @@ fn asymmetric_nodes_from_totals() {
 #[test]
 fn timeline_tracking_of_empty_workload() {
     let config = SimConfig {
-        track_timelines: true,
+        observability: ObservabilityConfig {
+            timelines: true,
+            ..ObservabilityConfig::default()
+        },
         ..SimConfig::default()
     };
     let report = run_simulation(

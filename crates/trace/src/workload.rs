@@ -133,15 +133,6 @@ impl Workload {
         &self.workflows
     }
 
-    /// Consumes the workload, returning its workflows.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `into_source()` and the streaming driver entry points"
-    )]
-    pub fn into_workflows(self) -> Vec<WorkflowSpec> {
-        self.workflows
-    }
-
     /// Consumes the workload into a streaming [`crate::VecSource`].
     pub fn into_source(self) -> crate::VecSource {
         crate::VecSource::new(self.workflows)
@@ -318,9 +309,6 @@ mod tests {
         let w = Workload::new(templates(2));
         assert_eq!(w.total_jobs(), 6);
         assert_eq!(w.total_tasks(), 2 * 3 * 5);
-        #[allow(deprecated)]
-        let v = w.clone().into_workflows();
-        assert_eq!(v.len(), 2);
         assert_eq!(w.source().remaining().len(), 2);
         assert_eq!(w.into_source().remaining().len(), 2);
     }

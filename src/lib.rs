@@ -66,8 +66,8 @@ pub mod prelude {
         ShutdownSignal, TenantsConfig,
     };
     pub use woha_sim::{
-        run_simulation, run_simulation_observed, run_simulation_streamed, try_run_simulation,
-        try_run_simulation_clocked, try_run_simulation_observed, try_run_simulation_streamed,
+        run_simulation, run_simulation_observed, try_run_simulation, try_run_simulation_clocked,
+        try_run_simulation_observed, try_run_simulation_streamed,
         try_run_simulation_streamed_observed, AdmissionGate, AdmissionReport, AdmitAll,
         ClusterConfig, DataPlane, DataPlaneReport, FaultConfig, JsonlTraceSink, LocalityConfig,
         MasterFaultConfig, MemorySink, ObservabilityConfig, Observations, PredictionConfig,

@@ -258,7 +258,10 @@ fn scripted_crashes_recover_under_every_scheduler() {
         ),
     ]));
     let config = SimConfig {
-        track_timelines: true,
+        observability: ObservabilityConfig {
+            timelines: true,
+            ..ObservabilityConfig::default()
+        },
         ..SimConfig::default()
     };
     for mut scheduler in all_schedulers(12) {
