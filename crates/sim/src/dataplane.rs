@@ -114,6 +114,11 @@ pub struct DataPlane {
     /// Map outputs lost to node failures, not yet cleared, per wjob:
     /// reduces launched while the debt stands pay the re-shuffle cost.
     reshuffle_debt: FastMap<(WorkflowId, JobId), u64>,
+    /// Memoised local nodes per active wjob: [`Self::row_width`] nodes per
+    /// original map task, task-major. A pure function of `(seed, wf, job,
+    /// task)`, so it is derived state: filled by the first pick after an
+    /// activation or a restore, dropped with the job, never checkpointed.
+    replica_memo: FastMap<(WorkflowId, JobId), Vec<NodeId>>,
 }
 
 impl DataPlane {
@@ -138,6 +143,7 @@ impl DataPlane {
             delay_skips: FastMap::default(),
             map_outputs: FastMap::default(),
             reshuffle_debt: FastMap::default(),
+            replica_memo: FastMap::default(),
         }
     }
 
@@ -157,20 +163,35 @@ impl DataPlane {
         self.locality.is_some_and(|l| l.prefer_survivors)
     }
 
+    /// The configured replica count (zero with locality off).
+    fn replicas(&self) -> u32 {
+        self.locality.map_or(0, |l| l.replicas)
+    }
+
+    /// Nodes in a [`Self::replica_set`]: the configured count, at least
+    /// one, clamped to the node count.
+    fn replica_count(&self) -> usize {
+        self.replicas().max(1).min(self.node_count as u32) as usize
+    }
+
     /// The deterministic replica set of map task `(wf, job, task)`:
     /// distinct nodes, spanning two racks whenever the cluster has two and
     /// more than one replica is asked for (HDFS-style placement). The
     /// configured replica count is clamped to the node count.
     pub fn replica_set(&self, wf: WorkflowId, job: JobId, task: u32) -> Vec<NodeId> {
-        let want = self
-            .locality
-            .map_or(1, |l| l.replicas.max(1))
-            .min(self.node_count as u32) as usize;
+        let mut set = Vec::with_capacity(self.replica_count());
+        self.push_replica_set(wf, job, task, &mut set);
+        set
+    }
+
+    /// Appends the replica set of `(wf, job, task)` to `out`.
+    fn push_replica_set(&self, wf: WorkflowId, job: JobId, task: u32, out: &mut Vec<NodeId>) {
+        let first = out.len();
+        let want = first + self.replica_count();
         let primary = preferred_node(self.seed, wf, job, task, 0, self.node_count);
-        let mut set = Vec::with_capacity(want);
-        set.push(primary);
-        if set.len() == want {
-            return set;
+        out.push(primary);
+        if out.len() == want {
+            return;
         }
         if self.rack_count >= 2 {
             // HDFS 3-way shape: the remaining replicas fill one hash-chosen
@@ -188,11 +209,6 @@ impl DataPlane {
             if remote >= primary_rack {
                 remote += 1;
             }
-            let rotate = |nodes: &[NodeId], start: usize| -> Vec<NodeId> {
-                let mut v = nodes[start..].to_vec();
-                v.extend_from_slice(&nodes[..start]);
-                v
-            };
             let remote_nodes = &self.rack_members[remote as usize];
             let remote_start = (splitmix(h) % remote_nodes.len() as u64) as usize;
             let primary_nodes = &self.rack_members[primary_rack as usize];
@@ -200,17 +216,16 @@ impl DataPlane {
                 .iter()
                 .position(|&n| n == primary)
                 .expect("primary is in its rack");
-            let candidates = rotate(remote_nodes, remote_start)
-                .into_iter()
-                .chain(rotate(
+            let candidates = rotated(remote_nodes, remote_start)
+                .chain(rotated(
                     primary_nodes,
                     (primary_pos + 1) % primary_nodes.len(),
                 ))
                 .chain((0..self.node_count as u32).map(NodeId::new));
             for n in candidates {
-                if !set.contains(&n) {
-                    set.push(n);
-                    if set.len() == want {
+                if !out[first..].contains(&n) {
+                    out.push(n);
+                    if out.len() == want {
                         break;
                     }
                 }
@@ -219,16 +234,79 @@ impl DataPlane {
             // Flat cluster: the legacy hash draws, deduplicated by linear
             // probing so the set is still distinct nodes.
             let mut replica = 1u32;
-            while set.len() < want {
+            while out.len() < want {
                 let mut n = preferred_node(self.seed, wf, job, task, replica, self.node_count);
-                while set.contains(&n) {
+                while out[first..].contains(&n) {
                     n = NodeId::new((n.as_u32() + 1) % self.node_count as u32);
                 }
-                set.push(n);
+                out.push(n);
                 replica += 1;
             }
         }
-        set
+    }
+
+    /// The legacy flat-cluster placement of `(wf, job, task)`: one raw
+    /// hash draw per configured replica, collisions and all.
+    fn flat_draws(
+        &self,
+        wf: WorkflowId,
+        job: JobId,
+        task: u32,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.replicas())
+            .map(move |r| preferred_node(self.seed, wf, job, task, r, self.node_count))
+    }
+
+    /// Nodes per task in a [`Self::replica_memo`] table.
+    fn row_width(&self) -> usize {
+        if self.rack_count <= 1 {
+            self.replicas() as usize
+        } else {
+            self.replica_count()
+        }
+    }
+
+    /// The memo table of `(wf, job)`: the local nodes of each of its
+    /// `spec_maps` original map tasks — the raw hash draws on a flat
+    /// cluster, the replica set on a racked one.
+    fn replica_rows(&self, wf: WorkflowId, job: JobId, spec_maps: u32) -> Vec<NodeId> {
+        let mut rows = Vec::with_capacity(spec_maps as usize * self.row_width());
+        for task in 0..spec_maps {
+            if self.rack_count <= 1 {
+                rows.extend(self.flat_draws(wf, job, task));
+            } else {
+                self.push_replica_set(wf, job, task, &mut rows);
+            }
+        }
+        rows
+    }
+
+    /// The memo table of `(wf, job)`, if it has been filled.
+    fn memo_rows(&self, wf: WorkflowId, job: JobId) -> Option<&[NodeId]> {
+        self.replica_memo.get(&(wf, job)).map(Vec::as_slice)
+    }
+
+    /// Whether `(wf, job, task)` is local to `node`: a read of the task's
+    /// row in `rows` (its wjob's memo table) when it has one, the same
+    /// placement computed on the spot otherwise.
+    fn local_to(
+        &self,
+        rows: Option<&[NodeId]>,
+        node: NodeId,
+        wf: WorkflowId,
+        job: JobId,
+        task: u32,
+    ) -> bool {
+        let width = self.row_width();
+        let row = rows.and_then(|rows| {
+            let at = task as usize * width;
+            rows.get(at..at + width)
+        });
+        match row {
+            Some(row) => row.contains(&node),
+            None if self.rack_count <= 1 => self.flat_draws(wf, job, task).any(|n| n == node),
+            None => self.replica_set(wf, job, task).contains(&node),
+        }
     }
 
     /// Whether map task `(wf, job, task)` is local to `node`. On a flat
@@ -236,20 +314,15 @@ impl DataPlane {
     /// and all) — byte-identical to the pre-extraction driver; on a racked
     /// cluster it is membership in the materialized replica set.
     pub fn is_local(&self, node: NodeId, wf: WorkflowId, job: JobId, task: u32) -> bool {
-        let Some(loc) = self.locality else {
-            return false;
-        };
-        if self.rack_count <= 1 {
-            (0..loc.replicas)
-                .any(|r| preferred_node(self.seed, wf, job, task, r, self.node_count) == node)
-        } else {
-            self.replica_set(wf, job, task).contains(&node)
-        }
+        self.locality.is_some() && self.local_to(self.memo_rows(wf, job), node, wf, job, task)
     }
 
     /// Registers an activated job's pending map tasks (locality mode).
     pub fn activate_job(&mut self, wf: WorkflowId, job: JobId, maps: u32) {
         self.pending_map_ids.insert((wf, job), (0..maps).collect());
+        // The memo's row count follows the map count, which a
+        // re-activation may change.
+        self.replica_memo.remove(&(wf, job));
     }
 
     /// Picks the pending map task of `(wf, job)` to run on `node`: a
@@ -276,32 +349,29 @@ impl DataPlane {
         spec_maps: u32,
     ) -> Option<(u32, bool)> {
         let loc = self.locality.expect("locality mode");
-        let (seed, node_count, rack_count) = (self.seed, self.node_count, self.rack_count);
-        let ids = self
+        let key = (wf, job);
+        if !self.replica_memo.contains_key(&key) {
+            let rows = self.replica_rows(wf, job, spec_maps);
+            self.replica_memo.insert(key, rows);
+        }
+        let rows = self.memo_rows(wf, job);
+        let flat = self.rack_count <= 1;
+        let local_pos = self
             .pending_map_ids
-            .get(&(wf, job))
-            .expect("activated job has pending map ids");
-        let local_pos = if rack_count <= 1 {
-            ids.iter().position(|&task| {
-                (0..loc.replicas)
-                    .any(|r| preferred_node(seed, wf, job, task, r, node_count) == node)
-            })
-        } else {
-            ids.iter().position(|&task| {
-                task < spec_maps && self.replica_set(wf, job, task).contains(&node)
-            })
-        };
-        let ids = self
-            .pending_map_ids
-            .get_mut(&(wf, job))
-            .expect("still present");
+            .get(&key)
+            .expect("activated job has pending map ids")
+            .iter()
+            .position(|&task| {
+                (flat || task < spec_maps) && self.local_to(rows, node, wf, job, task)
+            });
+        let ids = self.pending_map_ids.get_mut(&key).expect("still present");
         if let Some(pos) = local_pos {
             let task = ids.swap_remove(pos);
-            self.delay_skips.insert((wf, job), 0);
+            self.delay_skips.insert(key, 0);
             return Some((task, true));
         }
         // No local task: maybe wait for a better offer.
-        let skips = self.delay_skips.entry((wf, job)).or_insert(0);
+        let skips = self.delay_skips.entry(key).or_insert(0);
         if *skips < loc.max_delay_skips {
             *skips += 1;
             return None;
@@ -368,10 +438,16 @@ impl DataPlane {
         );
     }
 
-    /// Drops a completed job's output tracking and re-shuffle debt.
+    /// Drops everything the plane holds for a completed job: its (by now
+    /// empty) pending-map queue and delay-skip count, output tracking,
+    /// re-shuffle debt, and replica memo.
     pub fn finish_job(&mut self, wf: WorkflowId, job: JobId) {
-        self.map_outputs.remove(&(wf, job));
-        self.reshuffle_debt.remove(&(wf, job));
+        let key = (wf, job);
+        self.pending_map_ids.remove(&key);
+        self.delay_skips.remove(&key);
+        self.map_outputs.remove(&key);
+        self.reshuffle_debt.remove(&key);
+        self.replica_memo.remove(&key);
     }
 
     /// Invalidates every completed map output hosted on `node`, returning
@@ -427,6 +503,16 @@ impl DataPlane {
     /// The outstanding re-shuffle debt of `(wf, job)`.
     pub fn reshuffle_debt(&self, wf: WorkflowId, job: JobId) -> u64 {
         self.reshuffle_debt.get(&(wf, job)).copied().unwrap_or(0)
+    }
+
+    /// Entries held across all per-wjob tables; zero once every activated
+    /// job has finished.
+    pub(crate) fn tracked_entries(&self) -> usize {
+        self.pending_map_ids.len()
+            + self.delay_skips.len()
+            + self.map_outputs.len()
+            + self.reshuffle_debt.len()
+            + self.replica_memo.len()
     }
 
     // ---- checkpoint plumbing -------------------------------------------
@@ -486,7 +572,7 @@ impl DataPlane {
 
     /// Replaces the plane's logical state with checkpoint records (the
     /// topology and config are construction-time and survive restores).
-    pub(crate) fn install(
+    pub fn install(
         &mut self,
         pending: Vec<PendingMapsRecord>,
         skips: Vec<DelaySkipRecord>,
@@ -514,7 +600,14 @@ impl DataPlane {
             })
             .collect();
         self.reshuffle_debt = debt.into_iter().map(|r| ((r.wf, r.job), r.lost)).collect();
+        // A restored master may hand a workflow id to a different spec.
+        self.replica_memo.clear();
     }
+}
+
+/// `nodes` from index `start` round to just before it.
+fn rotated(nodes: &[NodeId], start: usize) -> impl Iterator<Item = NodeId> + '_ {
+    nodes[start..].iter().chain(&nodes[..start]).copied()
 }
 
 /// Per-run data-plane summary, reported as the `data_plane` section of
@@ -665,6 +758,31 @@ mod tests {
         let again = p.invalidate_node(n1);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].tasks, vec![3]);
+    }
+
+    #[test]
+    fn finish_job_leaves_no_entry_behind() {
+        let mut p = plane(
+            6,
+            2,
+            loc(3).map(|l| LocalityConfig {
+                prefer_survivors: true,
+                max_delay_skips: 1,
+                ..l
+            }),
+        );
+        let (wf, job) = (WorkflowId::new(2), JobId::new(1));
+        p.activate_job(wf, job, 4);
+        while p.pick_map_task(wf, job, NodeId::new(0), 4).is_none() {}
+        assert!(p.requeue_map(wf, job, 4, Some(0)));
+        p.record_map_output(wf, job, NodeId::new(0), Some(1));
+        p.add_reshuffle_debt(wf, job, 1);
+        assert_eq!(p.tracked_entries(), 5, "one entry in each table");
+        p.finish_job(wf, job);
+        assert_eq!(p.tracked_entries(), 0);
+        // Re-queueing onto a finished job stays a no-op.
+        assert!(!p.requeue_map(wf, job, 5, Some(0)));
+        assert_eq!(p.tracked_entries(), 0);
     }
 
     #[test]

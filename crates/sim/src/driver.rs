@@ -59,10 +59,9 @@ use crate::obs::{
 };
 use crate::scheduler::{SchedTrace, WorkflowScheduler};
 use crate::snapshot::{
-    AttemptRecord, FaultSnapshot, GroupRecord, NodeSlotsRecord, SnapshotCounters,
+    AttemptRecord, FaultSnapshot, GroupRecord, MasterSnapshot, NodeSlotsRecord, SnapshotCounters,
 };
 use crate::state::WorkflowPool;
-use serde::Value;
 use std::collections::BTreeMap;
 
 use crate::hash::FastMap;
@@ -336,8 +335,11 @@ struct MasterState {
     /// mutate state normally but [`Sim::schedule`] drops new events: the
     /// pending future was captured at the crash and is re-applied there.
     replaying: bool,
-    /// The latest checkpoint, as an encoded [`MasterSnapshot`](crate::MasterSnapshot).
-    checkpoint: Option<Value>,
+    /// The latest checkpoint, held typed: nothing mutates it between the
+    /// tick that builds it and the crash that reads it, so encoding it at
+    /// the crash yields the bytes an encode at the tick would have. A
+    /// crash takes it; recovery stores the next one.
+    checkpoint: Option<MasterSnapshot>,
     /// Events processed since the latest checkpoint (the write-ahead log).
     wal: Vec<(SimTime, Event)>,
     recovery: RecoveryReport,
@@ -414,6 +416,8 @@ struct Sim<'a> {
     metrics: Option<MetricsRegistry>,
     /// Reusable buffer for draining scheduler trace records.
     sched_scratch: Vec<SchedTrace>,
+    /// Reusable buffer for a run of coalesced same-tick heartbeats.
+    heartbeat_run: Vec<Event>,
     /// Next gauge-sampling grid instant.
     next_sample: SimTime,
     /// Gauge- and timeline-sampling interval.
@@ -1603,6 +1607,7 @@ fn run_inner_clocked<'a>(
         sink,
         metrics,
         sched_scratch: Vec::new(),
+        heartbeat_run: Vec::new(),
         next_sample: SimTime::ZERO,
         obs_interval: config
             .observability
@@ -1720,7 +1725,8 @@ fn run_inner_clocked<'a>(
             // batched pass per (node, kind). Each coalesced event is still
             // counted and WAL-logged individually so recovery replays the
             // exact same stream.
-            let mut run = vec![event];
+            let mut run = std::mem::take(&mut sim.heartbeat_run);
+            run.push(event);
             while let Some((tn, Event::Heartbeat(_))) = sim.queue.peek() {
                 if tn != t {
                     break;
@@ -1743,9 +1749,10 @@ fn run_inner_clocked<'a>(
             if let Some(m) = &mut sim.metrics {
                 m.heartbeat_batch_size.observe(run.len() as f64);
             }
-            for ev in run {
+            for ev in run.drain(..) {
                 sim.dispatch(scheduler, ev);
             }
+            sim.heartbeat_run = run;
         } else {
             sim.dispatch(scheduler, event);
         }
@@ -1769,6 +1776,10 @@ fn run_inner_clocked<'a>(
         .collect();
     let completed =
         !truncated && sim.remaining == 0 && sim.exhausted && outcomes.len() == sim.workflows.len();
+    debug_assert!(
+        !completed || sim.data.tracked_entries() == 0,
+        "every job finished, so the data plane holds nothing"
+    );
     let timelines = sim
         .recorder
         .take()

@@ -78,17 +78,16 @@ impl Sim<'_> {
         scheduler.restore_state(&self.pool, &snap.scheduler);
     }
 
-    /// Takes a checkpoint: encodes the current master state and truncates
-    /// the WAL.
+    /// Takes a checkpoint: snapshots the current master state and
+    /// truncates the WAL.
     fn take_checkpoint(&mut self, scheduler: &mut dyn WorkflowScheduler) {
         let snap = self.build_snapshot(scheduler);
-        let encoded = snap.encode();
         debug_assert_eq!(
-            MasterSnapshot::decode(&encoded).ok().as_ref(),
+            MasterSnapshot::decode(&snap.encode()).ok().as_ref(),
             Some(&snap),
             "a checkpoint decodes back to the state it was taken from"
         );
-        self.master.checkpoint = Some(encoded);
+        self.master.checkpoint = Some(snap);
         let superseded = self.master.wal.len() as u64;
         self.master.wal.clear();
         self.master.recovery.checkpoints_taken += 1;
@@ -177,8 +176,12 @@ impl Sim<'_> {
         // Restore the latest checkpoint and replay the WAL onto it. The
         // replay re-derives every post-checkpoint decision (same RNG
         // streams, same attempt ids) without scheduling new events.
-        let checkpoint = self.master.checkpoint.as_ref().expect("genesis checkpoint");
-        let snap = MasterSnapshot::decode(checkpoint).expect("checkpoint decodes");
+        // Recovery reads the checkpoint through its serialized form, as a
+        // replacement master process would, and consumes it: recovery
+        // heads a fresh checkpoint cycle before anything reads one again.
+        let checkpoint = self.master.checkpoint.take().expect("genesis checkpoint");
+        let encoded = cfg!(debug_assertions).then(|| checkpoint.encode());
+        let snap = checkpoint.reread().expect("checkpoint decodes");
         let taken_at = snap.taken_at;
         let wal = std::mem::take(&mut self.master.wal);
         self.install_snapshot(scheduler, snap);
@@ -190,7 +193,7 @@ impl Sim<'_> {
                 }
                 .encode()
             ),
-            self.master.checkpoint,
+            encoded,
             "the installed state snapshots back to the checkpoint it came from"
         );
         self.master.replaying = true;

@@ -1073,6 +1073,22 @@ mod master {
         let pred = report.prediction.as_ref().expect("prediction reports");
         assert!(pred.node_propensity.iter().any(|&p| p > 0.0));
         assert_eq!(report, run(&w, &cluster, &cfg), "recovery is seeded");
+        // The serialized report as it was when every checkpoint tick
+        // encoded eagerly and replica sets were derived on every offer;
+        // the run also ends in the driver's debug assertion that the data
+        // plane holds no entry for a finished job.
+        let canonical = SimReport {
+            scheduler_nanos: 0,
+            ..report
+        };
+        use std::hash::Hasher;
+        let mut digest = crate::hash::FxHasher::default();
+        digest.write(serde_json::to_string(&canonical).unwrap().as_bytes());
+        assert_eq!(
+            digest.finish(),
+            18_189_881_704_081_876_074,
+            "report bytes moved"
+        );
     }
 
     #[test]

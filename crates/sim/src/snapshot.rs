@@ -4,10 +4,10 @@
 //! to resume scheduling after a crash: the workflow pool, in-flight task
 //! attempts, speculative-execution bookkeeping, slot occupancy, fault
 //! bookkeeping, and the scheduler's private state (via
-//! [`SchedulerState`](crate::SchedulerState)). The driver serializes one on
+//! [`SchedulerState`](crate::SchedulerState)). The driver builds one on
 //! every checkpoint tick and appends processed events to an in-memory WAL
-//! between checkpoints; on recovery the latest snapshot is deserialized and
-//! the WAL replayed on top of it.
+//! between checkpoints; on recovery the latest snapshot is serialized,
+//! deserialized, and the WAL replayed on top of it.
 //!
 //! The snapshot deliberately excludes wall-clock measurement state
 //! (`busy_integral_ms`, `scheduler_nanos`, `events_processed`), the event
@@ -338,8 +338,7 @@ pub struct ReshuffleRecord {
 }
 
 impl MasterSnapshot {
-    /// Serializes the snapshot to a value tree (what the driver stores as
-    /// "the latest checkpoint").
+    /// Serializes the snapshot to a value tree.
     pub fn encode(&self) -> Value {
         self.to_value()
     }
@@ -352,6 +351,21 @@ impl MasterSnapshot {
     /// Returns an error if `value` is not a well-formed snapshot.
     pub fn decode(value: &Value) -> Result<Self, serde::Error> {
         Self::from_value(value)
+    }
+
+    /// What a replacement master reads back from this checkpoint:
+    /// `Self::decode(&self.encode())`, with the pool passed through its
+    /// serialized form one workflow at a time. The pool is ~85 % of the
+    /// tree and grows with every arrival; encoded whole, it made the
+    /// process's peak memory a function of when the crash fell (DESIGN.md
+    /// §9).
+    pub(crate) fn reread(mut self) -> Result<Self, serde::Error> {
+        let pool = std::mem::take(&mut self.pool);
+        let rest = Self::decode(&self.encode())?;
+        Ok(MasterSnapshot {
+            pool: pool.reread()?,
+            ..rest
+        })
     }
 }
 
@@ -449,6 +463,31 @@ mod tests {
         let snap = sample();
         let restored = MasterSnapshot::decode(&snap.encode()).expect("round trip");
         assert_eq!(restored, snap);
+    }
+
+    #[test]
+    fn reread_is_the_whole_tree_round_trip() {
+        use woha_model::{JobSpec, WorkflowBuilder};
+        let mut snap = sample();
+        for maps in 1..4 {
+            let mut b = WorkflowBuilder::new("w");
+            let job = b.add_job(JobSpec::new(
+                "j",
+                maps,
+                1,
+                SimDuration::from_secs(10),
+                SimDuration::from_secs(20),
+            ));
+            let wf = snap.pool.register(b.build().expect("valid workflow"));
+            // Ready totals differ per workflow, so a miscount would show.
+            let mut w = snap.pool.workflow_mut(wf);
+            w.begin_submitting(job);
+            w.activate(job, SimTime::from_secs(5));
+            w.start_task(job, SlotKind::Map);
+        }
+        let whole = MasterSnapshot::decode(&snap.encode()).expect("round trip");
+        assert_eq!(whole.pool.len(), 3);
+        assert_eq!(snap.reread().expect("reread"), whole);
     }
 
     #[test]

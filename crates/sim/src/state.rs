@@ -544,12 +544,10 @@ impl Deserialize for WorkflowPool {
         let obj = v
             .as_object()
             .ok_or_else(|| serde::Error::custom("expected object for `WorkflowPool`"))?;
-        let workflows: Vec<WorkflowState> = serde::__field(obj, "workflows")?;
-        let mut ready = ReadyCounts::default();
-        for w in &workflows {
-            ready.replace([0; 2], w.eligible);
-        }
-        Ok(WorkflowPool { workflows, ready })
+        Ok(WorkflowPool::from_workflows(serde::__field(
+            obj,
+            "workflows",
+        )?))
     }
 }
 
@@ -595,6 +593,27 @@ impl WorkflowPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         WorkflowPool::default()
+    }
+
+    /// A pool of `workflows`, its ready totals recounted from them.
+    fn from_workflows(workflows: Vec<WorkflowState>) -> Self {
+        let mut ready = ReadyCounts::default();
+        for w in &workflows {
+            ready.replace([0; 2], w.eligible);
+        }
+        WorkflowPool { workflows, ready }
+    }
+
+    /// `Self::from_value(&self.to_value())` with one workflow's tree alive
+    /// at a time instead of the whole pool's; each original is dropped as
+    /// soon as its copy exists.
+    pub(crate) fn reread(self) -> Result<Self, serde::Error> {
+        let workflows = self
+            .workflows
+            .into_iter()
+            .map(|w| WorkflowState::from_value(&w.to_value()))
+            .collect::<Result<_, _>>()?;
+        Ok(WorkflowPool::from_workflows(workflows))
     }
 
     /// Registers a workflow, returning its new id. Called by the driver on
