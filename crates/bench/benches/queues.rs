@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeSet;
 use std::hint::black_box;
-use woha_bench::experiments::throughput::QueueHarness;
+use woha_bench::experiments::throughput::{Contender, QueueHarness};
 use woha_core::{QueueStrategy, SkipList};
 
 fn bench_head_churn(c: &mut Criterion) {
@@ -42,12 +42,16 @@ fn bench_head_churn(c: &mut Criterion) {
 fn bench_assign_task(c: &mut Criterion) {
     let mut group = c.benchmark_group("assign_task");
     for n in [1_000usize, 10_000] {
-        for strategy in [QueueStrategy::Dsl, QueueStrategy::Bst, QueueStrategy::Naive] {
-            if strategy == QueueStrategy::Naive && n > 1_000 {
+        for contender in [
+            Contender::Indexed(QueueStrategy::Dsl),
+            Contender::Indexed(QueueStrategy::Bst),
+            Contender::Naive,
+        ] {
+            if contender == Contender::Naive && n > 1_000 {
                 continue; // minutes per sample otherwise
             }
-            group.bench_with_input(BenchmarkId::new(format!("{strategy:?}"), n), &n, |b, &n| {
-                let mut harness = QueueHarness::new(strategy, n);
+            group.bench_with_input(BenchmarkId::new(contender.label(), n), &n, |b, &n| {
+                let mut harness = QueueHarness::new(contender, n);
                 b.iter(|| black_box(harness.assign_task()));
             });
         }

@@ -31,17 +31,10 @@ pub struct TraceSweep {
 }
 
 /// Runs the Figs 8–10 sweep. `jitter` adds the given relative task-duration
-/// noise so plans face estimation error, as on a real cluster. Uses one
-/// worker thread per scheduler; see [`run_trace_sweep_jobs`] for an
-/// explicit thread budget.
-pub fn run_trace_sweep(scenario: &YahooScenario, jitter: f64) -> TraceSweep {
-    run_trace_sweep_jobs(scenario, jitter, SchedulerKind::ALL.len())
-}
-
-/// [`run_trace_sweep`] with an explicit worker-thread budget. The whole
-/// 18-cell grid (3 clusters × 6 schedulers) is one pool; results are
-/// identical for any `jobs`.
-pub fn run_trace_sweep_jobs(scenario: &YahooScenario, jitter: f64, jobs: usize) -> TraceSweep {
+/// noise so plans face estimation error, as on a real cluster. The whole
+/// 18-cell grid (3 clusters × 6 schedulers) is one pool of `jobs` worker
+/// threads; results are identical for any `jobs`.
+pub fn run_trace_sweep(scenario: &YahooScenario, jitter: f64, jobs: usize) -> TraceSweep {
     let workload = yahoo_workload(scenario);
     let workflows = workload.workflows();
     let config = SimConfig {
@@ -153,7 +146,7 @@ mod tests {
     use super::*;
 
     fn quick_sweep() -> TraceSweep {
-        run_trace_sweep(&YahooScenario::default(), 0.1)
+        run_trace_sweep(&YahooScenario::default(), 0.1, crate::available_jobs())
     }
 
     #[test]

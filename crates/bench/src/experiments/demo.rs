@@ -2,7 +2,7 @@
 //! utilization under 3 recurrences), and Figs 14–19 (slot-allocation
 //! timelines), all on the 32-slave cluster with three Fig-7 workflows.
 
-use crate::runner::run_many_jobs;
+use crate::runner::run_many;
 use crate::scenarios::{demo_cluster, fig11_workflows, fig12_workflows};
 use crate::schedulers::SchedulerKind;
 use crate::table::{fmt_f64, fmt_secs, Table};
@@ -24,13 +24,8 @@ pub struct Fig11Result {
 ///
 /// `track_timelines` additionally records the Fig 14–19 slot-allocation
 /// series (costs memory; enable only when those figures are wanted).
-pub fn run_fig11(track_timelines: bool) -> Fig11Result {
-    run_fig11_jobs(track_timelines, SchedulerKind::ALL.len())
-}
-
-/// [`run_fig11`] with an explicit worker-thread budget; results are
-/// identical for any `jobs`.
-pub fn run_fig11_jobs(track_timelines: bool, jobs: usize) -> Fig11Result {
+/// Results are identical for any worker-thread budget `jobs`.
+pub fn run_fig11(track_timelines: bool, jobs: usize) -> Fig11Result {
     let workflows = fig11_workflows();
     let cluster = demo_cluster();
     let config = SimConfig {
@@ -40,7 +35,7 @@ pub fn run_fig11_jobs(track_timelines: bool, jobs: usize) -> Fig11Result {
         },
         ..SimConfig::default()
     };
-    let reports = run_many_jobs(&SchedulerKind::ALL, &workflows, &cluster, &config, jobs);
+    let reports = run_many(&SchedulerKind::ALL, &workflows, &cluster, &config, jobs);
     let relative_deadlines = workflows.iter().map(|w| w.relative_deadline()).collect();
     let rows = reports
         .iter()
@@ -102,18 +97,13 @@ pub struct Fig12Result {
 }
 
 /// Runs the Fig 12 experiment: the demo workload with 3 recurrences,
-/// reporting overall cluster utilization per scheduler.
-pub fn run_fig12() -> Fig12Result {
-    run_fig12_jobs(SchedulerKind::ALL.len())
-}
-
-/// [`run_fig12`] with an explicit worker-thread budget; results are
-/// identical for any `jobs`.
-pub fn run_fig12_jobs(jobs: usize) -> Fig12Result {
+/// reporting overall cluster utilization per scheduler. Results are
+/// identical for any worker-thread budget `jobs`.
+pub fn run_fig12(jobs: usize) -> Fig12Result {
     let workflows = fig12_workflows(3);
     let cluster = demo_cluster();
     let config = SimConfig::default();
-    let reports = run_many_jobs(&SchedulerKind::ALL, &workflows, &cluster, &config, jobs);
+    let reports = run_many(&SchedulerKind::ALL, &workflows, &cluster, &config, jobs);
     Fig12Result {
         rows: reports
             .iter()
@@ -171,7 +161,7 @@ mod tests {
 
     #[test]
     fn fig11_woha_meets_all_deadlines_baselines_do_not() {
-        let result = run_fig11(false);
+        let result = run_fig11(false, crate::available_jobs());
         for (kind, _, met) in &result.rows {
             let misses = met.iter().filter(|&&ok| !ok).count();
             if kind.is_woha() {
@@ -205,7 +195,7 @@ mod tests {
 
     #[test]
     fn fig11_table_has_six_rows() {
-        let result = run_fig11(false);
+        let result = run_fig11(false, crate::available_jobs());
         let t = result.table();
         assert_eq!(t.len(), 6);
         let text = t.render();

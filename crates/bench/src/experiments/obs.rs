@@ -15,13 +15,12 @@
 //! by the `end_to_end` tests), so any regression would show up directly in
 //! the `off` column.
 
-use crate::experiments::throughput::INDEX_BACKENDS;
 use crate::scenarios::{demo_cluster, fig11_workflows, yahoo_workload, YahooScenario};
 use crate::schedulers::SchedulerKind;
 use crate::table::Table;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use woha_core::CapMode;
+use woha_core::QueueStrategy;
 use woha_model::{SimDuration, SlotKind, WorkflowSpec};
 use woha_sim::{
     run_simulation, try_run_simulation_observed, ClusterConfig, ObservabilityConfig, SimConfig,
@@ -102,8 +101,8 @@ pub fn run_obs_overhead(quick: bool, runs: u32) -> ObsOverheadReport {
     };
 
     let mut points = Vec::new();
-    for strategy in INDEX_BACKENDS {
-        let build = || SchedulerKind::WohaLpf.build_with(total, CapMode::MinFeasible, strategy);
+    for strategy in QueueStrategy::ALL {
+        let build = || SchedulerKind::WohaLpf.build_with(total, strategy, None);
 
         let mut off_wall_ms = f64::INFINITY;
         for _ in 0..runs {
@@ -146,7 +145,7 @@ pub fn run_obs_overhead(quick: bool, runs: u32) -> ObsOverheadReport {
         experiment: "obs_overhead".to_string(),
         quick,
         runs,
-        backends: INDEX_BACKENDS
+        backends: QueueStrategy::ALL
             .iter()
             .map(|s| s.label().to_string())
             .collect(),

@@ -19,13 +19,42 @@ use woha_core::progress::WorkflowProgress;
 use woha_core::QueueStrategy;
 use woha_model::{SimDuration, SimTime, WorkflowId};
 
+/// A Fig 13(a) contender: one of the scheduler's index backends, or the
+/// paper's strawman, which exists only in this harness.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Contender {
+    /// An incremental priority index behind Algorithm 2.
+    Indexed(QueueStrategy),
+    /// No index: every offer recomputes every queued workflow's lag and
+    /// re-sorts.
+    Naive,
+}
+
+impl Contender {
+    /// The four contenders, in the Fig 13(a) table's column order.
+    pub const ALL: [Contender; 4] = [
+        Contender::Indexed(QueueStrategy::Dsl),
+        Contender::Indexed(QueueStrategy::Bst),
+        Contender::Indexed(QueueStrategy::Pairing),
+        Contender::Naive,
+    ];
+
+    /// The label used in sweep cell keys.
+    pub fn label(self) -> &'static str {
+        match self {
+            Contender::Indexed(strategy) => strategy.label(),
+            Contender::Naive => "naive",
+        }
+    }
+}
+
 /// A standalone Algorithm-2 driver over synthetic workflows, used to
 /// measure queue-structure throughput without a cluster simulation.
 #[derive(Debug)]
 pub struct QueueHarness {
     records: Vec<WorkflowProgress>,
+    /// `None` for [`Contender::Naive`].
     index: Option<Box<dyn PriorityIndex + Send>>,
-    strategy: QueueStrategy,
     now: SimTime,
     /// Virtual time advanced per AssignTask call, driving ct-list churn.
     tick: SimDuration,
@@ -56,8 +85,11 @@ impl QueueHarness {
     /// Creates a harness with `queue_len` synthetic workflows. Deadlines
     /// and plan spans are staggered so requirement changes keep firing as
     /// virtual time advances (the regime the ct list exists for).
-    pub fn new(strategy: QueueStrategy, queue_len: usize) -> Self {
-        let mut index = strategy.build_index();
+    pub fn new(contender: Contender, queue_len: usize) -> Self {
+        let mut index = match contender {
+            Contender::Indexed(strategy) => strategy.build_index(),
+            Contender::Naive => None,
+        };
         let mut records = Vec::with_capacity(queue_len);
         for i in 0..queue_len {
             let id = WorkflowId::new(i as u64);
@@ -75,7 +107,6 @@ impl QueueHarness {
         QueueHarness {
             records,
             index,
-            strategy,
             now: SimTime::ZERO,
             tick: SimDuration::from_millis(1),
         }
@@ -97,8 +128,8 @@ impl QueueHarness {
     pub fn assign_task(&mut self) -> WorkflowId {
         self.now = self.now.saturating_add(self.tick);
         let now = self.now;
-        match self.strategy {
-            QueueStrategy::Naive => {
+        match self.index.as_mut() {
+            None => {
                 // Recompute every workflow's priority and take the max —
                 // the paper's naive strawman (sorting is what the paper's
                 // naive does; a max-scan is already its lower bound).
@@ -120,8 +151,7 @@ impl QueueHarness {
                 self.records[best].on_task_assigned();
                 self.records[best].id()
             }
-            _ => {
-                let index = self.index.as_mut().expect("indexed strategy");
+            Some(index) => {
                 // Algorithm 2 lines 4-19.
                 while let Some((t, wf)) = index.min_ct() {
                     if t > now {
@@ -156,20 +186,20 @@ impl QueueHarness {
 pub struct ThroughputPoint {
     /// Queue length (number of workflows).
     pub queue_len: usize,
-    /// Strategy measured.
-    pub strategy: QueueStrategy,
+    /// Contender measured.
+    pub contender: Contender,
     /// AssignTask invocations per second of wall-clock time.
     pub calls_per_sec: f64,
 }
 
-/// Measures AssignTask throughput for `strategy` at `queue_len`, running
+/// Measures AssignTask throughput for `contender` at `queue_len`, running
 /// for at least `budget` wall-clock time.
 pub fn measure_throughput(
-    strategy: QueueStrategy,
+    contender: Contender,
     queue_len: usize,
     budget: Duration,
 ) -> ThroughputPoint {
-    let mut harness = QueueHarness::new(strategy, queue_len);
+    let mut harness = QueueHarness::new(contender, queue_len);
     // Warm up.
     for _ in 0..10 {
         harness.assign_task();
@@ -186,42 +216,33 @@ pub fn measure_throughput(
     let secs = start.elapsed().as_secs_f64();
     ThroughputPoint {
         queue_len,
-        strategy,
+        contender,
         calls_per_sec: calls as f64 / secs,
     }
 }
 
-/// Runs the full Fig 13(a) sweep over the given queue lengths, serially
-/// (throughput cells measure wall clock, so concurrent cells on shared
-/// cores would distort each other; pass `jobs > 1` to
-/// [`run_fig13a_jobs`] only on idle many-core machines).
-pub fn run_fig13a(queue_lens: &[usize], budget: Duration) -> Vec<ThroughputPoint> {
-    run_fig13a_jobs(queue_lens, budget, 1)
-}
-
-/// [`run_fig13a`] with an explicit worker-thread budget. The *set* of
-/// measured cells and their order are jobs-invariant; the measured
-/// calls-per-second values are wall-clock and never byte-stable.
-pub fn run_fig13a_jobs(
-    queue_lens: &[usize],
-    budget: Duration,
-    jobs: usize,
-) -> Vec<ThroughputPoint> {
-    let cells: Vec<(CellKey, (QueueStrategy, usize))> = queue_lens
+/// Runs the full Fig 13(a) sweep over the given queue lengths on `jobs`
+/// worker threads. Throughput cells measure wall clock, so concurrent
+/// cells on shared cores distort each other: pass `jobs > 1` only on idle
+/// many-core machines. The *set* of measured cells and their order are
+/// jobs-invariant; the measured calls-per-second values are never
+/// byte-stable.
+pub fn run_fig13a(queue_lens: &[usize], budget: Duration, jobs: usize) -> Vec<ThroughputPoint> {
+    let cells: Vec<(CellKey, (Contender, usize))> = queue_lens
         .iter()
         .flat_map(|&len| {
-            QueueStrategy::ALL.into_iter().map(move |strategy| {
+            Contender::ALL.into_iter().map(move |contender| {
                 (
                     CellKey::new()
                         .with("len", len)
-                        .with("queue", strategy.label()),
-                    (strategy, len),
+                        .with("queue", contender.label()),
+                    (contender, len),
                 )
             })
         })
         .collect();
-    run_sweep(&cells, jobs, |_, &(strategy, len)| {
-        measure_throughput(strategy, len, budget)
+    run_sweep(&cells, jobs, |_, &(contender, len)| {
+        measure_throughput(contender, len, budget)
     })
     .results
     .into_iter()
@@ -243,20 +264,15 @@ pub fn fig13a_table(points: &[ThroughputPoint]) -> Table {
         "Naive (calls/s)",
     ]);
     for len in lens {
-        let get = |s: QueueStrategy| {
+        let mut row = vec![len.to_string()];
+        row.extend(Contender::ALL.map(|c| {
             points
                 .iter()
-                .find(|p| p.queue_len == len && p.strategy == s)
+                .find(|p| p.queue_len == len && p.contender == c)
                 .map(|p| format!("{:.0}", p.calls_per_sec))
                 .unwrap_or_default()
-        };
-        t.row(vec![
-            len.to_string(),
-            get(QueueStrategy::Dsl),
-            get(QueueStrategy::Bst),
-            get(QueueStrategy::Pairing),
-            get(QueueStrategy::Naive),
-        ]);
+        }));
+        t.row(row);
     }
     t
 }
@@ -288,25 +304,11 @@ pub struct ThroughputReport {
     pub points: Vec<ThroughputRecord>,
 }
 
-/// The indexed backends the `throughput_index` sweep compares. The naive
-/// strawman is excluded: it is the Fig 13(a) baseline, not an index, and
-/// is unusable at the sweep's 10⁵ queue lengths.
-pub const INDEX_BACKENDS: [QueueStrategy; 3] = [
-    QueueStrategy::Dsl,
-    QueueStrategy::Bst,
-    QueueStrategy::Pairing,
-];
-
 /// Runs the `throughput_index` sweep: backend × queue length, at least
-/// `budget` wall-clock time per point, serially (see [`run_fig13a`] for
-/// why timing sweeps default to one worker).
-pub fn run_throughput_index(queue_lens: &[usize], budget: Duration) -> ThroughputReport {
-    run_throughput_index_jobs(queue_lens, budget, 1)
-}
-
-/// [`run_throughput_index`] with an explicit worker-thread budget; the
-/// cell set and order are jobs-invariant, the measured rates are not.
-pub fn run_throughput_index_jobs(
+/// `budget` wall-clock time per point, on `jobs` worker threads (see
+/// [`run_fig13a`] for why timing sweeps want one). The cell set and order
+/// are jobs-invariant, the measured rates are not.
+pub fn run_throughput_index(
     queue_lens: &[usize],
     budget: Duration,
     jobs: usize,
@@ -314,7 +316,7 @@ pub fn run_throughput_index_jobs(
     let cells: Vec<(CellKey, (QueueStrategy, usize))> = queue_lens
         .iter()
         .flat_map(|&len| {
-            INDEX_BACKENDS.into_iter().map(move |strategy| {
+            QueueStrategy::ALL.into_iter().map(move |strategy| {
                 (
                     CellKey::new()
                         .with("len", len)
@@ -325,7 +327,7 @@ pub fn run_throughput_index_jobs(
         })
         .collect();
     let points = run_sweep(&cells, jobs, |_, &(strategy, len)| {
-        let p = measure_throughput(strategy, len, budget);
+        let p = measure_throughput(Contender::Indexed(strategy), len, budget);
         ThroughputRecord {
             backend: strategy.label().to_string(),
             queue_len: len as u64,
@@ -339,7 +341,7 @@ pub fn run_throughput_index_jobs(
     ThroughputReport {
         experiment: "throughput_index".to_string(),
         queue_lens: queue_lens.iter().map(|&l| l as u64).collect(),
-        backends: INDEX_BACKENDS
+        backends: QueueStrategy::ALL
             .iter()
             .map(|s| s.label().to_string())
             .collect(),
@@ -376,8 +378,8 @@ mod tests {
 
     #[test]
     fn harness_runs_all_strategies() {
-        for strategy in QueueStrategy::ALL {
-            let mut h = QueueHarness::new(strategy, 50);
+        for contender in Contender::ALL {
+            let mut h = QueueHarness::new(contender, 50);
             assert_eq!(h.len(), 50);
             assert!(!h.is_empty());
             for _ in 0..200 {
@@ -389,24 +391,19 @@ mod tests {
 
     #[test]
     fn strategies_pick_the_same_workflows() {
-        let mut dsl = QueueHarness::new(QueueStrategy::Dsl, 40);
-        let mut bst = QueueHarness::new(QueueStrategy::Bst, 40);
-        let mut pheap = QueueHarness::new(QueueStrategy::Pairing, 40);
-        let mut naive = QueueHarness::new(QueueStrategy::Naive, 40);
+        let mut harnesses = Contender::ALL.map(|c| QueueHarness::new(c, 40));
         for step in 0..500 {
-            let a = dsl.assign_task();
-            let b = bst.assign_task();
-            let p = pheap.assign_task();
-            let c = naive.assign_task();
-            assert_eq!(a, b, "step {step}");
-            assert_eq!(a, p, "step {step}");
-            assert_eq!(a, c, "step {step}");
+            let picks = harnesses.each_mut().map(QueueHarness::assign_task);
+            assert!(
+                picks.iter().all(|&p| p == picks[0]),
+                "step {step}: {picks:?}"
+            );
         }
     }
 
     #[test]
     fn throughput_index_report_roundtrips() {
-        let report = run_throughput_index(&[50, 100], Duration::from_millis(5));
+        let report = run_throughput_index(&[50, 100], Duration::from_millis(5), 1);
         assert_eq!(report.experiment, "throughput_index");
         assert_eq!(report.backends, vec!["dsl", "btree", "pheap"]);
         assert_eq!(report.points.len(), 6);
@@ -420,7 +417,8 @@ mod tests {
 
     #[test]
     fn throughput_measurement_is_positive() {
-        let p = measure_throughput(QueueStrategy::Dsl, 100, Duration::from_millis(20));
+        let dsl = Contender::Indexed(QueueStrategy::Dsl);
+        let p = measure_throughput(dsl, 100, Duration::from_millis(20));
         assert!(p.calls_per_sec > 1_000.0, "{p:?}");
     }
 
@@ -428,8 +426,8 @@ mod tests {
     #[ignore = "wall-clock benchmark; run explicitly with --ignored"]
     fn dsl_beats_naive_at_scale() {
         let budget = Duration::from_millis(200);
-        let dsl = measure_throughput(QueueStrategy::Dsl, 10_000, budget);
-        let naive = measure_throughput(QueueStrategy::Naive, 10_000, budget);
+        let dsl = measure_throughput(Contender::Indexed(QueueStrategy::Dsl), 10_000, budget);
+        let naive = measure_throughput(Contender::Naive, 10_000, budget);
         assert!(
             dsl.calls_per_sec > naive.calls_per_sec * 10.0,
             "dsl {:.0} naive {:.0}",

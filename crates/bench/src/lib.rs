@@ -1,8 +1,9 @@
 //! Experiment harness reproducing every figure of the WOHA paper.
 //!
-//! Each figure has a binary in `src/bin/` (e.g. `fig11_workspan`) that
-//! calls into [`experiments`] and prints the same rows/series the paper
-//! plots. Criterion microbenchmarks live under `benches/`.
+//! The `woha-bench` binary (`src/main.rs`) runs any of them by name
+//! (e.g. `woha-bench fig11_workspan`): each entry of its table calls into
+//! [`experiments`] and prints the same rows/series the paper plots.
+//! Criterion microbenchmarks live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,8 +16,6 @@ pub mod schedulers;
 pub mod sweep;
 pub mod table;
 
-pub use runner::{run_many, run_many_jobs, run_one};
+pub use runner::{run_many, run_one};
 pub use schedulers::SchedulerKind;
-pub use sweep::{
-    available_jobs, canonical_report_json, jobs_flag_or, run_sweep, CellKey, SimSweep, SimSweepRun,
-};
+pub use sweep::{available_jobs, canonical_report_json, run_sweep, CellKey, SimSweep, SimSweepRun};

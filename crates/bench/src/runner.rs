@@ -21,21 +21,11 @@ pub fn run_one(
     run_simulation(workflows, scheduler.as_mut(), cluster, config)
 }
 
-/// Runs the same scenario under every scheduler in `kinds`, in parallel
-/// (one worker thread per scheduler), returning reports in `kinds` order.
-pub fn run_many(
-    kinds: &[SchedulerKind],
-    workflows: &[WorkflowSpec],
-    cluster: &ClusterConfig,
-    config: &SimConfig,
-) -> Vec<(SchedulerKind, SimReport)> {
-    run_many_jobs(kinds, workflows, cluster, config, kinds.len().max(1))
-}
-
-/// [`run_many`] with an explicit worker-thread budget; `jobs = 1` runs
+/// Runs the same scenario under every scheduler in `kinds` on `jobs`
+/// worker threads, returning reports in `kinds` order; `jobs = 1` runs
 /// the schedulers serially on the calling thread. Results are identical
 /// regardless of `jobs`.
-pub fn run_many_jobs(
+pub fn run_many(
     kinds: &[SchedulerKind],
     workflows: &[WorkflowSpec],
     cluster: &ClusterConfig,
@@ -62,7 +52,7 @@ mod tests {
         let cluster = fig2_cluster();
         let config = SimConfig::default();
         let kinds = [SchedulerKind::Fifo, SchedulerKind::Edf];
-        let parallel = run_many(&kinds, &workflows, &cluster, &config);
+        let parallel = run_many(&kinds, &workflows, &cluster, &config, kinds.len());
         for (kind, report) in &parallel {
             let solo = run_one(*kind, &workflows, &cluster, &config);
             assert_eq!(report, &solo, "{kind}");
@@ -70,14 +60,14 @@ mod tests {
     }
 
     #[test]
-    fn run_many_jobs_is_jobs_invariant() {
+    fn run_many_is_jobs_invariant() {
         let workflows = fig2_workflows();
         let cluster = fig2_cluster();
         let config = SimConfig::default();
         let kinds = [SchedulerKind::Fifo, SchedulerKind::Fair, SchedulerKind::Edf];
-        let serial = run_many_jobs(&kinds, &workflows, &cluster, &config, 1);
+        let serial = run_many(&kinds, &workflows, &cluster, &config, 1);
         for jobs in [2, 8] {
-            let parallel = run_many_jobs(&kinds, &workflows, &cluster, &config, jobs);
+            let parallel = run_many(&kinds, &workflows, &cluster, &config, jobs);
             assert_eq!(serial, parallel, "jobs={jobs}");
         }
     }

@@ -1,8 +1,8 @@
 //! The six schedulers of the paper's evaluation, behind one factory enum.
 
 use std::fmt;
-use woha_core::{CapMode, PriorityPolicy, QueueStrategy, WohaConfig, WohaScheduler};
 use woha_core::{EdfScheduler, FairScheduler, FifoScheduler};
+use woha_core::{PadConfig, PriorityPolicy, QueueStrategy, WohaConfig, WohaScheduler};
 use woha_sim::WorkflowScheduler;
 
 /// One of the six schedulers compared throughout the evaluation
@@ -52,23 +52,21 @@ impl SchedulerKind {
     /// Instantiates the scheduler. `total_slots` is the cluster capacity
     /// WOHA clients use for plan generation (ignored by the baselines).
     pub fn build(self, total_slots: u32) -> Box<dyn WorkflowScheduler> {
-        self.build_with(total_slots, CapMode::MinFeasible, QueueStrategy::Dsl)
+        self.build_with(total_slots, QueueStrategy::Dsl, None)
     }
 
-    /// Instantiates the scheduler with explicit WOHA knobs (cap mode and
-    /// queue strategy), for ablations.
+    /// Instantiates the scheduler with explicit WOHA knobs: the
+    /// priority-index backend and proactive failure padding.
     pub fn build_with(
         self,
         total_slots: u32,
-        cap_mode: CapMode,
         queue: QueueStrategy,
+        padding: Option<PadConfig>,
     ) -> Box<dyn WorkflowScheduler> {
         let woha = |policy| {
             Box::new(WohaScheduler::new(WohaConfig {
-                policy,
-                cap_mode,
-                total_slots,
                 queue,
+                padding,
                 ..WohaConfig::new(policy, total_slots)
             })) as Box<dyn WorkflowScheduler>
         };

@@ -117,40 +117,6 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses a `--jobs N` / `--jobs=N` flag out of an argument list.
-/// `Ok(None)` when absent; `0` means "use [`available_jobs`]".
-pub fn parse_jobs<I: IntoIterator<Item = String>>(args: I) -> Result<Option<usize>, String> {
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" {
-            args.next().ok_or("--jobs needs a value")?
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            v.to_string()
-        } else {
-            continue;
-        };
-        let n: usize = value
-            .parse()
-            .map_err(|_| format!("--jobs: not a number: {value}"))?;
-        return Ok(Some(if n == 0 { available_jobs() } else { n }));
-    }
-    Ok(None)
-}
-
-/// Reads `--jobs` from the process arguments, defaulting to `default`
-/// (pass [`available_jobs()`] for simulation sweeps, `1` for wall-clock
-/// microbenchmarks whose measurements parallel cells would distort).
-/// Exits with a usage message on a malformed value.
-pub fn jobs_flag_or(default: usize) -> usize {
-    match parse_jobs(std::env::args().skip(1)) {
-        Ok(n) => n.unwrap_or(default),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// The deterministic aggregator: re-keys `(cell index, value)` completion
 /// records — arriving in **any** order — into specification order.
 ///
@@ -464,20 +430,6 @@ mod tests {
         assert!(key.matches(&[("scheduler", "EDF")]));
         assert!(!key.matches(&[("scheduler", "FIFO")]));
         assert_eq!(key.to_string(), key.label());
-    }
-
-    #[test]
-    fn parse_jobs_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(args(&["--quick"])).unwrap(), None);
-        assert_eq!(parse_jobs(args(&["--jobs", "4"])).unwrap(), Some(4));
-        assert_eq!(parse_jobs(args(&["--jobs=7"])).unwrap(), Some(7));
-        assert_eq!(
-            parse_jobs(args(&["--jobs", "0"])).unwrap(),
-            Some(available_jobs())
-        );
-        assert!(parse_jobs(args(&["--jobs"])).is_err());
-        assert!(parse_jobs(args(&["--jobs", "x"])).is_err());
     }
 
     #[test]

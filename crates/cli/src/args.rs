@@ -1,9 +1,20 @@
-//! Minimal dependency-free argument parsing for `woha-cli`.
+//! Argument parsing for `woha-cli`, dependency-free.
+//!
+//! Every flag is one [`Flag`] row in its subcommand's table. The tables
+//! feed the scan loop (which flags exist, which take a value), the typed
+//! getters (which look a flag up by name) and [`usage`] (which prints the
+//! rows), so a flag cannot be parsed without being documented or
+//! documented without being parsed.
 
 use std::fmt;
+use std::str::FromStr;
+use woha_bench::SchedulerKind;
 use woha_core::{CapMode, PriorityPolicy, QueueStrategy};
-use woha_model::{config::parse_duration, SimTime};
-use woha_sim::{ClusterConfig, FaultConfig, MasterFaultConfig};
+use woha_model::{config::parse_duration, SimDuration, SimTime};
+use woha_serve::{ClockMode, ServeConfig, ShutdownConfig};
+use woha_sim::{
+    ClusterConfig, FaultConfig, MasterFaultConfig, ObservabilityConfig, PredictionConfig, SimConfig,
+};
 
 /// A parsed command line.
 // One Command exists per process, so the size skew between `Simulate`
@@ -17,7 +28,7 @@ pub enum Command {
         /// Workflow files.
         workflows: Vec<WorkflowArg>,
     },
-    /// `woha-cli plan <workflow.xml> [--slots N] [--policy hlf|lpf|mpf] [--cap min|full|N]`
+    /// `woha-cli plan <workflow.xml> [OPTIONS]`
     Plan {
         /// The workflow file.
         workflow: WorkflowArg,
@@ -28,123 +39,87 @@ pub enum Command {
         /// Cap mode.
         cap: CapMode,
     },
-    /// `woha-cli simulate <workflow.xml[@release]>... [--cluster NxMxR]
-    /// [--scheduler S] [--index dsl|btree|pheap|naive] [--no-batch]
-    /// [--jitter F] [--seed N] [--jobs N] [--failures P] [--mtbf D]
-    /// [--mttr D] [--detect-missed N] [--blacklist-after N]
-    /// [--racks N] [--rack-mtbf D] [--rack-mttr D] [--reshuffle-cost D]
-    /// [--predict-failures] [--pad-plans] [--risk-placement]
-    /// [--adaptive-blacklist T]
-    /// [--master-mtbf D] [--master-mttr D] [--checkpoint-interval D]
-    /// [--scripted-master-crash T]... [--no-wal] [--arrivals FILE]
-    /// [--admission off|necessary] [--trace-out FILE]
-    /// [--trace-format chrome|jsonl] [--metrics-out FILE]
-    /// [--obs-sample-interval D] [--json]`
-    ///
-    /// Node-fault and master-fault flags attach a [`FaultConfig`] to the
-    /// cluster; the observability flags enable structured tracing and
-    /// metrics export (see `woha_sim::obs`).
-    Simulate {
-        /// Workflow files with optional release offsets.
-        workflows: Vec<WorkflowArg>,
-        /// Stream the workload from a JSONL arrival file instead of
-        /// workflow XML files.
-        arrivals: Option<String>,
-        /// Cluster shape.
-        cluster: ClusterConfig,
-        /// Scheduler name (`woha-lpf`, `woha-hlf`, `woha-mpf`, `fifo`,
-        /// `fair`, `edf`), or `all` to compare every scheduler.
-        scheduler: String,
-        /// Priority-index backend for the WOHA schedulers.
-        index: QueueStrategy,
-        /// Batched heartbeat processing (on unless `--no-batch`).
-        batch: bool,
-        /// Task duration jitter.
-        jitter: f64,
-        /// Jitter/failure seed.
-        seed: u64,
-        /// Worker threads for the `--scheduler all` comparison sweep
-        /// (0 = available parallelism; ignored for a single scheduler,
-        /// and results are identical for any value).
-        jobs: usize,
-        /// Task failure probability.
-        failures: f64,
-        /// Track per-node failure propensity (the prediction layer).
-        predict_failures: bool,
-        /// Proactively pad WOHA plan budgets by the expected rework
-        /// fraction derived from the cluster MTBF.
-        pad_plans: bool,
-        /// Steer deadline-critical work away from failure-prone nodes and
-        /// preemptively speculate attempts already running on them.
-        risk_placement: bool,
-        /// Propensity threshold for adaptive blacklisting, replacing the
-        /// fixed `--blacklist-after` crash count.
-        adaptive_blacklist: Option<f64>,
-        /// Screen each arriving workflow through the demand-bound
-        /// admission test before it enters the cluster.
-        admission: bool,
-        /// Write the scheduling decision loop trace to this path.
-        trace_out: Option<String>,
-        /// Trace file format for `--trace-out`.
-        trace_format: TraceFormat,
-        /// Write the run's metrics in Prometheus text format to this path.
-        metrics_out: Option<String>,
-        /// Gauge/timeline sampling interval for the observability layer
-        /// (defaults to the simulator's legacy sampling interval).
-        obs_sample_interval: Option<woha_model::SimDuration>,
-        /// Extra duration charged to each reduce launch per map output
-        /// lost to a node failure (the re-fetch of re-executed output).
-        reshuffle_cost: Option<woha_model::SimDuration>,
-        /// Emit machine-readable JSON instead of a table.
-        json: bool,
-    },
-    /// `woha-cli serve --follow <path> [--wall-clock] [--tenants FILE] ...`
-    ///
-    /// Run the scheduler as a long-lived service over a growing JSONL
-    /// arrival feed (a file being appended to, or a directory of rotated
-    /// files). See [`woha_serve`] for the service architecture.
-    Serve {
-        /// JSONL file or directory of `*.jsonl` files to tail.
-        follow: String,
-        /// Cluster shape.
-        cluster: ClusterConfig,
-        /// Scheduler name (single scheduler only; no `all`).
-        scheduler: String,
-        /// Priority-index backend for the WOHA schedulers.
-        index: QueueStrategy,
-        /// Tenant admission config file (TOML subset; see
-        /// `woha_serve::TenantsConfig`).
-        tenants: Option<String>,
-        /// Demand-bound admission when no tenant file is given
-        /// (default on: a live service should protect itself).
-        admission: bool,
-        /// Pace execution against real time instead of replaying.
-        wall_clock: bool,
-        /// Sim-time-per-real-time factor for `--wall-clock`.
-        speedup: f64,
-        /// Wall-clock poll slice (arrival/shutdown latency bound).
-        poll_interval: woha_model::SimDuration,
-        /// Arrival buffer capacity.
-        buffer: usize,
-        /// Shedding high watermark (defaults to the buffer capacity).
-        high: Option<usize>,
-        /// Shedding low watermark (defaults to half the high mark).
-        low: Option<usize>,
-        /// Stop when this file appears (the no-signals `kill -TERM`).
-        stop_file: Option<String>,
-        /// Stop after this long without a new arrival.
-        idle_timeout: Option<woha_model::SimDuration>,
-        /// Stop once this many workflows have arrived.
-        max_arrivals: Option<u64>,
-        /// Write end-of-run metrics in Prometheus text format here.
-        metrics_out: Option<String>,
-        /// Stream the scheduling decision trace (JSONL) to this path.
-        trace_out: Option<String>,
-        /// Emit machine-readable JSON instead of a table.
-        json: bool,
-    },
+    /// `woha-cli simulate <workflow.xml[@release]>... [OPTIONS]`
+    Simulate(SimulateOptions),
+    /// `woha-cli serve --follow <path> [OPTIONS]`
+    Serve(ServeOptions),
     /// `woha-cli help`
     Help,
+}
+
+/// What `simulate` and `serve` both take: the cluster, the scheduler, the
+/// admission switch, and where the run's output goes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOptions {
+    /// Cluster shape, with any rack topology and fault config attached.
+    pub cluster: ClusterConfig,
+    /// The schedulers to run: one, or all six for `--scheduler all`.
+    pub schedulers: Vec<SchedulerKind>,
+    /// Priority-index backend for the WOHA schedulers.
+    pub index: QueueStrategy,
+    /// Screen each arriving workflow through the demand-bound admission
+    /// test before it enters the cluster.
+    pub admission: bool,
+    /// Write the scheduling decision loop trace to this path.
+    pub trace_out: Option<String>,
+    /// Write the run's metrics in Prometheus text format to this path.
+    pub metrics_out: Option<String>,
+    /// Emit machine-readable JSON instead of a table.
+    pub json: bool,
+}
+
+impl RunOptions {
+    /// The observability switches the output flags imply.
+    pub fn observability(&self, sample_interval: Option<SimDuration>) -> ObservabilityConfig {
+        ObservabilityConfig {
+            trace: self.trace_out.is_some(),
+            metrics: self.metrics_out.is_some(),
+            sample_interval,
+            ..ObservabilityConfig::default()
+        }
+    }
+}
+
+/// Everything `simulate` was asked for. Node-fault, rack and master-fault
+/// flags are already folded into `run.cluster`; jitter, seed, batching,
+/// prediction and the observability switches into `config`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimulateOptions {
+    /// The flags shared with `serve`.
+    pub run: RunOptions,
+    /// Workflow files with optional release offsets.
+    pub workflows: Vec<WorkflowArg>,
+    /// Stream the workload from a JSONL arrival file instead of
+    /// workflow XML files.
+    pub arrivals: Option<String>,
+    /// Driver knobs.
+    pub config: SimConfig,
+    /// Worker threads for the `--scheduler all` comparison sweep
+    /// (0 = available parallelism; ignored for a single scheduler,
+    /// and results are identical for any value).
+    pub jobs: usize,
+    /// Proactively pad WOHA plan budgets by the expected rework
+    /// fraction derived from the cluster MTBF.
+    pub pad_plans: bool,
+    /// Trace file format for `--trace-out`.
+    pub trace_format: TraceFormat,
+}
+
+/// Everything `serve` was asked for: run the scheduler as a long-lived
+/// service over a growing JSONL arrival feed (a file being appended to, or
+/// a directory of rotated files). See [`woha_serve`] for the architecture.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeOptions {
+    /// The flags shared with `simulate` (a single scheduler; admission
+    /// defaults on: a live service should protect itself).
+    pub run: RunOptions,
+    /// JSONL file or directory of `*.jsonl` files to tail.
+    pub follow: String,
+    /// Tenant admission config file (TOML subset; see
+    /// `woha_serve::TenantsConfig`); takes the place of `run.admission`.
+    pub tenants: Option<String>,
+    /// Clock mode, arrival buffer, watermarks and shutdown conditions.
+    pub service: ServeConfig,
 }
 
 /// Trace export format selected by `--trace-format`.
@@ -167,176 +142,564 @@ pub struct WorkflowArg {
     pub release: SimTime,
 }
 
-/// A fatal argument error, with a message for the user.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
-
-impl fmt::Display for ArgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+/// `Ok` when a validation holds, its message for the user when not.
+fn ensure(ok: bool, msg: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg.to_string())
     }
 }
 
-impl std::error::Error for ArgError {}
-
-fn err(msg: impl Into<String>) -> ArgError {
-    ArgError(msg.into())
+/// One command-line flag, declared once: the scan loop accepts it, the
+/// getters look it up by `name`, and [`usage`] prints it.
+struct Flag {
+    /// The spelling, dashes included.
+    name: &'static str,
+    /// Placeholder for the value it takes; `None` for a switch.
+    metavar: Option<&'static str>,
+    /// What it does, its default, and what it needs; [`usage`] wraps it.
+    help: &'static str,
 }
 
-/// Usage text printed by `help` and on argument errors.
-pub const USAGE: &str = "\
-woha-cli — deadline-aware Map-Reduce workflow scheduling (WOHA, ICDCS 2014)
+const fn valued(name: &'static str, metavar: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar: Some(metavar),
+        help,
+    }
+}
 
-USAGE:
-  woha-cli validate <workflow.xml>...
-      Parse and validate workflow configuration files; print the derived
-      job DAG and summary statistics.
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar: None,
+        help,
+    }
+}
 
-  woha-cli plan <workflow.xml> [--slots N] [--policy hlf|lpf|mpf]
-                [--cap min|full|<N>]
-      Generate the client-side scheduling plan (Algorithm 1 + resource-cap
-      binary search) and print its progress requirement list.
+/// One subcommand: how `usage` introduces it, the flag tables it accepts,
+/// and the function that turns a scanned argument list into a [`Command`].
+struct Subcommand {
+    name: &'static str,
+    operands: &'static str,
+    about: &'static str,
+    flags: &'static [&'static [Flag]],
+    /// How many positional operands it accepts.
+    max_operands: usize,
+    parse: fn(&Scanned) -> Result<Command, String>,
+}
 
-  woha-cli simulate <workflow.xml[@release]>... [OPTIONS]
-      Run the workflows on a simulated Hadoop cluster.
-      Releases are durations like 5m or 30s (default 0).
+impl Subcommand {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().copied().flatten()
+    }
+}
 
-      --cluster NxMxR     N slaves with M map + R reduce slots (default 8x2x1)
-      --scheduler NAME    woha-lpf | woha-hlf | woha-mpf | fifo | fair | edf
-                          | all  (default woha-lpf)
-      --index BACKEND     priority-index backend for the WOHA schedulers:
-                          dsl | btree | pheap | naive  (default dsl)
-      --no-batch          disable batched heartbeat processing (per-slot
-                          scheduler probes, the pre-batching behaviour)
-      --jitter F          task duration jitter fraction (default 0)
-      --seed N            jitter/failure seed (default 0)
-      --jobs N            worker threads for the --scheduler all sweep
-                          (default 0 = available parallelism; results are
-                          identical for any N)
-      --failures P        task failure probability (default 0)
-      --mtbf D            mean time between node crashes, e.g. 30m
-                          (default: no node faults)
-      --mttr D            mean node repair time (default 5m; needs --mtbf)
-      --detect-missed N   missed heartbeats before a node is declared lost
-                          (default 2; needs --mtbf)
-      --blacklist-after N crashes before a node is blacklisted
-                          (default 0 = never; needs --mtbf)
-      --racks N           split the nodes into N racks of contiguous,
-                          balanced blocks; multi-rack clusters place
-                          HDFS-style replica sets spanning two racks
-                          (default 1 = flat, the legacy placement)
-      --rack-mtbf D       mean time between correlated rack-switch
-                          failures, per rack; a switch failure takes the
-                          whole rack down atomically (needs --racks >= 2)
-      --rack-mttr D       mean rack-switch repair time (default: --mttr's
-                          value; needs --rack-mtbf)
-      --reshuffle-cost D  extra duration charged to each reduce launch per
-                          map output lost to a node failure, e.g. 5s
-                          (default 0 = free re-fetch; needs --mtbf or
-                          --rack-mtbf)
-      --predict-failures  track a decaying per-node failure-propensity
-                          score from the injected fault history and report
-                          it (needs --mtbf)
-      --pad-plans         inflate WOHA plan budgets by the expected rework
-                          fraction (cluster MTBF x remaining work) so
-                          plans front-load slack for failures
-                          (needs --mtbf)
-      --risk-placement    decline risky nodes for deadline-critical tasks
-                          and preemptively speculate attempts running on
-                          them (needs --predict-failures)
-      --adaptive-blacklist T
-                          blacklist a node once its propensity score
-                          reaches T, replacing the fixed
-                          --blacklist-after count (needs
-                          --predict-failures)
-      --master-mtbf D     mean time between master (JobTracker) crashes
-                          (default: no master faults)
-      --scripted-master-crash T
-                          crash the master at time T, e.g. 90s; repeatable;
-                          overrides --master-mtbf crash timing
-      --master-mttr D     mean master restart time (default 1m; needs
-                          --master-mtbf or --scripted-master-crash)
-      --checkpoint-interval D
-                          master checkpoint period (default 5m; needs a
-                          master-fault flag)
-      --no-wal            disable the master write-ahead log: recover from
-                          the last checkpoint alone (needs a master-fault
-                          flag)
-      --arrivals FILE     stream the workload from a JSONL arrival file
-                          (one workflow per line, as written by
-                          woha_trace::to_jsonl) instead of workflow XML
-                          files; lines are pulled lazily as simulated
-                          time reaches their submission times
-      --admission MODE    off | necessary  (default off): screen each
-                          arriving workflow through the demand-bound
-                          admission test; rejected workflows never run
-                          and are counted per reason in the report
-      --trace-out FILE    record the scheduling decision loop and write it
-                          to this file (format set by --trace-format)
-      --trace-format F    chrome | jsonl  (default chrome): chrome buffers
-                          the run and writes Chrome trace-event JSON (open
-                          at https://ui.perfetto.dev); jsonl streams one
-                          record per line as the run progresses
-      --metrics-out FILE  record scheduler metrics (counters, histograms,
-                          sampled gauges) and write them in the Prometheus
-                          text exposition format
-      --obs-sample-interval D
-                          gauge sampling interval for --metrics-out,
-                          e.g. 5s (default 10s)
-      --json              machine-readable output
+static SUBCOMMANDS: [Subcommand; 5] = [
+    Subcommand {
+        name: "validate",
+        operands: "<workflow.xml>...",
+        about: "Parse and validate workflow configuration files; print the derived \
+                job DAG and summary statistics.",
+        flags: &[],
+        max_operands: usize::MAX,
+        parse: validate_command,
+    },
+    Subcommand {
+        name: "plan",
+        operands: "<workflow.xml> [OPTIONS]",
+        about: "Generate the client-side scheduling plan (Algorithm 1 + resource-cap \
+                binary search) and print its progress requirement list.",
+        flags: &[PLAN_FLAGS],
+        max_operands: 1,
+        parse: plan_command,
+    },
+    Subcommand {
+        name: "simulate",
+        operands: "<workflow.xml[@release]>... [OPTIONS]",
+        about: "Run the workflows on a simulated Hadoop cluster. Releases are \
+                durations like 5m or 30s (default 0).",
+        flags: &[RUN_FLAGS, SIMULATE_FLAGS],
+        max_operands: usize::MAX,
+        parse: simulate_command,
+    },
+    Subcommand {
+        name: "serve",
+        operands: "--follow <path> [OPTIONS]",
+        about: "Run the scheduler as a long-lived service: tail a growing JSONL \
+                arrival feed, admit workflows per tenant, and execute them on the \
+                simulated cluster in real time (--wall-clock) or as a deterministic \
+                replay (default).",
+        flags: &[RUN_FLAGS, SERVE_FLAGS],
+        max_operands: 0,
+        parse: serve_command,
+    },
+    Subcommand {
+        name: "help",
+        operands: "",
+        about: "Print this text.",
+        flags: &[],
+        max_operands: usize::MAX,
+        parse: |_| Ok(Command::Help),
+    },
+];
 
-  woha-cli serve --follow <path> [OPTIONS]
-      Run the scheduler as a long-lived service: tail a growing JSONL
-      arrival feed, admit workflows per tenant, and execute them on the
-      simulated cluster in real time (--wall-clock) or as a
-      deterministic replay (default).
+const PLAN_FLAGS: &[Flag] = &[
+    valued(
+        "--slots",
+        "N",
+        "cluster capacity in slots the plan is generated against (default 96)",
+    ),
+    valued(
+        "--policy",
+        "P",
+        "job prioritization policy: hlf | lpf | mpf (default lpf)",
+    ),
+    valued(
+        "--cap",
+        "MODE",
+        "resource cap: min (the smallest cap that meets the deadline) | full \
+         (uncapped) | <N> (default min)",
+    ),
+];
 
-      --follow PATH       JSONL file being appended to, or a directory
-                          whose *.jsonl files are consumed in name order
-                          (log-rotation convention)
-      --cluster NxMxR     as for simulate (default 8x2x1)
-      --scheduler NAME    as for simulate, single scheduler only
-      --index BACKEND     as for simulate
-      --tenants FILE      per-tenant admission config (policy, in-flight
-                          caps, slot budgets, weights); workflow names
-                          are namespaced as tenant/name
-      --admission MODE    off | necessary  (default necessary): plain
-                          demand-bound admission when no --tenants file
-                          is given
-      --wall-clock        pace events against real time; without it the
-                          feed is replayed deterministically and the run
-                          ends when the feed stops growing
-      --speedup F         sim seconds per real second with --wall-clock
-                          (default 1)
-      --poll-interval D   wall-clock poll slice, e.g. 20ms (default);
-                          bounds arrival and shutdown latency
-      --buffer N          arrival buffer capacity (default 1024)
-      --high N            shed arrivals at this queue depth
-                          (default: buffer capacity)
-      --low N             stop shedding once drained to this depth
-                          (default: half of --high)
-      --stop-file PATH    shut down cleanly when this file appears
-                          (touch it instead of sending a signal); the
-                          feed is drained before exit
-      --idle-timeout D    shut down after this long without an arrival
-      --max-arrivals N    shut down after N workflows have arrived
-      --metrics-out FILE  write end-of-run metrics (including service
-                          queue depth, lag, and shed counters) in the
-                          Prometheus text format
-      --trace-out FILE    stream the decision trace as JSONL
-      --json              machine-readable output
+/// The flags `simulate` and `serve` share, read by [`run_options`].
+const RUN_FLAGS: &[Flag] = &[
+    valued(
+        "--cluster",
+        "NxMxR",
+        "N slaves with M map + R reduce slots (default 8x2x1)",
+    ),
+    valued(
+        "--scheduler",
+        "NAME",
+        "woha-lpf | woha-hlf | woha-mpf | fifo | fair | edf (default woha-lpf); \
+         simulate also takes all, which runs and compares the six",
+    ),
+    valued(
+        "--index",
+        "BACKEND",
+        "priority-index backend for the WOHA schedulers: dsl | btree | pheap \
+         (default dsl)",
+    ),
+    valued(
+        "--admission",
+        "MODE",
+        "off | necessary: screen each arriving workflow through the demand-bound \
+         admission test; rejected workflows never run and are counted per reason in \
+         the report (default: off for simulate; necessary for serve, where a \
+         --tenants file takes its place)",
+    ),
+    valued(
+        "--trace-out",
+        "FILE",
+        "record the scheduling decision loop and write it to this file (simulate: \
+         in the format set by --trace-format; serve: streamed as JSONL)",
+    ),
+    valued(
+        "--metrics-out",
+        "FILE",
+        "record scheduler metrics (counters, histograms, sampled gauges; under \
+         serve also service queue depth, lag and shed counters) and write them in \
+         the Prometheus text exposition format when the run ends",
+    ),
+    switch("--json", "machine-readable output"),
+];
 
-  woha-cli help
-      Print this text.
-";
+const SIMULATE_FLAGS: &[Flag] = &[
+    switch(
+        "--no-batch",
+        "disable batched heartbeat processing (per-slot scheduler probes, the \
+         pre-batching behaviour)",
+    ),
+    valued("--jitter", "F", "task duration jitter fraction (default 0)"),
+    valued("--seed", "N", "jitter/failure seed (default 0)"),
+    valued(
+        "--jobs",
+        "N",
+        "worker threads for the --scheduler all sweep (default 0 = available \
+         parallelism; results are identical for any N)",
+    ),
+    valued("--failures", "P", "task failure probability (default 0)"),
+    valued(
+        "--mtbf",
+        "D",
+        "mean time between node crashes, e.g. 30m (default: no node faults)",
+    ),
+    valued(
+        "--mttr",
+        "D",
+        "mean node repair time (default 5m; needs --mtbf)",
+    ),
+    valued(
+        "--detect-missed",
+        "N",
+        "missed heartbeats before a node is declared lost (default 2; needs --mtbf)",
+    ),
+    valued(
+        "--blacklist-after",
+        "N",
+        "crashes before a node is blacklisted (default 0 = never; needs --mtbf)",
+    ),
+    valued(
+        "--racks",
+        "N",
+        "split the nodes into N racks of contiguous, balanced blocks; multi-rack \
+         clusters place HDFS-style replica sets spanning two racks (default 1 = \
+         flat, the legacy placement)",
+    ),
+    valued(
+        "--rack-mtbf",
+        "D",
+        "mean time between correlated rack-switch failures, per rack; a switch \
+         failure takes the whole rack down atomically (needs --racks >= 2)",
+    ),
+    valued(
+        "--rack-mttr",
+        "D",
+        "mean rack-switch repair time (default: --mttr's value; needs --rack-mtbf)",
+    ),
+    valued(
+        "--reshuffle-cost",
+        "D",
+        "extra duration charged to each reduce launch per map output lost to a \
+         node failure, e.g. 5s (default 0 = free re-fetch; needs --mtbf or \
+         --rack-mtbf)",
+    ),
+    switch(
+        "--predict-failures",
+        "track a decaying per-node failure-propensity score from the injected \
+         fault history and report it (needs --mtbf)",
+    ),
+    switch(
+        "--pad-plans",
+        "inflate WOHA plan budgets by the expected rework fraction (cluster MTBF x \
+         remaining work) so plans front-load slack for failures (needs --mtbf)",
+    ),
+    switch(
+        "--risk-placement",
+        "decline risky nodes for deadline-critical tasks and preemptively \
+         speculate attempts running on them (needs --predict-failures)",
+    ),
+    valued(
+        "--adaptive-blacklist",
+        "T",
+        "blacklist a node once its propensity score reaches T, replacing the fixed \
+         --blacklist-after count (needs --predict-failures)",
+    ),
+    valued(
+        "--master-mtbf",
+        "D",
+        "mean time between master (JobTracker) crashes (default: no master faults)",
+    ),
+    valued(
+        "--scripted-master-crash",
+        "T",
+        "crash the master at time T, e.g. 90s; repeatable; overrides --master-mtbf \
+         crash timing",
+    ),
+    valued(
+        "--master-mttr",
+        "D",
+        "mean master restart time (default 1m; needs --master-mtbf or \
+         --scripted-master-crash)",
+    ),
+    valued(
+        "--checkpoint-interval",
+        "D",
+        "master checkpoint period (default 5m; needs a master-fault flag)",
+    ),
+    switch(
+        "--no-wal",
+        "disable the master write-ahead log: recover from the last checkpoint \
+         alone (needs a master-fault flag)",
+    ),
+    valued(
+        "--arrivals",
+        "FILE",
+        "stream the workload from a JSONL arrival file (one workflow per line, as \
+         written by woha_trace::to_jsonl) instead of workflow XML files; lines are \
+         pulled lazily as simulated time reaches their submission times",
+    ),
+    valued(
+        "--trace-format",
+        "F",
+        "chrome | jsonl (default chrome): chrome buffers the run and writes Chrome \
+         trace-event JSON (open at https://ui.perfetto.dev); jsonl streams one \
+         record per line as the run progresses (needs --trace-out)",
+    ),
+    valued(
+        "--obs-sample-interval",
+        "D",
+        "gauge sampling interval for --metrics-out, e.g. 5s (default 10s)",
+    ),
+];
 
-fn parse_workflow_arg(raw: &str) -> Result<WorkflowArg, ArgError> {
+const SERVE_FLAGS: &[Flag] = &[
+    valued(
+        "--follow",
+        "PATH",
+        "JSONL file being appended to, or a directory whose *.jsonl files are \
+         consumed in name order (log-rotation convention); required",
+    ),
+    valued(
+        "--tenants",
+        "FILE",
+        "per-tenant admission config (policy, in-flight caps, slot budgets, \
+         weights); workflow names are namespaced as tenant/name",
+    ),
+    switch(
+        "--wall-clock",
+        "pace events against real time; without it the feed is replayed \
+         deterministically and the run ends when the feed stops growing",
+    ),
+    valued(
+        "--speedup",
+        "F",
+        "sim seconds per real second (default 1; needs --wall-clock)",
+    ),
+    valued(
+        "--poll-interval",
+        "D",
+        "wall-clock poll slice, bounding arrival and shutdown latency (default \
+         20ms; needs --wall-clock)",
+    ),
+    valued("--buffer", "N", "arrival buffer capacity (default 1024)"),
+    valued(
+        "--high",
+        "N",
+        "shed arrivals at this queue depth (default: the buffer capacity)",
+    ),
+    valued(
+        "--low",
+        "N",
+        "stop shedding once drained to this depth (default: half of --high)",
+    ),
+    valued(
+        "--stop-file",
+        "PATH",
+        "shut down cleanly when this file appears (touch it instead of sending a \
+         signal); the feed is drained before exit",
+    ),
+    valued(
+        "--idle-timeout",
+        "D",
+        "shut down after this long without an arrival",
+    ),
+    valued(
+        "--max-arrivals",
+        "N",
+        "shut down after N workflows have arrived",
+    ),
+];
+
+/// Column where flag help starts, and the width it wraps to.
+const HELP_COLUMN: usize = 26;
+const HELP_WIDTH: usize = 52;
+
+/// Greedy word wrap.
+fn wrap(text: &str, width: usize) -> Vec<String> {
+    let mut lines: Vec<String> = Vec::new();
+    for word in text.split_whitespace() {
+        match lines.last_mut() {
+            Some(line) if line.len() + 1 + word.len() <= width => {
+                line.push(' ');
+                line.push_str(word);
+            }
+            _ => lines.push(word.to_string()),
+        }
+    }
+    lines
+}
+
+/// The usage text printed by `help` and on argument errors, rendered from
+/// the subcommand and flag tables.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "woha-cli — deadline-aware Map-Reduce workflow scheduling (WOHA, ICDCS 2014)\n\nUSAGE:\n",
+    );
+    for (i, sub) in SUBCOMMANDS.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str(format!("  woha-cli {} {}", sub.name, sub.operands).trim_end());
+        out.push('\n');
+        for line in wrap(sub.about, HELP_COLUMN + HELP_WIDTH - 6) {
+            out.push_str(&format!("      {line}\n"));
+        }
+        if sub.flags().next().is_some() {
+            out.push('\n');
+        }
+        for flag in sub.flags() {
+            let head = format!("      {} {}", flag.name, flag.metavar.unwrap_or(""));
+            // A head that reaches the help column gets a line of its own.
+            if head.trim_end().len() < HELP_COLUMN {
+                out.push_str(&format!("{head:<HELP_COLUMN$}"));
+            } else {
+                out.push_str(&format!("{}\n{:HELP_COLUMN$}", head.trim_end(), ""));
+            }
+            out.push_str(&wrap(flag.help, HELP_WIDTH).join(&format!("\n{:HELP_COLUMN$}", "")));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// What one subcommand's argument list held: the positional operands and
+/// every `(flag, value)` occurrence, both in command-line order.
+struct Scanned<'a> {
+    sub: &'static Subcommand,
+    operands: Vec<&'a str>,
+    given: Vec<(&'static Flag, &'a str)>,
+}
+
+/// The one scan loop: accepts `--flag value` and `--flag=value`, and
+/// rejects an unknown flag, a missing value, a value handed to a switch,
+/// and a positional operand the subcommand has no place for.
+fn scan<'a>(sub: &'static Subcommand, args: &'a [String]) -> Result<Scanned<'a>, String> {
+    let mut scanned = Scanned {
+        sub,
+        operands: Vec::new(),
+        given: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            if scanned.operands.len() == sub.max_operands {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+            scanned.operands.push(arg);
+            continue;
+        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let flag = sub
+            .flags()
+            .find(|f| f.name == name)
+            .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+        let value = match (flag.metavar, inline) {
+            (Some(_), Some(value)) => value,
+            (Some(_), None) => it.next().ok_or_else(|| format!("{name} needs a value"))?,
+            (None, None) => "",
+            (None, Some(_)) => return Err(format!("{name} takes no value")),
+        };
+        scanned.given.push((flag, value));
+    }
+    Ok(scanned)
+}
+
+/// Typed getters over the scanned flags. A scalar flag given twice keeps
+/// its last value, but every occurrence must parse. Asking for a flag the
+/// subcommand's tables do not declare is a bug in this file and panics.
+impl<'a> Scanned<'a> {
+    fn raw(&self, name: &'static str) -> impl Iterator<Item = &'a str> + '_ {
+        assert!(
+            self.sub.flags().any(|f| f.name == name),
+            "{name} is not declared for {}",
+            self.sub.name
+        );
+        self.given
+            .iter()
+            .filter(move |(flag, _)| flag.name == name)
+            .map(|&(_, raw)| raw)
+    }
+
+    /// Whether the flag was given at all: a switch is on, a valued flag
+    /// is present.
+    fn given(&self, name: &'static str) -> bool {
+        self.raw(name).next().is_some()
+    }
+
+    /// Fails when any of `dependents` is given and none of `required` is.
+    /// By presence, not value: `--speedup 1` needs `--wall-clock` as much
+    /// as `--speedup 2` does.
+    fn needs(&self, dependents: &[&'static str], required: &[&'static str]) -> Result<(), String> {
+        let any = |names: &[&'static str]| names.iter().any(|name| self.given(name));
+        let message = format!("{} need {}", dependents.join("/"), required.join(" or "));
+        ensure(!any(dependents) || any(required), &message)
+    }
+
+    fn text(&self, name: &'static str) -> Option<String> {
+        self.raw(name).last().map(str::to_string)
+    }
+
+    /// Every occurrence of a repeatable flag, parsed, in order.
+    fn repeated<T>(
+        &self,
+        name: &'static str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.raw(name)
+            .map(|raw| parse(raw).map_err(|why| format!("bad {name} {raw:?}: {why}")))
+            .collect()
+    }
+
+    fn value<T>(
+        &self,
+        name: &'static str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        Ok(self.repeated(name, parse)?.pop())
+    }
+
+    fn parsed<T: FromStr>(&self, name: &'static str) -> Result<Option<T>, String>
+    where
+        T::Err: fmt::Display,
+    {
+        self.value(name, |raw| raw.parse().map_err(|e: T::Err| e.to_string()))
+    }
+
+    /// [`parsed`](Self::parsed), rejecting zero.
+    fn positive<T: FromStr + PartialOrd + Default>(
+        &self,
+        name: &'static str,
+    ) -> Result<Option<T>, String>
+    where
+        T::Err: fmt::Display,
+    {
+        self.value(name, |raw| match raw.parse::<T>() {
+            Ok(n) if n > T::default() => Ok(n),
+            Ok(_) => Err("must be positive".to_string()),
+            Err(e) => Err(e.to_string()),
+        })
+    }
+
+    /// A positive duration like `30s` or `5m`.
+    fn duration(&self, name: &'static str) -> Result<Option<SimDuration>, String> {
+        self.value(name, |raw| match parse_duration(raw) {
+            Ok(d) if d.is_zero() => Err("must be positive".to_string()),
+            Ok(d) => Ok(d),
+            Err(e) => Err(e.to_string()),
+        })
+    }
+
+    /// One of a fixed set of spellings, case-insensitively.
+    fn one_of<T: Copy>(
+        &self,
+        name: &'static str,
+        choices: &[(&str, T)],
+    ) -> Result<Option<T>, String> {
+        self.value(name, |raw| {
+            let hit = choices
+                .iter()
+                .find(|(spelling, _)| spelling.eq_ignore_ascii_case(raw));
+            hit.map(|&(_, value)| value).ok_or_else(|| {
+                let all: Vec<&str> = choices.iter().map(|&(s, _)| s).collect();
+                format!("expected one of {}", all.join(" | "))
+            })
+        })
+    }
+}
+
+fn parse_workflow_arg(raw: &str) -> Result<WorkflowArg, String> {
     match raw.rsplit_once('@') {
         Some((path, release)) if !path.is_empty() => Ok(WorkflowArg {
             path: path.to_string(),
             release: SimTime::ZERO
-                + parse_duration(release)
-                    .map_err(|e| err(format!("bad release in {raw:?}: {e}")))?,
+                + parse_duration(release).map_err(|e| format!("bad release in {raw:?}: {e}"))?,
         }),
         _ => Ok(WorkflowArg {
             path: raw.to_string(),
@@ -345,572 +708,393 @@ fn parse_workflow_arg(raw: &str) -> Result<WorkflowArg, ArgError> {
     }
 }
 
-fn parse_cluster(raw: &str) -> Result<ClusterConfig, ArgError> {
-    let parts: Vec<&str> = raw.split('x').collect();
-    if parts.len() != 3 {
-        return Err(err(format!(
-            "bad --cluster {raw:?}: expected NxMxR like 32x2x1"
-        )));
-    }
-    let nums: Vec<u32> = parts
+fn workflow_args(s: &Scanned) -> Result<Vec<WorkflowArg>, String> {
+    s.operands
         .iter()
-        .map(|p| p.parse().map_err(|_| err(format!("bad --cluster {raw:?}"))))
+        .map(|raw| parse_workflow_arg(raw))
+        .collect()
+}
+
+fn parse_cluster(raw: &str) -> Result<ClusterConfig, String> {
+    let nums: Vec<u32> = raw
+        .split('x')
+        .map(|part| part.parse().map_err(|_| "expected NxMxR like 32x2x1"))
         .collect::<Result<_, _>>()?;
-    if nums[0] == 0 || nums[1] + nums[2] == 0 {
-        return Err(err(format!("bad --cluster {raw:?}: empty cluster")));
-    }
-    Ok(ClusterConfig::uniform(nums[0], nums[1], nums[2]))
-}
-
-fn parse_policy(raw: &str) -> Result<PriorityPolicy, ArgError> {
-    match raw.to_ascii_lowercase().as_str() {
-        "hlf" => Ok(PriorityPolicy::Hlf),
-        "lpf" => Ok(PriorityPolicy::Lpf),
-        "mpf" => Ok(PriorityPolicy::Mpf),
-        _ => Err(err(format!("unknown --policy {raw:?} (hlf|lpf|mpf)"))),
+    match nums[..] {
+        [n, m, r] if n > 0 && (m > 0 || r > 0) => Ok(ClusterConfig::uniform(n, m, r)),
+        [_, _, _] => Err("empty cluster".to_string()),
+        _ => Err("expected NxMxR like 32x2x1".to_string()),
     }
 }
 
-fn parse_cap(raw: &str) -> Result<CapMode, ArgError> {
+fn parse_cap(raw: &str) -> Result<CapMode, String> {
     match raw.to_ascii_lowercase().as_str() {
         "min" => Ok(CapMode::MinFeasible),
         "full" => Ok(CapMode::Uncapped),
         n => n
-            .parse::<u32>()
+            .parse()
             .map(CapMode::Fixed)
-            .map_err(|_| err(format!("unknown --cap {raw:?} (min|full|<N>)"))),
+            .map_err(|_| "expected min | full | <N>".to_string()),
     }
 }
-
-const SCHEDULERS: [&str; 7] = [
-    "woha-lpf", "woha-hlf", "woha-mpf", "fifo", "fair", "edf", "all",
-];
 
 /// Parses a full command line (excluding the program name).
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] with a user-facing message for any malformed or
+/// Returns a user-facing message for any malformed or
 /// unknown argument.
-pub fn parse(args: &[String]) -> Result<Command, ArgError> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Ok(Command::Help);
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let (name, rest) = match args.split_first() {
+        None => return Ok(Command::Help),
+        Some((name, _)) if name == "--help" || name == "-h" => return Ok(Command::Help),
+        Some((name, rest)) => (name, rest),
     };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "validate" => {
-            let workflows: Vec<WorkflowArg> = rest
-                .iter()
-                .map(|r| parse_workflow_arg(r))
-                .collect::<Result<_, _>>()?;
-            if workflows.is_empty() {
-                return Err(err("validate needs at least one workflow file"));
-            }
-            Ok(Command::Validate { workflows })
+    let sub = SUBCOMMANDS
+        .iter()
+        .find(|s| s.name == name)
+        .ok_or_else(|| format!("unknown command {name:?}; try `woha-cli help`"))?;
+    (sub.parse)(&scan(sub, rest)?)
+}
+
+fn validate_command(s: &Scanned) -> Result<Command, String> {
+    let workflows = workflow_args(s)?;
+    ensure(
+        !workflows.is_empty(),
+        "validate needs at least one workflow file",
+    )?;
+    Ok(Command::Validate { workflows })
+}
+
+fn plan_command(s: &Scanned) -> Result<Command, String> {
+    const POLICIES: [(&str, PriorityPolicy); 3] = [
+        ("hlf", PriorityPolicy::Hlf),
+        ("lpf", PriorityPolicy::Lpf),
+        ("mpf", PriorityPolicy::Mpf),
+    ];
+    Ok(Command::Plan {
+        workflow: workflow_args(s)?
+            .pop()
+            .ok_or("plan needs a workflow file")?,
+        slots: s.positive("--slots")?.unwrap_or(96),
+        policy: s
+            .one_of("--policy", &POLICIES)?
+            .unwrap_or(PriorityPolicy::Lpf),
+        cap: s.value("--cap", parse_cap)?.unwrap_or(CapMode::MinFeasible),
+    })
+}
+
+/// Reads [`RUN_FLAGS`]. `--admission` defaults differently for the two
+/// subcommands, so the caller says which default applies.
+fn run_options(s: &Scanned, admission_default: bool) -> Result<RunOptions, String> {
+    // The order `--scheduler all` runs (and prints) them in.
+    let all: Vec<SchedulerKind> = SchedulerKind::WOHA
+        .into_iter()
+        .chain(SchedulerKind::ALL.into_iter().filter(|k| !k.is_woha()))
+        .collect();
+    Ok(RunOptions {
+        cluster: s
+            .value("--cluster", parse_cluster)?
+            .unwrap_or_else(|| ClusterConfig::uniform(8, 2, 1)),
+        schedulers: s
+            .value("--scheduler", |raw| {
+                if raw.eq_ignore_ascii_case("all") {
+                    return Ok(all.clone());
+                }
+                let one = all.iter().find(|k| k.to_string().eq_ignore_ascii_case(raw));
+                one.map(|&k| vec![k]).ok_or_else(|| {
+                    let names: Vec<String> = all.iter().map(|k| k.to_string()).collect();
+                    format!("expected one of {} | all", names.join(" | ").to_lowercase())
+                })
+            })?
+            .unwrap_or_else(|| vec![SchedulerKind::WohaLpf]),
+        index: s
+            .value("--index", |raw| {
+                QueueStrategy::from_flag(&raw.to_ascii_lowercase())
+                    .ok_or_else(|| "expected dsl | btree | pheap".to_string())
+            })?
+            .unwrap_or(QueueStrategy::Dsl),
+        admission: s
+            .one_of("--admission", &[("off", false), ("necessary", true)])?
+            .unwrap_or(admission_default),
+        trace_out: s.text("--trace-out"),
+        metrics_out: s.text("--metrics-out"),
+        json: s.given("--json"),
+    })
+}
+
+fn simulate_command(s: &Scanned) -> Result<Command, String> {
+    let mut run = run_options(s, false)?;
+    let workflows = workflow_args(s)?;
+    let arrivals = s.text("--arrivals");
+    ensure(
+        arrivals.is_none() || workflows.is_empty(),
+        "--arrivals replaces positional workflow files; pass one or the other",
+    )?;
+    ensure(
+        arrivals.is_some() || !workflows.is_empty(),
+        "simulate needs at least one workflow file (or --arrivals)",
+    )?;
+    let jitter = s.parsed("--jitter")?.unwrap_or(0.0);
+    ensure((0.0..1.0).contains(&jitter), "--jitter must be in [0, 1)")?;
+    let failures = s.parsed("--failures")?.unwrap_or(0.0);
+    ensure(
+        (0.0..1.0).contains(&failures),
+        "--failures must be in [0, 1)",
+    )?;
+
+    // Node faults, and the prediction layer that learns from them.
+    let mtbf = s.duration("--mtbf")?;
+    let mttr = s.duration("--mttr")?;
+    let detect_missed = s.positive::<u32>("--detect-missed")?;
+    let blacklist_after = s.parsed::<u32>("--blacklist-after")?;
+    let pad_plans = s.given("--pad-plans");
+    let adaptive_blacklist = s.parsed::<f64>("--adaptive-blacklist")?;
+    s.needs(
+        &["--mttr", "--detect-missed", "--blacklist-after"],
+        &["--mtbf"],
+    )?;
+    s.needs(&["--predict-failures", "--pad-plans"], &["--mtbf"])?;
+    s.needs(
+        &["--risk-placement", "--adaptive-blacklist"],
+        &["--predict-failures"],
+    )?;
+    ensure(
+        adaptive_blacklist.is_none_or(|t| t.is_finite() && t > 0.0),
+        "--adaptive-blacklist must be positive",
+    )?;
+    ensure(
+        adaptive_blacklist.is_none() || blacklist_after.is_none(),
+        "--adaptive-blacklist replaces --blacklist-after; pass one or the other",
+    )?;
+    let mut faults = FaultConfig::default();
+    if let Some(mtbf) = mtbf {
+        faults = FaultConfig::with_mtbf(mtbf, mttr.unwrap_or(faults.mttr));
+        faults.detect_missed_heartbeats = detect_missed.unwrap_or(faults.detect_missed_heartbeats);
+        faults.blacklist_after = blacklist_after.unwrap_or(faults.blacklist_after);
+    }
+
+    // Rack topology and correlated rack faults.
+    let racks = s.positive::<u32>("--racks")?;
+    if let Some(n) = racks {
+        let node_count = run.cluster.node_count() as u32;
+        if n > node_count {
+            return Err(format!(
+                "--racks {n} exceeds the cluster's {node_count} nodes"
+            ));
         }
-        "plan" => {
-            let mut workflow = None;
-            let mut slots = 96u32;
-            let mut policy = PriorityPolicy::Lpf;
-            let mut cap = CapMode::MinFeasible;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--slots" => {
-                        slots = next_value(&mut it, "--slots")?
-                            .parse()
-                            .map_err(|_| err("--slots needs a positive integer"))?;
-                    }
-                    "--policy" => policy = parse_policy(&next_value(&mut it, "--policy")?)?,
-                    "--cap" => cap = parse_cap(&next_value(&mut it, "--cap")?)?,
-                    other if !other.starts_with('-') && workflow.is_none() => {
-                        workflow = Some(parse_workflow_arg(other)?);
-                    }
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
-                }
-            }
-            if slots == 0 {
-                return Err(err("--slots must be positive"));
-            }
-            let workflow = workflow.ok_or_else(|| err("plan needs a workflow file"))?;
-            Ok(Command::Plan {
-                workflow,
-                slots,
-                policy,
-                cap,
-            })
-        }
-        "simulate" => {
-            let mut workflows = Vec::new();
-            let mut cluster = ClusterConfig::uniform(8, 2, 1);
-            let mut scheduler = "woha-lpf".to_string();
-            let mut index = QueueStrategy::Dsl;
-            let mut batch = true;
-            let mut jitter = 0.0f64;
-            let mut seed = 0u64;
-            let mut failures = 0.0f64;
-            let mut json = false;
-            let mut jobs = 0usize;
-            let mut mtbf = None;
-            let mut mttr = None;
-            let mut detect_missed = None;
-            let mut blacklist_after = None;
-            let mut racks = None;
-            let mut rack_mtbf = None;
-            let mut rack_mttr = None;
-            let mut reshuffle_cost = None;
-            let mut predict_failures = false;
-            let mut pad_plans = false;
-            let mut risk_placement = false;
-            let mut adaptive_blacklist = None;
-            let mut master_mtbf = None;
-            let mut master_mttr = None;
-            let mut checkpoint_interval = None;
-            let mut scripted_crashes = Vec::new();
-            let mut no_wal = false;
-            let mut arrivals = None;
-            let mut admission = false;
-            let mut trace_out = None;
-            let mut trace_format = None;
-            let mut metrics_out = None;
-            let mut obs_sample_interval = None;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--cluster" => cluster = parse_cluster(&next_value(&mut it, "--cluster")?)?,
-                    "--scheduler" => {
-                        scheduler = next_value(&mut it, "--scheduler")?.to_ascii_lowercase();
-                        if !SCHEDULERS.contains(&scheduler.as_str()) {
-                            return Err(err(format!(
-                                "unknown --scheduler {scheduler:?} (one of {SCHEDULERS:?})"
-                            )));
-                        }
-                    }
-                    "--index" => {
-                        let raw = next_value(&mut it, "--index")?.to_ascii_lowercase();
-                        index = QueueStrategy::from_flag(&raw).ok_or_else(|| {
-                            err(format!("unknown --index {raw:?} (dsl|btree|pheap|naive)"))
-                        })?;
-                    }
-                    "--no-batch" => batch = false,
-                    "--jitter" => {
-                        jitter = next_value(&mut it, "--jitter")?
-                            .parse()
-                            .map_err(|_| err("--jitter needs a number"))?;
-                        if !(0.0..1.0).contains(&jitter) {
-                            return Err(err("--jitter must be in [0, 1)"));
-                        }
-                    }
-                    "--seed" => {
-                        seed = next_value(&mut it, "--seed")?
-                            .parse()
-                            .map_err(|_| err("--seed needs an integer"))?;
-                    }
-                    "--jobs" => {
-                        jobs = next_value(&mut it, "--jobs")?
-                            .parse()
-                            .map_err(|_| err("--jobs needs an integer"))?;
-                    }
-                    "--failures" => {
-                        failures = next_value(&mut it, "--failures")?
-                            .parse()
-                            .map_err(|_| err("--failures needs a probability"))?;
-                        if !(0.0..1.0).contains(&failures) {
-                            return Err(err("--failures must be in [0, 1)"));
-                        }
-                    }
-                    "--mtbf" => mtbf = Some(parse_positive_duration(&mut it, "--mtbf")?),
-                    "--mttr" => mttr = Some(parse_positive_duration(&mut it, "--mttr")?),
-                    "--detect-missed" => {
-                        let n: u32 = next_value(&mut it, "--detect-missed")?
-                            .parse()
-                            .map_err(|_| err("--detect-missed needs a positive integer"))?;
-                        if n == 0 {
-                            return Err(err("--detect-missed must be positive"));
-                        }
-                        detect_missed = Some(n);
-                    }
-                    "--blacklist-after" => {
-                        blacklist_after = Some(
-                            next_value(&mut it, "--blacklist-after")?
-                                .parse::<u32>()
-                                .map_err(|_| err("--blacklist-after needs an integer"))?,
-                        );
-                    }
-                    "--racks" => {
-                        let n: u32 = next_value(&mut it, "--racks")?
-                            .parse()
-                            .map_err(|_| err("--racks needs a positive integer"))?;
-                        if n == 0 {
-                            return Err(err("--racks must be positive"));
-                        }
-                        racks = Some(n);
-                    }
-                    "--rack-mtbf" => {
-                        rack_mtbf = Some(parse_positive_duration(&mut it, "--rack-mtbf")?);
-                    }
-                    "--rack-mttr" => {
-                        rack_mttr = Some(parse_positive_duration(&mut it, "--rack-mttr")?);
-                    }
-                    "--reshuffle-cost" => {
-                        reshuffle_cost =
-                            Some(parse_positive_duration(&mut it, "--reshuffle-cost")?);
-                    }
-                    "--predict-failures" => predict_failures = true,
-                    "--pad-plans" => pad_plans = true,
-                    "--risk-placement" => risk_placement = true,
-                    "--adaptive-blacklist" => {
-                        let raw = next_value(&mut it, "--adaptive-blacklist")?;
-                        let t: f64 = raw
-                            .parse()
-                            .map_err(|_| err("--adaptive-blacklist needs a number"))?;
-                        if !(t.is_finite() && t > 0.0) {
-                            return Err(err("--adaptive-blacklist must be positive"));
-                        }
-                        adaptive_blacklist = Some(t);
-                    }
-                    "--master-mtbf" => {
-                        master_mtbf = Some(parse_positive_duration(&mut it, "--master-mtbf")?);
-                    }
-                    "--master-mttr" => {
-                        master_mttr = Some(parse_positive_duration(&mut it, "--master-mttr")?);
-                    }
-                    "--checkpoint-interval" => {
-                        checkpoint_interval =
-                            Some(parse_positive_duration(&mut it, "--checkpoint-interval")?);
-                    }
-                    "--scripted-master-crash" => {
-                        let raw = next_value(&mut it, "--scripted-master-crash")?;
-                        let d = parse_duration(&raw).map_err(|e| {
-                            err(format!("bad --scripted-master-crash {raw:?}: {e}"))
-                        })?;
-                        scripted_crashes.push(SimTime::ZERO + d);
-                    }
-                    "--no-wal" => no_wal = true,
-                    "--arrivals" => arrivals = Some(next_value(&mut it, "--arrivals")?),
-                    "--admission" => {
-                        let raw = next_value(&mut it, "--admission")?.to_ascii_lowercase();
-                        admission = match raw.as_str() {
-                            "off" => false,
-                            "necessary" => true,
-                            _ => {
-                                return Err(err(format!(
-                                    "unknown --admission {raw:?} (off|necessary)"
-                                )))
-                            }
-                        };
-                    }
-                    "--trace-out" => trace_out = Some(next_value(&mut it, "--trace-out")?),
-                    "--trace-format" => {
-                        let raw = next_value(&mut it, "--trace-format")?.to_ascii_lowercase();
-                        trace_format = Some(match raw.as_str() {
-                            "chrome" => TraceFormat::Chrome,
-                            "jsonl" => TraceFormat::Jsonl,
-                            _ => {
-                                return Err(err(format!(
-                                    "unknown --trace-format {raw:?} (chrome|jsonl)"
-                                )))
-                            }
-                        });
-                    }
-                    "--metrics-out" => metrics_out = Some(next_value(&mut it, "--metrics-out")?),
-                    "--obs-sample-interval" => {
-                        obs_sample_interval =
-                            Some(parse_positive_duration(&mut it, "--obs-sample-interval")?);
-                    }
-                    "--json" => json = true,
-                    other if !other.starts_with('-') => {
-                        workflows.push(parse_workflow_arg(other)?);
-                    }
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
-                }
-            }
-            match &arrivals {
-                Some(_) if !workflows.is_empty() => {
-                    return Err(err(
-                        "--arrivals replaces positional workflow files; pass one or the other",
-                    ));
-                }
-                None if workflows.is_empty() => {
-                    return Err(err(
-                        "simulate needs at least one workflow file (or --arrivals)",
-                    ));
-                }
-                _ => {}
-            }
-            let mut faults = match mtbf {
-                Some(mtbf) => {
-                    let mut faults =
-                        FaultConfig::with_mtbf(mtbf, mttr.unwrap_or(FaultConfig::default().mttr));
-                    if let Some(n) = detect_missed {
-                        faults.detect_missed_heartbeats = n;
-                    }
-                    if let Some(n) = blacklist_after {
-                        faults.blacklist_after = n;
-                    }
-                    faults
-                }
-                None if mttr.is_some() || detect_missed.is_some() || blacklist_after.is_some() => {
-                    return Err(err("--mttr/--detect-missed/--blacklist-after need --mtbf"));
-                }
-                None if predict_failures || pad_plans => {
-                    return Err(err("--predict-failures/--pad-plans need --mtbf"));
-                }
-                None => FaultConfig::default(),
-            };
-            if (risk_placement || adaptive_blacklist.is_some()) && !predict_failures {
-                return Err(err(
-                    "--risk-placement/--adaptive-blacklist need --predict-failures",
-                ));
-            }
-            if adaptive_blacklist.is_some() && blacklist_after.is_some() {
-                return Err(err(
-                    "--adaptive-blacklist replaces --blacklist-after; pass one or the other",
-                ));
-            }
-            if let Some(n) = racks {
-                let node_count = cluster.node_count() as u32;
-                if n > node_count {
-                    return Err(err(format!(
-                        "--racks {n} exceeds the cluster's {node_count} nodes"
-                    )));
-                }
-                cluster = cluster.with_racks(n);
-            }
-            match rack_mtbf {
-                Some(_) if racks.is_none_or(|n| n < 2) => {
-                    return Err(err("--rack-mtbf needs --racks with at least 2 racks"));
-                }
-                Some(d) => {
-                    faults.rack_mtbf = Some(d);
-                    faults.rack_mttr = rack_mttr;
-                }
-                None if rack_mttr.is_some() => {
-                    return Err(err("--rack-mttr needs --rack-mtbf"));
-                }
-                None => {}
-            }
-            if reshuffle_cost.is_some() && mtbf.is_none() && rack_mtbf.is_none() {
-                return Err(err(
-                    "--reshuffle-cost needs a fault source (--mtbf or --rack-mtbf)",
-                ));
-            }
-            if master_mtbf.is_some() || !scripted_crashes.is_empty() {
-                scripted_crashes.sort();
-                let defaults = MasterFaultConfig::default();
-                faults.master = MasterFaultConfig {
-                    mtbf: master_mtbf,
-                    mttr: master_mttr.unwrap_or(defaults.mttr),
-                    checkpoint_interval: checkpoint_interval
-                        .unwrap_or(defaults.checkpoint_interval),
-                    wal: !no_wal,
-                    scripted: scripted_crashes,
-                };
-            } else if master_mttr.is_some() || checkpoint_interval.is_some() || no_wal {
-                return Err(err(
-                    "--master-mttr/--checkpoint-interval/--no-wal need --master-mtbf \
-                     or --scripted-master-crash",
-                ));
-            }
-            if faults.enabled() || faults.master.enabled() {
-                cluster = cluster.with_faults(faults);
-            }
-            if obs_sample_interval.is_some() && metrics_out.is_none() {
-                return Err(err("--obs-sample-interval needs --metrics-out"));
-            }
-            if trace_format.is_some() && trace_out.is_none() {
-                return Err(err("--trace-format needs --trace-out"));
-            }
-            Ok(Command::Simulate {
-                workflows,
-                arrivals,
-                cluster,
-                scheduler,
-                index,
-                batch,
-                jitter,
-                seed,
-                jobs,
-                failures,
-                predict_failures,
-                pad_plans,
-                risk_placement,
+        run.cluster = run.cluster.with_racks(n);
+    }
+    faults.rack_mtbf = s.duration("--rack-mtbf")?;
+    faults.rack_mttr = s.duration("--rack-mttr")?;
+    ensure(
+        faults.rack_mtbf.is_none() || racks.is_some_and(|n| n >= 2),
+        "--rack-mtbf needs --racks with at least 2 racks",
+    )?;
+    s.needs(&["--rack-mttr"], &["--rack-mtbf"])?;
+    s.needs(&["--reshuffle-cost"], &["--mtbf", "--rack-mtbf"])?;
+    let reshuffle_cost = s.duration("--reshuffle-cost")?;
+
+    // Master faults.
+    s.needs(
+        &["--master-mttr", "--checkpoint-interval", "--no-wal"],
+        &["--master-mtbf", "--scripted-master-crash"],
+    )?;
+    let defaults = MasterFaultConfig::default();
+    let mut scripted = s.repeated("--scripted-master-crash", |raw| {
+        parse_duration(raw)
+            .map(|d| SimTime::ZERO + d)
+            .map_err(|e| e.to_string())
+    })?;
+    scripted.sort();
+    faults.master = MasterFaultConfig {
+        mtbf: s.duration("--master-mtbf")?,
+        mttr: s.duration("--master-mttr")?.unwrap_or(defaults.mttr),
+        checkpoint_interval: s
+            .duration("--checkpoint-interval")?
+            .unwrap_or(defaults.checkpoint_interval),
+        wal: !s.given("--no-wal"),
+        scripted,
+    };
+    if faults.enabled() || faults.master.enabled() {
+        run.cluster = run.cluster.with_faults(faults);
+    }
+
+    s.needs(&["--obs-sample-interval"], &["--metrics-out"])?;
+    s.needs(&["--trace-format"], &["--trace-out"])?;
+    const FORMATS: [(&str, TraceFormat); 2] = [
+        ("chrome", TraceFormat::Chrome),
+        ("jsonl", TraceFormat::Jsonl),
+    ];
+    Ok(Command::Simulate(SimulateOptions {
+        workflows,
+        arrivals,
+        config: SimConfig {
+            duration_jitter: jitter,
+            task_failure_prob: failures,
+            seed: s.parsed("--seed")?.unwrap_or(0),
+            batch_heartbeats: !s.given("--no-batch"),
+            prediction: s.given("--predict-failures").then(|| PredictionConfig {
+                risk_placement: s.given("--risk-placement"),
                 adaptive_blacklist,
-                admission,
-                trace_out,
-                trace_format: trace_format.unwrap_or_default(),
-                metrics_out,
-                obs_sample_interval,
-                reshuffle_cost,
-                json,
-            })
-        }
-        "serve" => {
-            let mut follow = None;
-            let mut cluster = ClusterConfig::uniform(8, 2, 1);
-            let mut scheduler = "woha-lpf".to_string();
-            let mut index = QueueStrategy::Dsl;
-            let mut tenants = None;
-            let mut admission = true;
-            let mut wall_clock = false;
-            let mut speedup = 1.0f64;
-            let mut poll_interval = woha_model::SimDuration::from_millis(20);
-            let mut buffer = 1024usize;
-            let mut high = None;
-            let mut low = None;
-            let mut stop_file = None;
-            let mut idle_timeout = None;
-            let mut max_arrivals = None;
-            let mut metrics_out = None;
-            let mut trace_out = None;
-            let mut json = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--follow" => follow = Some(next_value(&mut it, "--follow")?),
-                    "--cluster" => cluster = parse_cluster(&next_value(&mut it, "--cluster")?)?,
-                    "--scheduler" => {
-                        scheduler = next_value(&mut it, "--scheduler")?.to_ascii_lowercase();
-                        if scheduler == "all" || !SCHEDULERS.contains(&scheduler.as_str()) {
-                            return Err(err(format!(
-                                "unknown --scheduler {scheduler:?} (a single scheduler from \
-                                 {SCHEDULERS:?}, not \"all\")"
-                            )));
-                        }
-                    }
-                    "--index" => {
-                        let raw = next_value(&mut it, "--index")?.to_ascii_lowercase();
-                        index = QueueStrategy::from_flag(&raw).ok_or_else(|| {
-                            err(format!("unknown --index {raw:?} (dsl|btree|pheap|naive)"))
-                        })?;
-                    }
-                    "--tenants" => tenants = Some(next_value(&mut it, "--tenants")?),
-                    "--admission" => {
-                        let raw = next_value(&mut it, "--admission")?.to_ascii_lowercase();
-                        admission = match raw.as_str() {
-                            "off" => false,
-                            "necessary" => true,
-                            _ => {
-                                return Err(err(format!(
-                                    "unknown --admission {raw:?} (off|necessary)"
-                                )))
-                            }
-                        };
-                    }
-                    "--wall-clock" => wall_clock = true,
-                    "--speedup" => {
-                        speedup = next_value(&mut it, "--speedup")?
-                            .parse()
-                            .map_err(|_| err("--speedup needs a number"))?;
-                        if !(speedup.is_finite() && speedup > 0.0) {
-                            return Err(err("--speedup must be positive"));
-                        }
-                    }
-                    "--poll-interval" => {
-                        poll_interval = parse_positive_duration(&mut it, "--poll-interval")?;
-                    }
-                    "--buffer" => {
-                        buffer = next_value(&mut it, "--buffer")?
-                            .parse()
-                            .map_err(|_| err("--buffer needs a positive integer"))?;
-                        if buffer == 0 {
-                            return Err(err("--buffer must be positive"));
-                        }
-                    }
-                    "--high" => {
-                        high = Some(
-                            next_value(&mut it, "--high")?
-                                .parse()
-                                .map_err(|_| err("--high needs an integer"))?,
-                        );
-                    }
-                    "--low" => {
-                        low = Some(
-                            next_value(&mut it, "--low")?
-                                .parse()
-                                .map_err(|_| err("--low needs an integer"))?,
-                        );
-                    }
-                    "--stop-file" => stop_file = Some(next_value(&mut it, "--stop-file")?),
-                    "--idle-timeout" => {
-                        idle_timeout = Some(parse_positive_duration(&mut it, "--idle-timeout")?);
-                    }
-                    "--max-arrivals" => {
-                        let n: u64 = next_value(&mut it, "--max-arrivals")?
-                            .parse()
-                            .map_err(|_| err("--max-arrivals needs a positive integer"))?;
-                        if n == 0 {
-                            return Err(err("--max-arrivals must be positive"));
-                        }
-                        max_arrivals = Some(n);
-                    }
-                    "--metrics-out" => metrics_out = Some(next_value(&mut it, "--metrics-out")?),
-                    "--trace-out" => trace_out = Some(next_value(&mut it, "--trace-out")?),
-                    "--json" => json = true,
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
-                }
-            }
-            let follow = follow.ok_or_else(|| err("serve needs --follow <path>"))?;
-            if let (Some(high), Some(low)) = (high, low) {
-                if low >= high {
-                    return Err(err("--low must be below --high"));
-                }
-            }
-            if !wall_clock && (speedup != 1.0 || poll_interval.as_millis() != 20) {
-                return Err(err("--speedup/--poll-interval need --wall-clock"));
-            }
-            Ok(Command::Serve {
-                follow,
-                cluster,
-                scheduler,
-                index,
-                tenants,
-                admission,
-                wall_clock,
-                speedup,
-                poll_interval,
-                buffer,
-                high,
-                low,
-                stop_file,
-                idle_timeout,
-                max_arrivals,
-                metrics_out,
-                trace_out,
-                json,
-            })
-        }
-        other => Err(err(format!(
-            "unknown command {other:?}; try `woha-cli help`"
-        ))),
-    }
+                ..PredictionConfig::default()
+            }),
+            reshuffle_cost: reshuffle_cost.unwrap_or(SimDuration::ZERO),
+            observability: run.observability(s.duration("--obs-sample-interval")?),
+            ..SimConfig::default()
+        },
+        jobs: s.parsed("--jobs")?.unwrap_or(0),
+        pad_plans,
+        trace_format: s.one_of("--trace-format", &FORMATS)?.unwrap_or_default(),
+        run,
+    }))
 }
 
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<String, ArgError> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| err(format!("{flag} needs a value")))
-}
-
-fn parse_positive_duration(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-) -> Result<woha_model::SimDuration, ArgError> {
-    let raw = next_value(it, flag)?;
-    let d = parse_duration(&raw).map_err(|e| err(format!("bad {flag} {raw:?}: {e}")))?;
-    if d.is_zero() {
-        return Err(err(format!("{flag} must be positive")));
-    }
-    Ok(d)
+fn serve_command(s: &Scanned) -> Result<Command, String> {
+    let run = run_options(s, true)?;
+    ensure(
+        run.schedulers.len() == 1,
+        "serve runs a single scheduler, not --scheduler all",
+    )?;
+    let follow = s.text("--follow").ok_or("serve needs --follow <path>")?;
+    let to_real = |d: SimDuration| std::time::Duration::from_millis(d.as_millis());
+    let wall_clock = s.given("--wall-clock");
+    s.needs(&["--speedup", "--poll-interval"], &["--wall-clock"])?;
+    let speedup = s.parsed::<f64>("--speedup")?.unwrap_or(1.0);
+    ensure(
+        speedup.is_finite() && speedup > 0.0,
+        "--speedup must be positive",
+    )?;
+    let poll = s
+        .duration("--poll-interval")?
+        .unwrap_or(SimDuration::from_millis(20));
+    let buffer = s.positive("--buffer")?.unwrap_or(1024);
+    let high = s.parsed::<usize>("--high")?;
+    let low = s.parsed::<usize>("--low")?;
+    // Either watermark alone implies the other: `--high` defaults to the
+    // buffer capacity, `--low` to half of `--high`.
+    let watermarks = (high.is_some() || low.is_some()).then(|| {
+        let high = high.unwrap_or(buffer);
+        (high, low.unwrap_or(high / 2))
+    });
+    ensure(
+        low.is_none() || watermarks.is_some_and(|(high, low)| low < high),
+        "--low must be below --high",
+    )?;
+    Ok(Command::Serve(ServeOptions {
+        run,
+        follow,
+        tenants: s.text("--tenants"),
+        service: ServeConfig {
+            clock: if wall_clock {
+                ClockMode::Wall {
+                    speedup,
+                    poll: to_real(poll),
+                }
+            } else {
+                ClockMode::Sim
+            },
+            buffer,
+            watermarks,
+            shutdown: ShutdownConfig {
+                stop_file: s.text("--stop-file").map(Into::into),
+                idle_timeout: s.duration("--idle-timeout")?.map(to_real),
+                max_arrivals: s.positive("--max-arrivals")?,
+                ..ShutdownConfig::default()
+            },
+        },
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use woha_model::SlotKind;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn simulate(list: &[&str]) -> SimulateOptions {
+        match parse(&args(&[&["simulate"], list].concat())).unwrap() {
+            Command::Simulate(options) => options,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn serve(list: &[&str]) -> ServeOptions {
+        match parse(&args(&[&["serve"], list].concat())).unwrap() {
+            Command::Serve(options) => options,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Every `--flag` token in `text`.
+    fn flags_named_in(text: &str) -> BTreeSet<&str> {
+        let is_flag_char = |c: char| c.is_ascii_lowercase() || c == '-';
+        text.match_indices("--")
+            .filter(|&(at, _)| !text[..at].ends_with(is_flag_char))
+            .map(|(at, _)| {
+                let rest = &text[at..];
+                rest[..rest.find(|c| !is_flag_char(c)).unwrap_or(rest.len())].trim_end_matches('-')
+            })
+            .filter(|flag| flag.len() > 2)
+            .collect()
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_and_documented() {
+        const README: &str = include_str!("../../../README.md");
+        let text = usage();
+        assert!(
+            README.contains(&text),
+            "README's CLI reference is not the `woha-cli help` text"
+        );
+        let mut declared = BTreeSet::new();
+        for (i, sub) in SUBCOMMANDS.iter().enumerate() {
+            // The subcommand's section of the usage text.
+            let start = text.find(&format!("  woha-cli {}", sub.name)).unwrap();
+            let end = SUBCOMMANDS.get(i + 1).map_or(text.len(), |next| {
+                text.find(&format!("  woha-cli {}", next.name)).unwrap()
+            });
+            for flag in sub.flags() {
+                let row = format!("\n      {}", flag.name);
+                let hits = text[start..end]
+                    .match_indices(&row)
+                    .filter(|&(at, _)| {
+                        !text[start + at + row.len()..].starts_with(|c: char| c != ' ' && c != '\n')
+                    })
+                    .count();
+                assert_eq!(hits, 1, "{} under {}", flag.name, sub.name);
+                assert_eq!(
+                    sub.flags().filter(|f| f.name == flag.name).count(),
+                    1,
+                    "{} declared twice for {}",
+                    flag.name,
+                    sub.name
+                );
+                declared.insert(flag.name);
+            }
+        }
+        assert_eq!(declared.len(), 46, "{declared:?}");
+
+        // README's CLI section names every flag, and no flag but these
+        // (and cargo's own, which its command lines carry).
+        let section = &README[README.find("## Quickstart").unwrap()
+            ..README.find("## Reproducing the paper's figures").unwrap()];
+        let named = flags_named_in(section);
+        let cargo: BTreeSet<&str> = ["--release", "--example", "--workspace"].into();
+        let undeclared: Vec<_> = named
+            .difference(&declared)
+            .filter(|flag| !cargo.contains(*flag))
+            .collect();
+        assert!(
+            undeclared.is_empty(),
+            "flags README names but no table declares: {undeclared:?}"
+        );
+        let unnamed: Vec<_> = declared.difference(&named).collect();
+        assert!(unnamed.is_empty(), "flags README never names: {unnamed:?}");
     }
 
     #[test]
@@ -961,12 +1145,12 @@ mod tests {
         assert!(parse(&args(&["plan"])).is_err());
         assert!(parse(&args(&["plan", "w.xml", "--cap", "soon"])).is_err());
         assert!(parse(&args(&["plan", "w.xml", "--slots", "0"])).is_err());
+        assert!(parse(&args(&["plan", "w.xml", "extra.xml"])).is_err());
     }
 
     #[test]
     fn simulate_full_line() {
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "a.xml",
             "b.xml@5m",
             "--cluster",
@@ -985,63 +1169,76 @@ mod tests {
             "pheap",
             "--no-batch",
             "--json",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate {
-                workflows,
-                arrivals,
-                cluster,
-                scheduler,
-                index,
-                batch,
-                jitter,
-                seed,
-                jobs,
-                failures,
-                predict_failures,
-                pad_plans,
-                risk_placement,
-                adaptive_blacklist,
-                admission,
-                trace_out,
-                trace_format,
-                metrics_out,
-                obs_sample_interval,
-                reshuffle_cost,
-                json,
-            } => {
-                assert_eq!(reshuffle_cost, None);
-                assert_eq!(workflows.len(), 2);
-                assert!(!predict_failures);
-                assert!(!pad_plans);
-                assert!(!risk_placement);
-                assert_eq!(adaptive_blacklist, None);
-                assert_eq!(workflows[1].release, SimTime::from_mins(5));
-                assert_eq!(arrivals, None);
-                assert_eq!(cluster.total_slots(SlotKind::Map), 64);
-                assert_eq!(scheduler, "edf");
-                assert_eq!(index, QueueStrategy::Pairing);
-                assert!(!batch);
-                assert_eq!(jitter, 0.1);
-                assert_eq!(seed, 7);
-                assert_eq!(jobs, 3);
-                assert_eq!(failures, 0.05);
-                assert!(!admission);
-                assert_eq!(trace_out, None);
-                assert_eq!(trace_format, TraceFormat::Chrome);
-                assert_eq!(metrics_out, None);
-                assert_eq!(obs_sample_interval, None);
-                assert!(json);
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        assert_eq!(o.config.reshuffle_cost, SimDuration::ZERO);
+        assert_eq!(o.workflows.len(), 2);
+        assert_eq!(o.config.prediction, None);
+        assert!(!o.pad_plans);
+        assert_eq!(o.workflows[1].release, SimTime::from_mins(5));
+        assert_eq!(o.arrivals, None);
+        assert_eq!(o.run.cluster.total_slots(SlotKind::Map), 64);
+        assert_eq!(o.run.schedulers, [SchedulerKind::Edf]);
+        assert_eq!(o.run.index, QueueStrategy::Pairing);
+        assert!(!o.config.batch_heartbeats);
+        assert_eq!(o.config.duration_jitter, 0.1);
+        assert_eq!(o.config.seed, 7);
+        assert_eq!(o.jobs, 3);
+        assert_eq!(o.config.task_failure_prob, 0.05);
+        assert!(!o.run.admission);
+        assert_eq!(o.run.trace_out, None);
+        assert_eq!(o.trace_format, TraceFormat::Chrome);
+        assert_eq!(o.run.metrics_out, None);
+        assert_eq!(o.config.observability, ObservabilityConfig::default());
+        assert!(o.run.json);
+    }
+
+    #[test]
+    fn scheduler_all_expands_in_comparison_order() {
+        use SchedulerKind::*;
+        let o = simulate(&["a.xml", "--scheduler", "ALL"]);
+        assert_eq!(
+            o.run.schedulers,
+            [WohaLpf, WohaHlf, WohaMpf, Edf, Fifo, Fair]
+        );
+        assert_eq!(simulate(&["a.xml"]).run.schedulers, [WohaLpf]);
+    }
+
+    #[test]
+    fn equals_spelling_and_repeated_flags() {
+        // `--flag=value` is `--flag value`.
+        let o = simulate(&["a.xml", "--jobs=3", "--cluster=4x2x1", "--seed=9"]);
+        assert_eq!(o.jobs, 3);
+        assert_eq!(o.run.cluster.node_count(), 4);
+        assert_eq!(o.config.seed, 9);
+        // A switch takes no value.
+        assert!(parse(&args(&["simulate", "a.xml", "--json=yes"])).is_err());
+        // A scalar flag given twice keeps its last value ...
+        let o = simulate(&["a.xml", "--seed", "1", "--seed", "2", "--scheduler", "edf"]);
+        assert_eq!(o.config.seed, 2);
+        // ... but every occurrence must parse.
+        assert!(parse(&args(&["simulate", "a.xml", "--seed", "x", "--seed", "2"])).is_err());
+        // A repeatable flag accumulates across both spellings.
+        let o = simulate(&[
+            "a.xml",
+            "--scripted-master-crash=10m",
+            "--scripted-master-crash",
+            "90s",
+            "--scripted-master-crash",
+            "5m",
+        ]);
+        assert_eq!(
+            o.run.cluster.faults().master.scripted,
+            vec![
+                SimTime::from_secs(90),
+                SimTime::from_mins(5),
+                SimTime::from_mins(10)
+            ]
+        );
     }
 
     #[test]
     fn simulate_streaming_flags() {
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "--arrivals",
             "arrivals.jsonl",
             "--admission",
@@ -1050,29 +1247,13 @@ mod tests {
             "trace.jsonl",
             "--trace-format",
             "jsonl",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate {
-                workflows,
-                arrivals,
-                admission,
-                trace_format,
-                ..
-            } => {
-                assert!(workflows.is_empty());
-                assert_eq!(arrivals.as_deref(), Some("arrivals.jsonl"));
-                assert!(admission);
-                assert_eq!(trace_format, TraceFormat::Jsonl);
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        assert!(o.workflows.is_empty());
+        assert_eq!(o.arrivals.as_deref(), Some("arrivals.jsonl"));
+        assert!(o.run.admission);
+        assert_eq!(o.trace_format, TraceFormat::Jsonl);
         // `--admission off` is the explicit spelling of the default.
-        let cmd = parse(&args(&["simulate", "a.xml", "--admission", "off"])).unwrap();
-        match cmd {
-            Command::Simulate { admission, .. } => assert!(!admission),
-            other => panic!("{other:?}"),
-        }
+        assert!(!simulate(&["a.xml", "--admission", "off"]).run.admission);
         assert!(parse(&args(&["simulate", "a.xml", "--admission", "maybe"])).is_err());
         // An arrival file replaces positional workflows entirely.
         assert!(parse(&args(&["simulate", "a.xml", "--arrivals", "w.jsonl"])).is_err());
@@ -1091,9 +1272,7 @@ mod tests {
 
     #[test]
     fn simulate_observability_flags() {
-        use woha_model::SimDuration;
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "a.xml",
             "--trace-out",
             "trace.json",
@@ -1101,21 +1280,12 @@ mod tests {
             "metrics.prom",
             "--obs-sample-interval",
             "5s",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate {
-                trace_out,
-                metrics_out,
-                obs_sample_interval,
-                ..
-            } => {
-                assert_eq!(trace_out.as_deref(), Some("trace.json"));
-                assert_eq!(metrics_out.as_deref(), Some("metrics.prom"));
-                assert_eq!(obs_sample_interval, Some(SimDuration::from_secs(5)));
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        assert_eq!(o.run.trace_out.as_deref(), Some("trace.json"));
+        assert_eq!(o.run.metrics_out.as_deref(), Some("metrics.prom"));
+        let obs = o.config.observability;
+        assert!(obs.trace && obs.metrics);
+        assert_eq!(obs.sample_interval, Some(SimDuration::from_secs(5)));
         // The sampling interval only matters with metrics on.
         assert!(parse(&args(&["simulate", "a.xml", "--obs-sample-interval", "5s"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--obs-sample-interval", "0s"])).is_err());
@@ -1130,26 +1300,20 @@ mod tests {
             ("bst", QueueStrategy::Bst),
             ("pheap", QueueStrategy::Pairing),
             ("pairing", QueueStrategy::Pairing),
-            ("naive", QueueStrategy::Naive),
         ] {
-            let cmd = parse(&args(&["simulate", "a.xml", "--index", raw])).unwrap();
-            match cmd {
-                Command::Simulate { index, batch, .. } => {
-                    assert_eq!(index, want, "{raw}");
-                    assert!(batch, "batching defaults on");
-                }
-                other => panic!("{other:?}"),
-            }
+            let o = simulate(&["a.xml", "--index", raw]);
+            assert_eq!(o.run.index, want, "{raw}");
+            assert!(o.config.batch_heartbeats, "batching defaults on");
         }
         assert!(parse(&args(&["simulate", "a.xml", "--index", "hash"])).is_err());
+        // The recompute-and-sort strawman lives in the Fig 13(a) bench only.
+        assert!(parse(&args(&["simulate", "a.xml", "--index", "naive"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--index"])).is_err());
     }
 
     #[test]
     fn simulate_fault_flags_attach_config() {
-        use woha_model::SimDuration;
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "a.xml",
             "--mtbf",
             "30m",
@@ -1161,41 +1325,27 @@ mod tests {
             "2",
             "--cluster",
             "4x2x1",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate { cluster, .. } => {
-                let f = cluster.faults();
-                assert!(f.enabled());
-                assert_eq!(f.mtbf, Some(SimDuration::from_mins(30)));
-                assert_eq!(f.mttr, SimDuration::from_mins(2));
-                assert_eq!(f.detect_missed_heartbeats, 3);
-                assert_eq!(f.blacklist_after, 2);
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        let f = o.run.cluster.faults();
+        assert!(f.enabled());
+        assert_eq!(f.mtbf, Some(SimDuration::from_mins(30)));
+        assert_eq!(f.mttr, SimDuration::from_mins(2));
+        assert_eq!(f.detect_missed_heartbeats, 3);
+        assert_eq!(f.blacklist_after, 2);
         // Defaults kick in when only --mtbf is given.
-        let cmd = parse(&args(&["simulate", "a.xml", "--mtbf", "1h"])).unwrap();
-        match cmd {
-            Command::Simulate { cluster, .. } => {
-                assert_eq!(cluster.faults().mtbf, Some(SimDuration::from_mins(60)));
-                assert_eq!(cluster.faults().mttr, SimDuration::from_mins(5));
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = simulate(&["a.xml", "--mtbf", "1h"]);
+        assert_eq!(
+            o.run.cluster.faults().mtbf,
+            Some(SimDuration::from_mins(60))
+        );
+        assert_eq!(o.run.cluster.faults().mttr, SimDuration::from_mins(5));
         // No fault flags: the cluster stays fault-free.
-        let cmd = parse(&args(&["simulate", "a.xml"])).unwrap();
-        match cmd {
-            Command::Simulate { cluster, .. } => assert!(!cluster.faults().enabled()),
-            other => panic!("{other:?}"),
-        }
+        assert!(!simulate(&["a.xml"]).run.cluster.faults().enabled());
     }
 
     #[test]
     fn simulate_master_fault_flags_attach_config() {
-        use woha_model::SimDuration;
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "a.xml",
             "--master-mtbf",
             "2h",
@@ -1204,46 +1354,34 @@ mod tests {
             "--checkpoint-interval",
             "3m",
             "--no-wal",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate { cluster, .. } => {
-                let m = &cluster.faults().master;
-                assert!(m.enabled());
-                assert_eq!(m.mtbf, Some(SimDuration::from_mins(120)));
-                assert_eq!(m.mttr, SimDuration::from_secs(45));
-                assert_eq!(m.checkpoint_interval, SimDuration::from_mins(3));
-                assert!(!m.wal);
-                assert!(m.scripted.is_empty());
-                // Master faults alone leave node faults off.
-                assert!(cluster.faults().mtbf.is_none());
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        let m = &o.run.cluster.faults().master;
+        assert!(m.enabled());
+        assert_eq!(m.mtbf, Some(SimDuration::from_mins(120)));
+        assert_eq!(m.mttr, SimDuration::from_secs(45));
+        assert_eq!(m.checkpoint_interval, SimDuration::from_mins(3));
+        assert!(!m.wal);
+        assert!(m.scripted.is_empty());
+        // Master faults alone leave node faults off.
+        assert!(o.run.cluster.faults().mtbf.is_none());
         // Scripted crashes enable master faults without --master-mtbf, keep
         // WAL + defaults, and are sorted.
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "a.xml",
             "--scripted-master-crash",
             "10m",
             "--scripted-master-crash",
             "90s",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate { cluster, .. } => {
-                let m = &cluster.faults().master;
-                assert!(m.enabled());
-                assert_eq!(m.mtbf, None);
-                assert!(m.wal);
-                assert_eq!(
-                    m.scripted,
-                    vec![SimTime::from_secs(90), SimTime::from_mins(10)]
-                );
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        let m = &o.run.cluster.faults().master;
+        assert!(m.enabled());
+        assert_eq!(m.mtbf, None);
+        assert!(m.wal);
+        assert_eq!(m.mttr, MasterFaultConfig::default().mttr);
+        assert_eq!(
+            m.scripted,
+            vec![SimTime::from_secs(90), SimTime::from_mins(10)]
+        );
     }
 
     #[test]
@@ -1272,8 +1410,7 @@ mod tests {
 
     #[test]
     fn simulate_prediction_flags() {
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "a.xml",
             "--mtbf",
             "8h",
@@ -1282,23 +1419,11 @@ mod tests {
             "--risk-placement",
             "--adaptive-blacklist",
             "2.5",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate {
-                predict_failures,
-                pad_plans,
-                risk_placement,
-                adaptive_blacklist,
-                ..
-            } => {
-                assert!(predict_failures);
-                assert!(pad_plans);
-                assert!(risk_placement);
-                assert_eq!(adaptive_blacklist, Some(2.5));
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        let prediction = o.config.prediction.expect("--predict-failures");
+        assert!(o.pad_plans);
+        assert!(prediction.risk_placement);
+        assert_eq!(prediction.adaptive_blacklist, Some(2.5));
         // The prediction layer needs fault injection to learn from.
         assert!(parse(&args(&["simulate", "a.xml", "--predict-failures"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--pad-plans"])).is_err());
@@ -1357,9 +1482,7 @@ mod tests {
 
     #[test]
     fn simulate_rack_flags_attach_topology_and_faults() {
-        use woha_model::SimDuration;
-        let cmd = parse(&args(&[
-            "simulate",
+        let o = simulate(&[
             "a.xml",
             "--cluster",
             "8x2x1",
@@ -1371,55 +1494,28 @@ mod tests {
             "10m",
             "--reshuffle-cost",
             "5s",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate {
-                cluster,
-                reshuffle_cost,
-                ..
-            } => {
-                assert_eq!(cluster.rack_count(), 2);
-                let f = cluster.faults();
-                assert!(f.enabled());
-                assert_eq!(f.rack_mtbf, Some(SimDuration::from_mins(240)));
-                assert_eq!(f.rack_mttr, Some(SimDuration::from_mins(10)));
-                // Rack faults alone leave per-node faults off.
-                assert!(f.mtbf.is_none());
-                assert_eq!(reshuffle_cost, Some(SimDuration::from_secs(5)));
-            }
-            other => panic!("{other:?}"),
-        }
+        ]);
+        assert_eq!(o.run.cluster.rack_count(), 2);
+        let f = o.run.cluster.faults();
+        assert!(f.enabled());
+        assert_eq!(f.rack_mtbf, Some(SimDuration::from_mins(240)));
+        assert_eq!(f.rack_mttr, Some(SimDuration::from_mins(10)));
+        // Rack faults alone leave per-node faults off.
+        assert!(f.mtbf.is_none());
+        assert_eq!(o.config.reshuffle_cost, SimDuration::from_secs(5));
         // --racks alone is pure topology: no fault config attaches.
-        let cmd = parse(&args(&["simulate", "a.xml", "--racks", "4"])).unwrap();
-        match cmd {
-            Command::Simulate { cluster, .. } => {
-                assert_eq!(cluster.rack_count(), 4);
-                assert!(!cluster.faults().enabled());
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = simulate(&["a.xml", "--racks", "4"]);
+        assert_eq!(o.run.cluster.rack_count(), 4);
+        assert!(!o.run.cluster.faults().enabled());
         // --rack-mttr falls back to the node --mttr when omitted.
-        let cmd = parse(&args(&[
-            "simulate",
-            "a.xml",
-            "--racks",
-            "2",
-            "--rack-mtbf",
-            "4h",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Simulate { cluster, .. } => {
-                assert_eq!(cluster.faults().rack_mttr, None);
-                assert_eq!(
-                    cluster.faults().rack_repair_mean(),
-                    cluster.faults().mttr,
-                    "repair falls back to the node MTTR"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = simulate(&["a.xml", "--racks", "2", "--rack-mtbf", "4h"]);
+        let f = o.run.cluster.faults();
+        assert_eq!(f.rack_mttr, None);
+        assert_eq!(
+            f.rack_repair_mean(),
+            f.mttr,
+            "repair falls back to the node MTTR"
+        );
     }
 
     #[test]
@@ -1485,8 +1581,11 @@ mod tests {
     fn simulate_rejects_bad_values() {
         assert!(parse(&args(&["simulate"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--cluster", "3x2"])).is_err());
+        assert!(parse(&args(&["simulate", "a.xml", "--cluster", "0x2x1"])).is_err());
+        assert!(parse(&args(&["simulate", "a.xml", "--cluster", "3x0x0"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--scheduler", "magic"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--jitter", "1.5"])).is_err());
+        assert!(parse(&args(&["simulate", "a.xml", "--failures", "1"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--unknown"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml@soon"])).is_err());
     }
@@ -1502,28 +1601,15 @@ mod tests {
 
     #[test]
     fn serve_defaults_and_full_flag_set() {
-        let cmd = parse(&args(&["serve", "--follow", "feed.jsonl"])).unwrap();
-        let Command::Serve {
-            follow,
-            scheduler,
-            admission,
-            wall_clock,
-            speedup,
-            buffer,
-            ..
-        } = cmd
-        else {
-            panic!("expected serve, got {cmd:?}");
-        };
-        assert_eq!(follow, "feed.jsonl");
-        assert_eq!(scheduler, "woha-lpf");
-        assert!(admission, "a service defends itself by default");
-        assert!(!wall_clock);
-        assert_eq!(speedup, 1.0);
-        assert_eq!(buffer, 1024);
+        let o = serve(&["--follow", "feed.jsonl"]);
+        assert_eq!(o.follow, "feed.jsonl");
+        assert_eq!(o.run.schedulers, [SchedulerKind::WohaLpf]);
+        assert!(o.run.admission, "a service defends itself by default");
+        assert_eq!(o.service.clock, ClockMode::Sim);
+        assert_eq!(o.service.buffer, 1024);
+        assert_eq!(o.service.watermarks, None);
 
-        let cmd = parse(&args(&[
-            "serve",
+        let o = serve(&[
             "--follow",
             "feed/",
             "--cluster",
@@ -1556,35 +1642,42 @@ mod tests {
             "--trace-out",
             "t.jsonl",
             "--json",
+        ]);
+        use std::time::Duration;
+        assert_eq!(o.tenants.as_deref(), Some("tenants.toml"));
+        assert!(!o.run.admission);
+        assert_eq!(
+            o.service.clock,
+            ClockMode::Wall {
+                speedup: 50.0,
+                poll: Duration::from_millis(5)
+            }
+        );
+        assert_eq!(o.service.watermarks, Some((48, 16)));
+        let shutdown = &o.service.shutdown;
+        assert_eq!(
+            shutdown.stop_file.as_deref(),
+            Some(std::path::Path::new("stop"))
+        );
+        assert_eq!(shutdown.idle_timeout, Some(Duration::from_secs(2)));
+        assert_eq!(shutdown.max_arrivals, Some(100));
+        assert!(o.run.json);
+    }
+
+    #[test]
+    fn serve_watermarks_default_from_each_other() {
+        // `--high` alone: resume at half of it.
+        let o = serve(&["--follow", "f", "--high", "48"]);
+        assert_eq!(o.service.watermarks, Some((48, 24)));
+        // `--low` alone: shed at the buffer capacity, as the usage says.
+        let o = serve(&["--follow", "f", "--low", "8"]);
+        assert_eq!(o.service.watermarks, Some((1024, 8)));
+        let o = serve(&["--follow", "f", "--buffer", "64", "--low", "8"]);
+        assert_eq!(o.service.watermarks, Some((64, 8)));
+        assert!(parse(&args(&[
+            "serve", "--follow", "f", "--buffer", "64", "--low", "64"
         ]))
-        .unwrap();
-        let Command::Serve {
-            tenants,
-            admission,
-            wall_clock,
-            speedup,
-            poll_interval,
-            high,
-            low,
-            stop_file,
-            idle_timeout,
-            max_arrivals,
-            json,
-            ..
-        } = cmd
-        else {
-            panic!("expected serve, got {cmd:?}");
-        };
-        assert_eq!(tenants.as_deref(), Some("tenants.toml"));
-        assert!(!admission);
-        assert!(wall_clock);
-        assert_eq!(speedup, 50.0);
-        assert_eq!(poll_interval.as_millis(), 5);
-        assert_eq!((high, low), (Some(48), Some(16)));
-        assert_eq!(stop_file.as_deref(), Some("stop"));
-        assert_eq!(idle_timeout.unwrap().as_millis(), 2000);
-        assert_eq!(max_arrivals, Some(100));
-        assert!(json);
+        .is_err());
     }
 
     #[test]
@@ -1593,6 +1686,19 @@ mod tests {
         assert!(parse(&args(&["serve", "--follow", "f", "--scheduler", "all"])).is_err());
         assert!(parse(&args(&["serve", "--follow", "f", "--speedup", "2"])).is_err());
         assert!(parse(&args(&["serve", "--follow", "f", "--speedup", "0"])).is_err());
+        // The wall-clock knobs need `--wall-clock` whatever their value,
+        // the defaults' spellings included.
+        assert!(parse(&args(&["serve", "--follow", "f", "--speedup", "1"])).is_err());
+        assert!(parse(&args(&["serve", "--follow", "f", "--speedup=1.0"])).is_err());
+        assert!(parse(&args(&[
+            "serve",
+            "--follow",
+            "f",
+            "--poll-interval",
+            "20ms"
+        ]))
+        .is_err());
+        assert!(parse(&args(&["serve", "--follow", "f", "--poll-interval=20ms"])).is_err());
         assert!(
             parse(&args(&[
                 "serve", "--follow", "f", "--high", "8", "--low", "8"

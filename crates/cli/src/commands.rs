@@ -1,22 +1,20 @@
 //! Command implementations for `woha-cli`. Each returns its full output
 //! as a `String`, so the commands are directly unit-testable.
 
-use crate::args::{Command, TraceFormat, WorkflowArg, USAGE};
+use crate::args::{
+    usage, Command, RunOptions, ServeOptions, SimulateOptions, TraceFormat, WorkflowArg,
+};
 use std::error::Error;
 use std::fmt::Write as _;
 use woha_bench::sweep::{available_jobs, run_sweep, CellKey};
-use woha_core::{
-    generate_plan, AdmissionController, EdfScheduler, FairScheduler, FifoScheduler, JobPriorities,
-    PadConfig, PriorityPolicy, QueueStrategy, WohaConfig, WohaScheduler,
-};
-use woha_model::{SimDuration, SlotKind, WorkflowConfig, WorkflowSpec};
-use woha_serve::{run_service, ClockMode, ServeConfig, ShutdownConfig, TenantsConfig};
+use woha_core::{generate_plan, AdmissionController, JobPriorities, PadConfig, PriorityPolicy};
+use woha_model::{SlotKind, WorkflowConfig, WorkflowSpec};
+use woha_serve::{run_service, ClockMode, TenantsConfig};
 use woha_sim::{
-    try_run_simulation_streamed, try_run_simulation_streamed_observed, AdmissionGate,
-    ClusterConfig, JsonlTraceSink, MemorySink, ObservabilityConfig, Observations, PredictionConfig,
-    SimConfig, SimReport, WorkflowScheduler,
+    try_run_simulation_streamed_observed, AdmissionGate, ClusterConfig, JsonlTraceSink, MemorySink,
+    MetricsRegistry, Observations, SimConfig, SimReport, TraceSink,
 };
-use woha_trace::{JsonlSource, VecSource, WorkloadSource};
+use woha_trace::{FollowSource, JsonlSource, VecSource, WorkloadSource};
 
 /// Runs a parsed command, returning its stdout content.
 ///
@@ -25,7 +23,7 @@ use woha_trace::{JsonlSource, VecSource, WorkloadSource};
 /// Returns any I/O, parse, or validation error, formatted for the user.
 pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
     match command {
-        Command::Help => Ok(USAGE.to_string()),
+        Command::Help => Ok(usage()),
         Command::Validate { workflows } => validate(&workflows),
         Command::Plan {
             workflow,
@@ -33,54 +31,8 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             policy,
             cap,
         } => plan(&workflow, slots, policy, cap),
-        Command::Simulate {
-            workflows,
-            arrivals,
-            cluster,
-            scheduler,
-            index,
-            batch,
-            jitter,
-            seed,
-            jobs,
-            failures,
-            predict_failures,
-            pad_plans,
-            risk_placement,
-            adaptive_blacklist,
-            admission,
-            trace_out,
-            trace_format,
-            metrics_out,
-            obs_sample_interval,
-            reshuffle_cost,
-            json,
-        } => simulate(
-            &workflows,
-            arrivals.as_deref(),
-            &cluster,
-            &scheduler,
-            index,
-            batch,
-            jitter,
-            seed,
-            jobs,
-            failures,
-            predict_failures.then(|| PredictionConfig {
-                risk_placement,
-                adaptive_blacklist,
-                ..PredictionConfig::default()
-            }),
-            pad_plans,
-            admission,
-            trace_out.as_deref(),
-            trace_format,
-            metrics_out.as_deref(),
-            obs_sample_interval,
-            reshuffle_cost,
-            json,
-        ),
-        c @ Command::Serve { .. } => serve(c),
+        Command::Simulate(options) => simulate(&options),
+        Command::Serve(options) => serve(&options),
     }
 }
 
@@ -157,369 +109,194 @@ fn plan(
     Ok(out)
 }
 
-fn build_scheduler(
-    name: &str,
-    total_slots: u32,
-    queue: QueueStrategy,
-    padding: Option<PadConfig>,
-) -> Box<dyn WorkflowScheduler> {
-    let woha = |policy| {
-        Box::new(WohaScheduler::new(WohaConfig {
-            queue,
-            padding,
-            ..WohaConfig::new(policy, total_slots)
-        }))
-    };
-    match name {
-        "fifo" => Box::new(FifoScheduler::new()),
-        "fair" => Box::new(FairScheduler::new()),
-        "edf" => Box::new(EdfScheduler::new()),
-        "woha-hlf" => woha(PriorityPolicy::Hlf),
-        "woha-mpf" => woha(PriorityPolicy::Mpf),
-        _ => woha(PriorityPolicy::Lpf),
-    }
+fn total_slots(cluster: &ClusterConfig) -> u32 {
+    cluster.total_slots(SlotKind::Map) + cluster.total_slots(SlotKind::Reduce)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn simulate(
-    workflows: &[WorkflowArg],
-    arrivals: Option<&str>,
-    cluster: &ClusterConfig,
-    scheduler: &str,
-    index: QueueStrategy,
-    batch: bool,
-    jitter: f64,
-    seed: u64,
-    jobs: usize,
-    failures: f64,
-    prediction: Option<PredictionConfig>,
-    pad_plans: bool,
-    admission: bool,
-    trace_out: Option<&str>,
-    trace_format: TraceFormat,
-    metrics_out: Option<&str>,
-    obs_sample_interval: Option<SimDuration>,
-    reshuffle_cost: Option<SimDuration>,
-    json: bool,
-) -> Result<String, Box<dyn Error>> {
-    let specs: Vec<WorkflowSpec> = workflows.iter().map(load).collect::<Result<_, _>>()?;
-    let observe = trace_out.is_some() || metrics_out.is_some();
-    if observe && scheduler == "all" {
+/// The one observed-run path `simulate` and `serve` share: open the trace
+/// sink the output flags ask for, hand it to `body` (which runs the
+/// simulation or the service and returns its result with the metrics
+/// registry), finish the sink, and write the Prometheus file.
+fn observed<R>(
+    run: &RunOptions,
+    format: TraceFormat,
+    body: impl FnOnce(Option<&mut dyn TraceSink>) -> Result<(R, Option<MetricsRegistry>), String>,
+) -> Result<R, String> {
+    let cannot_write = |path: &str, e: &dyn std::fmt::Display| format!("cannot write {path}: {e}");
+    let (result, metrics) = match (&run.trace_out, format) {
+        (None, _) => body(None)?,
+        // JSONL streams each record to disk the moment it is emitted.
+        (Some(path), TraceFormat::Jsonl) => {
+            let file = std::fs::File::create(path).map_err(|e| cannot_write(path, &e))?;
+            let mut sink = JsonlTraceSink::new(std::io::BufWriter::new(file));
+            let done = body(Some(&mut sink))?;
+            let mut writer = sink.finish().map_err(|e| cannot_write(path, &e))?;
+            std::io::Write::flush(&mut writer).map_err(|e| cannot_write(path, &e))?;
+            done
+        }
+        // The Chrome format pairs task spans in a second pass, so it
+        // buffers the records and writes the file at the end of the run.
+        (Some(path), TraceFormat::Chrome) => {
+            let mut sink = MemorySink::new();
+            let (result, metrics) = body(Some(&mut sink))?;
+            let obs = Observations {
+                trace: sink.into_records(),
+                metrics,
+                node_count: run.cluster.node_count(),
+            };
+            std::fs::write(path, obs.chrome_trace_json()).map_err(|e| cannot_write(path, &e))?;
+            (result, obs.metrics)
+        }
+    };
+    if let (Some(path), Some(m)) = (&run.metrics_out, &metrics) {
+        std::fs::write(path, m.prometheus_text()).map_err(|e| cannot_write(path, &e))?;
+    }
+    Ok(result)
+}
+
+fn simulate(options: &SimulateOptions) -> Result<String, Box<dyn Error>> {
+    let run = &options.run;
+    let specs: Vec<WorkflowSpec> = options
+        .workflows
+        .iter()
+        .map(load)
+        .collect::<Result<_, _>>()?;
+    if options.config.observability.enabled() && run.schedulers.len() > 1 {
         return Err(
             "--trace-out/--metrics-out need a single scheduler, not --scheduler all".into(),
         );
     }
-    let config = SimConfig {
-        duration_jitter: jitter,
-        task_failure_prob: failures,
-        seed,
-        batch_heartbeats: batch,
-        prediction,
-        reshuffle_cost: reshuffle_cost.unwrap_or(SimDuration::ZERO),
-        observability: ObservabilityConfig {
-            trace: trace_out.is_some(),
-            metrics: metrics_out.is_some(),
-            sample_interval: obs_sample_interval,
-            ..ObservabilityConfig::default()
-        },
-        ..SimConfig::default()
-    };
     // Arg validation guarantees --pad-plans comes with --mtbf.
-    let padding = pad_plans
-        .then(|| cluster.faults().mtbf.map(PadConfig::new))
+    let padding = options
+        .pad_plans
+        .then(|| run.cluster.faults().mtbf.map(PadConfig::new))
         .flatten();
-    let total_slots = cluster.total_slots(SlotKind::Map) + cluster.total_slots(SlotKind::Reduce);
-    let names: Vec<&str> = if scheduler == "all" {
-        vec!["woha-lpf", "woha-hlf", "woha-mpf", "edf", "fifo", "fair"]
-    } else {
-        vec![scheduler]
-    };
 
     // The scheduler comparison fans over the sweep orchestrator's worker
     // pool (`--jobs`, default available parallelism); a single scheduler
     // is a one-cell sweep and runs inline. Each cell consumes a fresh
     // source and (when enabled) a fresh admission controller, so compared
     // schedulers see the same world, and the orchestrator returns reports
-    // in `names` order regardless of completion order or thread count.
-    let jobs = if jobs == 0 { available_jobs() } else { jobs };
-    let cells: Vec<(CellKey, &str)> = names
+    // in `run.schedulers` order regardless of completion order or thread
+    // count.
+    let jobs = match options.jobs {
+        0 => available_jobs(),
+        n => n,
+    };
+    let cells: Vec<_> = run
+        .schedulers
         .iter()
-        .map(|&name| (CellKey::new().with("scheduler", name), name))
+        .map(|&kind| (CellKey::new().with("scheduler", kind), kind))
         .collect();
-    let run_cell = |name: &str| -> Result<SimReport, String> {
-        let mut s = build_scheduler(name, total_slots, index, padding);
-        let mut gate = admission.then(|| AdmissionController::new(cluster));
-        match arrivals {
-            Some(path) => {
-                let mut source =
-                    JsonlSource::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-                let report = run_one(
-                    &mut source,
-                    s.as_mut(),
-                    cluster,
-                    &config,
-                    gate.as_mut(),
-                    trace_out,
-                    trace_format,
-                    metrics_out,
-                )
-                .map_err(|e| e.to_string())?;
-                if let Some(e) = source.error() {
-                    return Err(format!("{path}: {e}"));
-                }
-                Ok(report)
-            }
-            None => {
-                let mut source = VecSource::new(specs.clone());
-                run_one(
-                    &mut source,
-                    s.as_mut(),
-                    cluster,
-                    &config,
-                    gate.as_mut(),
-                    trace_out,
-                    trace_format,
-                    metrics_out,
-                )
-                .map_err(|e| e.to_string())
-            }
+    let run_cell = |kind: woha_bench::SchedulerKind| -> Result<SimReport, String> {
+        let mut scheduler = kind.build_with(total_slots(&run.cluster), run.index, padding);
+        let mut gate = run
+            .admission
+            .then(|| AdmissionController::new(&run.cluster));
+        let open = |path| JsonlSource::open(path).map_err(|e| format!("cannot read {path}: {e}"));
+        let mut jsonl = options.arrivals.as_ref().map(open).transpose()?;
+        let mut files = VecSource::new(specs.clone());
+        let source: &mut dyn WorkloadSource = match jsonl.as_mut() {
+            Some(arrivals) => arrivals,
+            None => &mut files,
+        };
+        let report = observed(run, options.trace_format, |sink| {
+            try_run_simulation_streamed_observed(
+                source,
+                scheduler.as_mut(),
+                &run.cluster,
+                &options.config,
+                gate.as_mut().map(|g| g as &mut dyn AdmissionGate),
+                sink.map(|s| s as &mut dyn TraceSink),
+            )
+            .map_err(|e| format!("bad simulation config: {e}"))
+        })?;
+        match (&options.arrivals, jsonl.as_ref().and_then(|j| j.error())) {
+            (Some(path), Some(e)) => Err(format!("{path}: {e}")),
+            _ => Ok(report),
         }
     };
     let mut reports = Vec::new();
-    for (_, result) in run_sweep(&cells, jobs, |_, &name| run_cell(name)).results {
+    for (_, result) in run_sweep(&cells, jobs, |_, &kind| run_cell(kind)).results {
         reports.push(result?);
     }
 
-    if json {
+    if run.json {
         return Ok(format!("{}\n", serde_json::to_string_pretty(&reports)?));
     }
     let mut out = String::new();
     for report in &reports {
-        writeln!(
-            out,
-            "=== {} ===  misses {}/{}  max tardiness {}  utilization {:.1}%",
-            report.scheduler,
-            report.deadline_misses(),
-            report.outcomes.len(),
-            report.max_tardiness(),
-            report.overall_utilization() * 100.0,
-        )?;
-        if cluster.faults().enabled() {
-            writeln!(
-                out,
-                "  node failures {}  recoveries {}  blacklisted {}  tasks requeued {}  \
-                 map outputs lost {}  work lost {:.1} slot-s",
-                report.node_failures,
-                report.node_recoveries,
-                report.nodes_blacklisted,
-                report.tasks_requeued,
-                report.map_outputs_lost,
-                report.work_lost_slot_ms as f64 / 1000.0,
-            )?;
-        }
-        if let Some(a) = &report.admission {
-            let detail: Vec<String> = a
-                .rejections
-                .iter()
-                .map(|r| format!("{} x{}", r.reason, r.count))
-                .collect();
-            writeln!(
-                out,
-                "  admission rejected {}{}",
-                a.workflows_rejected,
-                if detail.is_empty() {
-                    String::new()
-                } else {
-                    format!("  ({})", detail.join(", "))
-                },
-            )?;
-        }
-        if let Some(r) = &report.recovery {
-            writeln!(
-                out,
-                "  master crashes {}  downtime {:.1}s  checkpoints {}  wal replayed {}  \
-                 readopted {}  requeued {}  orphaned {}  resubmitted {}wf/{}job",
-                r.master_crashes,
-                r.master_downtime_ms as f64 / 1000.0,
-                r.checkpoints_taken,
-                r.wal_records_replayed,
-                r.attempts_readopted,
-                r.attempts_requeued,
-                r.attempts_orphaned,
-                r.workflows_resubmitted,
-                r.jobs_resubmitted,
-            )?;
-        }
-        if let Some(d) = &report.data_plane {
-            writeln!(
-                out,
-                "  data plane: racks {}  rack outages {}  survivor requeues {}  \
-                 reshuffle events {}  reshuffle charged {:.1}s",
-                d.racks,
-                d.rack_outages,
-                d.survivor_requeues,
-                d.reshuffle_events,
-                d.reshuffle_charged_ms as f64 / 1000.0,
-            )?;
-        }
-        if let Some(p) = &report.prediction {
-            let peak = p.node_propensity.iter().copied().fold(0.0f64, f64::max);
-            writeln!(
-                out,
-                "  prediction: plans padded {}  risk-averted placements {}  \
-                 preemptive speculations {}  adaptive blacklists {}  peak propensity {:.2}",
-                p.plans_padded,
-                p.risk_averted_placements,
-                p.preemptive_speculations,
-                p.adaptive_blacklists,
-                peak,
-            )?;
-        }
-        for o in &report.outcomes {
-            writeln!(
-                out,
-                "  {:<24} submit {:>9}  finish {:>11}  deadline {:>9}  {}",
-                o.name,
-                o.submitted.to_string(),
-                o.finished
-                    .map_or("unfinished".to_string(), |t| t.to_string()),
-                deadline_str(o),
-                if o.met_deadline() { "met" } else { "MISSED" },
-            )?;
-        }
+        writeln!(out, "=== {} ===  {}", report.scheduler, summary(report))?;
+        render_report(&mut out, report, run.cluster.faults().enabled())?;
     }
     Ok(out)
 }
 
 /// Runs the live service: tail the followed feed, gate admissions, pace
 /// (or replay) the cluster, and summarize what happened.
-fn serve(command: Command) -> Result<String, Box<dyn Error>> {
-    let Command::Serve {
-        follow,
-        cluster,
-        scheduler,
-        index,
-        tenants,
-        admission,
-        wall_clock,
-        speedup,
-        poll_interval,
-        buffer,
-        high,
-        low,
-        stop_file,
-        idle_timeout,
-        max_arrivals,
-        metrics_out,
-        trace_out,
-        json,
-    } = command
-    else {
-        unreachable!("serve() is only called with Command::Serve");
-    };
-
-    let meta = std::fs::metadata(&follow).map_err(|e| format!("cannot follow {follow}: {e}"))?;
+fn serve(options: &ServeOptions) -> Result<String, Box<dyn Error>> {
+    let run = &options.run;
+    let follow = &options.follow;
+    let meta = std::fs::metadata(follow).map_err(|e| format!("cannot follow {follow}: {e}"))?;
     let source = if meta.is_dir() {
-        woha_trace::FollowSource::dir(&follow)
+        FollowSource::dir(follow)
     } else {
-        woha_trace::FollowSource::file(&follow)
+        FollowSource::file(follow)
     };
     let stop = source.stop_handle();
 
     // The gate: a tenant file wins; otherwise plain demand-bound admission
     // unless explicitly turned off.
-    let mut tenant_gate = match &tenants {
-        Some(path) => Some(TenantsConfig::load(path)?.build_gate(&cluster)),
+    let mut tenant_gate = match &options.tenants {
+        Some(path) => Some(TenantsConfig::load(path)?.build_gate(&run.cluster)),
         None => None,
     };
     let mut plain_gate =
-        (tenant_gate.is_none() && admission).then(|| AdmissionController::new(&cluster));
+        (tenant_gate.is_none() && run.admission).then(|| AdmissionController::new(&run.cluster));
     let gate: Option<&mut dyn AdmissionGate> = match (&mut tenant_gate, &mut plain_gate) {
         (Some(g), _) => Some(g),
         (None, Some(g)) => Some(g),
         (None, None) => None,
     };
 
-    let total_slots = cluster.total_slots(SlotKind::Map) + cluster.total_slots(SlotKind::Reduce);
-    let mut sched = build_scheduler(&scheduler, total_slots, index, None);
+    // Arg validation guarantees `serve` a single scheduler.
+    let mut scheduler = run.schedulers[0].build_with(total_slots(&run.cluster), run.index, None);
     let config = SimConfig {
-        observability: ObservabilityConfig {
-            metrics: metrics_out.is_some(),
-            trace: trace_out.is_some(),
-            ..ObservabilityConfig::default()
-        },
+        observability: run.observability(None),
         ..SimConfig::default()
-    };
-    let to_real = |d: SimDuration| std::time::Duration::from_millis(d.as_millis());
-    let serve_config = ServeConfig {
-        clock: if wall_clock {
-            ClockMode::Wall {
-                speedup,
-                poll: to_real(poll_interval),
-            }
-        } else {
-            ClockMode::Sim
-        },
-        buffer,
-        watermarks: high.map(|h| (h, low.unwrap_or(h / 2))),
-        shutdown: ShutdownConfig {
-            stop_file: stop_file.map(Into::into),
-            idle_timeout: idle_timeout.map(to_real),
-            max_arrivals,
-            ..ShutdownConfig::default()
-        },
     };
     // A deterministic replay must not abandon the tail of the feed when
     // the source reports "no data yet": pre-raising the stop makes the
     // FollowSource finalize and drain every written byte, then end.
-    if !wall_clock {
+    if matches!(options.service.clock, ClockMode::Sim) {
         stop.stop();
     }
-
-    let bad_config = |e: woha_sim::SimError| format!("bad service config: {e}");
-    let outcome = match &trace_out {
-        Some(path) => {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
-            let mut sink = JsonlTraceSink::new(std::io::BufWriter::new(file));
-            let outcome = run_service(
-                source,
-                Some(stop),
-                sched.as_mut(),
-                &cluster,
-                &config,
-                gate,
-                Some(&mut sink),
-                &serve_config,
-            )
-            .map_err(bad_config)?;
-            let mut writer = sink
-                .finish()
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            std::io::Write::flush(&mut writer).map_err(|e| format!("cannot write {path}: {e}"))?;
-            outcome
-        }
-        None => run_service(
+    let outcome = observed(run, TraceFormat::Jsonl, |sink| {
+        run_service(
             source,
             Some(stop),
-            sched.as_mut(),
-            &cluster,
+            scheduler.as_mut(),
+            &run.cluster,
             &config,
             gate,
-            None,
-            &serve_config,
+            sink,
+            &options.service,
         )
-        .map_err(bad_config)?,
-    };
+        .map(|mut outcome| {
+            let metrics = outcome.metrics.take();
+            (outcome, metrics)
+        })
+        .map_err(|e| format!("bad service config: {e}"))
+    })?;
     if let Some(e) = &outcome.source_error {
         return Err(e.clone().into());
     }
-    write_prometheus(metrics_out.as_deref(), outcome.metrics.as_ref())?;
 
     let cause = outcome
         .cause
         .map_or_else(|| "drained".to_string(), |c| c.to_string());
-    if json {
+    let report = &outcome.report;
+    if run.json {
         return Ok(format!(
             "{{\n  \"service\": {{\"cause\": \"{cause}\", \"arrivals\": {}, \"shed\": {}, \
              \"depth_peak\": {}, \"lag_peak_ms\": {}}},\n  \"report\": {}\n}}\n",
@@ -527,10 +304,9 @@ fn serve(command: Command) -> Result<String, Box<dyn Error>> {
             outcome.shed,
             outcome.depth_peak,
             outcome.lag_peak_ms,
-            serde_json::to_string_pretty(&outcome.report)?,
+            serde_json::to_string_pretty(report)?,
         ));
     }
-    let report = &outcome.report;
     let mut out = String::new();
     writeln!(
         out,
@@ -542,14 +318,39 @@ fn serve(command: Command) -> Result<String, Box<dyn Error>> {
         outcome.depth_peak,
         outcome.lag_peak_ms as f64 / 1000.0,
     )?;
-    writeln!(
-        out,
-        "  misses {}/{}  max tardiness {}  utilization {:.1}%",
+    writeln!(out, "  {}", summary(report))?;
+    render_report(&mut out, report, false)?;
+    Ok(out)
+}
+
+/// The one-line verdict both subcommands lead a report with.
+fn summary(report: &SimReport) -> String {
+    format!(
+        "misses {}/{}  max tardiness {}  utilization {:.1}%",
         report.deadline_misses(),
         report.outcomes.len(),
         report.max_tardiness(),
         report.overall_utilization() * 100.0,
-    )?;
+    )
+}
+
+/// Everything below the summary: one line per subsystem that was on (node
+/// faults, admission, master recovery, data plane, prediction), then one
+/// line per workflow outcome.
+fn render_report(out: &mut String, report: &SimReport, node_faults: bool) -> std::fmt::Result {
+    if node_faults {
+        writeln!(
+            out,
+            "  node failures {}  recoveries {}  blacklisted {}  tasks requeued {}  \
+             map outputs lost {}  work lost {:.1} slot-s",
+            report.node_failures,
+            report.node_recoveries,
+            report.nodes_blacklisted,
+            report.tasks_requeued,
+            report.map_outputs_lost,
+            report.work_lost_slot_ms as f64 / 1000.0,
+        )?;
+    }
     if let Some(a) = &report.admission {
         let detail: Vec<String> = a
             .rejections
@@ -567,6 +368,47 @@ fn serve(command: Command) -> Result<String, Box<dyn Error>> {
             },
         )?;
     }
+    if let Some(r) = &report.recovery {
+        writeln!(
+            out,
+            "  master crashes {}  downtime {:.1}s  checkpoints {}  wal replayed {}  \
+             readopted {}  requeued {}  orphaned {}  resubmitted {}wf/{}job",
+            r.master_crashes,
+            r.master_downtime_ms as f64 / 1000.0,
+            r.checkpoints_taken,
+            r.wal_records_replayed,
+            r.attempts_readopted,
+            r.attempts_requeued,
+            r.attempts_orphaned,
+            r.workflows_resubmitted,
+            r.jobs_resubmitted,
+        )?;
+    }
+    if let Some(d) = &report.data_plane {
+        writeln!(
+            out,
+            "  data plane: racks {}  rack outages {}  survivor requeues {}  \
+             reshuffle events {}  reshuffle charged {:.1}s",
+            d.racks,
+            d.rack_outages,
+            d.survivor_requeues,
+            d.reshuffle_events,
+            d.reshuffle_charged_ms as f64 / 1000.0,
+        )?;
+    }
+    if let Some(p) = &report.prediction {
+        let peak = p.node_propensity.iter().copied().fold(0.0f64, f64::max);
+        writeln!(
+            out,
+            "  prediction: plans padded {}  risk-averted placements {}  \
+             preemptive speculations {}  adaptive blacklists {}  peak propensity {:.2}",
+            p.plans_padded,
+            p.risk_averted_placements,
+            p.preemptive_speculations,
+            p.adaptive_blacklists,
+            peak,
+        )?;
+    }
     for o in &report.outcomes {
         writeln!(
             out,
@@ -575,122 +417,15 @@ fn serve(command: Command) -> Result<String, Box<dyn Error>> {
             o.submitted.to_string(),
             o.finished
                 .map_or("unfinished".to_string(), |t| t.to_string()),
-            deadline_str(o),
+            if o.deadline == woha_model::SimTime::MAX {
+                "none".to_string()
+            } else {
+                o.deadline.to_string()
+            },
             if o.met_deadline() { "met" } else { "MISSED" },
         )?;
     }
-    Ok(out)
-}
-
-/// Runs one scheduler over one workload source, routing the trace to the
-/// requested format and the metrics to their file.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    source: &mut dyn WorkloadSource,
-    scheduler: &mut dyn WorkflowScheduler,
-    cluster: &ClusterConfig,
-    config: &SimConfig,
-    mut gate: Option<&mut AdmissionController>,
-    trace_out: Option<&str>,
-    trace_format: TraceFormat,
-    metrics_out: Option<&str>,
-) -> Result<SimReport, Box<dyn Error>> {
-    // `&mut dyn AdmissionGate` is coerced fresh inside each branch: the
-    // streamed entry points tie the gate and sink to one lifetime, so the
-    // coercion must happen where the (shorter-lived) sink is in scope.
-    let bad_config = |e: woha_sim::SimError| format!("bad simulation config: {e}");
-    if !(config.observability.trace || config.observability.metrics) {
-        let gate = gate.as_deref_mut().map(|g| g as &mut dyn AdmissionGate);
-        return Ok(
-            try_run_simulation_streamed(source, scheduler, cluster, config, gate)
-                .map_err(bad_config)?,
-        );
-    }
-    match (trace_out, trace_format) {
-        // JSONL streams each record to disk the moment it is emitted.
-        (Some(path), TraceFormat::Jsonl) => {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
-            let mut sink = JsonlTraceSink::new(std::io::BufWriter::new(file));
-            let (report, metrics) = try_run_simulation_streamed_observed(
-                source,
-                scheduler,
-                cluster,
-                config,
-                gate.as_deref_mut().map(|g| g as &mut dyn AdmissionGate),
-                Some(&mut sink),
-            )
-            .map_err(bad_config)?;
-            let mut writer = sink
-                .finish()
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            std::io::Write::flush(&mut writer).map_err(|e| format!("cannot write {path}: {e}"))?;
-            write_prometheus(metrics_out, metrics.as_ref())?;
-            Ok(report)
-        }
-        // The Chrome format pairs task spans in a second pass, so it
-        // buffers the records and writes the file at the end of the run.
-        (Some(path), TraceFormat::Chrome) => {
-            let mut sink = MemorySink::new();
-            let (report, metrics) = try_run_simulation_streamed_observed(
-                source,
-                scheduler,
-                cluster,
-                config,
-                gate.as_deref_mut().map(|g| g as &mut dyn AdmissionGate),
-                Some(&mut sink),
-            )
-            .map_err(bad_config)?;
-            let obs = Observations {
-                trace: sink.into_records(),
-                metrics,
-                node_count: cluster.node_count(),
-            };
-            std::fs::write(path, obs.chrome_trace_json())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            write_prometheus(metrics_out, obs.metrics.as_ref())?;
-            Ok(report)
-        }
-        (None, _) => {
-            let (report, metrics) = try_run_simulation_streamed_observed(
-                source,
-                scheduler,
-                cluster,
-                config,
-                gate.map(|g| g as &mut dyn AdmissionGate),
-                None,
-            )
-            .map_err(bad_config)?;
-            write_prometheus(metrics_out, metrics.as_ref())?;
-            Ok(report)
-        }
-    }
-}
-
-fn write_prometheus(
-    path: Option<&str>,
-    metrics: Option<&woha_sim::MetricsRegistry>,
-) -> Result<(), Box<dyn Error>> {
-    if let (Some(path), Some(m)) = (path, metrics) {
-        std::fs::write(path, m.prometheus_text())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
     Ok(())
-}
-
-fn deadline_str(o: &woha_sim::WorkflowOutcome) -> String {
-    if o.deadline == woha_model::SimTime::MAX {
-        "none".to_string()
-    } else {
-        o.deadline.to_string()
-    }
-}
-
-/// A report subset for JSON output is just the full report — it already
-/// serializes.
-#[allow(dead_code)]
-fn _assert_report_serializes(r: &SimReport) -> String {
-    serde_json::to_string(r).expect("SimReport serializes")
 }
 
 #[cfg(test)]
@@ -1153,7 +888,7 @@ mod tests {
 
     /// A JSONL arrival feed of tiny namespaced workflows, as a temp file.
     fn arrivals_feed(entries: &[(&str, u64)]) -> tempfile::TempPath {
-        use woha_model::{JobSpec, SimTime, WorkflowBuilder};
+        use woha_model::{JobSpec, SimDuration, SimTime, WorkflowBuilder};
         let specs: Vec<WorkflowSpec> = entries
             .iter()
             .map(|&(name, submit_s)| {

@@ -18,7 +18,7 @@ fn main() -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage());
             return ExitCode::from(2);
         }
     };

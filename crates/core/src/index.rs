@@ -25,8 +25,8 @@
 //! time ascending, then id, on the ct list). The differential test harness
 //! in `tests/index_differential.rs` pins this down over arbitrary
 //! operation sequences. (The paper's third Fig 13(a) contender, the naive
-//! rebuild-everything scheduler, lives in [`crate::woha`] because it
-//! bypasses any incremental index.)
+//! rebuild-everything scheduler, bypasses any incremental index and lives
+//! in the Fig 13(a) harness of `woha-bench`.)
 
 use crate::skiplist::SkipList;
 use std::collections::BTreeMap;

@@ -8,7 +8,7 @@
 //!   [`plan::SchedulingPlan`]s.
 //! - **Master side** — the progress-based Workflow Scheduler ([`woha`]:
 //!   Algorithm 2) over the Double Skip List ([`index`], [`skiplist`]),
-//!   with BST and naive queue strategies for the Fig 13(a) comparison.
+//!   with BST and pairing-heap queue strategies for comparison.
 //! - **Baselines** — the ported Oozie+FIFO, Oozie+Fair, and EDF workflow
 //!   schedulers ([`baseline`]).
 //! - **Extensions** — demand-bound admission control ([`admission`]),

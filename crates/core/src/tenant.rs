@@ -17,9 +17,8 @@
 //! double as per-tenant counters with no report-schema change.
 //!
 //! The tenant configuration types deliberately avoid serde derives: the
-//! service layer parses them from a small TOML subset, and the vendored
-//! serde shim's derive does not support `#[serde(...)]` field attributes,
-//! so keeping these plain keeps the vendor surface unchanged.
+//! service layer parses them from a small TOML subset, which is not a
+//! serde format, so a derive would have no caller.
 
 use crate::admission::{AdmissionController, RejectReason};
 use std::collections::BTreeMap;

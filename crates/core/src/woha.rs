@@ -7,19 +7,19 @@
 //! task of the offered kind. Inside the chosen workflow, the job order from
 //! the client's scheduling plan decides which job the task comes from.
 //!
-//! Four queue strategies are available, extending the paper's Fig 13(a):
+//! Three queue strategies are available, extending the paper's Fig 13(a):
 //!
 //! - [`QueueStrategy::Dsl`] — the Double Skip List (O(1) head operations);
 //! - [`QueueStrategy::Bst`] — two balanced search trees (`BTreeMap`);
 //! - [`QueueStrategy::Pairing`] — a cache-dense pairing heap with lazy
-//!   decrease-key (see [`crate::pheap`]);
-//! - [`QueueStrategy::Naive`] — no incremental index: every offer
-//!   recomputes every queued workflow's lag and re-sorts, the strawman the
-//!   paper shows collapsing beyond ~10⁴ workflows.
+//!   decrease-key (see [`crate::pheap`]).
 //!
-//! All indexed strategies produce identical schedules — the backends are
-//! different data structures over the same total order (pinned by the
-//! differential test harness in `woha-core`'s `index_differential` test).
+//! All three produce identical schedules — the backends are different data
+//! structures over the same total order (pinned by the differential test
+//! harness in `woha-core`'s `index_differential` test). The paper's third
+//! Fig 13(a) contender, the recompute-and-sort strawman that collapses
+//! beyond ~10⁴ workflows, is not a scheduler option: it lives in the
+//! Fig 13(a) harness (`woha-bench`), the only place that measures it.
 
 use crate::index::{BTreeIndex, DslIndex, PriorityIndex};
 use crate::pheap::PairingIndex;
@@ -45,18 +45,15 @@ pub enum QueueStrategy {
     Bst,
     /// Pairing heap with lazy decrease-key.
     Pairing,
-    /// Recompute-and-sort on every offer.
-    Naive,
 }
 
 impl QueueStrategy {
-    /// All strategies, indexed backends first (the paper's Fig 13(a) order
-    /// with the pairing heap slotted before the naive strawman).
-    pub const ALL: [QueueStrategy; 4] = [
+    /// All strategies, in the paper's Fig 13(a) order with the pairing
+    /// heap appended.
+    pub const ALL: [QueueStrategy; 3] = [
         QueueStrategy::Dsl,
         QueueStrategy::Bst,
         QueueStrategy::Pairing,
-        QueueStrategy::Naive,
     ];
 
     /// The backend label used by the CLI (`--index`), benches, and reports.
@@ -65,7 +62,6 @@ impl QueueStrategy {
             QueueStrategy::Dsl => "dsl",
             QueueStrategy::Bst => "btree",
             QueueStrategy::Pairing => "pheap",
-            QueueStrategy::Naive => "naive",
         }
     }
 
@@ -76,19 +72,22 @@ impl QueueStrategy {
             "dsl" => Some(QueueStrategy::Dsl),
             "btree" | "bst" => Some(QueueStrategy::Bst),
             "pheap" | "pairing" => Some(QueueStrategy::Pairing),
-            "naive" => Some(QueueStrategy::Naive),
             _ => None,
         }
     }
 
-    /// Builds the incremental index for this strategy (`None` for the
-    /// naive recompute-everything strawman).
+    /// Builds the incremental index for this strategy.
+    // Always `Some`: `benchmark/src/direct.rs` pins the `Option` return
+    // type until a `benchmark` issue drops its `expect`.
     pub fn build_index(self) -> Option<Box<dyn PriorityIndex + Send>> {
+        Some(self.new_index())
+    }
+
+    fn new_index(self) -> Box<dyn PriorityIndex + Send> {
         match self {
-            QueueStrategy::Dsl => Some(Box::new(DslIndex::new())),
-            QueueStrategy::Bst => Some(Box::new(BTreeIndex::new())),
-            QueueStrategy::Pairing => Some(Box::new(PairingIndex::new())),
-            QueueStrategy::Naive => None,
+            QueueStrategy::Dsl => Box::new(DslIndex::new()),
+            QueueStrategy::Bst => Box::new(BTreeIndex::new()),
+            QueueStrategy::Pairing => Box::new(PairingIndex::new()),
         }
     }
 }
@@ -165,10 +164,8 @@ pub struct WohaScheduler {
     name: String,
     /// Records indexed by dense workflow id; `None` once completed.
     records: Vec<Option<WorkflowProgress>>,
-    /// Incremental index (all strategies but Naive).
-    index: Option<Box<dyn PriorityIndex + Send>>,
-    /// Queue membership for the naive strategy.
-    naive_members: Vec<WorkflowId>,
+    /// Incremental index over the queued workflows.
+    index: Box<dyn PriorityIndex + Send>,
     /// Last replan instant per workflow (dense by id).
     last_replan: Vec<SimTime>,
     /// Total replans performed (observable for tests and reports).
@@ -188,13 +185,12 @@ pub struct WohaScheduler {
 impl WohaScheduler {
     /// Creates a WOHA scheduler with the given configuration.
     pub fn new(config: WohaConfig) -> Self {
-        let index = config.queue.build_index();
+        let index = config.queue.new_index();
         WohaScheduler {
             name: format!("WOHA-{}", config.policy),
             config,
             records: Vec::new(),
             index,
-            naive_members: Vec::new(),
             last_replan: Vec::new(),
             replans: 0,
             rho_rollbacks: 0,
@@ -248,10 +244,7 @@ impl WohaScheduler {
     /// Algorithm 2 lines 4–19: pop ct-list heads whose requirement changed
     /// and refresh their priorities.
     fn refresh_due_workflows(&mut self, now: SimTime) {
-        let Some(index) = self.index.as_mut() else {
-            return;
-        };
-        while let Some((t, wf)) = index.min_ct() {
+        while let Some((t, wf)) = self.index.min_ct() {
             if t > now {
                 break;
             }
@@ -260,7 +253,7 @@ impl WohaScheduler {
                 .expect("indexed workflow has a record");
             let (old_ct, old_lag) = (record.next_change(), record.lag());
             record.catch_up(now);
-            index.update(
+            self.index.update(
                 wf,
                 old_ct,
                 old_lag,
@@ -303,45 +296,17 @@ impl WohaScheduler {
             return;
         };
         let old = self.records[slot].take().expect("record checked above");
-        if let Some(index) = self.index.as_mut() {
-            index.remove(wf, old.next_change(), old.lag(), old.deadline());
-        }
+        self.index
+            .remove(wf, old.next_change(), old.lag(), old.deadline());
         let new_record = WorkflowProgress::new(wf, new_plan, deadline, now);
-        if let Some(index) = self.index.as_mut() {
-            index.insert(wf, new_record.next_change(), new_record.lag(), deadline);
-        }
+        self.index
+            .insert(wf, new_record.next_change(), new_record.lag(), deadline);
         self.records[slot] = Some(new_record);
         self.last_replan[slot] = now;
         self.replans += 1;
         if let Some(buf) = &mut self.trace {
             buf.push(SchedTrace::Replan { workflow: wf });
         }
-    }
-
-    /// Picks the highest-priority workflow with an eligible task of `kind`,
-    /// and the highest-priority job within it per the plan's job order.
-    fn pick(
-        &self,
-        pool: &WorkflowPool,
-        kind: SlotKind,
-        ordered: impl Iterator<Item = WorkflowId>,
-    ) -> Option<(WorkflowId, JobId)> {
-        for wf in ordered {
-            let state = pool.workflow(wf);
-            if !state.has_eligible_task(kind) {
-                continue;
-            }
-            let record = self.progress(wf).expect("queued workflow has a record");
-            if let Some(&job) = record
-                .plan()
-                .job_order()
-                .iter()
-                .find(|&&j| pool.eligible(wf, j, kind))
-            {
-                return Some((wf, job));
-            }
-        }
-        None
     }
 }
 
@@ -351,7 +316,6 @@ impl WohaScheduler {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct WohaSnapshot {
     records: Vec<Option<WorkflowProgress>>,
-    naive_members: Vec<WorkflowId>,
     last_replan: Vec<SimTime>,
     replans: u64,
     rho_rollbacks: u64,
@@ -365,7 +329,6 @@ impl SchedulerState for WohaScheduler {
     fn snapshot_state(&self) -> Value {
         WohaSnapshot {
             records: self.records.clone(),
-            naive_members: self.naive_members.clone(),
             last_replan: self.last_replan.clone(),
             replans: self.replans,
             rho_rollbacks: self.rho_rollbacks,
@@ -379,23 +342,20 @@ impl SchedulerState for WohaScheduler {
             return;
         };
         self.records = snap.records;
-        self.naive_members = snap.naive_members;
         self.last_replan = snap.last_replan;
         self.replans = snap.replans;
         self.rho_rollbacks = snap.rho_rollbacks;
         self.plans_padded = snap.plans_padded;
         // Rebuild the index by re-inserting every queued record under its
         // current keys, replacing whatever the index held before.
-        self.index = self.config.queue.build_index();
-        if let Some(index) = self.index.as_mut() {
-            for record in self.records.iter().flatten() {
-                index.insert(
-                    record.id(),
-                    record.next_change(),
-                    record.lag(),
-                    record.deadline(),
-                );
-            }
+        self.index = self.config.queue.new_index();
+        for record in self.records.iter().flatten() {
+            self.index.insert(
+                record.id(),
+                record.next_change(),
+                record.lag(),
+                record.deadline(),
+            );
         }
     }
 }
@@ -445,11 +405,8 @@ impl WorkflowScheduler for WohaScheduler {
             self.last_replan.resize(slot + 1, SimTime::ZERO);
         }
         self.last_replan[slot] = now;
-        if let Some(index) = self.index.as_mut() {
-            index.insert(wf, record.next_change(), record.lag(), record.deadline());
-        } else {
-            self.naive_members.push(wf);
-        }
+        self.index
+            .insert(wf, record.next_change(), record.lag(), record.deadline());
         self.records[slot] = Some(record);
     }
 
@@ -461,11 +418,8 @@ impl WorkflowScheduler for WohaScheduler {
 
     fn on_workflow_completed(&mut self, _pool: &WorkflowPool, wf: WorkflowId, _now: SimTime) {
         if let Some(record) = self.records[wf.as_u64() as usize].take() {
-            if let Some(index) = self.index.as_mut() {
-                index.remove(wf, record.next_change(), record.lag(), record.deadline());
-            } else {
-                self.naive_members.retain(|&m| m != wf);
-            }
+            self.index
+                .remove(wf, record.next_change(), record.lag(), record.deadline());
         }
     }
 
@@ -482,9 +436,7 @@ impl WorkflowScheduler for WohaScheduler {
         let (ct, old_lag, deadline) = (record.next_change(), record.lag(), record.deadline());
         record.on_task_assigned();
         let new_lag = record.lag();
-        if let Some(index) = self.index.as_mut() {
-            index.update(wf, ct, old_lag, ct, new_lag, deadline);
-        }
+        self.index.update(wf, ct, old_lag, ct, new_lag, deadline);
     }
 
     fn on_task_failed(
@@ -506,9 +458,7 @@ impl WorkflowScheduler for WohaScheduler {
         let (ct, old_lag, deadline) = (record.next_change(), record.lag(), record.deadline());
         record.on_task_failed();
         let new_lag = record.lag();
-        if let Some(index) = self.index.as_mut() {
-            index.update(wf, ct, old_lag, ct, new_lag, deadline);
-        }
+        self.index.update(wf, ct, old_lag, ct, new_lag, deadline);
         self.rho_rollbacks += 1;
         if let Some(buf) = &mut self.trace {
             buf.push(SchedTrace::RhoRollback { workflow: wf });
@@ -540,80 +490,47 @@ impl WorkflowScheduler for WohaScheduler {
         kind: SlotKind,
         now: SimTime,
     ) -> Option<(WorkflowId, JobId)> {
-        match self.config.queue {
-            QueueStrategy::Naive => {
-                // Recompute every queued workflow's lag and sort — the
-                // O(n_w log n_w)-per-offer strawman.
-                let members = self.naive_members.clone();
-                let mut order: Vec<(i64, SimTime, WorkflowId)> = members
-                    .into_iter()
-                    .map(|wf| {
-                        let record = self.record_mut(wf);
-                        record.catch_up(now);
-                        (record.lag(), record.deadline(), wf)
-                    })
-                    .collect();
-                order.sort_by(|a, b| {
-                    b.0.cmp(&a.0)
-                        .then_with(|| a.1.cmp(&b.1))
-                        .then_with(|| a.2.cmp(&b.2))
-                });
-                let choice = self.pick(pool, kind, order.iter().map(|&(.., wf)| wf));
-                if let (Some(buf), Some((wf, _))) = (&mut self.trace, choice) {
-                    let rank = order.iter().position(|&(.., w)| w == wf).unwrap_or(0) as u32;
-                    buf.push(SchedTrace::Pick {
-                        workflow: wf,
-                        rank: rank + 1,
-                        blocked: 0,
-                    });
-                }
-                choice
-            }
-            _ => {
-                // The refresh stays ahead of the early-out: it is what
-                // keeps `lag()` current for `maybe_replan` and
-                // `slack_fraction`, offer after offer.
-                self.refresh_due_workflows(now);
-                if pool.ready_workflows(kind) == 0 {
-                    return None; // the walk below would reject every entry
-                }
-                let records = &self.records;
-                let index = self.index.as_mut().expect("indexed strategy");
-                // Lazy descent of the priority list: in the common case
-                // the head workflow is eligible and this touches one node.
-                let mut choice = None;
-                let mut probes = 0u32;
-                index.select(&mut |_, wf| {
-                    probes += 1;
-                    if !pool.workflow(wf).has_eligible_task(kind) {
-                        return false;
-                    }
-                    let record = records[wf.as_u64() as usize]
-                        .as_ref()
-                        .expect("queued workflow has a record");
-                    match record
-                        .plan()
-                        .job_order()
-                        .iter()
-                        .find(|&&j| pool.eligible(wf, j, kind))
-                    {
-                        Some(&job) => {
-                            choice = Some((wf, job));
-                            true
-                        }
-                        None => false,
-                    }
-                });
-                if let (Some(buf), Some((wf, _))) = (&mut self.trace, choice) {
-                    buf.push(SchedTrace::Pick {
-                        workflow: wf,
-                        rank: probes,
-                        blocked: 0,
-                    });
-                }
-                choice
-            }
+        // The refresh stays ahead of the early-out: it is what
+        // keeps `lag()` current for `maybe_replan` and
+        // `slack_fraction`, offer after offer.
+        self.refresh_due_workflows(now);
+        if pool.ready_workflows(kind) == 0 {
+            return None; // the walk below would reject every entry
         }
+        let records = &self.records;
+        // Lazy descent of the priority list: in the common case
+        // the head workflow is eligible and this touches one node.
+        let mut choice = None;
+        let mut probes = 0u32;
+        self.index.select(&mut |_, wf| {
+            probes += 1;
+            if !pool.workflow(wf).has_eligible_task(kind) {
+                return false;
+            }
+            let record = records[wf.as_u64() as usize]
+                .as_ref()
+                .expect("queued workflow has a record");
+            match record
+                .plan()
+                .job_order()
+                .iter()
+                .find(|&&j| pool.eligible(wf, j, kind))
+            {
+                Some(&job) => {
+                    choice = Some((wf, job));
+                    true
+                }
+                None => false,
+            }
+        });
+        if let (Some(buf), Some((wf, _))) = (&mut self.trace, choice) {
+            buf.push(SchedTrace::Pick {
+                workflow: wf,
+                rank: probes,
+                blocked: 0,
+            });
+        }
+        choice
     }
 
     fn assign_batch(
@@ -623,8 +540,6 @@ impl WorkflowScheduler for WohaScheduler {
         now: SimTime,
         max_tasks: u32,
     ) -> Option<Vec<(WorkflowId, JobId)>> {
-        // Naive strategy: fall back to per-slot probes.
-        self.index.as_ref()?;
         // One ct-list refresh covers the whole batch: every heartbeat in it
         // shares `now`, so requirements cannot change mid-batch.
         self.refresh_due_workflows(now);
@@ -646,10 +561,9 @@ impl WorkflowScheduler for WohaScheduler {
         let mut blocked: HashSet<u64, FxBuildHasher> = HashSet::default();
         while (picks.len() as u64) < budget {
             let records = &self.records;
-            let index = self.index.as_mut().expect("checked above");
             let mut choice = None;
             let mut probes = 0u32;
-            index.select(&mut |_, wf| {
+            self.index.select(&mut |_, wf| {
                 probes += 1;
                 if blocked.contains(&wf.as_u64()) {
                     return false;
@@ -779,14 +693,14 @@ mod tests {
             chain_workflow("w2", 10, 250),
             chain_workflow("w3", 20, 200),
         ];
+        // The backends implement the identical algorithm and must agree
+        // exactly.
         let dsl = run(QueueStrategy::Dsl, &workflows);
-        let bst = run(QueueStrategy::Bst, &workflows);
-        let naive = run(QueueStrategy::Naive, &workflows);
-        // DSL and BST implement the identical algorithm and must agree
-        // exactly; Naive recomputes priorities at slightly different
-        // instants, but on this workload it lands on the same outcomes.
-        assert_eq!(dsl.outcomes, bst.outcomes);
-        assert_eq!(dsl.outcomes, naive.outcomes);
+        assert_eq!(dsl.outcomes, run(QueueStrategy::Bst, &workflows).outcomes);
+        assert_eq!(
+            dsl.outcomes,
+            run(QueueStrategy::Pairing, &workflows).outcomes
+        );
     }
 
     #[test]

@@ -213,28 +213,14 @@ impl Rig {
             self.probe.on_task_assigned(&scratch, wf, job, kind, now);
             expected.push((wf, job, walk.expect("picked").2));
         }
-        // The batch path, as the driver runs it (the naive strategy
-        // declines batching and is probed slot by slot).
-        let picks = match self.batch.assign_batch(&self.pool, kind, now, slots) {
-            Some(picks) => {
-                for &(wf, job) in &picks {
-                    self.pool.workflow_mut(wf).start_task(job, kind);
-                }
-                picks
-            }
-            None => {
-                let mut picks = Vec::new();
-                while (picks.len() as u32) < slots {
-                    let Some((wf, job)) = self.batch.assign_task(&self.pool, kind, now) else {
-                        break;
-                    };
-                    self.pool.workflow_mut(wf).start_task(job, kind);
-                    self.batch.on_task_assigned(&self.pool, wf, job, kind, now);
-                    picks.push((wf, job));
-                }
-                picks
-            }
-        };
+        // The batch path, as the driver runs it.
+        let picks = self
+            .batch
+            .assign_batch(&self.pool, kind, now, slots)
+            .expect("WOHA never declines a batch");
+        for &(wf, job) in &picks {
+            self.pool.workflow_mut(wf).start_task(job, kind);
+        }
         let (pairs, ranks): (Vec<_>, Vec<_>) = expected
             .into_iter()
             .map(|(wf, job, rank)| ((wf, job), rank))

@@ -26,7 +26,7 @@ use woha_sim::{
 use woha_trace::{ChannelSource, FollowSource, JsonlSource, SourceStop, VecSource, WorkloadSource};
 
 /// How the driver experiences time.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum ClockMode {
     /// Deterministic replay: never waits, identical to the batch driver.
     #[default]
@@ -41,7 +41,7 @@ pub enum ClockMode {
 }
 
 /// Knobs for one [`run_service`] invocation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeConfig {
     /// Clock mode; defaults to deterministic replay.
     pub clock: ClockMode,

@@ -112,7 +112,7 @@ impl ShutdownSignal {
 
 /// Conditions the [`Watcher`] polls for. All default to disabled; a
 /// service with every condition disabled only stops when its source ends.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShutdownConfig {
     /// Stop when this file exists.
     pub stop_file: Option<PathBuf>,

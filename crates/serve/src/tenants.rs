@@ -1,9 +1,9 @@
 //! Tenant configuration files for the live service.
 //!
 //! The service reads per-tenant admission policy from a small TOML-subset
-//! file (the vendored serde derive has no field-attribute support, and the
-//! workspace has no TOML crate, so the format is parsed by hand — it
-//! accepts the natural TOML spelling of exactly the shapes we need):
+//! file (the workspace has no TOML crate, so the format is parsed by
+//! hand — it accepts the natural TOML spelling of exactly the shapes we
+//! need):
 //!
 //! ```toml
 //! # Overload arbitration: necessity | value-density | weighted-fair

@@ -3,7 +3,7 @@
 
 use crate::dataplane::DataPlaneReport;
 use crate::health::PredictionReport;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use woha_model::{SimDuration, SimTime, SlotKind, WorkflowId};
 
 /// What happened to one workflow.
@@ -225,7 +225,7 @@ pub struct AdmissionReport {
 /// [`scheduler_nanos`](Self::scheduler_nanos), which is wall-clock
 /// measurement noise): two runs of the same scenario are `==` even if the
 /// host was faster the second time.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimReport {
     /// Name of the scheduler that produced the run.
     pub scheduler: String,
@@ -286,100 +286,22 @@ pub struct SimReport {
     pub timelines: Option<Timelines>,
     /// Master failover accounting; `None` (and omitted from serialized
     /// output) unless master faults were enabled.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub recovery: Option<RecoveryReport>,
     /// Admission-gate accounting; `None` (and omitted from serialized
     /// output) unless an admission gate was supplied.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub admission: Option<AdmissionReport>,
     /// Failure-prediction accounting (propensity table, padding and
     /// risk-placement counters); `None` (and omitted from serialized
     /// output) unless failure prediction was enabled.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub prediction: Option<PredictionReport>,
     /// Data-plane accounting (rack topology, rack outages, survivor
     /// requeues, re-shuffle charges); `None` (and omitted from serialized
     /// output) unless any data-plane feature was enabled.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub data_plane: Option<DataPlaneReport>,
-}
-
-// Hand-written so that `recovery: None` / `admission: None` produce output
-// byte-identical to reports from before those subsystems existed: the keys
-// are omitted rather than serialized as `null`. Field order must match the
-// declaration order above (the derive's behaviour for every other field).
-impl Serialize for SimReport {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("scheduler".to_string(), self.scheduler.to_value()),
-            ("outcomes".to_string(), self.outcomes.to_value()),
-            ("end_time".to_string(), self.end_time.to_value()),
-            ("completed".to_string(), self.completed.to_value()),
-            ("busy_slot_ms".to_string(), self.busy_slot_ms.to_value()),
-            ("total_slots".to_string(), self.total_slots.to_value()),
-            ("tasks_executed".to_string(), self.tasks_executed.to_value()),
-            ("task_failures".to_string(), self.task_failures.to_value()),
-            (
-                "local_map_tasks".to_string(),
-                self.local_map_tasks.to_value(),
-            ),
-            (
-                "remote_map_tasks".to_string(),
-                self.remote_map_tasks.to_value(),
-            ),
-            ("delay_skips".to_string(), self.delay_skips.to_value()),
-            (
-                "scheduler_nanos".to_string(),
-                self.scheduler_nanos.to_value(),
-            ),
-            ("stragglers".to_string(), self.stragglers.to_value()),
-            (
-                "speculative_launched".to_string(),
-                self.speculative_launched.to_value(),
-            ),
-            (
-                "speculative_wins".to_string(),
-                self.speculative_wins.to_value(),
-            ),
-            ("assign_calls".to_string(), self.assign_calls.to_value()),
-            (
-                "invalid_assignments".to_string(),
-                self.invalid_assignments.to_value(),
-            ),
-            (
-                "events_processed".to_string(),
-                self.events_processed.to_value(),
-            ),
-            ("node_failures".to_string(), self.node_failures.to_value()),
-            (
-                "node_recoveries".to_string(),
-                self.node_recoveries.to_value(),
-            ),
-            (
-                "nodes_blacklisted".to_string(),
-                self.nodes_blacklisted.to_value(),
-            ),
-            ("tasks_requeued".to_string(), self.tasks_requeued.to_value()),
-            (
-                "map_outputs_lost".to_string(),
-                self.map_outputs_lost.to_value(),
-            ),
-            (
-                "work_lost_slot_ms".to_string(),
-                self.work_lost_slot_ms.to_value(),
-            ),
-            ("timelines".to_string(), self.timelines.to_value()),
-        ];
-        if let Some(recovery) = &self.recovery {
-            obj.push(("recovery".to_string(), recovery.to_value()));
-        }
-        if let Some(admission) = &self.admission {
-            obj.push(("admission".to_string(), admission.to_value()));
-        }
-        if let Some(prediction) = &self.prediction {
-            obj.push(("prediction".to_string(), prediction.to_value()));
-        }
-        if let Some(data_plane) = &self.data_plane {
-            obj.push(("data_plane".to_string(), data_plane.to_value()));
-        }
-        Value::Object(obj)
-    }
 }
 
 impl PartialEq for SimReport {

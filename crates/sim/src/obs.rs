@@ -108,8 +108,7 @@ pub enum TraceEvent {
         /// Workflows skipped as blocked (batch pre-commit) during this
         /// pick.
         blocked: u32,
-        /// Priority-index backend label (`"dsl"`, `"btree"`, `"pheap"`,
-        /// `"naive"`).
+        /// Priority-index backend label (`"dsl"`, `"btree"`, `"pheap"`).
         backend: &'static str,
     },
     /// A workflow plan was generated (Algorithm 1).

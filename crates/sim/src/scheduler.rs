@@ -207,8 +207,8 @@ pub trait WorkflowScheduler: SchedulerState {
 
     /// Label of the priority-index backend this scheduler consults, used
     /// to label the decision-time histogram (`"dsl"`, `"btree"`,
-    /// `"pheap"`, `"naive"`). The default, for schedulers without a
-    /// priority index, is `"none"`.
+    /// `"pheap"`). The default, for schedulers without a priority index,
+    /// is `"none"`.
     fn backend_label(&self) -> &'static str {
         "none"
     }
