@@ -805,6 +805,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_input_is_an_error_not_an_abort() {
+        let xml = temp_file_with(&"<a>".repeat(200_000));
+        let err = run_line(&["validate", xml.to_str()]).unwrap_err();
+        let text = err.to_string();
+        assert!(
+            text.contains("nested deeper than 128 at byte 384"),
+            "{text}"
+        );
+
+        let jsonl = temp_file_with(&format!("{}\n", "[".repeat(200_000)));
+        let err = run_line(&["simulate", "--arrivals", jsonl.to_str(), "--json"]).unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("line 1"), "{text}");
+        assert!(
+            text.contains("nesting deeper than 128 at byte 128"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn simulate_admission_counts_rejections() {
         // A 10-minute single map against a 1-minute deadline: its critical
         // path alone proves the deadline unreachable.

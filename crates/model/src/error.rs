@@ -146,6 +146,13 @@ pub enum XmlError {
         /// Byte offset where the trailing content starts.
         offset: usize,
     },
+    /// Elements nested deeper than the parser's limit.
+    TooDeep {
+        /// The nesting limit that was exceeded.
+        limit: usize,
+        /// Byte offset of the open tag that exceeded it.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for XmlError {
@@ -172,6 +179,9 @@ impl fmt::Display for XmlError {
             XmlError::NoRootElement => f.write_str("document contains no root element"),
             XmlError::TrailingContent { offset } => {
                 write!(f, "unexpected content after root element at byte {offset}")
+            }
+            XmlError::TooDeep { limit, offset } => {
+                write!(f, "elements nested deeper than {limit} at byte {offset}")
             }
         }
     }

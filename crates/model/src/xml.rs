@@ -181,14 +181,15 @@ pub fn escape(text: &str) -> String {
 /// # Errors
 ///
 /// Returns [`XmlError`] on malformed input: mismatched tags, truncated
-/// constructs, unknown entities, a missing root, or trailing content.
+/// constructs, unknown entities, a missing root, trailing content, or
+/// elements nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
     };
     p.skip_prolog()?;
-    let root = match p.parse_node()? {
+    let root = match p.parse_node(0)? {
         Some(Node::Element(e)) => e,
         _ => return Err(XmlError::NoRootElement),
     };
@@ -198,6 +199,11 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
     }
     Ok(root)
 }
+
+/// Deepest element nesting [`parse`] accepts. The parser recurses once
+/// per open element, so without a limit a hostile document overflows the
+/// stack; workflow documents nest three deep.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -370,60 +376,72 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the next node; `None` at a closing tag or end of input.
-    fn parse_node(&mut self) -> Result<Option<Node>, XmlError> {
-        self.skip_misc();
-        match self.peek() {
-            None => Ok(None),
-            Some(b'<') => {
-                if self.starts_with("</") {
-                    return Ok(None);
-                }
-                self.pos += 1;
-                let mut element = Element::new(self.read_name()?);
-                self.parse_attributes(&mut element)?;
-                if self.peek() == Some(b'/') {
-                    self.pos += 1;
-                    self.expect(b'>', "'>' closing a self-closing tag")?;
-                    return Ok(Some(Node::Element(element)));
-                }
-                self.expect(b'>', "'>' closing an open tag")?;
-                while let Some(child) = self.parse_node()? {
-                    element.children.push(child);
-                }
-                if !self.starts_with("</") {
-                    return Err(XmlError::UnexpectedEof {
-                        context: "a closing tag",
-                    });
-                }
-                self.pos += 2;
-                let closing = self.read_name()?;
-                if closing != element.name {
-                    return Err(XmlError::MismatchedTag {
-                        expected: element.name,
-                        found: closing,
-                    });
-                }
-                self.skip_whitespace();
-                self.expect(b'>', "'>' after a closing tag name")?;
-                Ok(Some(Node::Element(element)))
-            }
-            Some(_) => {
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c == b'<' {
-                        break;
+    /// `depth` is the number of elements open around it.
+    fn parse_node(&mut self, depth: usize) -> Result<Option<Node>, XmlError> {
+        loop {
+            self.skip_misc();
+            match self.peek() {
+                None => return Ok(None),
+                Some(b'<') if self.starts_with("</") => return Ok(None),
+                Some(b'<') => return self.parse_element(depth).map(|e| Some(Node::Element(e))),
+                Some(_) => {
+                    let start = self.pos;
+                    while let Some(c) = self.peek() {
+                        if c == b'<' {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    self.pos += 1;
-                }
-                let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-                let text = self.unescape_into(&raw)?;
-                if text.trim().is_empty() {
-                    self.parse_node()
-                } else {
-                    Ok(Some(Node::Text(text)))
+                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+                    let text = self.unescape_into(&raw)?;
+                    // Blank text (form feeds and the like, which
+                    // `skip_misc` does not eat) is skipped by looping, not
+                    // by recursing: comments can separate any number of
+                    // such runs.
+                    if !text.trim().is_empty() {
+                        return Ok(Some(Node::Text(text)));
+                    }
                 }
             }
         }
+    }
+
+    /// Parses the element whose open tag starts here, with its children.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        if depth >= MAX_DEPTH {
+            return Err(XmlError::TooDeep {
+                limit: MAX_DEPTH,
+                offset: self.pos,
+            });
+        }
+        self.pos += 1;
+        let mut element = Element::new(self.read_name()?);
+        self.parse_attributes(&mut element)?;
+        if self.peek() == Some(b'/') {
+            self.pos += 1;
+            self.expect(b'>', "'>' closing a self-closing tag")?;
+            return Ok(element);
+        }
+        self.expect(b'>', "'>' closing an open tag")?;
+        while let Some(child) = self.parse_node(depth + 1)? {
+            element.children.push(child);
+        }
+        if !self.starts_with("</") {
+            return Err(XmlError::UnexpectedEof {
+                context: "a closing tag",
+            });
+        }
+        self.pos += 2;
+        let closing = self.read_name()?;
+        if closing != element.name {
+            return Err(XmlError::MismatchedTag {
+                expected: element.name,
+                found: closing,
+            });
+        }
+        self.skip_whitespace();
+        self.expect(b'>', "'>' after a closing tag name")?;
+        Ok(element)
     }
 }
 
@@ -511,6 +529,34 @@ mod tests {
             parse("<a/><b/>").unwrap_err(),
             XmlError::TrailingContent { .. }
         ));
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse(&nested(100)).is_ok());
+        assert!(parse(&nested(128)).is_ok());
+        let too_deep = XmlError::TooDeep {
+            limit: 128,
+            offset: 3 * 128,
+        };
+        assert_eq!(parse(&nested(129)).unwrap_err(), too_deep);
+        // Unclosed, as a hostile file would be: an error with the depth
+        // and the offset, not a stack overflow.
+        let err = parse(&"<a>".repeat(200_000)).unwrap_err();
+        assert_eq!(err, too_deep);
+        assert_eq!(
+            err.to_string(),
+            "elements nested deeper than 128 at byte 384"
+        );
+    }
+
+    #[test]
+    fn blank_text_between_comments_does_not_nest() {
+        // A form feed is blank to `trim` but not to `skip_whitespace`, so
+        // each run is parsed as text and dropped.
+        let doc = format!("<a>{}</a>", "\u{c}<!---->".repeat(200_000));
+        assert!(parse(&doc).unwrap().children.is_empty());
     }
 
     #[test]

@@ -170,8 +170,15 @@ impl<S: WorkloadSource> ArrivalBuffer<S> {
 
     /// Pulls whatever the inner source has ready, respecting capacity and
     /// the shedding hysteresis. Bounded per call so a fast source cannot
-    /// starve the event loop.
+    /// starve the event loop. The driver polls on every loop iteration, so
+    /// a call that pulls nothing must cost nothing: an exhausted inner
+    /// source is never polled again, and the gauges are rewritten only
+    /// when a pull moved them.
     fn pump(&mut self) {
+        if self.inner_exhausted {
+            return;
+        }
+        let mut pulled = false;
         let mut pulls = self.capacity.max(16);
         while pulls > 0 {
             pulls -= 1;
@@ -187,6 +194,7 @@ impl<S: WorkloadSource> ArrivalBuffer<S> {
             match self.inner.poll_time() {
                 SourcePoll::Ready(_) => {
                     let w = self.inner.next_workflow().expect("ready source yields");
+                    pulled = true;
                     self.newest = self.newest.max(w.submit_time());
                     if self.shedding {
                         self.stats.0.shed.fetch_add(1, Ordering::SeqCst);
@@ -202,7 +210,9 @@ impl<S: WorkloadSource> ArrivalBuffer<S> {
                 }
             }
         }
-        self.update_gauges();
+        if pulled {
+            self.update_gauges();
+        }
     }
 }
 
@@ -325,6 +335,62 @@ mod tests {
         while buf.next_workflow().is_some() {}
         assert_eq!(buf.stats().lag_ms(), 0);
         assert_eq!(buf.stats().lag_peak_ms(), 4000);
+    }
+
+    /// Counts polls of the wrapped source.
+    struct CountingSource {
+        inner: VecSource,
+        polls: u64,
+    }
+
+    impl WorkloadSource for CountingSource {
+        fn peek_time(&mut self) -> Option<SimTime> {
+            self.inner.peek_time()
+        }
+
+        fn next_workflow(&mut self) -> Option<WorkflowSpec> {
+            self.inner.next_workflow()
+        }
+
+        fn poll_time(&mut self) -> SourcePoll {
+            self.polls += 1;
+            self.inner.poll_time()
+        }
+    }
+
+    #[test]
+    fn an_exhausted_inner_source_is_not_polled_again() {
+        // The driver's loop: poll on every iteration, pull now and then.
+        // A 10-deep burst into capacity 4 is read to the end (and to
+        // `Exhausted`) by the first pump; the hundreds of polls after it
+        // must not reach the inner source, and must leave the stats as the
+        // every-call gauge writes left them.
+        let counting = CountingSource {
+            inner: VecSource::new(specs(10)),
+            polls: 0,
+        };
+        let mut buf = ArrivalBuffer::new(counting, 4).with_watermarks(4, 2);
+        let mut pulled = Vec::new();
+        loop {
+            for _ in 0..100 {
+                let _ = buf.poll_time();
+            }
+            match buf.next_workflow() {
+                Some(w) => pulled.push(w.name().to_string()),
+                None => break,
+            }
+        }
+        assert!(matches!(buf.poll_time(), SourcePoll::Exhausted));
+        assert_eq!(pulled, vec!["w0", "w1", "w2", "w3"]);
+        // One poll per arrival and the one that reported `Exhausted`:
+        // none after it.
+        assert_eq!(buf.inner().polls, 11);
+        let stats = buf.stats();
+        assert_eq!(stats.arrivals(), 4);
+        assert_eq!(stats.shed(), 6);
+        assert_eq!(stats.depth_peak(), 4);
+        assert_eq!(stats.lag_peak_ms(), 9000);
+        assert_eq!((stats.depth(), stats.lag_ms()), (0, 0));
     }
 
     #[test]

@@ -181,6 +181,10 @@ impl Sim<'_> {
         // heads a fresh checkpoint cycle before anything reads one again.
         let checkpoint = self.master.checkpoint.take().expect("genesis checkpoint");
         let encoded = cfg!(debug_assertions).then(|| checkpoint.encode());
+        debug_assert!(
+            encoded.as_ref().is_none_or(MasterSnapshot::survives_text),
+            "the checkpoint reads back from its JSON text"
+        );
         let snap = checkpoint.reread().expect("checkpoint decodes");
         let taken_at = snap.taken_at;
         let wal = std::mem::take(&mut self.master.wal);

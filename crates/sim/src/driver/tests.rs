@@ -433,6 +433,61 @@ fn reduce_failures(report: &SimReport) -> u64 {
     report.tasks_executed - (report.local_map_tasks + report.remote_map_tasks) - 3
 }
 
+/// Sixty staggered workflows on a small cluster: a few thousand
+/// scheduler decisions.
+fn stopwatch_workload() -> Vec<WorkflowSpec> {
+    (0..60)
+        .map(|i| simple_workflow(&format!("w{i}"), i * 7, 6_000))
+        .collect()
+}
+
+#[test]
+fn sampled_stopwatch_estimates_scheduler_time_with_metrics_off() {
+    let report = run_simulation(
+        &stopwatch_workload(),
+        &mut SubmitOrderScheduler::new(),
+        &ClusterConfig::uniform(4, 2, 1),
+        &SimConfig::default(),
+    );
+    assert!(report.completed);
+    assert!(report.assign_calls >= 1_000, "{}", report.assign_calls);
+    assert!(report.scheduler_nanos > 0);
+    assert!(
+        report.mean_assign_nanos() < 1e6,
+        "{} ns per decision",
+        report.mean_assign_nanos()
+    );
+}
+
+#[test]
+fn every_decision_reaches_the_histogram_with_metrics_on() {
+    let cfg = SimConfig {
+        observability: ObservabilityConfig {
+            metrics: true,
+            ..ObservabilityConfig::default()
+        },
+        ..SimConfig::default()
+    };
+    // With and without the `assign_batch` attempt ahead of the per-slot
+    // probes. Both counts are what the every-call stopwatch recorded
+    // before sampling existed.
+    for (batch_heartbeats, decisions) in [(true, 5_813), (false, 2_976)] {
+        let cfg = SimConfig {
+            batch_heartbeats,
+            ..cfg.clone()
+        };
+        let (report, obs) = run_simulation_observed(
+            &stopwatch_workload(),
+            &mut SubmitOrderScheduler::new(),
+            &ClusterConfig::uniform(4, 2, 1),
+            &cfg,
+        );
+        assert!(report.completed && report.scheduler_nanos > 0);
+        let metrics = obs.metrics.expect("metrics were on");
+        assert_eq!(metrics.decision_seconds.count(), decisions);
+    }
+}
+
 mod faults {
     use super::*;
     use crate::fault::{FaultConfig, ScriptedFault};
@@ -492,6 +547,70 @@ mod faults {
         assert!(tl.down_slots().contains(&3));
         assert_eq!(*tl.down_slots().last().unwrap(), 0);
         assert_eq!(report, run(&w, &cluster, &cfg), "fault runs are seeded");
+    }
+
+    #[test]
+    fn repaired_node_re_registers_ahead_of_later_scheduled_beats() {
+        // Four nodes beat on a staggered 3 s grid (offsets 0 / 0.75 / 1.5 /
+        // 2.25 s). Node 1 comes back at 20.4 s, between grid points: its
+        // re-registration beat fires at that instant — pushed after the
+        // other nodes' next beats were already queued, and earlier than
+        // all of them — and its chain continues from there, off the grid.
+        let repaired = SimTime::from_millis(20_400);
+        let faults = FaultConfig::scripted(vec![ScriptedFault::one(
+            NodeId::new(1),
+            SimTime::from_secs(5),
+            Some(repaired),
+        )]);
+        let cluster = ClusterConfig::uniform(4, 2, 1).with_faults(faults);
+        let cfg = SimConfig {
+            observability: ObservabilityConfig {
+                trace: true,
+                ..ObservabilityConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let (report, obs) = run_simulation_observed(
+            &[simple_workflow("w", 0, 3_000)],
+            &mut SubmitOrderScheduler::new(),
+            &cluster,
+            &cfg,
+        );
+        assert!(report.completed);
+        let beats: Vec<(SimTime, usize)> = obs
+            .trace
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Heartbeat { node, .. } => Some((r.at, node)),
+                _ => None,
+            })
+            .collect();
+        assert!(beats.windows(2).all(|w| w[0].0 <= w[1].0), "time order");
+        let up = obs
+            .trace
+            .iter()
+            .position(|r| matches!(r.event, TraceEvent::NodeUp { node: 1, .. }))
+            .expect("node 1 recovers");
+        assert_eq!(obs.trace[up].at, repaired);
+        let next_beat = obs.trace[up..]
+            .iter()
+            .find(|r| matches!(r.event, TraceEvent::Heartbeat { .. }))
+            .expect("beats follow the recovery");
+        assert!(matches!(
+            next_beat.event,
+            TraceEvent::Heartbeat { node: 1, .. }
+        ));
+        assert_eq!(next_beat.at, repaired);
+        let interval = cluster.heartbeat_interval().as_millis();
+        let after: Vec<SimTime> = beats
+            .iter()
+            .filter(|&&(at, node)| node == 1 && at >= repaired)
+            .map(|&(at, _)| at)
+            .collect();
+        assert!(after.len() >= 3, "the chain restarted");
+        for (k, at) in after.iter().enumerate() {
+            assert_eq!(at.as_millis(), repaired.as_millis() + k as u64 * interval);
+        }
     }
 
     #[test]

@@ -3,9 +3,16 @@
 //! Events are totally ordered by `(time, sequence number)`: ties at the
 //! same instant are broken by insertion order, which makes every simulation
 //! run exactly reproducible.
+//!
+//! Most events of a run are TaskTracker heartbeats, and a heartbeat is
+//! re-armed one heartbeat interval after the instant it fires, so heartbeat
+//! pushes arrive in non-decreasing time order. The queue keeps them in a
+//! FIFO lane beside the heap of everything else: the lane is sorted by
+//! construction, and the earliest event is whichever of the two heads is
+//! smaller.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use woha_model::{JobId, NodeId, SimTime, SlotKind, WorkflowId};
 
 /// A simulation event.
@@ -94,14 +101,18 @@ struct Entry {
     event: Event,
 }
 
+impl Entry {
+    /// The queue order: earliest first, the arrival lane before other
+    /// same-instant events, then insertion order.
+    fn key(&self) -> (SimTime, u8, u64) {
+        (self.time, self.class, self.seq)
+    }
+}
+
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -129,6 +140,11 @@ impl PartialOrd for Entry {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Entry>,
+    /// The heartbeat lane: [`Event::Heartbeat`] entries in ascending
+    /// `(time, seq)` order. `seq` only grows, so the order holds as long
+    /// as [`push`](Self::push) appends a heartbeat only when its time is
+    /// not before the lane's last; any other heartbeat goes to the heap.
+    beats: VecDeque<Entry>,
     next_seq: u64,
 }
 
@@ -142,12 +158,22 @@ impl EventQueue {
     pub fn push(&mut self, time: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        // A heartbeat that would land before the lane's last (a repaired
+        // node re-registering at `now`, an out-of-order re-push) falls back
+        // to the heap; pop order is the same either way.
+        let in_lane = matches!(event, Event::Heartbeat(_))
+            && self.beats.back().is_none_or(|last| time >= last.time);
+        let entry = Entry {
             time,
             class: 1,
             seq,
             event,
-        });
+        };
+        if in_lane {
+            self.beats.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Schedules an arrival injected from a streaming workload source at
@@ -170,31 +196,47 @@ impl EventQueue {
         });
     }
 
+    /// The earliest pending entry and whether it heads the heartbeat lane
+    /// (rather than the heap).
+    fn head(&self) -> Option<(&Entry, bool)> {
+        match (self.beats.front(), self.heap.peek()) {
+            (Some(beat), Some(other)) if beat.key() < other.key() => Some((beat, true)),
+            (_, Some(other)) => Some((other, false)),
+            (beat, None) => beat.map(|b| (b, true)),
+        }
+    }
+
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let (_, from_lane) = self.head()?;
+        let entry = if from_lane {
+            self.beats.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        entry.map(|e| (e.time, e.event))
     }
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.head().map(|(e, _)| e.time)
     }
 
     /// The earliest pending event (the one [`pop`](Self::pop) would
     /// return), without removing it. Used by the driver to coalesce runs of
     /// same-tick heartbeats.
     pub fn peek(&self) -> Option<(SimTime, &Event)> {
-        self.heap.peek().map(|e| (e.time, &e.event))
+        self.head().map(|(e, _)| (e.time, &e.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.beats.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.beats.is_empty()
     }
 
     /// Removes every pending event and returns them in queue order
@@ -202,7 +244,7 @@ impl EventQueue {
     /// the schedule: kept events are re-pushed with fresh sequence
     /// numbers, preserving their relative order.
     pub fn drain_ordered(&mut self) -> Vec<(SimTime, Event)> {
-        let mut out = Vec::with_capacity(self.heap.len());
+        let mut out = Vec::with_capacity(self.len());
         while let Some((t, e)) = self.pop() {
             out.push((t, e));
         }
@@ -213,6 +255,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use woha_model::SimDuration;
 
     #[test]
     fn orders_by_time() {
@@ -317,5 +360,142 @@ mod tests {
         q.push(SimTime::from_secs(2), Event::WorkflowArrival(2));
         assert_eq!(q.pop().unwrap().0, SimTime::from_secs(2));
         assert_eq!(q.pop().unwrap().0, SimTime::from_secs(5));
+    }
+
+    /// The queue's specification: one `Vec` kept sorted by
+    /// `(time, class, seq)`, the earliest entry first.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(SimTime, u8, u64, Event)>,
+        next_seq: u64,
+    }
+
+    impl Model {
+        fn insert(&mut self, time: SimTime, class: u8, event: Event) {
+            let key = (time, class, self.next_seq);
+            let at = self
+                .entries
+                .partition_point(|(t, c, s, _)| (*t, *c, *s) < key);
+            self.entries.insert(at, (time, class, self.next_seq, event));
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            if self.entries.is_empty() {
+                return None;
+            }
+            let (time, _, _, event) = self.entries.remove(0);
+            Some((time, event))
+        }
+    }
+
+    /// Checks every read-only view of the queue against the model.
+    fn assert_same_head(q: &EventQueue, m: &Model) {
+        let head = m.entries.first();
+        assert_eq!(q.len(), m.entries.len());
+        assert_eq!(q.is_empty(), m.entries.is_empty());
+        assert_eq!(q.peek_time(), head.map(|e| e.0));
+        assert_eq!(q.peek(), head.map(|e| (e.0, &e.3)));
+    }
+
+    #[test]
+    fn matches_a_sorted_vec_model_under_mixed_operations() {
+        const INTERVAL: SimDuration = SimDuration::from_secs(3);
+        const NODES: u64 = 24;
+        for seed in 0..8u64 {
+            let mut state = seed;
+            let mut draw = |bound: u64| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                crate::fault::splitmix(state) % bound
+            };
+            let mut q = EventQueue::new();
+            let mut m = Model::default();
+            let mut now = SimTime::ZERO;
+            let (mut in_lane, mut fell_back, mut crashes) = (0u32, 0u32, 0u32);
+            // Pushes `event` the plain way on both sides, noting which
+            // structure a heartbeat landed in.
+            let mut push = |q: &mut EventQueue, m: &mut Model, time: SimTime, event: Event| {
+                let beat = matches!(event, Event::Heartbeat(_));
+                let lane_before = q.beats.len();
+                q.push(time, event.clone());
+                m.insert(time, 1, event);
+                in_lane += u32::from(q.beats.len() > lane_before);
+                fell_back += u32::from(beat && q.beats.len() == lane_before);
+            };
+            for step in 0..12_000u64 {
+                let node = NodeId::new(draw(NODES) as u32);
+                let completion = Event::TaskComplete {
+                    node,
+                    workflow: WorkflowId::new(step),
+                    job: JobId::new(0),
+                    kind: SlotKind::Map,
+                    attempt: step,
+                };
+                // Keep the queue from draining or growing without bound.
+                let op = if m.entries.len() < 8 {
+                    draw(5)
+                } else if m.entries.len() > 300 {
+                    5
+                } else {
+                    draw(12)
+                };
+                match op {
+                    // A re-armed heartbeat, one interval out.
+                    0 | 1 => push(&mut q, &mut m, now + INTERVAL, Event::Heartbeat(node)),
+                    // A repaired node re-registering at `now`.
+                    2 => push(&mut q, &mut m, now, Event::Heartbeat(node)),
+                    // A completion after a random delay; `draw(4) * 1500`
+                    // lands on the heartbeat grid half the time (ties).
+                    3 => {
+                        let delay = SimDuration::from_millis(draw(4) * 1500 + draw(2) * draw(9000));
+                        push(&mut q, &mut m, now + delay, completion);
+                    }
+                    // A streamed arrival, possibly at an occupied instant.
+                    4 => {
+                        let at = now + SimDuration::from_millis(draw(3) * 1500);
+                        q.push_arrival(at, Event::WorkflowArrival(step as usize));
+                        m.insert(at, 0, Event::WorkflowArrival(step as usize));
+                    }
+                    // The master-crash rebuild: drain, then re-push the
+                    // kept future shifted by the outage behind the
+                    // recovery event.
+                    11 if step % 7 == 0 => {
+                        crashes += 1;
+                        let outage = SimDuration::from_millis(1 + draw(40_000));
+                        let pending = q.drain_ordered();
+                        let mut expected = Vec::new();
+                        while let Some(entry) = m.pop() {
+                            expected.push(entry);
+                        }
+                        assert_eq!(pending, expected);
+                        assert_same_head(&q, &m);
+                        let recovered = Event::MasterRecovered { incident: step };
+                        push(&mut q, &mut m, now + outage, recovered);
+                        for (t, event) in pending {
+                            if event != Event::Checkpoint {
+                                push(&mut q, &mut m, t.saturating_add(outage), event);
+                            }
+                        }
+                    }
+                    10 => push(&mut q, &mut m, now + INTERVAL, Event::Checkpoint),
+                    // Pop; a popped heartbeat usually re-arms, as a live
+                    // node's does.
+                    _ => {
+                        let popped = q.pop();
+                        assert_eq!(popped, m.pop(), "seed {seed} step {step}");
+                        if let Some((t, event)) = popped {
+                            assert!(t >= now, "time went backwards");
+                            now = t;
+                            if matches!(event, Event::Heartbeat(_)) && draw(8) > 0 {
+                                push(&mut q, &mut m, now + INTERVAL, event);
+                            }
+                        }
+                    }
+                }
+                assert_same_head(&q, &m);
+            }
+            assert!(in_lane > 1000 && fell_back > 100 && crashes > 10);
+            assert_eq!(q.drain_ordered().len(), m.entries.len());
+        }
     }
 }

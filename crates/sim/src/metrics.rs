@@ -253,7 +253,12 @@ pub struct SimReport {
     pub delay_skips: u64,
     /// Wall-clock nanoseconds the master spent inside the scheduler's
     /// `assign_task` across the whole run — the paper's "overhead on the
-    /// master node".
+    /// master node". With
+    /// [`ObservabilityConfig::metrics`](crate::obs::ObservabilityConfig::metrics)
+    /// on every decision is stamped; otherwise this is an estimate: the
+    /// driver stamps one decision in 61 and counts it 61 times (two clock
+    /// reads cost more than the median decision), so a run of fewer than
+    /// 61 decisions reports zero.
     pub scheduler_nanos: u64,
     /// Attempts that were injected as stragglers (speculation mode).
     pub stragglers: u64,
@@ -339,7 +344,9 @@ impl PartialEq for SimReport {
 
 impl SimReport {
     /// Mean wall-clock nanoseconds per `assign_task` consultation — the
-    /// master-side scheduling overhead.
+    /// master-side scheduling overhead. As sampled as
+    /// [`scheduler_nanos`](Self::scheduler_nanos): a 1-in-61 estimate
+    /// unless the run had metrics on.
     pub fn mean_assign_nanos(&self) -> f64 {
         if self.assign_calls == 0 {
             return 0.0;

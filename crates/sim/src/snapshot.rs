@@ -353,6 +353,17 @@ impl MasterSnapshot {
         Self::from_value(value)
     }
 
+    /// Whether `tree`, an [`encode`](Self::encode)d snapshot, decodes to
+    /// the same snapshot after a trip through JSON text and its
+    /// depth-limited parser, as a master reading a checkpoint from disk
+    /// would need. A debug-assertion aid for the crash handler.
+    pub(crate) fn survives_text(tree: &Value) -> bool {
+        serde_json::to_string(tree)
+            .ok()
+            .and_then(|text| serde_json::from_str::<Value>(&text).ok())
+            .is_some_and(|parsed| Self::decode(&parsed).ok() == Self::decode(tree).ok())
+    }
+
     /// What a replacement master reads back from this checkpoint:
     /// `Self::decode(&self.encode())`, with the pool passed through its
     /// serialized form one workflow at a time. The pool is ~85 % of the
@@ -494,6 +505,21 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(MasterSnapshot::decode(&Value::Bool(true)).is_err());
         assert!(MasterSnapshot::decode(&Value::Object(vec![])).is_err());
+    }
+
+    #[test]
+    fn snapshot_text_is_parsed_with_a_nesting_limit() {
+        // The decoder a master reading checkpoint bytes would run.
+        let from_text = |text: &str| -> Result<MasterSnapshot, String> {
+            let tree: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+            MasterSnapshot::decode(&tree).map_err(|e| e.to_string())
+        };
+        let snap = sample();
+        let text = serde_json::to_string(&snap.encode()).expect("serializes");
+        assert_eq!(from_text(&text).expect("round trip"), snap);
+        assert!(MasterSnapshot::survives_text(&snap.encode()));
+        let err = from_text(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
     }
 
     #[test]
