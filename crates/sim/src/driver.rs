@@ -867,16 +867,18 @@ impl<'a> Sim<'a> {
         self.assign_node(scheduler, node);
     }
 
+    /// Whether offers go through [`WorkflowScheduler::assign_batch`].
+    /// Delay scheduling and risk-aware placement can decline individual
+    /// offers, which would desynchronize a scheduler's pre-committed batch
+    /// picks, so the batch path stays off whenever either is modelled.
+    fn batchable(&self) -> bool {
+        self.config.batch_heartbeats && self.config.locality.is_none() && !self.risk_placement_on()
+    }
+
     /// Offers all of `node`'s free slots to the scheduler, as a heartbeat
     /// response does.
     fn assign_node(&mut self, scheduler: &mut dyn WorkflowScheduler, node: NodeId) {
-        // Delay scheduling and risk-aware placement can decline individual
-        // offers, which would desynchronize a scheduler's pre-committed
-        // batch picks, so the batch path stays off whenever either is
-        // modelled.
-        let batchable = self.config.batch_heartbeats
-            && self.config.locality.is_none()
-            && !self.risk_placement_on();
+        let batchable = self.batchable();
         for kind in SlotKind::ALL {
             let free = self.nodes[node.index()].free(kind);
             let picks = (batchable && free > 0)
@@ -1273,6 +1275,92 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// The idle run: consumes the heartbeats at the head of the queue whose
+    /// offers would all come back empty, and returns whether there were
+    /// any. A beat qualifies while it heads the queue as a lane entry
+    /// before `next_arrival` and within `max_sim_time`, its node is alive,
+    /// no kind has both a free slot on the node and a ready workflow in the
+    /// pool, and `clock` lets it fire (the caller has asked for the first).
+    ///
+    /// [`Self::handle_heartbeat`] on such a beat moves `now`, counts the
+    /// event and one `assign_calls` probe per kind with a free slot, logs
+    /// the beat, and re-arms it; the scheduler is asked, finds nothing, and
+    /// nobody is listening (the caller keeps idle runs off while a sink,
+    /// a metrics registry, speculation or risk placement is on, or the
+    /// master is down). So the loop below is that pop-then-push sequence
+    /// with the no-op calls stripped, which keeps every `seq` where the
+    /// per-beat path would have put it. No event fires inside a run, so
+    /// the pool's ready counts hold throughout, and the schedulers' empty
+    /// offers coalesce into the last one of each kind
+    /// (see [`WorkflowScheduler::assign_task`]), made when the run ends.
+    fn idle_run(
+        &mut self,
+        scheduler: &mut dyn WorkflowScheduler,
+        clock: &mut dyn Clock,
+        next_arrival: SimTime,
+        logging: bool,
+    ) -> bool {
+        let ready = SlotKind::ALL.map(|kind| self.pool.ready_workflows(kind) > 0);
+        let interval = self.cluster.heartbeat_interval();
+        // The last elided offer of each kind: its instant and slot count.
+        let mut last_offer = [None::<(SimTime, u32)>; 2];
+        let mut consumed = false;
+        while let Some((t, node)) = self.queue.peek_lane_beat() {
+            let free = SlotKind::ALL.map(|kind| self.nodes[node.index()].free(kind));
+            if t >= next_arrival
+                || t > self.config.max_sim_time
+                || !self.fault.alive[node.index()]
+                || (0..2).any(|k| free[k] > 0 && ready[k])
+                || (consumed && !clock.ready_for(t))
+            {
+                break;
+            }
+            debug_assert!(t >= self.now, "time went backwards");
+            self.now = t;
+            self.events_processed += 1;
+            if logging {
+                self.master.wal.push((t, Event::Heartbeat(node)));
+            }
+            for k in 0..2 {
+                if free[k] > 0 {
+                    self.counters.assign_calls += 1;
+                    last_offer[k] = Some((t, free[k]));
+                }
+            }
+            self.queue.rearm_lane_beat(interval);
+            consumed = true;
+        }
+        // Earlier offer first, Map before Reduce at equal instants: the
+        // scheduler never sees `now` step back.
+        let mut kinds = SlotKind::ALL;
+        if let [Some((map_at, _)), Some((reduce_at, _))] = last_offer {
+            if reduce_at < map_at {
+                kinds.reverse();
+            }
+        }
+        let batchable = self.batchable();
+        for kind in kinds {
+            let Some((at, free)) = last_offer[Self::kind_index(kind)] else {
+                continue;
+            };
+            let picks = batchable
+                .then(|| self.timed(|pool, _| scheduler.assign_batch(pool, kind, at, free)))
+                .flatten();
+            let empty = match picks {
+                Some(picks) => picks.is_empty(),
+                None => self
+                    .timed(|pool, _| scheduler.assign_task(pool, kind, at))
+                    .is_none(),
+            };
+            debug_assert!(
+                empty,
+                "{} assigned with no ready workflow",
+                scheduler.name()
+            );
+        }
+        consumed
+    }
+
     /// Applies one event to the master state. Called from the main loop
     /// and, with [`Self::replaying`] set, from WAL replay during recovery.
     fn dispatch(&mut self, scheduler: &mut dyn WorkflowScheduler, event: Event) {
@@ -1653,8 +1741,17 @@ fn run_inner_clocked<'a>(
         sim.start_master(scheduler);
     }
 
+    // An elided beat is invisible only while nobody watches heartbeats and
+    // an empty offer launches nothing: see [`Sim::idle_run`].
+    let idle_runs = sim.sink.is_none()
+        && sim.metrics.is_none()
+        && config.speculation.is_none()
+        && !sim.risk_placement_on();
     let mut truncated = false;
     loop {
+        // The effective time of the source's next arrival: `None` while the
+        // source cannot say (it is pending), `MAX` once it is exhausted.
+        let mut next_arrival = None;
         // Pull every source arrival due at or before the queue head (all
         // of them when the queue is empty): each injected arrival lands in
         // the queue's priority lane at its effective submission time, so
@@ -1683,6 +1780,7 @@ fn run_inner_clocked<'a>(
             };
             let at = clock.stamp(submit.saturating_add(sim.master.arrival_shift), sim.now);
             if sim.queue.peek_time().is_some_and(|head| at > head) {
+                next_arrival = Some(at);
                 break;
             }
             let spec = source.next_workflow().expect("peeked source yields");
@@ -1706,8 +1804,11 @@ fn run_inner_clocked<'a>(
             sim.grow_ledger(index + 1);
             sim.queue.push_arrival(at, Event::WorkflowArrival(index));
         }
-        if sim.remaining == 0 && sim.exhausted {
-            break;
+        if sim.exhausted {
+            next_arrival = Some(SimTime::MAX);
+            if sim.remaining == 0 {
+                break;
+            }
         }
         // In wall-clock mode, wait (in poll slices) until the head event
         // is due, re-polling the source between slices so fresh arrivals
@@ -1715,6 +1816,18 @@ fn run_inner_clocked<'a>(
         if let Some(head) = sim.queue.peek_time() {
             if !clock.ready_for(head) {
                 continue;
+            }
+        }
+        // The master's own lifecycle events are not logged: the WAL holds
+        // what a recovering master must re-apply, and only while one is up.
+        let logging = wal_enabled && !sim.master.down;
+        if idle_runs && !sim.master.down {
+            if let Some(next_arrival) = next_arrival {
+                if sim.idle_run(scheduler, clock, next_arrival, logging) {
+                    // The run may have stopped at the instant of the next
+                    // arrival, which must be queued before that beat pops.
+                    continue;
+                }
             }
         }
         let Some((t, event)) = sim.queue.pop() else {
@@ -1729,9 +1842,6 @@ fn run_inner_clocked<'a>(
         sim.sample_gauges_until(t, false);
         sim.now = t;
         sim.events_processed += 1;
-        // The master's own lifecycle events are not logged: the WAL holds
-        // what a recovering master must re-apply, and only while one is up.
-        let logging = wal_enabled && !sim.master.down;
         if logging
             && !matches!(
                 event,

@@ -451,6 +451,9 @@ fn sampled_stopwatch_estimates_scheduler_time_with_metrics_off() {
     );
     assert!(report.completed);
     assert!(report.assign_calls >= 1_000, "{}", report.assign_calls);
+    // Offers elided by idle runs reach no stopwatch, but every task start
+    // is a decision the scheduler made: several strides' worth.
+    assert!(report.tasks_executed >= 8 * DECISION_SAMPLE_STRIDE);
     assert!(report.scheduler_nanos > 0);
     assert!(
         report.mean_assign_nanos() < 1e6,
@@ -485,6 +488,127 @@ fn every_decision_reaches_the_histogram_with_metrics_on() {
         assert!(report.completed && report.scheduler_nanos > 0);
         let metrics = obs.metrics.expect("metrics were on");
         assert_eq!(metrics.decision_seconds.count(), decisions);
+    }
+}
+
+/// The same run on the per-beat path: a trace sink keeps idle runs off.
+fn per_beat_run(
+    workflows: &[WorkflowSpec],
+    cluster: &ClusterConfig,
+    cfg: &SimConfig,
+) -> (SimReport, Observations) {
+    let cfg = SimConfig {
+        observability: ObservabilityConfig {
+            trace: true,
+            ..cfg.observability
+        },
+        ..cfg.clone()
+    };
+    run_simulation_observed(workflows, &mut SubmitOrderScheduler::new(), cluster, &cfg)
+}
+
+#[test]
+fn an_idle_run_yields_to_an_arrival_at_the_beat_it_stops_on() {
+    // One node beating at 0, 3, 6, ... s and a workflow arriving at 6 s.
+    // The arrival pops before the 6 s beat, so with a submit latency of
+    // one interval its activation is queued for 9 s ahead of that beat's
+    // re-arm, and the 9 s beat starts the map: 9 + 10 + 20 s. Were the
+    // beat popped first, the map would wait for the 12 s beat.
+    let mut b = WorkflowBuilder::new("w");
+    b.add_job(JobSpec::new(
+        "only",
+        1,
+        1,
+        SimDuration::from_secs(10),
+        SimDuration::from_secs(20),
+    ));
+    b.submit_at(SimTime::from_secs(6));
+    b.relative_deadline(SimDuration::from_secs(600));
+    let workflows = [b.build().unwrap()];
+    let cluster = ClusterConfig::uniform(1, 1, 1).with_heartbeat(SimDuration::from_secs(3));
+    let cfg = SimConfig {
+        submit_latency: cluster.heartbeat_interval(),
+        ..SimConfig::default()
+    };
+    let report = run_simulation(&workflows, &mut SubmitOrderScheduler::new(), &cluster, &cfg);
+    assert_eq!(report.outcomes[0].finished, Some(SimTime::from_secs(39)));
+    let (mut per_beat, _) = per_beat_run(&workflows, &cluster, &cfg);
+    per_beat.scheduler_nanos = report.scheduler_nanos;
+    assert_eq!(report, per_beat);
+}
+
+/// A replay clock that now and then answers "not yet" once, and keeps a
+/// log of what the driver asked it.
+#[derive(Default)]
+struct HesitantClock {
+    /// `Some((t, answer))` for a `ready_for(t)`, `None` for a `stamp`.
+    log: std::cell::RefCell<Vec<Option<(SimTime, bool)>>>,
+    /// Questions asked from inside idle runs so far.
+    asked_in_runs: usize,
+}
+
+impl Clock for HesitantClock {
+    fn ready_for(&mut self, t: SimTime) -> bool {
+        let log = self.log.get_mut();
+        // Asked back to back, with no source poll in between: from inside
+        // an idle run. Refuse every fifth such beat, once.
+        let in_run = matches!(log.last(), Some(Some((_, true))));
+        self.asked_in_runs += usize::from(in_run);
+        let ready = !(in_run && self.asked_in_runs.is_multiple_of(5));
+        log.push(Some((t, ready)));
+        ready
+    }
+
+    fn source_pending(&mut self, _next_event: Option<SimTime>) -> SourceWait {
+        SourceWait::Ended
+    }
+
+    fn stamp(&self, at: SimTime, _now: SimTime) -> SimTime {
+        self.log.borrow_mut().push(None);
+        at
+    }
+}
+
+#[test]
+fn an_idle_run_stops_at_the_beat_the_clock_refuses() {
+    // Two workflows ten minutes apart: the cluster idles in between, and
+    // the pending second arrival makes every pass of the main loop stamp
+    // it, which is how the clock tells the main loop's questions from an
+    // idle run's.
+    let workflows = [simple_workflow("a", 0, 600), simple_workflow("b", 600, 600)];
+    let cluster = ClusterConfig::uniform(4, 2, 1);
+    let cfg = SimConfig::default();
+    let mut clock = HesitantClock::default();
+    let (report, _) = try_run_simulation_clocked(
+        &mut VecSource::new(workflows.to_vec()),
+        &mut SubmitOrderScheduler::new(),
+        &cluster,
+        &cfg,
+        None,
+        None,
+        &mut clock,
+    )
+    .unwrap();
+    let mut reference =
+        run_simulation(&workflows, &mut SubmitOrderScheduler::new(), &cluster, &cfg);
+    reference.scheduler_nanos = report.scheduler_nanos;
+    assert_eq!(report, reference);
+
+    let log = clock.log.into_inner();
+    let refused: Vec<usize> = (0..log.len())
+        .filter(|&i| matches!(log[i], Some((_, false))))
+        .collect();
+    assert!(refused.len() > 20, "{} refusals", refused.len());
+    for i in refused {
+        // The run ended there: the main loop polled the source again
+        // (the stamp, while there is an arrival left to stamp) and asked
+        // about the very same beat.
+        let Some((t, false)) = log[i] else {
+            unreachable!()
+        };
+        let rest = &log[i + 1..];
+        assert_eq!(rest.iter().flatten().next(), Some(&(t, true)), "entry {i}");
+        assert_eq!(rest[0].is_none(), rest.contains(&None), "entry {i}");
     }
 }
 

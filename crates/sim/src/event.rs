@@ -13,7 +13,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use woha_model::{JobId, NodeId, SimTime, SlotKind, WorkflowId};
+use woha_model::{JobId, NodeId, SimDuration, SimTime, SlotKind, WorkflowId};
 
 /// A simulation event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,19 +156,28 @@ impl EventQueue {
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // A heartbeat that would land before the lane's last (a repaired
-        // node re-registering at `now`, an out-of-order re-push) falls back
-        // to the heap; pop order is the same either way.
-        let in_lane = matches!(event, Event::Heartbeat(_))
-            && self.beats.back().is_none_or(|last| time >= last.time);
-        let entry = Entry {
+        let seq = self.take_seq();
+        self.place(Entry {
             time,
             class: 1,
             seq,
             event,
-        };
+        });
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Files a freshly numbered class-1 entry: a heartbeat joins the lane
+    /// unless it would land before the lane's last (a repaired node
+    /// re-registering at `now`, an out-of-order re-push), which falls back
+    /// to the heap with everything else; pop order is the same either way.
+    fn place(&mut self, entry: Entry) {
+        let in_lane = matches!(entry.event, Event::Heartbeat(_))
+            && self.beats.back().is_none_or(|last| entry.time >= last.time);
         if in_lane {
             self.beats.push_back(entry);
         } else {
@@ -186,8 +195,7 @@ impl EventQueue {
     /// recovery re-pushes drained arrivals with [`push`](Self::push),
     /// which already yields them in drained (lane-ordered) order.
     pub fn push_arrival(&mut self, time: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.heap.push(Entry {
             time,
             class: 0,
@@ -229,6 +237,38 @@ impl EventQueue {
         self.head().map(|(e, _)| (e.time, &e.event))
     }
 
+    /// The time and node of the earliest pending event, if that event is a
+    /// heartbeat held in the lane: the one entry
+    /// [`rearm_lane_beat`](Self::rearm_lane_beat) may be called on. A
+    /// heartbeat that fell back to the heap answers `None` like any other
+    /// event; the driver's idle run then leaves it to [`pop`](Self::pop).
+    pub fn peek_lane_beat(&self) -> Option<(SimTime, NodeId)> {
+        match self.head()? {
+            (entry, true) => match entry.event {
+                Event::Heartbeat(node) => Some((entry.time, node)),
+                _ => unreachable!("the lane holds heartbeats only"),
+            },
+            _ => None,
+        }
+    }
+
+    /// Pops the lane heartbeat that heads the queue and schedules the same
+    /// node's next one `interval` later: [`pop`](Self::pop) followed by
+    /// [`push`](Self::push) — a fresh sequence number, the lane's fallback
+    /// rule — without moving the event out and back in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane is empty; the caller must have just seen
+    /// [`peek_lane_beat`](Self::peek_lane_beat) answer `Some`.
+    pub fn rearm_lane_beat(&mut self, interval: SimDuration) {
+        debug_assert!(matches!(self.head(), Some((_, true))));
+        let mut entry = self.beats.pop_front().expect("a lane heartbeat");
+        entry.time += interval;
+        entry.seq = self.take_seq();
+        self.place(entry);
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len() + self.beats.len()
@@ -255,7 +295,6 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use woha_model::SimDuration;
 
     #[test]
     fn orders_by_time() {
@@ -362,6 +401,27 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, SimTime::from_secs(5));
     }
 
+    #[test]
+    fn rearming_a_one_entry_lane_takes_a_fresh_seq() {
+        const INTERVAL: SimDuration = SimDuration::from_secs(3);
+        let node = NodeId::new(0);
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(1), Event::Heartbeat(node));
+        // Pushed after the beat, at the instant its re-arm will land on.
+        q.push(SimTime::from_secs(4), Event::Checkpoint);
+        assert_eq!(q.peek_lane_beat(), Some((SimTime::from_secs(1), node)));
+        q.rearm_lane_beat(INTERVAL);
+        assert_eq!((q.len(), q.beats.len()), (2, 1));
+        assert_eq!(q.peek_lane_beat(), None, "the earlier push wins the tie");
+        assert_eq!(
+            q.drain_ordered(),
+            vec![
+                (SimTime::from_secs(4), Event::Checkpoint),
+                (SimTime::from_secs(4), Event::Heartbeat(node)),
+            ]
+        );
+    }
+
     /// The queue's specification: one `Vec` kept sorted by
     /// `(time, class, seq)`, the earliest entry first.
     #[derive(Default)]
@@ -412,6 +472,11 @@ mod tests {
             let mut m = Model::default();
             let mut now = SimTime::ZERO;
             let (mut in_lane, mut fell_back, mut crashes) = (0u32, 0u32, 0u32);
+            // Re-arms of a lane head tied with a later-pushed heap entry,
+            // re-arms sent back to the heap, and lane heads that lost a tie
+            // to an earlier-pushed heap entry or to a same-instant arrival.
+            let (mut won_tie, mut rearm_fell_back) = (0u32, 0u32);
+            let (mut lost_to_seq, mut lost_to_arrival) = (0u32, 0u32);
             // Pushes `event` the plain way on both sides, noting which
             // structure a heartbeat landed in.
             let mut push = |q: &mut EventQueue, m: &mut Model, time: SimTime, event: Event| {
@@ -437,11 +502,43 @@ mod tests {
                 } else if m.entries.len() > 300 {
                     5
                 } else {
-                    draw(12)
+                    draw(15)
                 };
                 match op {
-                    // A re-armed heartbeat, one interval out.
-                    0 | 1 => push(&mut q, &mut m, now + INTERVAL, Event::Heartbeat(node)),
+                    // A re-armed heartbeat, one interval out — now and then
+                    // two, which stretches the lane past one interval so
+                    // that re-arming its head lands before its back.
+                    0 | 1 => {
+                        let ahead = INTERVAL * (1 + u64::from(draw(16) == 0));
+                        push(&mut q, &mut m, now + ahead, Event::Heartbeat(node));
+                    }
+                    // The idle run's step: the head, if it is a lane beat,
+                    // re-armed in place. The model pops it and pushes it
+                    // back one interval later.
+                    12..=14 => {
+                        let (front, other) = (q.beats.front(), q.heap.peek());
+                        if let (Some(beat), Some(other)) = (front, other) {
+                            if beat.time == other.time {
+                                won_tie += u32::from(beat.seq < other.seq && other.class == 1);
+                                lost_to_seq += u32::from(beat.seq > other.seq && other.class == 1);
+                                lost_to_arrival += u32::from(other.class == 0);
+                            }
+                        }
+                        let head = m.entries.first().map(|e| (e.0, e.3.clone()));
+                        if let Some((t, beat)) = q.peek_lane_beat() {
+                            assert_eq!(head, Some((t, Event::Heartbeat(beat))));
+                            let lane_before = q.beats.len();
+                            q.rearm_lane_beat(INTERVAL);
+                            let (_, event) = m.pop().expect("the head");
+                            m.insert(t + INTERVAL, 1, event);
+                            rearm_fell_back += u32::from(q.beats.len() < lane_before);
+                            now = t;
+                        } else {
+                            // The head is in the heap, whatever it is.
+                            let heap_head = q.heap.peek().map(|e| (e.time, e.event.clone()));
+                            assert_eq!(head, heap_head);
+                        }
+                    }
                     // A repaired node re-registering at `now`.
                     2 => push(&mut q, &mut m, now, Event::Heartbeat(node)),
                     // A completion after a random delay; `draw(4) * 1500`
@@ -495,6 +592,8 @@ mod tests {
                 assert_same_head(&q, &m);
             }
             assert!(in_lane > 1000 && fell_back > 100 && crashes > 10);
+            assert!(won_tie > 10 && rearm_fell_back > 10, "seed {seed}");
+            assert!(lost_to_seq > 10 && lost_to_arrival > 4, "seed {seed}");
             assert_eq!(q.drain_ordered().len(), m.entries.len());
         }
     }

@@ -252,13 +252,16 @@ pub struct SimReport {
     /// scheduling).
     pub delay_skips: u64,
     /// Wall-clock nanoseconds the master spent inside the scheduler's
-    /// `assign_task` across the whole run — the paper's "overhead on the
-    /// master node". With
+    /// `assign_task` / `assign_batch` across the whole run — the paper's
+    /// "overhead on the master node". With
     /// [`ObservabilityConfig::metrics`](crate::obs::ObservabilityConfig::metrics)
     /// on every decision is stamped; otherwise this is an estimate: the
     /// driver stamps one decision in 61 and counts it 61 times (two clock
     /// reads cost more than the median decision), so a run of fewer than
-    /// 61 decisions reports zero.
+    /// 61 decisions reports zero. Only calls the scheduler received are
+    /// decisions: an offer the driver's idle runs elided (see
+    /// [`assign_calls`](Self::assign_calls)) cost nothing and adds nothing
+    /// here.
     pub scheduler_nanos: u64,
     /// Attempts that were injected as stragglers (speculation mode).
     pub stragglers: u64,
@@ -266,7 +269,15 @@ pub struct SimReport {
     pub speculative_launched: u64,
     /// Races won by the speculative duplicate.
     pub speculative_wins: u64,
-    /// Number of `assign_task` consultations.
+    /// Slot offers answered, counted as per-slot `assign_task` probes: one
+    /// per task started plus one per `(heartbeat, kind)` that left a slot
+    /// free. A function of the schedule alone. It counts the offers the
+    /// driver's idle runs answer themselves — a heartbeat with a free slot
+    /// while no workflow has an eligible task of that kind, whose answer
+    /// is known to be "nothing" — exactly like the ones the scheduler
+    /// sees, so it is *not* the number of calls the scheduler received
+    /// (only the per-beat path, which a trace sink or a metrics registry
+    /// selects, makes them all).
     pub assign_calls: u64,
     /// Slot offers forfeited because the scheduler returned an ineligible
     /// job (should be zero for a correct scheduler).
@@ -343,10 +354,13 @@ impl PartialEq for SimReport {
 }
 
 impl SimReport {
-    /// Mean wall-clock nanoseconds per `assign_task` consultation — the
+    /// Mean wall-clock nanoseconds per answered slot offer — the
     /// master-side scheduling overhead. As sampled as
     /// [`scheduler_nanos`](Self::scheduler_nanos): a 1-in-61 estimate
-    /// unless the run had metrics on.
+    /// unless the run had metrics on. The divisor is
+    /// [`assign_calls`](Self::assign_calls), elided offers included at
+    /// their cost of zero, so this is the mean over all offers, not over
+    /// the calls the scheduler received.
     pub fn mean_assign_nanos(&self) -> f64 {
         if self.assign_calls == 0 {
             return 0.0;

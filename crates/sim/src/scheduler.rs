@@ -4,7 +4,9 @@
 //! The driver calls [`WorkflowScheduler::assign_task`] once per free slot
 //! whenever a heartbeat arrives (including the implicit heartbeat carried
 //! by a task completion), exactly as Hadoop's `TaskScheduler.assignTasks`
-//! is driven by TaskTracker heartbeats. Notification hooks keep the
+//! is driven by TaskTracker heartbeats — except that consecutive offers
+//! that cannot find a task are coalesced into the last one (see
+//! [`WorkflowScheduler::assign_task`]). Notification hooks keep the
 //! scheduler's own bookkeeping (queues, plans, progress) in sync with job
 //! lifecycle events; implementations only need to override the ones they
 //! use.
@@ -157,6 +159,22 @@ pub trait WorkflowScheduler: SchedulerState {
     /// walking its queue, after any per-offer upkeep it needs regardless.
     /// Filter candidates with the O(1)
     /// [`WorkflowState::has_eligible_task`](crate::WorkflowState::has_eligible_task).
+    ///
+    /// # Empty offers coalesce
+    ///
+    /// An offer made while `ready_workflows(kind)` is zero returns nothing
+    /// and may only bring *time-derived* state up to `now` — state that is
+    /// a function of `now` alone, like WOHA's plan cursors — so that any
+    /// run of consecutive such offers leaves the scheduler exactly where
+    /// the last of them alone would. The driver relies on it: when
+    /// heartbeat after heartbeat finds no ready workflow and no other event
+    /// intervenes (an *idle run*), it makes only the last offer of each
+    /// kind, with that offer's `now`, before the next hook or offer of any
+    /// kind is delivered. `now` never steps back from one call to the
+    /// next. A scheduler must therefore not count offers, nor accumulate
+    /// anything per empty offer that a later hook or pick depends on. The
+    /// same holds for [`assign_batch`](Self::assign_batch). (With a trace
+    /// sink or a metrics registry attached every offer is delivered.)
     fn assign_task(
         &mut self,
         pool: &WorkflowPool,
@@ -175,6 +193,10 @@ pub trait WorkflowScheduler: SchedulerState {
     /// starts the tasks but must not call
     /// [`on_task_assigned`](Self::on_task_assigned) for them. Fewer than
     /// `max_tasks` picks means nothing else is eligible.
+    ///
+    /// An offer made while no workflow has an eligible task of `kind`
+    /// returns `Some(vec![])` (or `None`) under the coalescing contract of
+    /// [`assign_task`](Self::assign_task).
     ///
     /// The default returns `None`: the driver falls back to per-slot
     /// `assign_task` probes. A correct batch implementation needs internal

@@ -61,7 +61,8 @@ impl WorkflowScheduler for LeastLaxityFirst {
         now: SimTime,
     ) -> Option<(WorkflowId, JobId)> {
         // Most offers find nothing; the pool counts ready workflows, so
-        // that case costs O(1) instead of a scan of every workflow.
+        // that case costs O(1) instead of a scan of every workflow. It does
+        // nothing here, so the driver may coalesce such offers freely.
         if pool.ready_workflows(kind) == 0 {
             return None;
         }

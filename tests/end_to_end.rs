@@ -1342,3 +1342,424 @@ fn rack_data_plane_survives_master_failover() {
         "failover with the data plane on must replay byte-identically"
     );
 }
+
+/// A scheduler wrapper for `idle_runs_are_invisible`: counts the offers
+/// the driver actually makes and holds it to the coalescing contract of
+/// [`WorkflowScheduler::assign_task`].
+struct OfferRecorder {
+    inner: Box<dyn WorkflowScheduler>,
+    /// `assign_task` and `assign_batch` calls received.
+    offers: u64,
+    /// The latest `now` offered, per slot kind.
+    last_offer: [Option<SimTime>; 2],
+    /// Per kind, the ascending instants of the heartbeats that advertised a
+    /// free slot of it, read off the per-beat run's trace. Empty while
+    /// that run is still being recorded, and in runs that rewind time (WAL
+    /// replay), which the contract does not cover.
+    beats: [Vec<SimTime>; 2],
+}
+
+impl OfferRecorder {
+    fn new(inner: Box<dyn WorkflowScheduler>) -> Self {
+        OfferRecorder {
+            inner,
+            offers: 0,
+            last_offer: [None; 2],
+            beats: [Vec::new(), Vec::new()],
+        }
+    }
+
+    fn offered(&mut self, kind: SlotKind, now: SimTime) {
+        self.offers += 1;
+        let last = &mut self.last_offer[kind as usize];
+        if !self.beats[kind as usize].is_empty() {
+            assert!(*last <= Some(now), "{kind:?} offers step back to {now}");
+        }
+        *last = Some(now);
+    }
+
+    /// A hook at `now` reads state that every offer before `now` must have
+    /// brought up to date: the offer of the last beat before it, or a
+    /// later one, has been made.
+    fn hook(&self, now: SimTime) {
+        for (beats, last) in self.beats.iter().zip(self.last_offer) {
+            let due = beats[..beats.partition_point(|&b| b < now)].last();
+            assert!(
+                due.copied() <= last,
+                "hook at {now}: offer of {due:?} elided"
+            );
+        }
+    }
+}
+
+impl SchedulerState for OfferRecorder {
+    fn snapshot_state(&self) -> serde::Value {
+        self.inner.snapshot_state()
+    }
+
+    fn restore_state(&mut self, pool: &WorkflowPool, state: &serde::Value) {
+        self.inner.restore_state(pool, state);
+    }
+}
+
+impl WorkflowScheduler for OfferRecorder {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn on_workflow_submitted(&mut self, pool: &WorkflowPool, wf: WorkflowId, now: SimTime) {
+        self.hook(now);
+        self.inner.on_workflow_submitted(pool, wf, now);
+    }
+
+    fn on_job_activated(&mut self, pool: &WorkflowPool, wf: WorkflowId, job: JobId, now: SimTime) {
+        self.hook(now);
+        self.inner.on_job_activated(pool, wf, job, now);
+    }
+
+    fn on_job_completed(&mut self, pool: &WorkflowPool, wf: WorkflowId, job: JobId, now: SimTime) {
+        self.hook(now);
+        self.inner.on_job_completed(pool, wf, job, now);
+    }
+
+    fn on_workflow_completed(&mut self, pool: &WorkflowPool, wf: WorkflowId, now: SimTime) {
+        self.hook(now);
+        self.inner.on_workflow_completed(pool, wf, now);
+    }
+
+    fn on_task_assigned(
+        &mut self,
+        pool: &WorkflowPool,
+        wf: WorkflowId,
+        job: JobId,
+        kind: SlotKind,
+        now: SimTime,
+    ) {
+        self.hook(now);
+        self.inner.on_task_assigned(pool, wf, job, kind, now);
+    }
+
+    fn on_task_failed(
+        &mut self,
+        pool: &WorkflowPool,
+        wf: WorkflowId,
+        job: JobId,
+        kind: SlotKind,
+        now: SimTime,
+    ) {
+        self.hook(now);
+        self.inner.on_task_failed(pool, wf, job, kind, now);
+    }
+
+    fn on_node_lost(&mut self, pool: &WorkflowPool, node: NodeId, now: SimTime) {
+        self.hook(now);
+        self.inner.on_node_lost(pool, node, now);
+    }
+
+    fn assign_task(
+        &mut self,
+        pool: &WorkflowPool,
+        kind: SlotKind,
+        now: SimTime,
+    ) -> Option<(WorkflowId, JobId)> {
+        self.offered(kind, now);
+        self.inner.assign_task(pool, kind, now)
+    }
+
+    fn assign_batch(
+        &mut self,
+        pool: &WorkflowPool,
+        kind: SlotKind,
+        now: SimTime,
+        max_tasks: u32,
+    ) -> Option<Vec<(WorkflowId, JobId)>> {
+        let picks = self.inner.assign_batch(pool, kind, now, max_tasks);
+        // A scheduler without a batch path answers `None` and is asked
+        // again slot by slot: that is one offer, counted there.
+        if picks.is_some() {
+            self.offered(kind, now);
+        }
+        picks
+    }
+
+    fn set_tracing(&mut self, on: bool) {
+        self.inner.set_tracing(on);
+    }
+
+    fn drain_trace(&mut self, out: &mut Vec<woha::sim::SchedTrace>) {
+        self.inner.drain_trace(out);
+    }
+
+    fn backend_label(&self) -> &'static str {
+        self.inner.backend_label()
+    }
+
+    fn slack_fraction(&self, pool: &WorkflowPool, wf: WorkflowId, now: SimTime) -> f64 {
+        self.hook(now);
+        self.inner.slack_fraction(pool, wf, now)
+    }
+
+    fn plans_padded(&self) -> u64 {
+        self.inner.plans_padded()
+    }
+}
+
+/// A gate that turns every third workflow away.
+#[derive(Default)]
+struct EveryThirdRejected(u64);
+
+impl AdmissionGate for EveryThirdRejected {
+    fn admit(&mut self, _spec: &WorkflowSpec, _now: SimTime) -> Result<(), String> {
+        self.0 += 1;
+        if self.0.is_multiple_of(3) {
+            Err("every_third".to_string())
+        } else {
+            Ok(())
+        }
+    }
+
+    fn release(&mut self, _name: &str) {}
+}
+
+/// Ten small seeded chains released over ten minutes: on eight nodes the
+/// cluster idles between them and inside each one's reduce tails.
+fn idle_run_workflows(seed: u64) -> Vec<WorkflowSpec> {
+    let mut rng = Rng::new(seed);
+    let mut workflows: Vec<WorkflowSpec> = (0..10)
+        .map(|i| {
+            let mut b = WorkflowBuilder::new(format!("w{i}"));
+            let mut prev = None;
+            for j in 0..rng.range_u64(2, 5) {
+                let job = b.add_job(JobSpec::new(
+                    format!("j{j}"),
+                    rng.range_u64(2, 12) as u32,
+                    rng.range_u64(1, 4) as u32,
+                    SimDuration::from_secs(rng.range_u64(5, 40)),
+                    SimDuration::from_secs(rng.range_u64(5, 40)),
+                ));
+                if let Some(prev) = prev {
+                    b.add_dependency(prev, job);
+                }
+                prev = Some(job);
+            }
+            // Whole seconds: some arrivals land on a heartbeat's instant.
+            b.submit_at(SimTime::from_secs(rng.range_u64(0, 600)));
+            b.relative_deadline(SimDuration::from_secs(rng.range_u64(240, 900)));
+            b.build().unwrap()
+        })
+        .collect();
+    workflows.sort_by_key(WorkflowSpec::submit_time);
+    workflows
+}
+
+/// Tentpole differential: a run whose idle heartbeats are consumed by the
+/// driver's idle runs is byte-identical to the same run on the per-beat
+/// path (a trace sink keeps idle runs off), for every scheduler family and
+/// every driver feature an idle beat passes through; and the schedulers
+/// are offered exactly what the coalescing contract promises them.
+#[test]
+fn idle_runs_are_invisible() {
+    struct Case {
+        label: &'static str,
+        cluster: ClusterConfig,
+        config: SimConfig,
+        replan: bool,
+        gated: bool,
+        /// Time never rewinds (no WAL replay), so the offer-order half of
+        /// the contract is checked too.
+        monotonic: bool,
+        /// Fault-free and run to completion, so the events are heartbeats
+        /// plus one per arrival, job activation and task completion.
+        countable: bool,
+        /// What the case is there for, counted from a report and the
+        /// trace's replans: it must happen under some scheduler and seed.
+        exercises: fn(&SimReport, u64) -> u64,
+    }
+    let base = ClusterConfig::uniform(8, 2, 1);
+    let plain = |label, config: SimConfig| Case {
+        label,
+        cluster: base.clone(),
+        config,
+        replan: false,
+        gated: false,
+        monotonic: true,
+        countable: true,
+        exercises: |r, _| r.events_processed,
+    };
+    let faulty = |label, faults: FaultConfig| Case {
+        cluster: base.clone().with_racks(2).with_faults(faults),
+        countable: false,
+        exercises: |r, _| r.node_failures,
+        ..plain(label, SimConfig::default())
+    };
+    let master_faulty = |label, wal| Case {
+        monotonic: false,
+        exercises: |r, _| r.recovery.as_ref().map_or(0, |m| m.master_crashes),
+        ..faulty(
+            label,
+            FaultConfig {
+                master: MasterFaultConfig {
+                    mtbf: Some(SimDuration::from_mins(4)),
+                    mttr: SimDuration::from_secs(20),
+                    checkpoint_interval: SimDuration::from_mins(1),
+                    wal,
+                    ..MasterFaultConfig::default()
+                },
+                ..FaultConfig::default()
+            },
+        )
+    };
+    let cases = [
+        plain("default", SimConfig::default()),
+        plain(
+            "per-slot",
+            SimConfig {
+                batch_heartbeats: false,
+                ..SimConfig::default()
+            },
+        ),
+        Case {
+            exercises: |r, _| r.delay_skips,
+            ..plain(
+                "delay scheduling",
+                SimConfig {
+                    locality: Some(LocalityConfig {
+                        max_delay_skips: 3,
+                        ..LocalityConfig::default()
+                    }),
+                    ..SimConfig::default()
+                },
+            )
+        },
+        faulty(
+            "node faults",
+            FaultConfig::with_mtbf(SimDuration::from_mins(6), SimDuration::from_secs(40)),
+        ),
+        faulty(
+            "rack faults",
+            FaultConfig {
+                rack_mtbf: Some(SimDuration::from_mins(5)),
+                rack_mttr: Some(SimDuration::from_mins(1)),
+                ..FaultConfig::default()
+            },
+        ),
+        master_faulty("master faults, WAL", true),
+        master_faulty("master faults, no WAL", false),
+        Case {
+            replan: true,
+            // Plans drawn up for 24 slots fall behind on 9.
+            cluster: ClusterConfig::uniform(3, 2, 1),
+            exercises: |_, replans| replans,
+            ..plain("replanning", SimConfig::default())
+        },
+        Case {
+            gated: true,
+            exercises: |r, _| r.admission.as_ref().map_or(0, |a| a.workflows_rejected),
+            ..plain("rejecting gate", SimConfig::default())
+        },
+        Case {
+            countable: false,
+            ..plain(
+                "cut mid-idle",
+                SimConfig {
+                    // On the 125 ms heartbeat grid: that beat still fires.
+                    max_sim_time: SimTime::from_millis(200_375),
+                    ..SimConfig::default()
+                },
+            )
+        },
+    ];
+    let schedulers = |replan: bool| -> Vec<Box<dyn WorkflowScheduler>> {
+        let mut woha = WohaConfig::new(PriorityPolicy::Lpf, 24);
+        woha.replan = replan.then(|| woha::core::ReplanConfig {
+            lag_fraction: 0.05,
+            min_interval: SimDuration::from_secs(20),
+        });
+        vec![
+            Box::new(WohaScheduler::new(woha)),
+            Box::new(FifoScheduler::new()),
+            Box::new(FairScheduler::new()),
+            Box::new(EdfScheduler::new()),
+        ]
+    };
+    let strip = |mut r: SimReport| {
+        r.scheduler_nanos = 0;
+        serde_json::to_string(&r).unwrap()
+    };
+
+    for case in &cases {
+        let mut exercised = 0;
+        for seed in [3u64, 11, 20140614] {
+            let workflows = idle_run_workflows(seed);
+            let config = SimConfig {
+                seed,
+                ..case.config.clone()
+            };
+            let pairs = schedulers(case.replan)
+                .into_iter()
+                .zip(schedulers(case.replan));
+            for (per_beat, coalesced) in pairs {
+                let at = format!("{} / {} / seed {seed}", case.label, per_beat.name());
+                let run = |recorder: &mut OfferRecorder, sink: Option<&mut MemorySink>| {
+                    let mut gate = EveryThirdRejected::default();
+                    let (report, _) = try_run_simulation_streamed_observed(
+                        &mut VecSource::new(workflows.clone()),
+                        recorder,
+                        &case.cluster,
+                        &config,
+                        case.gated.then_some(&mut gate as &mut dyn AdmissionGate),
+                        sink.map(|s| s as &mut dyn TraceSink),
+                    )
+                    .unwrap();
+                    report
+                };
+
+                let mut slow = OfferRecorder::new(per_beat);
+                let mut sink = MemorySink::new();
+                let reference = run(&mut slow, Some(&mut sink));
+                let (mut heartbeats, mut replans) = (0u64, 0u64);
+                let mut fast = OfferRecorder::new(coalesced);
+                for record in sink.into_records() {
+                    replans += u64::from(matches!(record.event, TraceEvent::Replan { .. }));
+                    if let TraceEvent::Heartbeat {
+                        free_maps,
+                        free_reduces,
+                        ..
+                    } = record.event
+                    {
+                        heartbeats += 1;
+                        for (beats, free) in fast.beats.iter_mut().zip([free_maps, free_reduces]) {
+                            if free > 0 && case.monotonic {
+                                beats.push(record.at);
+                            }
+                        }
+                    }
+                }
+                let report = run(&mut fast, None);
+
+                let uncut = config.max_sim_time == SimConfig::default().max_sim_time;
+                assert_eq!(report.completed, uncut, "{at}");
+                if case.countable {
+                    let admitted =
+                        |w: &&WorkflowSpec| report.outcomes.iter().any(|o| o.name == w.name());
+                    let jobs: usize = workflows
+                        .iter()
+                        .filter(admitted)
+                        .map(WorkflowSpec::job_count)
+                        .sum();
+                    let other = report.outcomes.len() as u64 + jobs as u64 + report.tasks_executed;
+                    assert_eq!(heartbeats, report.events_processed - other, "{at}");
+                }
+                assert!(
+                    fast.offers < slow.offers / 2,
+                    "{at}: {} offers against {}",
+                    fast.offers,
+                    slow.offers
+                );
+                exercised += (case.exercises)(&report, replans);
+                assert_eq!(strip(report), strip(reference), "{at}");
+            }
+        }
+        assert!(exercised > 0, "{} exercised nothing", case.label);
+    }
+}
