@@ -56,7 +56,10 @@ pub trait PriorityIndex: fmt::Debug {
     /// Removes a workflow, given its current keys.
     fn remove(&mut self, wf: WorkflowId, ct: SimTime, lag: i64, deadline: SimTime);
 
-    /// Re-keys a workflow.
+    /// Re-keys a workflow. The two-list backends override this to touch
+    /// only the list whose key changed: an assignment moves `lag` and
+    /// leaves `ct` alone (Algorithm 2 lines 20–23 re-key the priority list
+    /// only).
     #[allow(clippy::too_many_arguments)]
     fn update(
         &mut self,
@@ -77,8 +80,8 @@ pub trait PriorityIndex: fmt::Debug {
 
     /// Walks the priority list in descending order, calling `visit` on each
     /// workflow until it accepts one, which is returned. This is the single
-    /// pass behind `AssignTask`: in the common case the head is eligible
-    /// and exactly one entry is touched.
+    /// pass behind `AssignTask`: it touches as many entries as stand ahead
+    /// of the first eligible workflow, one when the head is eligible.
     fn select(
         &mut self,
         visit: &mut dyn FnMut(i64, WorkflowId) -> bool,
@@ -101,10 +104,6 @@ pub trait PriorityIndex: fmt::Debug {
         self.len() == 0
     }
 }
-
-/// Legacy name of [`PriorityIndex`], kept for downstream code written
-/// against the pre-refactor trait.
-pub use PriorityIndex as WorkflowIndex;
 
 /// Priority-list key: orders by lag descending, then deadline ascending
 /// (an urgency tie-break: equal lags go to the workflow closer to its
@@ -157,6 +156,33 @@ impl PriorityIndex for DslIndex {
         debug_assert!(removed_ct && removed_pri, "stale keys for {wf}");
     }
 
+    fn update(
+        &mut self,
+        wf: WorkflowId,
+        old_ct: SimTime,
+        old_lag: i64,
+        new_ct: SimTime,
+        new_lag: i64,
+        deadline: SimTime,
+    ) {
+        // Checked whether or not the key moves, as `remove` would.
+        let (old, new) = ((old_ct, wf.as_u64()), (new_ct, wf.as_u64()));
+        debug_assert!(self.ct.contains_key(&old), "stale ct key for {wf}");
+        if old != new {
+            self.ct.remove(&old);
+            self.ct.insert(new, ());
+        }
+        let (old, new) = (
+            pri_key(old_lag, deadline, wf),
+            pri_key(new_lag, deadline, wf),
+        );
+        debug_assert!(self.pri.contains_key(&old), "stale priority key for {wf}");
+        if old != new {
+            self.pri.remove(&old);
+            self.pri.insert(new, ());
+        }
+    }
+
     fn min_ct(&mut self) -> Option<(SimTime, WorkflowId)> {
         self.ct
             .first()
@@ -200,9 +226,6 @@ impl BTreeIndex {
     }
 }
 
-/// Legacy name of [`BTreeIndex`] from when it was backed by `BTreeSet`s.
-pub use BTreeIndex as BstIndex;
-
 impl PriorityIndex for BTreeIndex {
     fn name(&self) -> &'static str {
         "btree"
@@ -217,6 +240,33 @@ impl PriorityIndex for BTreeIndex {
         let removed_ct = self.ct.remove(&(ct, wf.as_u64())).is_some();
         let removed_pri = self.pri.remove(&pri_key(lag, deadline, wf)).is_some();
         debug_assert!(removed_ct && removed_pri, "stale keys for {wf}");
+    }
+
+    fn update(
+        &mut self,
+        wf: WorkflowId,
+        old_ct: SimTime,
+        old_lag: i64,
+        new_ct: SimTime,
+        new_lag: i64,
+        deadline: SimTime,
+    ) {
+        // Checked whether or not the key moves, as `remove` would.
+        let (old, new) = ((old_ct, wf.as_u64()), (new_ct, wf.as_u64()));
+        debug_assert!(self.ct.contains_key(&old), "stale ct key for {wf}");
+        if old != new {
+            self.ct.remove(&old);
+            self.ct.insert(new, ());
+        }
+        let (old, new) = (
+            pri_key(old_lag, deadline, wf),
+            pri_key(new_lag, deadline, wf),
+        );
+        debug_assert!(self.pri.contains_key(&old), "stale priority key for {wf}");
+        if old != new {
+            self.pri.remove(&old);
+            self.pri.insert(new, ());
+        }
     }
 
     fn min_ct(&mut self) -> Option<(SimTime, WorkflowId)> {
@@ -360,6 +410,37 @@ mod tests {
                 .map(|(_, w)| w.as_u64())
                 .collect();
             assert_eq!(order, vec![1, 2], "{}", idx.name());
+        }
+    }
+
+    #[test]
+    fn unchanged_ct_update_leaves_the_ct_list_alone() {
+        let backends: [Box<dyn PriorityIndex>; 3] = [
+            Box::new(DslIndex::new()),
+            Box::new(BTreeIndex::new()),
+            Box::new(PairingIndex::new()),
+        ];
+        for mut idx in backends {
+            idx.insert(wf(1), t(5), 10, t(100));
+            idx.insert(wf(2), t(7), 4, t(100));
+            // An assignment: workflow 1 keeps its ct and falls behind 2.
+            idx.update(wf(1), t(5), 10, t(5), 3, t(100));
+            assert_eq!(idx.min_ct(), Some((t(5), wf(1))), "{}", idx.name());
+            assert_eq!(idx.len(), 2, "{}", idx.name());
+            assert_eq!(idx.max_priority(), Some((4, wf(2))), "{}", idx.name());
+            // Nothing changed at all.
+            idx.update(wf(1), t(5), 3, t(5), 3, t(100));
+            assert_eq!(idx.min_ct(), Some((t(5), wf(1))), "{}", idx.name());
+            assert_eq!(idx.len(), 2, "{}", idx.name());
+            assert_eq!(
+                idx.priority_order(),
+                vec![(4, wf(2)), (3, wf(1))],
+                "{}",
+                idx.name()
+            );
+            // The re-keyed entry is removable under its new keys.
+            idx.remove(wf(1), t(5), 3, t(100));
+            assert_eq!(idx.min_ct(), Some((t(7), wf(2))), "{}", idx.name());
         }
     }
 

@@ -58,7 +58,7 @@ pub mod woha;
 
 pub use admission::{AdmissionController, RejectReason};
 pub use baseline::{EdfScheduler, FairScheduler, FifoScheduler};
-pub use index::{BTreeIndex, BstIndex, DslIndex, PriorityIndex, WorkflowIndex};
+pub use index::{BTreeIndex, DslIndex, PriorityIndex};
 pub use pheap::{PairingHeap, PairingIndex};
 pub use plan::{ProgressRequirement, SchedulingPlan};
 pub use plangen::{

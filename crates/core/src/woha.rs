@@ -30,11 +30,8 @@ use crate::priority::{JobPriorities, PriorityPolicy};
 use crate::progress::WorkflowProgress;
 use crate::replan::{replan, ReplanConfig};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashSet;
 use woha_model::{JobId, SimDuration, SimTime, SlotKind, WorkflowId};
-use woha_sim::{
-    FastMap, FxBuildHasher, SchedTrace, SchedulerState, WorkflowPool, WorkflowScheduler,
-};
+use woha_sim::{SchedTrace, SchedulerState, WorkflowPool, WorkflowScheduler};
 
 /// Which data structure orders the queued workflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -262,6 +259,48 @@ impl WohaScheduler {
                 record.deadline(),
             );
         }
+    }
+
+    /// Algorithm 2's descent of the priority list: the first workflow with
+    /// an eligible task of `kind` that `claimed` — the picks an unfinished
+    /// batch has made, which `pool` does not show yet — leaves over, the
+    /// first such job in its plan's order, and the workflow's 1-based rank
+    /// in the walk. A task-less workflow costs one read of the pool's
+    /// per-workflow total; only the accepted one scans its jobs.
+    fn select_task(
+        &mut self,
+        pool: &WorkflowPool,
+        kind: SlotKind,
+        claimed: &[(WorkflowId, JobId)],
+    ) -> Option<(WorkflowId, JobId, u32)> {
+        let records = &self.records;
+        let mut choice = None;
+        let mut rank = 0u32;
+        self.index.select(&mut |_, wf| {
+            rank += 1;
+            let state = pool.workflow(wf);
+            let wf_claims = claimed.iter().filter(|&&(w, _)| w == wf).count() as u64;
+            if state.eligible_tasks(kind) <= wf_claims {
+                return false;
+            }
+            let record = records[wf.as_u64() as usize]
+                .as_ref()
+                .expect("queued workflow has a record");
+            // `pool.eligible` minus the batch's claims: the same test the
+            // sequential path would make after starting the picked tasks.
+            // An unclaimed workflow (every first pick) has no job claims
+            // to look for.
+            let job = record.plan().job_order().iter().copied().find(|&j| {
+                let job_claims = match wf_claims {
+                    0 => 0,
+                    _ => claimed.iter().filter(|&&c| c == (wf, j)).count() as u64,
+                };
+                u64::from(state.job(j).eligible_tasks(kind)) > job_claims
+            });
+            choice = job.map(|job| (wf, job));
+            choice.is_some()
+        });
+        choice.map(|(wf, job)| (wf, job, rank))
     }
 
     /// Replanning checkpoint shared by job completions and node losses:
@@ -497,40 +536,15 @@ impl WorkflowScheduler for WohaScheduler {
         if pool.ready_workflows(kind) == 0 {
             return None; // the walk below would reject every entry
         }
-        let records = &self.records;
-        // Lazy descent of the priority list: in the common case
-        // the head workflow is eligible and this touches one node.
-        let mut choice = None;
-        let mut probes = 0u32;
-        self.index.select(&mut |_, wf| {
-            probes += 1;
-            if !pool.workflow(wf).has_eligible_task(kind) {
-                return false;
-            }
-            let record = records[wf.as_u64() as usize]
-                .as_ref()
-                .expect("queued workflow has a record");
-            match record
-                .plan()
-                .job_order()
-                .iter()
-                .find(|&&j| pool.eligible(wf, j, kind))
-            {
-                Some(&job) => {
-                    choice = Some((wf, job));
-                    true
-                }
-                None => false,
-            }
-        });
-        if let (Some(buf), Some((wf, _))) = (&mut self.trace, choice) {
+        let (wf, job, rank) = self.select_task(pool, kind, &[])?;
+        if let Some(buf) = &mut self.trace {
             buf.push(SchedTrace::Pick {
                 workflow: wf,
-                rank: probes,
+                rank,
                 blocked: 0,
             });
         }
-        choice
+        Some((wf, job))
     }
 
     fn assign_batch(
@@ -545,61 +559,27 @@ impl WorkflowScheduler for WohaScheduler {
         self.refresh_due_workflows(now);
         let mut picks: Vec<(WorkflowId, JobId)> = Vec::new();
         // The batch cannot claim more tasks than the pool has eligible, so
-        // an empty offer returns here and a short batch stops at its last
-        // pick, without the walk that would reject every entry.
+        // an empty offer never enters the loop and a short batch stops at
+        // its last pick, without the walk that would reject every entry.
         let budget = u64::from(max_tasks).min(pool.eligible_task_count(kind));
-        if budget == 0 {
-            return Some(picks);
-        }
-        // Tasks claimed by this batch, not yet reflected in `pool` (the
-        // driver starts them after we return). Neither table is iterated,
-        // so the deterministic hasher cannot leak an order.
-        let mut taken: FastMap<(u64, u32), u32> = FastMap::default();
-        // Workflows found task-less during this batch. Sound to cache: at
-        // fixed `now` a workflow only *loses* eligible tasks as the batch
-        // claims them, so a rejection cannot become acceptance later.
-        let mut blocked: HashSet<u64, FxBuildHasher> = HashSet::default();
         while (picks.len() as u64) < budget {
-            let records = &self.records;
-            let mut choice = None;
-            let mut probes = 0u32;
-            self.index.select(&mut |_, wf| {
-                probes += 1;
-                if blocked.contains(&wf.as_u64()) {
-                    return false;
-                }
-                let record = records[wf.as_u64() as usize]
-                    .as_ref()
-                    .expect("queued workflow has a record");
-                // `pool.eligible` minus the batch's claims: the same test
-                // the sequential path would make after starting the
-                // already-picked tasks.
-                let found = record.plan().job_order().iter().copied().find(|&j| {
-                    let claimed = taken.get(&(wf.as_u64(), j.as_u32())).copied().unwrap_or(0);
-                    pool.workflow(wf).job(j).eligible_tasks(kind) > claimed
-                });
-                match found {
-                    Some(job) => {
-                        choice = Some((wf, job));
-                        true
-                    }
-                    None => {
-                        blocked.insert(wf.as_u64());
-                        false
-                    }
-                }
-            });
-            let Some((wf, job)) = choice else { break };
-            *taken.entry((wf.as_u64(), job.as_u32())).or_insert(0) += 1;
+            // `picks` is what this batch has claimed and `pool` does not
+            // show yet: the driver starts the tasks after we return.
+            let Some((wf, job, rank)) = self.select_task(pool, kind, &picks) else {
+                break;
+            };
             // Commit Algorithm 2's post-assignment bookkeeping now so the
             // next pick in the batch sees the updated lag; the driver must
             // not call `on_task_assigned` again for these picks.
             self.on_task_assigned(pool, wf, job, kind, now);
             if let Some(buf) = &mut self.trace {
+                // Every walk restarts at the head and a picked workflow
+                // only moves later, so all `rank - 1` entries ahead of the
+                // pick were skipped as task-less.
                 buf.push(SchedTrace::Pick {
                     workflow: wf,
-                    rank: probes,
-                    blocked: blocked.len() as u32,
+                    rank,
+                    blocked: rank - 1,
                 });
             }
             picks.push((wf, job));

@@ -2,9 +2,11 @@
 //! it was: on random mid-execution pools, for every [`QueueStrategy`],
 //! `assign_task` returns what a full walk of the priority order returns,
 //! `assign_batch` returns what that many sequential `assign_task` probes
-//! return (also when asked for more tasks than are eligible), the
-//! `SchedTrace::Pick` ranks agree, and no offer — empty or not — leaves a
-//! progress record behind its plan's clock.
+//! return (also when asked for more tasks than are eligible, and when a
+//! batch drains one job of a fork and spills into its sibling or into the
+//! next workflow), the `SchedTrace::Pick` ranks agree, `blocked` is
+//! `rank − 1` on a batch pick and `0` on a per-slot pick, and no offer —
+//! empty or not — leaves a progress record behind its plan's clock.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,24 +16,65 @@ use woha_model::{
 };
 use woha_sim::{JobPhase, SchedTrace, WorkflowPool, WorkflowScheduler};
 
-/// A chain of 1–3 jobs: `(maps, reduces, task seconds)` per job, and the
-/// relative deadline in seconds.
-type Shape = (Vec<(u32, u32, u64)>, u64);
+/// How a shape's jobs depend on each other. Everything but a chain has
+/// several jobs active at once, so one batch can claim from two jobs of
+/// one workflow.
+#[derive(Debug, Clone, Copy)]
+enum Topology {
+    /// `j0 → j1 → …`
+    Chain,
+    /// `j0 → {j1, j2, …}`
+    Fork,
+    /// `j0 → {j1, …} → j_last` (a fork when there are under three jobs).
+    Diamond,
+    /// No edges: every job is a root.
+    Independent,
+}
 
-fn build(name: &str, (jobs, deadline_s): &Shape, submit: SimTime) -> WorkflowSpec {
+const TOPOLOGIES: [Topology; 4] = [
+    Topology::Chain,
+    Topology::Fork,
+    Topology::Diamond,
+    Topology::Independent,
+];
+
+/// 1–4 jobs as `(maps, reduces, task seconds)`, the relative deadline in
+/// seconds, and the edges between the jobs.
+type Shape = (Vec<(u32, u32, u64)>, u64, Topology);
+
+fn build(name: &str, (jobs, deadline_s, topology): &Shape, submit: SimTime) -> WorkflowSpec {
     let mut b = WorkflowBuilder::new(name);
-    let mut prev = None;
-    for (i, &(maps, reduces, secs)) in jobs.iter().enumerate() {
-        let d = SimDuration::from_secs(secs);
-        let id = b.add_job(JobSpec::new(format!("j{i}"), maps, reduces, d, d));
-        if let Some(p) = prev {
-            b.add_dependency(p, id);
+    let ids: Vec<JobId> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, &(maps, reduces, secs))| {
+            let d = SimDuration::from_secs(secs);
+            b.add_job(JobSpec::new(format!("j{i}"), maps, reduces, d, d))
+        })
+        .collect();
+    let last = ids.len() - 1;
+    for i in 1..ids.len() {
+        match topology {
+            Topology::Chain => {
+                b.add_dependency(ids[i - 1], ids[i]);
+            }
+            Topology::Fork => {
+                b.add_dependency(ids[0], ids[i]);
+            }
+            Topology::Diamond if i == last && last >= 2 => {
+                for &mid in &ids[1..last] {
+                    b.add_dependency(mid, ids[last]);
+                }
+            }
+            Topology::Diamond => {
+                b.add_dependency(ids[0], ids[i]);
+            }
+            Topology::Independent => {}
         }
-        prev = Some(id);
     }
     b.submit_at(submit);
     b.relative_deadline(SimDuration::from_secs(*deadline_s));
-    b.build().expect("a chain is acyclic")
+    b.build().expect("every topology is acyclic")
 }
 
 fn scheduler(queue: QueueStrategy) -> WohaScheduler {
@@ -69,13 +112,13 @@ fn full_walk(
     })
 }
 
-/// The ranks of the `Pick` records buffered since the last drain.
-fn drain_ranks(sched: &mut WohaScheduler) -> Vec<u32> {
+/// `(rank, blocked)` of the `Pick` records buffered since the last drain.
+fn drain_picks(sched: &mut WohaScheduler) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     sched.drain_trace(&mut out);
     out.iter()
         .filter_map(|t| match t {
-            SchedTrace::Pick { rank, .. } => Some(*rank),
+            SchedTrace::Pick { rank, blocked, .. } => Some((*rank, *blocked)),
             _ => None,
         })
         .collect()
@@ -111,10 +154,13 @@ impl Rig {
 
     fn arrive(&mut self, shape: &Shape) {
         let spec = build("w", shape, self.now);
+        let roots = spec.initially_ready();
         let wf = self.pool.register(spec);
         let now = self.now;
         self.each(|s, pool| s.on_workflow_submitted(pool, wf, now));
-        self.pool.workflow_mut(wf).begin_submitting(JobId::new(0));
+        for job in roots {
+            self.pool.workflow_mut(wf).begin_submitting(job);
+        }
     }
 
     /// A workflow with one ready map the schedulers never hear about: the
@@ -123,9 +169,11 @@ impl Rig {
         if self.ghost.is_some() {
             return;
         }
-        let wf = self
-            .pool
-            .register(build("ghost", &(vec![(1, 1, 10)], 600), self.now));
+        let wf = self.pool.register(build(
+            "ghost",
+            &(vec![(1, 1, 10)], 600, Topology::Chain),
+            self.now,
+        ));
         self.pool.workflow_mut(wf).begin_submitting(JobId::new(0));
         self.pool.workflow_mut(wf).activate(JobId::new(0), self.now);
         self.ghost = Some(wf);
@@ -192,8 +240,8 @@ impl Rig {
         self.each(|s, pool| s.on_task_failed(pool, wf, job, kind, now));
     }
 
-    /// One heartbeat's offer of `slots` slots of `kind`.
-    fn offer(&mut self, kind: SlotKind, slots: u32) {
+    /// One heartbeat's offer of `slots` slots of `kind`; returns the picks.
+    fn offer(&mut self, kind: SlotKind, slots: u32) -> Vec<(WorkflowId, JobId)> {
         let now = self.now;
         // Sequential probes against a scratch copy of the pool, each one
         // checked against the full walk.
@@ -204,9 +252,9 @@ impl Rig {
             let walk = full_walk(&self.probe, &scratch, kind);
             assert_eq!(pick, walk.map(|(wf, job, _)| (wf, job)), "assign_task");
             assert_eq!(
-                drain_ranks(&mut self.probe),
-                walk.iter().map(|&(.., rank)| rank).collect::<Vec<_>>(),
-                "assign_task rank"
+                drain_picks(&mut self.probe),
+                walk.iter().map(|&(.., rank)| (rank, 0)).collect::<Vec<_>>(),
+                "assign_task (rank, blocked)"
             );
             let Some((wf, job)) = pick else { break };
             scratch.workflow_mut(wf).start_task(job, kind);
@@ -221,14 +269,21 @@ impl Rig {
         for &(wf, job) in &picks {
             self.pool.workflow_mut(wf).start_task(job, kind);
         }
-        let (pairs, ranks): (Vec<_>, Vec<_>) = expected
+        // Every batch walk restarts at the head, so what it skipped is
+        // exactly what stands ahead of the pick.
+        let (pairs, traced): (Vec<_>, Vec<_>) = expected
             .into_iter()
-            .map(|(wf, job, rank)| ((wf, job), rank))
+            .map(|(wf, job, rank)| ((wf, job), (rank, rank - 1)))
             .unzip();
         assert_eq!(picks, pairs, "assign_batch, {slots} slots of {kind}");
-        assert_eq!(drain_ranks(&mut self.batch), ranks, "assign_batch rank");
+        assert_eq!(
+            drain_picks(&mut self.batch),
+            traced,
+            "assign_batch (rank, blocked)"
+        );
         assert_eq!(self.pool, scratch);
         self.check_refreshed();
+        picks
     }
 
     /// Both schedulers hold the same records, and none is due: the refresh
@@ -256,7 +311,10 @@ proptest! {
 
     #[test]
     fn early_out_matches_the_full_walk(
-        shapes in vec((vec((1u32..4, 0u32..3, 5u64..40), 1..4), 30u64..900), 2..7),
+        shapes in vec(
+            (vec((1u32..4, 0u32..3, 5u64..40), 1..5), 30u64..900, 0usize..4),
+            2..7,
+        ),
         ops in vec((0u8..16, 0usize..64, 0u8..2, 1u32..7), 0..250),
     ) {
         for queue in QueueStrategy::ALL {
@@ -266,13 +324,15 @@ proptest! {
                 let kind = SlotKind::ALL[usize::from(kind)];
                 match code {
                     0 | 1 => {
-                        if let Some(shape) = arrivals.next() {
-                            rig.arrive(shape);
+                        if let Some((jobs, deadline_s, topology)) = arrivals.next() {
+                            rig.arrive(&(jobs.clone(), *deadline_s, TOPOLOGIES[*topology]));
                         }
                     }
                     2 => rig.arrive_ghost(),
                     3 | 4 => rig.activate(site),
-                    5..=8 => rig.offer(kind, slots),
+                    5..=8 => {
+                        rig.offer(kind, slots);
+                    }
                     9..=11 => rig.finish(site, kind),
                     12 => rig.fail(site, kind),
                     _ => rig.now = rig.now.saturating_add(SimDuration::from_secs(site as u64)),
@@ -301,9 +361,50 @@ fn unsubmitted_ready_workflow_is_never_picked() {
         let picks = rig.batch.assign_batch(&rig.pool, SlotKind::Map, now, 4);
         assert!(picks.unwrap_or_default().is_empty(), "{queue:?}");
         // The same with a queued workflow that has nothing to run yet.
-        rig.arrive(&(vec![(2, 1, 10)], 300));
+        rig.arrive(&(vec![(2, 1, 10)], 300, Topology::Chain));
         assert_eq!(rig.batch.assign_task(&rig.pool, SlotKind::Map, now), None);
         let picks = rig.batch.assign_batch(&rig.pool, SlotKind::Map, now, 4);
         assert!(picks.unwrap_or_default().is_empty(), "{queue:?}");
+    }
+}
+
+/// One batch drains a job, spills into the sibling job of the same
+/// workflow, drains the workflow (`eligible_tasks` equals what the batch
+/// claimed) and moves on to the next workflow while the drained one still
+/// stands ahead of it in the priority order.
+#[test]
+fn batch_spills_across_jobs_and_workflows() {
+    for queue in QueueStrategy::ALL {
+        let mut rig = Rig::new(queue);
+        // Two sibling jobs, both active, behind a tight plan by `now`.
+        rig.arrive(&(vec![(2, 0, 10), (2, 0, 10)], 60, Topology::Independent));
+        rig.arrive(&(vec![(3, 0, 10)], 900, Topology::Chain));
+        for _ in 0..3 {
+            rig.activate(0);
+        }
+        rig.now = SimTime::from_secs(50);
+        let (urgent, relaxed) = (WorkflowId::new(0), WorkflowId::new(1));
+        assert_eq!(rig.pool.workflow(urgent).eligible_tasks(SlotKind::Map), 4);
+
+        let picks = rig.offer(SlotKind::Map, 6);
+        let of = |wf, job| {
+            picks
+                .iter()
+                .filter(|&&p| p == (wf, JobId::new(job)))
+                .count()
+        };
+        assert_eq!(picks.len(), 6, "{queue:?}: {picks:?}");
+        assert_eq!(
+            (of(urgent, 0), of(urgent, 1)),
+            (2, 2),
+            "{queue:?}: {picks:?}"
+        );
+        assert_eq!(of(relaxed, 0), 2, "{queue:?}: {picks:?}");
+        // The drained workflow kept the larger lag, so the walk that found
+        // the last pick had to step over it.
+        assert_eq!(picks[0].0, urgent, "{queue:?}");
+        assert_eq!(picks[5].0, relaxed, "{queue:?}");
+        let lag = |wf| rig.batch.progress(wf).expect("queued").lag();
+        assert!(lag(urgent) > lag(relaxed), "{queue:?}");
     }
 }

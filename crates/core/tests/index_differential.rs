@@ -1,5 +1,5 @@
 //! Differential test harness for the [`PriorityIndex`] backends: arbitrary
-//! insert/remove/update-priority/pop sequences must leave the DSL, BTree,
+//! insert/remove/update/assign/touch/pop sequences must leave the DSL, BTree,
 //! and pairing-heap backends in observably identical states — same heads,
 //! same full priority order, same pop sequence — with the tie-break rules
 //! (lag descending, then deadline ascending, then workflow id ascending;
@@ -21,15 +21,22 @@ use woha_model::{SimTime, WorkflowId};
 enum Op {
     Insert,
     Remove,
+    /// Re-key both lists to arbitrary new keys.
     Update,
+    /// `on_task_assigned`'s exact shape: same ct, `lag − 1`.
+    Assign,
+    /// An `update` with nothing changed.
+    Touch,
     Pop,
 }
 
 fn decode(code: u8) -> Op {
-    match code % 8 {
+    match code % 10 {
         0..=2 => Op::Insert,
         3 => Op::Remove,
         4 | 5 => Op::Update,
+        6 => Op::Assign,
+        7 => Op::Touch,
         _ => Op::Pop,
     }
 }
@@ -100,9 +107,14 @@ fn run_script(script: &[(u8, u64, u64, u64, u64)]) -> Result<(), TestCaseError> 
                     idx.remove(WorkflowId::new(wf), ct, lag, deadline);
                 }
             }
-            Op::Update => {
+            Op::Update | Op::Assign | Op::Touch => {
                 let at = (pick as usize) % model.rows.len();
                 let (wf, old_ct, old_lag, dl) = model.rows[at];
+                let (ct, lag) = match op {
+                    Op::Update => (ct, lag),
+                    Op::Assign => (old_ct, old_lag - 1),
+                    _ => (old_ct, old_lag),
+                };
                 model.rows[at] = (wf, ct, lag, dl);
                 for idx in backends.iter_mut() {
                     idx.update(WorkflowId::new(wf), old_ct, old_lag, ct, lag, dl);

@@ -105,8 +105,8 @@ pub enum TraceEvent {
         /// 1-based rank of the chosen workflow in the priority-index
         /// descent — 1 means the LPF head was schedulable directly.
         rank: u32,
-        /// Workflows skipped as blocked (batch pre-commit) during this
-        /// pick.
+        /// Entries ahead of the pick in this batch's walk (`rank - 1`; 0
+        /// on a per-slot pick).
         blocked: u32,
         /// Priority-index backend label (`"dsl"`, `"btree"`, `"pheap"`).
         backend: &'static str,

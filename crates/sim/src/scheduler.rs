@@ -52,7 +52,8 @@ pub enum SchedTrace {
         /// 1-based position of the chosen workflow in the scheduler's
         /// priority descent (1 = the head was directly schedulable).
         rank: u32,
-        /// Workflows skipped because a batch pre-pass had blocked them.
+        /// Entries ahead of the pick in this batch's walk, all skipped as
+        /// task-less: `rank - 1` on a batch pick, 0 on a per-slot pick.
         blocked: u32,
     },
     /// A scheduling plan was generated for a workflow (Algorithm 1).
@@ -199,9 +200,13 @@ pub trait WorkflowScheduler: SchedulerState {
     /// [`assign_task`](Self::assign_task).
     ///
     /// The default returns `None`: the driver falls back to per-slot
-    /// `assign_task` probes. A correct batch implementation needs internal
-    /// accounting of which tasks the batch already claimed (the pool is
-    /// only updated afterwards), so it is strictly opt-in.
+    /// `assign_task` probes. A correct batch implementation has to account
+    /// for the tasks the batch already claimed (the pool is only updated
+    /// afterwards), so it is strictly opt-in: filter candidates with the
+    /// O(1) [`WorkflowState::eligible_tasks`](crate::WorkflowState::eligible_tasks)
+    /// minus the batch's own claims on that workflow, and a job's
+    /// [`eligible_tasks`](crate::JobState::eligible_tasks) minus its claims
+    /// on that job.
     fn assign_batch(
         &mut self,
         pool: &WorkflowPool,
