@@ -5,11 +5,8 @@ pub mod ablation;
 pub mod deadline;
 pub mod demo;
 pub mod failures;
-pub mod ingest;
 pub mod locality;
 pub mod master_failover;
-pub mod obs;
 pub mod plans;
-pub mod service;
 pub mod throughput;
 pub mod tracestats;

@@ -10,7 +10,6 @@
 
 use crate::sweep::{run_sweep, CellKey};
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use woha_core::index::PriorityIndex;
 use woha_core::plan::{ProgressRequirement, SchedulingPlan};
@@ -277,101 +276,6 @@ pub fn fig13a_table(points: &[ThroughputPoint]) -> Table {
     t
 }
 
-/// One measurement of the `throughput_index` sweep, in the machine-readable
-/// `BENCH_throughput.json` format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputRecord {
-    /// Backend label ("dsl", "btree", "pheap").
-    pub backend: String,
-    /// Queue length (number of workflows).
-    pub queue_len: u64,
-    /// AssignTask invocations per second of wall-clock time.
-    pub calls_per_sec: f64,
-}
-
-/// The full `throughput_index` report written to `BENCH_throughput.json`:
-/// the repo's machine-readable perf baseline for the priority-index
-/// backends.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputReport {
-    /// Experiment name (always "throughput_index").
-    pub experiment: String,
-    /// Queue lengths swept.
-    pub queue_lens: Vec<u64>,
-    /// Backend labels swept, in sweep order.
-    pub backends: Vec<String>,
-    /// Per-(backend, queue length) measurements.
-    pub points: Vec<ThroughputRecord>,
-}
-
-/// Runs the `throughput_index` sweep: backend × queue length, at least
-/// `budget` wall-clock time per point, on `jobs` worker threads (see
-/// [`run_fig13a`] for why timing sweeps want one). The cell set and order
-/// are jobs-invariant, the measured rates are not.
-pub fn run_throughput_index(
-    queue_lens: &[usize],
-    budget: Duration,
-    jobs: usize,
-) -> ThroughputReport {
-    let cells: Vec<(CellKey, (QueueStrategy, usize))> = queue_lens
-        .iter()
-        .flat_map(|&len| {
-            QueueStrategy::ALL.into_iter().map(move |strategy| {
-                (
-                    CellKey::new()
-                        .with("len", len)
-                        .with("queue", strategy.label()),
-                    (strategy, len),
-                )
-            })
-        })
-        .collect();
-    let points = run_sweep(&cells, jobs, |_, &(strategy, len)| {
-        let p = measure_throughput(Contender::Indexed(strategy), len, budget);
-        ThroughputRecord {
-            backend: strategy.label().to_string(),
-            queue_len: len as u64,
-            calls_per_sec: p.calls_per_sec,
-        }
-    })
-    .results
-    .into_iter()
-    .map(|(_, p)| p)
-    .collect();
-    ThroughputReport {
-        experiment: "throughput_index".to_string(),
-        queue_lens: queue_lens.iter().map(|&l| l as u64).collect(),
-        backends: QueueStrategy::ALL
-            .iter()
-            .map(|s| s.label().to_string())
-            .collect(),
-        points,
-    }
-}
-
-/// Renders the `throughput_index` report as a text table: one row per
-/// queue length, one column per backend.
-pub fn throughput_index_table(report: &ThroughputReport) -> Table {
-    let mut headers = vec!["queue length".to_string()];
-    headers.extend(report.backends.iter().map(|b| format!("{b} (calls/s)")));
-    let mut t = Table::new(headers.iter().map(String::as_str).collect());
-    for &len in &report.queue_lens {
-        let mut row = vec![len.to_string()];
-        for backend in &report.backends {
-            row.push(
-                report
-                    .points
-                    .iter()
-                    .find(|p| p.queue_len == len && &p.backend == backend)
-                    .map(|p| format!("{:.0}", p.calls_per_sec))
-                    .unwrap_or_default(),
-            );
-        }
-        t.row(row);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,20 +303,6 @@ mod tests {
                 "step {step}: {picks:?}"
             );
         }
-    }
-
-    #[test]
-    fn throughput_index_report_roundtrips() {
-        let report = run_throughput_index(&[50, 100], Duration::from_millis(5), 1);
-        assert_eq!(report.experiment, "throughput_index");
-        assert_eq!(report.backends, vec!["dsl", "btree", "pheap"]);
-        assert_eq!(report.points.len(), 6);
-        assert!(report.points.iter().all(|p| p.calls_per_sec > 0.0));
-        let json = serde_json::to_string_pretty(&report).expect("serialize");
-        let back: ThroughputReport = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, report);
-        let text = throughput_index_table(&report).render();
-        assert!(text.contains("pheap"), "{text}");
     }
 
     #[test]

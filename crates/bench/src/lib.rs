@@ -3,7 +3,8 @@
 //! The `woha-bench` binary (`src/main.rs`) runs any of them by name
 //! (e.g. `woha-bench fig11_workspan`): each entry of its table calls into
 //! [`experiments`] and prints the same rows/series the paper plots.
-//! Criterion microbenchmarks live under `benches/`.
+//! Host time is the business of the repository's `benchmark/`; the one
+//! stopwatch here is the paper's Fig 13(a).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,9 +7,14 @@
 //! experiments that fan out over [`woha_bench::sweep`] (`0` = available
 //! parallelism); simulation sweeps print the same bytes for any `N`.
 //!
-//! Experiments that keep a machine-readable baseline write
-//! `BENCH_<key>.json` and `results/<experiment>.txt` into the working
-//! directory, then print the same table.
+//! Any other argument is a usage error, unless it is the experiment's own
+//! (`takes_operand`).
+//!
+//! The two studies that keep a machine-readable baseline (`failure_study`,
+//! `locality_study`: simulated statistics) write `BENCH_<key>.json` and
+//! `results/<experiment>.txt` into the working directory, then print the
+//! same table. Host time other than Fig 13(a)'s is the repository's
+//! `benchmark/`'s to measure.
 
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -22,20 +27,18 @@ use woha_bench::experiments::master_failover::run_failover_sweep;
 use woha_bench::experiments::plans::{
     fig13b_table, run_fig13b, run_fig2, run_fig2_baselines, run_fig3,
 };
-use woha_bench::experiments::throughput::{
-    fig13a_table, run_fig13a, run_throughput_index, throughput_index_table,
-};
+use woha_bench::experiments::throughput::{fig13a_table, run_fig13a};
 use woha_bench::experiments::tracestats::{run_trace_stats, TRACE_JOBS};
-use woha_bench::experiments::{ablation, failures, ingest, locality, obs, service};
+use woha_bench::experiments::{ablation, failures, locality};
 use woha_bench::scenarios::{
     demo_cluster, fig11_workflows, trace_clusters, yahoo_workload, YahooScenario,
 };
-use woha_bench::sweep::{available_jobs, CellKey, SimSweep};
+use woha_bench::sweep::available_jobs;
 use woha_bench::table::Table;
-use woha_bench::{run_one, SchedulerKind};
+use woha_bench::SchedulerKind;
 use woha_core::{PriorityPolicy, WohaConfig, WohaScheduler};
-use woha_model::{SimDuration, SimTime, SlotKind, WorkflowId, WorkflowSpec};
-use woha_sim::{run_simulation, FaultConfig, SimConfig, SimReport, SpeculationConfig};
+use woha_model::{SimDuration, SimTime, SlotKind, WorkflowId};
+use woha_sim::{run_simulation, SimConfig, SimReport, SpeculationConfig};
 
 /// What one invocation asked for.
 #[derive(Debug)]
@@ -45,27 +48,24 @@ struct Args {
     quick: bool,
     /// Worker threads, resolved against the experiment's default.
     jobs: usize,
-    /// Whatever follows that is neither `--quick` nor `--jobs`.
+    /// What else the experiment [takes](takes_operand).
     operands: Vec<String>,
 }
 
 /// `(name, about, default_jobs, run)`: `about` is what `list` prints, and
 /// `default_jobs` the worker threads when `--jobs` is absent — [`SWEEP`]
 /// for simulation sweeps, whose output is jobs-invariant, [`SERIAL`] for
-/// wall-clock measurements, which concurrent cells on shared cores would
-/// distort (and for experiments that never fan out).
+/// Fig 13(a)'s wall-clock measurements, which concurrent cells on shared
+/// cores would distort (and for experiments that never fan out).
 type Experiment = (&'static str, &'static str, fn() -> usize, Run);
 type Run = fn(&Args);
 
 const SERIAL: fn() -> usize = || 1;
 const SWEEP: fn() -> usize = available_jobs;
-/// `sweep_bench` floors its pool at 2 so the identity check always
-/// crosses threads.
-const PAIR: fn() -> usize = || available_jobs().max(2);
 
 // One row per experiment, kept as a table.
 #[rustfmt::skip]
-const EXPERIMENTS: [Experiment; 23] = [
+const EXPERIMENTS: [Experiment; 17] = [
     ("fig02_resource_cap", "Fig 2: the resource-capped plan example", SERIAL, fig02_resource_cap),
     ("fig03_change_intervals", "Fig 3: plan change intervals", SERIAL, fig03_change_intervals),
     ("fig05_duration_cdf", "Fig 5: task duration CDFs of the trace", SERIAL, fig05_duration_cdf),
@@ -79,16 +79,10 @@ const EXPERIMENTS: [Experiment; 23] = [
     ("fig13b_plan_size", "Fig 13(b): plan size vs task count", SERIAL, fig13b_plan_size),
     ("fig14_19_slot_timelines", "Figs 14-19: slot timelines", SERIAL, fig14_19_slot_timelines),
     ("ablations", "cap, slack, heartbeat and replanning ablations", SERIAL, ablations),
-    ("master_overhead", "§V: wall time per AssignTask, per scheduler", SERIAL, master_overhead),
     ("speculation_study", "stragglers with and without speculation", SERIAL, speculation_study),
     ("locality_study", "delay scheduling and rack-aware recovery", SWEEP, locality_study),
     ("failure_study", "node MTBF sweep, reactive vs proactive WOHA", SWEEP, failure_study),
     ("master_failover", "one JobTracker crash, with and without WAL", SWEEP, master_failover),
-    ("throughput_index", "index backends, AssignTask calls/s", SERIAL, throughput_index),
-    ("obs_overhead", "tracing + metrics overhead per index backend", SERIAL, obs_overhead),
-    ("ingest_throughput", "VecSource vs GeneratorSource ingestion", SERIAL, ingest_throughput),
-    ("live_service", "service throughput and plan latency by tenants", SERIAL, live_service),
-    ("sweep_bench", "parallel sweep == serial sweep, and wall times", PAIR, sweep_bench),
 ];
 
 fn list() -> String {
@@ -97,6 +91,14 @@ fn list() -> String {
         writeln!(out, "  {name:<24} {about}").expect("writing to a String");
     }
     out
+}
+
+/// Whether `arg` is an operand of experiment `name`'s own: only
+/// `fig14_19_slot_timelines` has any — `--table` and a scheduler's name.
+fn takes_operand(name: &str, arg: &str) -> bool {
+    let scheduler = |kind: &SchedulerKind| kind.to_string().eq_ignore_ascii_case(arg);
+    name == "fig14_19_slot_timelines"
+        && (arg == "--table" || SchedulerKind::ALL.iter().any(scheduler))
 }
 
 /// Resolves a command line to an experiment and its arguments — `--quick`,
@@ -129,10 +131,11 @@ fn select(args: &[String]) -> Result<(Run, Args), String> {
             "--jobs" => it.next().ok_or("--jobs needs a value")?,
             _ => match arg.strip_prefix("--jobs=") {
                 Some(value) => value,
-                None => {
+                None if takes_operand(name, arg) => {
                     parsed.operands.push(arg.clone());
                     continue;
                 }
+                None => return Err(format!("{name}: unexpected argument {arg:?}\n\n{usage}")),
             },
         };
         parsed.jobs = match jobs.parse() {
@@ -349,32 +352,6 @@ fn ablations(_: &Args) {
     print!("{}", ablation::replan_ablation(0.25, 0..6).render());
 }
 
-fn master_overhead(_: &Args) {
-    let (workflows, cluster) = (fig11_workflows(), demo_cluster());
-    let mut t = Table::new(vec![
-        "scheduler",
-        "assign calls",
-        "mean ns/call",
-        "total scheduler ms",
-    ]);
-    for kind in SchedulerKind::ALL {
-        let report = run_one(kind, &workflows, &cluster, &SimConfig::default());
-        t.row(vec![
-            kind.to_string(),
-            report.assign_calls.to_string(),
-            format!("{:.0}", report.mean_assign_nanos()),
-            format!("{:.1}", report.scheduler_nanos as f64 / 1e6),
-        ]);
-    }
-    println!("Master scheduling overhead — Fig 11 scenario (~80 min simulated)\n");
-    print!("{}", t.render());
-    println!("\nWOHA's extra bookkeeping must stay within the same order of");
-    println!("magnitude as the baselines for the paper's scalability story.");
-    println!("Times are sampled: one decision in 61 is timed and counted 61 times.");
-    println!("An offer made while no workflow has an eligible task of its kind is");
-    println!("answered by the driver (an idle run): a call that cost nothing.");
-}
-
 fn speculation_study(_: &Args) {
     let (workflows, cluster) = (fig11_workflows(), demo_cluster());
     let mut t = Table::new(vec![
@@ -570,227 +547,6 @@ fn master_failover(args: &Args) {
     }
 }
 
-/// Queue lengths 10³–10⁵ (`--quick`: 10²–10³ with short budgets),
-/// extending the paper's Fig 13(a) comparison to the pairing heap.
-fn throughput_index(args: &Args) {
-    let lens: &[usize] = if args.quick {
-        &[100, 1_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let budget = Duration::from_millis(if args.quick { 20 } else { 300 });
-    eprintln!("throughput_index — PriorityIndex backend throughput (AssignTask calls/second)");
-    let report = run_throughput_index(lens, budget, args.jobs);
-    publish(
-        args,
-        "throughput",
-        &report,
-        &throughput_index_table(&report).render(),
-    );
-}
-
-/// End-to-end Yahoo-trace simulations with observability off and on
-/// (`--quick`: the Fig 11 workload, one repetition).
-fn obs_overhead(args: &Args) {
-    eprintln!("obs_overhead — observability off/on wall-time per index backend");
-    let report = obs::run_obs_overhead(args.quick, if args.quick { 1 } else { 3 });
-    publish(
-        args,
-        "obs",
-        &report,
-        &obs::obs_overhead_table(&report).render(),
-    );
-    let overheads = report.points.iter().map(|p| p.overhead_pct);
-    let worst = overheads.fold(f64::NEG_INFINITY, f64::max);
-    let bound = obs::OVERHEAD_BOUND_PCT;
-    verdict(
-        worst <= bound,
-        format!("worst enabled-path overhead {worst:+.1}% against a bound of {bound}%"),
-    );
-}
-
-/// Wall time and peak residency of a pre-materialized `VecSource` versus
-/// the lazy `GeneratorSource` (`--quick`: one decade, one repetition).
-fn ingest_throughput(args: &Args) {
-    eprintln!("ingest_throughput — VecSource vs GeneratorSource drain cost");
-    let report = ingest::run_ingest_throughput(args.quick, if args.quick { 1 } else { 3 });
-    publish(
-        args,
-        "ingest",
-        &report,
-        &ingest::ingest_table(&report).render(),
-    );
-    let generator = report.points.iter().filter(|p| p.source == "generator");
-    let worst = generator
-        .map(|p| p.peak_resident_workflows)
-        .max()
-        .unwrap_or(0);
-    verdict(
-        worst <= 1,
-        format!("generator residency peaks at {worst} spec(s); O(1) means 1"),
-    );
-}
-
-/// The long-running scheduler service on a sped-up wall clock (DESIGN.md
-/// §13; `--quick`: two tenant counts, 30 workflows).
-fn live_service(args: &Args) {
-    eprintln!("live_service — service throughput and plan latency vs tenant count");
-    let report = service::run_live_service(args.quick);
-    publish(
-        args,
-        "serve",
-        &report,
-        &service::service_table(&report).render(),
-    );
-    let clean =
-        |p: &service::ServiceRecord| p.shed == 0 && p.rejected == 0 && p.arrivals == p.submitted;
-    verdict(
-        report.points.iter().all(clean),
-        "every submitted workflow admitted and planned (none shed or rejected)".to_string(),
-    );
-}
-
-/// One cell's serial-vs-parallel wall time in `BENCH_sweep.json`.
-#[derive(Serialize)]
-struct CellRecord {
-    cell: String,
-    serial_ms: f64,
-    parallel_ms: f64,
-}
-
-/// The `BENCH_sweep.json` schema.
-#[derive(Serialize)]
-struct SweepBenchReport {
-    experiment: String,
-    quick: bool,
-    /// Available hardware parallelism where the record was produced. A
-    /// speedup near 1.0 with `cores = 1` is expected, not a regression.
-    cores: u64,
-    cell_count: u64,
-    serial_jobs: u64,
-    serial_wall_ms: f64,
-    parallel_jobs: u64,
-    parallel_wall_ms: f64,
-    /// `serial_wall_ms / parallel_wall_ms`.
-    speedup: f64,
-    /// Whether the two legs' canonical aggregated JSON matched byte for
-    /// byte (the run aborts before writing this report if they do not).
-    identical: bool,
-    cells: Vec<CellRecord>,
-}
-
-/// The failure-study shape in miniature: 2 MTBF points × 4 schedulers on
-/// the 32-slave demo cluster = 8 cells.
-fn sweep_quick_grid(workflows: &[WorkflowSpec]) -> SimSweep<'_> {
-    let cluster = demo_cluster();
-    let faulty = cluster.clone().with_faults(FaultConfig::with_mtbf(
-        SimDuration::from_mins(12),
-        SimDuration::from_mins(3),
-    ));
-    let mut sweep = SimSweep::new();
-    for (label, cluster) in [("none", cluster), ("12m", faulty)] {
-        let key = CellKey::new().with("mtbf", label);
-        sweep.push_kinds(
-            &key,
-            &failures::SCHEDULERS,
-            workflows,
-            &cluster,
-            &jittered(7),
-        );
-    }
-    sweep
-}
-
-/// The Figs 8–10 grid: 3 cluster sizes × 6 schedulers = 18 cells.
-fn sweep_full_grid(workflows: &[WorkflowSpec], seed: u64) -> SimSweep<'_> {
-    let mut sweep = SimSweep::new();
-    for (label, cluster) in trace_clusters() {
-        let key = CellKey::new().with("cluster", &label);
-        sweep.push_kinds(
-            &key,
-            &SchedulerKind::ALL,
-            workflows,
-            &cluster,
-            &jittered(seed),
-        );
-    }
-    sweep
-}
-
-/// Runs one multi-cell scenario grid twice — serially and fanned over
-/// `--jobs` workers — asserts the aggregated canonical JSON is
-/// **byte-identical**, and records both wall times. `--quick` is 8 cells
-/// of the Fig 11 scenario under node faults; the full grid is the
-/// Figs 8–10 Yahoo sweep (18 cells).
-fn sweep_bench(args: &Args) {
-    let cores = available_jobs();
-    let scenario = YahooScenario::default();
-    let fig11 = fig11_workflows();
-    let workload;
-    let sweep = if args.quick {
-        sweep_quick_grid(&fig11)
-    } else {
-        workload = yahoo_workload(&scenario);
-        sweep_full_grid(workload.workflows(), scenario.seed)
-    };
-
-    let (cells, workers) = (sweep.len(), args.jobs);
-    eprintln!("sweep_bench — {cells} cells, serial vs {workers} workers on {cores} core(s)");
-    let serial = sweep.run(1);
-    let parallel = sweep.run(workers);
-    assert_eq!(
-        serial.canonical_json(),
-        parallel.canonical_json(),
-        "parallel sweep output must be byte-identical to the serial run"
-    );
-
-    let ms = |wall: Duration| wall.as_secs_f64() * 1e3;
-    let speedup = ms(serial.wall) / ms(parallel.wall).max(1e-9);
-    let timings = serial.timings.iter().zip(&parallel.timings);
-    let report = SweepBenchReport {
-        experiment: "sweep_bench".to_string(),
-        quick: args.quick,
-        cores: cores as u64,
-        cell_count: serial.cells.len() as u64,
-        serial_jobs: serial.jobs as u64,
-        serial_wall_ms: ms(serial.wall),
-        parallel_jobs: parallel.jobs as u64,
-        parallel_wall_ms: ms(parallel.wall),
-        speedup,
-        identical: true,
-        cells: timings
-            .map(|(s, p)| CellRecord {
-                cell: s.label.clone(),
-                serial_ms: ms(s.wall),
-                parallel_ms: ms(p.wall),
-            })
-            .collect(),
-    };
-
-    let mut text = format!(
-        "Sweep orchestrator — {} cells, {} core(s): serial {:.0} ms, \
-         {} workers {:.0} ms, speedup {:.2}x, outputs byte-identical\n\n\
-         cell                                serial(ms)  parallel(ms)\n",
-        report.cell_count,
-        report.cores,
-        report.serial_wall_ms,
-        report.parallel_jobs,
-        report.parallel_wall_ms,
-        report.speedup
-    );
-    for c in &report.cells {
-        let (cell, serial, parallel) = (&c.cell, c.serial_ms, c.parallel_ms);
-        text += &format!("{cell:<36}{serial:>10.0}{parallel:>14.0}\n");
-    }
-    publish(args, "sweep", &report, &text);
-    // Byte-identity is asserted above; only the speedup can disappoint,
-    // and only where there are cores to win it on.
-    verdict(
-        cores < 2 || speedup > 1.5,
-        format!("{speedup:.2}x speedup with {workers} workers on {cores} core(s)"),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,8 +582,6 @@ mod tests {
         );
         assert_eq!(jobs_of(&["fig08_miss_ratio"]), Ok((false, available)));
         assert_eq!(jobs_of(&["fig13a_throughput"]), Ok((false, 1)));
-        assert_eq!(jobs_of(&["sweep_bench"]), Ok((false, available.max(2))));
-        assert_eq!(jobs_of(&["sweep_bench", "--jobs=1"]), Ok((false, 1)));
         assert!(jobs_of(&["fig08_miss_ratio", "--jobs"]).is_err());
         assert!(jobs_of(&["fig08_miss_ratio", "--jobs", "x"]).is_err());
     }

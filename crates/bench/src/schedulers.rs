@@ -49,13 +49,13 @@ impl SchedulerKind {
         )
     }
 
-    /// Instantiates the scheduler. `total_slots` is the cluster capacity
+    /// Builds the scheduler. `total_slots` is the cluster capacity
     /// WOHA clients use for plan generation (ignored by the baselines).
     pub fn build(self, total_slots: u32) -> Box<dyn WorkflowScheduler> {
         self.build_with(total_slots, QueueStrategy::Dsl, None)
     }
 
-    /// Instantiates the scheduler with explicit WOHA knobs: the
+    /// Builds the scheduler with explicit WOHA knobs: the
     /// priority-index backend and proactive failure padding.
     pub fn build_with(
         self,

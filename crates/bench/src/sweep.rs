@@ -18,9 +18,7 @@
 //!   and consumes immutable borrows of the workload/cluster/config);
 //! - results are ordered by cell *specification* index, never by
 //!   completion order;
-//! - wall-clock measurements ([`CellTiming`], [`SweepRun::wall`]) are
-//!   carried next to the results, not inside them, and
-//!   [`canonical_report_json`] zeroes [`SimReport::scheduler_nanos`] — the
+//! - [`canonical_report_json`] zeroes [`SimReport::scheduler_nanos`] — the
 //!   one wall-clock field inside a report — so serialized sweep output is
 //!   reproducible bit for bit.
 //!
@@ -32,7 +30,6 @@ use serde::Serialize;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
 use woha_model::{SlotKind, WorkflowSpec};
 use woha_sim::{run_simulation, ClusterConfig, SimConfig, SimReport, WorkflowScheduler};
 
@@ -86,28 +83,14 @@ impl fmt::Display for CellKey {
     }
 }
 
-/// Wall-clock cost of one cell, carried *next to* the deterministic
-/// results (never inside them) and fed to `BENCH_sweep.json`.
-#[derive(Debug, Clone)]
-pub struct CellTiming {
-    /// The cell's [`CellKey::label`].
-    pub label: String,
-    /// Wall-clock time the cell's run call took.
-    pub wall: Duration,
-}
-
 /// The aggregated outcome of one sweep execution.
 #[derive(Debug, Clone)]
 pub struct SweepRun<R> {
     /// One result per cell, in **specification order** (independent of
     /// completion order and thread count).
     pub results: Vec<(CellKey, R)>,
-    /// Per-cell wall times, in the same order.
-    pub timings: Vec<CellTiming>,
     /// Worker threads actually used.
     pub jobs: usize,
-    /// Wall-clock time of the whole sweep.
-    pub wall: Duration,
 }
 
 /// The machine's available parallelism (the `--jobs` default).
@@ -156,38 +139,29 @@ where
     R: Send,
     F: Fn(&CellKey, &C) -> R + Sync,
 {
-    let start = Instant::now();
     let jobs = jobs.max(1).min(cells.len().max(1));
-    let timed = |key: &CellKey, cell: &C| {
-        let t0 = Instant::now();
-        let result = run(key, cell);
-        (result, t0.elapsed())
-    };
-    let (results, walls): (Vec<R>, Vec<Duration>) = if jobs <= 1 {
-        cells.iter().map(|(key, cell)| timed(key, cell)).unzip()
+    let results: Vec<R> = if jobs <= 1 {
+        cells.iter().map(|(key, cell)| run(key, cell)).collect()
     } else {
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R, Duration)>();
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 let tx = tx.clone();
                 let cursor = &cursor;
-                let timed = &timed;
+                let run = &run;
                 scope.spawn(move || loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some((key, cell)) = cells.get(i) else {
                         break;
                     };
-                    let (result, wall) = timed(key, cell);
-                    if tx.send((i, result, wall)).is_err() {
+                    if tx.send((i, run(key, cell))).is_err() {
                         break;
                     }
                 });
             }
             drop(tx);
-            merge_completions(cells.len(), rx.into_iter().map(|(i, r, w)| (i, (r, w))))
-                .into_iter()
-                .unzip()
+            merge_completions(cells.len(), rx)
         })
     };
     SweepRun {
@@ -196,16 +170,7 @@ where
             .map(|(key, _)| key.clone())
             .zip(results)
             .collect(),
-        timings: cells
-            .iter()
-            .zip(&walls)
-            .map(|((key, _), &wall)| CellTiming {
-                label: key.label(),
-                wall,
-            })
-            .collect(),
         jobs,
-        wall: start.elapsed(),
     }
 }
 
@@ -331,9 +296,7 @@ impl<'w> SimSweep<'w> {
         let run = run_sweep(&self.cells, jobs, |_, cell: &SimCell| cell.run());
         SimSweepRun {
             cells: run.results,
-            timings: run.timings,
             jobs: run.jobs,
-            wall: run.wall,
         }
     }
 }
@@ -344,12 +307,8 @@ impl<'w> SimSweep<'w> {
 pub struct SimSweepRun {
     /// `(key, report)` per cell, in specification order.
     pub cells: Vec<(CellKey, SimReport)>,
-    /// Per-cell wall times, in the same order.
-    pub timings: Vec<CellTiming>,
     /// Worker threads actually used.
     pub jobs: usize,
-    /// Wall-clock time of the whole sweep.
-    pub wall: Duration,
 }
 
 impl SimSweepRun {
@@ -465,7 +424,6 @@ mod tests {
             let parallel = run_sweep(&cells, jobs, run);
             assert_eq!(serial.results, parallel.results, "jobs={jobs}");
         }
-        assert_eq!(serial.timings.len(), cells.len());
         assert!(serial.jobs == 1);
     }
 

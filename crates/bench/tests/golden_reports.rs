@@ -2,11 +2,11 @@
 //!
 //! Each file in `tests/golden/` is the canonical JSON of one scheduler's
 //! [`SimReport`] on the Fig 11 demo scenario (`fig11_workflows` on
-//! `demo_cluster`, jitter 0.1, seed 7 — the same grid `sweep_bench
-//! --quick` exercises). "Canonical" means serialized via
-//! [`woha_bench::canonical_report_json`], which zeroes the one wall-clock
-//! field (`scheduler_nanos`) so the bytes are reproducible on any
-//! machine and any thread count.
+//! `demo_cluster`, jitter 0.1, seed 7 — the fault-free half of the grid
+//! `sweep_determinism.rs` runs at `--jobs` 1/2/8). "Canonical" means
+//! serialized via [`woha_bench::canonical_report_json`], which zeroes the
+//! one wall-clock field (`scheduler_nanos`) so the bytes are reproducible
+//! on any machine and any thread count.
 //!
 //! If a scheduler's behaviour changes **intentionally**, regenerate the
 //! corpus and review the diff like source code:

@@ -63,13 +63,6 @@ fn sweep_is_byte_identical_across_thread_counts() {
             pooled.canonical_json(),
             "canonical sweep output differs between --jobs 1 and --jobs {jobs}"
         );
-        // Per-cell timings are wall-clock (never part of the canonical
-        // output), but the orchestrator must still report one per cell,
-        // in specification order.
-        assert_eq!(pooled.timings.len(), sweep.len());
-        for (timing, (key, _)) in pooled.timings.iter().zip(&pooled.cells) {
-            assert_eq!(timing.label, key.label());
-        }
     }
 }
 

@@ -22,15 +22,23 @@ fn experiments() -> Vec<String> {
 }
 
 #[test]
-fn list_prints_all_23_experiments() {
+fn list_prints_all_17_experiments() {
     let names = experiments();
-    assert_eq!(names.len(), 23, "{names:?}");
+    assert_eq!(names.len(), 17, "{names:?}");
     assert!(names.contains(&"fig11_workspan".to_string()), "{names:?}");
 }
 
 #[test]
 fn unknown_experiment_exits_nonzero_with_the_list_on_stderr() {
-    for args in [&["fig99_nothing"][..], &[], &["fig11_workspan", "--jobs"]] {
+    for args in [
+        &["fig99_nothing"][..],
+        &[],
+        &["fig11_workspan", "--jobs"],
+        &["fig02_resource_cap", "--quik", "--job", "4"],
+        &["fig02_resource_cap", "extra"],
+        &["fig14_19_slot_timelines", "--tabel"],
+        &["fig14_19_slot_timelines", "NoSuch"],
+    ] {
         let out = woha_bench(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");

@@ -354,20 +354,6 @@ impl PartialEq for SimReport {
 }
 
 impl SimReport {
-    /// Mean wall-clock nanoseconds per answered slot offer — the
-    /// master-side scheduling overhead. As sampled as
-    /// [`scheduler_nanos`](Self::scheduler_nanos): a 1-in-61 estimate
-    /// unless the run had metrics on. The divisor is
-    /// [`assign_calls`](Self::assign_calls), elided offers included at
-    /// their cost of zero, so this is the mean over all offers, not over
-    /// the calls the scheduler received.
-    pub fn mean_assign_nanos(&self) -> f64 {
-        if self.assign_calls == 0 {
-            return 0.0;
-        }
-        self.scheduler_nanos as f64 / self.assign_calls as f64
-    }
-
     /// Fraction of executed map tasks that ran node-local (locality mode;
     /// 0 when locality modelling is off).
     pub fn map_locality_ratio(&self) -> f64 {

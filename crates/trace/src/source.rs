@@ -660,9 +660,8 @@ impl WorkloadSource for ChannelSource {
 /// a layered topology of 2–12 jobs (the paper's multi-job size range),
 /// released at `index * interarrival` (monotone by construction) with a
 /// deadline of `submit + stretch * critical_path`. Memory stays O(1) in
-/// the workflow count, which is the point: the `ingest_throughput` bench
-/// sweeps this source against a pre-materialized [`VecSource`] at 10³–10⁵
-/// workflows.
+/// the workflow count, which is the point: the benchmark's
+/// `trace.source.generator_wf_per_s` is this source's drain rate.
 #[derive(Debug, Clone)]
 pub struct GeneratorSource {
     config: YahooTraceConfig,
