@@ -365,15 +365,16 @@ struct WohaSnapshot {
 }
 
 impl SchedulerState for WohaScheduler {
+    /// The encoding of a [`WohaSnapshot`] of `self`, built from references
+    /// rather than from a cloned one.
     fn snapshot_state(&self) -> Value {
-        WohaSnapshot {
-            records: self.records.clone(),
-            last_replan: self.last_replan.clone(),
-            replans: self.replans,
-            rho_rollbacks: self.rho_rollbacks,
-            plans_padded: self.plans_padded,
-        }
-        .to_value()
+        Value::Object(vec![
+            ("records".to_owned(), self.records.to_value()),
+            ("last_replan".to_owned(), self.last_replan.to_value()),
+            ("replans".to_owned(), self.replans.to_value()),
+            ("rho_rollbacks".to_owned(), self.rho_rollbacks.to_value()),
+            ("plans_padded".to_owned(), self.plans_padded.to_value()),
+        ])
     }
 
     fn restore_state(&mut self, _pool: &WorkflowPool, state: &Value) {
@@ -848,6 +849,44 @@ mod tests {
                 "{queue:?}"
             );
         }
+    }
+
+    #[test]
+    fn snapshot_state_encodes_what_a_cloned_snapshot_did() {
+        // Every field populated: queued and completed records, a replan, a
+        // rollback and a padded plan.
+        let mut pool = woha_sim::WorkflowPool::new();
+        let mut sched = WohaScheduler::new(WohaConfig {
+            replan: Some(crate::replan::ReplanConfig {
+                lag_fraction: 0.1,
+                min_interval: SimDuration::from_secs(1),
+            }),
+            padding: Some(PadConfig::new(SimDuration::from_mins(5))),
+            ..WohaConfig::new(PriorityPolicy::Lpf, 9)
+        });
+        for (at, name) in [(0, "a"), (1, "b"), (2, "c")] {
+            let wf = pool.register(chain_workflow(name, at, 120));
+            sched.on_workflow_submitted(&pool, wf, SimTime::from_secs(at));
+        }
+        let now = SimTime::from_secs(60);
+        let (wf, job) = (WorkflowId::new(0), JobId::new(0));
+        sched.on_task_assigned(&pool, wf, job, SlotKind::Map, now);
+        sched.on_task_failed(&pool, wf, job, SlotKind::Map, now);
+        let _ = sched.assign_task(&pool, SlotKind::Map, now); // refresh lags
+        sched.on_node_lost(&pool, woha_model::NodeId::new(0), now);
+        sched.on_workflow_completed(&pool, WorkflowId::new(1), now);
+        assert!(sched.replans() > 0 && sched.rho_rollbacks() > 0 && sched.plans_padded() > 0);
+        assert!(sched.records.iter().any(Option::is_none));
+
+        let cloned = WohaSnapshot {
+            records: sched.records.clone(),
+            last_replan: sched.last_replan.clone(),
+            replans: sched.replans,
+            rho_rollbacks: sched.rho_rollbacks,
+            plans_padded: sched.plans_padded,
+        }
+        .to_value();
+        assert_eq!(sched.snapshot_state(), cloned);
     }
 
     #[test]

@@ -66,6 +66,7 @@ use std::collections::BTreeMap;
 
 use crate::hash::FastMap;
 use std::fmt;
+use std::sync::Arc;
 use woha_model::{JobId, NodeId, SimDuration, SimTime, SlotKind, WorkflowId, WorkflowSpec};
 use woha_trace::{SourcePoll, VecSource, WorkloadSource};
 
@@ -341,11 +342,15 @@ struct MasterState {
     /// mutate state normally but [`Sim::schedule`] drops new events: the
     /// pending future was captured at the crash and is re-applied there.
     replaying: bool,
-    /// The latest checkpoint, held typed: nothing mutates it between the
-    /// tick that builds it and the crash that reads it, so encoding it at
-    /// the crash yields the bytes an encode at the tick would have. A
-    /// crash takes it; recovery stores the next one.
+    /// The latest checkpoint, held typed. Its pool shares every workflow
+    /// with the live one, and each live mutation goes through
+    /// `workflow_mut` → `Arc::make_mut`, which copies a shared workflow
+    /// first; so encoding it at the crash yields the bytes an encode at the
+    /// tick would have. A crash takes it; recovery stores the next one.
     checkpoint: Option<MasterSnapshot>,
+    /// Debug builds only: the tree `checkpoint` encoded to at its tick. The
+    /// crash handler checks that the checkpoint still encodes to it.
+    checkpoint_tree: Option<serde::Value>,
     /// Events processed since the latest checkpoint (the write-ahead log).
     wal: Vec<(SimTime, Event)>,
     recovery: RecoveryReport,
@@ -406,8 +411,8 @@ struct Sim<'a> {
     arrived: Vec<bool>,
     /// Specs pulled from the workload source so far, in pull order — the
     /// [`Event::WorkflowArrival`] payloads. Retained for WAL replay and
-    /// crash-time resubmission.
-    workflows: Vec<WorkflowSpec>,
+    /// crash-time resubmission; the pool shares each spec on arrival.
+    workflows: Vec<Arc<WorkflowSpec>>,
     /// Whether the workload source has been drained.
     exhausted: bool,
     /// Admission gate at the front door; `None` admits everything.
@@ -738,7 +743,7 @@ impl<'a> Sim<'a> {
         // path did originally.
         self.grow_ledger(index + 1);
         self.arrived[index] = true;
-        let wf = self.pool.register(self.workflows[index].clone());
+        let wf = self.pool.register(Arc::clone(&self.workflows[index]));
         scheduler.on_workflow_submitted(&self.pool, wf, self.now);
         let ready = self.pool.workflow(wf).spec().initially_ready();
         for job in ready {
@@ -1660,6 +1665,25 @@ fn run_inner_clocked<'a>(
     metrics: Option<MetricsRegistry>,
     clock: &mut dyn Clock,
 ) -> (SimReport, Option<MetricsRegistry>) {
+    let (sim, truncated) = simulate(
+        source, scheduler, cluster, config, gate, sink, metrics, clock,
+    );
+    report(sim, scheduler, truncated)
+}
+
+/// Runs the event loop until the workload drains or `max_sim_time` cuts
+/// it short (the returned flag), handing back the master as it ended.
+#[allow(clippy::too_many_arguments)]
+fn simulate<'a>(
+    source: &mut dyn WorkloadSource,
+    scheduler: &mut dyn WorkflowScheduler,
+    cluster: &'a ClusterConfig,
+    config: &'a SimConfig,
+    gate: Option<&'a mut dyn AdmissionGate>,
+    sink: Option<&'a mut dyn TraceSink>,
+    metrics: Option<MetricsRegistry>,
+    clock: &mut dyn Clock,
+) -> (Sim<'a>, bool) {
     let fault_mode = cluster.faults().enabled();
     let master_mode = cluster.faults().master.enabled();
     let node_count = cluster.node_count();
@@ -1800,7 +1824,7 @@ fn run_inner_clocked<'a>(
                 }
             }
             let index = sim.workflows.len();
-            sim.workflows.push(spec);
+            sim.workflows.push(Arc::new(spec));
             sim.grow_ledger(index + 1);
             sim.queue.push_arrival(at, Event::WorkflowArrival(index));
         }
@@ -1890,6 +1914,17 @@ fn run_inner_clocked<'a>(
             sim.dispatch(scheduler, event);
         }
     }
+    (sim, truncated)
+}
+
+/// The report of a run [`simulate`] ended with `sim`.
+fn report(
+    mut sim: Sim<'_>,
+    scheduler: &mut dyn WorkflowScheduler,
+    truncated: bool,
+) -> (SimReport, Option<MetricsRegistry>) {
+    let (cluster, config) = (sim.cluster, sim.config);
+    let master_mode = cluster.faults().master.enabled();
     sim.touch_busy();
 
     let end_time = sim.now;

@@ -15,7 +15,8 @@ use woha_model::{JobId, NodeId, WorkflowId};
 impl Sim<'_> {
     /// Serializes the full master state (see [`crate::snapshot`]): clones
     /// of the live groups, with the two attempt maps emitted as key-sorted
-    /// vectors so the encoding is deterministic.
+    /// vectors so the encoding is deterministic. The pool's clone copies
+    /// pointers: its workflows are shared copy-on-write.
     fn build_snapshot(&self, scheduler: &dyn WorkflowScheduler) -> MasterSnapshot {
         let mut attempts: Vec<AttemptRecord> = self.table.attempts.values().copied().collect();
         attempts.sort_unstable_by_key(|a| a.id);
@@ -82,12 +83,16 @@ impl Sim<'_> {
     /// truncates the WAL.
     fn take_checkpoint(&mut self, scheduler: &mut dyn WorkflowScheduler) {
         let snap = self.build_snapshot(scheduler);
+        let tree = cfg!(debug_assertions).then(|| snap.encode());
         debug_assert_eq!(
-            MasterSnapshot::decode(&snap.encode()).ok().as_ref(),
+            tree.as_ref()
+                .and_then(|t| MasterSnapshot::decode(t).ok())
+                .as_ref(),
             Some(&snap),
             "a checkpoint decodes back to the state it was taken from"
         );
         self.master.checkpoint = Some(snap);
+        self.master.checkpoint_tree = tree;
         let superseded = self.master.wal.len() as u64;
         self.master.wal.clear();
         self.master.recovery.checkpoints_taken += 1;
@@ -181,6 +186,13 @@ impl Sim<'_> {
         // heads a fresh checkpoint cycle before anything reads one again.
         let checkpoint = self.master.checkpoint.take().expect("genesis checkpoint");
         let encoded = cfg!(debug_assertions).then(|| checkpoint.encode());
+        // The held checkpoint shares its workflows with the live pool: a
+        // mutation since the tick that reached a shared one shows here.
+        let tick_tree = self.master.checkpoint_tree.take();
+        debug_assert_eq!(
+            encoded, tick_tree,
+            "the checkpoint still encodes to the tree taken at its tick"
+        );
         debug_assert!(
             encoded.as_ref().is_none_or(MasterSnapshot::survives_text),
             "the checkpoint reads back from its JSON text"

@@ -1332,6 +1332,48 @@ mod master {
     }
 
     #[test]
+    fn the_held_checkpoint_shares_every_completed_workflow() {
+        // Staggered arrivals and a crash mid-run, so the last tick holds
+        // workflows that finished before and after the recovery. Nothing
+        // mutates a finished workflow, so the checkpoint and the live pool
+        // must store each one once: a deep-cloning checkpoint fails here.
+        let w: Vec<WorkflowSpec> = (0..6)
+            .map(|i| simple_workflow(&format!("w{i}"), i * 30, 3_000))
+            .collect();
+        let cluster = cluster_with(MasterFaultConfig {
+            mttr: SimDuration::from_secs(10),
+            checkpoint_interval: SimDuration::from_secs(20),
+            scripted: vec![SimTime::from_secs(70)],
+            ..MasterFaultConfig::default()
+        });
+        let cfg = SimConfig::default();
+        let mut scheduler = SubmitOrderScheduler::new();
+        let (sim, truncated) = simulate(
+            &mut VecSource::new(w.clone()),
+            &mut scheduler,
+            &cluster,
+            &cfg,
+            None,
+            None,
+            None,
+            &mut SimClock,
+        );
+        assert!(!truncated);
+        let held = sim.master.checkpoint.as_ref().expect("a tick's checkpoint");
+        let mut done = 0;
+        for w in held.pool.workflows().iter().filter(|w| w.is_complete()) {
+            let live = &sim.pool.workflows()[w.id().as_u64() as usize];
+            assert!(Arc::ptr_eq(w, live), "{} is stored twice", w.id());
+            done += 1;
+        }
+        assert!(done >= 2, "{done} finished by the last tick");
+        let (report, _) = report(sim, &mut scheduler, truncated);
+        let rec = report.recovery.as_ref().expect("master mode reports");
+        assert_eq!(rec.master_crashes, 1);
+        assert_eq!(report, run(&w, &cluster, &cfg));
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         let w = vec![simple_workflow("w", 0, 600)];
         let mut s = SubmitOrderScheduler::new();

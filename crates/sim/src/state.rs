@@ -26,9 +26,19 @@
 //!
 //! The totals are derived state: they are not part of the serialized form
 //! and are recounted from the job counters on decode.
+//!
+//! # Sharing
+//!
+//! The pool holds each workflow behind an [`Arc`] and its spec behind
+//! another, so cloning a pool (a master checkpoint does, every tick) copies
+//! pointers. [`WorkflowPool::workflow_mut`] goes through [`Arc::make_mut`]:
+//! the first mutation of a workflow a clone still shares copies its job
+//! counters, and a workflow nobody mutates again — every completed one — is
+//! stored once however many clones name it.
 
 use serde::{Deserialize, Serialize, Value};
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 use woha_model::{JobId, SimTime, SlotKind, WorkflowId, WorkflowSpec};
 
 /// Lifecycle of one wjob inside the simulator.
@@ -161,7 +171,9 @@ impl JobState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowState {
     id: WorkflowId,
-    spec: WorkflowSpec,
+    /// Immutable, so shared with the driver's arrival ledger and with every
+    /// copy [`Arc::make_mut`] makes of this state.
+    spec: Arc<WorkflowSpec>,
     jobs: Vec<JobState>,
     jobs_completed: usize,
     tasks_scheduled: u64,
@@ -203,7 +215,7 @@ impl Deserialize for WorkflowState {
         let jobs: Vec<JobState> = serde::__field(obj, "jobs")?;
         Ok(WorkflowState {
             id: serde::__field(obj, "id")?,
-            spec: serde::__field(obj, "spec")?,
+            spec: Arc::new(serde::__field(obj, "spec")?),
             eligible: count_eligible(&jobs),
             jobs,
             jobs_completed: serde::__field(obj, "jobs_completed")?,
@@ -214,7 +226,7 @@ impl Deserialize for WorkflowState {
 }
 
 impl WorkflowState {
-    pub(crate) fn new(id: WorkflowId, spec: WorkflowSpec) -> Self {
+    pub(crate) fn new(id: WorkflowId, spec: Arc<WorkflowSpec>) -> Self {
         let jobs = spec
             .job_ids()
             .map(|j| {
@@ -526,7 +538,8 @@ impl ReadyCounts {
 /// indexes into the pool.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkflowPool {
-    workflows: Vec<WorkflowState>,
+    /// Shared copy-on-write with every clone (see the module docs).
+    workflows: Vec<Arc<WorkflowState>>,
     /// Derived from `workflows`; absent from the serialized form.
     ready: ReadyCounts,
 }
@@ -535,7 +548,8 @@ pub struct WorkflowPool {
 // the `{ workflows }` object the derive produced, `ready` is recounted.
 impl Serialize for WorkflowPool {
     fn to_value(&self) -> Value {
-        Value::Object(vec![("workflows".to_owned(), self.workflows.to_value())])
+        let workflows = self.workflows.iter().map(|w| w.to_value()).collect();
+        Value::Object(vec![("workflows".to_owned(), Value::Array(workflows))])
     }
 }
 
@@ -544,10 +558,10 @@ impl Deserialize for WorkflowPool {
         let obj = v
             .as_object()
             .ok_or_else(|| serde::Error::custom("expected object for `WorkflowPool`"))?;
-        Ok(WorkflowPool::from_workflows(serde::__field(
-            obj,
-            "workflows",
-        )?))
+        let workflows: Vec<WorkflowState> = serde::__field(obj, "workflows")?;
+        Ok(WorkflowPool::from_workflows(
+            workflows.into_iter().map(Arc::new).collect(),
+        ))
     }
 }
 
@@ -596,7 +610,7 @@ impl WorkflowPool {
     }
 
     /// A pool of `workflows`, its ready totals recounted from them.
-    fn from_workflows(workflows: Vec<WorkflowState>) -> Self {
+    fn from_workflows(workflows: Vec<Arc<WorkflowState>>) -> Self {
         let mut ready = ReadyCounts::default();
         for w in &workflows {
             ready.replace([0; 2], w.eligible);
@@ -611,17 +625,19 @@ impl WorkflowPool {
         let workflows = self
             .workflows
             .into_iter()
-            .map(|w| WorkflowState::from_value(&w.to_value()))
+            .map(|w| WorkflowState::from_value(&w.to_value()).map(Arc::new))
             .collect::<Result<_, _>>()?;
         Ok(WorkflowPool::from_workflows(workflows))
     }
 
     /// Registers a workflow, returning its new id. Called by the driver on
-    /// workflow arrival; public for custom drivers and tests.
-    pub fn register(&mut self, spec: WorkflowSpec) -> WorkflowId {
+    /// workflow arrival (with the `Arc` its arrival ledger holds); public
+    /// for custom drivers and tests.
+    pub fn register(&mut self, spec: impl Into<Arc<WorkflowSpec>>) -> WorkflowId {
         let id = WorkflowId::new(self.workflows.len() as u64);
         // Every job starts blocked, so `ready` is unaffected.
-        self.workflows.push(WorkflowState::new(id, spec));
+        self.workflows
+            .push(Arc::new(WorkflowState::new(id, spec.into())));
         id
     }
 
@@ -638,13 +654,14 @@ impl WorkflowPool {
     /// schedulers receive `&WorkflowPool`). This is the only way to mutate
     /// a pooled workflow, and the returned guard keeps
     /// [`ready_workflows`](Self::ready_workflows) and
-    /// [`eligible_task_count`](Self::eligible_task_count) in step.
+    /// [`eligible_task_count`](Self::eligible_task_count) in step. A
+    /// workflow another clone of the pool still shares is copied first.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this pool.
     pub fn workflow_mut(&mut self, id: WorkflowId) -> WorkflowMut<'_> {
-        let state = &mut self.workflows[id.as_u64() as usize];
+        let state = Arc::make_mut(&mut self.workflows[id.as_u64() as usize]);
         WorkflowMut {
             before: state.eligible,
             state,
@@ -667,7 +684,7 @@ impl WorkflowPool {
     }
 
     /// All registered workflows in submission order.
-    pub fn workflows(&self) -> &[WorkflowState] {
+    pub fn workflows(&self) -> &[Arc<WorkflowState>] {
         &self.workflows
     }
 
@@ -676,7 +693,7 @@ impl WorkflowPool {
         self.workflows
             .iter()
             .filter(|w| !w.is_complete())
-            .map(WorkflowState::id)
+            .map(|w| w.id())
     }
 
     /// Whether the given job may be assigned a task of `kind` right now.
@@ -833,5 +850,44 @@ mod tests {
         pool.workflow_mut(id).start_task(j0, SlotKind::Map);
         assert_eq!(pool.ready_workflows(SlotKind::Map), 0);
         assert_eq!(pool.eligible_task_count(SlotKind::Map), 0);
+    }
+
+    #[test]
+    fn a_cloned_pool_shares_untouched_workflows_and_copies_on_write() {
+        let j0 = JobId::new(0);
+        let mut pool = WorkflowPool::new();
+        for _ in 0..3 {
+            let id = pool.register(two_job_spec());
+            pool.workflow_mut(id).begin_submitting(j0);
+            pool.workflow_mut(id).activate(j0, SimTime::ZERO);
+        }
+        let clone = pool.clone();
+        let encoded = clone.to_value();
+
+        let touched = WorkflowId::new(1);
+        {
+            let mut w = pool.workflow_mut(touched);
+            w.start_task(j0, SlotKind::Map);
+            w.start_task(j0, SlotKind::Map);
+        }
+        assert_eq!(clone.to_value(), encoded, "the clone saw the write");
+        for (live, held) in pool.workflows().iter().zip(clone.workflows()) {
+            let id = live.id();
+            assert_eq!(Arc::ptr_eq(live, held), id != touched, "workflow {id}");
+            assert!(Arc::ptr_eq(&live.spec, &held.spec), "spec of {id}");
+        }
+        for p in [&pool, &clone] {
+            for kind in SlotKind::ALL {
+                let counts = p
+                    .workflows()
+                    .iter()
+                    .map(|w| count_eligible(&w.jobs)[kind as usize]);
+                let ready = counts.clone().filter(|&n| n > 0).count();
+                assert_eq!(p.ready_workflows(kind), ready, "{kind}");
+                assert_eq!(p.eligible_task_count(kind), counts.sum::<u64>(), "{kind}");
+            }
+        }
+        assert_eq!(pool.ready_workflows(SlotKind::Map), 2);
+        assert_eq!(clone.ready_workflows(SlotKind::Map), 3);
     }
 }
