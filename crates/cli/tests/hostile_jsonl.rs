@@ -1,0 +1,61 @@
+//! A JSONL spec the workflow model rejects, fed to `simulate --arrivals`
+//! or `serve --follow`, ends the run with the model's error, its line
+//! number and exit status 1 — never a panic (101), and never a run.
+
+use std::process::Command;
+
+fn job(maps: u32, reduces: u32) -> String {
+    format!(
+        r#"{{"name":"j","map_tasks":{maps},"reduce_tasks":{reduces},"map_duration":1000,"reduce_duration":1000}}"#
+    )
+}
+
+fn spec(jobs: &[String], prereqs: &str, dependents: &str, deadline: u64) -> String {
+    format!(
+        r#"{{"name":"w","jobs":[{}],"prereqs":{prereqs},"dependents":{dependents},"submit_time":5000,"deadline":{deadline}}}"#,
+        jobs.join(",")
+    )
+}
+
+#[test]
+fn specs_the_model_rejects_exit_1_with_its_error() {
+    let (one, two) = (vec![job(1, 1)], vec![job(1, 1), job(1, 1)]);
+    let cases = [
+        (spec(&[], "[]", "[]", 60_000), "contains no jobs"),
+        (spec(&[job(0, 0)], "[[]]", "[[]]", 60_000), "zero map tasks"),
+        (spec(&[job(0, 2)], "[[]]", "[[]]", 60_000), "zero map tasks"),
+        (spec(&two, "[[],[7]]", "[[],[]]", 60_000), "only 2 jobs"),
+        (spec(&one, "[[0]]", "[[0]]", 60_000), "dependency on itself"),
+        (
+            spec(&two, "[[1],[0]]", "[[1],[0]]", 60_000),
+            "contains a cycle",
+        ),
+        (spec(&one, "[[]]", "[[]]", 5_000), "not later than"),
+        (spec(&two, "[[],[0]]", "[[],[]]", 60_000), "lists disagree"),
+    ];
+    let dir = std::env::temp_dir().join(format!("woha-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (i, (line, error)) in cases.iter().enumerate() {
+        let path = dir.join(format!("{i}.jsonl"));
+        std::fs::write(&path, format!("{line}\n")).expect("write feed");
+        let path = path.to_str().expect("utf-8 temp path");
+        for front_door in [["simulate", "--arrivals"], ["serve", "--follow"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_woha-cli"))
+                .args(front_door)
+                .args([path, "--cluster", "8x2x1"])
+                .output()
+                .expect("run woha-cli");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{front_door:?} {line}: {stderr}"
+            );
+            assert!(
+                stderr.contains("line 1") && stderr.contains(error),
+                "{front_door:?}: {stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

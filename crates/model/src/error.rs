@@ -33,6 +33,10 @@ pub enum ModelError {
     NoMapTasks(JobId),
     /// The deadline is not later than the submission time.
     DeadlineBeforeSubmit,
+    /// A serialized workflow's prerequisite and dependent lists disagree:
+    /// each must have one entry per job, sorted and free of duplicates,
+    /// and each must be the other's transpose.
+    InconsistentEdges,
     /// A duration string (e.g. `"80m"`) could not be parsed.
     InvalidDuration(String),
     /// An integer attribute could not be parsed.
@@ -80,6 +84,9 @@ impl fmt::Display for ModelError {
             }
             ModelError::DeadlineBeforeSubmit => {
                 f.write_str("workflow deadline is not later than its submission time")
+            }
+            ModelError::InconsistentEdges => {
+                f.write_str("workflow prerequisite and dependent lists disagree")
             }
             ModelError::InvalidDuration(s) => write!(f, "invalid duration {s:?}"),
             ModelError::InvalidNumber { attribute, value } => {
@@ -214,6 +221,7 @@ mod tests {
             ModelError::EmptyWorkflow,
             ModelError::NoMapTasks(JobId::new(2)),
             ModelError::DeadlineBeforeSubmit,
+            ModelError::InconsistentEdges,
             ModelError::InvalidDuration("80x".into()),
             ModelError::Xml(XmlError::NoRootElement),
             ModelError::Schema("bad".into()),

@@ -195,16 +195,19 @@ impl SimDuration {
     }
 }
 
+/// Saturates at [`SimTime::MAX`], as [`SimTime::saturating_add`] does: a
+/// duration read from input can be large enough to wrap an instant.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        self.saturating_add(rhs)
     }
 }
 
+/// Saturates at [`SimTime::MAX`], like `+`.
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = self.saturating_add(rhs);
     }
 }
 
@@ -328,6 +331,10 @@ mod tests {
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX
         );
+        let mut t = SimTime::from_secs(41);
+        assert_eq!(t + SimDuration::MAX, SimTime::MAX);
+        t += SimDuration::MAX;
+        assert_eq!(t, SimTime::MAX);
         assert_eq!(
             SimTime::ZERO.saturating_sub(SimDuration::from_secs(1)),
             SimTime::ZERO

@@ -6,14 +6,15 @@ use crate::graph::Dag;
 use crate::ids::JobId;
 use crate::job::JobSpec;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A validated workflow: jobs, their prerequisite relation, a submission
 /// time, and a deadline.
 ///
 /// A `WorkflowSpec` can only be obtained from a [`WorkflowBuilder`] (or by
-/// parsing a configuration file), which guarantees the invariants that every
+/// parsing a configuration file, or by decoding its serialized form, which
+/// runs the builder's checks), which guarantees the invariants that every
 /// algorithm in this workspace relies on:
 ///
 /// - at least one job, and every job has at least one map task;
@@ -43,7 +44,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WorkflowSpec {
     name: String,
     jobs: Vec<JobSpec>,
@@ -53,7 +54,96 @@ pub struct WorkflowSpec {
     deadline: SimTime,
 }
 
+/// Decoding checks everything [`WorkflowBuilder::build`] does, and that the
+/// serialized `prereqs` and `dependents` are the same edge set in the
+/// builder's canonical form.
+impl Deserialize for WorkflowSpec {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for `WorkflowSpec`"))?;
+        let prereqs: Vec<Vec<JobId>> = serde::__field(obj, "prereqs")?;
+        let dependents: Vec<Vec<JobId>> = serde::__field(obj, "dependents")?;
+        let edges = prereqs.iter().enumerate().flat_map(|(j, preds)| {
+            let job = JobId::new(j as u32);
+            preds.iter().map(move |&p| (p, job))
+        });
+        let spec = WorkflowSpec::validated(
+            serde::__field(obj, "name")?,
+            serde::__field(obj, "jobs")?,
+            edges,
+            serde::__field(obj, "submit_time")?,
+            serde::__field(obj, "deadline")?,
+        )
+        .map_err(serde::Error::custom)?;
+        if spec.prereqs != prereqs || spec.dependents != dependents {
+            return Err(serde::Error::custom(ModelError::InconsistentEdges));
+        }
+        Ok(spec)
+    }
+}
+
 impl WorkflowSpec {
+    /// Checks every invariant listed on [`WorkflowSpec`] — the one gate
+    /// both [`WorkflowBuilder::build`] and decoding pass through — and
+    /// builds the sorted prerequisite and dependent lists from `edges`,
+    /// `(prerequisite, dependent)` pairs whose duplicates collapse.
+    fn validated(
+        name: String,
+        jobs: Vec<JobSpec>,
+        edges: impl IntoIterator<Item = (JobId, JobId)>,
+        submit_time: SimTime,
+        deadline: SimTime,
+    ) -> Result<Self, ModelError> {
+        if jobs.is_empty() {
+            return Err(ModelError::EmptyWorkflow);
+        }
+        let n = jobs.len();
+        for (i, job) in jobs.iter().enumerate() {
+            if job.map_tasks() == 0 {
+                return Err(ModelError::NoMapTasks(JobId::new(i as u32)));
+            }
+        }
+        let mut prereqs: Vec<Vec<JobId>> = vec![Vec::new(); n];
+        for (pred, succ) in edges {
+            for job in [pred, succ] {
+                if job.index() >= n {
+                    return Err(ModelError::UnknownJob { job, job_count: n });
+                }
+            }
+            if pred == succ {
+                return Err(ModelError::SelfDependency(pred));
+            }
+            prereqs[succ.index()].push(pred);
+        }
+        // Walking the jobs in order fills every dependent list sorted.
+        let mut dependents: Vec<Vec<JobId>> = vec![Vec::new(); n];
+        for (succ, preds) in prereqs.iter_mut().enumerate() {
+            preds.sort_unstable();
+            preds.dedup();
+            for p in preds.iter() {
+                dependents[p.index()].push(JobId::new(succ as u32));
+            }
+        }
+        let spec = WorkflowSpec {
+            name,
+            jobs,
+            prereqs,
+            dependents,
+            submit_time,
+            deadline,
+        };
+        if let Err(node) = spec.to_dag().topo_sort() {
+            return Err(ModelError::Cycle {
+                job: JobId::new(node as u32),
+            });
+        }
+        if deadline <= submit_time {
+            return Err(ModelError::DeadlineBeforeSubmit);
+        }
+        Ok(spec)
+    }
+
     /// The workflow's human-readable name.
     pub fn name(&self) -> &str {
         &self.name
@@ -287,62 +377,18 @@ impl WorkflowBuilder {
     /// is cyclic, or the deadline is not after the submission time. A
     /// missing deadline defaults to [`SimTime::MAX`] (no deadline).
     pub fn build(&self) -> Result<WorkflowSpec, ModelError> {
-        if self.jobs.is_empty() {
-            return Err(ModelError::EmptyWorkflow);
-        }
-        let n = self.jobs.len();
-        for (i, job) in self.jobs.iter().enumerate() {
-            if job.map_tasks() == 0 {
-                return Err(ModelError::NoMapTasks(JobId::new(i as u32)));
-            }
-        }
-        let mut prereqs: Vec<Vec<JobId>> = vec![Vec::new(); n];
-        let mut dependents: Vec<Vec<JobId>> = vec![Vec::new(); n];
-        for &(pred, succ) in &self.edges {
-            for job in [pred, succ] {
-                if job.index() >= n {
-                    return Err(ModelError::UnknownJob { job, job_count: n });
-                }
-            }
-            if pred == succ {
-                return Err(ModelError::SelfDependency(pred));
-            }
-            if !prereqs[succ.index()].contains(&pred) {
-                prereqs[succ.index()].push(pred);
-                dependents[pred.index()].push(succ);
-            }
-        }
-        for list in prereqs.iter_mut().chain(dependents.iter_mut()) {
-            list.sort_unstable();
-        }
-        // Cycle check through the shared DAG machinery.
-        let mut dag = Dag::new(n);
-        for (succ, preds) in prereqs.iter().enumerate() {
-            for p in preds {
-                dag.add_edge(p.index(), succ);
-            }
-        }
-        if let Err(node) = dag.topo_sort() {
-            return Err(ModelError::Cycle {
-                job: JobId::new(node as u32),
-            });
-        }
         let deadline = match (self.deadline, self.relative_deadline) {
             (Some(d), _) => d,
             (None, Some(rel)) => self.submit_time.saturating_add(rel),
             (None, None) => SimTime::MAX,
         };
-        if deadline <= self.submit_time {
-            return Err(ModelError::DeadlineBeforeSubmit);
-        }
-        Ok(WorkflowSpec {
-            name: self.name.clone(),
-            jobs: self.jobs.clone(),
-            prereqs,
-            dependents,
-            submit_time: self.submit_time,
+        WorkflowSpec::validated(
+            self.name.clone(),
+            self.jobs.clone(),
+            self.edges.iter().copied(),
+            self.submit_time,
             deadline,
-        })
+        )
     }
 }
 

@@ -397,7 +397,7 @@ mod tests {
     fn exports_into_metrics_registry() {
         let mut buf = ArrivalBuffer::new(VecSource::new(specs(10)), 4).with_watermarks(4, 2);
         while buf.next_workflow().is_some() {}
-        let mut metrics = MetricsRegistry::new("none");
+        let mut metrics = MetricsRegistry::new();
         buf.stats().export_into(&mut metrics);
         let text = metrics.prometheus_text();
         assert!(text.contains("woha_arrivals_total 4"), "{text}");

@@ -50,12 +50,10 @@ use crate::fault::{splitmix, FaultStream};
 use crate::gate::AdmissionGate;
 use crate::health::{NodeHealth, PredictionConfig, PredictionReport};
 use crate::metrics::{
-    AdmissionReport, MetricsRegistry, RecoveryReport, RejectCount, SimReport, TimelineRecorder,
-    WorkflowOutcome,
+    AdmissionReport, MetricsRegistry, RecoveryReport, RejectCount, SimReport, WorkflowOutcome,
 };
 use crate::obs::{
-    MemorySink, ObservabilityConfig, Observations, TraceEvent, TraceRecord, TraceSink,
-    DEFAULT_SAMPLE_INTERVAL,
+    MemorySink, ObservabilityConfig, Observations, Observer, TraceEvent, TraceRecord, TraceSink,
 };
 use crate::scheduler::{SchedTrace, WorkflowScheduler};
 use crate::snapshot::{
@@ -234,8 +232,8 @@ pub struct SimConfig {
     /// Structured observability (tracing, metrics, timelines). Fully off
     /// by default; see [`crate::obs`]. When everything here is off, the
     /// simulation output is byte-identical to builds without the
-    /// observability layer. The trace and metrics switches only take
-    /// effect through [`run_simulation_observed`] /
+    /// observability layer. The trace and metrics switches only produce
+    /// output through [`run_simulation_observed`] /
     /// [`try_run_simulation_observed`], which return the collected
     /// [`Observations`] alongside the report.
     pub observability: ObservabilityConfig,
@@ -295,10 +293,9 @@ fn jitter_factor(
     1.0 + jitter * (2.0 * u - 1.0)
 }
 
-/// With no metrics registry attached, [`Sim::timed`] stamps one scheduler
-/// decision in this many. Odd on purpose: a heartbeat offers Map then
-/// Reduce, so decisions alternate kinds and an even stride would sample
-/// one kind only.
+/// [`Sim::timed`] stamps one scheduler decision in this many. Odd on
+/// purpose: a heartbeat offers Map then Reduce, so decisions alternate
+/// kinds and an even stride would sample one kind only.
 const DECISION_SAMPLE_STRIDE: u64 = 61;
 
 /// In-flight task attempts and their speculation groups, tracked whenever
@@ -389,7 +386,6 @@ struct Sim<'a> {
     scheduler_nanos: u64,
     /// Decisions since the last stamped one (see [`Sim::timed`]).
     unstamped_decisions: u64,
-    recorder: Option<TimelineRecorder>,
     /// The data-plane layer: topology, replica placement, pending-map
     /// queues, map-output locations, and re-shuffle debt.
     data: DataPlane,
@@ -420,21 +416,13 @@ struct Sim<'a> {
     /// Workflows the gate turned away, by reason (sorted for deterministic
     /// reports).
     rejections: BTreeMap<String, u64>,
-    // Observability state (see crate::obs). All `None`/off by default,
-    // leaving only `Option` checks on the hot path.
-    /// Structured trace sink; `None` when tracing is off (and while the
-    /// WAL replays during master recovery, mirroring `recorder`).
-    sink: Option<&'a mut dyn TraceSink>,
-    /// Metrics registry; `None` when metrics are off (and during replay).
-    metrics: Option<MetricsRegistry>,
+    /// Where every trace record goes (see [`crate::obs`]); `None` when no
+    /// consumer is on, and while the WAL replays during master recovery.
+    obs: Option<Observer<'a>>,
     /// Reusable buffer for draining scheduler trace records.
     sched_scratch: Vec<SchedTrace>,
     /// Reusable buffer for a run of coalesced same-tick heartbeats.
     heartbeat_run: Vec<Event>,
-    /// Next gauge-sampling grid instant.
-    next_sample: SimTime,
-    /// Gauge- and timeline-sampling interval.
-    obs_interval: SimDuration,
 }
 
 impl<'a> Sim<'a> {
@@ -463,13 +451,14 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Emits one trace record at the current instant, if tracing is on.
+    /// Reports one step at the current instant, if anything observes.
     fn emit(&mut self, event: TraceEvent) {
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(TraceRecord {
-                at: self.now,
-                event,
-            });
+        self.emit_at(self.now, event);
+    }
+
+    fn emit_at(&mut self, at: SimTime, event: TraceEvent) {
+        if let Some(obs) = &mut self.obs {
+            obs.record(TraceRecord { at, event });
         }
     }
 
@@ -489,9 +478,6 @@ impl<'a> Sim<'a> {
         self.nodes[node.index()].take(kind);
         self.touch_busy();
         self.busy_count[Self::kind_index(kind)] += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(self.now, wf, kind, 1);
-        }
         self.emit(TraceEvent::TaskStart {
             node: node.index(),
             workflow: wf,
@@ -499,9 +485,6 @@ impl<'a> Sim<'a> {
             kind,
             speculative,
         });
-        if let Some(m) = &mut self.metrics {
-            m.tasks_started.inc();
-        }
         self.schedule(
             self.now + duration,
             Event::TaskComplete {
@@ -534,11 +517,7 @@ impl<'a> Sim<'a> {
         a
     }
 
-    /// The timeline and trace side of a kill.
     fn record_kill(&mut self, node: NodeId, wf: WorkflowId, job: JobId, kind: SlotKind) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(self.now, wf, kind, -1);
-        }
         self.emit(TraceEvent::TaskKilled {
             node: node.index(),
             workflow: wf,
@@ -595,127 +574,52 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Runs one scheduler decision against the pool, charging its wall
-    /// time to `scheduler_nanos` and the decision-latency histogram. The
-    /// histogram needs every sample, so with metrics on every decision is
-    /// stamped; otherwise one decision in [`DECISION_SAMPLE_STRIDE`] is
-    /// stamped and stands for the whole stride — two clock reads cost more
+    /// Runs one scheduler decision against the pool. One decision in
+    /// [`DECISION_SAMPLE_STRIDE`] is stamped and its wall time, times the
+    /// stride, charged to `scheduler_nanos` — two clock reads cost more
     /// than the median decision they would time.
     fn timed<T>(&mut self, decide: impl FnOnce(&WorkflowPool, SimTime) -> T) -> T {
-        let weight = if self.metrics.is_some() {
-            1
-        } else {
-            self.unstamped_decisions += 1;
-            if self.unstamped_decisions < DECISION_SAMPLE_STRIDE {
-                return decide(&self.pool, self.now);
-            }
-            self.unstamped_decisions = 0;
-            DECISION_SAMPLE_STRIDE
-        };
+        self.unstamped_decisions += 1;
+        if self.unstamped_decisions < DECISION_SAMPLE_STRIDE {
+            return decide(&self.pool, self.now);
+        }
+        self.unstamped_decisions = 0;
         let started = std::time::Instant::now();
         let choice = decide(&self.pool, self.now);
-        let elapsed = started.elapsed();
-        self.scheduler_nanos += elapsed.as_nanos() as u64 * weight;
-        if let Some(m) = &mut self.metrics {
-            m.decision_seconds.observe(elapsed.as_secs_f64());
-        }
+        self.scheduler_nanos += started.elapsed().as_nanos() as u64 * DECISION_SAMPLE_STRIDE;
         choice
     }
 
-    /// Drains the scheduler's buffered [`SchedTrace`] records into the
-    /// sink and the counters. Called after every dispatched event; a no-op
-    /// unless tracing or metrics are on (schedulers only buffer while
-    /// tracing was requested).
+    /// Reports the scheduler's buffered [`SchedTrace`] records. Called
+    /// after every dispatched event; a no-op unless something observes
+    /// (schedulers only buffer while tracing was requested).
     fn drain_sched(&mut self, scheduler: &mut dyn WorkflowScheduler) {
-        if self.sink.is_none() && self.metrics.is_none() {
+        if self.obs.is_none() {
             return;
         }
         let mut scratch = std::mem::take(&mut self.sched_scratch);
-        scratch.clear();
         scheduler.drain_trace(&mut scratch);
+        let backend = scheduler.backend_label();
         for t in scratch.drain(..) {
-            if let Some(m) = &mut self.metrics {
-                match t {
-                    SchedTrace::Pick { .. } => {}
-                    SchedTrace::PlanGenerated { .. } => m.plans_generated.inc(),
-                    SchedTrace::Replan { .. } => m.replans.inc(),
-                    SchedTrace::RhoRollback { .. } => m.rho_rollbacks.inc(),
+            self.emit(match t {
+                SchedTrace::Pick {
+                    workflow,
+                    rank,
+                    blocked,
+                } => TraceEvent::SchedulerPick {
+                    workflow,
+                    rank,
+                    blocked,
+                    backend,
+                },
+                SchedTrace::PlanGenerated { workflow, jobs } => {
+                    TraceEvent::PlanGenerated { workflow, jobs }
                 }
-            }
-            if self.sink.is_some() {
-                let backend = scheduler.backend_label();
-                let event = match t {
-                    SchedTrace::Pick {
-                        workflow,
-                        rank,
-                        blocked,
-                    } => TraceEvent::SchedulerPick {
-                        workflow,
-                        rank,
-                        blocked,
-                        backend,
-                    },
-                    SchedTrace::PlanGenerated { workflow, jobs } => {
-                        TraceEvent::PlanGenerated { workflow, jobs }
-                    }
-                    SchedTrace::Replan { workflow } => TraceEvent::Replan { workflow },
-                    SchedTrace::RhoRollback { workflow } => TraceEvent::RhoRollback { workflow },
-                };
-                self.emit(event);
-            }
+                SchedTrace::Replan { workflow } => TraceEvent::Replan { workflow },
+                SchedTrace::RhoRollback { workflow } => TraceEvent::RhoRollback { workflow },
+            });
         }
         self.sched_scratch = scratch;
-    }
-
-    /// Samples the gauges at every grid instant strictly before `t` (the
-    /// state between events is constant, so a grid instant inherits the
-    /// state left by the last event before it). Instants exactly at `t`
-    /// are sampled once the *next* event arrives — or by the final flush,
-    /// which passes `inclusive` — so a sample at an event's instant
-    /// observes that event, matching the timeline recorder's cutoff
-    /// semantics.
-    fn sample_gauges_until(&mut self, t: SimTime, inclusive: bool) {
-        if self.metrics.is_none() {
-            return;
-        }
-        while self.next_sample < t || (inclusive && self.next_sample == t) {
-            let at = self.next_sample;
-            self.sample_gauges_at(at);
-            self.next_sample = self.next_sample.saturating_add(self.obs_interval);
-        }
-    }
-
-    /// One gauge sample: pending-workflow/task depth and the tightest
-    /// deadline margin across incomplete workflows (plus one
-    /// deadline-margin histogram observation per incomplete workflow).
-    fn sample_gauges_at(&mut self, at: SimTime) {
-        let Some(m) = &mut self.metrics else {
-            return;
-        };
-        let mut wfs = 0u64;
-        let mut tasks = 0u64;
-        let mut min_margin = f64::INFINITY;
-        for wf in self.pool.incomplete() {
-            wfs += 1;
-            let w = self.pool.workflow(wf);
-            for job in w.active_jobs() {
-                let j = w.job(job);
-                tasks += u64::from(j.pending_maps()) + u64::from(j.pending_reduces());
-            }
-            let margin = (w.spec().deadline().as_millis() as f64 - at.as_millis() as f64) / 1000.0;
-            m.deadline_margin_seconds.observe(margin);
-            if margin < min_margin {
-                min_margin = margin;
-            }
-        }
-        m.pending_workflows.set(wfs as f64);
-        m.pending_workflows.sample(at);
-        m.pending_tasks.set(tasks as f64);
-        m.pending_tasks.sample(at);
-        if min_margin.is_finite() {
-            m.min_deadline_margin_seconds.set(min_margin);
-            m.min_deadline_margin_seconds.sample(at);
-        }
     }
 
     fn begin_job_submission(&mut self, wf: WorkflowId, job: JobId) {
@@ -808,18 +712,12 @@ impl<'a> Sim<'a> {
             }
         }
         self.release_slot(node, kind);
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record(self.now, wf, kind, -1);
-        }
         self.emit(TraceEvent::TaskComplete {
             node: node.index(),
             workflow: wf,
             job: job.as_u32() as usize,
             kind,
         });
-        if let Some(m) = &mut self.metrics {
-            m.tasks_completed.inc();
-        }
         // Failure injection: the attempt may fail and re-queue its task.
         // A task fails at most once (the retry succeeds), so termination
         // is guaranteed.
@@ -1112,9 +1010,6 @@ impl<'a> Sim<'a> {
             node: node.index(),
             workflow: wf,
         });
-        if let Some(m) = &mut self.metrics {
-            m.risk_averted.inc();
-        }
         true
     }
 
@@ -1232,9 +1127,10 @@ impl<'a> Sim<'a> {
             if let Some(h) = self.health.as_mut() {
                 h.preemptive_speculations += 1;
             }
-            if let Some(m) = &mut self.metrics {
-                m.preemptive_speculations.inc();
-            }
+            self.emit(TraceEvent::PreemptiveSpeculation {
+                node: original.node.index(),
+                workflow: original.wf,
+            });
         }
 
         self.pool
@@ -1265,9 +1161,6 @@ impl<'a> Sim<'a> {
                 free_maps: slots.free_maps,
                 free_reduces: slots.free_reduces,
             });
-            if let Some(m) = &mut self.metrics {
-                m.heartbeats.inc();
-            }
             self.assign_node(scheduler, node);
             // Keep the chain alive while work remains — including work the
             // source has not delivered yet.
@@ -1290,9 +1183,9 @@ impl<'a> Sim<'a> {
     /// [`Self::handle_heartbeat`] on such a beat moves `now`, counts the
     /// event and one `assign_calls` probe per kind with a free slot, logs
     /// the beat, and re-arms it; the scheduler is asked, finds nothing, and
-    /// nobody is listening (the caller keeps idle runs off while a sink,
-    /// a metrics registry, speculation or risk placement is on, or the
-    /// master is down). So the loop below is that pop-then-push sequence
+    /// nobody is listening (the caller keeps idle runs off while anything
+    /// observes, speculation or risk placement is on, or the master is
+    /// down). So the loop below is that pop-then-push sequence
     /// with the no-op calls stripped, which keeps every `seq` where the
     /// per-beat path would have put it. No event fires inside a run, so
     /// the pool's ready counts hold throughout, and the schedulers' empty
@@ -1480,10 +1373,9 @@ pub fn try_run_simulation_streamed<'a>(
     gate: Option<&'a mut dyn AdmissionGate>,
 ) -> Result<SimReport, SimError> {
     validate(cluster, config)?;
-    let mut clock = SimClock;
-    let (report, _) = run_inner_clocked(
-        source, scheduler, cluster, config, gate, None, None, &mut clock,
-    );
+    let obs = Observer::new(None, &config.observability, cluster);
+    let (report, _) =
+        run_inner_clocked(source, scheduler, cluster, config, gate, obs, &mut SimClock);
     Ok(report)
 }
 
@@ -1541,23 +1433,10 @@ pub fn try_run_simulation_clocked<'a>(
     clock: &mut dyn Clock,
 ) -> Result<(SimReport, Option<MetricsRegistry>), SimError> {
     validate(cluster, config)?;
-    let metrics = config
-        .observability
-        .metrics
-        .then(|| MetricsRegistry::new(scheduler.backend_label()));
-    // Scheduler-internal tracing feeds both the trace (pick records) and
-    // the counters (plans/replans/rollbacks), so either switch arms it.
-    let sched_tracing = sink.is_some() || metrics.is_some();
-    if sched_tracing {
-        scheduler.set_tracing(true);
-    }
-    let result = run_inner_clocked(
-        source, scheduler, cluster, config, gate, sink, metrics, clock,
-    );
-    if sched_tracing {
-        scheduler.set_tracing(false);
-    }
-    Ok(result)
+    let obs = Observer::new(sink, &config.observability, cluster);
+    Ok(run_inner_clocked(
+        source, scheduler, cluster, config, gate, obs, clock,
+    ))
 }
 
 /// Observability-enabled variant of [`run_simulation`]: runs the same
@@ -1654,34 +1533,38 @@ fn validate(cluster: &ClusterConfig, config: &SimConfig) -> Result<(), SimError>
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_inner_clocked<'a>(
     source: &mut dyn WorkloadSource,
     scheduler: &mut dyn WorkflowScheduler,
     cluster: &'a ClusterConfig,
     config: &'a SimConfig,
     gate: Option<&'a mut dyn AdmissionGate>,
-    sink: Option<&'a mut dyn TraceSink>,
-    metrics: Option<MetricsRegistry>,
+    obs: Option<Observer<'a>>,
     clock: &mut dyn Clock,
 ) -> (SimReport, Option<MetricsRegistry>) {
-    let (sim, truncated) = simulate(
-        source, scheduler, cluster, config, gate, sink, metrics, clock,
-    );
-    report(sim, scheduler, truncated)
+    // The scheduler's own records (picks, plans, replans, rollbacks) are
+    // part of what an observer hears.
+    let sched_tracing = obs.is_some();
+    if sched_tracing {
+        scheduler.set_tracing(true);
+    }
+    let (sim, truncated) = simulate(source, scheduler, cluster, config, gate, obs, clock);
+    let result = report(sim, scheduler, truncated);
+    if sched_tracing {
+        scheduler.set_tracing(false);
+    }
+    result
 }
 
 /// Runs the event loop until the workload drains or `max_sim_time` cuts
 /// it short (the returned flag), handing back the master as it ended.
-#[allow(clippy::too_many_arguments)]
 fn simulate<'a>(
     source: &mut dyn WorkloadSource,
     scheduler: &mut dyn WorkflowScheduler,
     cluster: &'a ClusterConfig,
     config: &'a SimConfig,
     gate: Option<&'a mut dyn AdmissionGate>,
-    sink: Option<&'a mut dyn TraceSink>,
-    metrics: Option<MetricsRegistry>,
+    obs: Option<Observer<'a>>,
     clock: &mut dyn Clock,
 ) -> (Sim<'a>, bool) {
     let fault_mode = cluster.faults().enabled();
@@ -1704,10 +1587,6 @@ fn simulate<'a>(
         events_processed: 0,
         scheduler_nanos: 0,
         unstamped_decisions: 0,
-        recorder: config
-            .observability
-            .timelines
-            .then(TimelineRecorder::default),
         data: DataPlane::new(config.seed, cluster, config.locality),
         table: AttemptTable {
             attempts: FastMap::default(),
@@ -1739,15 +1618,9 @@ fn simulate<'a>(
         exhausted: false,
         gate,
         rejections: BTreeMap::new(),
-        sink,
-        metrics,
+        obs,
         sched_scratch: Vec::new(),
         heartbeat_run: Vec::new(),
-        next_sample: SimTime::ZERO,
-        obs_interval: config
-            .observability
-            .sample_interval
-            .unwrap_or(DEFAULT_SAMPLE_INTERVAL),
     };
 
     // Workflow arrivals are NOT pushed here: the main loop below pulls
@@ -1767,10 +1640,7 @@ fn simulate<'a>(
 
     // An elided beat is invisible only while nobody watches heartbeats and
     // an empty offer launches nothing: see [`Sim::idle_run`].
-    let idle_runs = sim.sink.is_none()
-        && sim.metrics.is_none()
-        && config.speculation.is_none()
-        && !sim.risk_placement_on();
+    let idle_runs = sim.obs.is_none() && config.speculation.is_none() && !sim.risk_placement_on();
     let mut truncated = false;
     loop {
         // The effective time of the source's next arrival: `None` while the
@@ -1811,15 +1681,13 @@ fn simulate<'a>(
             if let Some(gate) = sim.gate.as_deref_mut() {
                 if let Err(reason) = gate.admit(&spec, at) {
                     *sim.rejections.entry(reason.clone()).or_insert(0) += 1;
-                    if let Some(s) = sim.sink.as_deref_mut() {
-                        s.record(TraceRecord {
-                            at,
-                            event: TraceEvent::AdmissionReject {
-                                workflow: spec.name().to_string(),
-                                reason,
-                            },
-                        });
-                    }
+                    sim.emit_at(
+                        at,
+                        TraceEvent::AdmissionReject {
+                            workflow: spec.name().to_string(),
+                            reason,
+                        },
+                    );
                     continue;
                 }
             }
@@ -1863,7 +1731,9 @@ fn simulate<'a>(
             break;
         }
         debug_assert!(t >= sim.now, "time went backwards");
-        sim.sample_gauges_until(t, false);
+        if let Some(obs) = &mut sim.obs {
+            obs.sample_until(t, false, &sim.pool);
+        }
         sim.now = t;
         sim.events_processed += 1;
         if logging
@@ -1899,12 +1769,6 @@ fn simulate<'a>(
                 sim.emit(TraceEvent::BatchCoalesced {
                     heartbeats: run.len(),
                 });
-                if let Some(m) = &mut sim.metrics {
-                    m.heartbeat_batches.inc();
-                }
-            }
-            if let Some(m) = &mut sim.metrics {
-                m.heartbeat_batch_size.observe(run.len() as f64);
             }
             for ev in run.drain(..) {
                 sim.dispatch(scheduler, ev);
@@ -1928,8 +1792,10 @@ fn report(
     sim.touch_busy();
 
     let end_time = sim.now;
-    sim.sample_gauges_until(end_time, true);
-    let metrics = sim.metrics.take();
+    let (metrics, timelines) = sim
+        .obs
+        .take()
+        .map_or((None, None), |obs| obs.finish(&sim.pool, end_time));
     let outcomes: Vec<WorkflowOutcome> = sim
         .pool
         .workflows()
@@ -1948,10 +1814,6 @@ fn report(
         !completed || sim.data.tracked_entries() == 0,
         "every job finished, so the data plane holds nothing"
     );
-    let timelines = sim
-        .recorder
-        .take()
-        .map(|rec| rec.finish(sim.pool.len(), end_time, sim.obs_interval));
     let admission = sim.gate.is_some().then(|| AdmissionReport {
         workflows_rejected: sim.rejections.values().sum(),
         rejections: sim

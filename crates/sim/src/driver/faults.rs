@@ -72,9 +72,6 @@ impl Sim<'_> {
             node: i,
             rack: self.cluster.rack_of(node),
         });
-        if let Some(m) = &mut self.metrics {
-            m.node_failures.inc();
-        }
         // Kill every live attempt on the node, in attempt-id order (the
         // map iterates in arbitrary order; sorting keeps runs seeded).
         let mut victims: Vec<u64> = self
@@ -105,10 +102,6 @@ impl Sim<'_> {
         // Slots leave the pool until the node re-registers (including the
         // ones the kills above just freed).
         self.nodes[i] = NodeSlotsRecord::default();
-        let node_cfg = self.cluster.node(node);
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record_down(self.now, node_cfg.total_slots() as i32);
-        }
         let faults = self.cluster.faults();
         // Failure prediction: fold this crash into the node's propensity
         // score — the crash itself plus a per-victim term, since a crash
@@ -223,11 +216,7 @@ impl Sim<'_> {
             node: i,
             rack: self.cluster.rack_of(node),
         });
-        let node_cfg = self.cluster.node(node);
-        self.nodes[i] = NodeSlotsRecord::idle(&node_cfg);
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.record_down(self.now, -(node_cfg.total_slots() as i32));
-        }
+        self.nodes[i] = NodeSlotsRecord::idle(&self.cluster.node(node));
         if !self.fault.heartbeat_live[i] {
             self.fault.heartbeat_live[i] = true;
             self.schedule(self.now, Event::Heartbeat(node));

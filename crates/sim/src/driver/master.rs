@@ -5,7 +5,7 @@
 use super::Sim;
 use crate::event::Event;
 use crate::health::NodeHealth;
-use crate::obs::{TraceEvent, TraceRecord};
+use crate::obs::TraceEvent;
 use crate::scheduler::WorkflowScheduler;
 use crate::snapshot::{AttemptRecord, FaultSnapshot, GroupRecord, MasterSnapshot, NodeSlotsRecord};
 use crate::state::JobPhase;
@@ -99,9 +99,6 @@ impl Sim<'_> {
         self.emit(TraceEvent::CheckpointTaken {
             wal_records: superseded,
         });
-        if let Some(m) = &mut self.metrics {
-            m.checkpoints.inc();
-        }
     }
 
     /// Starts the master-fault machinery at the start of a run: a genesis
@@ -214,13 +211,9 @@ impl Sim<'_> {
         );
         self.master.replaying = true;
         // Replay re-derives decisions the original master already made and
-        // recorded: observability (like the timeline recorder) suspends so
-        // nothing is double-counted or double-traced.
-        let sched_tracing = self.sink.is_some() || self.metrics.is_some();
-        let recorder = self.recorder.take();
-        let sink = self.sink.take();
-        let metrics = self.metrics.take();
-        if sched_tracing {
+        // reported: observability suspends so nothing is reported twice.
+        let obs = self.obs.take();
+        if obs.is_some() {
             scheduler.set_tracing(false);
         }
         let replayed = wal.len() as u64;
@@ -229,29 +222,22 @@ impl Sim<'_> {
             self.master.recovery.wal_records_replayed += 1;
             self.dispatch(scheduler, event);
         }
-        self.recorder = recorder;
-        self.sink = sink;
-        self.metrics = metrics;
-        if sched_tracing {
+        if obs.is_some() {
             // Re-arming also discards anything buffered during replay.
             scheduler.set_tracing(true);
         }
+        self.obs = obs;
         self.master.replaying = false;
         self.now = crash_time;
         // The replay span is stamped at the recovery instant and stretches
         // back over the outage; nothing else fires inside that window.
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(TraceRecord {
-                at: recover_at,
-                event: TraceEvent::WalReplayed {
-                    records: replayed,
-                    outage,
-                },
-            });
-        }
-        if let Some(m) = &mut self.metrics {
-            m.wal_replayed.add(replayed);
-        }
+        self.emit_at(
+            recover_at,
+            TraceEvent::WalReplayed {
+                records: replayed,
+                outage,
+            },
+        );
 
         // The source cursor never rewinds: arrival slots the restored
         // checkpoint (plus WAL) predates belong to workflows already pulled

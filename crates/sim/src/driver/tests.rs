@@ -459,35 +459,6 @@ fn sampled_stopwatch_estimates_scheduler_time_with_metrics_off() {
     assert!(per_offer < 1e6, "{per_offer} ns per offer");
 }
 
-#[test]
-fn every_decision_reaches_the_histogram_with_metrics_on() {
-    let cfg = SimConfig {
-        observability: ObservabilityConfig {
-            metrics: true,
-            ..ObservabilityConfig::default()
-        },
-        ..SimConfig::default()
-    };
-    // With and without the `assign_batch` attempt ahead of the per-slot
-    // probes. Both counts are what the every-call stopwatch recorded
-    // before sampling existed.
-    for (batch_heartbeats, decisions) in [(true, 5_813), (false, 2_976)] {
-        let cfg = SimConfig {
-            batch_heartbeats,
-            ..cfg.clone()
-        };
-        let (report, obs) = run_simulation_observed(
-            &stopwatch_workload(),
-            &mut SubmitOrderScheduler::new(),
-            &ClusterConfig::uniform(4, 2, 1),
-            &cfg,
-        );
-        assert!(report.completed && report.scheduler_nanos > 0);
-        let metrics = obs.metrics.expect("metrics were on");
-        assert_eq!(metrics.decision_seconds.count(), decisions);
-    }
-}
-
 /// The same run on the per-beat path: a trace sink keeps idle runs off.
 fn per_beat_run(
     workflows: &[WorkflowSpec],
@@ -1353,7 +1324,6 @@ mod master {
             &mut scheduler,
             &cluster,
             &cfg,
-            None,
             None,
             None,
             &mut SimClock,

@@ -1,8 +1,11 @@
 //! Simulation outputs: per-workflow outcomes, cluster utilization, and
 //! per-workflow slot-allocation timelines (the raw material of Figs 8–19).
 
+use crate::cluster::{ClusterConfig, NodeConfig};
 use crate::dataplane::DataPlaneReport;
 use crate::health::PredictionReport;
+use crate::obs::{TraceEvent, TraceRecord};
+use crate::state::WorkflowPool;
 use serde::{Deserialize, Serialize};
 use woha_model::{SimDuration, SimTime, SlotKind, WorkflowId};
 
@@ -94,10 +97,13 @@ impl Timelines {
     }
 }
 
-/// Records slot-occupancy step changes during a run and resolves them into
-/// [`Timelines`] afterwards.
+/// The timeline consumer: folds task starts, completions and kills, and
+/// node outages, from the trace records into slot-occupancy step changes,
+/// and resolves them into [`Timelines`] after the run.
 #[derive(Debug, Default)]
 pub(crate) struct TimelineRecorder {
+    /// Slots (both kinds) of each node: what its outage takes offline.
+    node_slots: Vec<u32>,
     /// (time, workflow index, kind index, +1/-1)
     deltas: Vec<(SimTime, u32, u8, i8)>,
     /// (time, signed change in offline slot count)
@@ -105,7 +111,32 @@ pub(crate) struct TimelineRecorder {
 }
 
 impl TimelineRecorder {
-    pub(crate) fn record(&mut self, time: SimTime, wf: WorkflowId, kind: SlotKind, delta: i8) {
+    pub(crate) fn new(cluster: &ClusterConfig) -> Self {
+        TimelineRecorder {
+            node_slots: cluster
+                .nodes()
+                .iter()
+                .map(NodeConfig::total_slots)
+                .collect(),
+            ..TimelineRecorder::default()
+        }
+    }
+
+    pub(crate) fn observe(&mut self, record: &TraceRecord) {
+        let at = record.at;
+        match record.event {
+            TraceEvent::TaskStart { workflow, kind, .. } => self.record(at, workflow, kind, 1),
+            TraceEvent::TaskComplete { workflow, kind, .. }
+            | TraceEvent::TaskKilled { workflow, kind, .. } => self.record(at, workflow, kind, -1),
+            TraceEvent::NodeDown { node, .. } => self.record_down(at, self.node_slots[node] as i32),
+            TraceEvent::NodeUp { node, .. } => {
+                self.record_down(at, -(self.node_slots[node] as i32))
+            }
+            _ => {}
+        }
+    }
+
+    fn record(&mut self, time: SimTime, wf: WorkflowId, kind: SlotKind, delta: i8) {
         let k = match kind {
             SlotKind::Map => 0,
             SlotKind::Reduce => 1,
@@ -115,7 +146,7 @@ impl TimelineRecorder {
 
     /// Records `delta` slots going offline (positive, node crash) or coming
     /// back (negative, node repair) at `time`.
-    pub(crate) fn record_down(&mut self, time: SimTime, delta: i32) {
+    fn record_down(&mut self, time: SimTime, delta: i32) {
         self.down_deltas.push((time, delta));
     }
 
@@ -253,12 +284,10 @@ pub struct SimReport {
     pub delay_skips: u64,
     /// Wall-clock nanoseconds the master spent inside the scheduler's
     /// `assign_task` / `assign_batch` across the whole run — the paper's
-    /// "overhead on the master node". With
-    /// [`ObservabilityConfig::metrics`](crate::obs::ObservabilityConfig::metrics)
-    /// on every decision is stamped; otherwise this is an estimate: the
-    /// driver stamps one decision in 61 and counts it 61 times (two clock
-    /// reads cost more than the median decision), so a run of fewer than
-    /// 61 decisions reports zero. Only calls the scheduler received are
+    /// "overhead on the master node". An estimate: the driver stamps one
+    /// decision in 61 and counts it 61 times (two clock reads cost more
+    /// than the median decision), so a run of fewer than 61 decisions
+    /// reports zero. Only calls the scheduler received are
     /// decisions: an offer the driver's idle runs elided (see
     /// [`assign_calls`](Self::assign_calls)) cost nothing and adds nothing
     /// here.
@@ -276,8 +305,8 @@ pub struct SimReport {
     /// while no workflow has an eligible task of that kind, whose answer
     /// is known to be "nothing" — exactly like the ones the scheduler
     /// sees, so it is *not* the number of calls the scheduler received
-    /// (only the per-beat path, which a trace sink or a metrics registry
-    /// selects, makes them all).
+    /// (only the per-beat path, which any observability consumer selects,
+    /// makes them all).
     pub assign_calls: u64,
     /// Slot offers forfeited because the scheduler returned an ineligible
     /// job (should be zero for a correct scheduler).
@@ -541,7 +570,6 @@ impl Gauge {
 pub struct Histogram {
     name: &'static str,
     help: &'static str,
-    label: Option<(&'static str, String)>,
     bounds: &'static [f64],
     counts: Vec<u64>,
     sum: f64,
@@ -549,17 +577,11 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(
-        name: &'static str,
-        help: &'static str,
-        label: Option<(&'static str, String)>,
-        bounds: &'static [f64],
-    ) -> Self {
+    fn new(name: &'static str, help: &'static str, bounds: &'static [f64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds ascending");
         Self {
             name,
             help,
-            label,
             bounds,
             counts: vec![0; bounds.len() + 1],
             sum: 0.0,
@@ -604,27 +626,7 @@ impl Histogram {
     pub fn name(&self) -> &'static str {
         self.name
     }
-
-    fn label_prefix(&self) -> String {
-        match &self.label {
-            Some((k, v)) => format!("{k}=\"{v}\","),
-            None => String::new(),
-        }
-    }
-
-    fn label_only(&self) -> String {
-        match &self.label {
-            Some((k, v)) => format!("{{{k}=\"{v}\"}}"),
-            None => String::new(),
-        }
-    }
 }
-
-/// Upper bounds (seconds) for the scheduler decision wall-time histogram:
-/// 100 ns up to 10 ms, roughly logarithmic.
-const DECISION_BOUNDS: &[f64] = &[
-    1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2,
-];
 
 /// Upper bounds for the heartbeat batch-size histogram.
 const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
@@ -639,8 +641,11 @@ const MARGIN_BOUNDS: &[f64] = &[
 /// The simulator's metric registry: well-known counters, gauges, and
 /// histograms covering the full scheduling decision loop. Created by the
 /// driver when [`ObservabilityConfig::metrics`](crate::ObservabilityConfig)
-/// is on; gauges are sampled on the observability grid so their series line
-/// up with the Chrome trace's counter tracks.
+/// is on, as a consumer of the driver's trace records: every counter but
+/// the two service ones (which [`ServiceStats`](crate::ServiceStats)
+/// exports) counts one [`TraceEvent`] kind. Gauges are sampled on the
+/// observability grid so their series line up with the Chrome trace's
+/// counter tracks.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     /// Heartbeats processed by the JobTracker.
@@ -685,10 +690,8 @@ pub struct MetricsRegistry {
     /// Ingest lag (seconds): newest buffered submit time minus the oldest
     /// still-buffered submit time — how far the master trails the stream.
     pub arrival_lag_seconds: Gauge,
-    /// Wall-clock seconds per scheduler consultation, labelled with the
-    /// priority-index backend. Wall-clock: nondeterministic across runs.
-    pub decision_seconds: Histogram,
-    /// Heartbeats coalesced into each dispatched batch.
+    /// Heartbeats coalesced into each dispatched batch (two or more; a
+    /// lone heartbeat is not a batch).
     pub heartbeat_batch_size: Histogram,
     /// Deadline margin (deadline − now, seconds) of every incomplete
     /// workflow, observed at each sample instant.
@@ -696,10 +699,8 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry; `backend` labels the decision-time
-    /// histogram (e.g. `"dsl"`, `"btree"`, `"pheap"`, or `"none"` for
-    /// schedulers without a priority index).
-    pub fn new(backend: &str) -> Self {
+    /// Creates an empty registry.
+    pub fn new() -> Self {
         Self {
             heartbeats: Counter::new("woha_heartbeats_total", "Heartbeats processed."),
             heartbeat_batches: Counter::new(
@@ -759,24 +760,68 @@ impl MetricsRegistry {
                 "woha_arrival_lag_seconds",
                 "Ingest lag between the stream head and the oldest buffered arrival.",
             ),
-            decision_seconds: Histogram::new(
-                "woha_decision_seconds",
-                "Wall-clock seconds per scheduler consultation.",
-                Some(("backend", backend.to_string())),
-                DECISION_BOUNDS,
-            ),
             heartbeat_batch_size: Histogram::new(
                 "woha_heartbeat_batch_size",
                 "Heartbeats coalesced into each dispatched batch.",
-                None,
                 BATCH_BOUNDS,
             ),
             deadline_margin_seconds: Histogram::new(
                 "woha_deadline_margin_seconds",
                 "Deadline margin of incomplete workflows at each sample instant.",
-                None,
                 MARGIN_BOUNDS,
             ),
+        }
+    }
+
+    /// Folds one trace record into the counter (and histogram) it feeds.
+    pub(crate) fn observe(&mut self, record: &TraceRecord) {
+        match record.event {
+            TraceEvent::Heartbeat { .. } => self.heartbeats.inc(),
+            TraceEvent::BatchCoalesced { heartbeats } => {
+                self.heartbeat_batches.inc();
+                self.heartbeat_batch_size.observe(heartbeats as f64);
+            }
+            TraceEvent::TaskStart { .. } => self.tasks_started.inc(),
+            TraceEvent::TaskComplete { .. } => self.tasks_completed.inc(),
+            TraceEvent::PlanGenerated { .. } => self.plans_generated.inc(),
+            TraceEvent::Replan { .. } => self.replans.inc(),
+            TraceEvent::RhoRollback { .. } => self.rho_rollbacks.inc(),
+            TraceEvent::CheckpointTaken { .. } => self.checkpoints.inc(),
+            TraceEvent::WalReplayed { records, .. } => self.wal_replayed.add(records),
+            TraceEvent::NodeDown { .. } => self.node_failures.inc(),
+            TraceEvent::RiskAverted { .. } => self.risk_averted.inc(),
+            TraceEvent::PreemptiveSpeculation { .. } => self.preemptive_speculations.inc(),
+            _ => {}
+        }
+    }
+
+    /// One gauge sample at grid instant `at`: pending-workflow and task
+    /// depth and the tightest deadline margin across incomplete workflows,
+    /// plus one deadline-margin observation per incomplete workflow.
+    pub(crate) fn sample(&mut self, at: SimTime, pool: &WorkflowPool) {
+        let mut wfs = 0u64;
+        let mut tasks = 0u64;
+        let mut min_margin = f64::INFINITY;
+        for wf in pool.incomplete() {
+            wfs += 1;
+            let w = pool.workflow(wf);
+            for job in w.active_jobs() {
+                let j = w.job(job);
+                tasks += u64::from(j.pending_maps()) + u64::from(j.pending_reduces());
+            }
+            let margin = (w.spec().deadline().as_millis() as f64 - at.as_millis() as f64) / 1000.0;
+            self.deadline_margin_seconds.observe(margin);
+            if margin < min_margin {
+                min_margin = margin;
+            }
+        }
+        self.pending_workflows.set(wfs as f64);
+        self.pending_workflows.sample(at);
+        self.pending_tasks.set(tasks as f64);
+        self.pending_tasks.sample(at);
+        if min_margin.is_finite() {
+            self.min_deadline_margin_seconds.set(min_margin);
+            self.min_deadline_margin_seconds.sample(at);
         }
     }
 
@@ -812,19 +857,14 @@ impl MetricsRegistry {
     }
 
     /// All histograms, in export order.
-    pub fn histograms(&self) -> [&Histogram; 3] {
-        [
-            &self.decision_seconds,
-            &self.heartbeat_batch_size,
-            &self.deadline_margin_seconds,
-        ]
+    pub fn histograms(&self) -> [&Histogram; 2] {
+        [&self.heartbeat_batch_size, &self.deadline_margin_seconds]
     }
 
     /// Renders the registry in the Prometheus text exposition format:
     /// `# HELP` / `# TYPE` preambles, cumulative `_bucket{le=...}` lines
     /// with a `+Inf` bucket, `_sum`, and `_count`. Output order is fixed,
-    /// so two identical runs render byte-identical text (up to the
-    /// wall-clock `woha_decision_seconds` values).
+    /// so two identical runs render byte-identical text.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         for c in self.counters() {
@@ -844,28 +884,23 @@ impl MetricsRegistry {
             for (i, &bound) in h.bounds.iter().enumerate() {
                 cumulative += h.counts[i];
                 out.push_str(&format!(
-                    "{}_bucket{{{}le=\"{}\"}} {}\n",
+                    "{}_bucket{{le=\"{}\"}} {}\n",
                     h.name,
-                    h.label_prefix(),
                     fmt_f64(bound),
                     cumulative
                 ));
             }
-            out.push_str(&format!(
-                "{}_bucket{{{}le=\"+Inf\"}} {}\n",
-                h.name,
-                h.label_prefix(),
-                h.count
-            ));
-            out.push_str(&format!(
-                "{}_sum{} {}\n",
-                h.name,
-                h.label_only(),
-                fmt_f64(h.sum)
-            ));
-            out.push_str(&format!("{}_count{} {}\n", h.name, h.label_only(), h.count));
+            out.push_str(&format!("{}_bucket{{le=\"+Inf\"}} {}\n", h.name, h.count));
+            out.push_str(&format!("{}_sum {}\n", h.name, fmt_f64(h.sum)));
+            out.push_str(&format!("{}_count {}\n", h.name, h.count));
         }
         out
+    }
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -1128,19 +1163,19 @@ mod tests {
     /// untouched.
     #[test]
     fn histogram_zero_duration_observations() {
-        let mut h = MetricsRegistry::new("dsl").decision_seconds;
+        let mut h = MetricsRegistry::new().heartbeat_batch_size;
         h.observe(0.0);
         h.observe(0.0);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 0.0);
-        // All decision bounds are positive, so zero lands in the very
-        // first bucket, not the +Inf overflow.
+        // All batch bounds are positive, so zero lands in the very first
+        // bucket, not the +Inf overflow.
         assert_eq!(h.bucket_counts()[0], 2);
         assert_eq!(*h.bucket_counts().last().unwrap(), 0);
 
         // Margin buckets include negative bounds: zero lands exactly in
         // the `le="0"` bucket, and a negative margin below the first one.
-        let mut m = MetricsRegistry::new("dsl").deadline_margin_seconds;
+        let mut m = MetricsRegistry::new().deadline_margin_seconds;
         m.observe(0.0);
         m.observe(-7200.0);
         let zero_idx = m.bounds().iter().position(|&b| b == 0.0).unwrap();
@@ -1171,7 +1206,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let mut reg = MetricsRegistry::new("btree");
+        let mut reg = MetricsRegistry::new();
         reg.heartbeats.inc();
         reg.heartbeats.add(4);
         assert_eq!(reg.heartbeats.value(), 5);
@@ -1191,26 +1226,22 @@ mod tests {
 
     #[test]
     fn prometheus_text_shape() {
-        let mut reg = MetricsRegistry::new("pheap");
+        let mut reg = MetricsRegistry::new();
         reg.heartbeats.add(7);
-        reg.decision_seconds.observe(3e-7);
-        reg.decision_seconds.observe(2.0); // beyond the last bound
-        reg.heartbeat_batch_size.observe(4.0);
+        reg.heartbeat_batch_size.observe(3.0);
+        reg.heartbeat_batch_size.observe(300.0); // beyond the last bound
         let text = reg.prometheus_text();
         assert!(text.contains("# HELP woha_heartbeats_total Heartbeats processed.\n"));
         assert!(text.contains("# TYPE woha_heartbeats_total counter\n"));
         assert!(text.contains("woha_heartbeats_total 7\n"));
         assert!(text.contains("# TYPE woha_pending_workflows gauge\n"));
-        assert!(text.contains("# TYPE woha_decision_seconds histogram\n"));
-        // Buckets are cumulative and labelled with the backend.
-        assert!(
-            text.contains("woha_decision_seconds_bucket{backend=\"pheap\",le=\"0.0000005\"} 1\n")
-        );
-        assert!(text.contains("woha_decision_seconds_bucket{backend=\"pheap\",le=\"+Inf\"} 2\n"));
-        assert!(text.contains("woha_decision_seconds_count{backend=\"pheap\"} 2\n"));
-        // Unlabelled histogram renders bare `{le=...}` selectors.
+        assert!(text.contains("# TYPE woha_heartbeat_batch_size histogram\n"));
+        // Buckets are cumulative, with bare `{le=...}` selectors.
+        assert!(text.contains("woha_heartbeat_batch_size_bucket{le=\"2\"} 0\n"));
         assert!(text.contains("woha_heartbeat_batch_size_bucket{le=\"4\"} 1\n"));
-        assert!(text.contains("woha_heartbeat_batch_size_sum 4\n"));
+        assert!(text.contains("woha_heartbeat_batch_size_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("woha_heartbeat_batch_size_sum 303\n"));
+        assert!(text.contains("woha_heartbeat_batch_size_count 2\n"));
         // Every non-comment line is `name{...} value` or `name value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (name, value) = line.rsplit_once(' ').expect("metric line");

@@ -1,15 +1,19 @@
 //! Structured observability: a zero-cost-when-off trace bus over the full
 //! scheduling decision loop, plus exporters for the collected data.
 //!
-//! The simulator's ad-hoc outputs (the `SimReport` aggregates and the
-//! Figs 14–19 slot timelines) answer *what* happened; this module records
-//! *why*. When [`ObservabilityConfig::trace`] is on, the driver emits one
-//! [`TraceRecord`] per decision-loop step — heartbeat arrival, batch
-//! coalescing, assignment outcome, plan generation, ρ-rollback/replan,
-//! fault and blacklist events, checkpoint writes, and WAL replay spans —
-//! into a caller-supplied [`TraceSink`]. When it is off (the default), the
-//! only cost on the hot path is a `None` check, and reports are
-//! byte-identical to pre-observability output (proven by the E2E tests).
+//! The `SimReport` aggregates answer *what* happened; this module records
+//! *why*. The driver reports each decision-loop step as one
+//! [`TraceRecord`] — heartbeat arrival, batch coalescing, assignment
+//! outcome, plan generation, ρ-rollback/replan, fault and blacklist
+//! events, checkpoint writes, and WAL replay spans — and that record is
+//! the only way it reports anything. One observer fans each record out to
+//! the consumers [`ObservabilityConfig`] turns on: a caller-supplied
+//! [`TraceSink`], the [`MetricsRegistry`](crate::metrics::MetricsRegistry)
+//! (whose counters count records), and the recorder of the Figs 14–19 slot
+//! timelines (which folds task starts, completions and kills, and node
+//! outages). With every consumer off (the default), the only cost on the
+//! hot path is a `None` check, and reports are byte-identical to
+//! pre-observability output (proven by the E2E tests).
 //!
 //! Two exporters turn the collected data into standard tooling formats:
 //!
@@ -22,7 +26,9 @@
 //!   [`MetricsRegistry`](crate::metrics::MetricsRegistry) in the
 //!   Prometheus text exposition format.
 
-use crate::metrics::MetricsRegistry;
+use crate::cluster::ClusterConfig;
+use crate::metrics::{MetricsRegistry, TimelineRecorder, Timelines};
+use crate::state::WorkflowPool;
 use serde::Value;
 use woha_model::{SimDuration, SimTime, SlotKind, WorkflowId};
 
@@ -33,8 +39,9 @@ use woha_model::{SimDuration, SimTime, SlotKind, WorkflowId};
 pub struct ObservabilityConfig {
     /// Emit structured [`TraceRecord`]s for the decision loop.
     pub trace: bool,
-    /// Maintain the [`MetricsRegistry`] (counters, histograms, and gauges
-    /// sampled on the observability grid).
+    /// Maintain the [`MetricsRegistry`] (counters and histograms folded
+    /// from the trace records, and gauges sampled on the observability
+    /// grid).
     pub metrics: bool,
     /// Record per-workflow slot timelines (Figs 14–19). Costs memory
     /// proportional to task count.
@@ -46,7 +53,7 @@ pub struct ObservabilityConfig {
 
 /// The sampling interval used when [`ObservabilityConfig::sample_interval`]
 /// is unset.
-pub(crate) const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 impl ObservabilityConfig {
     /// Whether any subsystem that hooks the driver's event loop is on.
@@ -216,6 +223,15 @@ pub enum TraceEvent {
         /// Declined (failure-prone) node.
         node: usize,
         /// Deadline-critical workflow steered away.
+        workflow: WorkflowId,
+    },
+    /// Risk-aware placement launched a duplicate of an attempt running on
+    /// a repeat-offender node before that node could die under it. The
+    /// duplicate's own [`TraceEvent::TaskStart`] follows.
+    PreemptiveSpeculation {
+        /// Failure-prone node the original attempt runs on.
+        node: usize,
+        /// Owning workflow.
         workflow: WorkflowId,
     },
     /// The master (JobTracker) crashed.
@@ -470,6 +486,11 @@ pub fn jsonl_line(record: &TraceRecord) -> String {
             put("node", Value::U64(*node as u64));
             put("workflow", Value::U64(workflow.as_u64()));
         }
+        TraceEvent::PreemptiveSpeculation { node, workflow } => {
+            put("event", Value::Str("preemptive_speculation".into()));
+            put("node", Value::U64(*node as u64));
+            put("workflow", Value::U64(workflow.as_u64()));
+        }
         TraceEvent::MasterCrashed => {
             put("event", Value::Str("master_crashed".into()));
         }
@@ -480,6 +501,88 @@ pub fn jsonl_line(record: &TraceRecord) -> String {
         }
     }
     serde_json::to_string(&Value::Object(obj)).expect("trace line renders")
+}
+
+/// The driver's one observer: every [`TraceRecord`] the driver emits goes
+/// through [`record`](Self::record), which fans it out to the consumers
+/// that are on — the caller's [`TraceSink`], the [`MetricsRegistry`]
+/// (which folds its counters from the records), and the timeline recorder
+/// behind Figs 14–19. The gauges are the one thing no record carries: the
+/// registry reads them off the pool at the grid instants
+/// [`sample_until`](Self::sample_until) walks.
+pub(crate) struct Observer<'a> {
+    sink: Option<&'a mut dyn TraceSink>,
+    metrics: Option<MetricsRegistry>,
+    timelines: Option<TimelineRecorder>,
+    /// Gauge- and timeline-sampling interval.
+    interval: SimDuration,
+    /// Next gauge-sampling grid instant.
+    next_sample: SimTime,
+}
+
+impl<'a> Observer<'a> {
+    /// The observer of a run with `sink` and the consumers `config` turns
+    /// on, or `None` when nothing would listen.
+    pub(crate) fn new(
+        sink: Option<&'a mut dyn TraceSink>,
+        config: &ObservabilityConfig,
+        cluster: &ClusterConfig,
+    ) -> Option<Self> {
+        let metrics = config.metrics.then(MetricsRegistry::new);
+        let timelines = config.timelines.then(|| TimelineRecorder::new(cluster));
+        (sink.is_some() || metrics.is_some() || timelines.is_some()).then(|| Observer {
+            sink,
+            metrics,
+            timelines,
+            interval: config.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
+            next_sample: SimTime::ZERO,
+        })
+    }
+
+    /// Hands one record to every consumer.
+    pub(crate) fn record(&mut self, record: TraceRecord) {
+        if let Some(m) = &mut self.metrics {
+            m.observe(&record);
+        }
+        if let Some(t) = &mut self.timelines {
+            t.observe(&record);
+        }
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(record);
+        }
+    }
+
+    /// Samples the gauges at every grid instant strictly before `t` (the
+    /// state between events is constant, so a grid instant inherits the
+    /// state left by the last event before it). Instants exactly at `t`
+    /// are sampled once the *next* event arrives — or by the final flush
+    /// in [`finish`](Self::finish), which passes `inclusive` — so a sample
+    /// at an event's instant observes that event, matching the timeline
+    /// recorder's cutoff semantics.
+    pub(crate) fn sample_until(&mut self, t: SimTime, inclusive: bool, pool: &WorkflowPool) {
+        let Some(m) = &mut self.metrics else {
+            return;
+        };
+        while self.next_sample < t || (inclusive && self.next_sample == t) {
+            m.sample(self.next_sample, pool);
+            self.next_sample = self.next_sample.saturating_add(self.interval);
+        }
+    }
+
+    /// Ends a run that stopped at `horizon` with `pool`: the registry,
+    /// sampled through `horizon`, and the timelines resolved onto the
+    /// sampling grid.
+    pub(crate) fn finish(
+        mut self,
+        pool: &WorkflowPool,
+        horizon: SimTime,
+    ) -> (Option<MetricsRegistry>, Option<Timelines>) {
+        self.sample_until(horizon, true, pool);
+        let timelines = self
+            .timelines
+            .map(|t| t.finish(pool.len(), horizon, self.interval));
+        (self.metrics, timelines)
+    }
 }
 
 /// Everything a run observed beyond its [`SimReport`](crate::SimReport):
@@ -719,6 +822,13 @@ impl Observations {
                     node_tid(*node),
                     vec![("workflow", Value::U64(workflow.as_u64()))],
                 )),
+                TraceEvent::PreemptiveSpeculation { node, workflow } => events.push(instant(
+                    "preemptive_speculation",
+                    "scheduler",
+                    ts,
+                    node_tid(*node),
+                    vec![("workflow", Value::U64(workflow.as_u64()))],
+                )),
                 TraceEvent::MasterCrashed => {
                     events.push(instant("master_crashed", "master", ts, SCHED_TID, vec![]))
                 }
@@ -941,7 +1051,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_truncates_unfinished_spans_and_emits_counters() {
-        let mut metrics = MetricsRegistry::new("dsl");
+        let mut metrics = MetricsRegistry::new();
         metrics.pending_tasks.set(5.0);
         metrics.pending_tasks.sample(SimTime::from_secs(30));
         let obs = Observations {

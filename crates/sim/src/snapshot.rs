@@ -23,6 +23,16 @@
 //!
 //! All maps are stored as key-sorted vectors so a snapshot of a given
 //! master state is byte-for-byte deterministic.
+//!
+//! Decoded snapshots are trusted. Every one the driver installs was
+//! encoded by `build_snapshot` moments earlier, and nothing reads a
+//! checkpoint from disk or any other outside source. Decoding checks each
+//! field's shape and each workflow spec's invariants, but not that the
+//! fields agree with each other or with the cluster: `install_snapshot`'s
+//! `arrived.len() - completed` would underflow on a snapshot with more
+//! completed workflows than arrivals, and `node_slots` is never compared
+//! with the cluster's nodes. A restart-from-disk path would have to add
+//! those checks first.
 
 use serde::{Deserialize, Serialize, Value};
 use woha_model::{JobId, NodeId, SimDuration, SimTime, SlotKind, WorkflowId};
@@ -344,11 +354,13 @@ impl MasterSnapshot {
     }
 
     /// Deserializes a snapshot from a tree produced by
-    /// [`encode`](Self::encode).
+    /// [`encode`](Self::encode). The result is trusted, not validated
+    /// against itself or a cluster: see the [module docs](self).
     ///
     /// # Errors
     ///
-    /// Returns an error if `value` is not a well-formed snapshot.
+    /// Returns an error if `value` is not a well-formed snapshot, or one of
+    /// its workflow specs breaks a model invariant.
     pub fn decode(value: &Value) -> Result<Self, serde::Error> {
         Self::from_value(value)
     }

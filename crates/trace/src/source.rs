@@ -821,6 +821,50 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_source_rejects_specs_the_builder_rejects() {
+        let job = |maps, reduces| {
+            format!(
+                r#"{{"name":"j","map_tasks":{maps},"reduce_tasks":{reduces},"map_duration":1000,"reduce_duration":1000}}"#
+            )
+        };
+        let line = |jobs: &[String], prereqs: &str, dependents: &str, deadline: u64| {
+            format!(
+                r#"{{"name":"w","jobs":[{}],"prereqs":{prereqs},"dependents":{dependents},"submit_time":5000,"deadline":{deadline}}}"#,
+                jobs.join(",")
+            )
+        };
+        let (one, two) = (vec![job(1, 1)], vec![job(1, 1), job(1, 1)]);
+        for (line, error) in [
+            (line(&[], "[]", "[]", 60_000), "contains no jobs"),
+            (line(&[job(0, 0)], "[[]]", "[[]]", 60_000), "zero map tasks"),
+            (line(&[job(0, 2)], "[[]]", "[[]]", 60_000), "zero map tasks"),
+            (line(&two, "[[],[7]]", "[[],[]]", 60_000), "only 2 jobs"),
+            (line(&one, "[[0]]", "[[0]]", 60_000), "dependency on itself"),
+            (
+                line(&two, "[[1],[0]]", "[[1],[0]]", 60_000),
+                "contains a cycle",
+            ),
+            (line(&one, "[[]]", "[[]]", 5_000), "not later than"),
+            (line(&two, "[[],[0]]", "[[],[]]", 60_000), "lists disagree"),
+            (
+                line(&two, "[[],[0,0]]", "[[0],[]]", 60_000),
+                "lists disagree",
+            ),
+        ] {
+            let ok = serde_json::to_string(&spec("ok", 0)).unwrap();
+            let text = format!("{ok}\n{line}\n");
+            let mut src = JsonlSource::from_reader(std::io::Cursor::new(text));
+            assert_eq!(
+                src.next_workflow().map(|w| w.name().to_string()),
+                Some("ok".into())
+            );
+            assert_eq!(src.next_workflow(), None, "{line}");
+            let err = src.error().expect("a sticky error");
+            assert!(err.contains("line 2") && err.contains(error), "{err}");
+        }
+    }
+
+    #[test]
     fn generator_source_is_deterministic_lazy_and_monotone() {
         let make = || {
             GeneratorSource::new(

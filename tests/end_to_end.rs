@@ -175,6 +175,39 @@ fn impossible_deadline_is_best_effort() {
     assert!(report.max_tardiness() > SimDuration::from_mins(15));
 }
 
+/// A map that runs for ~584 million years does not wrap the clock: its
+/// completion saturates past `max_sim_time`, so the run is cut off with
+/// the workflow unfinished rather than finishing it seconds in.
+#[test]
+fn an_endless_task_does_not_wrap_sim_time() {
+    let xml = r#"
+    <workflow name="endless" deadline="20m">
+      <job name="a" mappers="1" reducers="1" map-duration="18446744073709551s" reduce-duration="1s">
+        <output path="/t/a"/>
+      </job>
+    </workflow>"#;
+    let spec = WorkflowConfig::parse(xml)
+        .unwrap()
+        .to_spec(SimTime::ZERO)
+        .unwrap();
+    let config = SimConfig {
+        max_sim_time: SimTime::from_mins(60),
+        ..SimConfig::default()
+    };
+    let cluster = ClusterConfig::uniform(8, 2, 1);
+    for mut scheduler in all_schedulers(24) {
+        let report = run_simulation(
+            std::slice::from_ref(&spec),
+            scheduler.as_mut(),
+            &cluster,
+            &config,
+        );
+        assert!(!report.completed, "{}", report.scheduler);
+        assert_eq!(report.outcomes[0].finished, None, "{}", report.scheduler);
+        assert_eq!(report.deadline_misses(), 1, "{}", report.scheduler);
+    }
+}
+
 /// Generated topologies of every shape run to completion under every
 /// scheduler on a small cluster.
 #[test]
@@ -683,9 +716,7 @@ fn observability_off_and_on_leave_reports_byte_identical() {
 
 /// Satellite: trace and metrics exports are deterministic — two identical
 /// seeded runs (jitter, task failures, speculation, and a master crash all
-/// active) produce byte-identical Chrome trace JSON and, once the
-/// wall-clock decision-time histogram is filtered out, byte-identical
-/// Prometheus text.
+/// active) produce byte-identical Chrome trace JSON and Prometheus text.
 #[test]
 fn observability_exports_are_deterministic() {
     let workflows = fig11_workflows();
@@ -717,20 +748,244 @@ fn observability_exports_are_deterministic() {
         assert_eq!(report.recovery.as_ref().unwrap().master_crashes, 1);
         (obs.chrome_trace_json(), obs.prometheus_text().unwrap())
     };
-    // The decision-time histogram observes host wall-clock; every other
-    // line is pure simulation state and must reproduce exactly.
-    let sim_only = |prom: &str| -> String {
-        prom.lines()
-            .filter(|l| !l.contains("woha_decision_seconds"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     let (trace_a, prom_a) = run();
     let (trace_b, prom_b) = run();
     assert_eq!(trace_a, trace_b, "Chrome trace must be deterministic");
-    assert_eq!(sim_only(&prom_a), sim_only(&prom_b));
+    assert_eq!(prom_a, prom_b, "Prometheus text must be deterministic");
     assert!(trace_a.contains("\"traceEvents\""));
     assert!(prom_a.contains("# TYPE woha_heartbeats_total counter"));
+}
+
+/// FNV-1a (64-bit) of a rendered artifact.
+fn digest(text: &str) -> String {
+    let h = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{h:016x}")
+}
+
+/// Digests of the report JSON, JSONL trace, Chrome JSON and Prometheus text
+/// per `(configuration, observers)` cell, recorded by running the body of
+/// [`observability_bus_identity`] on the commit where the driver still fed
+/// its trace sink, metrics registry and timeline recorder separately. That
+/// body stripped the Prometheus lines of `woha_decision_seconds` (wall
+/// clock) and `woha_heartbeat_batch_size`.
+const OBSERVERS_BEFORE_THE_BUS: &str = "\
+batched / all: report 806d0538827f5fee jsonl e6639c10f160df66 chrome 2f8574e41ed5c5b0 prom 5c824d94dc29a396
+batched / metrics: report ab02ff5adce94c85 jsonl cbf29ce484222325 chrome c98ab45ca9caf483 prom 5c824d94dc29a396
+batched / timelines: report 806d0538827f5fee jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
+per-slot / all: report 806d0538827f5fee jsonl b9b2ee7a8dee9cac chrome 495273a8de508654 prom 5c824d94dc29a396
+per-slot / metrics: report ab02ff5adce94c85 jsonl cbf29ce484222325 chrome c98ab45ca9caf483 prom 5c824d94dc29a396
+per-slot / timelines: report 806d0538827f5fee jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
+node+rack faults / all: report ac74f37f0f186b79 jsonl 281bd3055b1cfa96 chrome 733e5493777e7fa9 prom 8ab1e3d6cacd6880
+node+rack faults / metrics: report 6f277079c64b3cf1 jsonl cbf29ce484222325 chrome 3eebf6f9d9e95c82 prom 8ab1e3d6cacd6880
+node+rack faults / timelines: report ac74f37f0f186b79 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
+master crash, WAL / all: report 0cd5e8f7e9c37535 jsonl 5a324ef49ddb9cde chrome aaedd03e8f390eb7 prom a30a8efc65c3036a
+master crash, WAL / metrics: report 1e7ed629f0509874 jsonl cbf29ce484222325 chrome 6c5c7dd644241791 prom a30a8efc65c3036a
+master crash, WAL / timelines: report 0cd5e8f7e9c37535 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
+master crash, no WAL / all: report bb344e8b7b820a21 jsonl 703d5b082e5f1b79 chrome bfcb3bb6ec99291c prom 09824933fb93e527
+master crash, no WAL / metrics: report e96db040d2eb9752 jsonl cbf29ce484222325 chrome 031f2f4043cef3af prom 09824933fb93e527
+master crash, no WAL / timelines: report bb344e8b7b820a21 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
+speculation+risk / all: report 8f912f9d457c7b24 jsonl 9a4edcbc9352c3c7 chrome b7490679ecb1c1f2 prom 29f9585a5a9daca2
+speculation+risk / metrics: report 9b66041478d3d087 jsonl cbf29ce484222325 chrome 730fad23ec7acd2c prom 29f9585a5a9daca2
+speculation+risk / timelines: report 8f912f9d457c7b24 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
+delay scheduling / all: report db9743dd89cab05d jsonl b50b0f80c98f165a chrome 612813f898b30df5 prom ed8ff3c5d5cbbb3c
+delay scheduling / metrics: report cd9cd55fad42d838 jsonl cbf29ce484222325 chrome 165cbe3647f2461e prom ed8ff3c5d5cbbb3c
+delay scheduling / timelines: report db9743dd89cab05d jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
+";
+
+/// Tentpole: the driver reports only through trace records, and one
+/// observer fans them out. Over seven driver configurations and three
+/// observer settings, every artifact matches what the separately fed trace
+/// sink, registry and timeline recorder produced, apart from three changes,
+/// each checked here: `woha_decision_seconds` is gone;
+/// `woha_heartbeat_batch_size` observes each `BatchCoalesced` record (two
+/// or more heartbeats), where it used to observe lone beats too; and a
+/// risk-driven duplicate is now a `PreemptiveSpeculation` record.
+#[test]
+fn observability_bus_identity() {
+    let workflows = fig11_workflows();
+    let node_faults = FaultConfig {
+        mtbf: Some(SimDuration::from_mins(12)),
+        mttr: SimDuration::from_mins(3),
+        detect_missed_heartbeats: 2,
+        blacklist_after: 0,
+        ..FaultConfig::default()
+    };
+    let master = |wal, checkpoint_interval, crash| {
+        demo_cluster().with_faults(FaultConfig {
+            master: MasterFaultConfig {
+                mttr: SimDuration::from_secs(45),
+                checkpoint_interval,
+                wal,
+                scripted: vec![crash],
+                ..MasterFaultConfig::default()
+            },
+            ..FaultConfig::default()
+        })
+    };
+    let base = SimConfig {
+        duration_jitter: 0.15,
+        task_failure_prob: 0.02,
+        seed: 42,
+        ..SimConfig::default()
+    };
+    let cells = [
+        ("batched", demo_cluster(), base.clone()),
+        (
+            "per-slot",
+            demo_cluster(),
+            SimConfig {
+                batch_heartbeats: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "node+rack faults",
+            demo_cluster().with_racks(2).with_faults(FaultConfig {
+                rack_mtbf: Some(SimDuration::from_mins(30)),
+                rack_mttr: Some(SimDuration::from_mins(8)),
+                ..FaultConfig::with_mtbf(SimDuration::from_mins(30), SimDuration::from_mins(2))
+            }),
+            base.clone(),
+        ),
+        (
+            "master crash, WAL",
+            master(true, SimDuration::from_mins(6), SimTime::from_mins(10)),
+            base.clone(),
+        ),
+        // Three seconds after a checkpoint: the crash orphans the attempts
+        // launched since and re-issues an activation, but loses no
+        // completion, which the timelines would count twice (ROADMAP).
+        (
+            "master crash, no WAL",
+            master(
+                false,
+                SimDuration::from_mins(5),
+                SimTime::from_millis(603_000),
+            ),
+            base.clone(),
+        ),
+        (
+            "speculation+risk",
+            demo_cluster().with_faults(node_faults),
+            SimConfig {
+                speculation: Some(SpeculationConfig::default()),
+                prediction: Some(PredictionConfig {
+                    risk_placement: true,
+                    ..PredictionConfig::default()
+                }),
+                ..base.clone()
+            },
+        ),
+        (
+            "delay scheduling",
+            demo_cluster(),
+            SimConfig {
+                locality: Some(LocalityConfig {
+                    max_delay_skips: 3,
+                    ..LocalityConfig::default()
+                }),
+                ..base
+            },
+        ),
+    ];
+    let on = |trace, metrics, timelines| ObservabilityConfig {
+        trace,
+        metrics,
+        timelines,
+        sample_interval: Some(SimDuration::from_secs(30)),
+    };
+    let settings = [
+        ("all", on(true, true, true)),
+        ("metrics", on(false, true, false)),
+        ("timelines", on(false, false, true)),
+    ];
+    let mut got = String::new();
+    for (label, cluster, config) in &cells {
+        let mut all_prom = String::new();
+        for (setting, observability) in settings {
+            let config = SimConfig {
+                observability,
+                ..config.clone()
+            };
+            let mut s = WohaScheduler::new(WohaConfig {
+                padding: config
+                    .prediction
+                    .map(|_| PadConfig::new(SimDuration::from_mins(12))),
+                ..WohaConfig::new(PriorityPolicy::Lpf, 96)
+            });
+            let (mut report, mut obs) =
+                run_simulation_observed(&workflows, &mut s, cluster, &config);
+            report.scheduler_nanos = 0;
+            let exercised = match *label {
+                "node+rack faults" => report.data_plane.map_or(0, |d| d.rack_outages),
+                "master crash, WAL" => report.recovery.as_ref().map_or(0, |r| r.master_crashes),
+                "master crash, no WAL" => {
+                    report.recovery.as_ref().map_or(0, |r| r.attempts_orphaned)
+                }
+                "speculation+risk" => report
+                    .prediction
+                    .as_ref()
+                    .map_or(0, |p| p.preemptive_speculations),
+                "delay scheduling" => report.delay_skips,
+                _ => report.tasks_executed,
+            };
+            assert!(exercised > 0, "{label} / {setting}");
+
+            let prom = obs.prometheus_text().unwrap_or_default();
+            assert!(
+                !prom.contains("woha_decision_seconds"),
+                "{label} / {setting}"
+            );
+            if setting == "all" {
+                all_prom = prom.clone();
+                let metrics = obs.metrics.as_ref().expect("metrics on");
+                let (mut batches, mut beats, mut preemptive) = (0, 0, 0);
+                for r in &obs.trace {
+                    match r.event {
+                        TraceEvent::BatchCoalesced { heartbeats } => {
+                            batches += 1;
+                            beats += heartbeats;
+                        }
+                        TraceEvent::PreemptiveSpeculation { .. } => preemptive += 1,
+                        _ => {}
+                    }
+                }
+                let batch_size = &metrics.heartbeat_batch_size;
+                assert_eq!(batch_size.count(), batches, "{label}");
+                assert_eq!(batch_size.count(), metrics.heartbeat_batches.value());
+                assert_eq!(batch_size.sum(), beats as f64, "{label}");
+                assert_eq!(metrics.preemptive_speculations.value(), preemptive);
+                let launched = report.prediction.as_ref();
+                assert_eq!(
+                    launched.map_or(0, |p| p.preemptive_speculations),
+                    preemptive
+                );
+            } else if setting == "metrics" {
+                assert_eq!(
+                    prom, all_prom,
+                    "{label}: the registry folds the same records"
+                );
+            }
+
+            obs.trace
+                .retain(|r| !matches!(r.event, TraceEvent::PreemptiveSpeculation { .. }));
+            let prom: String = prom
+                .lines()
+                .filter(|l| !l.contains("woha_heartbeat_batch_size"))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            got += &format!(
+                "{label} / {setting}: report {} jsonl {} chrome {} prom {}\n",
+                digest(&serde_json::to_string(&report).unwrap()),
+                digest(&obs.trace_jsonl()),
+                digest(&obs.chrome_trace_json()),
+                digest(&prom),
+            );
+        }
+    }
+    assert_eq!(got, OBSERVERS_BEFORE_THE_BUS);
 }
 
 /// Tentpole: the streaming front door is the batch front door. The same
