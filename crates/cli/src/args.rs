@@ -116,7 +116,7 @@ pub struct ServeOptions {
     /// JSONL file or directory of `*.jsonl` files to tail.
     pub follow: String,
     /// Tenant admission config file (TOML subset; see
-    /// `woha_serve::TenantsConfig`); takes the place of `run.admission`.
+    /// `woha_core::admission`); takes the place of `run.admission`.
     pub tenants: Option<String>,
     /// Clock mode, arrival buffer, watermarks and shutdown conditions.
     pub service: ServeConfig,

@@ -7,9 +7,9 @@ use crate::args::{
 use std::error::Error;
 use std::fmt::Write as _;
 use woha_bench::sweep::{available_jobs, run_sweep, CellKey};
-use woha_core::{generate_plan, AdmissionController, JobPriorities, PadConfig, PriorityPolicy};
+use woha_core::{generate_plan, JobPriorities, MultiTenantGate, PadConfig, PriorityPolicy};
 use woha_model::{SlotKind, WorkflowConfig, WorkflowSpec};
-use woha_serve::{run_service, ClockMode, TenantsConfig};
+use woha_serve::{run_service, ClockMode};
 use woha_sim::{
     try_run_simulation_streamed_observed, AdmissionGate, ClusterConfig, JsonlTraceSink, MemorySink,
     MetricsRegistry, Observations, SimConfig, SimReport, TraceSink,
@@ -190,9 +190,7 @@ fn simulate(options: &SimulateOptions) -> Result<String, Box<dyn Error>> {
         .collect();
     let run_cell = |kind: woha_bench::SchedulerKind| -> Result<SimReport, String> {
         let mut scheduler = kind.build_with(total_slots(&run.cluster), run.index, padding);
-        let mut gate = run
-            .admission
-            .then(|| AdmissionController::new(&run.cluster));
+        let mut gate = run.admission.then(|| MultiTenantGate::open(&run.cluster));
         let open = |path| JsonlSource::open(path).map_err(|e| format!("cannot read {path}: {e}"));
         let mut jsonl = options.arrivals.as_ref().map(open).transpose()?;
         let mut files = VecSource::new(specs.clone());
@@ -247,16 +245,9 @@ fn serve(options: &ServeOptions) -> Result<String, Box<dyn Error>> {
 
     // The gate: a tenant file wins; otherwise plain demand-bound admission
     // unless explicitly turned off.
-    let mut tenant_gate = match &options.tenants {
-        Some(path) => Some(TenantsConfig::load(path)?.build_gate(&run.cluster)),
-        None => None,
-    };
-    let mut plain_gate =
-        (tenant_gate.is_none() && run.admission).then(|| AdmissionController::new(&run.cluster));
-    let gate: Option<&mut dyn AdmissionGate> = match (&mut tenant_gate, &mut plain_gate) {
-        (Some(g), _) => Some(g),
-        (None, Some(g)) => Some(g),
-        (None, None) => None,
+    let mut gate = match &options.tenants {
+        Some(path) => Some(MultiTenantGate::load(path, &run.cluster)?),
+        None => run.admission.then(|| MultiTenantGate::open(&run.cluster)),
     };
 
     // Arg validation guarantees `serve` a single scheduler.
@@ -278,7 +269,7 @@ fn serve(options: &ServeOptions) -> Result<String, Box<dyn Error>> {
             scheduler.as_mut(),
             &run.cluster,
             &config,
-            gate,
+            gate.as_mut().map(|g| g as &mut dyn AdmissionGate),
             sink,
             &options.service,
         )

@@ -11,8 +11,8 @@
 //!   with BST and pairing-heap queue strategies for comparison.
 //! - **Baselines** — the ported Oozie+FIFO, Oozie+Fair, and EDF workflow
 //!   schedulers ([`baseline`]).
-//! - **Extensions** — demand-bound admission control ([`admission`]),
-//!   which the paper leaves open.
+//! - **Extensions** — demand-bound, multi-tenant admission control
+//!   ([`admission`]), which the paper leaves open.
 //!
 //! Everything plugs into the `woha-sim` cluster simulator through its
 //! [`woha_sim::WorkflowScheduler`] trait, mirroring how the real WOHA
@@ -53,10 +53,9 @@ pub mod priority;
 pub mod progress;
 pub mod replan;
 pub mod skiplist;
-pub mod tenant;
 pub mod woha;
 
-pub use admission::{AdmissionController, RejectReason};
+pub use admission::{tenant_of, MultiTenantGate, OverloadPolicy, TenantSpec};
 pub use baseline::{EdfScheduler, FairScheduler, FifoScheduler};
 pub use index::{BTreeIndex, DslIndex, PriorityIndex};
 pub use pheap::{PairingHeap, PairingIndex};
@@ -69,5 +68,14 @@ pub use priority::{JobPriorities, PriorityPolicy};
 pub use progress::WorkflowProgress;
 pub use replan::{remaining_workflow, ReplanConfig};
 pub use skiplist::SkipList;
-pub use tenant::{tenant_of, MultiTenantGate, OverloadPolicy, TenantSpec};
 pub use woha::{QueueStrategy, WohaConfig, WohaScheduler};
+
+/// Tests of the admission gate's tenant policies.
+#[cfg(test)]
+#[path = "admission/tenant_tests.rs"]
+mod tenant;
+
+/// Tests of the admission gate's tenants file.
+#[cfg(test)]
+#[path = "admission/config_tests.rs"]
+mod tenants;

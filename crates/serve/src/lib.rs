@@ -13,8 +13,8 @@
 //!   event loop against real time,
 //! - **backpressure** ([`woha_sim::ArrivalBuffer`]) bounding how far the
 //!   master can fall behind the arrival stream, and
-//! - **multi-tenant admission** ([`woha_core::MultiTenantGate`]) read
-//!   from a [`TenantsConfig`] file.
+//! - **multi-tenant admission** ([`woha_core::MultiTenantGate`]), read
+//!   from a tenants file by [`woha_core::MultiTenantGate::load`].
 //!
 //! plus the glue only a service needs: cooperative [`shutdown`] (no OS
 //! signals — a stop file, an idle timeout, or an arrival budget raise a
@@ -29,8 +29,6 @@
 
 pub mod service;
 pub mod shutdown;
-pub mod tenants;
 
 pub use service::{run_service, ClockMode, ServeConfig, ServiceOutcome, SourceDiagnostics};
 pub use shutdown::{ShutdownCause, ShutdownConfig, ShutdownSignal, Watcher};
-pub use tenants::TenantsConfig;

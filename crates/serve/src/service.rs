@@ -190,7 +190,6 @@ pub fn run_service<S: WorkloadSource + SourceDiagnostics>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tenants::TenantsConfig;
     use woha_model::{JobSpec, SimDuration, SimTime, WorkflowBuilder, WorkflowSpec};
     use woha_sim::SubmitOrderScheduler;
 
@@ -287,10 +286,11 @@ mod tests {
 
     #[test]
     fn tenant_gate_rejections_reach_the_report_with_tenant_labels() {
-        let tenants =
-            TenantsConfig::parse("policy = \"necessity\"\n[tenant.ads]\nmax_in_flight = 1\n")
-                .unwrap();
-        let mut gate = tenants.build_gate(&cluster());
+        let mut gate = woha_core::MultiTenantGate::parse(
+            "policy = \"necessity\"\n[tenant.ads]\nmax_in_flight = 1\n",
+            &cluster(),
+        )
+        .unwrap();
         // Two overlapping ads workflows: the second exceeds the in-flight
         // cap of 1 and must be rejected with a tenant-qualified label.
         let specs = vec![spec("ads/a", 0, 30), spec("ads/b", 1, 30)];

@@ -19,9 +19,8 @@ use woha_model::{SimTime, WorkflowSpec};
 
 /// Decides, at submission time, whether a workflow may enter the cluster.
 ///
-/// Implementations live outside this crate (the WOHA admission controller
-/// in `woha-core` is the canonical one); the driver only needs the two
-/// hooks below.
+/// Implementations live outside this crate (`woha_core::MultiTenantGate`
+/// is the canonical one); the driver only needs the two hooks below.
 pub trait AdmissionGate {
     /// Decides whether `spec`, submitted at `now`, is admitted.
     ///
@@ -40,38 +39,4 @@ pub trait AdmissionGate {
     /// completed, so its demand can be released. Called exactly once per
     /// admitted workflow that completes (never during WAL replay).
     fn release(&mut self, name: &str);
-}
-
-/// A gate that admits everything — useful as a baseline and in tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmitAll;
-
-impl AdmissionGate for AdmitAll {
-    fn admit(&mut self, _spec: &WorkflowSpec, _now: SimTime) -> Result<(), String> {
-        Ok(())
-    }
-
-    fn release(&mut self, _name: &str) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use woha_model::{JobSpec, SimDuration, WorkflowBuilder};
-
-    #[test]
-    fn admit_all_admits() {
-        let mut b = WorkflowBuilder::new("w");
-        b.add_job(JobSpec::new(
-            "j",
-            1,
-            0,
-            SimDuration::from_secs(1),
-            SimDuration::ZERO,
-        ));
-        let spec = b.build().unwrap();
-        let mut gate = AdmitAll;
-        assert!(gate.admit(&spec, SimTime::ZERO).is_ok());
-        gate.release("w");
-    }
 }

@@ -64,7 +64,7 @@ pub use driver::{
     LocalityConfig, SimConfig, SimError, SpeculationConfig,
 };
 pub use fault::{FaultConfig, FaultStream, MasterFaultConfig, ScriptedFault};
-pub use gate::{AdmissionGate, AdmitAll};
+pub use gate::AdmissionGate;
 pub use hash::{FastMap, FxBuildHasher, FxHasher};
 pub use health::{HealthRecord, NodeHealth, PredictionConfig, PredictionReport};
 pub use metrics::{

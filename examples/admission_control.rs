@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example admission_control`
 
-use woha::core::admission::AdmissionController;
 use woha::model::oozie::{from_oozie_xml, JobSizing};
 use woha::prelude::*;
 
@@ -61,19 +60,19 @@ fn main() {
     let cluster = ClusterConfig::uniform(6, 2, 1); // 12 map + 6 reduce slots
                                                    // A conservative margin: deep fork/join phase structure packs far less
                                                    // tightly than raw capacity suggests.
-    let mut controller = AdmissionController::new(&cluster).with_margin(0.55);
+    let mut gate = MultiTenantGate::open(&cluster).with_margin(0.55);
 
     // Eight identical pipelines all want to finish within 25 minutes.
     let mut admitted = Vec::new();
     println!("offering 8 Oozie pipelines (deadline 25m each) to an 18-slot cluster:\n");
     for i in 0..8 {
         let w = instance(i, SimDuration::from_mins(25));
-        match controller.try_admit(&w, SimTime::ZERO) {
+        match gate.admit(&w, SimTime::ZERO) {
             Ok(()) => {
                 println!("  {} admitted", w.name());
                 admitted.push(w);
             }
-            Err(reason) => println!("  {} REJECTED: {reason}", w.name()),
+            Err(label) => println!("  {} REJECTED: {label}", w.name()),
         }
     }
 

@@ -53,9 +53,8 @@ pub use woha_trace as trace;
 pub mod prelude {
     pub use woha_core::{
         generate_plan, generate_plan_with_budget, generate_reqs, padded_budget, rework_fraction,
-        AdmissionController, CapMode, EdfScheduler, FairScheduler, FifoScheduler, JobPriorities,
-        PadConfig, PriorityPolicy, QueueStrategy, RejectReason, SchedulingPlan, WohaConfig,
-        WohaScheduler,
+        CapMode, EdfScheduler, FairScheduler, FifoScheduler, JobPriorities, MultiTenantGate,
+        PadConfig, PriorityPolicy, QueueStrategy, SchedulingPlan, WohaConfig, WohaScheduler,
     };
     pub use woha_model::{
         JobId, JobSpec, ModelError, NodeId, SimDuration, SimTime, SlotKind, WorkflowBuilder,
@@ -63,17 +62,16 @@ pub mod prelude {
     };
     pub use woha_serve::{
         run_service, ClockMode, ServeConfig, ServiceOutcome, ShutdownCause, ShutdownConfig,
-        ShutdownSignal, TenantsConfig,
+        ShutdownSignal,
     };
     pub use woha_sim::{
         run_simulation, run_simulation_observed, try_run_simulation, try_run_simulation_clocked,
         try_run_simulation_observed, try_run_simulation_streamed,
-        try_run_simulation_streamed_observed, AdmissionGate, AdmissionReport, AdmitAll,
-        ClusterConfig, DataPlane, DataPlaneReport, FaultConfig, JsonlTraceSink, LocalityConfig,
-        MasterFaultConfig, MemorySink, ObservabilityConfig, Observations, PredictionConfig,
-        PredictionReport, RecoveryReport, RejectCount, SchedulerState, ScriptedFault, SimConfig,
-        SimError, SimReport, SpeculationConfig, TraceEvent, TraceRecord, TraceSink, WorkflowPool,
-        WorkflowScheduler,
+        try_run_simulation_streamed_observed, AdmissionGate, AdmissionReport, ClusterConfig,
+        DataPlane, DataPlaneReport, FaultConfig, JsonlTraceSink, LocalityConfig, MasterFaultConfig,
+        MemorySink, ObservabilityConfig, Observations, PredictionConfig, PredictionReport,
+        RecoveryReport, RejectCount, SchedulerState, ScriptedFault, SimConfig, SimError, SimReport,
+        SpeculationConfig, TraceEvent, TraceRecord, TraceSink, WorkflowPool, WorkflowScheduler,
     };
     pub use woha_sim::{ArrivalBuffer, Clock, ServiceStats, SimClock, SourceWait, WallClock};
     pub use woha_trace::{

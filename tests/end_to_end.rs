@@ -1103,7 +1103,7 @@ fn streaming_trace_sink_matches_buffered_export() {
 }
 
 /// Satellite: admission control at the front door, end to end. With an
-/// `AdmissionController` gating the stream, a workflow whose critical path
+/// `MultiTenantGate::open` gating the stream, a workflow whose critical path
 /// cannot meet its deadline is turned away before touching the event loop:
 /// the report's admission block counts it by reason, an `AdmissionReject`
 /// record lands in the trace, and the remaining workflows run as usual.
@@ -1126,7 +1126,7 @@ fn admission_gate_rejects_at_the_front_door() {
         ..SimConfig::default()
     };
 
-    let mut gate = AdmissionController::new(&cluster);
+    let mut gate = MultiTenantGate::open(&cluster);
     let mut source = VecSource::new(workflows.clone());
     let mut sink = MemorySink::new();
     let (report, _) = try_run_simulation_streamed_observed(
