@@ -109,7 +109,11 @@ impl<R: std::io::BufRead> SourceDiagnostics for JsonlSource<R> {
     }
 }
 
-impl SourceDiagnostics for ChannelSource {}
+impl SourceDiagnostics for ChannelSource {
+    fn source_error(&self) -> Option<String> {
+        self.error().map(String::from)
+    }
+}
 impl SourceDiagnostics for VecSource {}
 
 /// Runs the service pipeline to completion and reports what happened.

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use woha_model::{SimDuration, SimTime, WorkflowSpec};
+use woha_model::{ModelError, SimDuration, SimTime, WorkflowSpec};
 
 /// The result of a non-blocking poll for the next arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +97,29 @@ pub fn drain(source: &mut dyn WorkloadSource) -> Vec<WorkflowSpec> {
     out
 }
 
+/// Lifts `w`'s submit time up to the running `watermark`, keeping its
+/// absolute deadline, and advances the watermark: how the streaming
+/// sources keep arrivals nondecreasing. A spec at or past the watermark
+/// passes through untouched. A clamp that would leave the deadline not
+/// after the new submit time is refused in the model's words, since
+/// `WorkflowSpec` admits no such spec anywhere else.
+fn clamp_to_watermark(w: WorkflowSpec, watermark: &mut SimTime) -> Result<WorkflowSpec, String> {
+    if w.submit_time() >= *watermark {
+        *watermark = w.submit_time();
+        return Ok(w);
+    }
+    if w.deadline() <= *watermark {
+        return Err(format!(
+            "{}: deadline {}, submit time {} clamped up to {}",
+            ModelError::DeadlineBeforeSubmit,
+            w.deadline(),
+            w.submit_time(),
+            watermark
+        ));
+    }
+    Ok(w.reissued(w.name().to_string(), *watermark, w.deadline()))
+}
+
 /// A [`WorkloadSource`] over an in-memory `Vec<WorkflowSpec>`.
 ///
 /// Yields workflows sorted by `(submit_time, original index)` — exactly
@@ -148,8 +171,9 @@ impl WorkloadSource for VecSource {
 /// runs backwards are clamped up to the running maximum (the stream
 /// contract requires nondecreasing arrivals); a sorted file passes through
 /// untouched, which is what the byte-identity tests against [`VecSource`]
-/// rely on. Blank lines are skipped. The first malformed line stops the
-/// stream and is reported via [`error`](JsonlSource::error).
+/// rely on. Blank lines are skipped. The first malformed line — including
+/// one that the clamp would push past its deadline — stops the stream and
+/// is reported via [`error`](JsonlSource::error).
 ///
 /// # EOF semantics and mid-append writers
 ///
@@ -233,59 +257,58 @@ impl<R: BufRead> JsonlSource<R> {
         self.live = false;
     }
 
-    /// Clamps `w`'s submit time up to the running watermark and stages it.
+    /// Clamps `w` up to the running watermark and stages it; a clamp past
+    /// its deadline ends the stream with this line's error.
     fn stage(&mut self, w: WorkflowSpec) {
-        let submit = w.submit_time().max(self.watermark);
-        self.watermark = submit;
-        self.pending = Some(if submit == w.submit_time() {
-            w
-        } else {
-            w.reissued(w.name().to_string(), submit, w.deadline())
-        });
+        match clamp_to_watermark(w, &mut self.watermark) {
+            Ok(w) => self.pending = Some(w),
+            Err(e) => self.fail(format!("line {}: {e}", self.line_no)),
+        }
     }
 
-    fn parse_line(&mut self, line: &str) {
+    /// Ends the stream with a sticky error.
+    fn fail(&mut self, error: String) {
+        self.error = Some(error);
+        self.done = true;
+    }
+
+    /// Decodes the line buffered in `partial` (a blank one is skipped) and
+    /// stages its spec. The buffer is left empty, its allocation kept for
+    /// the next line.
+    fn parse_partial(&mut self) {
         self.line_no += 1;
-        if line.trim().is_empty() {
-            return;
-        }
-        match serde_json::from_str::<WorkflowSpec>(line.trim()) {
-            Ok(w) => self.stage(w),
-            Err(e) => {
-                self.error = Some(format!("line {}: {e:?}", self.line_no));
-                self.done = true;
-            }
+        let line = self.partial.trim();
+        let parsed = (!line.is_empty()).then(|| serde_json::from_str::<WorkflowSpec>(line));
+        self.partial.clear();
+        match parsed {
+            None => {}
+            Some(Ok(w)) => self.stage(w),
+            Some(Err(e)) => self.fail(format!("line {}: {e:?}", self.line_no)),
         }
     }
 
     /// Reads ahead until a record is pending, input runs dry (EOF — maybe
-    /// transiently), the stream ends, or a line fails to parse. A final
-    /// line without its newline is buffered in `partial`, never parsed
-    /// early: a mid-append writer will deliver the rest of it later.
+    /// transiently), the stream ends, or a line fails to parse. Lines are
+    /// read straight into `partial`; a final line without its newline stays
+    /// buffered there, never parsed early: a mid-append writer will deliver
+    /// the rest of it later.
     fn fill(&mut self) {
         while self.pending.is_none() && !self.done {
-            let mut chunk = String::new();
-            match self.reader.read_line(&mut chunk) {
+            match self.reader.read_line(&mut self.partial) {
                 Ok(0) => {
                     self.at_eof = true;
                     return;
                 }
                 Ok(_) => {
                     self.at_eof = false;
-                    self.partial.push_str(&chunk);
-                    if !self.partial.ends_with('\n') {
-                        // Unterminated: the writer may be mid-append.
-                        // Keep reading (the very next read returns 0 at a
-                        // true EOF) rather than parsing a truncated line.
-                        continue;
+                    // An unterminated line stays buffered: the writer may
+                    // be mid-append. Keep reading (the very next read
+                    // returns 0 at a true EOF) rather than parsing it.
+                    if self.partial.ends_with('\n') {
+                        self.parse_partial();
                     }
-                    let line = std::mem::take(&mut self.partial);
-                    self.parse_line(&line);
                 }
-                Err(e) => {
-                    self.error = Some(format!("line {}: {e}", self.line_no + 1));
-                    self.done = true;
-                }
+                Err(e) => self.fail(format!("line {}: {e}", self.line_no + 1)),
             }
         }
     }
@@ -295,8 +318,7 @@ impl<R: BufRead> JsonlSource<R> {
     fn flush_at_eof(&mut self) {
         if self.at_eof && !self.done {
             if !self.partial.is_empty() {
-                let line = std::mem::take(&mut self.partial);
-                self.parse_line(&line);
+                self.parse_partial();
             }
             if self.partial.is_empty() && self.pending.is_none() {
                 self.done = true;
@@ -414,7 +436,9 @@ pub struct FollowSource {
     inner: Option<JsonlSource<std::io::BufReader<std::fs::File>>>,
     /// Path of the currently open file (directory mode bookkeeping).
     current: Option<PathBuf>,
-    /// Running maximum submit time across all files.
+    /// Running maximum submit time of the files already read. Each file's
+    /// [`JsonlSource`] starts from it and does the clamping, so it holds
+    /// across files.
     watermark: SimTime,
     error: Option<String>,
     done: bool,
@@ -486,7 +510,9 @@ impl FollowSource {
         let Some(path) = next else { return false };
         match std::fs::File::open(&path) {
             Ok(f) => {
-                self.inner = Some(JsonlSource::follow(std::io::BufReader::new(f)));
+                let mut inner = JsonlSource::follow(std::io::BufReader::new(f));
+                inner.watermark = self.watermark;
+                self.inner = Some(inner);
                 self.current = Some(path);
                 true
             }
@@ -520,9 +546,9 @@ impl FollowSource {
                 return SourcePoll::Pending;
             }
             match self.inner.as_mut().expect("file is open").poll_time() {
-                SourcePoll::Ready(t) => return SourcePoll::Ready(t.max(self.watermark)),
+                SourcePoll::Ready(t) => return SourcePoll::Ready(t),
                 SourcePoll::Exhausted => {
-                    let inner = self.inner.as_ref().expect("file is open");
+                    let inner = self.inner.take().expect("file is open");
                     if let Some(e) = inner.error() {
                         let file = self.current.as_ref().expect("file is open");
                         self.error = Some(format!("{}: {e}", file.display()));
@@ -530,7 +556,7 @@ impl FollowSource {
                         return SourcePoll::Exhausted;
                     }
                     // This file is fully consumed; move on (or finish).
-                    self.inner = None;
+                    self.watermark = inner.watermark;
                     if matches!(self.target, FollowTarget::File(_)) {
                         self.done = true;
                         return SourcePoll::Exhausted;
@@ -560,16 +586,7 @@ impl WorkloadSource for FollowSource {
 
     fn next_workflow(&mut self) -> Option<WorkflowSpec> {
         match self.poll() {
-            SourcePoll::Ready(_) => {
-                let w = self.inner.as_mut()?.next_workflow()?;
-                let submit = w.submit_time().max(self.watermark);
-                self.watermark = submit;
-                Some(if submit == w.submit_time() {
-                    w
-                } else {
-                    w.reissued(w.name().to_string(), submit, w.deadline())
-                })
-            }
+            SourcePoll::Ready(_) => self.inner.as_mut()?.next_workflow(),
             _ => None,
         }
     }
@@ -586,12 +603,19 @@ impl WorkloadSource for FollowSource {
 /// Polls [`SourcePoll::Pending`] while the channel is empty but some
 /// [`Sender`] is still alive, and [`SourcePoll::Exhausted`] once every
 /// sender has been dropped and the buffered backlog is drained. Submit
-/// times are clamped up to the running maximum, like every other source.
+/// times are clamped up to the running maximum, like every other source;
+/// an arrival that a clamp would push past its deadline stops the stream
+/// with a sticky [`error`](ChannelSource::error).
 pub struct ChannelSource {
     rx: Receiver<WorkflowSpec>,
     pending: Option<WorkflowSpec>,
     watermark: SimTime,
+    /// No further arrival will be read: every sender is gone, or the
+    /// stream stopped on an error.
     disconnected: bool,
+    /// Arrivals received, to name one in an error.
+    received: u64,
+    error: Option<String>,
 }
 
 impl ChannelSource {
@@ -602,6 +626,8 @@ impl ChannelSource {
             pending: None,
             watermark: SimTime::ZERO,
             disconnected: false,
+            received: 0,
+            error: None,
         }
     }
 
@@ -612,19 +638,25 @@ impl ChannelSource {
         (tx, ChannelSource::new(rx))
     }
 
+    /// The error that stopped the stream early, if any.
+    pub fn error(&self) -> Option<&str> {
+        self.error.as_deref()
+    }
+
     fn fill(&mut self) {
         if self.pending.is_some() || self.disconnected {
             return;
         }
         match self.rx.try_recv() {
             Ok(w) => {
-                let submit = w.submit_time().max(self.watermark);
-                self.watermark = submit;
-                self.pending = Some(if submit == w.submit_time() {
-                    w
-                } else {
-                    w.reissued(w.name().to_string(), submit, w.deadline())
-                });
+                self.received += 1;
+                match clamp_to_watermark(w, &mut self.watermark) {
+                    Ok(w) => self.pending = Some(w),
+                    Err(e) => {
+                        self.error = Some(format!("arrival {}: {e}", self.received));
+                        self.disconnected = true;
+                    }
+                }
             }
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => self.disconnected = true,
@@ -806,6 +838,57 @@ mod tests {
         assert_eq!(b.submit_time(), SimTime::from_secs(60));
         assert_eq!(b.deadline(), SimTime::from_secs(10 + 600));
         assert_eq!(src.error(), None);
+    }
+
+    /// Submitted at 10 s with a 30 s deadline after an arrival at 60 s: the
+    /// clamp would leave the deadline before the submit time.
+    fn clamped_past_its_deadline() -> WorkflowSpec {
+        spec("early", 10).reissued("early", SimTime::from_secs(10), SimTime::from_secs(30))
+    }
+
+    #[test]
+    fn a_clamp_past_the_deadline_is_a_sticky_error_naming_the_arrival() {
+        let text = to_jsonl(&[spec("late", 60), clamped_past_its_deadline()]).unwrap();
+        let mut src = JsonlSource::from_reader(std::io::Cursor::new(text));
+        assert_eq!(src.next_workflow().unwrap().name(), "late");
+        assert_eq!(src.next_workflow(), None);
+        let err = src.error().expect("a sticky error");
+        assert!(
+            err.starts_with("line 2: ") && err.contains("not later than"),
+            "{err}"
+        );
+        assert_eq!(src.peek_time(), None);
+
+        // Across files, the next file's first line is clamped the same way.
+        use std::io::Write;
+        let dir = tmp_dir("clamp");
+        let mut a = std::fs::File::create(dir.join("000.jsonl")).unwrap();
+        write!(a, "{}", to_jsonl(&[spec("late", 60)]).unwrap()).unwrap();
+        let mut b = std::fs::File::create(dir.join("001.jsonl")).unwrap();
+        write!(b, "{}", to_jsonl(&[clamped_past_its_deadline()]).unwrap()).unwrap();
+        let mut src = FollowSource::dir(&dir);
+        src.stop_handle().stop();
+        assert_eq!(src.next_workflow().unwrap().name(), "late");
+        assert_eq!(src.next_workflow(), None);
+        assert!(matches!(src.poll_time(), SourcePoll::Exhausted));
+        let err = src.error().expect("a sticky error");
+        assert!(
+            err.contains("001.jsonl: line 1: ") && err.contains("not later than"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let (tx, mut src) = ChannelSource::pair();
+        tx.send(spec("late", 60)).unwrap();
+        tx.send(clamped_past_its_deadline()).unwrap();
+        tx.send(spec("after", 70)).unwrap();
+        assert_eq!(src.next_workflow().unwrap().name(), "late");
+        assert!(matches!(src.poll_time(), SourcePoll::Exhausted));
+        let err = src.error().expect("a sticky error");
+        assert!(
+            err.starts_with("arrival 2: ") && err.contains("not later than"),
+            "{err}"
+        );
     }
 
     #[test]
