@@ -308,11 +308,6 @@ const RUN_FLAGS: &[Flag] = &[
 ];
 
 const SIMULATE_FLAGS: &[Flag] = &[
-    switch(
-        "--no-batch",
-        "disable batched heartbeat processing (per-slot scheduler probes, the \
-         pre-batching behaviour)",
-    ),
     valued("--jitter", "F", "task duration jitter fraction (default 0)"),
     valued("--seed", "N", "jitter/failure seed (default 0)"),
     valued(
@@ -933,7 +928,6 @@ fn simulate_command(s: &Scanned) -> Result<Command, String> {
             duration_jitter: jitter,
             task_failure_prob: failures,
             seed: s.parsed("--seed")?.unwrap_or(0),
-            batch_heartbeats: !s.given("--no-batch"),
             prediction: s.given("--predict-failures").then(|| PredictionConfig {
                 risk_placement: s.given("--risk-placement"),
                 adaptive_blacklist,
@@ -1077,7 +1071,7 @@ mod tests {
                 declared.insert(flag.name);
             }
         }
-        assert_eq!(declared.len(), 46, "{declared:?}");
+        assert_eq!(declared.len(), 45, "{declared:?}");
 
         // README's CLI section names every flag, and no flag but these
         // (and cargo's own, which its command lines carry).
@@ -1170,7 +1164,6 @@ mod tests {
             "0.05",
             "--index",
             "pheap",
-            "--no-batch",
             "--json",
         ]);
         assert_eq!(o.config.reshuffle_cost, SimDuration::ZERO);
@@ -1182,7 +1175,6 @@ mod tests {
         assert_eq!(o.run.cluster.total_slots(SlotKind::Map), 64);
         assert_eq!(o.run.schedulers, [SchedulerKind::Edf]);
         assert_eq!(o.run.index, QueueStrategy::Pairing);
-        assert!(!o.config.batch_heartbeats);
         assert_eq!(o.config.duration_jitter, 0.1);
         assert_eq!(o.config.seed, 7);
         assert_eq!(o.jobs, 3);
@@ -1306,7 +1298,6 @@ mod tests {
         ] {
             let o = simulate(&["a.xml", "--index", raw]);
             assert_eq!(o.run.index, want, "{raw}");
-            assert!(o.config.batch_heartbeats, "batching defaults on");
         }
         assert!(parse(&args(&["simulate", "a.xml", "--index", "hash"])).is_err());
         // The recompute-and-sort strawman lives in the Fig 13(a) bench only.

@@ -220,22 +220,14 @@ pub struct SimConfig {
     /// Straggler injection + speculative execution; `None` (the default)
     /// runs every attempt at its jittered estimate with no duplicates.
     pub speculation: Option<SpeculationConfig>,
-    /// Batched heartbeat processing: coalesce same-tick heartbeats and fill
-    /// each node's free slots through one
-    /// [`WorkflowScheduler::assign_batch`] pass instead of per-slot
-    /// `assign_task` probes. Behaviour-identical to the unbatched path
-    /// (proven by the determinism tests) and on by default; disable to
-    /// cross-check or to profile the per-slot path. Ignored (treated as
-    /// `false`) when delay scheduling is on, because locality declines
-    /// would desynchronize pre-committed batch picks.
-    pub batch_heartbeats: bool,
     /// Structured observability (tracing, metrics, timelines). Fully off
-    /// by default; see [`crate::obs`]. When everything here is off, the
-    /// simulation output is byte-identical to builds without the
-    /// observability layer. The trace and metrics switches only produce
-    /// output through [`run_simulation_observed`] /
-    /// [`try_run_simulation_observed`], which return the collected
-    /// [`Observations`] alongside the report.
+    /// by default; see [`crate::obs`]. Observing a run never changes the
+    /// path it takes, so the report is byte-identical with any of it on.
+    /// Timelines land in the report; the trace and the metrics registry
+    /// reach the caller through an entry point that takes a
+    /// [`TraceSink`] or returns a [`MetricsRegistry`] (for instance
+    /// [`run_simulation_observed`], which returns both as
+    /// [`Observations`]).
     pub observability: ObservabilityConfig,
     /// Failure prediction: per-node propensity tracking plus the
     /// risk-aware placement and adaptive-blacklist policies built on it
@@ -260,7 +252,6 @@ impl Default for SimConfig {
             max_sim_time: SimTime::from_mins(60 * 24 * 30),
             locality: None,
             speculation: None,
-            batch_heartbeats: true,
             observability: ObservabilityConfig::default(),
             prediction: None,
             reshuffle_cost: SimDuration::ZERO,
@@ -421,8 +412,6 @@ struct Sim<'a> {
     obs: Option<Observer<'a>>,
     /// Reusable buffer for draining scheduler trace records.
     sched_scratch: Vec<SchedTrace>,
-    /// Reusable buffer for a run of coalesced same-tick heartbeats.
-    heartbeat_run: Vec<Event>,
 }
 
 impl<'a> Sim<'a> {
@@ -459,6 +448,27 @@ impl<'a> Sim<'a> {
     fn emit_at(&mut self, at: SimTime, event: TraceEvent) {
         if let Some(obs) = &mut self.obs {
             obs.record(TraceRecord { at, event });
+        }
+    }
+
+    /// Reports a heartbeat of `node` at `at`, with its free slots.
+    fn emit_heartbeat(&mut self, at: SimTime, node: NodeId) {
+        let slots = self.nodes[node.index()];
+        self.emit_at(
+            at,
+            TraceEvent::Heartbeat {
+                node: node.index(),
+                free_maps: slots.free_maps,
+                free_reduces: slots.free_reduces,
+            },
+        );
+    }
+
+    /// Takes the gauge samples due before an event at `t`, if anything
+    /// observes.
+    fn sample_before(&mut self, t: SimTime) {
+        if let Some(obs) = &mut self.obs {
+            obs.sample_until(t, false, &self.pool);
         }
     }
 
@@ -775,7 +785,7 @@ impl<'a> Sim<'a> {
     /// offers, which would desynchronize a scheduler's pre-committed batch
     /// picks, so the batch path stays off whenever either is modelled.
     fn batchable(&self) -> bool {
-        self.config.batch_heartbeats && self.config.locality.is_none() && !self.risk_placement_on()
+        self.config.locality.is_none() && !self.risk_placement_on()
     }
 
     /// Offers all of `node`'s free slots to the scheduler, as a heartbeat
@@ -1155,12 +1165,7 @@ impl<'a> Sim<'a> {
             // when it re-registers.
             self.fault.heartbeat_live[node.index()] = false;
         } else {
-            let slots = self.nodes[node.index()];
-            self.emit(TraceEvent::Heartbeat {
-                node: node.index(),
-                free_maps: slots.free_maps,
-                free_reduces: slots.free_reduces,
-            });
+            self.emit_heartbeat(self.now, node);
             self.assign_node(scheduler, node);
             // Keep the chain alive while work remains — including work the
             // source has not delivered yet.
@@ -1182,13 +1187,15 @@ impl<'a> Sim<'a> {
     ///
     /// [`Self::handle_heartbeat`] on such a beat moves `now`, counts the
     /// event and one `assign_calls` probe per kind with a free slot, logs
-    /// the beat, and re-arms it; the scheduler is asked, finds nothing, and
-    /// nobody is listening (the caller keeps idle runs off while anything
-    /// observes, speculation or risk placement is on, or the master is
-    /// down). So the loop below is that pop-then-push sequence
-    /// with the no-op calls stripped, which keeps every `seq` where the
-    /// per-beat path would have put it. No event fires inside a run, so
-    /// the pool's ready counts hold throughout, and the schedulers' empty
+    /// the beat, reports it, and re-arms it; the scheduler is asked and
+    /// finds nothing (the caller keeps idle runs off while speculation or
+    /// risk placement could fill an idle slot, and while the master is
+    /// down). So the loop below is that pop-then-push sequence with the
+    /// no-op calls stripped, which keeps every `seq` where the per-beat
+    /// path would have put it. An observer still gets what the main loop
+    /// would have given it per beat: the gauge samples due before the beat,
+    /// then its `Heartbeat` record. No event fires inside a run, so the
+    /// pool's ready counts hold throughout, and the schedulers' empty
     /// offers coalesce into the last one of each kind
     /// (see [`WorkflowScheduler::assign_task`]), made when the run ends.
     fn idle_run(
@@ -1200,6 +1207,7 @@ impl<'a> Sim<'a> {
     ) -> bool {
         let ready = SlotKind::ALL.map(|kind| self.pool.ready_workflows(kind) > 0);
         let interval = self.cluster.heartbeat_interval();
+        let observed = self.obs.is_some();
         // The last elided offer of each kind: its instant and slot count.
         let mut last_offer = [None::<(SimTime, u32)>; 2];
         let mut consumed = false;
@@ -1214,6 +1222,9 @@ impl<'a> Sim<'a> {
                 break;
             }
             debug_assert!(t >= self.now, "time went backwards");
+            if observed {
+                self.observe_idle_beat(t, node);
+            }
             self.now = t;
             self.events_processed += 1;
             if logging {
@@ -1257,6 +1268,16 @@ impl<'a> Sim<'a> {
             );
         }
         consumed
+    }
+
+    /// What an observer hears of an elided beat of `node` at `t`: the
+    /// samples due before it, then its `Heartbeat` record. Out of line,
+    /// so the idle loop stays as tight as when nothing observes.
+    #[cold]
+    #[inline(never)]
+    fn observe_idle_beat(&mut self, t: SimTime, node: NodeId) {
+        self.sample_before(t);
+        self.emit_heartbeat(t, node);
     }
 
     /// Applies one event to the master state. Called from the main loop
@@ -1594,10 +1615,13 @@ fn simulate<'a>(
             next_attempt: 1,
             next_group: 1,
         },
+        // Survivor preference re-queues a failed map under its original
+        // identity, which only the attempt record remembers.
         track_attempts: config.speculation.is_some()
             || fault_mode
             || master_mode
-            || config.prediction.is_some(),
+            || config.prediction.is_some()
+            || config.locality.is_some_and(|l| l.prefer_survivors),
         fault_mode,
         fault: FaultSnapshot {
             alive: vec![true; node_count],
@@ -1620,7 +1644,6 @@ fn simulate<'a>(
         rejections: BTreeMap::new(),
         obs,
         sched_scratch: Vec::new(),
-        heartbeat_run: Vec::new(),
     };
 
     // Workflow arrivals are NOT pushed here: the main loop below pulls
@@ -1638,9 +1661,9 @@ fn simulate<'a>(
         sim.start_master(scheduler);
     }
 
-    // An elided beat is invisible only while nobody watches heartbeats and
-    // an empty offer launches nothing: see [`Sim::idle_run`].
-    let idle_runs = sim.obs.is_none() && config.speculation.is_none() && !sim.risk_placement_on();
+    // An elided beat is invisible only while an empty offer launches
+    // nothing: see [`Sim::idle_run`].
+    let idle_runs = config.speculation.is_none() && !sim.risk_placement_on();
     let mut truncated = false;
     loop {
         // The effective time of the source's next arrival: `None` while the
@@ -1731,9 +1754,7 @@ fn simulate<'a>(
             break;
         }
         debug_assert!(t >= sim.now, "time went backwards");
-        if let Some(obs) = &mut sim.obs {
-            obs.sample_until(t, false, &sim.pool);
-        }
+        sim.sample_before(t);
         sim.now = t;
         sim.events_processed += 1;
         if logging
@@ -1744,39 +1765,7 @@ fn simulate<'a>(
         {
             sim.master.wal.push((t, event.clone()));
         }
-        if sim.config.batch_heartbeats && matches!(event, Event::Heartbeat(_)) {
-            // Coalesce the run of same-tick heartbeats behind this one:
-            // the nodes' slot offers all share `now`, so handling them
-            // back to back in pop order is identical to popping them one
-            // by one, and it turns N per-slot scheduler probes into one
-            // batched pass per (node, kind). Each coalesced event is still
-            // counted and WAL-logged individually so recovery replays the
-            // exact same stream.
-            let mut run = std::mem::take(&mut sim.heartbeat_run);
-            run.push(event);
-            while let Some((tn, Event::Heartbeat(_))) = sim.queue.peek() {
-                if tn != t {
-                    break;
-                }
-                let (_, next) = sim.queue.pop().expect("peeked event");
-                sim.events_processed += 1;
-                if logging {
-                    sim.master.wal.push((t, next.clone()));
-                }
-                run.push(next);
-            }
-            if run.len() >= 2 {
-                sim.emit(TraceEvent::BatchCoalesced {
-                    heartbeats: run.len(),
-                });
-            }
-            for ev in run.drain(..) {
-                sim.dispatch(scheduler, ev);
-            }
-            sim.heartbeat_run = run;
-        } else {
-            sim.dispatch(scheduler, event);
-        }
+        sim.dispatch(scheduler, event);
     }
     (sim, truncated)
 }

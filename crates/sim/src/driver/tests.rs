@@ -428,6 +428,40 @@ fn locality_composes_with_failures() {
 }
 
 /// Failures on reduce tasks (no locality classification).
+#[test]
+fn survivor_preference_keeps_a_failed_maps_identity_without_faults() {
+    // Survivor preference with injected task failures and no faults: a
+    // failed map re-queues under its original identity, which only its
+    // attempt record remembers. Speculation that never fires also keeps
+    // attempt records, and must change nothing.
+    let w: Vec<WorkflowSpec> = (0..4)
+        .map(|i| simple_workflow(&format!("w{i}"), i * 5, 3_000))
+        .collect();
+    let cluster = ClusterConfig::uniform(4, 2, 1);
+    let cfg = SimConfig {
+        task_failure_prob: 0.3,
+        seed: 9,
+        locality: Some(LocalityConfig {
+            prefer_survivors: true,
+            ..LocalityConfig::default()
+        }),
+        ..SimConfig::default()
+    };
+    let run = |cfg: &SimConfig| run_simulation(&w, &mut SubmitOrderScheduler::new(), &cluster, cfg);
+    let mut report = run(&cfg);
+    assert!(report.completed);
+    assert!(report.task_failures > 0);
+    let dp = report.data_plane.expect("survivor preference reports");
+    assert!(dp.survivor_requeues > 0, "failed maps keep their identity");
+    let mut inert = run(&SimConfig {
+        speculation: Some(inert_speculation()),
+        ..cfg.clone()
+    });
+    report.scheduler_nanos = 0;
+    inert.scheduler_nanos = 0;
+    assert_eq!(report, inert);
+}
+
 fn reduce_failures(report: &SimReport) -> u64 {
     // executed = 9 tasks + all failures; map executions are classified.
     report.tasks_executed - (report.local_map_tasks + report.remote_map_tasks) - 3
@@ -459,8 +493,19 @@ fn sampled_stopwatch_estimates_scheduler_time_with_metrics_off() {
     assert!(per_offer < 1e6, "{per_offer} ns per offer");
 }
 
-/// The same run on the per-beat path: a trace sink keeps idle runs off.
-fn per_beat_run(
+/// Speculation that never fires. It keeps idle runs off, because with
+/// speculation on an idle slot could take a duplicate, and changes nothing
+/// else a run does.
+fn inert_speculation() -> SpeculationConfig {
+    SpeculationConfig {
+        straggler_prob: 0.0,
+        speculate_after: f64::INFINITY,
+        ..SpeculationConfig::default()
+    }
+}
+
+/// The run under `cfg`, traced.
+fn traced_run(
     workflows: &[WorkflowSpec],
     cluster: &ClusterConfig,
     cfg: &SimConfig,
@@ -473,6 +518,19 @@ fn per_beat_run(
         ..cfg.clone()
     };
     run_simulation_observed(workflows, &mut SubmitOrderScheduler::new(), cluster, &cfg)
+}
+
+/// The same run on the per-beat path, traced.
+fn per_beat_run(
+    workflows: &[WorkflowSpec],
+    cluster: &ClusterConfig,
+    cfg: &SimConfig,
+) -> (SimReport, Observations) {
+    let cfg = SimConfig {
+        speculation: Some(inert_speculation()),
+        ..cfg.clone()
+    };
+    traced_run(workflows, cluster, &cfg)
 }
 
 #[test]
@@ -500,9 +558,12 @@ fn an_idle_run_yields_to_an_arrival_at_the_beat_it_stops_on() {
     };
     let report = run_simulation(&workflows, &mut SubmitOrderScheduler::new(), &cluster, &cfg);
     assert_eq!(report.outcomes[0].finished, Some(SimTime::from_secs(39)));
-    let (mut per_beat, _) = per_beat_run(&workflows, &cluster, &cfg);
+    let (mut per_beat, per_beat_obs) = per_beat_run(&workflows, &cluster, &cfg);
     per_beat.scheduler_nanos = report.scheduler_nanos;
     assert_eq!(report, per_beat);
+    // Traced, the idle runs report every beat they consume.
+    let (_, obs) = traced_run(&workflows, &cluster, &cfg);
+    assert_eq!(obs.trace, per_beat_obs.trace);
 }
 
 /// A replay clock that now and then answers "not yet" once, and keeps a

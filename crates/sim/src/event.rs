@@ -230,13 +230,6 @@ impl EventQueue {
         self.head().map(|(e, _)| e.time)
     }
 
-    /// The earliest pending event (the one [`pop`](Self::pop) would
-    /// return), without removing it. Used by the driver to coalesce runs of
-    /// same-tick heartbeats.
-    pub fn peek(&self) -> Option<(SimTime, &Event)> {
-        self.head().map(|(e, _)| (e.time, &e.event))
-    }
-
     /// The time and node of the earliest pending event, if that event is a
     /// heartbeat held in the lane: the one entry
     /// [`rearm_lane_beat`](Self::rearm_lane_beat) may be called on. A
@@ -455,7 +448,6 @@ mod tests {
         assert_eq!(q.len(), m.entries.len());
         assert_eq!(q.is_empty(), m.entries.is_empty());
         assert_eq!(q.peek_time(), head.map(|e| e.0));
-        assert_eq!(q.peek(), head.map(|e| (e.0, &e.3)));
     }
 
     #[test]

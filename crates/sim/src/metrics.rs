@@ -628,9 +628,6 @@ impl Histogram {
     }
 }
 
-/// Upper bounds for the heartbeat batch-size histogram.
-const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-
 /// Upper bounds (seconds) for deadline-margin samples. Negative bounds
 /// capture workflows already past their deadline.
 const MARGIN_BOUNDS: &[f64] = &[
@@ -650,8 +647,6 @@ const MARGIN_BOUNDS: &[f64] = &[
 pub struct MetricsRegistry {
     /// Heartbeats processed by the JobTracker.
     pub heartbeats: Counter,
-    /// Coalesced same-tick heartbeat batches dispatched.
-    pub heartbeat_batches: Counter,
     /// Task attempts started (including speculative duplicates).
     pub tasks_started: Counter,
     /// Task attempts that ran to completion.
@@ -690,9 +685,6 @@ pub struct MetricsRegistry {
     /// Ingest lag (seconds): newest buffered submit time minus the oldest
     /// still-buffered submit time — how far the master trails the stream.
     pub arrival_lag_seconds: Gauge,
-    /// Heartbeats coalesced into each dispatched batch (two or more; a
-    /// lone heartbeat is not a batch).
-    pub heartbeat_batch_size: Histogram,
     /// Deadline margin (deadline − now, seconds) of every incomplete
     /// workflow, observed at each sample instant.
     pub deadline_margin_seconds: Histogram,
@@ -703,10 +695,6 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         Self {
             heartbeats: Counter::new("woha_heartbeats_total", "Heartbeats processed."),
-            heartbeat_batches: Counter::new(
-                "woha_heartbeat_batches_total",
-                "Coalesced heartbeat batches dispatched.",
-            ),
             tasks_started: Counter::new("woha_tasks_started_total", "Task attempts started."),
             tasks_completed: Counter::new("woha_tasks_completed_total", "Task attempts completed."),
             plans_generated: Counter::new(
@@ -760,11 +748,6 @@ impl MetricsRegistry {
                 "woha_arrival_lag_seconds",
                 "Ingest lag between the stream head and the oldest buffered arrival.",
             ),
-            heartbeat_batch_size: Histogram::new(
-                "woha_heartbeat_batch_size",
-                "Heartbeats coalesced into each dispatched batch.",
-                BATCH_BOUNDS,
-            ),
             deadline_margin_seconds: Histogram::new(
                 "woha_deadline_margin_seconds",
                 "Deadline margin of incomplete workflows at each sample instant.",
@@ -773,14 +756,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds one trace record into the counter (and histogram) it feeds.
+    /// Folds one trace record into the counter it feeds.
     pub(crate) fn observe(&mut self, record: &TraceRecord) {
         match record.event {
             TraceEvent::Heartbeat { .. } => self.heartbeats.inc(),
-            TraceEvent::BatchCoalesced { heartbeats } => {
-                self.heartbeat_batches.inc();
-                self.heartbeat_batch_size.observe(heartbeats as f64);
-            }
             TraceEvent::TaskStart { .. } => self.tasks_started.inc(),
             TraceEvent::TaskComplete { .. } => self.tasks_completed.inc(),
             TraceEvent::PlanGenerated { .. } => self.plans_generated.inc(),
@@ -826,10 +805,9 @@ impl MetricsRegistry {
     }
 
     /// All counters, in export order.
-    pub fn counters(&self) -> [&Counter; 14] {
+    pub fn counters(&self) -> [&Counter; 13] {
         [
             &self.heartbeats,
-            &self.heartbeat_batches,
             &self.tasks_started,
             &self.tasks_completed,
             &self.plans_generated,
@@ -857,8 +835,8 @@ impl MetricsRegistry {
     }
 
     /// All histograms, in export order.
-    pub fn histograms(&self) -> [&Histogram; 2] {
-        [&self.heartbeat_batch_size, &self.deadline_margin_seconds]
+    pub fn histograms(&self) -> [&Histogram; 1] {
+        [&self.deadline_margin_seconds]
     }
 
     /// Renders the registry in the Prometheus text exposition format:
@@ -1163,13 +1141,13 @@ mod tests {
     /// untouched.
     #[test]
     fn histogram_zero_duration_observations() {
-        let mut h = MetricsRegistry::new().heartbeat_batch_size;
+        let mut h = Histogram::new("woha_test", "Positive bounds.", &[1.0, 2.0, 4.0]);
         h.observe(0.0);
         h.observe(0.0);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 0.0);
-        // All batch bounds are positive, so zero lands in the very first
-        // bucket, not the +Inf overflow.
+        // All bounds are positive, so zero lands in the very first bucket,
+        // not the +Inf overflow.
         assert_eq!(h.bucket_counts()[0], 2);
         assert_eq!(*h.bucket_counts().last().unwrap(), 0);
 
@@ -1228,20 +1206,20 @@ mod tests {
     fn prometheus_text_shape() {
         let mut reg = MetricsRegistry::new();
         reg.heartbeats.add(7);
-        reg.heartbeat_batch_size.observe(3.0);
-        reg.heartbeat_batch_size.observe(300.0); // beyond the last bound
+        reg.deadline_margin_seconds.observe(5.0);
+        reg.deadline_margin_seconds.observe(7200.0); // beyond the last bound
         let text = reg.prometheus_text();
         assert!(text.contains("# HELP woha_heartbeats_total Heartbeats processed.\n"));
         assert!(text.contains("# TYPE woha_heartbeats_total counter\n"));
         assert!(text.contains("woha_heartbeats_total 7\n"));
         assert!(text.contains("# TYPE woha_pending_workflows gauge\n"));
-        assert!(text.contains("# TYPE woha_heartbeat_batch_size histogram\n"));
+        assert!(text.contains("# TYPE woha_deadline_margin_seconds histogram\n"));
         // Buckets are cumulative, with bare `{le=...}` selectors.
-        assert!(text.contains("woha_heartbeat_batch_size_bucket{le=\"2\"} 0\n"));
-        assert!(text.contains("woha_heartbeat_batch_size_bucket{le=\"4\"} 1\n"));
-        assert!(text.contains("woha_heartbeat_batch_size_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("woha_heartbeat_batch_size_sum 303\n"));
-        assert!(text.contains("woha_heartbeat_batch_size_count 2\n"));
+        assert!(text.contains("woha_deadline_margin_seconds_bucket{le=\"0\"} 0\n"));
+        assert!(text.contains("woha_deadline_margin_seconds_bucket{le=\"10\"} 1\n"));
+        assert!(text.contains("woha_deadline_margin_seconds_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("woha_deadline_margin_seconds_sum 7205\n"));
+        assert!(text.contains("woha_deadline_margin_seconds_count 2\n"));
         // Every non-comment line is `name{...} value` or `name value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (name, value) = line.rsplit_once(' ').expect("metric line");

@@ -3,9 +3,9 @@
 //!
 //! The `SimReport` aggregates answer *what* happened; this module records
 //! *why*. The driver reports each decision-loop step as one
-//! [`TraceRecord`] — heartbeat arrival, batch coalescing, assignment
-//! outcome, plan generation, ρ-rollback/replan, fault and blacklist
-//! events, checkpoint writes, and WAL replay spans — and that record is
+//! [`TraceRecord`] — heartbeat arrival, assignment outcome, plan
+//! generation, ρ-rollback/replan, fault and blacklist events, checkpoint
+//! writes, and WAL replay spans — and that record is
 //! the only way it reports anything. One observer fans each record out to
 //! the consumers [`ObservabilityConfig`] turns on: a caller-supplied
 //! [`TraceSink`], the [`MetricsRegistry`](crate::metrics::MetricsRegistry)
@@ -86,12 +86,6 @@ pub enum TraceEvent {
         free_maps: u32,
         /// Free reduce slots advertised.
         free_reduces: u32,
-    },
-    /// Same-tick heartbeats were coalesced into one scheduler batch.
-    BatchCoalesced {
-        /// Heartbeats in the batch (≥ 2; single heartbeats are not
-        /// recorded as batches).
-        heartbeats: usize,
     },
     /// The scheduler assigned a task to a slot offer.
     Assign {
@@ -365,10 +359,6 @@ pub fn jsonl_line(record: &TraceRecord) -> String {
             put("node", Value::U64(*node as u64));
             put("free_maps", Value::U64(u64::from(*free_maps)));
             put("free_reduces", Value::U64(u64::from(*free_reduces)));
-        }
-        TraceEvent::BatchCoalesced { heartbeats } => {
-            put("event", Value::Str("batch_coalesced".into()));
-            put("heartbeats", Value::U64(*heartbeats as u64));
         }
         TraceEvent::Assign {
             node,
@@ -655,13 +645,6 @@ impl Observations {
                         ("free_maps", Value::U64(u64::from(*free_maps))),
                         ("free_reduces", Value::U64(u64::from(*free_reduces))),
                     ],
-                )),
-                TraceEvent::BatchCoalesced { heartbeats } => events.push(instant(
-                    "batch_coalesced",
-                    "scheduler",
-                    ts,
-                    SCHED_TID,
-                    vec![("heartbeats", Value::U64(*heartbeats as u64))],
                 )),
                 TraceEvent::Assign {
                     node,

@@ -171,11 +171,13 @@ pub trait WorkflowScheduler: SchedulerState {
     /// heartbeat after heartbeat finds no ready workflow and no other event
     /// intervenes (an *idle run*), it makes only the last offer of each
     /// kind, with that offer's `now`, before the next hook or offer of any
-    /// kind is delivered. `now` never steps back from one call to the
-    /// next. A scheduler must therefore not count offers, nor accumulate
-    /// anything per empty offer that a later hook or pick depends on. The
-    /// same holds for [`assign_batch`](Self::assign_batch). (With a trace
-    /// sink or a metrics registry attached every offer is delivered.)
+    /// kind is delivered, whether or not anything observes the run. `now`
+    /// never steps back from one call to the next. A scheduler must
+    /// therefore not count offers, nor accumulate anything per empty offer
+    /// that a later hook or pick depends on. The same holds for
+    /// [`assign_batch`](Self::assign_batch). (While speculation or
+    /// risk-aware placement is on every offer is delivered: an idle slot
+    /// may take a duplicate there.)
     fn assign_task(
         &mut self,
         pool: &WorkflowPool,
@@ -232,10 +234,10 @@ pub trait WorkflowScheduler: SchedulerState {
         let _ = out;
     }
 
-    /// Label of the priority-index backend this scheduler consults, used
-    /// to label the decision-time histogram (`"dsl"`, `"btree"`,
-    /// `"pheap"`). The default, for schedulers without a priority index,
-    /// is `"none"`.
+    /// Label of the priority-index backend this scheduler consults
+    /// (`"dsl"`, `"btree"`, `"pheap"`), carried by every
+    /// `SchedulerPick` trace record. The default, for schedulers without a
+    /// priority index, is `"none"`.
     fn backend_label(&self) -> &'static str {
         "none"
     }
