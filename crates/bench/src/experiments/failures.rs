@@ -15,7 +15,7 @@ use crate::sweep::{CellKey, SimCell, SimSweep};
 use crate::table::{fmt_f64, ordered_unique, Table};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use woha_core::{CapMode, PadConfig, PriorityPolicy, QueueStrategy, WohaConfig, WohaScheduler};
+use woha_core::{PadConfig, PriorityPolicy, WohaConfig, WohaScheduler};
 use woha_model::{SimDuration, SlotKind, WorkflowSpec};
 use woha_sim::{
     ClusterConfig, FaultConfig, PredictionConfig, SimConfig, SimReport, WorkflowScheduler,
@@ -217,14 +217,9 @@ fn build_proactive(
         PredictionMode::Off => None,
         _ => mtbf.map(PadConfig::new),
     };
-    let policy = PriorityPolicy::Lpf;
     WohaScheduler::new(WohaConfig {
-        policy,
-        cap_mode: CapMode::MinFeasible,
-        total_slots,
-        queue: QueueStrategy::Dsl,
         padding,
-        ..WohaConfig::new(policy, total_slots)
+        ..WohaConfig::new(PriorityPolicy::Lpf, total_slots)
     })
 }
 

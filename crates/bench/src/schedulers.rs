@@ -2,7 +2,7 @@
 
 use std::fmt;
 use woha_core::{EdfScheduler, FairScheduler, FifoScheduler};
-use woha_core::{PadConfig, PriorityPolicy, QueueStrategy, WohaConfig, WohaScheduler};
+use woha_core::{PadConfig, PriorityPolicy, WohaConfig, WohaScheduler};
 use woha_sim::WorkflowScheduler;
 
 /// One of the six schedulers compared throughout the evaluation
@@ -52,20 +52,17 @@ impl SchedulerKind {
     /// Builds the scheduler. `total_slots` is the cluster capacity
     /// WOHA clients use for plan generation (ignored by the baselines).
     pub fn build(self, total_slots: u32) -> Box<dyn WorkflowScheduler> {
-        self.build_with(total_slots, QueueStrategy::Dsl, None)
+        self.build_with(total_slots, None)
     }
 
-    /// Builds the scheduler with explicit WOHA knobs: the
-    /// priority-index backend and proactive failure padding.
+    /// Builds the scheduler with WOHA's proactive failure padding.
     pub fn build_with(
         self,
         total_slots: u32,
-        queue: QueueStrategy,
         padding: Option<PadConfig>,
     ) -> Box<dyn WorkflowScheduler> {
         let woha = |policy| {
             Box::new(WohaScheduler::new(WohaConfig {
-                queue,
                 padding,
                 ..WohaConfig::new(policy, total_slots)
             })) as Box<dyn WorkflowScheduler>

@@ -9,7 +9,7 @@
 use std::fmt;
 use std::str::FromStr;
 use woha_bench::SchedulerKind;
-use woha_core::{CapMode, PriorityPolicy, QueueStrategy};
+use woha_core::{CapMode, PriorityPolicy};
 use woha_model::{config::parse_duration, SimDuration, SimTime};
 use woha_serve::{ClockMode, ServeConfig, ShutdownConfig};
 use woha_sim::{
@@ -55,8 +55,6 @@ pub struct RunOptions {
     pub cluster: ClusterConfig,
     /// The schedulers to run: one, or all six for `--scheduler all`.
     pub schedulers: Vec<SchedulerKind>,
-    /// Priority-index backend for the WOHA schedulers.
-    pub index: QueueStrategy,
     /// Screen each arriving workflow through the demand-bound admission
     /// test before it enters the cluster.
     pub admission: bool,
@@ -276,12 +274,6 @@ const RUN_FLAGS: &[Flag] = &[
         "NAME",
         "woha-lpf | woha-hlf | woha-mpf | fifo | fair | edf (default woha-lpf); \
          simulate also takes all, which runs and compares the six",
-    ),
-    valued(
-        "--index",
-        "BACKEND",
-        "priority-index backend for the WOHA schedulers: dsl | btree | pheap \
-         (default dsl)",
     ),
     valued(
         "--admission",
@@ -803,12 +795,6 @@ fn run_options(s: &Scanned, admission_default: bool) -> Result<RunOptions, Strin
                 })
             })?
             .unwrap_or_else(|| vec![SchedulerKind::WohaLpf]),
-        index: s
-            .value("--index", |raw| {
-                QueueStrategy::from_flag(&raw.to_ascii_lowercase())
-                    .ok_or_else(|| "expected dsl | btree | pheap".to_string())
-            })?
-            .unwrap_or(QueueStrategy::Dsl),
         admission: s
             .one_of("--admission", &[("off", false), ("necessary", true)])?
             .unwrap_or(admission_default),
@@ -1071,7 +1057,7 @@ mod tests {
                 declared.insert(flag.name);
             }
         }
-        assert_eq!(declared.len(), 45, "{declared:?}");
+        assert_eq!(declared.len(), 44, "{declared:?}");
 
         // README's CLI section names every flag, and no flag but these
         // (and cargo's own, which its command lines carry).
@@ -1162,8 +1148,6 @@ mod tests {
             "3",
             "--failures",
             "0.05",
-            "--index",
-            "pheap",
             "--json",
         ]);
         assert_eq!(o.config.reshuffle_cost, SimDuration::ZERO);
@@ -1174,7 +1158,6 @@ mod tests {
         assert_eq!(o.arrivals, None);
         assert_eq!(o.run.cluster.total_slots(SlotKind::Map), 64);
         assert_eq!(o.run.schedulers, [SchedulerKind::Edf]);
-        assert_eq!(o.run.index, QueueStrategy::Pairing);
         assert_eq!(o.config.duration_jitter, 0.1);
         assert_eq!(o.config.seed, 7);
         assert_eq!(o.jobs, 3);
@@ -1285,24 +1268,6 @@ mod tests {
         assert!(parse(&args(&["simulate", "a.xml", "--obs-sample-interval", "5s"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--obs-sample-interval", "0s"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--trace-out"])).is_err());
-    }
-
-    #[test]
-    fn simulate_index_flag_spellings() {
-        for (raw, want) in [
-            ("dsl", QueueStrategy::Dsl),
-            ("btree", QueueStrategy::Bst),
-            ("bst", QueueStrategy::Bst),
-            ("pheap", QueueStrategy::Pairing),
-            ("pairing", QueueStrategy::Pairing),
-        ] {
-            let o = simulate(&["a.xml", "--index", raw]);
-            assert_eq!(o.run.index, want, "{raw}");
-        }
-        assert!(parse(&args(&["simulate", "a.xml", "--index", "hash"])).is_err());
-        // The recompute-and-sort strawman lives in the Fig 13(a) bench only.
-        assert!(parse(&args(&["simulate", "a.xml", "--index", "naive"])).is_err());
-        assert!(parse(&args(&["simulate", "a.xml", "--index"])).is_err());
     }
 
     #[test]

@@ -189,7 +189,7 @@ fn simulate(options: &SimulateOptions) -> Result<String, Box<dyn Error>> {
         .map(|&kind| (CellKey::new().with("scheduler", kind), kind))
         .collect();
     let run_cell = |kind: woha_bench::SchedulerKind| -> Result<SimReport, String> {
-        let mut scheduler = kind.build_with(total_slots(&run.cluster), run.index, padding);
+        let mut scheduler = kind.build_with(total_slots(&run.cluster), padding);
         let mut gate = run.admission.then(|| MultiTenantGate::open(&run.cluster));
         let open = |path| JsonlSource::open(path).map_err(|e| format!("cannot read {path}: {e}"));
         let mut jsonl = options.arrivals.as_ref().map(open).transpose()?;
@@ -251,7 +251,7 @@ fn serve(options: &ServeOptions) -> Result<String, Box<dyn Error>> {
     };
 
     // Arg validation guarantees `serve` a single scheduler.
-    let mut scheduler = run.schedulers[0].build_with(total_slots(&run.cluster), run.index, None);
+    let mut scheduler = run.schedulers[0].build(total_slots(&run.cluster));
     let config = SimConfig {
         observability: run.observability(None),
         ..SimConfig::default()

@@ -68,6 +68,15 @@ fn specs_the_model_rejects_exit_1_with_its_error() {
         ),
         (spec(&one, "[[]]", "[[]]", 5_000), "not later than"),
         (spec(&two, "[[],[0]]", "[[],[]]", 60_000), "lists disagree"),
+        // Planning it would allocate one batch entry per task.
+        (
+            spec(&[job(u32::MAX, 0)], "[[]]", "[[]]", 60_000),
+            "workflow has 4294967295 tasks, more than the limit of 1048576",
+        ),
+        (
+            spec(&[job(50_000_000, 0)], "[[]]", "[[]]", 60_000),
+            "more than the limit",
+        ),
     ];
     let dir = temp_dir("hostile");
     for (i, (line, error)) in cases.iter().enumerate() {

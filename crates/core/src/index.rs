@@ -1,6 +1,6 @@
 //! The workflow ordering index of the WOHA master: the paper's Double Skip
-//! List (§IV-B, Fig 4) and the alternatives it is compared against in
-//! Fig 13(a), behind the pluggable [`PriorityIndex`] trait.
+//! List (§IV-B, Fig 4), which the scheduler holds, and the alternatives it
+//! is compared against in Fig 13(a), behind the [`PriorityIndex`] trait.
 //!
 //! The index maintains two orderings over queued workflows:
 //!
@@ -11,10 +11,11 @@
 //!   `F_i(ttd) - ρ_i` descending — its head is the workflow to schedule.
 //!
 //! Both structures see the same skewed access pattern: most deletions hit
-//! the head. Three interchangeable backends serve it:
+//! the head. [`DslIndex`], the paper's Double Skip List, serves it with
+//! O(1) head operations via [`SkipList`]; it is the scheduler's index. The
+//! other two are Fig 13(a)'s comparators, which the Fig 13(a) harness and
+//! the benchmark build through [`QueueStrategy::build_index`]:
 //!
-//! - [`DslIndex`] — the paper's Double Skip List, O(1) head operations via
-//!   [`SkipList`];
 //! - [`BTreeIndex`] — the balanced-search-tree baseline, two `BTreeMap`s
 //!   at O(log n) per head access;
 //! - [`crate::pheap::PairingIndex`] — a cache-dense pairing heap with lazy
@@ -28,6 +29,7 @@
 //! rebuild-everything scheduler, bypasses any incremental index and lives
 //! in the Fig 13(a) harness of `woha-bench`.)
 
+use crate::pheap::PairingIndex;
 use crate::skiplist::SkipList;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,7 +47,7 @@ use woha_model::{SimTime, WorkflowId};
 /// Ordering queries take `&mut self` so lazy backends can settle deferred
 /// deletions while answering them; the eager backends simply don't.
 pub trait PriorityIndex: fmt::Debug {
-    /// Short backend name for reports and CLI flags ("dsl", "btree",
+    /// Short backend name for reports and trace records ("dsl", "btree",
     /// "pheap").
     fn name(&self) -> &'static str;
 
@@ -102,6 +104,49 @@ pub trait PriorityIndex: fmt::Debug {
     /// Whether the index is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A Fig 13(a) backend, for driving an index directly: the Fig 13(a)
+/// harness and the benchmark build one per strategy. The scheduler itself
+/// always holds a [`DslIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueueStrategy {
+    /// Double Skip List (the paper's contribution).
+    Dsl,
+    /// Two balanced search trees.
+    Bst,
+    /// Pairing heap with lazy decrease-key.
+    Pairing,
+}
+
+impl QueueStrategy {
+    /// All strategies, in the paper's Fig 13(a) order with the pairing
+    /// heap appended.
+    pub const ALL: [QueueStrategy; 3] = [
+        QueueStrategy::Dsl,
+        QueueStrategy::Bst,
+        QueueStrategy::Pairing,
+    ];
+
+    /// The backend label used by benches and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            QueueStrategy::Dsl => "dsl",
+            QueueStrategy::Bst => "btree",
+            QueueStrategy::Pairing => "pheap",
+        }
+    }
+
+    /// Builds the incremental index for this strategy.
+    // Always `Some`: `benchmark/src/direct.rs` calls `expect` on it, which
+    // pins the `Option` return type.
+    pub fn build_index(self) -> Option<Box<dyn PriorityIndex + Send>> {
+        Some(match self {
+            QueueStrategy::Dsl => Box::new(DslIndex::new()),
+            QueueStrategy::Bst => Box::new(BTreeIndex::new()),
+            QueueStrategy::Pairing => Box::new(PairingIndex::new()),
+        })
     }
 }
 
@@ -301,7 +346,6 @@ impl PriorityIndex for BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pheap::PairingIndex;
 
     fn wf(i: u64) -> WorkflowId {
         WorkflowId::new(i)

@@ -7,8 +7,8 @@
 //!   plus the resource-cap binary search), producing compact
 //!   [`plan::SchedulingPlan`]s.
 //! - **Master side** — the progress-based Workflow Scheduler ([`woha`]:
-//!   Algorithm 2) over the Double Skip List ([`index`], [`skiplist`]),
-//!   with BST and pairing-heap queue strategies for comparison.
+//!   Algorithm 2) over the Double Skip List ([`index`], [`skiplist`]);
+//!   BST and pairing-heap indexes exist as Fig 13(a)'s comparators.
 //! - **Baselines** — the ported Oozie+FIFO, Oozie+Fair, and EDF workflow
 //!   schedulers ([`baseline`]).
 //! - **Extensions** — demand-bound, multi-tenant admission control
@@ -57,7 +57,7 @@ pub mod woha;
 
 pub use admission::{tenant_of, MultiTenantGate, OverloadPolicy, TenantSpec};
 pub use baseline::{EdfScheduler, FairScheduler, FifoScheduler};
-pub use index::{BTreeIndex, DslIndex, PriorityIndex};
+pub use index::{BTreeIndex, DslIndex, PriorityIndex, QueueStrategy};
 pub use pheap::{PairingHeap, PairingIndex};
 pub use plan::{ProgressRequirement, SchedulingPlan};
 pub use plangen::{
@@ -68,7 +68,7 @@ pub use priority::{JobPriorities, PriorityPolicy};
 pub use progress::WorkflowProgress;
 pub use replan::{remaining_workflow, ReplanConfig};
 pub use skiplist::SkipList;
-pub use woha::{QueueStrategy, WohaConfig, WohaScheduler};
+pub use woha::{WohaConfig, WohaScheduler};
 
 /// Tests of the admission gate's tenant policies.
 #[cfg(test)]

@@ -7,22 +7,13 @@
 //! task of the offered kind. Inside the chosen workflow, the job order from
 //! the client's scheduling plan decides which job the task comes from.
 //!
-//! Three queue strategies are available, extending the paper's Fig 13(a):
-//!
-//! - [`QueueStrategy::Dsl`] — the Double Skip List (O(1) head operations);
-//! - [`QueueStrategy::Bst`] — two balanced search trees (`BTreeMap`);
-//! - [`QueueStrategy::Pairing`] — a cache-dense pairing heap with lazy
-//!   decrease-key (see [`crate::pheap`]).
-//!
-//! All three produce identical schedules — the backends are different data
-//! structures over the same total order (pinned by the differential test
-//! harness in `woha-core`'s `index_differential` test). The paper's third
-//! Fig 13(a) contender, the recompute-and-sort strawman that collapses
-//! beyond ~10⁴ workflows, is not a scheduler option: it lives in the
-//! Fig 13(a) harness (`woha-bench`), the only place that measures it.
+//! The queued workflows are ordered by the paper's Double Skip List
+//! ([`DslIndex`], O(1) head operations), held as a concrete field. The
+//! B-tree and pairing-heap backends in [`crate::index`] and
+//! [`crate::pheap`] order the same total order and serve only as Fig 13(a)'s
+//! comparators (pinned by `woha-core`'s `index_differential` test).
 
-use crate::index::{BTreeIndex, DslIndex, PriorityIndex};
-use crate::pheap::PairingIndex;
+use crate::index::{DslIndex, PriorityIndex};
 use crate::plangen::{
     generate_plan_with_budget, padded_budget, rework_fraction, CapMode, PadConfig,
 };
@@ -32,62 +23,6 @@ use crate::replan::{replan, ReplanConfig};
 use serde::{Deserialize, Serialize, Value};
 use woha_model::{JobId, SimDuration, SimTime, SlotKind, WorkflowId};
 use woha_sim::{SchedTrace, SchedulerState, WorkflowPool, WorkflowScheduler};
-
-/// Which data structure orders the queued workflows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum QueueStrategy {
-    /// Double Skip List (the paper's contribution).
-    Dsl,
-    /// Two balanced search trees.
-    Bst,
-    /// Pairing heap with lazy decrease-key.
-    Pairing,
-}
-
-impl QueueStrategy {
-    /// All strategies, in the paper's Fig 13(a) order with the pairing
-    /// heap appended.
-    pub const ALL: [QueueStrategy; 3] = [
-        QueueStrategy::Dsl,
-        QueueStrategy::Bst,
-        QueueStrategy::Pairing,
-    ];
-
-    /// The backend label used by the CLI (`--index`), benches, and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueStrategy::Dsl => "dsl",
-            QueueStrategy::Bst => "btree",
-            QueueStrategy::Pairing => "pheap",
-        }
-    }
-
-    /// Parses a CLI/flag spelling of a strategy. Accepts the canonical
-    /// labels plus legacy synonyms (`bst`, `pairing`).
-    pub fn from_flag(s: &str) -> Option<QueueStrategy> {
-        match s {
-            "dsl" => Some(QueueStrategy::Dsl),
-            "btree" | "bst" => Some(QueueStrategy::Bst),
-            "pheap" | "pairing" => Some(QueueStrategy::Pairing),
-            _ => None,
-        }
-    }
-
-    /// Builds the incremental index for this strategy.
-    // Always `Some`: `benchmark/src/direct.rs` pins the `Option` return
-    // type until a `benchmark` issue drops its `expect`.
-    pub fn build_index(self) -> Option<Box<dyn PriorityIndex + Send>> {
-        Some(self.new_index())
-    }
-
-    fn new_index(self) -> Box<dyn PriorityIndex + Send> {
-        match self {
-            QueueStrategy::Dsl => Box::new(DslIndex::new()),
-            QueueStrategy::Bst => Box::new(BTreeIndex::new()),
-            QueueStrategy::Pairing => Box::new(PairingIndex::new()),
-        }
-    }
-}
 
 /// Configuration of the WOHA scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,8 +34,6 @@ pub struct WohaConfig {
     /// Cluster capacity in slots, as the client would learn from the
     /// JobTracker when generating plans.
     pub total_slots: u32,
-    /// Workflow queue implementation.
-    pub queue: QueueStrategy,
     /// Fraction of the relative deadline reserved as safety slack when
     /// generating and anchoring the plan. A slack of `0.05` makes the plan
     /// pace the workflow as if its deadline were 5 % earlier, absorbing
@@ -119,13 +52,12 @@ pub struct WohaConfig {
 
 impl WohaConfig {
     /// The paper's default configuration: resource-capped plans on the
-    /// given cluster capacity, DSL queues.
+    /// given cluster capacity.
     pub fn new(policy: PriorityPolicy, total_slots: u32) -> Self {
         WohaConfig {
             policy,
             cap_mode: CapMode::MinFeasible,
             total_slots,
-            queue: QueueStrategy::Dsl,
             plan_slack: 0.08,
             replan: None,
             padding: None,
@@ -162,7 +94,7 @@ pub struct WohaScheduler {
     /// Records indexed by dense workflow id; `None` once completed.
     records: Vec<Option<WorkflowProgress>>,
     /// Incremental index over the queued workflows.
-    index: Box<dyn PriorityIndex + Send>,
+    index: DslIndex,
     /// Last replan instant per workflow (dense by id).
     last_replan: Vec<SimTime>,
     /// Total replans performed (observable for tests and reports).
@@ -182,12 +114,11 @@ pub struct WohaScheduler {
 impl WohaScheduler {
     /// Creates a WOHA scheduler with the given configuration.
     pub fn new(config: WohaConfig) -> Self {
-        let index = config.queue.new_index();
         WohaScheduler {
             name: format!("WOHA-{}", config.policy),
             config,
             records: Vec::new(),
-            index,
+            index: DslIndex::new(),
             last_replan: Vec::new(),
             replans: 0,
             rho_rollbacks: 0,
@@ -388,7 +319,7 @@ impl SchedulerState for WohaScheduler {
         self.plans_padded = snap.plans_padded;
         // Rebuild the index by re-inserting every queued record under its
         // current keys, replacing whatever the index held before.
-        self.index = self.config.queue.new_index();
+        self.index = DslIndex::new();
         for record in self.records.iter().flatten() {
             self.index.insert(
                 record.id(),
@@ -599,7 +530,7 @@ impl WorkflowScheduler for WohaScheduler {
     }
 
     fn backend_label(&self) -> &'static str {
-        self.config.queue.label()
+        self.index.name()
     }
 
     fn slack_fraction(&self, pool: &WorkflowPool, wf: WorkflowId, now: SimTime) -> f64 {
@@ -648,40 +579,18 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn run(queue: QueueStrategy, workflows: &[WorkflowSpec]) -> woha_sim::SimReport {
+    fn run(workflows: &[WorkflowSpec]) -> woha_sim::SimReport {
         let cluster = ClusterConfig::uniform(3, 2, 1);
-        let mut sched = WohaScheduler::new(WohaConfig {
-            queue,
-            ..WohaConfig::new(PriorityPolicy::Lpf, 9)
-        });
+        let mut sched = WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 9));
         run_simulation(workflows, &mut sched, &cluster, &SimConfig::default())
     }
 
     #[test]
     fn completes_single_workflow() {
-        for queue in QueueStrategy::ALL {
-            let report = run(queue, &[chain_workflow("w", 0, 600)]);
-            assert!(report.completed, "{queue:?}");
-            assert_eq!(report.deadline_misses(), 0, "{queue:?}");
-            assert_eq!(report.invalid_assignments, 0, "{queue:?}");
-        }
-    }
-
-    #[test]
-    fn all_strategies_agree_on_outcomes() {
-        let workflows = vec![
-            chain_workflow("w1", 0, 300),
-            chain_workflow("w2", 10, 250),
-            chain_workflow("w3", 20, 200),
-        ];
-        // The backends implement the identical algorithm and must agree
-        // exactly.
-        let dsl = run(QueueStrategy::Dsl, &workflows);
-        assert_eq!(dsl.outcomes, run(QueueStrategy::Bst, &workflows).outcomes);
-        assert_eq!(
-            dsl.outcomes,
-            run(QueueStrategy::Pairing, &workflows).outcomes
-        );
+        let report = run(&[chain_workflow("w", 0, 600)]);
+        assert!(report.completed);
+        assert_eq!(report.deadline_misses(), 0);
+        assert_eq!(report.invalid_assignments, 0);
     }
 
     #[test]
@@ -691,7 +600,7 @@ mod tests {
         // it was submitted later.
         let loose = chain_workflow("loose", 0, 3_000);
         let tight = chain_workflow("tight", 5, 150);
-        let report = run(QueueStrategy::Dsl, &[loose, tight]);
+        let report = run(&[loose, tight]);
         assert!(
             report.outcome_by_name("tight").unwrap().met_deadline(),
             "tight workflow should meet its deadline: {report:?}"
@@ -819,36 +728,28 @@ mod tests {
 
     #[test]
     fn scheduler_state_survives_snapshot_restore() {
-        for queue in QueueStrategy::ALL {
-            let mut pool = woha_sim::WorkflowPool::new();
-            let wf = pool.register(chain_workflow("w", 0, 300));
-            let make = || {
-                WohaScheduler::new(WohaConfig {
-                    queue,
-                    ..WohaConfig::new(PriorityPolicy::Lpf, 9)
-                })
-            };
-            let mut sched = make();
-            sched.on_workflow_submitted(&pool, wf, SimTime::ZERO);
-            let job = JobId::new(0);
-            pool.workflow_mut(wf).begin_submitting(job);
-            pool.workflow_mut(wf).activate(job, SimTime::from_secs(1));
-            sched.on_job_activated(&pool, wf, job, SimTime::from_secs(1));
-            pool.workflow_mut(wf).start_task(job, SlotKind::Map);
-            sched.on_task_assigned(&pool, wf, job, SlotKind::Map, SimTime::from_secs(2));
+        let mut pool = woha_sim::WorkflowPool::new();
+        let wf = pool.register(chain_workflow("w", 0, 300));
+        let make = || WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 9));
+        let mut sched = make();
+        sched.on_workflow_submitted(&pool, wf, SimTime::ZERO);
+        let job = JobId::new(0);
+        pool.workflow_mut(wf).begin_submitting(job);
+        pool.workflow_mut(wf).activate(job, SimTime::from_secs(1));
+        sched.on_job_activated(&pool, wf, job, SimTime::from_secs(1));
+        pool.workflow_mut(wf).start_task(job, SlotKind::Map);
+        sched.on_task_assigned(&pool, wf, job, SlotKind::Map, SimTime::from_secs(2));
 
-            let mut restored = make();
-            restored.restore_state(&pool, &sched.snapshot_state());
-            assert_eq!(restored.progress(wf), sched.progress(wf), "{queue:?}");
-            assert_eq!(restored.replans(), sched.replans(), "{queue:?}");
-            // The rebuilt index agrees with the original on the next pick.
-            let now = SimTime::from_secs(3);
-            assert_eq!(
-                restored.assign_task(&pool, SlotKind::Map, now),
-                sched.assign_task(&pool, SlotKind::Map, now),
-                "{queue:?}"
-            );
-        }
+        let mut restored = make();
+        restored.restore_state(&pool, &sched.snapshot_state());
+        assert_eq!(restored.progress(wf), sched.progress(wf));
+        assert_eq!(restored.replans(), sched.replans());
+        // The rebuilt index agrees with the original on the next pick.
+        let now = SimTime::from_secs(3);
+        assert_eq!(
+            restored.assign_task(&pool, SlotKind::Map, now),
+            sched.assign_task(&pool, SlotKind::Map, now)
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The ready-accounting early-out leaves every scheduling decision where
-//! it was: on random mid-execution pools, for every [`QueueStrategy`],
-//! `assign_task` returns what a full walk of the priority order returns,
+//! it was: on random mid-execution pools, `assign_task` returns what a full walk of the priority order returns,
 //! `assign_batch` returns what that many sequential `assign_task` probes
 //! return (also when asked for more tasks than are eligible, and when a
 //! batch drains one job of a fork and spills into its sibling or into the
@@ -10,7 +9,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use woha_core::{PriorityPolicy, QueueStrategy, WohaConfig, WohaScheduler};
+use woha_core::{PriorityPolicy, WohaConfig, WohaScheduler};
 use woha_model::{
     JobId, JobSpec, SimDuration, SimTime, SlotKind, WorkflowBuilder, WorkflowId, WorkflowSpec,
 };
@@ -77,11 +76,8 @@ fn build(name: &str, (jobs, deadline_s, topology): &Shape, submit: SimTime) -> W
     b.build().expect("every topology is acyclic")
 }
 
-fn scheduler(queue: QueueStrategy) -> WohaScheduler {
-    let mut s = WohaScheduler::new(WohaConfig {
-        queue,
-        ..WohaConfig::new(PriorityPolicy::Lpf, 8)
-    });
+fn scheduler() -> WohaScheduler {
+    let mut s = WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 8));
     s.set_tracing(true);
     s
 }
@@ -137,11 +133,11 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(queue: QueueStrategy) -> Self {
+    fn new() -> Self {
         Rig {
             pool: WorkflowPool::new(),
-            batch: scheduler(queue),
-            probe: scheduler(queue),
+            batch: scheduler(),
+            probe: scheduler(),
             now: SimTime::ZERO,
             ghost: None,
         }
@@ -317,31 +313,29 @@ proptest! {
         ),
         ops in vec((0u8..16, 0usize..64, 0u8..2, 1u32..7), 0..250),
     ) {
-        for queue in QueueStrategy::ALL {
-            let mut rig = Rig::new(queue);
-            let mut arrivals = shapes.iter();
-            for &(code, site, kind, slots) in &ops {
-                let kind = SlotKind::ALL[usize::from(kind)];
-                match code {
-                    0 | 1 => {
-                        if let Some((jobs, deadline_s, topology)) = arrivals.next() {
-                            rig.arrive(&(jobs.clone(), *deadline_s, TOPOLOGIES[*topology]));
-                        }
+        let mut rig = Rig::new();
+        let mut arrivals = shapes.iter();
+        for &(code, site, kind, slots) in &ops {
+            let kind = SlotKind::ALL[usize::from(kind)];
+            match code {
+                0 | 1 => {
+                    if let Some((jobs, deadline_s, topology)) = arrivals.next() {
+                        rig.arrive(&(jobs.clone(), *deadline_s, TOPOLOGIES[*topology]));
                     }
-                    2 => rig.arrive_ghost(),
-                    3 | 4 => rig.activate(site),
-                    5..=8 => {
-                        rig.offer(kind, slots);
-                    }
-                    9..=11 => rig.finish(site, kind),
-                    12 => rig.fail(site, kind),
-                    _ => rig.now = rig.now.saturating_add(SimDuration::from_secs(site as u64)),
                 }
+                2 => rig.arrive_ghost(),
+                3 | 4 => rig.activate(site),
+                5..=8 => {
+                    rig.offer(kind, slots);
+                }
+                9..=11 => rig.finish(site, kind),
+                12 => rig.fail(site, kind),
+                _ => rig.now = rig.now.saturating_add(SimDuration::from_secs(site as u64)),
             }
-            // Whatever is left: an offer larger than everything eligible.
-            for kind in SlotKind::ALL {
-                rig.offer(kind, 1_000);
-            }
+        }
+        // Whatever is left: an offer larger than everything eligible.
+        for kind in SlotKind::ALL {
+            rig.offer(kind, 1_000);
         }
     }
 }
@@ -351,21 +345,19 @@ proptest! {
 /// "nothing".
 #[test]
 fn unsubmitted_ready_workflow_is_never_picked() {
-    for queue in QueueStrategy::ALL {
-        let mut rig = Rig::new(queue);
-        rig.arrive_ghost();
-        assert_eq!(rig.pool.ready_workflows(SlotKind::Map), 1);
-        assert_eq!(rig.pool.eligible_task_count(SlotKind::Map), 1);
-        let now = rig.now;
-        assert_eq!(rig.batch.assign_task(&rig.pool, SlotKind::Map, now), None);
-        let picks = rig.batch.assign_batch(&rig.pool, SlotKind::Map, now, 4);
-        assert!(picks.unwrap_or_default().is_empty(), "{queue:?}");
-        // The same with a queued workflow that has nothing to run yet.
-        rig.arrive(&(vec![(2, 1, 10)], 300, Topology::Chain));
-        assert_eq!(rig.batch.assign_task(&rig.pool, SlotKind::Map, now), None);
-        let picks = rig.batch.assign_batch(&rig.pool, SlotKind::Map, now, 4);
-        assert!(picks.unwrap_or_default().is_empty(), "{queue:?}");
-    }
+    let mut rig = Rig::new();
+    rig.arrive_ghost();
+    assert_eq!(rig.pool.ready_workflows(SlotKind::Map), 1);
+    assert_eq!(rig.pool.eligible_task_count(SlotKind::Map), 1);
+    let now = rig.now;
+    assert_eq!(rig.batch.assign_task(&rig.pool, SlotKind::Map, now), None);
+    let picks = rig.batch.assign_batch(&rig.pool, SlotKind::Map, now, 4);
+    assert!(picks.unwrap_or_default().is_empty());
+    // The same with a queued workflow that has nothing to run yet.
+    rig.arrive(&(vec![(2, 1, 10)], 300, Topology::Chain));
+    assert_eq!(rig.batch.assign_task(&rig.pool, SlotKind::Map, now), None);
+    let picks = rig.batch.assign_batch(&rig.pool, SlotKind::Map, now, 4);
+    assert!(picks.unwrap_or_default().is_empty());
 }
 
 /// One batch drains a job, spills into the sibling job of the same
@@ -374,37 +366,31 @@ fn unsubmitted_ready_workflow_is_never_picked() {
 /// stands ahead of it in the priority order.
 #[test]
 fn batch_spills_across_jobs_and_workflows() {
-    for queue in QueueStrategy::ALL {
-        let mut rig = Rig::new(queue);
-        // Two sibling jobs, both active, behind a tight plan by `now`.
-        rig.arrive(&(vec![(2, 0, 10), (2, 0, 10)], 60, Topology::Independent));
-        rig.arrive(&(vec![(3, 0, 10)], 900, Topology::Chain));
-        for _ in 0..3 {
-            rig.activate(0);
-        }
-        rig.now = SimTime::from_secs(50);
-        let (urgent, relaxed) = (WorkflowId::new(0), WorkflowId::new(1));
-        assert_eq!(rig.pool.workflow(urgent).eligible_tasks(SlotKind::Map), 4);
-
-        let picks = rig.offer(SlotKind::Map, 6);
-        let of = |wf, job| {
-            picks
-                .iter()
-                .filter(|&&p| p == (wf, JobId::new(job)))
-                .count()
-        };
-        assert_eq!(picks.len(), 6, "{queue:?}: {picks:?}");
-        assert_eq!(
-            (of(urgent, 0), of(urgent, 1)),
-            (2, 2),
-            "{queue:?}: {picks:?}"
-        );
-        assert_eq!(of(relaxed, 0), 2, "{queue:?}: {picks:?}");
-        // The drained workflow kept the larger lag, so the walk that found
-        // the last pick had to step over it.
-        assert_eq!(picks[0].0, urgent, "{queue:?}");
-        assert_eq!(picks[5].0, relaxed, "{queue:?}");
-        let lag = |wf| rig.batch.progress(wf).expect("queued").lag();
-        assert!(lag(urgent) > lag(relaxed), "{queue:?}");
+    let mut rig = Rig::new();
+    // Two sibling jobs, both active, behind a tight plan by `now`.
+    rig.arrive(&(vec![(2, 0, 10), (2, 0, 10)], 60, Topology::Independent));
+    rig.arrive(&(vec![(3, 0, 10)], 900, Topology::Chain));
+    for _ in 0..3 {
+        rig.activate(0);
     }
+    rig.now = SimTime::from_secs(50);
+    let (urgent, relaxed) = (WorkflowId::new(0), WorkflowId::new(1));
+    assert_eq!(rig.pool.workflow(urgent).eligible_tasks(SlotKind::Map), 4);
+
+    let picks = rig.offer(SlotKind::Map, 6);
+    let of = |wf, job| {
+        picks
+            .iter()
+            .filter(|&&p| p == (wf, JobId::new(job)))
+            .count()
+    };
+    assert_eq!(picks.len(), 6, "{picks:?}");
+    assert_eq!((of(urgent, 0), of(urgent, 1)), (2, 2), "{picks:?}");
+    assert_eq!(of(relaxed, 0), 2, "{picks:?}");
+    // The drained workflow kept the larger lag, so the walk that found
+    // the last pick had to step over it.
+    assert_eq!(picks[0].0, urgent);
+    assert_eq!(picks[5].0, relaxed);
+    let lag = |wf| rig.batch.progress(wf).expect("queued").lag();
+    assert!(lag(urgent) > lag(relaxed));
 }

@@ -1,7 +1,8 @@
 //! Differential test harness for the [`PriorityIndex`] backends: arbitrary
-//! insert/remove/update/assign/touch/pop sequences must leave the DSL, BTree,
-//! and pairing-heap backends in observably identical states — same heads,
-//! same full priority order, same pop sequence — with the tie-break rules
+//! insert/remove/update/assign/touch/pop/select sequences must leave the
+//! DSL, BTree, and pairing-heap backends in observably identical states —
+//! same heads, same full priority order, same pop sequence, same `select`
+//! walks — with the tie-break rules
 //! (lag descending, then deadline ascending, then workflow id ascending;
 //! change time ascending, then id, on the ct list) pinned by a model.
 //!
@@ -28,17 +29,28 @@ enum Op {
     /// An `update` with nothing changed.
     Touch,
     Pop,
+    /// The scheduler's walk: `select` with a visitor that rejects a
+    /// scripted subset of ids and accepts the first other one.
+    Select,
 }
 
 fn decode(code: u8) -> Op {
-    match code % 10 {
+    match code % 12 {
         0..=2 => Op::Insert,
         3 => Op::Remove,
         4 | 5 => Op::Update,
         6 => Op::Assign,
         7 => Op::Touch,
-        _ => Op::Pop,
+        8 | 9 => Op::Pop,
+        _ => Op::Select,
     }
+}
+
+/// The ids a `Select` rejects: those whose residue mod 10 is a set bit
+/// of `pick` (10 bits), so a script rejects anything from no entry to
+/// every entry.
+fn rejects(pick: u64, wf: WorkflowId) -> bool {
+    pick >> (wf.as_u64() % 10) & 1 == 1
 }
 
 /// The reference model: a plain vector of `(wf, ct, lag, deadline)` rows,
@@ -135,6 +147,23 @@ fn run_script(script: &[(u8, u64, u64, u64, u64)]) -> Result<(), TestCaseError> 
                     prop_assert_eq!(head, Some(expected), "pop head of {}", idx.name());
                     idx.remove(WorkflowId::new(wf), ct, lag, deadline);
                     popped.push(expected);
+                }
+            }
+            Op::Select => {
+                // The walk visits the model's order up to and including
+                // its first non-rejected entry, and returns that entry.
+                let order = model.priority_order();
+                let hit = order.iter().position(|&(_, wf)| !rejects(pick, wf));
+                let walked = hit.map_or(order.len(), |i| i + 1);
+                let expected = hit.map(|i| order[i]);
+                for idx in backends.iter_mut() {
+                    let mut visited = Vec::new();
+                    let got = idx.select(&mut |lag, wf| {
+                        visited.push((lag, wf));
+                        !rejects(pick, wf)
+                    });
+                    prop_assert_eq!(got, expected, "select of {}", idx.name());
+                    prop_assert_eq!(&visited[..], &order[..walked], "walk of {}", idx.name());
                 }
             }
         }

@@ -31,6 +31,14 @@ pub enum ModelError {
     /// Every Hadoop job runs at least one mapper; reduce-less (map-only)
     /// jobs are allowed, mapper-less jobs are not.
     NoMapTasks(JobId),
+    /// The workflow holds more tasks, maps and reduces over all jobs, than
+    /// [`crate::workflow::MAX_WORKFLOW_TASKS`].
+    TooManyTasks {
+        /// The workflow's total task count.
+        tasks: u64,
+        /// The largest total accepted.
+        limit: u64,
+    },
     /// The deadline is not later than the submission time.
     DeadlineBeforeSubmit,
     /// A serialized workflow's prerequisite and dependent lists disagree:
@@ -81,6 +89,12 @@ impl fmt::Display for ModelError {
             ModelError::EmptyWorkflow => f.write_str("workflow contains no jobs"),
             ModelError::NoMapTasks(job) => {
                 write!(f, "job {job} declares zero map tasks")
+            }
+            ModelError::TooManyTasks { tasks, limit } => {
+                write!(
+                    f,
+                    "workflow has {tasks} tasks, more than the limit of {limit}"
+                )
             }
             ModelError::DeadlineBeforeSubmit => {
                 f.write_str("workflow deadline is not later than its submission time")

@@ -54,4 +54,4 @@ pub use error::{ModelError, XmlError};
 pub use ids::{JobId, NodeId, SlotKind, TaskId, WorkflowId};
 pub use job::JobSpec;
 pub use time::{SimDuration, SimTime};
-pub use workflow::{WorkflowBuilder, WorkflowSpec};
+pub use workflow::{WorkflowBuilder, WorkflowSpec, MAX_WORKFLOW_TASKS};

@@ -9,6 +9,12 @@ use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
+/// The most tasks, maps and reduces over all jobs, one workflow may hold.
+/// It is 25× the largest workflow the Yahoo-like generator draws
+/// (12 jobs × (3 000 maps + 400 reduces)), and it bounds the batch list a
+/// plan probe builds, one entry per task, to 16 MiB.
+pub const MAX_WORKFLOW_TASKS: u64 = 1 << 20;
+
 /// A validated workflow: jobs, their prerequisite relation, a submission
 /// time, and a deadline.
 ///
@@ -18,6 +24,7 @@ use std::fmt;
 /// algorithm in this workspace relies on:
 ///
 /// - at least one job, and every job has at least one map task;
+/// - at most [`MAX_WORKFLOW_TASKS`] tasks in all, maps and reduces;
 /// - prerequisite edges reference existing jobs, contain no self-loops, and
 ///   form a DAG;
 /// - the deadline is strictly after the submission time.
@@ -99,10 +106,18 @@ impl WorkflowSpec {
             return Err(ModelError::EmptyWorkflow);
         }
         let n = jobs.len();
+        let mut tasks = 0u64;
         for (i, job) in jobs.iter().enumerate() {
             if job.map_tasks() == 0 {
                 return Err(ModelError::NoMapTasks(JobId::new(i as u32)));
             }
+            tasks += u64::from(job.map_tasks()) + u64::from(job.reduce_tasks());
+        }
+        if tasks > MAX_WORKFLOW_TASKS {
+            return Err(ModelError::TooManyTasks {
+                tasks,
+                limit: MAX_WORKFLOW_TASKS,
+            });
         }
         let mut prereqs: Vec<Vec<JobId>> = vec![Vec::new(); n];
         for (pred, succ) in edges {
@@ -487,6 +502,36 @@ mod tests {
         let mut b = WorkflowBuilder::new("z");
         b.add_job(job("bad", 0, 3));
         assert!(matches!(b.build().unwrap_err(), ModelError::NoMapTasks(_)));
+    }
+
+    #[test]
+    fn task_count_limit_is_inclusive_and_sums_over_jobs() {
+        let half = (MAX_WORKFLOW_TASKS / 2) as u32;
+        let build = |jobs: &[(u32, u32)]| {
+            let mut b = WorkflowBuilder::new("big");
+            for (i, &(maps, reduces)) in jobs.iter().enumerate() {
+                b.add_job(job(&format!("j{i}"), maps, reduces));
+            }
+            b.relative_deadline(SimDuration::from_mins(60));
+            b.build()
+        };
+        let at_limit = build(&[(half, 0), (half - 1, 1)]).unwrap();
+        assert_eq!(at_limit.total_tasks(), MAX_WORKFLOW_TASKS);
+        let over = ModelError::TooManyTasks {
+            tasks: MAX_WORKFLOW_TASKS + 1,
+            limit: MAX_WORKFLOW_TASKS,
+        };
+        assert_eq!(build(&[(half, 0), (half, 1)]).unwrap_err(), over);
+        // Summed in u64: one job's maps plus reduces would overflow a u32.
+        assert_eq!(
+            build(&[(u32::MAX, u32::MAX)]).unwrap_err(),
+            ModelError::TooManyTasks {
+                tasks: 2 * u64::from(u32::MAX),
+                limit: MAX_WORKFLOW_TASKS,
+            }
+        );
+        assert!(over.to_string().contains("1048577 tasks"), "{over}");
+        assert!(over.to_string().contains("limit of 1048576"), "{over}");
     }
 
     #[test]

@@ -305,8 +305,8 @@ pub struct SimReport {
     /// while no workflow has an eligible task of that kind, whose answer
     /// is known to be "nothing" — exactly like the ones the scheduler
     /// sees, so it is *not* the number of calls the scheduler received
-    /// (only the per-beat path, which any observability consumer selects,
-    /// makes them all).
+    /// (only the per-beat path, which speculation, risk placement or a
+    /// downed master selects, makes them all).
     pub assign_calls: u64,
     /// Slot offers forfeited because the scheduler returned an ineligible
     /// job (should be zero for a correct scheduler).

@@ -109,7 +109,8 @@ pub enum TraceEvent {
         /// Entries ahead of the pick in this batch's walk (`rank - 1`; 0
         /// on a per-slot pick).
         blocked: u32,
-        /// Priority-index backend label (`"dsl"`, `"btree"`, `"pheap"`).
+        /// Priority-index label of the scheduler (WOHA's Double Skip
+        /// List answers `"dsl"`).
         backend: &'static str,
     },
     /// A workflow plan was generated (Algorithm 1).

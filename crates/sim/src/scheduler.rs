@@ -234,8 +234,8 @@ pub trait WorkflowScheduler: SchedulerState {
         let _ = out;
     }
 
-    /// Label of the priority-index backend this scheduler consults
-    /// (`"dsl"`, `"btree"`, `"pheap"`), carried by every
+    /// Label of the priority index this scheduler consults (WOHA's
+    /// Double Skip List answers `"dsl"`), carried by every
     /// `SchedulerPick` trace record. The default, for schedulers without a
     /// priority index, is `"none"`.
     fn backend_label(&self) -> &'static str {

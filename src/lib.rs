@@ -54,7 +54,7 @@ pub mod prelude {
     pub use woha_core::{
         generate_plan, generate_plan_with_budget, generate_reqs, padded_budget, rework_fraction,
         CapMode, EdfScheduler, FairScheduler, FifoScheduler, JobPriorities, MultiTenantGate,
-        PadConfig, PriorityPolicy, QueueStrategy, SchedulingPlan, WohaConfig, WohaScheduler,
+        PadConfig, PriorityPolicy, SchedulingPlan, WohaConfig, WohaScheduler,
     };
     pub use woha_model::{
         JobId, JobSpec, ModelError, NodeId, SimDuration, SimTime, SlotKind, WorkflowBuilder,

@@ -619,22 +619,16 @@ fn failover_identity_holds_with_batched_heartbeats() {
     assert_eq!(woha_run(&mut woha()), woha_run(&mut PerSlot::new(woha())));
 }
 
-/// Satellite: a full Yahoo-trace simulation with WOHA-LPF produces a
-/// byte-identical `SimReport` under the `dsl`, `btree`, and `pheap`
-/// priority-index backends, with offers batched or made slot by slot, and
-/// with idle heartbeats consumed in idle runs or one by one (the per-beat
-/// run, whose trace must also match): the backends, the batch path and the
-/// idle runs are pure implementation choices.
+/// A full Yahoo-trace simulation with WOHA-LPF produces a byte-identical
+/// `SimReport` with offers batched or made slot by slot, and with idle
+/// heartbeats consumed in idle runs or one by one (the per-beat run, whose
+/// trace must also match): the batch path and the idle runs are pure
+/// implementation choices.
 #[test]
-fn index_backends_and_batching_are_behavior_identical() {
+fn batching_and_idle_runs_are_behavior_identical() {
     let workload = obs_yahoo_workload();
     let cluster = ClusterConfig::with_totals(120, 120);
-    let woha = |queue| {
-        WohaScheduler::new(WohaConfig {
-            queue,
-            ..WohaConfig::new(PriorityPolicy::Lpf, 240)
-        })
-    };
+    let woha = || WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 240));
     let run = |s: &mut dyn WorkflowScheduler, config: &SimConfig| {
         let (mut report, obs) = run_simulation_observed(workload.workflows(), s, &cluster, config);
         assert!(report.completed, "{}", s.name());
@@ -643,19 +637,9 @@ fn index_backends_and_batching_are_behavior_identical() {
     };
 
     let plain = SimConfig::default();
-    let (reference, _) = run(&mut woha(QueueStrategy::Dsl), &plain);
-    for queue in [
-        QueueStrategy::Dsl,
-        QueueStrategy::Bst,
-        QueueStrategy::Pairing,
-    ] {
-        if queue != QueueStrategy::Dsl {
-            let (batched, _) = run(&mut woha(queue), &plain);
-            assert_eq!(batched, reference, "{queue:?} batched");
-        }
-        let (per_slot, _) = run(&mut PerSlot::new(woha(queue)), &plain);
-        assert_eq!(per_slot, reference, "{queue:?} per-slot");
-    }
+    let (reference, _) = run(&mut woha(), &plain);
+    let (per_slot, _) = run(&mut PerSlot::new(woha()), &plain);
+    assert_eq!(per_slot, reference, "per-slot");
 
     let traced = SimConfig {
         observability: ObservabilityConfig {
@@ -664,9 +648,9 @@ fn index_backends_and_batching_are_behavior_identical() {
         },
         ..plain
     };
-    let (idle_runs, idle_trace) = run(&mut woha(QueueStrategy::Dsl), &traced);
+    let (idle_runs, idle_trace) = run(&mut woha(), &traced);
     let (per_beat, per_beat_trace) = run(
-        &mut woha(QueueStrategy::Dsl),
+        &mut woha(),
         &SimConfig {
             speculation: Some(inert_speculation()),
             ..traced

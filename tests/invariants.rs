@@ -294,26 +294,6 @@ proptest! {
         prop_assert_eq!(first.node_failures, second.node_failures);
     }
 
-    /// The WOHA queue strategies (DSL, BST) produce byte-identical
-    /// outcomes — they implement the same algorithm.
-    #[test]
-    fn dsl_and_bst_schedules_agree(
-        workflows in vec(arb_workflow(), 1..4),
-    ) {
-        let cluster = ClusterConfig::uniform(3, 2, 1);
-        let config = SimConfig::default();
-        let run = |queue| {
-            let mut s = WohaScheduler::new(WohaConfig {
-                queue,
-                ..WohaConfig::new(PriorityPolicy::Hlf, 9)
-            });
-            run_simulation(&workflows, &mut s, &cluster, &config)
-        };
-        let dsl = run(QueueStrategy::Dsl);
-        let bst = run(QueueStrategy::Bst);
-        prop_assert_eq!(dsl.outcomes, bst.outcomes);
-    }
-
     /// Failure prediction is inert without faults. Plan-level: a padding
     /// config derived from an unbounded MTBF has rework fraction exactly
     /// zero and reproduces the unpadded plan bit for bit. Sim-level: on a
