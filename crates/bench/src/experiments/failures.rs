@@ -4,22 +4,20 @@
 //! progress-based priorities and the baselines degrade when the simulator's
 //! fault injector takes nodes away mid-flight).
 //!
-//! Two sweeps share the workload and fault schedules: the *reactive* sweep
+//! Two grids share the workload and fault schedules: the *reactive* grid
 //! compares the four schedulers with failure prediction off, and the
-//! *proactive* sweep holds WOHA-LPF fixed and turns on the prediction
+//! *proactive* grid holds WOHA-LPF fixed and turns on the prediction
 //! ladder — plan padding, then padding plus risk-aware placement — to
 //! measure what anticipating failures buys over merely reacting to them.
 
 use crate::schedulers::SchedulerKind;
-use crate::sweep::{CellKey, SimCell, SimSweep};
-use crate::table::{fmt_f64, ordered_unique, Table};
+use crate::sweep::{CellKey, SimCell, SimSweep, SimSweepRun};
+use crate::table::{fmt_f64, fmt_secs, Table};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use woha_core::{PadConfig, PriorityPolicy, WohaConfig, WohaScheduler};
+use woha_core::PadConfig;
 use woha_model::{SimDuration, SlotKind, WorkflowSpec};
-use woha_sim::{
-    ClusterConfig, FaultConfig, PredictionConfig, SimConfig, SimReport, WorkflowScheduler,
-};
+use woha_sim::{ClusterConfig, FaultConfig, PredictionConfig, SimConfig, SimReport};
 
 /// The four schedulers the study compares (one WOHA variant suffices; the
 /// three policies share the fault-handling path).
@@ -46,34 +44,15 @@ pub fn default_mtbf_points() -> Vec<MtbfPoint> {
     points
 }
 
-/// One cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct FailureCell {
-    /// MTBF label ("none", "8h", ...).
-    pub mtbf: String,
-    /// Scheduler.
-    pub scheduler: SchedulerKind,
-    /// Full report.
-    pub report: SimReport,
-}
-
-/// The whole sweep: every (MTBF, scheduler) pair.
-#[derive(Debug, Clone)]
-pub struct FailureSweep {
-    /// All cells, grouped by MTBF in sweep order.
-    pub cells: Vec<FailureCell>,
-    /// Number of workflows in the workload.
-    pub workflow_count: usize,
-}
-
-/// Runs the sweep: the same workload and cluster under every
-/// `(MTBF point, scheduler)` pair, fanned over up to `jobs` worker
-/// threads (the whole grid is one cell pool, so a slow faulty point never
-/// idles the workers; `jobs = 1` is the serial path). Nodes repair after
-/// an exponential downtime of mean `mttr`; `seed` drives jitter and the
-/// fault streams, so each point is reproducible, all schedulers at one
-/// point face the same crash schedule, and results are identical for any
-/// `jobs`.
+/// Runs the study: the same workload and cluster at every MTBF point,
+/// under the reactive grid (one cell per `mtbf` × `scheduler`, prediction
+/// off) and the proactive grid (WOHA-LPF, one cell per `mtbf` × `mode`).
+/// Nodes repair after an exponential downtime of mean `mttr`; `seed`
+/// drives jitter and the fault streams, so every cell at one point faces
+/// the same crash schedule, and mode [`PredictionMode::Off`] reproduces
+/// the reactive WOHA-LPF cell exactly. Both grids are one pool of up to
+/// `jobs` worker threads (so a slow faulty point never idles the
+/// workers); results are identical for any `jobs`.
 pub fn run_failure_sweep(
     workflows: &[WorkflowSpec],
     cluster: &ClusterConfig,
@@ -81,7 +60,8 @@ pub fn run_failure_sweep(
     mttr: SimDuration,
     config: &SimConfig,
     jobs: usize,
-) -> FailureSweep {
+) -> SimSweepRun {
+    let total = cluster.total_slots(SlotKind::Map) + cluster.total_slots(SlotKind::Reduce);
     let mut sweep = SimSweep::new();
     for (label, mtbf) in points {
         let faulty = match mtbf {
@@ -90,81 +70,74 @@ pub fn run_failure_sweep(
                 .with_faults(FaultConfig::with_mtbf(*mtbf, mttr)),
             None => cluster.clone(),
         };
-        sweep.push_kinds(
-            &CellKey::new().with("mtbf", label),
-            &SCHEDULERS,
-            workflows,
-            &faulty,
-            config,
-        );
+        let point = CellKey::new().with("mtbf", label);
+        sweep.push_kinds(&point, &SCHEDULERS, workflows, &faulty, config);
+        for mode in PredictionMode::ALL {
+            let run_config = SimConfig {
+                prediction: (mode != PredictionMode::Off).then(|| PredictionConfig {
+                    risk_placement: mode == PredictionMode::PadRisk,
+                    ..PredictionConfig::default()
+                }),
+                ..config.clone()
+            };
+            let padding = mtbf
+                .filter(|_| mode != PredictionMode::Off)
+                .map(PadConfig::new);
+            sweep.push(
+                point.clone().with("mode", mode),
+                SimCell::new(
+                    workflows,
+                    faulty.clone(),
+                    run_config,
+                    Box::new(move || SchedulerKind::WohaLpf.build_with(total, padding)),
+                ),
+            );
+        }
     }
-    let reports = sweep.run(jobs).into_reports();
-    let coords = points
-        .iter()
-        .flat_map(|(label, _)| SCHEDULERS.iter().map(move |&kind| (label.clone(), kind)));
-    FailureSweep {
-        cells: coords
-            .zip(reports)
-            .map(|((mtbf, scheduler), report)| FailureCell {
-                mtbf,
-                scheduler,
-                report,
-            })
-            .collect(),
-        workflow_count: workflows.len(),
-    }
+    sweep.run(jobs)
 }
 
-impl FailureSweep {
-    /// The report of one cell.
-    pub fn report(&self, mtbf: &str, scheduler: SchedulerKind) -> &SimReport {
-        &self
-            .cells
-            .iter()
-            .find(|c| c.mtbf == mtbf && c.scheduler == scheduler)
-            .expect("cell exists")
-            .report
-    }
+/// One table of the study: `metric` per MTBF point per value of `rows` —
+/// `scheduler` for the reactive grid, `mode` for the proactive one.
+fn mtbf_table(run: &SimSweepRun, rows: &str, metric: impl Fn(&SimReport) -> String) -> Table {
+    run.pivot(&[rows], "mtbf", (rows, "mtbf "), |_, r| metric(r))
+}
 
-    fn metric_table(&self, metric: impl Fn(&SimReport) -> String) -> Table {
-        let points = ordered_unique(self.cells.iter().map(|c| c.mtbf.clone()));
-        let mut columns = vec!["scheduler".to_string()];
-        columns.extend(points.iter().map(|p| format!("mtbf {p}")));
-        let mut t = Table::new(columns);
-        for kind in SCHEDULERS {
-            let mut row = vec![kind.to_string()];
-            for point in &points {
-                row.push(metric(self.report(point, kind)));
-            }
-            t.row(row);
-        }
-        t
-    }
+/// Deadline-miss ratio per (`rows` value, MTBF).
+pub fn miss_ratio_table(run: &SimSweepRun, rows: &str) -> Table {
+    mtbf_table(run, rows, |r| fmt_f64(r.miss_ratio()))
+}
 
-    /// Deadline-miss ratio per (scheduler, MTBF).
-    pub fn miss_ratio_table(&self) -> Table {
-        self.metric_table(|r| fmt_f64(r.deadline_misses() as f64 / r.outcomes.len().max(1) as f64))
-    }
+/// Total tardiness (s) per (`rows` value, MTBF).
+pub fn tardiness_table(run: &SimSweepRun, rows: &str) -> Table {
+    mtbf_table(run, rows, |r| fmt_secs(r.total_tardiness()))
+}
 
-    /// Total tardiness (s) per (scheduler, MTBF).
-    pub fn tardiness_table(&self) -> Table {
-        self.metric_table(|r| format!("{:.0}", r.total_tardiness().as_secs_f64()))
-    }
+/// Fault-subsystem counters per (scheduler, MTBF): crashes seen before
+/// the run ended, tasks requeued, map outputs lost, and work thrown
+/// away, as `failures/requeued/maps-lost/lost-slot-s`.
+pub fn disruption_table(run: &SimSweepRun) -> Table {
+    mtbf_table(run, "scheduler", |r| {
+        format!(
+            "{}/{}/{}/{:.0}",
+            r.node_failures,
+            r.tasks_requeued,
+            r.map_outputs_lost,
+            r.work_lost_slot_ms as f64 / 1000.0
+        )
+    })
+}
 
-    /// Fault-subsystem counters per (scheduler, MTBF): crashes seen before
-    /// the run ended, tasks requeued, map outputs lost, and work thrown
-    /// away, as `failures/requeued/maps-lost/lost-slot-s`.
-    pub fn disruption_table(&self) -> Table {
-        self.metric_table(|r| {
-            format!(
-                "{}/{}/{}/{:.0}",
-                r.node_failures,
-                r.tasks_requeued,
-                r.map_outputs_lost,
-                r.work_lost_slot_ms as f64 / 1000.0
-            )
-        })
-    }
+/// Prediction-subsystem counters per (mode, MTBF) as
+/// `padded/averted/preempt`; `-` where prediction is off.
+pub fn prediction_table(run: &SimSweepRun) -> Table {
+    mtbf_table(run, "mode", |r| match &r.prediction {
+        Some(p) => format!(
+            "{}/{}/{}",
+            p.plans_padded, p.risk_averted_placements, p.preemptive_speculations
+        ),
+        None => "-".to_string(),
+    })
 }
 
 /// One rung of the proactive-response ladder the second sweep climbs.
@@ -202,157 +175,6 @@ impl fmt::Display for PredictionMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// WOHA-LPF under `mode`: the same construction as
-/// [`SchedulerKind::WohaLpf`] except for the padding knob, so mode
-/// [`PredictionMode::Off`] reproduces the reactive sweep's WOHA-LPF cell
-/// exactly.
-fn build_proactive(
-    total_slots: u32,
-    mtbf: Option<SimDuration>,
-    mode: PredictionMode,
-) -> WohaScheduler {
-    let padding = match mode {
-        PredictionMode::Off => None,
-        _ => mtbf.map(PadConfig::new),
-    };
-    WohaScheduler::new(WohaConfig {
-        padding,
-        ..WohaConfig::new(PriorityPolicy::Lpf, total_slots)
-    })
-}
-
-/// One cell of the proactive sweep.
-#[derive(Debug, Clone)]
-pub struct ProactiveCell {
-    /// MTBF label ("none", "8h", ...).
-    pub mtbf: String,
-    /// Prediction mode.
-    pub mode: PredictionMode,
-    /// Full report.
-    pub report: SimReport,
-}
-
-/// The proactive sweep: WOHA-LPF at every `(MTBF, prediction mode)` pair.
-#[derive(Debug, Clone)]
-pub struct ProactiveSweep {
-    /// All cells, grouped by MTBF in sweep order.
-    pub cells: Vec<ProactiveCell>,
-    /// Number of workflows in the workload.
-    pub workflow_count: usize,
-}
-
-/// Runs the proactive sweep: WOHA-LPF over every `(MTBF point, mode)`
-/// pair, same fault schedules per point as [`run_failure_sweep`] given
-/// the same cluster, MTTR, and seed. The whole grid fans over up to
-/// `jobs` worker threads; results are identical for any `jobs`.
-pub fn run_proactive_sweep(
-    workflows: &[WorkflowSpec],
-    cluster: &ClusterConfig,
-    points: &[MtbfPoint],
-    mttr: SimDuration,
-    config: &SimConfig,
-    jobs: usize,
-) -> ProactiveSweep {
-    let total = cluster.total_slots(SlotKind::Map) + cluster.total_slots(SlotKind::Reduce);
-    let mut sweep = SimSweep::new();
-    for (label, mtbf) in points {
-        let faulty = match mtbf {
-            Some(mtbf) => cluster
-                .clone()
-                .with_faults(FaultConfig::with_mtbf(*mtbf, mttr)),
-            None => cluster.clone(),
-        };
-        for mode in PredictionMode::ALL {
-            let run_config = SimConfig {
-                prediction: (mode != PredictionMode::Off).then(|| PredictionConfig {
-                    risk_placement: mode == PredictionMode::PadRisk,
-                    ..PredictionConfig::default()
-                }),
-                ..config.clone()
-            };
-            let mtbf = *mtbf;
-            sweep.push(
-                CellKey::new().with("mtbf", label).with("mode", mode),
-                SimCell::new(
-                    workflows,
-                    faulty.clone(),
-                    run_config,
-                    Box::new(move || {
-                        let scheduler: Box<dyn WorkflowScheduler> =
-                            Box::new(build_proactive(total, mtbf, mode));
-                        scheduler
-                    }),
-                ),
-            );
-        }
-    }
-    let reports = sweep.run(jobs).into_reports();
-    let coords = points
-        .iter()
-        .flat_map(|(label, _)| PredictionMode::ALL.iter().map(move |&m| (label.clone(), m)));
-    ProactiveSweep {
-        cells: coords
-            .zip(reports)
-            .map(|((mtbf, mode), report)| ProactiveCell { mtbf, mode, report })
-            .collect(),
-        workflow_count: workflows.len(),
-    }
-}
-
-impl ProactiveSweep {
-    /// The report of one cell.
-    pub fn report(&self, mtbf: &str, mode: PredictionMode) -> &SimReport {
-        &self
-            .cells
-            .iter()
-            .find(|c| c.mtbf == mtbf && c.mode == mode)
-            .expect("cell exists")
-            .report
-    }
-
-    fn metric_table(&self, metric: impl Fn(&SimReport) -> String) -> Table {
-        let points = ordered_unique(self.cells.iter().map(|c| c.mtbf.clone()));
-        let mut columns = vec!["mode".to_string()];
-        columns.extend(points.iter().map(|p| format!("mtbf {p}")));
-        let mut t = Table::new(columns);
-        for mode in PredictionMode::ALL {
-            let mut row = vec![mode.to_string()];
-            for point in &points {
-                row.push(metric(self.report(point, mode)));
-            }
-            t.row(row);
-        }
-        t
-    }
-
-    /// Deadline-miss ratio per (mode, MTBF).
-    pub fn miss_ratio_table(&self) -> Table {
-        self.metric_table(|r| fmt_f64(miss_ratio(r)))
-    }
-
-    /// Total tardiness (s) per (mode, MTBF).
-    pub fn tardiness_table(&self) -> Table {
-        self.metric_table(|r| format!("{:.0}", r.total_tardiness().as_secs_f64()))
-    }
-
-    /// Prediction-subsystem counters per (mode, MTBF) as
-    /// `padded/averted/preempt`; `-` where prediction is off.
-    pub fn prediction_table(&self) -> Table {
-        self.metric_table(|r| match &r.prediction {
-            Some(p) => format!(
-                "{}/{}/{}",
-                p.plans_padded, p.risk_averted_placements, p.preemptive_speculations
-            ),
-            None => "-".to_string(),
-        })
-    }
-}
-
-/// Deadline-miss ratio of one run.
-pub fn miss_ratio(report: &SimReport) -> f64 {
-    report.deadline_misses() as f64 / report.outcomes.len().max(1) as f64
 }
 
 /// One reactive cell of `BENCH_failure.json`.
@@ -410,46 +232,44 @@ pub struct FailureStudyReport {
     pub proactive: Vec<ProactivePoint>,
 }
 
-/// Flattens the two sweeps into the machine-readable report.
-pub fn failure_study_report(
-    reactive: &FailureSweep,
-    proactive: &ProactiveSweep,
-    quick: bool,
-) -> FailureStudyReport {
+/// Flattens the study's two grids into the machine-readable report.
+pub fn failure_study_report(run: &SimSweepRun, quick: bool) -> FailureStudyReport {
     FailureStudyReport {
         experiment: "failure_study".to_string(),
         quick,
-        workflow_count: reactive.workflow_count as u64,
-        reactive: reactive
+        workflow_count: run.cells[0].1.outcomes.len() as u64,
+        reactive: run
             .cells
             .iter()
-            .map(|c| ReactivePoint {
-                mtbf: c.mtbf.clone(),
-                scheduler: c.scheduler.to_string(),
-                miss_ratio: miss_ratio(&c.report),
-                tardiness_s: c.report.total_tardiness().as_secs_f64(),
-                node_failures: c.report.node_failures,
-                tasks_requeued: c.report.tasks_requeued,
+            .filter_map(|(key, r)| {
+                Some(ReactivePoint {
+                    mtbf: key.get("mtbf")?.to_string(),
+                    scheduler: key.get("scheduler")?.to_string(),
+                    miss_ratio: r.miss_ratio(),
+                    tardiness_s: r.total_tardiness().as_secs_f64(),
+                    node_failures: r.node_failures,
+                    tasks_requeued: r.tasks_requeued,
+                })
             })
             .collect(),
-        proactive: proactive
+        proactive: run
             .cells
             .iter()
-            .map(|c| {
-                let p = c.report.prediction.as_ref();
-                ProactivePoint {
-                    mtbf: c.mtbf.clone(),
-                    mode: c.mode.label().to_string(),
-                    miss_ratio: miss_ratio(&c.report),
-                    tardiness_s: c.report.total_tardiness().as_secs_f64(),
-                    node_failures: c.report.node_failures,
+            .filter_map(|(key, r)| {
+                let p = r.prediction.as_ref();
+                Some(ProactivePoint {
+                    mtbf: key.get("mtbf")?.to_string(),
+                    mode: key.get("mode")?.to_string(),
+                    miss_ratio: r.miss_ratio(),
+                    tardiness_s: r.total_tardiness().as_secs_f64(),
+                    node_failures: r.node_failures,
                     plans_padded: p.map_or(0, |p| p.plans_padded),
                     risk_averted_placements: p.map_or(0, |p| p.risk_averted_placements),
                     preemptive_speculations: p.map_or(0, |p| p.preemptive_speculations),
                     peak_propensity: p.map_or(0.0, |p| {
                         p.node_propensity.iter().copied().fold(0.0f64, f64::max)
                     }),
-                }
+                })
             })
             .collect(),
     }
@@ -460,10 +280,8 @@ mod tests {
     use super::*;
     use crate::scenarios::{demo_cluster, fig11_workflows};
 
-    #[test]
-    fn failures_degrade_deadline_performance() {
-        let workflows = fig11_workflows();
-        let cluster = demo_cluster();
+    /// The study at a fault-free point and a 12-minute MTBF.
+    fn small_study(jobs: usize) -> SimSweepRun {
         let points = vec![
             ("none".to_string(), None),
             ("12m".to_string(), Some(SimDuration::from_mins(12))),
@@ -472,18 +290,26 @@ mod tests {
             seed: 7,
             ..SimConfig::default()
         };
-        let sweep = run_failure_sweep(
-            &workflows,
-            &cluster,
+        let mttr = SimDuration::from_mins(3);
+        run_failure_sweep(
+            &fig11_workflows(),
+            &demo_cluster(),
             &points,
-            SimDuration::from_mins(3),
+            mttr,
             &config,
-            4,
-        );
-        assert_eq!(sweep.cells.len(), 2 * SCHEDULERS.len());
+            jobs,
+        )
+    }
+
+    #[test]
+    fn failures_degrade_deadline_performance() {
+        let sweep = small_study(4);
+        let grid = SCHEDULERS.len() + PredictionMode::ALL.len();
+        assert_eq!(sweep.cells.len(), 2 * grid);
         for kind in SCHEDULERS {
-            let clean = sweep.report("none", kind);
-            let faulty = sweep.report("12m", kind);
+            let scheduler = kind.to_string();
+            let clean = sweep.report(&[("mtbf", "none"), ("scheduler", &scheduler)]);
+            let faulty = sweep.report(&[("mtbf", "12m"), ("scheduler", &scheduler)]);
             // Every run terminates even under heavy churn.
             assert!(clean.completed, "{kind}");
             assert!(faulty.completed, "{kind}");
@@ -503,68 +329,54 @@ mod tests {
             );
         }
         // The tables cover every point.
-        assert_eq!(sweep.miss_ratio_table().len(), SCHEDULERS.len());
-        assert_eq!(sweep.tardiness_table().len(), SCHEDULERS.len());
-        assert_eq!(sweep.disruption_table().len(), SCHEDULERS.len());
+        assert_eq!(
+            miss_ratio_table(&sweep, "scheduler").len(),
+            SCHEDULERS.len()
+        );
+        assert_eq!(tardiness_table(&sweep, "scheduler").len(), SCHEDULERS.len());
+        assert_eq!(disruption_table(&sweep).len(), SCHEDULERS.len());
     }
 
     #[test]
     fn proactive_sweep_matches_reactive_baseline_and_reports_prediction() {
-        let workflows = fig11_workflows();
-        let cluster = demo_cluster();
-        let points = vec![
-            ("none".to_string(), None),
-            ("12m".to_string(), Some(SimDuration::from_mins(12))),
-        ];
-        let config = SimConfig {
-            seed: 7,
-            ..SimConfig::default()
-        };
-        let mttr = SimDuration::from_mins(3);
-        let reactive = run_failure_sweep(&workflows, &cluster, &points, mttr, &config, 4);
-        let proactive = run_proactive_sweep(&workflows, &cluster, &points, mttr, &config, 2);
-        assert_eq!(proactive.cells.len(), 2 * PredictionMode::ALL.len());
-
-        for (label, _) in &points {
+        let sweep = small_study(2);
+        for label in ["none", "12m"] {
+            let mode =
+                |mode: PredictionMode| sweep.report(&[("mtbf", label), ("mode", mode.label())]);
             // Mode Off IS the reactive WOHA-LPF run, bit for bit.
             assert_eq!(
-                proactive.report(label, PredictionMode::Off),
-                reactive.report(label, SchedulerKind::WohaLpf),
+                mode(PredictionMode::Off),
+                sweep.report(&[("mtbf", label), ("scheduler", "WOHA-LPF")]),
                 "{label}"
             );
             // Prediction modes carry a prediction section; Off does not.
-            assert!(proactive
-                .report(label, PredictionMode::Off)
-                .prediction
-                .is_none());
-            for mode in [PredictionMode::PadOnly, PredictionMode::PadRisk] {
-                let report = proactive.report(label, mode);
-                assert!(report.completed, "{label} {mode}");
+            assert!(mode(PredictionMode::Off).prediction.is_none());
+            for m in [PredictionMode::PadOnly, PredictionMode::PadRisk] {
+                let report = mode(m);
+                assert!(report.completed, "{label} {m}");
                 let p = report.prediction.as_ref().expect("prediction on");
-                if *label == "12m" {
+                if label == "12m" {
                     // A 12 m MTBF pads every plan and leaves nonzero scores.
-                    assert!(p.plans_padded > 0, "{mode}");
-                    assert!(p.node_propensity.iter().any(|&s| s > 0.0), "{mode}");
+                    assert!(p.plans_padded > 0, "{m}");
+                    assert!(p.node_propensity.iter().any(|&s| s > 0.0), "{m}");
                 } else {
                     // Fault-free: padding has no MTBF to work from and no
                     // crash ever bumps a score.
-                    assert_eq!(p.plans_padded, 0, "{mode}");
-                    assert!(p.node_propensity.iter().all(|&s| s == 0.0), "{mode}");
+                    assert_eq!(p.plans_padded, 0, "{m}");
+                    assert!(p.node_propensity.iter().all(|&s| s == 0.0), "{m}");
                 }
             }
         }
 
-        // The JSON flattening covers every cell of both sweeps.
-        let json = failure_study_report(&reactive, &proactive, true);
+        // The JSON flattening covers every cell of both grids.
+        let json = failure_study_report(&sweep, true);
         assert_eq!(json.experiment, "failure_study");
-        assert_eq!(json.reactive.len(), reactive.cells.len());
-        assert_eq!(json.proactive.len(), proactive.cells.len());
+        assert_eq!(json.workflow_count, 3);
+        assert_eq!(json.reactive.len(), 2 * SCHEDULERS.len());
+        assert_eq!(json.proactive.len(), 2 * PredictionMode::ALL.len());
         let roundtrip: FailureStudyReport =
             serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap();
         assert_eq!(roundtrip, json);
-        assert_eq!(
-            proactive.prediction_table().len(),
-            PredictionMode::ALL.len()
-        );
+        assert_eq!(prediction_table(&sweep).len(), PredictionMode::ALL.len());
     }
 }

@@ -2,20 +2,20 @@
 //! scheduling (Zaharia et al., the paper's related work \[4\]), and the
 //! rack-aware recovery extensions, all on the Fig 11 scenario.
 //!
-//! Two sweeps, both under WOHA-LPF:
+//! Two grids in one sweep, both under WOHA-LPF:
 //!
-//! - the *delay* sweep reproduces the classic trade-off on a flat
+//! - the *delay* grid reproduces the classic trade-off on a flat
 //!   cluster — 3 replicas, a 1.3x remote penalty, and a growing number of
 //!   non-local offers each job may decline;
-//! - the *recovery* sweep moves the same workload onto a two-rack
+//! - the *recovery* grid moves the same workload onto a two-rack
 //!   cluster, injects correlated rack-switch outages, and compares
 //!   location-agnostic re-queues against survivor-preferring ones
 //!   ([`LocalityConfig::prefer_survivors`]), with and without re-shuffle
 //!   charging ([`woha_sim::SimConfig::reshuffle_cost`]).
 
 use crate::schedulers::SchedulerKind;
-use crate::sweep::{CellKey, SimSweep};
-use crate::table::{fmt_f64, ordered_unique, Table};
+use crate::sweep::{CellKey, SimSweep, SimSweepRun};
+use crate::table::{fmt_f64, Table};
 use serde::{Deserialize, Serialize};
 use woha_model::{SimDuration, WorkflowSpec};
 use woha_sim::{ClusterConfig, FaultConfig, LocalityConfig, SimConfig, SimReport};
@@ -29,7 +29,7 @@ pub fn delay_points(quick: bool) -> Vec<u32> {
     }
 }
 
-/// The recovery sweep's re-shuffle cost axis: free re-fetches vs a
+/// The recovery grid's re-shuffle cost axis: free re-fetches vs a
 /// 30 s charge per lost map output on every subsequent reduce launch.
 pub fn reshuffle_points(quick: bool) -> Vec<(String, SimDuration)> {
     let mut points = vec![("0s".to_string(), SimDuration::ZERO)];
@@ -50,231 +50,135 @@ fn base_locality(max_delay_skips: u32, prefer_survivors: bool) -> LocalityConfig
     }
 }
 
-/// One cell of the delay sweep.
-#[derive(Debug, Clone)]
-pub struct DelayCell {
-    /// Non-local offers a job may decline.
-    pub skips: u32,
-    /// Full report.
-    pub report: SimReport,
-}
+/// The recovery grid's re-queue policy axis: "fresh" is
+/// location-agnostic, "survivors" identity-preserving.
+pub const RECOVERY_MODES: [&str; 2] = ["fresh", "survivors"];
 
-/// The delay sweep: the flat-cluster locality trade-off.
-#[derive(Debug, Clone)]
-pub struct DelaySweep {
-    /// One cell per patience value, in sweep order.
-    pub cells: Vec<DelayCell>,
-    /// Number of workflows in the workload.
-    pub workflow_count: usize,
-}
-
-/// Runs the delay sweep: the same workload and flat cluster under every
-/// patience value, fanned over up to `jobs` worker threads (`jobs = 1`
-/// is the serial path; results are identical for any `jobs`).
-pub fn run_delay_sweep(
+/// Runs both grids under WOHA-LPF on one pool of up to `jobs` worker
+/// threads (`jobs = 1` is the serial path; results are identical for any
+/// `jobs`).
+///
+/// The delay grid keys one cell per `skips` value: `cluster` as given,
+/// with that many non-local offers a job may decline. The recovery grid
+/// keys one cell per `mode` × `reshuffle` pair: `cluster` split into two
+/// racks, with correlated rack-switch outages (rack MTBF 30 m, rack MTTR
+/// 8 m — one to two outages inside the Fig 11 horizon). All cells share
+/// one seed, so the recovery cells face the same outage schedule and
+/// differ only in how lost work is re-queued and charged.
+pub fn run_locality_sweep(
     workflows: &[WorkflowSpec],
     cluster: &ClusterConfig,
-    points: &[u32],
+    delay: &[u32],
+    reshuffle: &[(String, SimDuration)],
     config: &SimConfig,
     jobs: usize,
-) -> DelaySweep {
+) -> SimSweepRun {
     let mut sweep = SimSweep::new();
-    for &skips in points {
+    let mut push = |key: CellKey, cluster: &ClusterConfig, config: SimConfig| {
+        sweep.push_kinds(&key, &[SchedulerKind::WohaLpf], workflows, cluster, &config);
+    };
+    for &skips in delay {
         let cfg = SimConfig {
             locality: Some(base_locality(skips, false)),
             ..config.clone()
         };
-        sweep.push_kinds(
-            &CellKey::new().with("skips", skips),
-            &[SchedulerKind::WohaLpf],
-            workflows,
-            cluster,
-            &cfg,
-        );
+        push(CellKey::new().with("skips", skips), cluster, cfg);
     }
-    let reports = sweep.run(jobs).into_reports();
-    DelaySweep {
-        cells: points
-            .iter()
-            .zip(reports)
-            .map(|(&skips, report)| DelayCell { skips, report })
-            .collect(),
-        workflow_count: workflows.len(),
-    }
-}
-
-impl DelaySweep {
-    /// Patience vs locality ratio, declined offers, misses, and the
-    /// first workflow's span — one row per patience value.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "delay skips",
-            "locality ratio",
-            "offers declined",
-            "misses",
-            "W-1 span(s)",
-        ]);
-        for c in &self.cells {
-            t.row(vec![
-                c.skips.to_string(),
-                fmt_f64(c.report.map_locality_ratio()),
-                c.report.delay_skips.to_string(),
-                c.report.deadline_misses().to_string(),
-                format!("{:.0}", c.report.workspans()[0].as_secs_f64()),
-            ]);
-        }
-        t
-    }
-}
-
-/// The recovery sweep's re-queue policy axis.
-pub const RECOVERY_MODES: [&str; 2] = ["fresh", "survivors"];
-
-/// One cell of the recovery sweep.
-#[derive(Debug, Clone)]
-pub struct RecoveryCell {
-    /// Re-queue policy ("fresh" = location-agnostic, "survivors" =
-    /// identity-preserving).
-    pub mode: String,
-    /// Re-shuffle cost label ("0s", "30s").
-    pub reshuffle: String,
-    /// Full report.
-    pub report: SimReport,
-}
-
-/// The recovery sweep: rack outages under both re-queue policies.
-#[derive(Debug, Clone)]
-pub struct RecoverySweep {
-    /// All cells, grouped by mode in sweep order.
-    pub cells: Vec<RecoveryCell>,
-    /// Number of workflows in the workload.
-    pub workflow_count: usize,
-}
-
-/// Runs the recovery sweep: the workload on `cluster` split into two
-/// racks, with correlated rack-switch outages (rack MTBF 30 m, rack
-/// MTTR 8 m — one to two outages inside the Fig 11 horizon), under every
-/// `(re-queue mode, re-shuffle cost)` pair. All cells share one seed, so
-/// they face the same outage schedule and differ only in how lost work
-/// is re-queued and charged.
-pub fn run_recovery_sweep(
-    workflows: &[WorkflowSpec],
-    cluster: &ClusterConfig,
-    reshuffle: &[(String, SimDuration)],
-    config: &SimConfig,
-    jobs: usize,
-) -> RecoverySweep {
     let racked = cluster.clone().with_racks(2).with_faults(FaultConfig {
         rack_mtbf: Some(SimDuration::from_mins(30)),
         rack_mttr: Some(SimDuration::from_mins(8)),
         ..FaultConfig::default()
     });
-    let mut sweep = SimSweep::new();
-    for &mode in &RECOVERY_MODES {
+    for mode in RECOVERY_MODES {
         for (label, cost) in reshuffle {
             let cfg = SimConfig {
                 locality: Some(base_locality(2, mode == "survivors")),
                 reshuffle_cost: *cost,
                 ..config.clone()
             };
-            sweep.push_kinds(
-                &CellKey::new().with("mode", mode).with("reshuffle", label),
-                &[SchedulerKind::WohaLpf],
-                workflows,
-                &racked,
-                &cfg,
-            );
+            let key = CellKey::new().with("mode", mode).with("reshuffle", label);
+            push(key, &racked, cfg);
         }
     }
-    let reports = sweep.run(jobs).into_reports();
-    let coords = RECOVERY_MODES
-        .iter()
-        .flat_map(|&mode| reshuffle.iter().map(move |(l, _)| (mode, l.clone())));
-    RecoverySweep {
-        cells: coords
-            .zip(reports)
-            .map(|((mode, reshuffle), report)| RecoveryCell {
-                mode: mode.to_string(),
-                reshuffle,
-                report,
-            })
-            .collect(),
-        workflow_count: workflows.len(),
-    }
+    sweep.run(jobs)
 }
 
-impl RecoverySweep {
-    /// The report of one cell.
-    pub fn report(&self, mode: &str, reshuffle: &str) -> &SimReport {
-        &self
-            .cells
-            .iter()
-            .find(|c| c.mode == mode && c.reshuffle == reshuffle)
-            .expect("cell exists")
-            .report
+/// Patience vs locality ratio, declined offers, misses, and the
+/// first workflow's span — one row per delay cell.
+pub fn delay_table(run: &SimSweepRun) -> Table {
+    let mut t = Table::new(vec![
+        "delay skips",
+        "locality ratio",
+        "offers declined",
+        "misses",
+        "W-1 span(s)",
+    ]);
+    for (key, r) in &run.cells {
+        let Some(skips) = key.get("skips") else {
+            continue;
+        };
+        t.row(vec![
+            skips.to_string(),
+            fmt_f64(r.map_locality_ratio()),
+            r.delay_skips.to_string(),
+            r.deadline_misses().to_string(),
+            format!("{:.0}", r.workspans()[0].as_secs_f64()),
+        ]);
     }
+    t
+}
 
-    /// Remote map executions summed over the re-shuffle axis — the
-    /// re-execution remote penalty each re-queue policy pays.
-    pub fn remote_maps(&self, mode: &str) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.mode == mode)
-            .map(|c| c.report.remote_map_tasks)
-            .sum()
-    }
+/// Remote map executions of one re-queue `mode`, summed over the
+/// re-shuffle axis — the re-execution remote penalty the policy pays.
+pub fn remote_maps(run: &SimSweepRun, mode: &str) -> u64 {
+    run.cells
+        .iter()
+        .filter(|(key, _)| key.get("mode") == Some(mode))
+        .map(|(_, r)| r.remote_map_tasks)
+        .sum()
+}
 
-    fn metric_table(&self, metric: impl Fn(&SimReport) -> String) -> Table {
-        let points = ordered_unique(self.cells.iter().map(|c| c.reshuffle.clone()));
-        let mut columns = vec!["requeue mode".to_string()];
-        columns.extend(points.iter().map(|p| format!("reshuffle {p}")));
-        let mut t = Table::new(columns);
-        for mode in RECOVERY_MODES {
-            let mut row = vec![mode.to_string()];
-            for point in &points {
-                row.push(metric(self.report(mode, point)));
-            }
-            t.row(row);
-        }
-        t
-    }
+/// One recovery table: `metric` per (re-queue mode, re-shuffle cost).
+fn recovery_table(run: &SimSweepRun, metric: impl Fn(&SimReport) -> String) -> Table {
+    let header = ("requeue mode", "reshuffle ");
+    run.pivot(&["mode"], "reshuffle", header, |_, r| metric(r))
+}
 
-    /// Locality ratio / remote maps per (mode, re-shuffle cost).
-    pub fn locality_table(&self) -> Table {
-        self.metric_table(|r| {
-            format!(
-                "{} ({} remote)",
-                fmt_f64(r.map_locality_ratio()),
-                r.remote_map_tasks
-            )
-        })
-    }
+/// Locality ratio / remote maps per (mode, re-shuffle cost).
+pub fn locality_table(run: &SimSweepRun) -> Table {
+    recovery_table(run, |r| {
+        format!(
+            "{} ({} remote)",
+            fmt_f64(r.map_locality_ratio()),
+            r.remote_map_tasks
+        )
+    })
+}
 
-    /// Data-plane counters per cell: rack outages / survivor re-queues /
-    /// re-shuffle events / re-shuffle seconds charged.
-    pub fn data_plane_table(&self) -> Table {
-        self.metric_table(|r| {
-            let d = r.data_plane.expect("racked cells report the data plane");
-            format!(
-                "{}/{}/{}/{:.0}",
-                d.rack_outages,
-                d.survivor_requeues,
-                d.reshuffle_events,
-                d.reshuffle_charged_ms as f64 / 1000.0
-            )
-        })
-    }
+/// Data-plane counters per recovery cell: rack outages / survivor
+/// re-queues / re-shuffle events / re-shuffle seconds charged.
+pub fn data_plane_table(run: &SimSweepRun) -> Table {
+    recovery_table(run, |r| {
+        let d = r.data_plane.expect("racked cells report the data plane");
+        format!(
+            "{}/{}/{}/{:.0}",
+            d.rack_outages,
+            d.survivor_requeues,
+            d.reshuffle_events,
+            d.reshuffle_charged_ms as f64 / 1000.0
+        )
+    })
+}
 
-    /// Deadline misses and end-to-end drain time per cell.
-    pub fn outcome_table(&self) -> Table {
-        self.metric_table(|r| {
-            format!(
-                "{} misses, drained {:.0}s",
-                r.deadline_misses(),
-                r.end_time.as_secs_f64()
-            )
-        })
-    }
+/// Deadline misses and end-to-end drain time per recovery cell.
+pub fn outcome_table(run: &SimSweepRun) -> Table {
+    recovery_table(run, |r| {
+        format!(
+            "{} misses, drained {:.0}s",
+            r.deadline_misses(),
+            r.end_time.as_secs_f64()
+        )
+    })
 }
 
 /// One cell of `BENCH_locality.json`'s delay sweep.
@@ -330,43 +234,42 @@ pub struct LocalityStudyReport {
     pub recovery: Vec<RecoveryPoint>,
 }
 
-/// Flattens the two sweeps into the machine-readable report.
-pub fn locality_study_report(
-    delay: &DelaySweep,
-    recovery: &RecoverySweep,
-    quick: bool,
-) -> LocalityStudyReport {
+/// Flattens the two grids into the machine-readable report.
+pub fn locality_study_report(run: &SimSweepRun, quick: bool) -> LocalityStudyReport {
     LocalityStudyReport {
         experiment: "locality_study".to_string(),
         quick,
-        workflow_count: delay.workflow_count as u64,
-        delay: delay
+        workflow_count: run.cells[0].1.outcomes.len() as u64,
+        delay: run
             .cells
             .iter()
-            .map(|c| DelayPoint {
-                skips: c.skips,
-                locality_ratio: c.report.map_locality_ratio(),
-                offers_declined: c.report.delay_skips,
-                misses: c.report.deadline_misses() as u64,
+            .filter_map(|(key, r)| {
+                Some(DelayPoint {
+                    skips: key.get("skips")?.parse().expect("skips is a count"),
+                    locality_ratio: r.map_locality_ratio(),
+                    offers_declined: r.delay_skips,
+                    misses: r.deadline_misses() as u64,
+                })
             })
             .collect(),
-        recovery: recovery
+        recovery: run
             .cells
             .iter()
-            .map(|c| {
-                let d = c.report.data_plane.expect("racked cells report");
-                RecoveryPoint {
-                    mode: c.mode.clone(),
-                    reshuffle: c.reshuffle.clone(),
-                    locality_ratio: c.report.map_locality_ratio(),
-                    remote_maps: c.report.remote_map_tasks,
+            .filter_map(|(key, r)| {
+                let (mode, reshuffle) = (key.get("mode")?, key.get("reshuffle")?);
+                let d = r.data_plane.expect("racked cells report");
+                Some(RecoveryPoint {
+                    mode: mode.to_string(),
+                    reshuffle: reshuffle.to_string(),
+                    locality_ratio: r.map_locality_ratio(),
+                    remote_maps: r.remote_map_tasks,
                     rack_outages: d.rack_outages,
                     survivor_requeues: d.survivor_requeues,
                     reshuffle_events: d.reshuffle_events,
                     reshuffle_charged_s: d.reshuffle_charged_ms as f64 / 1000.0,
-                    misses: c.report.deadline_misses() as u64,
-                    drain_s: c.report.end_time.as_secs_f64(),
-                }
+                    misses: r.deadline_misses() as u64,
+                    drain_s: r.end_time.as_secs_f64(),
+                })
             })
             .collect(),
     }
@@ -377,16 +280,24 @@ mod tests {
     use super::*;
     use crate::scenarios::{demo_cluster, fig11_workflows};
 
+    fn quick_sweep(jobs: usize) -> SimSweepRun {
+        let (delay, reshuffle) = (delay_points(true), reshuffle_points(true));
+        let config = SimConfig::default();
+        run_locality_sweep(
+            &fig11_workflows(),
+            &demo_cluster(),
+            &delay,
+            &reshuffle,
+            &config,
+            jobs,
+        )
+    }
+
     #[test]
     fn survivor_preference_cuts_remote_reexecution() {
-        let workflows = fig11_workflows();
-        let cluster = demo_cluster();
-        let config = SimConfig::default();
-        let recovery =
-            run_recovery_sweep(&workflows, &cluster, &reshuffle_points(true), &config, 4);
-        assert_eq!(recovery.cells.len(), 2);
-        let fresh = recovery.report("fresh", "0s");
-        let survivors = recovery.report("survivors", "0s");
+        let sweep = quick_sweep(4);
+        let fresh = sweep.report(&[("mode", "fresh"), ("reshuffle", "0s")]);
+        let survivors = sweep.report(&[("mode", "survivors"), ("reshuffle", "0s")]);
         let fresh_dp = fresh.data_plane.expect("racked run reports");
         let survivors_dp = survivors.data_plane.expect("racked run reports");
         assert!(fresh_dp.rack_outages > 0, "the outage schedule must fire");
@@ -399,42 +310,25 @@ mod tests {
             survivors.remote_map_tasks,
             fresh.remote_map_tasks,
         );
+        assert_eq!(remote_maps(&sweep, "fresh"), fresh.remote_map_tasks);
         // The sweep is jobs-invariant.
-        let serial = run_recovery_sweep(&workflows, &cluster, &reshuffle_points(true), &config, 1);
-        for (a, b) in recovery.cells.iter().zip(&serial.cells) {
-            assert_eq!(a.report, b.report, "{} {}", a.mode, a.reshuffle);
-        }
+        assert_eq!(sweep.cells, quick_sweep(1).cells);
     }
 
     #[test]
     fn delay_sweep_matches_the_classic_trade_off() {
-        let workflows = fig11_workflows();
-        let cluster = demo_cluster();
-        let sweep = run_delay_sweep(
-            &workflows,
-            &cluster,
-            &delay_points(true),
-            &SimConfig::default(),
-            2,
+        let sweep = quick_sweep(2);
+        let (impatient, patient) = (
+            sweep.report(&[("skips", "0")]),
+            sweep.report(&[("skips", "4")]),
         );
-        assert_eq!(sweep.cells.len(), 2);
-        let (impatient, patient) = (&sweep.cells[0], &sweep.cells[1]);
         assert!(
-            patient.report.map_locality_ratio() >= impatient.report.map_locality_ratio(),
+            patient.map_locality_ratio() >= impatient.map_locality_ratio(),
             "patience must not hurt locality"
         );
-        assert!(patient.report.delay_skips > 0, "patience declines offers");
-        let report = locality_study_report(
-            &sweep,
-            &run_recovery_sweep(
-                &workflows,
-                &cluster,
-                &reshuffle_points(true),
-                &SimConfig::default(),
-                4,
-            ),
-            true,
-        );
+        assert!(patient.delay_skips > 0, "patience declines offers");
+        assert_eq!(delay_table(&sweep).len(), 2);
+        let report = locality_study_report(&sweep, true);
         assert_eq!(report.delay.len(), 2);
         assert_eq!(report.recovery.len(), 2);
         let json = serde_json::to_string(&report).expect("serializes");

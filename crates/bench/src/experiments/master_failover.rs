@@ -9,8 +9,8 @@
 //! deadline misses and tardiness *attributable to the outage*.
 
 use crate::schedulers::SchedulerKind;
-use crate::sweep::{CellKey, SimSweep};
-use crate::table::{ordered_unique, Table};
+use crate::sweep::{CellKey, SimSweep, SimSweepRun};
+use crate::table::Table;
 use woha_model::{SimDuration, SimTime, WorkflowSpec};
 use woha_sim::{ClusterConfig, FaultConfig, MasterFaultConfig, SimConfig, SimReport};
 
@@ -23,39 +23,15 @@ pub const SCHEDULERS: [SchedulerKind; 4] = [
     SchedulerKind::WohaLpf,
 ];
 
-/// One cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct FailoverCell {
-    /// Checkpoint-interval label ("1m", "5m", ...).
-    pub interval: String,
-    /// Crash-time label ("10m", "30m", ...).
-    pub crash: String,
-    /// Scheduler.
-    pub scheduler: SchedulerKind,
-    /// Full report (with `recovery` attached).
-    pub report: SimReport,
-}
-
-/// The whole sweep plus the crash-free baselines used for deltas.
-#[derive(Debug, Clone)]
-pub struct FailoverSweep {
-    /// All cells, grouped by interval then crash time in sweep order.
-    pub cells: Vec<FailoverCell>,
-    /// Crash-free baseline report per scheduler.
-    pub baselines: Vec<(SchedulerKind, SimReport)>,
-    /// Number of workflows in the workload.
-    pub workflow_count: usize,
-}
-
 /// Runs the sweep: the same workload and cluster under every
-/// `(checkpoint interval, crash time, scheduler)` triple, with one
-/// scripted master crash per run and the given restart time. `wal`
-/// selects lossless recovery (replay to the crash instant) or
-/// checkpoint-only recovery (everything since the last checkpoint is
-/// lost and redone). A crash-free run per scheduler provides the
-/// baseline for the delta tables. The baselines and the whole grid share
-/// one worker pool of up to `jobs` threads; results are identical for
-/// any `jobs`.
+/// `ckpt` × `crash` × `scheduler` cell, with one scripted master crash
+/// per run and the given restart time. `wal` selects lossless recovery
+/// (replay to the crash instant) or checkpoint-only recovery (everything
+/// since the last checkpoint is lost and redone). A crash-free cell per
+/// scheduler, keyed `crash=none` without a `ckpt`, provides the baseline
+/// for the delta tables. The baselines and the whole grid share one
+/// worker pool of up to `jobs` threads; results are identical for any
+/// `jobs`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_failover_sweep(
     workflows: &[WorkflowSpec],
@@ -66,7 +42,7 @@ pub fn run_failover_sweep(
     wal: bool,
     config: &SimConfig,
     jobs: usize,
-) -> FailoverSweep {
+) -> SimSweepRun {
     let mut sweep = SimSweep::new();
     sweep.push_kinds(
         &CellKey::new().with("crash", "none"),
@@ -99,111 +75,58 @@ pub fn run_failover_sweep(
             );
         }
     }
-    let mut reports = sweep.run(jobs).into_reports().into_iter();
-    let baselines = SCHEDULERS
-        .iter()
-        .map(|&kind| (kind, reports.next().expect("baseline cell")))
-        .collect();
-    let coords = intervals.iter().flat_map(|(interval, _)| {
-        crash_times.iter().flat_map(move |(crash, _)| {
-            SCHEDULERS
-                .iter()
-                .map(move |&kind| (interval.clone(), crash.clone(), kind))
-        })
-    });
-    FailoverSweep {
-        cells: coords
-            .zip(reports)
-            .map(|((interval, crash, scheduler), report)| FailoverCell {
-                interval,
-                crash,
-                scheduler,
-                report,
-            })
-            .collect(),
-        baselines,
-        workflow_count: workflows.len(),
-    }
+    sweep.run(jobs)
 }
 
-impl FailoverSweep {
-    /// The report of one cell.
-    pub fn report(&self, interval: &str, crash: &str, scheduler: SchedulerKind) -> &SimReport {
-        &self
-            .cells
-            .iter()
-            .find(|c| c.interval == interval && c.crash == crash && c.scheduler == scheduler)
-            .expect("cell exists")
-            .report
-    }
+/// The crash-free baseline of the cell keyed `key`'s scheduler.
+fn baseline<'r>(run: &'r SimSweepRun, key: &CellKey) -> &'r SimReport {
+    let scheduler = key.get("scheduler").expect("cells are keyed by scheduler");
+    run.report(&[("crash", "none"), ("scheduler", scheduler)])
+}
 
-    /// The crash-free baseline of one scheduler.
-    pub fn baseline(&self, scheduler: SchedulerKind) -> &SimReport {
-        &self
-            .baselines
-            .iter()
-            .find(|(k, _)| *k == scheduler)
-            .expect("baseline exists")
-            .1
-    }
+/// One row per `(scheduler, interval)`, one column per crash time; the
+/// metric sees each cell with its scheduler's crash-free baseline.
+fn failover_table(run: &SimSweepRun, metric: impl Fn(&SimReport, &SimReport) -> String) -> Table {
+    let header = ("scheduler @ ckpt", "crash ");
+    run.pivot(&["scheduler", "ckpt"], "crash", header, |key, r| {
+        metric(r, baseline(run, key))
+    })
+}
 
-    /// One row per `(scheduler, interval)`, one column per crash time.
-    fn metric_table(&self, metric: impl Fn(&SimReport, &SimReport) -> String) -> Table {
-        let intervals = ordered_unique(self.cells.iter().map(|c| c.interval.clone()));
-        let crashes = ordered_unique(self.cells.iter().map(|c| c.crash.clone()));
-        let mut columns = vec!["scheduler @ ckpt".to_string()];
-        columns.extend(crashes.iter().map(|c| format!("crash {c}")));
-        let mut t = Table::new(columns);
-        for kind in SCHEDULERS {
-            for interval in &intervals {
-                let mut row = vec![format!("{kind} @ {interval}")];
-                for crash in &crashes {
-                    row.push(metric(
-                        self.report(interval, crash, kind),
-                        self.baseline(kind),
-                    ));
-                }
-                t.row(row);
-            }
-        }
-        t
-    }
+/// Deadline misses attributable to the outage: cell minus the
+/// crash-free baseline of the same scheduler.
+pub fn miss_delta_table(run: &SimSweepRun) -> Table {
+    failover_table(run, |r, base| {
+        format!(
+            "{:+}",
+            r.deadline_misses() as i64 - base.deadline_misses() as i64
+        )
+    })
+}
 
-    /// Deadline misses attributable to the outage: cell minus the
-    /// crash-free baseline of the same scheduler.
-    pub fn miss_delta_table(&self) -> Table {
-        self.metric_table(|r, base| {
-            format!(
-                "{:+}",
-                r.deadline_misses() as i64 - base.deadline_misses() as i64
-            )
-        })
-    }
+/// Extra total tardiness (s) over the crash-free baseline.
+pub fn tardiness_delta_table(run: &SimSweepRun) -> Table {
+    failover_table(run, |r, base| {
+        format!(
+            "{:+.0}",
+            r.total_tardiness().as_secs_f64() - base.total_tardiness().as_secs_f64()
+        )
+    })
+}
 
-    /// Extra total tardiness (s) over the crash-free baseline.
-    pub fn tardiness_delta_table(&self) -> Table {
-        self.metric_table(|r, base| {
-            format!(
-                "{:+.0}",
-                r.total_tardiness().as_secs_f64() - base.total_tardiness().as_secs_f64()
-            )
-        })
-    }
-
-    /// Recovery-subsystem counters per cell, as
-    /// `readopted/requeued/orphaned/wal-replayed`.
-    pub fn recovery_table(&self) -> Table {
-        self.metric_table(|r, _| {
-            let rec = r.recovery.as_ref().expect("master faults were enabled");
-            format!(
-                "{}/{}/{}/{}",
-                rec.attempts_readopted,
-                rec.attempts_requeued,
-                rec.attempts_orphaned,
-                rec.wal_records_replayed
-            )
-        })
-    }
+/// Recovery-subsystem counters per cell, as
+/// `readopted/requeued/orphaned/wal-replayed`.
+pub fn recovery_table(run: &SimSweepRun) -> Table {
+    failover_table(run, |r, _| {
+        let rec = r.recovery.as_ref().expect("master faults were enabled");
+        format!(
+            "{}/{}/{}/{}",
+            rec.attempts_readopted,
+            rec.attempts_requeued,
+            rec.attempts_orphaned,
+            rec.wal_records_replayed
+        )
+    })
 }
 
 #[cfg(test)]
@@ -235,30 +158,32 @@ mod tests {
                 &config,
                 4,
             );
-            assert_eq!(sweep.cells.len(), 2 * SCHEDULERS.len());
-            for cell in &sweep.cells {
-                assert!(cell.report.completed, "{} wal={wal}", cell.scheduler);
-                let rec = cell.report.recovery.as_ref().expect("master mode");
+            assert_eq!(sweep.cells.len(), 3 * SCHEDULERS.len());
+            for (key, report) in &sweep.cells {
+                if key.get("ckpt").is_none() {
+                    continue; // a crash-free baseline
+                }
+                assert!(report.completed, "{key} wal={wal}");
+                let rec = report.recovery.as_ref().expect("master mode");
                 assert_eq!(rec.master_crashes, 1);
                 if wal {
                     // Lossless recovery loses no attempts.
                     assert_eq!(rec.attempts_requeued + rec.attempts_orphaned, 0);
                 }
                 // An outage never helps a deadline.
-                let base = sweep.baseline(cell.scheduler);
+                let base = baseline(&sweep, key);
                 assert!(
-                    cell.report.deadline_misses() >= base.deadline_misses(),
-                    "{} wal={wal}",
-                    cell.scheduler
+                    report.deadline_misses() >= base.deadline_misses(),
+                    "{key} wal={wal}"
                 );
-                assert!(cell.report.total_tardiness() >= base.total_tardiness());
+                assert!(report.total_tardiness() >= base.total_tardiness());
             }
             assert_eq!(
-                sweep.miss_delta_table().len(),
+                miss_delta_table(&sweep).len(),
                 SCHEDULERS.len() * intervals.len()
             );
             assert_eq!(
-                sweep.recovery_table().len(),
+                recovery_table(&sweep).len(),
                 SCHEDULERS.len() * intervals.len()
             );
         }

@@ -17,6 +17,6 @@ pub mod schedulers;
 pub mod sweep;
 pub mod table;
 
-pub use runner::{run_many, run_one};
+pub use runner::run_one;
 pub use schedulers::SchedulerKind;
 pub use sweep::{available_jobs, canonical_report_json, run_sweep, CellKey, SimSweep, SimSweepRun};

@@ -21,9 +21,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 use woha_bench::chart::panel;
-use woha_bench::experiments::deadline::{run_trace_sweep, TraceSweep};
-use woha_bench::experiments::demo::{run_fig11, run_fig12, timeline_table};
-use woha_bench::experiments::master_failover::run_failover_sweep;
+use woha_bench::experiments::deadline::{fig10_table, fig8_table, fig9_table, run_trace_sweep};
+use woha_bench::experiments::demo::{
+    fig11_table, fig12_table, run_fig11, run_fig12, scheduler_of, timeline_table,
+};
+use woha_bench::experiments::master_failover::{
+    miss_delta_table, recovery_table, run_failover_sweep, tardiness_delta_table,
+};
 use woha_bench::experiments::plans::{
     fig13b_table, run_fig13b, run_fig2, run_fig2_baselines, run_fig3,
 };
@@ -33,7 +37,7 @@ use woha_bench::experiments::{ablation, failures, locality};
 use woha_bench::scenarios::{
     demo_cluster, fig11_workflows, trace_clusters, yahoo_workload, YahooScenario,
 };
-use woha_bench::sweep::available_jobs;
+use woha_bench::sweep::{available_jobs, SimSweepRun};
 use woha_bench::table::Table;
 use woha_bench::SchedulerKind;
 use woha_core::{PriorityPolicy, WohaConfig, WohaScheduler};
@@ -234,44 +238,42 @@ fn fig06_taskcount_cdf(_: &Args) {
 
 /// Figs 8–10 are three tables of one sweep: the Yahoo-like workload per
 /// cluster size and scheduler.
-fn trace_sweep_figure(args: &Args, title: &str, table: fn(&TraceSweep) -> Table) {
+fn trace_sweep_figure(args: &Args, title: &str, table: fn(&SimSweepRun) -> Table) {
     let sweep = run_trace_sweep(&YahooScenario::default(), 0.1, args.jobs);
-    let count = sweep.workflow_count;
+    let count = sweep.cells[0].1.outcomes.len();
     println!("{title} ({count} multi-job Yahoo-like workflows)\n");
     print!("{}", table(&sweep).render());
 }
 
 fn fig08_miss_ratio(args: &Args) {
-    trace_sweep_figure(args, "Fig 8 — deadline miss ratio", TraceSweep::fig8_table);
+    trace_sweep_figure(args, "Fig 8 — deadline miss ratio", fig8_table);
 }
 
 fn fig09_max_tardiness(args: &Args) {
-    trace_sweep_figure(
-        args,
-        "Fig 9 — max tardiness in seconds",
-        TraceSweep::fig9_table,
-    );
+    trace_sweep_figure(args, "Fig 9 — max tardiness in seconds", fig9_table);
 }
 
 fn fig10_total_tardiness(args: &Args) {
     let title = "Fig 10 — total tardiness in seconds";
-    trace_sweep_figure(args, title, TraceSweep::fig10_table);
+    trace_sweep_figure(args, title, fig10_table);
 }
 
 fn fig11_workspan(args: &Args) {
-    let result = run_fig11(false, args.jobs);
-    let d = &result.relative_deadlines;
+    let d: Vec<_> = fig11_workflows()
+        .iter()
+        .map(|w| w.relative_deadline())
+        .collect();
     println!("Fig 11 — synthetic workflow workspans (32 slaves: 64 map + 32 reduce slots)");
     println!(
         "relative deadlines: W-1 {}, W-2 {}, W-3 {} ('*' = deadline missed)\n",
         d[0], d[1], d[2]
     );
-    print!("{}", result.table().render());
+    print!("{}", fig11_table(&run_fig11(false, args.jobs)).render());
 }
 
 fn fig12_utilization(args: &Args) {
     println!("Fig 12 — cluster utilization with 3 recurrences (32-slave demo cluster)\n");
-    print!("{}", run_fig12(args.jobs).table().render());
+    print!("{}", fig12_table(&run_fig12(args.jobs)).render());
 }
 
 /// Queue lengths sweep 10^2..10^6 like the paper; `--quick` stops at 10^4
@@ -317,11 +319,11 @@ fn fig14_19_slot_timelines(args: &Args) {
     let table_mode = args.operands.iter().any(|a| a == "--table");
     let filter = args.operands.iter().find(|a| !a.starts_with("--"));
 
-    let result = run_fig11(true, SchedulerKind::ALL.len());
+    let run = run_fig11(true, SchedulerKind::ALL.len());
     println!("Figs 14-19 — slot allocation over time (one column ≈ 55s; scale:");
     println!("map rows 0..64 slots, reduce rows 0..32 slots)\n");
-    for (kind, report) in &result.reports {
-        let name = kind.to_string();
+    for (key, report) in &run.cells {
+        let name = scheduler_of(key);
         if filter.is_some_and(|f| !name.eq_ignore_ascii_case(f)) {
             continue;
         }
@@ -393,18 +395,11 @@ fn speculation_study(_: &Args) {
 /// rack-switch outages, and compares location-agnostic re-queues against
 /// survivor-preferring ones, with and without re-shuffle charging.
 fn locality_study(args: &Args) {
-    use locality::{delay_points, reshuffle_points, run_delay_sweep, run_recovery_sweep};
+    use locality::{delay_points, remote_maps, reshuffle_points, run_locality_sweep};
     let (workflows, cluster, config) = (fig11_workflows(), demo_cluster(), SimConfig::default());
-    let (quick, jobs) = (args.quick, args.jobs);
+    let (delay, reshuffle) = (delay_points(args.quick), reshuffle_points(args.quick));
     eprintln!("locality_study — delay scheduling and rack-aware recovery under WOHA-LPF");
-    let delay = run_delay_sweep(&workflows, &cluster, &delay_points(quick), &config, jobs);
-    let recovery = run_recovery_sweep(
-        &workflows,
-        &cluster,
-        &reshuffle_points(quick),
-        &config,
-        jobs,
-    );
+    let run = run_locality_sweep(&workflows, &cluster, &delay, &reshuffle, &config, args.jobs);
 
     let text = format!(
         "Locality study — Fig 11 scenario ({} workflows) under WOHA-LPF,\n\
@@ -414,22 +409,19 @@ fn locality_study(args: &Args) {
          locality ratio (remote map executions)\n{}\n\
          data plane: rack outages / survivor requeues / reshuffle events / reshuffle s\n{}\n\
          outcome per cell\n{}",
-        delay.workflow_count,
-        delay.table().render(),
-        recovery.locality_table().render(),
-        recovery.data_plane_table().render(),
-        recovery.outcome_table().render(),
+        workflows.len(),
+        locality::delay_table(&run).render(),
+        locality::locality_table(&run).render(),
+        locality::data_plane_table(&run).render(),
+        locality::outcome_table(&run).render(),
     );
-    let report = locality::locality_study_report(&delay, &recovery, quick);
+    let report = locality::locality_study_report(&run, args.quick);
     publish(args, "locality", &report, &text);
 
     // The headline claim: keeping a re-executed map's identity (so it can
     // land on a surviving replica) pays less remote penalty than hashing
     // a fresh location-agnostic placement.
-    let (fresh, survivors) = (
-        recovery.remote_maps("fresh"),
-        recovery.remote_maps("survivors"),
-    );
+    let (fresh, survivors) = (remote_maps(&run, "fresh"), remote_maps(&run, "survivors"));
     verdict(
         survivors < fresh,
         format!(
@@ -445,7 +437,7 @@ fn locality_study(args: &Args) {
 /// proactive sweep holds WOHA-LPF fixed and climbs the prediction ladder —
 /// reactive, plan padding, padding + risk-aware placement.
 fn failure_study(args: &Args) {
-    use failures::{miss_ratio, run_failure_sweep, run_proactive_sweep, PredictionMode};
+    use failures::{miss_ratio_table, run_failure_sweep, tardiness_table, PredictionMode};
     let scenario = YahooScenario::default();
     let workload = yahoo_workload(&scenario);
     let workflows = workload.workflows();
@@ -462,8 +454,7 @@ fn failure_study(args: &Args) {
         failures::default_mtbf_points()
     };
     eprintln!("failure_study — reactive schedulers vs proactive WOHA-LPF under node crashes");
-    let reactive = run_failure_sweep(workflows, &cluster, &points, mttr, &config, args.jobs);
-    let proactive = run_proactive_sweep(workflows, &cluster, &points, mttr, &config, args.jobs);
+    let run = run_failure_sweep(workflows, &cluster, &points, mttr, &config, args.jobs);
 
     let text = format!(
         "Failure study — {} multi-job Yahoo-like workflows on {label}, \
@@ -474,15 +465,15 @@ fn failure_study(args: &Args) {
          deadline-miss ratio (proactive WOHA-LPF: reactive vs pad vs pad+risk)\n{}\n\
          total tardiness (s, proactive WOHA-LPF)\n{}\n\
          prediction counters: plans padded / risk-averted placements / preemptive speculations\n{}",
-        reactive.workflow_count,
-        reactive.miss_ratio_table().render(),
-        reactive.tardiness_table().render(),
-        reactive.disruption_table().render(),
-        proactive.miss_ratio_table().render(),
-        proactive.tardiness_table().render(),
-        proactive.prediction_table().render(),
+        workflows.len(),
+        miss_ratio_table(&run, "scheduler").render(),
+        tardiness_table(&run, "scheduler").render(),
+        failures::disruption_table(&run).render(),
+        miss_ratio_table(&run, "mode").render(),
+        tardiness_table(&run, "mode").render(),
+        failures::prediction_table(&run).render(),
     );
-    let report = failures::failure_study_report(&reactive, &proactive, args.quick);
+    let report = failures::failure_study_report(&run, args.quick);
     publish(args, "failure", &report, &text);
 
     // The headline claim: at MTBF <= 8 h, anticipating failures (pad+risk)
@@ -492,15 +483,14 @@ fn failure_study(args: &Args) {
             |(_, mtbf): &&(String, Option<SimDuration>)| mtbf.is_some_and(|d| d <= eight_hours);
         points.iter().filter(at_most_8h).map(|(l, _)| l.as_str())
     };
-    let sum = |mode| -> f64 {
+    let sum = |axis, value: &str| -> f64 {
         stressed()
-            .map(|l| miss_ratio(proactive.report(l, mode)))
+            .map(|l| run.report(&[("mtbf", l), (axis, value)]).miss_ratio())
             .sum()
     };
-    let (reacting, anticipating) = (sum(PredictionMode::Off), sum(PredictionMode::PadRisk));
-    let lpf: f64 = stressed()
-        .map(|l| miss_ratio(reactive.report(l, SchedulerKind::WohaLpf)))
-        .sum();
+    let reacting = sum("mode", PredictionMode::Off.label());
+    let anticipating = sum("mode", PredictionMode::PadRisk.label());
+    let lpf = sum("scheduler", "WOHA-LPF");
     assert!(
         (reacting - lpf).abs() < 1e-12,
         "mode Off must reproduce the reactive WOHA-LPF cells"
@@ -533,16 +523,16 @@ fn master_failover(args: &Args) {
         println!(
             "Master failover — {} Fig 11 workflows on 32x2x1, one scripted \
              JobTracker crash, restart {mttr}, {label}\n",
-            sweep.workflow_count
+            workflows.len()
         );
         println!("deadline misses attributable to the outage (vs crash-free run)");
-        print!("{}", sweep.miss_delta_table().render());
+        print!("{}", miss_delta_table(&sweep).render());
         println!("\nextra total tardiness (s) vs crash-free run");
-        print!("{}", sweep.tardiness_delta_table().render());
+        print!("{}", tardiness_delta_table(&sweep).render());
         println!(
             "\nrecovery work: attempts readopted / requeued / orphaned / WAL records replayed"
         );
-        print!("{}", sweep.recovery_table().render());
+        print!("{}", recovery_table(&sweep).render());
         println!();
     }
 }
