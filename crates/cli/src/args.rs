@@ -1344,6 +1344,25 @@ mod tests {
     }
 
     #[test]
+    fn durations_past_u64_millis_are_errors_not_wrapped() {
+        for line in [
+            &["simulate", "a.xml", "--mtbf", "5124095576030432h"][..],
+            &[
+                "simulate",
+                "a.xml",
+                "--scripted-master-crash",
+                "307445734561826m",
+            ],
+            &["simulate", "a.xml@18446744073709552s"],
+        ] {
+            let err = parse(&args(line)).unwrap_err();
+            assert!(err.contains("invalid duration"), "{line:?}: {err}");
+        }
+        let err = parse(&args(&["simulate", "a.xml@18446744073709552s"])).unwrap_err();
+        assert!(err.contains("bad release"), "{err}");
+    }
+
+    #[test]
     fn simulate_rejects_bad_master_fault_flags() {
         assert!(parse(&args(&["simulate", "a.xml", "--master-mtbf", "0s"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--master-mttr", "1m"])).is_err());

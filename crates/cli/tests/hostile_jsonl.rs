@@ -1,13 +1,29 @@
 //! A JSONL spec the workflow model rejects, fed to `simulate --arrivals`
 //! or `serve --follow`, ends the run with the model's error, its line
-//! number and exit status 1 — never a panic (101), and never a run.
+//! number and exit status 1 — never a panic (101), and never a run. An
+//! XML workflow whose durations overflow exits 1 the same way.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn job(maps: u32, reduces: u32) -> String {
+    job_lasting(maps, reduces, 1000)
+}
+
+fn job_lasting(maps: u32, reduces: u32, map_duration: u64) -> String {
     format!(
-        r#"{{"name":"j","map_tasks":{maps},"reduce_tasks":{reduces},"map_duration":1000,"reduce_duration":1000}}"#
+        r#"{{"name":"j","map_tasks":{maps},"reduce_tasks":{reduces},"map_duration":{map_duration},"reduce_duration":1000}}"#
+    )
+}
+
+fn woha_cli(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_woha-cli"))
+        .args(args)
+        .output()
+        .expect("run woha-cli");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
@@ -34,18 +50,10 @@ fn assert_both_front_doors_reject(dir: &Path, name: &str, feed: &str, line: &str
     let path = dir.join(format!("{name}.jsonl"));
     std::fs::write(&path, feed).expect("write feed");
     let path = path.to_str().expect("utf-8 temp path");
-    for front_door in [["simulate", "--arrivals"], ["serve", "--follow"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_woha-cli"))
-            .args(front_door)
-            .args([path, "--cluster", "8x2x1"])
-            .output()
-            .expect("run woha-cli");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{front_door:?} {feed}: {stderr}"
-        );
+    for [command, flag] in [["simulate", "--arrivals"], ["serve", "--follow"]] {
+        let front_door = [command, flag];
+        let (code, stderr) = woha_cli(&[command, flag, path, "--cluster", "8x2x1"]);
+        assert_eq!(code, Some(1), "{front_door:?} {feed}: {stderr}");
         assert!(
             stderr.contains(line) && stderr.contains(error),
             "{front_door:?}: {stderr}"
@@ -77,10 +85,58 @@ fn specs_the_model_rejects_exit_1_with_its_error() {
             spec(&[job(50_000_000, 0)], "[[]]", "[[]]", 60_000),
             "more than the limit",
         ),
+        // Its total work and critical path would wrap a u64.
+        (
+            spec(
+                &[job_lasting(1, 1, u64::MAX), job_lasting(1, 1, u64::MAX)],
+                "[[],[0]]",
+                "[[1],[]]",
+                60_000,
+            ),
+            "workflow total work exceeds u64::MAX ms",
+        ),
     ];
     let dir = temp_dir("hostile");
     for (i, (line, error)) in cases.iter().enumerate() {
         assert_both_front_doors_reject(&dir, &i.to_string(), &format!("{line}\n"), "line 1", error);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overflowing_xml_durations_exit_1() {
+    let dir = temp_dir("overflow");
+    let chain = |deadline: &str, map_duration: &str| {
+        format!(
+            r#"<workflow name="w" deadline="{deadline}">
+                 <job name="a" mappers="1" reducers="1" map-duration="{map_duration}" reduce-duration="1s">
+                   <output path="/t/a"/>
+                 </job>
+                 <job name="b" mappers="1" map-duration="{map_duration}"><input path="/t/a"/></job>
+               </workflow>"#
+        )
+    };
+    let cases = [
+        (
+            "deadline",
+            chain("18446744073709552s", "1s"),
+            r#"invalid duration "18446744073709552s""#,
+        ),
+        (
+            "task",
+            chain("1h", "18446744073709551615"),
+            "workflow total work exceeds u64::MAX ms",
+        ),
+    ];
+    for (name, xml, error) in cases {
+        let path = dir.join(format!("{name}.xml"));
+        std::fs::write(&path, xml).expect("write workflow");
+        let path = path.to_str().expect("utf-8 temp path");
+        for command in ["validate", "simulate"] {
+            let (code, stderr) = woha_cli(&[command, path]);
+            assert_eq!(code, Some(1), "{command} {name}: {stderr}");
+            assert!(stderr.contains(path) && stderr.contains(error), "{stderr}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

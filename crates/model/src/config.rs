@@ -336,13 +336,17 @@ pub fn parse_duration(raw: &str) -> Result<SimDuration, ModelError> {
         None => (raw, ""),
     };
     let value: u64 = digits.parse().map_err(|_| bad())?;
-    match unit {
-        "" | "ms" => Ok(SimDuration::from_millis(value)),
-        "s" => Ok(SimDuration::from_secs(value)),
-        "m" | "min" => Ok(SimDuration::from_mins(value)),
-        "h" => Ok(SimDuration::from_mins(value * 60)),
-        _ => Err(bad()),
-    }
+    let millis_per_unit: u64 = match unit {
+        "" | "ms" => 1,
+        "s" => 1_000,
+        "m" | "min" => 60_000,
+        "h" => 3_600_000,
+        _ => return Err(bad()),
+    };
+    value
+        .checked_mul(millis_per_unit)
+        .map(SimDuration::from_millis)
+        .ok_or_else(bad)
 }
 
 /// Formats a duration in the most compact unit that is exact, the inverse of
@@ -486,6 +490,15 @@ mod tests {
             .unwrap_err(),
             ModelError::InvalidDuration(_)
         ));
+        assert_eq!(
+            WorkflowConfig::parse(
+                r#"<workflow name="w" deadline="18446744073709552s">
+                     <job name="a" mappers="1" map-duration="5s"/>
+                   </workflow>"#
+            )
+            .unwrap_err(),
+            ModelError::InvalidDuration("18446744073709552s".to_string())
+        );
     }
 
     #[test]
@@ -502,6 +515,44 @@ mod tests {
         assert!(parse_duration("s").is_err());
         assert!(parse_duration("5 weeks").is_err());
         assert!(parse_duration("").is_err());
+        // Past u64 milliseconds is invalid, not wrapped.
+        let max_secs = SimDuration::MAX.as_millis() / 1_000;
+        assert_eq!(
+            parse_duration(&format!("{max_secs}s")).unwrap(),
+            SimDuration::from_secs(max_secs)
+        );
+        for raw in [
+            "18446744073709552s",
+            "307445734561826m",
+            "5124095576030432h",
+            "18446744073709551616",
+        ] {
+            let invalid = ModelError::InvalidDuration(raw.to_string());
+            assert_eq!(parse_duration(raw), Err(invalid), "{raw}");
+        }
+    }
+
+    #[test]
+    fn task_durations_whose_sums_overflow_are_rejected() {
+        let chain = |map_duration: &str| {
+            WorkflowConfig::parse(&format!(
+                r#"<workflow name="w" deadline="1h">
+                     <job name="a" mappers="1" reducers="1" map-duration="{map_duration}"
+                          reduce-duration="1s"><output path="/t/a"/></job>
+                     <job name="b" mappers="1" map-duration="{map_duration}">
+                       <input path="/t/a"/></job>
+                   </workflow>"#
+            ))
+            .unwrap()
+            .to_spec(SimTime::ZERO)
+        };
+        assert_eq!(
+            chain("18446744073709551615").unwrap_err(),
+            ModelError::WorkOverflow
+        );
+        let half = (u64::MAX - 1_000) / 2;
+        let fits = chain(&half.to_string()).unwrap();
+        assert_eq!(fits.critical_path().as_millis(), 2 * half + 1_000);
     }
 
     #[test]

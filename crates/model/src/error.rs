@@ -39,6 +39,9 @@ pub enum ModelError {
         /// The largest total accepted.
         limit: u64,
     },
+    /// The workflow's total work, tasks × task duration summed over
+    /// phases and jobs, does not fit in `u64` milliseconds.
+    WorkOverflow,
     /// The deadline is not later than the submission time.
     DeadlineBeforeSubmit,
     /// A serialized workflow's prerequisite and dependent lists disagree:
@@ -96,6 +99,7 @@ impl fmt::Display for ModelError {
                     "workflow has {tasks} tasks, more than the limit of {limit}"
                 )
             }
+            ModelError::WorkOverflow => f.write_str("workflow total work exceeds u64::MAX ms"),
             ModelError::DeadlineBeforeSubmit => {
                 f.write_str("workflow deadline is not later than its submission time")
             }
@@ -234,6 +238,7 @@ mod tests {
             ModelError::SelfDependency(JobId::new(0)),
             ModelError::EmptyWorkflow,
             ModelError::NoMapTasks(JobId::new(2)),
+            ModelError::WorkOverflow,
             ModelError::DeadlineBeforeSubmit,
             ModelError::InconsistentEdges,
             ModelError::InvalidDuration("80x".into()),

@@ -25,6 +25,10 @@ pub const MAX_WORKFLOW_TASKS: u64 = 1 << 20;
 ///
 /// - at least one job, and every job has at least one map task;
 /// - at most [`MAX_WORKFLOW_TASKS`] tasks in all, maps and reduces;
+/// - the [total work](Self::total_work) fits in `u64` milliseconds: each
+///   phase's tasks × task duration does, and so does the sum over jobs,
+///   which also bounds the [critical path](Self::critical_path) (a job's
+///   own two phases may saturate, so one endless job is valid);
 /// - prerequisite edges reference existing jobs, contain no self-loops, and
 ///   form a DAG;
 /// - the deadline is strictly after the submission time.
@@ -107,17 +111,26 @@ impl WorkflowSpec {
         }
         let n = jobs.len();
         let mut tasks = 0u64;
+        let mut work = Some(0u64);
         for (i, job) in jobs.iter().enumerate() {
             if job.map_tasks() == 0 {
                 return Err(ModelError::NoMapTasks(JobId::new(i as u32)));
             }
             tasks += u64::from(job.map_tasks()) + u64::from(job.reduce_tasks());
+            let phase = |d: SimDuration, count: u32| d.as_millis().checked_mul(u64::from(count));
+            let job_work = phase(job.map_duration(), job.map_tasks())
+                .zip(phase(job.reduce_duration(), job.reduce_tasks()))
+                .map(|(maps, reduces)| maps.saturating_add(reduces));
+            work = work.zip(job_work).and_then(|(sum, w)| sum.checked_add(w));
         }
         if tasks > MAX_WORKFLOW_TASKS {
             return Err(ModelError::TooManyTasks {
                 tasks,
                 limit: MAX_WORKFLOW_TASKS,
             });
+        }
+        if work.is_none() {
+            return Err(ModelError::WorkOverflow);
         }
         let mut prereqs: Vec<Vec<JobId>> = vec![Vec::new(); n];
         for (pred, succ) in edges {
@@ -532,6 +545,36 @@ mod tests {
         );
         assert!(over.to_string().contains("1048577 tasks"), "{over}");
         assert!(over.to_string().contains("limit of 1048576"), "{over}");
+    }
+
+    #[test]
+    fn total_work_past_u64_millis_is_rejected() {
+        let build = |jobs: &[(u32, SimDuration)]| {
+            let mut b = WorkflowBuilder::new("long");
+            let ids: Vec<JobId> = (jobs.iter().enumerate())
+                .map(|(i, &(maps, d))| b.add_job(JobSpec::new(format!("j{i}"), maps, 1, d, d)))
+                .collect();
+            for pair in ids.windows(2) {
+                b.add_dependency(pair[0], pair[1]);
+            }
+            b.relative_deadline(SimDuration::from_mins(60));
+            b.build()
+        };
+        let (max, quarter) = (SimDuration::MAX, SimDuration::from_millis(u64::MAX / 4));
+        // One job's own phases saturate: an endless job is valid.
+        let endless = build(&[(1, max)]).unwrap();
+        assert_eq!(endless.critical_path(), max);
+        assert_eq!(endless.total_work(), max);
+        // Summed over jobs, or over one phase's tasks, work must fit.
+        assert_eq!(build(&[(1, max), (1, max)]), Err(ModelError::WorkOverflow));
+        assert_eq!(build(&[(5, quarter)]), Err(ModelError::WorkOverflow));
+        let fits = build(&[(1, quarter), (1, quarter)]).unwrap();
+        assert_eq!(fits.critical_path(), quarter * 4);
+        assert_eq!(fits.total_work(), quarter * 4);
+        assert_eq!(
+            ModelError::WorkOverflow.to_string(),
+            "workflow total work exceeds u64::MAX ms"
+        );
     }
 
     #[test]
