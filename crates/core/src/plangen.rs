@@ -77,15 +77,12 @@ pub enum CapMode {
 /// The rework estimate: a task of duration `d` restarts with probability
 /// `~ d / MTBF` (exponential failures), so the expected rework share of the
 /// workflow's total work is the work-weighted mean task duration
-/// `Σ d²·n / Σ d·n` over MTBF. `rework_factor` scales the estimate
-/// (1.0 = the raw model) and the fraction is capped at
+/// `Σ d²·n / Σ d·n` over MTBF. The fraction is capped at
 /// [`PadConfig::MAX_FRACTION`] so a tiny MTBF cannot collapse the budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PadConfig {
     /// Cluster-wide mean time between node failures.
     pub cluster_mtbf: SimDuration,
-    /// Multiplier on the raw rework estimate (1.0 = the model as-is).
-    pub rework_factor: f64,
 }
 
 impl PadConfig {
@@ -98,13 +95,9 @@ impl PadConfig {
     /// (no `1/(1+ε)` rounding residue).
     pub const MIN_FRACTION: f64 = 1e-6;
 
-    /// Padding against the given cluster-wide MTBF with the raw (1.0)
-    /// rework factor.
+    /// Padding against the given cluster-wide MTBF.
     pub fn new(cluster_mtbf: SimDuration) -> Self {
-        PadConfig {
-            cluster_mtbf,
-            rework_factor: 1.0,
-        }
+        PadConfig { cluster_mtbf }
     }
 }
 
@@ -132,7 +125,7 @@ pub fn rework_fraction(workflow: &WorkflowSpec, pad: &PadConfig) -> f64 {
     if work <= 0.0 {
         return 0.0;
     }
-    let fraction = (weighted / work) / (mtbf_ms as f64) * pad.rework_factor;
+    let fraction = (weighted / work) / (mtbf_ms as f64);
     if fraction < PadConfig::MIN_FRACTION {
         0.0
     } else {
@@ -679,11 +672,8 @@ mod tests {
         // the fraction is simply 1s / MTBF.
         let pad = PadConfig::new(SimDuration::from_secs(100));
         assert!((rework_fraction(&w, &pad) - 0.01).abs() < 1e-12);
-        let double = PadConfig {
-            rework_factor: 2.0,
-            ..pad
-        };
-        assert!((rework_fraction(&w, &double) - 0.02).abs() < 1e-12);
+        let half = PadConfig::new(SimDuration::from_secs(50));
+        assert!((rework_fraction(&w, &half) - 0.02).abs() < 1e-12);
         // A tiny MTBF is capped, not allowed to consume the whole budget.
         let churn = PadConfig::new(SimDuration::from_millis(10));
         assert_eq!(rework_fraction(&w, &churn), PadConfig::MAX_FRACTION);

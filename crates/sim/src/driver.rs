@@ -289,6 +289,10 @@ fn jitter_factor(
 /// kinds and an even stride would sample one kind only.
 const DECISION_SAMPLE_STRIDE: u64 = 61;
 
+/// Slack fraction below which risk-aware placement treats a workflow as
+/// deadline-critical (see [`WorkflowScheduler::slack_fraction`]).
+const SLACK_THRESHOLD: f64 = 0.35;
+
 /// In-flight task attempts and their speculation groups, tracked whenever
 /// duplicates can race or a node can die under a running task.
 struct AttemptTable {
@@ -519,11 +523,19 @@ impl<'a> Sim<'a> {
     /// attempt stays registered, cancelled, for its now-stale completion
     /// event to find.
     fn kill_attempt(&mut self, id: u64) -> AttemptRecord {
+        let a = self.cancel_attempt(id);
+        self.record_kill(a.node, a.wf, a.job, a.kind);
+        a
+    }
+
+    /// Cancels attempt `id` and frees its slot without a record: a
+    /// restarted master retiring an attempt that had already ended in the
+    /// world, whose end was reported then.
+    fn cancel_attempt(&mut self, id: u64) -> AttemptRecord {
         let a = self.table.attempts.get_mut(&id).expect("registered");
         a.cancelled = true;
         let a = *a;
         self.release_slot(a.node, a.kind);
-        self.record_kill(a.node, a.wf, a.job, a.kind);
         a
     }
 
@@ -1002,7 +1014,7 @@ impl<'a> Sim<'a> {
         if !health.risky(node, self.now, p.risk_threshold) {
             return false;
         }
-        if scheduler.slack_fraction(&self.pool, wf, self.now) >= p.slack_threshold {
+        if scheduler.slack_fraction(&self.pool, wf, self.now) >= SLACK_THRESHOLD {
             return false;
         }
         let escape_exists = (0..self.nodes.len()).any(|i| {
@@ -1635,7 +1647,7 @@ fn simulate<'a>(
         health: config
             .prediction
             .as_ref()
-            .map(|p| NodeHealth::new(p, node_count)),
+            .map(|_| NodeHealth::new(node_count)),
         master: MasterState::default(),
         arrived: vec![],
         workflows: Vec::new(),

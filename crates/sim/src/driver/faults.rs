@@ -8,6 +8,12 @@ use crate::scheduler::WorkflowScheduler;
 use crate::snapshot::{LostTaskRecord, NodeSlotsRecord};
 use woha_model::{NodeId, SimDuration, SlotKind};
 
+/// Propensity score a node crash adds to the node.
+const CRASH_WEIGHT: f64 = 1.0;
+/// Propensity score added per attempt a crash kills: a crash that takes
+/// running work down with it is stronger evidence than an idle blip.
+const KILL_WEIGHT: f64 = 0.25;
+
 impl Sim<'_> {
     /// Queues the fault schedule at the start of a run: scripted outages
     /// verbatim (each fault takes its node set down atomically), plus the
@@ -103,18 +109,14 @@ impl Sim<'_> {
         // ones the kills above just freed).
         self.nodes[i] = NodeSlotsRecord::default();
         let faults = self.cluster.faults();
-        // Failure prediction: fold this crash into the node's propensity
-        // score — the crash itself plus a per-victim term, since a crash
-        // that took running work down with it is stronger evidence.
-        if let Some(p) = self.config.prediction {
-            self.health
-                .as_mut()
-                .expect("prediction implies health tracker")
-                .bump(
-                    node,
-                    self.now,
-                    p.crash_weight + p.kill_weight * victim_count as f64,
-                );
+        // Failure prediction: fold this crash, and the attempts it killed,
+        // into the node's propensity score.
+        if let Some(health) = &mut self.health {
+            health.bump(
+                node,
+                self.now,
+                CRASH_WEIGHT + KILL_WEIGHT * victim_count as f64,
+            );
         }
         // Blacklisting: the adaptive propensity-threshold policy when
         // configured, otherwise the fixed crash-count policy (the default,

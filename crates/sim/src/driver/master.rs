@@ -197,6 +197,15 @@ impl Sim<'_> {
         let snap = checkpoint.reread().expect("checkpoint decodes");
         let taken_at = snap.taken_at;
         let wal = std::mem::take(&mut self.master.wal);
+        // The attempts really running at the crash. The restored table
+        // may also hold attempts the crashed master saw complete or killed.
+        let running: HashSet<u64> = self
+            .table
+            .attempts
+            .iter()
+            .filter(|(_, a)| !a.cancelled)
+            .map(|(&id, _)| id)
+            .collect();
         self.install_snapshot(scheduler, snap);
         debug_assert_eq!(
             Some(
@@ -296,8 +305,13 @@ impl Sim<'_> {
                 continue;
             }
             // Dead node, or the completion fell into the lost WAL suffix:
-            // kill the attempt and requeue its task.
-            let a = self.kill_attempt(id);
+            // kill the attempt and requeue its task. An attempt that had
+            // already ended was reported then, so it ends without a record.
+            let a = if running.contains(&id) {
+                self.kill_attempt(id)
+            } else {
+                self.cancel_attempt(id)
+            };
             if self.table.twin_alive(id, a.group) {
                 self.pool
                     .workflow_mut(a.wf)

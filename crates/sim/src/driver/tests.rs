@@ -1450,6 +1450,53 @@ mod master {
     }
 }
 
+/// A WAL-off recovery falls back to a checkpoint taken before some
+/// attempts completed; reconciliation retires those attempts without a
+/// second end record, so every traced start ends exactly once and the
+/// timelines, which fold the records, never go negative.
+#[test]
+fn master_crash_without_wal_ends_each_attempt_once() {
+    use crate::fault::{FaultConfig, MasterFaultConfig};
+    let mut b = WorkflowBuilder::new("one");
+    b.add_job(JobSpec::new(
+        "big",
+        200,
+        0,
+        SimDuration::from_secs(30),
+        SimDuration::ZERO,
+    ));
+    b.relative_deadline(SimDuration::from_mins(120));
+    let cluster = ClusterConfig::uniform(8, 2, 1).with_faults(FaultConfig {
+        master: MasterFaultConfig {
+            checkpoint_interval: SimDuration::from_mins(2),
+            wal: false,
+            scripted: vec![SimTime::from_secs(170)],
+            ..MasterFaultConfig::default()
+        },
+        ..FaultConfig::default()
+    });
+    let cfg = SimConfig {
+        observability: ObservabilityConfig {
+            timelines: true,
+            ..ObservabilityConfig::default()
+        },
+        ..SimConfig::default()
+    };
+    let (report, obs) = traced_run(&[b.build().unwrap()], &cluster, &cfg);
+    assert!(report.completed);
+    let rec = report.recovery.as_ref().expect("master mode reports");
+    assert!(
+        rec.attempts_requeued > 0,
+        "the crash loses running attempts"
+    );
+    let count = |pred: fn(&TraceEvent) -> bool| obs.trace.iter().filter(|r| pred(&r.event)).count();
+    let starts = count(|e| matches!(e, TraceEvent::TaskStart { .. }));
+    let completes = count(|e| matches!(e, TraceEvent::TaskComplete { .. }));
+    let kills = count(|e| matches!(e, TraceEvent::TaskKilled { .. }));
+    assert_eq!(starts, completes + kills, "{starts} starts");
+    assert!(kills > 0, "the attempts running at the crash are killed");
+}
+
 #[test]
 fn jitter_factor_is_deterministic_and_bounded() {
     let wf = WorkflowId::new(3);

@@ -3,11 +3,11 @@
 //! The simulator already records every node fault it injects (crashes,
 //! blacklist events, killed attempts). This module folds that history into
 //! a decaying per-node **propensity score**: each incident bumps the node's
-//! score by a configured weight, and the score halves every
-//! [`PredictionConfig::half_life`] of fault-free operation. A node whose
-//! score is at or above [`PredictionConfig::risk_threshold`] is considered
-//! *risky* and is avoided for deadline-critical placements, targeted for
-//! preemptive speculation, and (optionally) blacklisted adaptively.
+//! score by a fixed weight, and the score halves every [`HALF_LIFE`] of
+//! fault-free operation. A node whose score is at or above
+//! [`PredictionConfig::risk_threshold`] is considered *risky* and is
+//! avoided for deadline-critical placements, targeted for preemptive
+//! speculation, and (optionally) blacklisted adaptively.
 //!
 //! Scores start at exactly `0.0` and only ever move on recorded fault
 //! events, so the whole layer is provably inert when fault injection is
@@ -26,23 +26,12 @@ use woha_model::{NodeId, SimDuration, SimTime};
 /// disables the layer entirely.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictionConfig {
-    /// Fault-free time after which a node's propensity score halves.
-    pub half_life: SimDuration,
-    /// Score added when a node crashes.
-    pub crash_weight: f64,
-    /// Score added per attempt killed by a crash (a crash that takes many
-    /// running attempts down with it is stronger evidence than an idle
-    /// blip).
-    pub kill_weight: f64,
     /// Steer deadline-critical attempts away from risky nodes and
     /// preemptively speculate attempts already running on them
     /// (`--risk-placement`).
     pub risk_placement: bool,
     /// Propensity score at or above which a node counts as risky.
     pub risk_threshold: f64,
-    /// Slack fraction below which an attempt counts as deadline-critical
-    /// (see [`crate::WorkflowScheduler::slack_fraction`]).
-    pub slack_threshold: f64,
     /// Blacklist a node once its propensity score reaches this threshold,
     /// replacing the fixed `blacklist_after` crash count
     /// (`--adaptive-blacklist`). `None` keeps the fixed policy.
@@ -52,16 +41,15 @@ pub struct PredictionConfig {
 impl Default for PredictionConfig {
     fn default() -> Self {
         PredictionConfig {
-            half_life: SimDuration::from_mins(4 * 60),
-            crash_weight: 1.0,
-            kill_weight: 0.25,
             risk_placement: false,
             risk_threshold: 1.5,
-            slack_threshold: 0.35,
             adaptive_blacklist: None,
         }
     }
 }
+
+/// Fault-free time after which a node's propensity score halves.
+pub const HALF_LIFE: SimDuration = SimDuration::from_mins(4 * 60);
 
 /// Serializable propensity state, checkpointed inside
 /// [`crate::MasterSnapshot`] so WAL recovery replays prediction decisions
@@ -90,7 +78,6 @@ pub struct HealthRecord {
 /// the event stream.
 #[derive(Debug, Clone)]
 pub struct NodeHealth {
-    half_life_ms: f64,
     /// Score as of `anchor[i]`.
     score: Vec<f64>,
     anchor: Vec<SimTime>,
@@ -104,9 +91,8 @@ pub struct NodeHealth {
 
 impl NodeHealth {
     /// Creates a tracker with all scores at zero.
-    pub fn new(config: &PredictionConfig, node_count: usize) -> Self {
+    pub fn new(node_count: usize) -> Self {
         NodeHealth {
-            half_life_ms: config.half_life.as_millis().max(1) as f64,
             score: vec![0.0; node_count],
             anchor: vec![SimTime::ZERO; node_count],
             risk_averted: 0,
@@ -125,7 +111,7 @@ impl NodeHealth {
             return 0.0;
         }
         let dt = now.saturating_since(self.anchor[i]).as_millis() as f64;
-        stored * (-dt / self.half_life_ms).exp2()
+        stored * (-dt / HALF_LIFE.as_millis() as f64).exp2()
     }
 
     /// Adds `weight` to the node's score at `now` (decaying the previous
@@ -191,16 +177,9 @@ pub struct PredictionReport {
 mod tests {
     use super::*;
 
-    fn cfg() -> PredictionConfig {
-        PredictionConfig {
-            half_life: SimDuration::from_mins(10),
-            ..PredictionConfig::default()
-        }
-    }
-
     #[test]
     fn scores_start_and_stay_zero_without_faults() {
-        let h = NodeHealth::new(&cfg(), 4);
+        let h = NodeHealth::new(4);
         for i in 0..4 {
             assert_eq!(h.score(NodeId::new(i), SimTime::from_mins(90)), 0.0);
         }
@@ -209,12 +188,12 @@ mod tests {
 
     #[test]
     fn bump_and_half_life_decay() {
-        let mut h = NodeHealth::new(&cfg(), 2);
+        let mut h = NodeHealth::new(2);
         let t0 = SimTime::from_mins(5);
         h.bump(NodeId::new(0), t0, 1.0);
         assert_eq!(h.score(NodeId::new(0), t0), 1.0);
         // One half-life later the score has halved; untouched nodes stay 0.
-        let later = t0 + SimDuration::from_mins(10);
+        let later = t0 + HALF_LIFE;
         assert!((h.score(NodeId::new(0), later) - 0.5).abs() < 1e-12);
         assert_eq!(h.score(NodeId::new(1), later), 0.0);
         // A second bump accumulates on the decayed score.
@@ -224,7 +203,7 @@ mod tests {
 
     #[test]
     fn risky_threshold() {
-        let mut h = NodeHealth::new(&cfg(), 1);
+        let mut h = NodeHealth::new(1);
         let t = SimTime::from_secs(1);
         assert!(!h.risky(NodeId::new(0), t, 1.5));
         h.bump(NodeId::new(0), t, 1.0);
@@ -234,13 +213,13 @@ mod tests {
 
     #[test]
     fn record_roundtrip_preserves_state() {
-        let mut h = NodeHealth::new(&cfg(), 3);
+        let mut h = NodeHealth::new(3);
         h.bump(NodeId::new(1), SimTime::from_secs(30), 2.0);
         h.risk_averted = 4;
         h.preemptive_speculations = 2;
         h.adaptive_blacklists = 1;
         let rec = h.to_record();
-        let mut fresh = NodeHealth::new(&cfg(), 3);
+        let mut fresh = NodeHealth::new(3);
         fresh.restore(&rec);
         let t = SimTime::from_mins(7);
         for i in 0..3 {

@@ -348,150 +348,169 @@ impl<W: std::io::Write> TraceSink for JsonlTraceSink<W> {
 /// variant's declaration order, so rendering is deterministic and a
 /// buffered trace renders byte-identically to a streamed one.
 pub fn jsonl_line(record: &TraceRecord) -> String {
-    let mut obj: Vec<(String, Value)> = vec![("at_ms".into(), Value::U64(record.at.as_millis()))];
-    let mut put = |key: &str, value: Value| obj.push((key.to_string(), value));
-    match &record.event {
-        TraceEvent::Heartbeat {
-            node,
-            free_maps,
-            free_reduces,
-        } => {
-            put("event", Value::Str("heartbeat".into()));
-            put("node", Value::U64(*node as u64));
-            put("free_maps", Value::U64(u64::from(*free_maps)));
-            put("free_reduces", Value::U64(u64::from(*free_reduces)));
-        }
-        TraceEvent::Assign {
-            node,
-            kind,
-            workflow,
-            job,
-        } => {
-            put("event", Value::Str("assign".into()));
-            put("node", Value::U64(*node as u64));
-            put("kind", Value::Str(kind.to_string()));
-            put("workflow", Value::U64(workflow.as_u64()));
-            put("job", Value::U64(*job as u64));
-        }
-        TraceEvent::SchedulerPick {
-            workflow,
-            rank,
-            blocked,
-            backend,
-        } => {
-            put("event", Value::Str("scheduler_pick".into()));
-            put("workflow", Value::U64(workflow.as_u64()));
-            put("rank", Value::U64(u64::from(*rank)));
-            put("blocked", Value::U64(u64::from(*blocked)));
-            put("backend", Value::Str((*backend).to_string()));
-        }
-        TraceEvent::PlanGenerated { workflow, jobs } => {
-            put("event", Value::Str("plan_generated".into()));
-            put("workflow", Value::U64(workflow.as_u64()));
-            put("jobs", Value::U64(*jobs as u64));
-        }
-        TraceEvent::Replan { workflow } => {
-            put("event", Value::Str("replan".into()));
-            put("workflow", Value::U64(workflow.as_u64()));
-        }
-        TraceEvent::RhoRollback { workflow } => {
-            put("event", Value::Str("rho_rollback".into()));
-            put("workflow", Value::U64(workflow.as_u64()));
-        }
-        TraceEvent::TaskStart {
-            node,
-            workflow,
-            job,
-            kind,
-            speculative,
-        } => {
-            put("event", Value::Str("task_start".into()));
-            put("node", Value::U64(*node as u64));
-            put("workflow", Value::U64(workflow.as_u64()));
-            put("job", Value::U64(*job as u64));
-            put("kind", Value::Str(kind.to_string()));
-            put("speculative", Value::Bool(*speculative));
-        }
-        TraceEvent::TaskComplete {
-            node,
-            workflow,
-            job,
-            kind,
-        } => {
-            put("event", Value::Str("task_complete".into()));
-            put("node", Value::U64(*node as u64));
-            put("workflow", Value::U64(workflow.as_u64()));
-            put("job", Value::U64(*job as u64));
-            put("kind", Value::Str(kind.to_string()));
-        }
-        TraceEvent::TaskKilled {
-            node,
-            workflow,
-            job,
-            kind,
-        } => {
-            put("event", Value::Str("task_killed".into()));
-            put("node", Value::U64(*node as u64));
-            put("workflow", Value::U64(workflow.as_u64()));
-            put("job", Value::U64(*job as u64));
-            put("kind", Value::Str(kind.to_string()));
-        }
-        TraceEvent::NodeDown { node, rack } => {
-            put("event", Value::Str("node_down".into()));
-            put("node", Value::U64(*node as u64));
-            put("rack", Value::U64(u64::from(*rack)));
-        }
-        TraceEvent::NodeUp { node, rack } => {
-            put("event", Value::Str("node_up".into()));
-            put("node", Value::U64(*node as u64));
-            put("rack", Value::U64(u64::from(*rack)));
-        }
-        TraceEvent::NodeBlacklisted { node, rack } => {
-            put("event", Value::Str("node_blacklisted".into()));
-            put("node", Value::U64(*node as u64));
-            put("rack", Value::U64(u64::from(*rack)));
-        }
-        TraceEvent::ReshuffleCharged {
-            workflow,
-            job,
-            lost,
-            charged_ms,
-        } => {
-            put("event", Value::Str("reshuffle_charged".into()));
-            put("workflow", Value::U64(workflow.as_u64()));
-            put("job", Value::U64(*job as u64));
-            put("lost", Value::U64(*lost));
-            put("charged_ms", Value::U64(*charged_ms));
-        }
-        TraceEvent::CheckpointTaken { wal_records } => {
-            put("event", Value::Str("checkpoint_taken".into()));
-            put("wal_records", Value::U64(*wal_records));
-        }
-        TraceEvent::AdmissionReject { workflow, reason } => {
-            put("event", Value::Str("admission_reject".into()));
-            put("workflow", Value::Str(workflow.clone()));
-            put("reason", Value::Str(reason.clone()));
-        }
-        TraceEvent::RiskAverted { node, workflow } => {
-            put("event", Value::Str("risk_averted".into()));
-            put("node", Value::U64(*node as u64));
-            put("workflow", Value::U64(workflow.as_u64()));
-        }
-        TraceEvent::PreemptiveSpeculation { node, workflow } => {
-            put("event", Value::Str("preemptive_speculation".into()));
-            put("node", Value::U64(*node as u64));
-            put("workflow", Value::U64(workflow.as_u64()));
-        }
-        TraceEvent::MasterCrashed => {
-            put("event", Value::Str("master_crashed".into()));
-        }
-        TraceEvent::WalReplayed { records, outage } => {
-            put("event", Value::Str("wal_replayed".into()));
-            put("records", Value::U64(*records));
-            put("outage_ms", Value::U64(outage.as_millis()));
+    let (kind, fields) = record.event.fields();
+    let mut obj = vec![
+        ("at_ms".to_string(), num(record.at.as_millis())),
+        ("event".to_string(), text(kind)),
+    ];
+    obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    serde_json::to_string(&Value::Object(obj)).expect("trace line renders")
+}
+
+impl TraceEvent {
+    /// The record's one schema: its kind label and its fields in
+    /// declaration order. The JSONL line is exactly these, and every
+    /// Chrome instant is named and filled from them.
+    fn fields(&self) -> (&'static str, Vec<(&'static str, Value)>) {
+        let idx = |i: &usize| num(*i as u64);
+        match self {
+            TraceEvent::Heartbeat {
+                node,
+                free_maps,
+                free_reduces,
+            } => (
+                "heartbeat",
+                vec![
+                    ("node", idx(node)),
+                    ("free_maps", num(*free_maps)),
+                    ("free_reduces", num(*free_reduces)),
+                ],
+            ),
+            TraceEvent::Assign {
+                node,
+                kind,
+                workflow,
+                job,
+            } => (
+                "assign",
+                vec![
+                    ("node", idx(node)),
+                    ("kind", text(kind)),
+                    ("workflow", num(workflow.as_u64())),
+                    ("job", idx(job)),
+                ],
+            ),
+            TraceEvent::SchedulerPick {
+                workflow,
+                rank,
+                blocked,
+                backend,
+            } => (
+                "scheduler_pick",
+                vec![
+                    ("workflow", num(workflow.as_u64())),
+                    ("rank", num(*rank)),
+                    ("blocked", num(*blocked)),
+                    ("backend", text(backend)),
+                ],
+            ),
+            TraceEvent::PlanGenerated { workflow, jobs } => (
+                "plan_generated",
+                vec![("workflow", num(workflow.as_u64())), ("jobs", idx(jobs))],
+            ),
+            TraceEvent::Replan { workflow } => {
+                ("replan", vec![("workflow", num(workflow.as_u64()))])
+            }
+            TraceEvent::RhoRollback { workflow } => {
+                ("rho_rollback", vec![("workflow", num(workflow.as_u64()))])
+            }
+            TraceEvent::TaskStart {
+                node,
+                workflow,
+                job,
+                kind,
+                speculative,
+            } => (
+                "task_start",
+                vec![
+                    ("node", idx(node)),
+                    ("workflow", num(workflow.as_u64())),
+                    ("job", idx(job)),
+                    ("kind", text(kind)),
+                    ("speculative", Value::Bool(*speculative)),
+                ],
+            ),
+            TraceEvent::TaskComplete {
+                node,
+                workflow,
+                job,
+                kind,
+            }
+            | TraceEvent::TaskKilled {
+                node,
+                workflow,
+                job,
+                kind,
+            } => (
+                if matches!(self, TraceEvent::TaskKilled { .. }) {
+                    "task_killed"
+                } else {
+                    "task_complete"
+                },
+                vec![
+                    ("node", idx(node)),
+                    ("workflow", num(workflow.as_u64())),
+                    ("job", idx(job)),
+                    ("kind", text(kind)),
+                ],
+            ),
+            TraceEvent::NodeDown { node, rack } => {
+                ("node_down", vec![("node", idx(node)), ("rack", num(*rack))])
+            }
+            TraceEvent::NodeUp { node, rack } => {
+                ("node_up", vec![("node", idx(node)), ("rack", num(*rack))])
+            }
+            TraceEvent::NodeBlacklisted { node, rack } => (
+                "node_blacklisted",
+                vec![("node", idx(node)), ("rack", num(*rack))],
+            ),
+            TraceEvent::ReshuffleCharged {
+                workflow,
+                job,
+                lost,
+                charged_ms,
+            } => (
+                "reshuffle_charged",
+                vec![
+                    ("workflow", num(workflow.as_u64())),
+                    ("job", idx(job)),
+                    ("lost", num(*lost)),
+                    ("charged_ms", num(*charged_ms)),
+                ],
+            ),
+            TraceEvent::CheckpointTaken { wal_records } => {
+                ("checkpoint_taken", vec![("wal_records", num(*wal_records))])
+            }
+            TraceEvent::AdmissionReject { workflow, reason } => (
+                "admission_reject",
+                vec![("workflow", text(workflow)), ("reason", text(reason))],
+            ),
+            TraceEvent::RiskAverted { node, workflow } => (
+                "risk_averted",
+                vec![("node", idx(node)), ("workflow", num(workflow.as_u64()))],
+            ),
+            TraceEvent::PreemptiveSpeculation { node, workflow } => (
+                "preemptive_speculation",
+                vec![("node", idx(node)), ("workflow", num(workflow.as_u64()))],
+            ),
+            TraceEvent::MasterCrashed => ("master_crashed", vec![]),
+            TraceEvent::WalReplayed { records, outage } => (
+                "wal_replayed",
+                vec![
+                    ("records", num(*records)),
+                    ("outage_ms", num(outage.as_millis())),
+                ],
+            ),
         }
     }
-    serde_json::to_string(&Value::Object(obj)).expect("trace line renders")
+}
+
+fn num(v: impl Into<u64>) -> Value {
+    Value::U64(v.into())
+}
+
+fn text(v: impl ToString) -> Value {
+    Value::Str(v.to_string())
 }
 
 /// The driver's one observer: every [`TraceRecord`] the driver emits goes
@@ -611,9 +630,10 @@ impl Observations {
 
     /// Renders the trace (plus sampled gauge series) as Chrome trace-event
     /// JSON: `{"traceEvents": [...]}` with complete (`ph:"X"`) spans for
-    /// task attempts on one track per node, instant (`ph:"i"`) events for
-    /// decisions on a dedicated scheduler track (`tid` 0), and counter
-    /// (`ph:"C"`) events from the gauge series. Load the file at
+    /// task attempts on one track per node and for WAL replay on the
+    /// scheduler track (`tid` 0), one instant (`ph:"i"`) per other record,
+    /// named and filled from its JSONL fields, and counter (`ph:"C"`)
+    /// events from the gauge series. Load the file at
     /// <https://ui.perfetto.dev> or `chrome://tracing`.
     ///
     /// All timestamps are simulated microseconds, so the output is
@@ -633,77 +653,6 @@ impl Observations {
         for rec in &self.trace {
             let ts = us(rec.at);
             match &rec.event {
-                TraceEvent::Heartbeat {
-                    node,
-                    free_maps,
-                    free_reduces,
-                } => events.push(instant(
-                    "heartbeat",
-                    "heartbeat",
-                    ts,
-                    node_tid(*node),
-                    vec![
-                        ("free_maps", Value::U64(u64::from(*free_maps))),
-                        ("free_reduces", Value::U64(u64::from(*free_reduces))),
-                    ],
-                )),
-                TraceEvent::Assign {
-                    node,
-                    kind,
-                    workflow,
-                    job,
-                } => events.push(instant(
-                    "assign",
-                    "scheduler",
-                    ts,
-                    node_tid(*node),
-                    vec![
-                        ("workflow", Value::U64(workflow.as_u64())),
-                        ("job", Value::U64(*job as u64)),
-                        ("kind", Value::Str(kind.to_string())),
-                    ],
-                )),
-                TraceEvent::SchedulerPick {
-                    workflow,
-                    rank,
-                    blocked,
-                    backend,
-                } => events.push(instant(
-                    "pick",
-                    "scheduler",
-                    ts,
-                    SCHED_TID,
-                    vec![
-                        ("workflow", Value::U64(workflow.as_u64())),
-                        ("rank", Value::U64(u64::from(*rank))),
-                        ("blocked", Value::U64(u64::from(*blocked))),
-                        ("backend", Value::Str((*backend).to_string())),
-                    ],
-                )),
-                TraceEvent::PlanGenerated { workflow, jobs } => events.push(instant(
-                    "plan_generated",
-                    "scheduler",
-                    ts,
-                    SCHED_TID,
-                    vec![
-                        ("workflow", Value::U64(workflow.as_u64())),
-                        ("jobs", Value::U64(*jobs as u64)),
-                    ],
-                )),
-                TraceEvent::Replan { workflow } => events.push(instant(
-                    "replan",
-                    "scheduler",
-                    ts,
-                    SCHED_TID,
-                    vec![("workflow", Value::U64(workflow.as_u64()))],
-                )),
-                TraceEvent::RhoRollback { workflow } => events.push(instant(
-                    "rho_rollback",
-                    "scheduler",
-                    ts,
-                    SCHED_TID,
-                    vec![("workflow", Value::U64(workflow.as_u64()))],
-                )),
                 TraceEvent::TaskStart {
                     node,
                     workflow,
@@ -744,78 +693,6 @@ impl Observations {
                         events.push(task_span(&key, start, ts, speculative, killed));
                     }
                 }
-                TraceEvent::NodeDown { node, rack } => events.push(instant(
-                    "node_down",
-                    "fault",
-                    ts,
-                    node_tid(*node),
-                    vec![("rack", Value::U64(u64::from(*rack)))],
-                )),
-                TraceEvent::NodeUp { node, rack } => events.push(instant(
-                    "node_up",
-                    "fault",
-                    ts,
-                    node_tid(*node),
-                    vec![("rack", Value::U64(u64::from(*rack)))],
-                )),
-                TraceEvent::NodeBlacklisted { node, rack } => events.push(instant(
-                    "node_blacklisted",
-                    "fault",
-                    ts,
-                    node_tid(*node),
-                    vec![("rack", Value::U64(u64::from(*rack)))],
-                )),
-                TraceEvent::ReshuffleCharged {
-                    workflow,
-                    job,
-                    lost,
-                    charged_ms,
-                } => events.push(instant(
-                    "reshuffle_charged",
-                    "fault",
-                    ts,
-                    SCHED_TID,
-                    vec![
-                        ("workflow", Value::U64(workflow.as_u64())),
-                        ("job", Value::U64(*job as u64)),
-                        ("lost", Value::U64(*lost)),
-                        ("charged_ms", Value::U64(*charged_ms)),
-                    ],
-                )),
-                TraceEvent::CheckpointTaken { wal_records } => events.push(instant(
-                    "checkpoint",
-                    "master",
-                    ts,
-                    SCHED_TID,
-                    vec![("wal_records", Value::U64(*wal_records))],
-                )),
-                TraceEvent::AdmissionReject { workflow, reason } => events.push(instant(
-                    "admission_reject",
-                    "admission",
-                    ts,
-                    SCHED_TID,
-                    vec![
-                        ("workflow", Value::Str(workflow.clone())),
-                        ("reason", Value::Str(reason.clone())),
-                    ],
-                )),
-                TraceEvent::RiskAverted { node, workflow } => events.push(instant(
-                    "risk_averted",
-                    "scheduler",
-                    ts,
-                    node_tid(*node),
-                    vec![("workflow", Value::U64(workflow.as_u64()))],
-                )),
-                TraceEvent::PreemptiveSpeculation { node, workflow } => events.push(instant(
-                    "preemptive_speculation",
-                    "scheduler",
-                    ts,
-                    node_tid(*node),
-                    vec![("workflow", Value::U64(workflow.as_u64()))],
-                )),
-                TraceEvent::MasterCrashed => {
-                    events.push(instant("master_crashed", "master", ts, SCHED_TID, vec![]))
-                }
                 TraceEvent::WalReplayed { records, outage } => {
                     let dur = outage.as_millis() * 1000;
                     events.push(span(
@@ -824,9 +701,10 @@ impl Observations {
                         ts.saturating_sub(dur),
                         dur,
                         SCHED_TID,
-                        vec![("records", Value::U64(*records))],
+                        vec![("records", num(*records))],
                     ));
                 }
+                event => events.push(record_instant(event, ts)),
             }
         }
         // Attempts still running at the end of the trace render as spans
@@ -899,15 +777,31 @@ fn thread_meta(events: &mut Vec<Value>, tid: u64, name: &str) {
     ]));
 }
 
-fn instant(name: &str, cat: &str, ts: u64, tid: u64, args: Vec<(&str, Value)>) -> Value {
+/// A record rendered as one Chrome instant: named by its JSONL kind, on
+/// its node's track when it names a node (the scheduler track otherwise),
+/// with its other fields as args.
+fn record_instant(event: &TraceEvent, ts: u64) -> Value {
+    let (kind, mut args) = event.fields();
+    let mut tid = SCHED_TID;
+    if let Some(pos) = args.iter().position(|(k, _)| *k == "node") {
+        let node = args.remove(pos).1.as_u128().expect("node index");
+        tid = node_tid(node as usize);
+    }
+    let cat = match kind {
+        "heartbeat" => "heartbeat",
+        "node_down" | "node_up" | "node_blacklisted" | "reshuffle_charged" => "fault",
+        "checkpoint_taken" | "master_crashed" => "master",
+        "admission_reject" => "admission",
+        _ => "scheduler",
+    };
     let mut obj = vec![
-        ("name".into(), Value::Str(name.to_string())),
-        ("cat".into(), Value::Str(cat.to_string())),
-        ("ph".into(), Value::Str("i".to_string())),
-        ("s".into(), Value::Str("t".to_string())),
-        ("pid".into(), Value::U64(PID)),
-        ("tid".into(), Value::U64(tid)),
-        ("ts".into(), Value::U64(ts)),
+        ("name".into(), text(kind)),
+        ("cat".into(), text(cat)),
+        ("ph".into(), text("i")),
+        ("s".into(), text("t")),
+        ("pid".into(), num(PID)),
+        ("tid".into(), num(tid)),
+        ("ts".into(), num(ts)),
     ];
     if !args.is_empty() {
         obj.push(("args".into(), args_obj(args)));
@@ -1162,6 +1056,173 @@ mod tests {
         let json = obs.chrome_trace_json();
         assert!(json.contains("admission_reject"));
         assert!(json.contains("aggregate_overload"));
+    }
+
+    /// One record of every variant, each tagged by an exhaustive match: a
+    /// new variant does not compile until it is tagged, and the test fails
+    /// until a record of it is listed.
+    #[test]
+    fn one_schema_renders_both_exports() {
+        let wf = WorkflowId::new(4);
+        let events = vec![
+            TraceEvent::Heartbeat {
+                node: 1,
+                free_maps: 2,
+                free_reduces: 0,
+            },
+            TraceEvent::Assign {
+                node: 0,
+                kind: SlotKind::Reduce,
+                workflow: wf,
+                job: 2,
+            },
+            TraceEvent::SchedulerPick {
+                workflow: wf,
+                rank: 3,
+                blocked: 2,
+                backend: "dsl",
+            },
+            TraceEvent::PlanGenerated {
+                workflow: wf,
+                jobs: 5,
+            },
+            TraceEvent::Replan { workflow: wf },
+            TraceEvent::RhoRollback { workflow: wf },
+            TraceEvent::TaskStart {
+                node: 1,
+                workflow: wf,
+                job: 0,
+                kind: SlotKind::Map,
+                speculative: true,
+            },
+            TraceEvent::TaskComplete {
+                node: 1,
+                workflow: wf,
+                job: 0,
+                kind: SlotKind::Map,
+            },
+            TraceEvent::TaskKilled {
+                node: 0,
+                workflow: wf,
+                job: 1,
+                kind: SlotKind::Reduce,
+            },
+            TraceEvent::NodeDown { node: 1, rack: 1 },
+            TraceEvent::NodeUp { node: 1, rack: 1 },
+            TraceEvent::NodeBlacklisted { node: 0, rack: 0 },
+            TraceEvent::ReshuffleCharged {
+                workflow: wf,
+                job: 1,
+                lost: 3,
+                charged_ms: 900,
+            },
+            TraceEvent::CheckpointTaken { wal_records: 12 },
+            TraceEvent::AdmissionReject {
+                workflow: "late".to_string(),
+                reason: "aggregate_overload".to_string(),
+            },
+            TraceEvent::RiskAverted {
+                node: 1,
+                workflow: wf,
+            },
+            TraceEvent::PreemptiveSpeculation {
+                node: 0,
+                workflow: wf,
+            },
+            TraceEvent::MasterCrashed,
+            TraceEvent::WalReplayed {
+                records: 7,
+                outage: SimDuration::from_secs(30),
+            },
+        ];
+        // (variant ordinal, whether Chrome renders it as a span)
+        let tag = |e: &TraceEvent| match e {
+            TraceEvent::Heartbeat { .. } => (0, false),
+            TraceEvent::Assign { .. } => (1, false),
+            TraceEvent::SchedulerPick { .. } => (2, false),
+            TraceEvent::PlanGenerated { .. } => (3, false),
+            TraceEvent::Replan { .. } => (4, false),
+            TraceEvent::RhoRollback { .. } => (5, false),
+            TraceEvent::TaskStart { .. } => (6, true),
+            TraceEvent::TaskComplete { .. } => (7, true),
+            TraceEvent::TaskKilled { .. } => (8, true),
+            TraceEvent::NodeDown { .. } => (9, false),
+            TraceEvent::NodeUp { .. } => (10, false),
+            TraceEvent::NodeBlacklisted { .. } => (11, false),
+            TraceEvent::ReshuffleCharged { .. } => (12, false),
+            TraceEvent::CheckpointTaken { .. } => (13, false),
+            TraceEvent::AdmissionReject { .. } => (14, false),
+            TraceEvent::RiskAverted { .. } => (15, false),
+            TraceEvent::PreemptiveSpeculation { .. } => (16, false),
+            TraceEvent::MasterCrashed => (17, false),
+            TraceEvent::WalReplayed { .. } => (18, true),
+        };
+        let ordinals: Vec<usize> = events.iter().map(|e| tag(e).0).collect();
+        assert_eq!(
+            ordinals,
+            (0..19).collect::<Vec<_>>(),
+            "one record per variant"
+        );
+
+        let render = |pairs: &[(&str, Value)]| {
+            let obj = pairs.iter().map(|(k, v)| (k.to_string(), v.clone()));
+            serde_json::to_string(&Value::Object(obj.collect())).unwrap()
+        };
+        for event in events {
+            let (kind, fields) = event.fields();
+            let record = TraceRecord {
+                at: SimTime::from_secs(60),
+                event,
+            };
+            let line: Value = serde_json::from_str(&jsonl_line(&record)).unwrap();
+            let line = line.as_object().unwrap();
+            assert_eq!(line[0].0, "at_ms");
+            assert_eq!(line[1], ("event".to_string(), text(kind)));
+            let rest: Vec<(&str, Value)> = line[2..]
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.clone()))
+                .collect();
+            assert_eq!(render(&rest), render(&fields), "{kind}");
+
+            let is_span = tag(&record.event).1;
+            let chrome = Observations {
+                trace: vec![record],
+                metrics: None,
+                node_count: 2,
+            }
+            .chrome_trace_json();
+            let chrome: Value = serde_json::from_str(&chrome).unwrap();
+            let instants: Vec<&Value> = chrome.as_object().unwrap()[0]
+                .1
+                .as_array()
+                .unwrap()
+                .iter()
+                .filter(|e| field(e, "ph").as_str() == Some("i"))
+                .collect();
+            if is_span {
+                assert!(instants.is_empty(), "{kind} renders as a span");
+                continue;
+            }
+            let [instant] = instants[..] else {
+                panic!("{kind}: one instant, got {}", instants.len());
+            };
+            assert_eq!(field(instant, "name").as_str(), Some(kind));
+            let node = fields.iter().find(|(k, _)| *k == "node");
+            let tid = node.map_or(0, |(_, n)| n.as_u128().unwrap() + 1);
+            assert_eq!(field(instant, "tid").as_u128(), Some(tid), "{kind}");
+            let args: Vec<(&str, Value)> =
+                fields.into_iter().filter(|(k, _)| *k != "node").collect();
+            let got = instant
+                .as_object()
+                .unwrap()
+                .iter()
+                .find(|(k, _)| k == "args");
+            let got: Vec<(&str, Value)> = got.map_or(vec![], |(_, a)| {
+                let a = a.as_object().unwrap().iter();
+                a.map(|(k, v)| (k.as_str(), v.clone())).collect()
+            });
+            assert_eq!(render(&got), render(&args), "{kind}");
+        }
     }
 
     fn field<'v>(event: &'v Value, key: &str) -> &'v Value {

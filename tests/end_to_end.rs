@@ -850,26 +850,30 @@ fn digest(text: &str) -> String {
 /// That body dropped the coalescing records from the trace and the
 /// heartbeat-batch counter and histogram from the Prometheus text; its
 /// report digests are the ones the separately fed observers had produced.
+/// The `chrome` digests of the `/ all` rows were re-recorded when Chrome
+/// instants took their names and args from the JSONL record fields
+/// (`scheduler_pick`, `checkpoint_taken`, and `assign`'s args in field
+/// order); every other digest is as first recorded.
 const OBSERVED_ON_THE_PER_BEAT_PATH: &str = "\
-batched / all: report 806d0538827f5fee jsonl e6639c10f160df66 chrome 2f8574e41ed5c5b0 prom ae23a83d2ec002a5
+batched / all: report 806d0538827f5fee jsonl e6639c10f160df66 chrome c09ef63dbeb175a6 prom ae23a83d2ec002a5
 batched / metrics: report ab02ff5adce94c85 jsonl cbf29ce484222325 chrome c98ab45ca9caf483 prom ae23a83d2ec002a5
 batched / timelines: report 806d0538827f5fee jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
-per-slot / all: report 806d0538827f5fee jsonl b9b2ee7a8dee9cac chrome 495273a8de508654 prom ae23a83d2ec002a5
+per-slot / all: report 806d0538827f5fee jsonl b9b2ee7a8dee9cac chrome 772317cffd8202b2 prom ae23a83d2ec002a5
 per-slot / metrics: report ab02ff5adce94c85 jsonl cbf29ce484222325 chrome c98ab45ca9caf483 prom ae23a83d2ec002a5
 per-slot / timelines: report 806d0538827f5fee jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
-node+rack faults / all: report ac74f37f0f186b79 jsonl 599d5eb307548f0b chrome 17235ffc21dcd0bc prom 6d950a3791ef136e
+node+rack faults / all: report ac74f37f0f186b79 jsonl 599d5eb307548f0b chrome d263331c6d2d8308 prom 6d950a3791ef136e
 node+rack faults / metrics: report 6f277079c64b3cf1 jsonl cbf29ce484222325 chrome 3eebf6f9d9e95c82 prom 6d950a3791ef136e
 node+rack faults / timelines: report ac74f37f0f186b79 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
-master crash, WAL / all: report 0cd5e8f7e9c37535 jsonl 5a324ef49ddb9cde chrome aaedd03e8f390eb7 prom d3c2b663d659425b
+master crash, WAL / all: report 0cd5e8f7e9c37535 jsonl 5a324ef49ddb9cde chrome 013dd894be5d6555 prom d3c2b663d659425b
 master crash, WAL / metrics: report 1e7ed629f0509874 jsonl cbf29ce484222325 chrome 6c5c7dd644241791 prom d3c2b663d659425b
 master crash, WAL / timelines: report 0cd5e8f7e9c37535 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
-master crash, no WAL / all: report bb344e8b7b820a21 jsonl 703d5b082e5f1b79 chrome bfcb3bb6ec99291c prom ba8f9354304def26
+master crash, no WAL / all: report bb344e8b7b820a21 jsonl 703d5b082e5f1b79 chrome a180e7d3d0372888 prom ba8f9354304def26
 master crash, no WAL / metrics: report e96db040d2eb9752 jsonl cbf29ce484222325 chrome 031f2f4043cef3af prom ba8f9354304def26
 master crash, no WAL / timelines: report bb344e8b7b820a21 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
-speculation+risk / all: report 8f912f9d457c7b24 jsonl 34f9312b05db7bb7 chrome d1033386490227d1 prom 382b2b4aed13fc52
+speculation+risk / all: report 8f912f9d457c7b24 jsonl 34f9312b05db7bb7 chrome f98cc2ed751ff055 prom 382b2b4aed13fc52
 speculation+risk / metrics: report 9b66041478d3d087 jsonl cbf29ce484222325 chrome 730fad23ec7acd2c prom 382b2b4aed13fc52
 speculation+risk / timelines: report 8f912f9d457c7b24 jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
-delay scheduling / all: report db9743dd89cab05d jsonl b50b0f80c98f165a chrome 612813f898b30df5 prom 5fd290065e6a50c7
+delay scheduling / all: report db9743dd89cab05d jsonl b50b0f80c98f165a chrome 5d00f823a33bec91 prom 5fd290065e6a50c7
 delay scheduling / metrics: report cd9cd55fad42d838 jsonl cbf29ce484222325 chrome 165cbe3647f2461e prom 5fd290065e6a50c7
 delay scheduling / timelines: report db9743dd89cab05d jsonl cbf29ce484222325 chrome 55a3b6c4ff867717 prom cbf29ce484222325
 ";
@@ -928,7 +932,8 @@ fn observability_bus_identity() {
         ),
         // Three seconds after a checkpoint: the crash orphans the attempts
         // launched since and re-issues an activation, but loses no
-        // completion, which the timelines would count twice (ROADMAP).
+        // completion. The instant was chosen while a lost completion still
+        // ended its attempt twice, and stays so the digests stay comparable.
         (
             "master crash, no WAL",
             master(

@@ -400,3 +400,65 @@ proptest! {
         }
     }
 }
+
+/// Deadline blindness (DESIGN.md §6): FIFO and Fair never read a deadline,
+/// so moving every deadline — later by an hour, or earlier by ten minutes
+/// (kept at least a second after submit) — leaves every completion time
+/// and the event count unchanged, with and without node faults.
+#[test]
+fn fifo_and_fair_are_deadline_blind() {
+    use woha_bench::scenarios::{
+        demo_cluster, fig11_workflows, fig12_workflows, yahoo_workload, YahooScenario,
+    };
+    let workloads = [
+        ("fig11", fig11_workflows()),
+        ("fig12x3", fig12_workflows(3)),
+        (
+            "yahoo",
+            yahoo_workload(&YahooScenario::default())
+                .workflows()
+                .to_vec(),
+        ),
+    ];
+    let faulty = demo_cluster().with_faults(FaultConfig::with_mtbf(
+        SimDuration::from_mins(20),
+        SimDuration::from_mins(3),
+    ));
+    let shifted = |flows: &[WorkflowSpec], shift: &dyn Fn(&WorkflowSpec) -> SimTime| {
+        flows
+            .iter()
+            .map(|w| w.reissued(w.name(), w.submit_time(), shift(w)))
+            .collect::<Vec<_>>()
+    };
+    for (label, flows) in &workloads {
+        let later = shifted(flows, &|w| w.deadline() + SimDuration::from_mins(60));
+        let earlier = shifted(flows, &|w| {
+            let floor = w.submit_time() + SimDuration::from_secs(1);
+            w.deadline()
+                .saturating_sub(SimDuration::from_mins(10))
+                .max(floor)
+        });
+        for cluster in [demo_cluster(), faulty.clone()] {
+            for fair in [false, true] {
+                let run = |flows: &[WorkflowSpec]| {
+                    let mut s: Box<dyn WorkflowScheduler> = if fair {
+                        Box::new(FairScheduler::new())
+                    } else {
+                        Box::new(FifoScheduler::new())
+                    };
+                    let r = run_simulation(flows, &mut *s, &cluster, &SimConfig::default());
+                    let finished: Vec<_> = r.outcomes.iter().map(|o| o.finished).collect();
+                    (finished, r.events_processed)
+                };
+                let base = run(flows);
+                let cell = format!(
+                    "{label} fair={fair} faults={}",
+                    cluster.faults().mtbf.is_some()
+                );
+                assert!(base.0.iter().all(Option::is_some), "{cell}: completes");
+                assert_eq!(run(&later), base, "{cell}: deadlines +1 h");
+                assert_eq!(run(&earlier), base, "{cell}: deadlines -10 min");
+            }
+        }
+    }
+}
