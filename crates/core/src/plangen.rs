@@ -715,11 +715,13 @@ mod tests {
     }
 
     /// `count` Yahoo-like workflows (2–12 jobs) from a fixed seed, with
-    /// task counts capped as the benchmark's Yahoo workloads cap them.
+    /// task counts capped as the benchmark's Yahoo workloads cap them and
+    /// relative deadlines `stretch` × the critical path.
     fn yahoo_population(
         count: usize,
         map_count_max: u32,
         reduce_count_max: u32,
+        stretch: f64,
     ) -> Vec<WorkflowSpec> {
         let config = YahooTraceConfig {
             map_count_max,
@@ -731,7 +733,7 @@ mod tests {
             20140614,
             count,
             SimDuration::from_secs(45),
-            3.0,
+            stretch,
         ))
     }
 
@@ -742,7 +744,7 @@ mod tests {
         // span beats the slot-time bound `W / c`.
         let total = 64;
         let mut unsaturated = 0;
-        for w in yahoo_population(12, 40, 10) {
+        for w in yahoo_population(12, 40, 10, 3.0) {
             for policy in [
                 PriorityPolicy::Hlf,
                 PriorityPolicy::Lpf,
@@ -773,27 +775,39 @@ mod tests {
         // How often the binary search returns a cap that is not the
         // smallest feasible one (Graham's anomaly makes the span
         // non-monotone in the cap), on the benchmark's Yahoo population and
-        // cluster. The scan simulates each cap without building a plan,
-        // from the slot-time bound up (no smaller cap is feasible).
-        // Counted, not changed: the search keeps its probe sequence.
+        // cluster, as the deadline stretch tightens. The scan simulates
+        // each cap without building a plan, from the slot-time bound up (no
+        // smaller cap is feasible). Counted, not changed: the search keeps
+        // its probe sequence.
         let total = 480;
-        let (mut differ, mut batches) = (0, Vec::new());
-        for w in yahoo_population(400, 200, 40) {
-            let pri = JobPriorities::compute(&w, PriorityPolicy::Lpf);
-            let budget = w.relative_deadline();
-            let searched = generate_plan(&w, &pri, total, CapMode::MinFeasible).resource_cap();
-            let mut schedule = ListSchedule::new(&w, &pri);
-            let floor = schedule
-                .slot_time()
-                .div_ceil(u128::from(budget.as_millis()));
-            let first = u32::try_from(floor).unwrap_or(total).clamp(1, total);
-            let scanned = (first..=total)
-                .find(|&c| schedule.run(c, &mut batches).0 <= budget)
-                .unwrap_or(total);
-            assert!(scanned <= searched, "{}", w.name());
-            differ += usize::from(scanned != searched);
+        let mut batches = Vec::new();
+        for (stretch, want) in [(3.0, 0), (1.2, 7), (1.05, 11)] {
+            let mut differ = 0;
+            for w in yahoo_population(400, 200, 40, stretch) {
+                let pri = JobPriorities::compute(&w, PriorityPolicy::Lpf);
+                let budget = w.relative_deadline();
+                let searched = generate_plan(&w, &pri, total, CapMode::MinFeasible).resource_cap();
+                let mut schedule = ListSchedule::new(&w, &pri);
+                assert!(
+                    schedule.run(total, &mut batches).0 <= budget,
+                    "{}",
+                    w.name()
+                );
+                let floor = schedule
+                    .slot_time()
+                    .div_ceil(u128::from(budget.as_millis()));
+                let first = u32::try_from(floor).unwrap_or(total).clamp(1, total);
+                let scanned = (first..=total)
+                    .find(|&c| schedule.run(c, &mut batches).0 <= budget)
+                    .unwrap_or(total);
+                assert!(scanned <= searched, "{}", w.name());
+                differ += usize::from(scanned != searched);
+            }
+            assert_eq!(
+                differ, want,
+                "non-minimal caps among 400 at stretch {stretch}"
+            );
         }
-        assert_eq!(differ, 0, "non-minimal caps among 400 workflows");
     }
 
     #[test]

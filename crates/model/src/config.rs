@@ -94,7 +94,7 @@ impl WorkflowConfig {
             None => None,
         };
         let mut jobs = Vec::new();
-        for child in root.elements() {
+        for child in &root.children {
             if child.name != "job" {
                 return Err(ModelError::Schema(format!(
                     "unexpected element <{}> under <workflow>",
@@ -270,7 +270,7 @@ fn parse_job(e: &Element) -> Result<JobConfig, ModelError> {
     let mut inputs = Vec::new();
     let mut outputs = Vec::new();
     let mut depends_on = Vec::new();
-    for child in e.elements() {
+    for child in &e.children {
         match child.name.as_str() {
             "input" => inputs.push(require_attr(child, "path")?.to_string()),
             "output" => outputs.push(require_attr(child, "path")?.to_string()),

@@ -156,25 +156,6 @@ impl Dag {
         Ok(level)
     }
 
-    /// Level of every node counted from the sources: nodes with no
-    /// prerequisites are level 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(node)` if the graph is cyclic.
-    pub fn levels_from_sources(&self) -> Result<Vec<usize>, usize> {
-        let order = self.topo_sort()?;
-        let mut level = vec![0usize; self.node_count()];
-        for &v in &order {
-            level[v] = self.preds[v]
-                .iter()
-                .map(|&p| level[p] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        Ok(level)
-    }
-
     /// For every node, the maximum total `weight` along any path that starts
     /// at the node and proceeds through successors to a sink, **including**
     /// the node's own weight. This is the quantity ranked by the paper's
@@ -232,11 +213,6 @@ impl Dag {
     /// quantity ranked by the paper's Maximum Parallelism First policy.
     pub fn out_degrees(&self) -> Vec<usize> {
         self.succs.iter().map(Vec::len).collect()
-    }
-
-    /// Number of direct prerequisites of every node (in-degree).
-    pub fn in_degrees(&self) -> Vec<usize> {
-        self.preds.iter().map(Vec::len).collect()
     }
 }
 
@@ -320,12 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn levels_from_sources() {
-        let levels = diamond().levels_from_sources().unwrap();
-        assert_eq!(levels, vec![0, 1, 1, 2]);
-    }
-
-    #[test]
     fn longest_path_weighted() {
         // 0 -> 1 -> 3 and 0 -> 2 -> 3 with asymmetric weights.
         let g = diamond();
@@ -357,7 +327,6 @@ mod tests {
     fn degrees() {
         let g = diamond();
         assert_eq!(g.out_degrees(), vec![2, 1, 1, 0]);
-        assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
     }
 
     #[test]

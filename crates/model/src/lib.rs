@@ -34,7 +34,6 @@
 //! - [`graph`] — reusable DAG algorithms (topo-sort, levels, longest path).
 //! - [`xml`] — the minimal XML parser/writer used by [`config`].
 //! - [`config`] — the `<workflow>` XML schema and duration syntax.
-//! - [`oozie`] — adapter for Apache Oozie `workflow-app` definitions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +43,6 @@ pub mod error;
 pub mod graph;
 pub mod ids;
 pub mod job;
-pub mod oozie;
 pub mod time;
 pub mod workflow;
 pub mod xml;

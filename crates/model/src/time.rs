@@ -88,11 +88,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// The duration from `earlier` to `self`, or `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -322,10 +317,6 @@ mod tests {
         assert_eq!(
             SimTime::ZERO.saturating_since(SimTime::from_secs(5)),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimTime::from_secs(5).checked_since(SimTime::from_secs(6)),
-            None
         );
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),

@@ -2,10 +2,12 @@
 //!
 //! WOHA workflows are submitted as XML configuration files (the paper's
 //! `hadoop dag /path/to/W_i.xml`). This module implements exactly the subset
-//! those files need: elements, attributes, text content, comments, an
-//! optional `<?xml ...?>` declaration, and the five predefined entities.
-//! It does not implement namespaces, DTDs, processing instructions beyond
-//! the declaration, or CDATA.
+//! those files need: elements, attributes, comments, an optional
+//! `<?xml ...?>` declaration, and the five predefined entities. Character
+//! data inside an element is accepted (its entities must still be valid)
+//! and dropped: no workflow file carries any, so the tree holds elements
+//! only. It does not implement namespaces, DTDs, processing instructions
+//! beyond the declaration, or CDATA.
 //!
 //! # Examples
 //!
@@ -24,24 +26,15 @@
 use crate::error::XmlError;
 use std::fmt;
 
-/// An XML element: name, attributes in document order, and child nodes.
+/// An XML element: name, attributes and child elements in document order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Element {
     /// Tag name.
     pub name: String,
     /// Attributes in document order, unescaped.
     pub attributes: Vec<(String, String)>,
-    /// Child nodes in document order.
-    pub children: Vec<Node>,
-}
-
-/// A node in the parsed document tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
-    /// A nested element.
-    Element(Element),
-    /// Unescaped character data (whitespace-only runs are dropped).
-    Text(String),
+    /// Child elements in document order.
+    pub children: Vec<Element>,
 }
 
 impl Element {
@@ -62,13 +55,7 @@ impl Element {
 
     /// Adds a child element (builder-style).
     pub fn with_child(mut self, child: Element) -> Self {
-        self.children.push(Node::Element(child));
-        self
-    }
-
-    /// Adds a text child (builder-style).
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Text(text.into()));
+        self.children.push(child);
         self
     }
 
@@ -78,36 +65,6 @@ impl Element {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Child elements (skipping text nodes).
-    pub fn elements(&self) -> impl Iterator<Item = &Element> {
-        self.children.iter().filter_map(|n| match n {
-            Node::Element(e) => Some(e),
-            Node::Text(_) => None,
-        })
-    }
-
-    /// Child elements with tag `name`.
-    pub fn elements_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> {
-        self.elements().filter(move |e| e.name == name)
-    }
-
-    /// The first child element with tag `name`.
-    pub fn first_named(&self, name: &str) -> Option<&Element> {
-        self.elements().find(|e| e.name == name)
-    }
-
-    /// Concatenated text content of the element's direct text children,
-    /// trimmed.
-    pub fn text(&self) -> String {
-        let mut out = String::new();
-        for node in &self.children {
-            if let Node::Text(t) = node {
-                out.push_str(t);
-            }
-        }
-        out.trim().to_string()
     }
 }
 
@@ -119,45 +76,19 @@ impl fmt::Display for Element {
 }
 
 fn write_element(f: &mut fmt::Formatter<'_>, e: &Element, depth: usize) -> fmt::Result {
-    for _ in 0..depth {
-        f.write_str("  ")?;
-    }
-    write!(f, "<{}", e.name)?;
+    let indent = 2 * depth;
+    write!(f, "{:indent$}<{}", "", e.name)?;
     for (name, value) in &e.attributes {
         write!(f, " {}=\"{}\"", name, escape(value))?;
     }
     if e.children.is_empty() {
         return f.write_str("/>\n");
     }
-    let only_text = e.children.iter().all(|n| matches!(n, Node::Text(_)));
-    if only_text {
-        f.write_str(">")?;
-        for node in &e.children {
-            if let Node::Text(t) = node {
-                f.write_str(&escape(t))?;
-            }
-        }
-        return writeln!(f, "</{}>", e.name);
-    }
     f.write_str(">\n")?;
-    for node in &e.children {
-        match node {
-            Node::Element(child) => write_element(f, child, depth + 1)?,
-            Node::Text(t) => {
-                let t = t.trim();
-                if !t.is_empty() {
-                    for _ in 0..=depth {
-                        f.write_str("  ")?;
-                    }
-                    writeln!(f, "{}", escape(t))?;
-                }
-            }
-        }
+    for child in &e.children {
+        write_element(f, child, depth + 1)?;
     }
-    for _ in 0..depth {
-        f.write_str("  ")?;
-    }
-    writeln!(f, "</{}>", e.name)
+    writeln!(f, "{:indent$}</{}>", "", e.name)
 }
 
 /// Escapes the five predefined XML entities in `text`.
@@ -189,10 +120,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
         pos: 0,
     };
     p.skip_prolog()?;
-    let root = match p.parse_node(0)? {
-        Some(Node::Element(e)) => e,
-        _ => return Err(XmlError::NoRootElement),
-    };
+    let root = p.parse_node(0)?.ok_or(XmlError::NoRootElement)?;
     p.skip_misc();
     if p.pos < p.bytes.len() {
         return Err(XmlError::TrailingContent { offset: p.pos });
@@ -225,7 +153,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skips whitespace and comments; returns whether anything was skipped.
+    /// Skips whitespace and comments.
     fn skip_misc(&mut self) {
         loop {
             self.skip_whitespace();
@@ -375,15 +303,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses the next node; `None` at a closing tag or end of input.
-    /// `depth` is the number of elements open around it.
-    fn parse_node(&mut self, depth: usize) -> Result<Option<Node>, XmlError> {
+    /// Parses the next child element; `None` at a closing tag or end of
+    /// input. `depth` is the number of elements open around it.
+    ///
+    /// Character data is scanned, its entities checked, and dropped. At
+    /// depth 0 non-blank text stands where the root element should be.
+    fn parse_node(&mut self, depth: usize) -> Result<Option<Element>, XmlError> {
         loop {
             self.skip_misc();
             match self.peek() {
                 None => return Ok(None),
                 Some(b'<') if self.starts_with("</") => return Ok(None),
-                Some(b'<') => return self.parse_element(depth).map(|e| Some(Node::Element(e))),
+                Some(b'<') => return self.parse_element(depth).map(Some),
                 Some(_) => {
                     let start = self.pos;
                     while let Some(c) = self.peek() {
@@ -394,12 +325,10 @@ impl<'a> Parser<'a> {
                     }
                     let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
                     let text = self.unescape_into(&raw)?;
-                    // Blank text (form feeds and the like, which
-                    // `skip_misc` does not eat) is skipped by looping, not
-                    // by recursing: comments can separate any number of
-                    // such runs.
-                    if !text.trim().is_empty() {
-                        return Ok(Some(Node::Text(text)));
+                    // Dropped by looping, not by recursing: comments can
+                    // separate any number of text runs.
+                    if depth == 0 && !text.trim().is_empty() {
+                        return Err(XmlError::NoRootElement);
                     }
                 }
             }
@@ -473,25 +402,27 @@ mod tests {
         .unwrap();
         assert_eq!(doc.name, "workflow");
         assert_eq!(doc.attr("deadline"), Some("80m"));
-        let jobs: Vec<&Element> = doc.elements_named("job").collect();
+        let jobs = &doc.children;
         assert_eq!(jobs.len(), 2);
-        assert_eq!(
-            jobs[0].first_named("input").unwrap().attr("path"),
-            Some("/a")
-        );
+        assert_eq!(jobs[0].children[0].name, "input");
+        assert_eq!(jobs[0].children[0].attr("path"), Some("/a"));
+        assert_eq!(jobs[1].attr("name"), Some("load"));
     }
 
     #[test]
     fn parses_text_content() {
-        let doc = parse("<a><name>hello world</name></a>").unwrap();
-        assert_eq!(doc.first_named("name").unwrap().text(), "hello world");
+        // Character data is accepted and dropped, around elements too.
+        let doc = parse("<a><name>hello world</name> between <b/> after</a>").unwrap();
+        let names: Vec<&str> = doc.children.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["name", "b"]);
+        assert!(doc.children[0].children.is_empty());
     }
 
     #[test]
     fn unescapes_entities() {
         let doc = parse(r#"<a v="x &amp; y">&lt;tag&gt; &quot;q&quot; &apos;a&apos;</a>"#).unwrap();
         assert_eq!(doc.attr("v"), Some("x & y"));
-        assert_eq!(doc.text(), "<tag> \"q\" 'a'");
+        assert!(doc.children.is_empty());
     }
 
     #[test]
@@ -500,6 +431,15 @@ mod tests {
             parse("<a>&nbsp;</a>").unwrap_err(),
             XmlError::UnknownEntity("nbsp".into())
         );
+        // Dropped text is still checked, before the root and inside it.
+        assert_eq!(
+            parse("&nbsp;<a/>").unwrap_err(),
+            XmlError::UnknownEntity("nbsp".into())
+        );
+        assert!(matches!(
+            parse("<a><b/>x &amp y</a>").unwrap_err(),
+            XmlError::UnexpectedEof { .. }
+        ));
     }
 
     #[test]
@@ -525,6 +465,12 @@ mod tests {
     #[test]
     fn rejects_empty_and_trailing() {
         assert_eq!(parse("   ").unwrap_err(), XmlError::NoRootElement);
+        // Text before the root, or in its place, is not a root.
+        for doc in ["hello", "hello <a/>", "<!-- c --> x <a/>", "&amp;"] {
+            assert_eq!(parse(doc).unwrap_err(), XmlError::NoRootElement, "{doc}");
+        }
+        // Blank text before the root is not.
+        assert!(parse("\u{c}<a/>").is_ok());
         assert!(matches!(
             parse("<a/><b/>").unwrap_err(),
             XmlError::TrailingContent { .. }
@@ -569,7 +515,7 @@ mod tests {
         let doc = Element::new("workflow")
             .with_attr("name", "w \"quoted\" & more")
             .with_child(Element::new("job").with_attr("name", "a"))
-            .with_child(Element::new("note").with_text("x < y"));
+            .with_child(Element::new("note").with_child(Element::new("x").with_attr("v", "x < y")));
         let rendered = doc.to_string();
         let reparsed = parse(&rendered).unwrap();
         assert_eq!(reparsed, doc);

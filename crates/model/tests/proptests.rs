@@ -185,12 +185,18 @@ proptest! {
         prop_assert_eq!(parsed.attr("v"), Some(s.as_str()));
     }
 
-    /// Text nodes survive escaping too (trimmed, nonempty).
+    /// Escaped text is accepted and dropped inside an element, and is no
+    /// root element before one.
     #[test]
-    fn xml_text_roundtrip(s in "[!-~][ -~]{0,58}[!-~]") {
-        let doc = woha_model::xml::Element::new("a").with_text(s.clone());
-        let parsed = woha_model::xml::parse(&doc.to_string()).unwrap();
-        prop_assert_eq!(parsed.text(), s.trim());
+    fn xml_text_is_dropped(s in "[!-~][ -~]{0,58}[!-~]") {
+        use woha_model::xml::{escape, parse};
+        let text = escape(&s);
+        let parsed = parse(&format!("<a>{text}<b/>{text}</a>")).unwrap();
+        prop_assert_eq!(parsed, parse("<a><b/></a>").unwrap());
+        prop_assert_eq!(
+            parse(&format!("{text}<a/>")).unwrap_err(),
+            woha_model::XmlError::NoRootElement
+        );
     }
 
     /// The XML parser never panics on arbitrary input — it returns a

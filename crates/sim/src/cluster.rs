@@ -1,9 +1,9 @@
 //! Cluster configuration: nodes, their map/reduce slots, and the rack
 //! topology the data plane places replicas over.
 
-use crate::fault::{FaultConfig, ScriptedFault};
+use crate::fault::FaultConfig;
 use serde::{Deserialize, Serialize};
-use woha_model::{NodeId, SimDuration, SimTime, SlotKind};
+use woha_model::{NodeId, SimDuration, SlotKind};
 
 /// Static description of one worker node (TaskTracker host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -196,16 +196,6 @@ impl ClusterConfig {
             .collect()
     }
 
-    /// A scripted fault taking every node of `rack` down atomically — the
-    /// rack-switch outage building block for tests and experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rack has no nodes.
-    pub fn rack_fault(&self, rack: u32, down_at: SimTime, up_at: Option<SimTime>) -> ScriptedFault {
-        ScriptedFault::group(self.rack_nodes(rack), down_at, up_at)
-    }
-
     /// The nodes.
     pub fn nodes(&self) -> &[NodeConfig] {
         &self.nodes
@@ -390,15 +380,6 @@ mod tests {
         let back: ClusterConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
         assert_eq!(back.rack_count(), 2);
-    }
-
-    #[test]
-    fn rack_fault_covers_the_rack() {
-        let c = ClusterConfig::uniform(6, 1, 1).with_racks(2);
-        let f = c.rack_fault(1, SimTime::from_secs(30), Some(SimTime::from_secs(90)));
-        assert_eq!(f.nodes, c.rack_nodes(1));
-        assert_eq!(f.nodes.len(), 3);
-        assert_eq!(f.down_at, SimTime::from_secs(30));
     }
 
     #[test]

@@ -73,8 +73,9 @@ mod master;
 
 /// A configuration error detected before the simulation starts.
 ///
-/// Returned by [`try_run_simulation`]; [`run_simulation`] panics on these
-/// instead.
+/// Returned by [`try_run_simulation_streamed`] and the other fallible
+/// entry points; [`run_simulation`] and [`run_simulation_observed`] panic
+/// on these instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// A scripted node fault names a node outside the cluster.
@@ -1354,41 +1355,27 @@ impl<'a> Sim<'a> {
 /// # Panics
 ///
 /// Panics on an invalid configuration (see [`SimError`]); use
-/// [`try_run_simulation`] for a fallible variant.
+/// [`try_run_simulation_streamed`] over a [`VecSource`] for a fallible
+/// variant.
 pub fn run_simulation(
     workflows: &[WorkflowSpec],
     scheduler: &mut dyn WorkflowScheduler,
     cluster: &ClusterConfig,
     config: &SimConfig,
 ) -> SimReport {
-    try_run_simulation(workflows, scheduler, cluster, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run_simulation`]: validates the fault
-/// configuration against the cluster before starting.
-///
-/// # Errors
-///
-/// Returns a [`SimError`] when a scripted fault names a node outside the
-/// cluster, or master faults are enabled with a zero checkpoint interval
-/// or restart time.
-pub fn try_run_simulation(
-    workflows: &[WorkflowSpec],
-    scheduler: &mut dyn WorkflowScheduler,
-    cluster: &ClusterConfig,
-    config: &SimConfig,
-) -> Result<SimReport, SimError> {
     // A thin wrapper over the streaming path: a [`VecSource`] yields the
     // slice in submission order, which reproduces the historical batch
     // driver byte for byte (proven by the E2E identity tests).
     let mut source = VecSource::new(workflows.to_vec());
     try_run_simulation_streamed(&mut source, scheduler, cluster, config, None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Streaming variant of [`try_run_simulation`]: pulls workflows lazily
-/// from a [`WorkloadSource`] as simulated time advances instead of
-/// materializing the whole workload up front, and optionally screens each
-/// arrival through an [`AdmissionGate`].
+/// Fallible, streaming variant of [`run_simulation`]: validates the
+/// configuration against the cluster before starting (see [`SimError`]),
+/// pulls workflows lazily from a [`WorkloadSource`] as simulated time
+/// advances instead of materializing the whole workload up front, and
+/// optionally screens each arrival through an [`AdmissionGate`].
 ///
 /// For a [`VecSource`] over the same workflows the report is byte-identical
 /// to [`run_simulation`]. A rejected workflow never enters the cluster: it
@@ -1397,7 +1384,8 @@ pub fn try_run_simulation(
 ///
 /// # Errors
 ///
-/// Returns the same [`SimError`]s as [`try_run_simulation`].
+/// Returns a [`SimError`] when the fault, data-plane or observability
+/// configuration is invalid for the cluster.
 pub fn try_run_simulation_streamed<'a>(
     source: &mut dyn WorkloadSource,
     scheduler: &mut dyn WorkflowScheduler,
@@ -1421,7 +1409,7 @@ pub fn try_run_simulation_streamed<'a>(
 ///
 /// # Errors
 ///
-/// Returns the same [`SimError`]s as [`try_run_simulation`].
+/// Returns the same [`SimError`]s as [`try_run_simulation_streamed`].
 pub fn try_run_simulation_streamed_observed<'a>(
     source: &mut dyn WorkloadSource,
     scheduler: &mut dyn WorkflowScheduler,
@@ -1454,7 +1442,7 @@ pub fn try_run_simulation_streamed_observed<'a>(
 ///
 /// # Errors
 ///
-/// Returns the same [`SimError`]s as [`try_run_simulation`].
+/// Returns the same [`SimError`]s as [`try_run_simulation_streamed`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_simulation_clocked<'a>(
     source: &mut dyn WorkloadSource,
@@ -1481,30 +1469,13 @@ pub fn try_run_simulation_clocked<'a>(
 /// # Panics
 ///
 /// Panics on an invalid configuration (see [`SimError`]); use
-/// [`try_run_simulation_observed`] for a fallible variant.
+/// [`try_run_simulation_streamed_observed`] for a fallible variant.
 pub fn run_simulation_observed(
     workflows: &[WorkflowSpec],
     scheduler: &mut dyn WorkflowScheduler,
     cluster: &ClusterConfig,
     config: &SimConfig,
 ) -> (SimReport, Observations) {
-    try_run_simulation_observed(workflows, scheduler, cluster, config)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run_simulation_observed`]:
-/// [`try_run_simulation_streamed_observed`] over a [`VecSource`], tracing
-/// into a [`MemorySink`].
-///
-/// # Errors
-///
-/// Returns the same [`SimError`]s as [`try_run_simulation`].
-pub fn try_run_simulation_observed(
-    workflows: &[WorkflowSpec],
-    scheduler: &mut dyn WorkflowScheduler,
-    cluster: &ClusterConfig,
-    config: &SimConfig,
-) -> Result<(SimReport, Observations), SimError> {
     let mut sink = config.observability.trace.then(MemorySink::new);
     let mut source = VecSource::new(workflows.to_vec());
     let (report, metrics) = try_run_simulation_streamed_observed(
@@ -1514,13 +1485,14 @@ pub fn try_run_simulation_observed(
         config,
         None,
         sink.as_mut().map(|s| s as &mut dyn TraceSink),
-    )?;
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let observations = Observations {
         trace: sink.map(MemorySink::into_records).unwrap_or_default(),
         metrics,
         node_count: cluster.node_count(),
     };
-    Ok((report, observations))
+    (report, observations)
 }
 
 /// Validates the cluster's fault configuration and the driver's data-plane

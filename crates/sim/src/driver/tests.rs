@@ -1024,6 +1024,15 @@ mod racks {
     fn invalid_data_plane_configs_are_rejected() {
         let w = vec![simple_workflow("w", 0, 600)];
         let mut s = SubmitOrderScheduler::new();
+        let mut try_run = |cluster: &ClusterConfig, config: &SimConfig| {
+            try_run_simulation_streamed(
+                &mut VecSource::new(w.clone()),
+                &mut s,
+                cluster,
+                config,
+                None,
+            )
+        };
         let cluster = ClusterConfig::uniform(2, 2, 1);
         let zero_replicas = SimConfig {
             locality: Some(LocalityConfig {
@@ -1033,7 +1042,7 @@ mod racks {
             ..SimConfig::default()
         };
         assert_eq!(
-            try_run_simulation(&w, &mut s, &cluster, &zero_replicas),
+            try_run(&cluster, &zero_replicas),
             Err(SimError::ZeroLocalityReplicas)
         );
         let weak_penalty = SimConfig {
@@ -1044,7 +1053,7 @@ mod racks {
             ..SimConfig::default()
         };
         assert_eq!(
-            try_run_simulation(&w, &mut s, &cluster, &weak_penalty),
+            try_run(&cluster, &weak_penalty),
             Err(SimError::SubUnityRemotePenalty)
         );
         let nan_penalty = SimConfig {
@@ -1055,7 +1064,7 @@ mod racks {
             ..SimConfig::default()
         };
         assert_eq!(
-            try_run_simulation(&w, &mut s, &cluster, &nan_penalty),
+            try_run(&cluster, &nan_penalty),
             Err(SimError::SubUnityRemotePenalty)
         );
         let zero_rack_mtbf =
@@ -1066,7 +1075,7 @@ mod racks {
                     ..FaultConfig::default()
                 });
         assert_eq!(
-            try_run_simulation(&w, &mut s, &zero_rack_mtbf, &SimConfig::default()),
+            try_run(&zero_rack_mtbf, &SimConfig::default()),
             Err(SimError::ZeroRackMtbf)
         );
         assert!(SimError::ZeroLocalityReplicas
@@ -1081,7 +1090,7 @@ mod racks {
             ..SimConfig::default()
         };
         assert_eq!(
-            try_run_simulation(&w, &mut s, &cluster, &zero_interval),
+            try_run(&cluster, &zero_interval),
             Err(SimError::ZeroSampleInterval)
         );
         assert!(SimError::SubUnityRemotePenalty.to_string().contains("1.0"));
@@ -1408,12 +1417,21 @@ mod master {
     fn invalid_configs_are_rejected() {
         let w = vec![simple_workflow("w", 0, 600)];
         let mut s = SubmitOrderScheduler::new();
+        let mut try_run = |cluster: &ClusterConfig, config: &SimConfig| {
+            try_run_simulation_streamed(
+                &mut VecSource::new(w.clone()),
+                &mut s,
+                cluster,
+                config,
+                None,
+            )
+        };
         let cfg = SimConfig::default();
         let bad_node = ClusterConfig::uniform(2, 2, 1).with_faults(FaultConfig::scripted(vec![
             ScriptedFault::one(NodeId::new(9), SimTime::ZERO, None),
         ]));
         assert_eq!(
-            try_run_simulation(&w, &mut s, &bad_node, &cfg),
+            try_run(&bad_node, &cfg),
             Err(SimError::UnknownScriptedNode {
                 node: NodeId::new(9),
                 node_count: 2
@@ -1425,7 +1443,7 @@ mod master {
             ..MasterFaultConfig::default()
         });
         assert_eq!(
-            try_run_simulation(&w, &mut s, &zero_interval, &cfg),
+            try_run(&zero_interval, &cfg),
             Err(SimError::ZeroCheckpointInterval)
         );
         let zero_mttr = cluster_with(MasterFaultConfig {
@@ -1433,10 +1451,7 @@ mod master {
             scripted: vec![SimTime::from_secs(1)],
             ..MasterFaultConfig::default()
         });
-        assert_eq!(
-            try_run_simulation(&w, &mut s, &zero_mttr, &cfg),
-            Err(SimError::ZeroMasterMttr)
-        );
+        assert_eq!(try_run(&zero_mttr, &cfg), Err(SimError::ZeroMasterMttr));
         assert!(SimError::ZeroMasterMttr.to_string().contains("MTTR"));
     }
 

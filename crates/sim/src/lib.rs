@@ -59,9 +59,9 @@ pub use clock::{Clock, SimClock, SourceWait, WallClock};
 pub use cluster::{ClusterConfig, NodeConfig};
 pub use dataplane::{DataPlane, DataPlaneReport, InvalidatedOutputs};
 pub use driver::{
-    run_simulation, run_simulation_observed, try_run_simulation, try_run_simulation_clocked,
-    try_run_simulation_observed, try_run_simulation_streamed, try_run_simulation_streamed_observed,
-    LocalityConfig, SimConfig, SimError, SpeculationConfig,
+    run_simulation, run_simulation_observed, try_run_simulation_clocked,
+    try_run_simulation_streamed, try_run_simulation_streamed_observed, LocalityConfig, SimConfig,
+    SimError, SpeculationConfig,
 };
 pub use fault::{FaultConfig, FaultStream, MasterFaultConfig, ScriptedFault};
 pub use gate::AdmissionGate;

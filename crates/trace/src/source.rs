@@ -474,12 +474,6 @@ impl FollowSource {
         self.stop.clone()
     }
 
-    /// Shares an externally owned stop flag instead of the internal one.
-    pub fn with_stop(mut self, stop: SourceStop) -> Self {
-        self.stop = stop;
-        self
-    }
-
     /// The parse or I/O error that terminated the stream early, if any.
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()

@@ -3,57 +3,35 @@
 //! then verify with the simulator that everything admitted actually meets
 //! its deadline — while the rejected overload would not have.
 //!
-//! Also demonstrates the Oozie `workflow-app` adapter: the submitted
-//! workflows arrive as real Oozie hPDL documents.
+//! The submitted workflows are fork/join pipelines written in the
+//! workflow XML format, with explicit `<depends on>` edges.
 //!
 //! Run with: `cargo run --release --example admission_control`
 
-use woha::model::oozie::{from_oozie_xml, JobSizing};
 use woha::prelude::*;
 
-const OOZIE_APP: &str = r#"
-<workflow-app name="TEMPLATE">
-  <start to="ingest"/>
-  <action name="ingest">
-    <map-reduce/>
-    <ok to="split"/>
-    <error to="fail"/>
-  </action>
-  <fork name="split">
-    <path start="stats"/>
-    <path start="model"/>
-  </fork>
-  <action name="stats">
-    <map-reduce/>
-    <ok to="merge"/>
-    <error to="fail"/>
-  </action>
-  <action name="model">
-    <map-reduce/>
-    <ok to="merge"/>
-    <error to="fail"/>
-  </action>
-  <join name="merge" to="publish"/>
-  <action name="publish">
-    <map-reduce/>
-    <ok to="done"/>
-    <error to="fail"/>
-  </action>
-  <kill name="fail"><message>failed</message></kill>
-  <end name="done"/>
-</workflow-app>"#;
+/// ingest, then stats and model in parallel, then publish.
+const PIPELINE: &str = r#"
+<workflow name="TEMPLATE" deadline="25m">
+  <job name="ingest" mappers="24" reducers="3" map-duration="45s" reduce-duration="90s"/>
+  <job name="stats" mappers="10" reducers="3" map-duration="45s" reduce-duration="90s">
+    <depends on="ingest"/>
+  </job>
+  <job name="model" mappers="10" reducers="3" map-duration="45s" reduce-duration="90s">
+    <depends on="ingest"/>
+  </job>
+  <job name="publish" mappers="10" reducers="3" map-duration="45s" reduce-duration="90s">
+    <depends on="stats"/>
+    <depends on="model"/>
+  </job>
+</workflow>"#;
 
-fn instance(index: usize, deadline: SimDuration) -> WorkflowSpec {
-    let xml = OOZIE_APP.replace("TEMPLATE", &format!("pipeline-{index}"));
-    let mut config = from_oozie_xml(&xml, |action| JobSizing {
-        mappers: if action == "ingest" { 24 } else { 10 },
-        reducers: 3,
-        map_duration: SimDuration::from_secs(45),
-        reduce_duration: SimDuration::from_secs(90),
-    })
-    .expect("valid hPDL");
-    config.relative_deadline = Some(deadline);
-    config.to_spec(SimTime::ZERO).expect("valid workflow")
+fn instance(index: usize) -> WorkflowSpec {
+    let xml = PIPELINE.replace("TEMPLATE", &format!("pipeline-{index}"));
+    WorkflowConfig::parse(&xml)
+        .expect("valid workflow XML")
+        .to_spec(SimTime::ZERO)
+        .expect("valid workflow")
 }
 
 fn main() {
@@ -64,9 +42,9 @@ fn main() {
 
     // Eight identical pipelines all want to finish within 25 minutes.
     let mut admitted = Vec::new();
-    println!("offering 8 Oozie pipelines (deadline 25m each) to an 18-slot cluster:\n");
+    println!("offering 8 fork/join pipelines (deadline 25m each) to an 18-slot cluster:\n");
     for i in 0..8 {
-        let w = instance(i, SimDuration::from_mins(25));
+        let w = instance(i);
         match gate.admit(&w, SimTime::ZERO) {
             Ok(()) => {
                 println!("  {} admitted", w.name());

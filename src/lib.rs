@@ -65,13 +65,13 @@ pub mod prelude {
         ShutdownSignal,
     };
     pub use woha_sim::{
-        run_simulation, run_simulation_observed, try_run_simulation, try_run_simulation_clocked,
-        try_run_simulation_observed, try_run_simulation_streamed,
-        try_run_simulation_streamed_observed, AdmissionGate, AdmissionReport, ClusterConfig,
-        DataPlane, DataPlaneReport, FaultConfig, JsonlTraceSink, LocalityConfig, MasterFaultConfig,
-        MemorySink, ObservabilityConfig, Observations, PredictionConfig, PredictionReport,
-        RecoveryReport, RejectCount, SchedulerState, ScriptedFault, SimConfig, SimError, SimReport,
-        SpeculationConfig, TraceEvent, TraceRecord, TraceSink, WorkflowPool, WorkflowScheduler,
+        run_simulation, run_simulation_observed, try_run_simulation_clocked,
+        try_run_simulation_streamed, try_run_simulation_streamed_observed, AdmissionGate,
+        AdmissionReport, ClusterConfig, DataPlane, DataPlaneReport, FaultConfig, JsonlTraceSink,
+        LocalityConfig, MasterFaultConfig, MemorySink, ObservabilityConfig, Observations,
+        PredictionConfig, PredictionReport, RecoveryReport, RejectCount, SchedulerState,
+        ScriptedFault, SimConfig, SimError, SimReport, SpeculationConfig, TraceEvent, TraceRecord,
+        TraceSink, WorkflowPool, WorkflowScheduler,
     };
     pub use woha_sim::{ArrivalBuffer, Clock, ServiceStats, SimClock, SourceWait, WallClock};
     pub use woha_trace::{

@@ -462,3 +462,57 @@ fn fifo_and_fair_are_deadline_blind() {
         }
     }
 }
+
+/// Time scaling: multiplying every duration, submit time and deadline by
+/// `k`, with the heartbeat and the submit latency, multiplies every
+/// completion time by `k`, under all six schedulers. The 3.2 s heartbeat
+/// over 32 nodes staggers node starts by an exact 100 ms.
+#[test]
+fn completion_times_scale_with_time() {
+    use woha_bench::runner::run_one;
+    use woha_bench::scenarios::{fig11_workflows, fig12_workflows};
+    use woha_bench::SchedulerKind;
+    let finished = |kind: SchedulerKind, flows: &[WorkflowSpec], k: u64| {
+        let flows: Vec<_> = flows
+            .iter()
+            .map(|w| {
+                let mut config = WorkflowConfig::from(w);
+                for job in &mut config.jobs {
+                    job.map_duration = job.map_duration * k;
+                    job.reduce_duration = job.reduce_duration * k;
+                }
+                config.relative_deadline = config.relative_deadline.map(|d| d * k);
+                let submit = SimTime::from_millis(w.submit_time().as_millis() * k);
+                config.to_spec(submit).expect("scaled workflow is valid")
+            })
+            .collect();
+        let heartbeat = SimDuration::from_millis(3_200) * k;
+        let cluster = ClusterConfig::uniform(32, 2, 1).with_heartbeat(heartbeat);
+        let config = SimConfig {
+            submit_latency: SimDuration::from_secs(1) * k,
+            ..SimConfig::default()
+        };
+        let report = run_one(kind, &flows, &cluster, &config);
+        let ms = report
+            .outcomes
+            .iter()
+            .map(|o| o.finished.map(SimTime::as_millis));
+        ms.collect::<Vec<_>>()
+    };
+    for (label, flows) in [
+        ("fig11", fig11_workflows()),
+        ("fig12x3", fig12_workflows(3)),
+    ] {
+        for kind in SchedulerKind::ALL {
+            let base = finished(kind, &flows, 1);
+            assert!(
+                base.iter().all(Option::is_some),
+                "{label} {kind}: completes"
+            );
+            for k in [2, 3, 7] {
+                let want: Vec<_> = base.iter().map(|t| t.map(|ms| ms * k)).collect();
+                assert_eq!(finished(kind, &flows, k), want, "{label} {kind}: x{k}");
+            }
+        }
+    }
+}
