@@ -9,7 +9,7 @@
 
 use crate::scenarios::{demo_cluster, fig11_workflows};
 use crate::table::Table;
-use woha_core::{CapMode, PriorityPolicy, ReplanConfig, WohaConfig, WohaScheduler};
+use woha_core::{CapMode, PriorityPolicy, WohaConfig, WohaScheduler};
 use woha_model::SimDuration;
 use woha_sim::{run_simulation, SimConfig, SimReport};
 
@@ -123,7 +123,7 @@ pub fn replan_ablation(jitter: f64, seeds: std::ops::Range<u64>) -> Table {
             run_simulation(&workflows, &mut s, &cluster, &config).deadline_misses()
         };
         let mut s = WohaScheduler::new(WohaConfig {
-            replan: Some(ReplanConfig::default()),
+            replan: true,
             ..WohaConfig::new(PriorityPolicy::Lpf, 96)
         });
         let report = run_simulation(&workflows, &mut s, &cluster, &config);

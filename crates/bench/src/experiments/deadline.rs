@@ -26,7 +26,7 @@ pub fn run_trace_sweep(scenario: &YahooScenario, jitter: f64, jobs: usize) -> Si
         sweep.push_kinds(
             &CellKey::new().with("cluster", label),
             &SchedulerKind::ALL,
-            workload.workflows(),
+            &workload,
             cluster,
             &config,
         );

@@ -44,7 +44,6 @@ pub fn reshuffle_points(quick: bool) -> Vec<(String, SimDuration)> {
 fn base_locality(max_delay_skips: u32, prefer_survivors: bool) -> LocalityConfig {
     LocalityConfig {
         replicas: 3,
-        remote_penalty: 1.3,
         max_delay_skips,
         prefer_survivors,
     }

@@ -439,8 +439,7 @@ fn locality_study(args: &Args) {
 fn failure_study(args: &Args) {
     use failures::{miss_ratio_table, run_failure_sweep, tardiness_table, PredictionMode};
     let scenario = YahooScenario::default();
-    let workload = yahoo_workload(&scenario);
-    let workflows = workload.workflows();
+    let workflows = &yahoo_workload(&scenario);
     let (label, cluster) = trace_clusters().remove(1); // 240m-240r
     let config = jittered(scenario.seed);
     let mttr = SimDuration::from_mins(5);

@@ -3,7 +3,7 @@
 use woha_model::{JobSpec, SimDuration, SimTime, WorkflowBuilder, WorkflowSpec};
 use woha_sim::ClusterConfig;
 use woha_trace::topology::paper_fig7;
-use woha_trace::workload::{DeadlineRule, ReleasePattern, Workload};
+use woha_trace::workload;
 use woha_trace::yahoo::{yahoo_workflows, YahooTraceConfig};
 use woha_trace::Rng;
 
@@ -131,7 +131,7 @@ impl Default for YahooScenario {
 /// Builds the Yahoo workload of §VI-A: 61 workflows / 180 jobs generated
 /// from the published trace statistics, single-job workflows removed (as
 /// the paper does), with releases and deadlines assigned per `scenario`.
-pub fn yahoo_workload(scenario: &YahooScenario) -> Workload {
+pub fn yahoo_workload(scenario: &YahooScenario) -> Vec<WorkflowSpec> {
     let mut rng = Rng::new(scenario.seed);
     // Job sizes are moderated relative to the raw 4000-job trace: the
     // paper's own Fig 13(b) shows its 61 workflows top out near 1450 tasks
@@ -143,18 +143,17 @@ pub fn yahoo_workload(scenario: &YahooScenario) -> Workload {
         ..YahooTraceConfig::default()
     };
     let flows = yahoo_workflows(&config, &mut rng);
-    Workload::assign(
+    let mut workflows = workload::assign(
         &flows,
-        ReleasePattern::UniformWindow(scenario.release_window),
-        DeadlineRule::UniformRelative {
-            min: scenario.deadline_min,
-            max: scenario.deadline_max,
-            floor_stretch: scenario.floor_stretch,
-            reference_slots: scenario.reference_slots,
-        },
+        scenario.release_window,
+        scenario.deadline_min,
+        scenario.deadline_max,
+        scenario.floor_stretch,
+        scenario.reference_slots,
         &mut rng,
-    )
-    .without_single_jobs()
+    );
+    workflows.retain(|w| !w.is_single_job());
+    workflows
 }
 
 /// The three cluster sizes of Figs 8–10.
@@ -209,15 +208,15 @@ mod tests {
     fn yahoo_workload_shape() {
         let w = yahoo_workload(&YahooScenario::default());
         assert_eq!(w.len(), 46);
-        assert_eq!(w.total_jobs(), 165);
+        assert_eq!(w.iter().map(WorkflowSpec::job_count).sum::<usize>(), 165);
         // Deterministic per seed.
         let w2 = yahoo_workload(&YahooScenario::default());
-        assert_eq!(w.workflows(), w2.workflows());
+        assert_eq!(w, w2);
         // Everything has a real deadline.
-        assert!(w.workflows().iter().all(|x| x.deadline() != SimTime::MAX));
+        assert!(w.iter().all(|x| x.deadline() != SimTime::MAX));
         // The streaming source view yields the same workflows, ordered by
         // submit time (the driver's pull order).
-        let drained = woha_trace::drain(&mut w2.into_source());
+        let drained = woha_trace::drain(&mut woha_trace::VecSource::new(w2));
         assert_eq!(drained.len(), w.len());
         assert!(drained
             .windows(2)

@@ -708,8 +708,12 @@ fn parse_cluster(raw: &str) -> Result<ClusterConfig, String> {
         .map(|part| part.parse().map_err(|_| "expected NxMxR like 32x2x1"))
         .collect::<Result<_, _>>()?;
     match nums[..] {
-        [n, m, r] if n > 0 && (m > 0 || r > 0) => Ok(ClusterConfig::uniform(n, m, r)),
-        [_, _, _] => Err("empty cluster".to_string()),
+        [n, m, r] if n == 0 || (m == 0 && r == 0) => Err("empty cluster".to_string()),
+        // The simulator keeps per-node and cluster-wide slot totals in u32.
+        [n, m, r] if u64::from(n) * (u64::from(m) + u64::from(r)) > u64::from(u32::MAX) => {
+            Err(format!("more than {} slots in total", u32::MAX))
+        }
+        [n, m, r] => Ok(ClusterConfig::uniform(n, m, r)),
         _ => Err("expected NxMxR like 32x2x1".to_string()),
     }
 }
@@ -980,7 +984,6 @@ fn serve_command(s: &Scanned) -> Result<Command, String> {
                 stop_file: s.text("--stop-file").map(Into::into),
                 idle_timeout: s.duration("--idle-timeout")?.map(to_real),
                 max_arrivals: s.positive("--max-arrivals")?,
-                ..ShutdownConfig::default()
             },
         },
     }))
@@ -1561,6 +1564,13 @@ mod tests {
         assert!(parse(&args(&["simulate", "a.xml", "--cluster", "3x2"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--cluster", "0x2x1"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--cluster", "3x0x0"])).is_err());
+        for overflowing in ["3000000x3000x3000", "2x4294967295x1"] {
+            let err = parse(&args(&["simulate", "a.xml", "--cluster", overflowing])).unwrap_err();
+            assert!(err.contains("--cluster"), "{err}");
+            assert!(parse(&args(&["serve", "--follow", "f", "--cluster", overflowing])).is_err());
+        }
+        // The largest cluster that fits is accepted.
+        assert!(parse(&args(&["simulate", "a.xml", "--cluster", "1x4294967295x0"])).is_ok());
         assert!(parse(&args(&["simulate", "a.xml", "--scheduler", "magic"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--jitter", "1.5"])).is_err());
         assert!(parse(&args(&["simulate", "a.xml", "--failures", "1"])).is_err());

@@ -66,7 +66,7 @@ pub use plangen::{
 };
 pub use priority::{JobPriorities, PriorityPolicy};
 pub use progress::WorkflowProgress;
-pub use replan::{remaining_workflow, ReplanConfig};
+pub use replan::remaining_workflow;
 pub use skiplist::SkipList;
 pub use woha::{WohaConfig, WohaScheduler};
 

@@ -14,28 +14,15 @@
 
 use crate::plangen::{generate_plan_with_budget, CapMode};
 use crate::priority::{JobPriorities, PriorityPolicy};
-use serde::{Deserialize, Serialize};
 use woha_model::{JobSpec, SimDuration, WorkflowBuilder, WorkflowSpec};
 use woha_sim::{JobPhase, WorkflowState};
 
-/// When to replan a workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReplanConfig {
-    /// Replan once the progress lag exceeds this fraction of the
-    /// workflow's total tasks.
-    pub lag_fraction: f64,
-    /// Minimum spacing between replans of the same workflow.
-    pub min_interval: SimDuration,
-}
+/// Replan once the progress lag exceeds this fraction of the workflow's
+/// total tasks.
+pub(crate) const LAG_FRACTION: f64 = 0.15;
 
-impl Default for ReplanConfig {
-    fn default() -> Self {
-        ReplanConfig {
-            lag_fraction: 0.15,
-            min_interval: SimDuration::from_mins(2),
-        }
-    }
-}
+/// Minimum spacing between replans of the same workflow.
+pub(crate) const MIN_INTERVAL: SimDuration = SimDuration::from_mins(2);
 
 /// Builds a [`WorkflowSpec`] describing the *remaining* work of a running
 /// workflow: completed jobs disappear, partially-executed jobs shrink to

@@ -19,7 +19,7 @@ use crate::plangen::{
 };
 use crate::priority::{JobPriorities, PriorityPolicy};
 use crate::progress::WorkflowProgress;
-use crate::replan::{replan, ReplanConfig};
+use crate::replan::{replan, LAG_FRACTION, MIN_INTERVAL};
 use serde::{Deserialize, Serialize, Value};
 use woha_model::{JobId, SimDuration, SimTime, SlotKind, WorkflowId};
 use woha_sim::{SchedTrace, SchedulerState, WorkflowPool, WorkflowScheduler};
@@ -39,10 +39,10 @@ pub struct WohaConfig {
     /// pace the workflow as if its deadline were 5 % earlier, absorbing
     /// submitter latencies, heartbeat quantization, and estimation error.
     pub plan_slack: f64,
-    /// Mid-flight replanning (see [`crate::replan`]); `None` (the default
+    /// Mid-flight replanning (see [`crate::replan`]); `false` (the default
     /// and the paper's behaviour) keeps the submission-time plan for the
     /// workflow's whole life.
-    pub replan: Option<ReplanConfig>,
+    pub replan: bool,
     /// Proactive failure padding (see [`crate::plangen::PadConfig`]):
     /// shrink each plan's makespan budget by the expected rework fraction
     /// so deadlines keep margin under node churn. `None` (the default and
@@ -59,7 +59,7 @@ impl WohaConfig {
             cap_mode: CapMode::MinFeasible,
             total_slots,
             plan_slack: 0.08,
-            replan: None,
+            replan: false,
             padding: None,
         }
     }
@@ -236,18 +236,19 @@ impl WohaScheduler {
 
     /// Replanning checkpoint shared by job completions and node losses:
     /// replaces the workflow's plan when it has fallen far enough behind
-    /// and the previous replan is old enough (see [`ReplanConfig`]).
+    /// and the previous replan is old enough (see [`LAG_FRACTION`] and
+    /// [`MIN_INTERVAL`]).
     fn maybe_replan(&mut self, pool: &WorkflowPool, wf: WorkflowId, now: SimTime) {
-        let Some(rc) = self.config.replan else {
+        if !self.config.replan {
             return;
-        };
+        }
         let slot = wf.as_u64() as usize;
         let Some(record) = self.records.get(slot).and_then(Option::as_ref) else {
             return;
         };
-        let threshold = (record.plan().total_tasks() as f64 * rc.lag_fraction) as i64;
+        let threshold = (record.plan().total_tasks() as f64 * LAG_FRACTION) as i64;
         if record.lag() <= threshold.max(1)
-            || now.saturating_since(self.last_replan[slot]) < rc.min_interval
+            || now.saturating_since(self.last_replan[slot]) < MIN_INTERVAL
         {
             return;
         }
@@ -296,7 +297,7 @@ struct WohaSnapshot {
 }
 
 impl SchedulerState for WohaScheduler {
-    /// The encoding of a [`WohaSnapshot`] of `self`, built from references
+    /// The encoding of a `WohaSnapshot` of `self`, built from references
     /// rather than from a cloned one.
     fn snapshot_state(&self) -> Value {
         Value::Object(vec![
@@ -441,7 +442,7 @@ impl WorkflowScheduler for WohaScheduler {
         // (rolled-back tasks plus invalidated map outputs), so treat it as
         // a replanning checkpoint for every queued workflow. `maybe_replan`
         // itself filters by lag threshold and the per-workflow cooldown.
-        if self.config.replan.is_none() {
+        if !self.config.replan {
             return;
         }
         let queued: Vec<WorkflowId> = self
@@ -643,10 +644,7 @@ mod tests {
         let workflows = vec![make("w1"), make("w2")];
         let cluster = ClusterConfig::uniform(2, 2, 0);
         let mut sched = WohaScheduler::new(WohaConfig {
-            replan: Some(crate::replan::ReplanConfig {
-                lag_fraction: 0.1,
-                min_interval: SimDuration::from_secs(30),
-            }),
+            replan: true,
             ..WohaConfig::new(PriorityPolicy::Lpf, 4)
         });
         let report = run_simulation(&workflows, &mut sched, &cluster, &SimConfig::default());
@@ -668,7 +666,7 @@ mod tests {
         };
         let with_replan = {
             let mut s = WohaScheduler::new(WohaConfig {
-                replan: Some(crate::replan::ReplanConfig::default()),
+                replan: true,
                 ..WohaConfig::new(PriorityPolicy::Lpf, 9)
             });
             run_simulation(&workflows, &mut s, &cluster, &SimConfig::default())
@@ -710,16 +708,13 @@ mod tests {
         // node-loss notification: the on_node_lost checkpoint must replan
         // without waiting for a job completion.
         let mut pool = woha_sim::WorkflowPool::new();
-        let wf = pool.register(chain_workflow("w", 0, 120));
+        let wf = pool.register(chain_workflow("w", 0, 240));
         let mut sched = WohaScheduler::new(WohaConfig {
-            replan: Some(crate::replan::ReplanConfig {
-                lag_fraction: 0.1,
-                min_interval: SimDuration::from_secs(1),
-            }),
+            replan: true,
             ..WohaConfig::new(PriorityPolicy::Lpf, 9)
         });
         sched.on_workflow_submitted(&pool, wf, SimTime::ZERO);
-        let now = SimTime::from_secs(60);
+        let now = SimTime::from_secs(150);
         let _ = sched.assign_task(&pool, SlotKind::Map, now); // refresh lags
         assert_eq!(sched.replans(), 0);
         sched.on_node_lost(&pool, woha_model::NodeId::new(0), now);
@@ -758,18 +753,15 @@ mod tests {
         // rollback and a padded plan.
         let mut pool = woha_sim::WorkflowPool::new();
         let mut sched = WohaScheduler::new(WohaConfig {
-            replan: Some(crate::replan::ReplanConfig {
-                lag_fraction: 0.1,
-                min_interval: SimDuration::from_secs(1),
-            }),
+            replan: true,
             padding: Some(PadConfig::new(SimDuration::from_mins(5))),
             ..WohaConfig::new(PriorityPolicy::Lpf, 9)
         });
         for (at, name) in [(0, "a"), (1, "b"), (2, "c")] {
-            let wf = pool.register(chain_workflow(name, at, 120));
+            let wf = pool.register(chain_workflow(name, at, 240));
             sched.on_workflow_submitted(&pool, wf, SimTime::from_secs(at));
         }
-        let now = SimTime::from_secs(60);
+        let now = SimTime::from_secs(150);
         let (wf, job) = (WorkflowId::new(0), JobId::new(0));
         sched.on_task_assigned(&pool, wf, job, SlotKind::Map, now);
         sched.on_task_failed(&pool, wf, job, SlotKind::Map, now);

@@ -23,7 +23,6 @@ use std::collections::VecDeque;
 /// g.add_edge(1, 2);
 /// assert_eq!(g.topo_sort().unwrap(), vec![0, 1, 2]);
 /// assert_eq!(g.sources(), vec![0]);
-/// assert_eq!(g.sinks(), vec![2]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dag {
@@ -74,22 +73,10 @@ impl Dag {
         &self.succs[node]
     }
 
-    /// Predecessors (direct prerequisites) of `node`.
-    pub fn predecessors(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-
     /// Nodes with no predecessors, in index order.
     pub fn sources(&self) -> Vec<usize> {
         (0..self.node_count())
             .filter(|&v| self.preds[v].is_empty())
-            .collect()
-    }
-
-    /// Nodes with no successors, in index order.
-    pub fn sinks(&self) -> Vec<usize> {
-        (0..self.node_count())
-            .filter(|&v| self.succs[v].is_empty())
             .collect()
     }
 
@@ -193,22 +180,6 @@ impl Dag {
             .unwrap_or(0))
     }
 
-    /// All nodes reachable from `start` by following successor edges,
-    /// excluding `start` itself, in ascending index order.
-    pub fn reachable_from(&self, start: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.node_count()];
-        let mut stack = vec![start];
-        while let Some(v) = stack.pop() {
-            for &s in &self.succs[v] {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        (0..self.node_count()).filter(|&v| seen[v]).collect()
-    }
-
     /// Number of direct dependents of every node (out-degree). This is the
     /// quantity ranked by the paper's Maximum Parallelism First policy.
     pub fn out_degrees(&self) -> Vec<usize> {
@@ -244,7 +215,6 @@ mod tests {
         g.add_edge(0, 1);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.successors(0), &[1]);
-        assert_eq!(g.predecessors(1), &[0]);
     }
 
     #[test]
@@ -312,15 +282,6 @@ mod tests {
     fn sources_and_sinks() {
         let g = diamond();
         assert_eq!(g.sources(), vec![0]);
-        assert_eq!(g.sinks(), vec![3]);
-    }
-
-    #[test]
-    fn reachability() {
-        let g = diamond();
-        assert_eq!(g.reachable_from(0), vec![1, 2, 3]);
-        assert_eq!(g.reachable_from(1), vec![3]);
-        assert_eq!(g.reachable_from(3), Vec::<usize>::new());
     }
 
     #[test]
@@ -333,7 +294,6 @@ mod tests {
     fn disconnected_nodes_are_both_source_and_sink() {
         let g = Dag::new(2);
         assert_eq!(g.sources(), vec![0, 1]);
-        assert_eq!(g.sinks(), vec![0, 1]);
         assert_eq!(g.levels_from_sinks().unwrap(), vec![0, 0]);
     }
 }

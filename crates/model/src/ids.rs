@@ -145,7 +145,6 @@ impl From<u32> for NodeId {
 ///
 /// ```
 /// use woha_model::SlotKind;
-/// assert_eq!(SlotKind::Map.opposite(), SlotKind::Reduce);
 /// assert_eq!(SlotKind::Map.to_string(), "map");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -157,14 +156,6 @@ pub enum SlotKind {
 }
 
 impl SlotKind {
-    /// Returns the other slot kind.
-    pub const fn opposite(self) -> Self {
-        match self {
-            SlotKind::Map => SlotKind::Reduce,
-            SlotKind::Reduce => SlotKind::Map,
-        }
-    }
-
     /// Both slot kinds, in `[Map, Reduce]` order.
     pub const ALL: [SlotKind; 2] = [SlotKind::Map, SlotKind::Reduce];
 }
@@ -249,14 +240,6 @@ mod tests {
     fn node_id_display() {
         assert_eq!(NodeId::new(3).to_string(), "node3");
         assert_eq!(NodeId::from(3u32).index(), 3);
-    }
-
-    #[test]
-    fn slot_kind_opposite_is_involution() {
-        for kind in SlotKind::ALL {
-            assert_eq!(kind.opposite().opposite(), kind);
-        }
-        assert_ne!(SlotKind::Map, SlotKind::Reduce);
     }
 
     #[test]

@@ -98,16 +98,6 @@ impl JobSpec {
         self.reduce_tasks == 0
     }
 
-    /// A lower bound on the job's makespan given unlimited slots: one map
-    /// wave plus (if any reducers) one reduce wave.
-    pub fn min_makespan(&self) -> SimDuration {
-        if self.is_map_only() {
-            self.map_duration
-        } else {
-            self.map_duration.saturating_add(self.reduce_duration)
-        }
-    }
-
     /// Total slot-time this job consumes:
     /// `m_i^j * M_i^j + r_i^j * R_i^j`.
     pub fn total_work(&self) -> SimDuration {
@@ -155,7 +145,6 @@ mod tests {
         let j = sample();
         assert_eq!(j.total_tasks(), 12);
         assert_eq!(j.length(), SimDuration::from_secs(130));
-        assert_eq!(j.min_makespan(), SimDuration::from_secs(130));
         assert_eq!(j.total_work(), SimDuration::from_secs(10 * 30 + 2 * 100));
     }
 
@@ -163,7 +152,7 @@ mod tests {
     fn map_only_job() {
         let j = JobSpec::new("m", 4, 0, SimDuration::from_secs(10), SimDuration::ZERO);
         assert!(j.is_map_only());
-        assert_eq!(j.min_makespan(), SimDuration::from_secs(10));
+        assert_eq!(j.length(), SimDuration::from_secs(10));
         assert_eq!(j.total_work(), SimDuration::from_secs(40));
     }
 

@@ -274,7 +274,6 @@ mod tests {
                 },
                 shutdown: ShutdownConfig {
                     idle_timeout: Some(Duration::from_millis(150)),
-                    poll: Duration::from_millis(5),
                     ..ShutdownConfig::default()
                 },
                 ..ServeConfig::default()

@@ -112,7 +112,7 @@ impl ShutdownSignal {
 
 /// Conditions the [`Watcher`] polls for. All default to disabled; a
 /// service with every condition disabled only stops when its source ends.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShutdownConfig {
     /// Stop when this file exists.
     pub stop_file: Option<PathBuf>,
@@ -120,20 +120,10 @@ pub struct ShutdownConfig {
     pub idle_timeout: Option<Duration>,
     /// Stop once this many workflows have arrived.
     pub max_arrivals: Option<u64>,
-    /// Watcher poll interval (clamped to at least 1ms).
-    pub poll: Duration,
 }
 
-impl Default for ShutdownConfig {
-    fn default() -> Self {
-        ShutdownConfig {
-            stop_file: None,
-            idle_timeout: None,
-            max_arrivals: None,
-            poll: Duration::from_millis(25),
-        }
-    }
-}
+/// How often the [`Watcher`] checks its conditions.
+const POLL: Duration = Duration::from_millis(25);
 
 impl ShutdownConfig {
     fn armed(&self) -> bool {
@@ -159,7 +149,6 @@ impl Watcher {
             return Watcher { done, handle: None };
         }
         let exit = Arc::clone(&done);
-        let poll = config.poll.max(Duration::from_millis(1));
         let handle = std::thread::spawn(move || {
             let mut last_count = stats.arrivals();
             let mut last_change = Instant::now();
@@ -189,7 +178,7 @@ impl Watcher {
                         return;
                     }
                 }
-                std::thread::sleep(poll);
+                std::thread::sleep(POLL);
             }
         });
         Watcher {
@@ -257,7 +246,6 @@ mod tests {
         let watcher = Watcher::spawn(
             ShutdownConfig {
                 stop_file: Some(stop_path.clone()),
-                poll: Duration::from_millis(2),
                 ..ShutdownConfig::default()
             },
             ServiceStats::default(),
@@ -282,7 +270,6 @@ mod tests {
         let watcher = Watcher::spawn(
             ShutdownConfig {
                 idle_timeout: Some(Duration::from_millis(60)),
-                poll: Duration::from_millis(5),
                 ..ShutdownConfig::default()
             },
             stats.clone(),
@@ -311,7 +298,6 @@ mod tests {
         let watcher = Watcher::spawn(
             ShutdownConfig {
                 max_arrivals: Some(3),
-                poll: Duration::from_millis(2),
                 ..ShutdownConfig::default()
             },
             stats,

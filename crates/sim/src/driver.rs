@@ -91,9 +91,6 @@ pub enum SimError {
     ZeroMasterMttr,
     /// Locality is enabled with zero replicas per map task.
     ZeroLocalityReplicas,
-    /// Locality is enabled with a remote penalty below 1.0 (running a
-    /// remote map would be *faster* than a local one).
-    SubUnityRemotePenalty,
     /// Rack faults are enabled with a zero MTBF.
     ZeroRackMtbf,
     /// [`ObservabilityConfig::sample_interval`] is set to zero.
@@ -118,9 +115,6 @@ impl fmt::Display for SimError {
             SimError::ZeroLocalityReplicas => {
                 write!(f, "locality needs at least one replica per map task")
             }
-            SimError::SubUnityRemotePenalty => {
-                write!(f, "locality remote penalty must be at least 1.0")
-            }
             SimError::ZeroRackMtbf => {
                 write!(f, "rack faults need a positive MTBF")
             }
@@ -136,8 +130,8 @@ impl std::error::Error for SimError {}
 /// Data-locality modelling for map tasks (HDFS-style block placement).
 ///
 /// Each map task gets `replicas` preferred nodes (deterministic per task);
-/// running it elsewhere multiplies its duration by `remote_penalty`
-/// (reading its input block over the network). `max_delay_skips` enables
+/// running it elsewhere multiplies its duration by 1.3 (reading its
+/// input block over the network). `max_delay_skips` enables
 /// *delay scheduling* (Zaharia et al., EuroSys'10 — the paper's related
 /// work \[4\]): when the chosen job has no pending map task local to the
 /// offering node, the slot offer is declined up to that many consecutive
@@ -146,8 +140,6 @@ impl std::error::Error for SimError {}
 pub struct LocalityConfig {
     /// Preferred replicas per map task (HDFS default: 3).
     pub replicas: u32,
-    /// Duration multiplier for a non-local map task (>= 1.0).
-    pub remote_penalty: f64,
     /// Consecutive non-local offers a job may decline (0 = no delay
     /// scheduling).
     pub max_delay_skips: u32,
@@ -158,11 +150,13 @@ pub struct LocalityConfig {
     pub prefer_survivors: bool,
 }
 
+/// Duration multiplier for a non-local map task.
+const REMOTE_PENALTY: f64 = 1.3;
+
 impl Default for LocalityConfig {
     fn default() -> Self {
         LocalityConfig {
             replicas: 3,
-            remote_penalty: 1.3,
             max_delay_skips: 0,
             prefer_survivors: false,
         }
@@ -897,7 +891,7 @@ impl<'a> Sim<'a> {
         // may be declined entirely under delay scheduling.
         let mut locality_factor = 1.0;
         let mut picked_task: Option<u32> = None;
-        if let (SlotKind::Map, Some(loc)) = (kind, self.config.locality) {
+        if kind == SlotKind::Map && self.config.locality.is_some() {
             let spec_maps = self.pool.workflow(wf).spec().job(job).map_tasks();
             let Some((task, local)) = self.data.pick_map_task(wf, job, node, spec_maps) else {
                 self.counters.delay_skip_count += 1;
@@ -908,7 +902,7 @@ impl<'a> Sim<'a> {
                 self.counters.local_map_tasks += 1;
             } else {
                 self.counters.remote_map_tasks += 1;
-                locality_factor = loc.remote_penalty;
+                locality_factor = REMOTE_PENALTY;
             }
         }
         let jitter = jitter_factor(
@@ -1379,7 +1373,7 @@ pub fn run_simulation(
 ///
 /// For a [`VecSource`] over the same workflows the report is byte-identical
 /// to [`run_simulation`]. A rejected workflow never enters the cluster: it
-/// produces no [`WorkflowOutcome`](crate::metrics::WorkflowOutcome) and is
+/// produces no [`WorkflowOutcome`] and is
 /// only counted in [`SimReport::admission`].
 ///
 /// # Errors
@@ -1516,17 +1510,10 @@ fn validate(cluster: &ClusterConfig, config: &SimConfig) -> Result<(), SimError>
         }
     }
     if let Some(loc) = &config.locality {
+        // A replica count above the node count is legal: placement
+        // clamps it.
         if loc.replicas == 0 {
             return Err(SimError::ZeroLocalityReplicas);
-        }
-        // NaN compares false on both sides, so a NaN penalty is rejected
-        // too. (A replica count above the node count is legal: placement
-        // clamps it.)
-        if !matches!(
-            loc.remote_penalty.partial_cmp(&1.0),
-            Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-        ) {
-            return Err(SimError::SubUnityRemotePenalty);
         }
     }
     if cluster.faults().rack_mtbf.is_some_and(|d| d.is_zero()) {

@@ -375,7 +375,6 @@ fn delay_scheduling_improves_locality() {
         let cfg = SimConfig {
             locality: Some(LocalityConfig {
                 replicas: 1,
-                remote_penalty: 2.0,
                 max_delay_skips: skips,
                 ..LocalityConfig::default()
             }),
@@ -1045,28 +1044,6 @@ mod racks {
             try_run(&cluster, &zero_replicas),
             Err(SimError::ZeroLocalityReplicas)
         );
-        let weak_penalty = SimConfig {
-            locality: Some(LocalityConfig {
-                remote_penalty: 0.5,
-                ..LocalityConfig::default()
-            }),
-            ..SimConfig::default()
-        };
-        assert_eq!(
-            try_run(&cluster, &weak_penalty),
-            Err(SimError::SubUnityRemotePenalty)
-        );
-        let nan_penalty = SimConfig {
-            locality: Some(LocalityConfig {
-                remote_penalty: f64::NAN,
-                ..LocalityConfig::default()
-            }),
-            ..SimConfig::default()
-        };
-        assert_eq!(
-            try_run(&cluster, &nan_penalty),
-            Err(SimError::SubUnityRemotePenalty)
-        );
         let zero_rack_mtbf =
             ClusterConfig::uniform(2, 2, 1)
                 .with_racks(2)
@@ -1093,7 +1070,6 @@ mod racks {
             try_run(&cluster, &zero_interval),
             Err(SimError::ZeroSampleInterval)
         );
-        assert!(SimError::SubUnityRemotePenalty.to_string().contains("1.0"));
         assert!(SimError::ZeroRackMtbf.to_string().contains("MTBF"));
         assert!(SimError::ZeroSampleInterval
             .to_string()

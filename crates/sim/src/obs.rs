@@ -8,12 +8,12 @@
 //! writes, and WAL replay spans — and that record is
 //! the only way it reports anything. One observer fans each record out to
 //! the consumers [`ObservabilityConfig`] turns on: a caller-supplied
-//! [`TraceSink`], the [`MetricsRegistry`](crate::metrics::MetricsRegistry)
-//! (whose counters count records), and the recorder of the Figs 14–19 slot
-//! timelines (which folds task starts, completions and kills, and node
-//! outages). With every consumer off (the default), the only cost on the
-//! hot path is a `None` check, and reports are byte-identical to
-//! pre-observability output (proven by the E2E tests).
+//! [`TraceSink`], the [`MetricsRegistry`] (whose counters count records),
+//! and the recorder of the Figs 14–19 slot timelines (which folds task
+//! starts, completions and kills, and node outages). With every consumer
+//! off (the default), the only cost on the hot path is a `None` check, and
+//! reports are byte-identical to pre-observability output (proven by the
+//! E2E tests).
 //!
 //! Two exporters turn the collected data into standard tooling formats:
 //!
@@ -22,9 +22,8 @@
 //!   cluster node, a scheduler-decisions track, and counter tracks from
 //!   the sampled gauges; every timestamp is simulated time, so the file is
 //!   deterministic across runs.
-//! - [`Observations::prometheus_text`] renders the
-//!   [`MetricsRegistry`](crate::metrics::MetricsRegistry) in the
-//!   Prometheus text exposition format.
+//! - [`Observations::prometheus_text`] renders the [`MetricsRegistry`]
+//!   in the Prometheus text exposition format.
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::{MetricsRegistry, TimelineRecorder, Timelines};

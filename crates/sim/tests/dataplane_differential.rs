@@ -170,7 +170,6 @@ proptest! {
             replicas,
             max_delay_skips,
             prefer_survivors: survivors == 1,
-            ..LocalityConfig::default()
         };
         let mut plane = DataPlane::new(seed, &cluster, Some(loc));
         let mut reference = Reference { seed, cluster, loc, jobs: BTreeMap::new() };

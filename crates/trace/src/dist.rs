@@ -2,8 +2,8 @@
 //!
 //! The Yahoo! trace statistics the paper publishes (Fig 5 and Fig 6) are
 //! heavy-tailed: task durations span three decades and task counts four.
-//! [`LogNormal`] and [`BoundedPareto`] reproduce those shapes;
-//! [`Discrete`] draws from explicit weighted choices.
+//! [`LogNormal`] and [`BoundedPareto`] reproduce those shapes, and
+//! [`Clamped`] bounds them.
 
 use crate::rng::Rng;
 
@@ -11,36 +11,6 @@ use crate::rng::Rng;
 pub trait Distribution {
     /// Draws one sample.
     fn sample(&self, rng: &mut Rng) -> f64;
-
-    /// Draws `n` samples into a vector.
-    fn sample_n(&self, rng: &mut Rng, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-}
-
-/// The uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or either bound is non-finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "bad range");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
 }
 
 /// A log-normal distribution, parameterized by the **median** and the
@@ -135,137 +105,6 @@ impl Distribution for BoundedPareto {
     }
 }
 
-/// The exponential distribution with the given mean, sampled by inverse
-/// transform. The memoryless workhorse for failure models: node
-/// time-to-failure (mean = MTBF) and time-to-repair (mean = MTTR) in the
-/// simulator's fault injector follow this shape.
-///
-/// # Examples
-///
-/// ```
-/// use woha_trace::{Distribution, Exponential, Rng};
-/// let d = Exponential::new(3_600.0); // MTBF of one hour, in seconds
-/// let x = d.sample(&mut Rng::new(1));
-/// assert!(x > 0.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive and finite.
-    pub fn new(mean: f64) -> Self {
-        assert!(mean > 0.0 && mean.is_finite(), "mean must be positive");
-        Exponential { mean }
-    }
-
-    /// The distribution's mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        // Inverse CDF; `1 - u` keeps ln() away from zero since u ∈ [0, 1).
-        -self.mean * (1.0 - rng.next_f64()).ln()
-    }
-}
-
-/// A discrete distribution over weighted `f64` values.
-///
-/// # Examples
-///
-/// ```
-/// use woha_trace::{Discrete, Distribution, Rng};
-/// // 1 reducer 70% of the time, 10 reducers 30%.
-/// let d = Discrete::new(vec![(1.0, 0.7), (10.0, 0.3)]);
-/// let x = d.sample(&mut Rng::new(1));
-/// assert!(x == 1.0 || x == 10.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Discrete {
-    values: Vec<f64>,
-    cumulative: Vec<f64>,
-}
-
-impl Discrete {
-    /// Creates a discrete distribution from `(value, weight)` pairs.
-    /// Weights need not sum to 1; they are normalized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `choices` is empty, any weight is negative, or all weights
-    /// are zero.
-    pub fn new(choices: Vec<(f64, f64)>) -> Self {
-        assert!(!choices.is_empty(), "no choices");
-        let total: f64 = choices.iter().map(|&(_, w)| w).sum();
-        assert!(
-            total > 0.0 && choices.iter().all(|&(_, w)| w >= 0.0),
-            "weights must be non-negative and not all zero"
-        );
-        let mut values = Vec::with_capacity(choices.len());
-        let mut cumulative = Vec::with_capacity(choices.len());
-        let mut acc = 0.0;
-        for (v, w) in choices {
-            acc += w / total;
-            values.push(v);
-            cumulative.push(acc);
-        }
-        // Guard against floating-point undersum.
-        *cumulative.last_mut().expect("non-empty") = 1.0;
-        Discrete { values, cumulative }
-    }
-}
-
-impl Distribution for Discrete {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        let u = rng.next_f64();
-        let idx = self
-            .cumulative
-            .iter()
-            .position(|&c| u < c)
-            .unwrap_or(self.values.len() - 1);
-        self.values[idx]
-    }
-}
-
-/// A mixture of two distributions: draw from `first` with probability `p`,
-/// otherwise from `second`. Used to compose "body + heavy tail" shapes.
-#[derive(Debug, Clone)]
-pub struct Mixture<A, B> {
-    first: A,
-    second: B,
-    p: f64,
-}
-
-impl<A: Distribution, B: Distribution> Mixture<A, B> {
-    /// Creates a mixture drawing from `first` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn new(first: A, second: B, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be a probability");
-        Mixture { first, second, p }
-    }
-}
-
-impl<A: Distribution, B: Distribution> Distribution for Mixture<A, B> {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        if rng.gen_bool(self.p) {
-            self.first.sample(rng)
-        } else {
-            self.second.sample(rng)
-        }
-    }
-}
-
 /// Clamps another distribution's samples into `[lo, hi]`.
 #[derive(Debug, Clone)]
 pub struct Clamped<D> {
@@ -303,17 +142,9 @@ mod tests {
 
     fn sorted_samples<D: Distribution>(d: &D, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Rng::new(seed);
-        let mut s = d.sample_n(&mut rng, n);
+        let mut s: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         s.sort_by(|a, b| a.partial_cmp(b).unwrap());
         s
-    }
-
-    #[test]
-    fn uniform_moments() {
-        let s = sorted_samples(&Uniform::new(10.0, 20.0), 50_000, 1);
-        assert!(s[0] >= 10.0 && *s.last().unwrap() < 20.0);
-        let mean = s.iter().sum::<f64>() / s.len() as f64;
-        assert!((mean - 15.0).abs() < 0.1, "mean {mean}");
     }
 
     #[test]
@@ -352,48 +183,6 @@ mod tests {
         let light = sorted_samples(&BoundedPareto::new(1.0, 1_000.0, 2.0), 50_000, 5);
         let heavy = sorted_samples(&BoundedPareto::new(1.0, 1_000.0, 0.3), 50_000, 5);
         assert!(percentile(&heavy, 0.9) > percentile(&light, 0.9));
-    }
-
-    #[test]
-    fn exponential_mean_and_memorylessness() {
-        let d = Exponential::new(100.0);
-        assert_eq!(d.mean(), 100.0);
-        let s = sorted_samples(&d, 50_000, 9);
-        assert!(s[0] >= 0.0);
-        let mean = s.iter().sum::<f64>() / s.len() as f64;
-        assert!((mean - 100.0).abs() / 100.0 < 0.03, "mean {mean}");
-        // Median of Exp(λ) is mean·ln 2.
-        let med = percentile(&s, 0.5);
-        assert!((med - 100.0 * 2f64.ln()).abs() / med < 0.05, "median {med}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn exponential_rejects_zero_mean() {
-        Exponential::new(0.0);
-    }
-
-    #[test]
-    fn discrete_frequencies() {
-        let d = Discrete::new(vec![(1.0, 3.0), (2.0, 1.0)]);
-        let s = sorted_samples(&d, 40_000, 6);
-        let ones = s.iter().filter(|&&x| x == 1.0).count();
-        assert!((28_000..32_000).contains(&ones), "ones {ones}");
-        assert!(s.iter().all(|&x| x == 1.0 || x == 2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "no choices")]
-    fn discrete_empty_panics() {
-        Discrete::new(vec![]);
-    }
-
-    #[test]
-    fn mixture_blends() {
-        let d = Mixture::new(Uniform::new(0.0, 1.0), Uniform::new(10.0, 11.0), 0.5);
-        let s = sorted_samples(&d, 20_000, 7);
-        let low = s.iter().filter(|&&x| x < 5.0).count();
-        assert!((9_000..11_000).contains(&low), "low {low}");
     }
 
     #[test]

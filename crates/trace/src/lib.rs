@@ -9,19 +9,22 @@
 //! # Quick example
 //!
 //! ```
-//! use woha_trace::{Rng, yahoo::{yahoo_workflows, YahooTraceConfig}};
-//! use woha_trace::workload::{DeadlineRule, ReleasePattern, Workload};
+//! use woha_trace::{Rng, workload, yahoo::{yahoo_workflows, YahooTraceConfig}};
 //! use woha_model::SimDuration;
 //!
 //! let mut rng = Rng::new(42);
 //! let flows = yahoo_workflows(&YahooTraceConfig::default(), &mut rng);
-//! let workload = Workload::assign(
+//! let mut workflows = workload::assign(
 //!     &flows,
-//!     ReleasePattern::UniformWindow(SimDuration::from_mins(10)),
-//!     DeadlineRule::Stretch { min: 1.5, max: 3.0, reference_slots: 240 },
+//!     SimDuration::from_mins(10),
+//!     SimDuration::from_mins(4),
+//!     SimDuration::from_mins(12),
+//!     1.4,
+//!     240,
 //!     &mut rng,
-//! ).without_single_jobs();
-//! assert_eq!(workload.len(), 46);
+//! );
+//! workflows.retain(|w| !w.is_single_job());
+//! assert_eq!(workflows.len(), 46);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,13 +38,10 @@ pub mod topology;
 pub mod workload;
 pub mod yahoo;
 
-pub use dist::{
-    BoundedPareto, Clamped, Discrete, Distribution, Exponential, LogNormal, Mixture, Uniform,
-};
+pub use dist::{BoundedPareto, Clamped, Distribution, LogNormal};
 pub use rng::Rng;
 pub use source::{
     drain, to_jsonl, ChannelSource, FollowSource, GeneratorSource, JsonlSource, SourcePoll,
     SourceStop, VecSource, WorkloadSource,
 };
-pub use workload::{DeadlineRule, ReleasePattern, Workload};
 pub use yahoo::YahooTraceConfig;

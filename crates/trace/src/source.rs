@@ -11,8 +11,9 @@
 //! # Source contract
 //!
 //! - [`peek_time`](WorkloadSource::peek_time) returns the submit time of
-//!   the next arrival without consuming it; [`next_workflow`]
-//!   (WorkloadSource::next_workflow) consumes and returns it. After
+//!   the next arrival without consuming it;
+//!   [`next_workflow`](WorkloadSource::next_workflow) consumes and returns
+//!   it. After
 //!   `peek_time` returns `Some(t)`, the next `next_workflow` call must
 //!   return a spec whose submit time is exactly `t`.
 //! - Arrival times must be **nondecreasing**: once a source has yielded an

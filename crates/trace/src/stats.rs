@@ -1,4 +1,4 @@
-//! Empirical statistics: CDFs, log-scale histograms, and summaries.
+//! Empirical statistics: CDFs and log-scale histograms.
 //!
 //! The paper reports its trace characterization (Figs 3, 5, 6) as CDFs and
 //! decade histograms; this module computes the same artifacts from samples
@@ -77,17 +77,6 @@ impl Cdf {
     /// The sample mean.
     pub fn mean(&self) -> f64 {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// `(x, F(x))` pairs at `points` evenly spaced quantiles, for plotting.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two points");
-        (0..points)
-            .map(|i| {
-                let p = i as f64 / (points - 1) as f64;
-                (self.percentile(p.max(1e-9)), p)
-            })
-            .collect()
     }
 }
 
@@ -177,55 +166,6 @@ impl fmt::Display for DecadeHistogram {
     }
 }
 
-/// Five-number summary plus mean, for one metric column.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample count.
-    pub count: usize,
-}
-
-impl Summary {
-    /// Summarizes samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no finite samples.
-    pub fn from_samples(samples: impl IntoIterator<Item = f64>) -> Self {
-        let cdf = Cdf::from_samples(samples);
-        Summary {
-            min: cdf.min(),
-            p25: cdf.percentile(0.25),
-            median: cdf.percentile(0.5),
-            p75: cdf.percentile(0.75),
-            max: cdf.max(),
-            mean: cdf.mean(),
-            count: cdf.len(),
-        }
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} min={:.2} p25={:.2} median={:.2} p75={:.2} max={:.2} mean={:.2}",
-            self.count, self.min, self.p25, self.median, self.p75, self.max, self.mean
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,17 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_curve_is_monotone() {
-        let cdf = Cdf::from_samples((1..=1000).map(|i| (i as f64).powf(1.3)));
-        let curve = cdf.curve(20);
-        assert_eq!(curve.len(), 20);
-        for w in curve.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    #[test]
     fn histogram_decades() {
         let mut h = DecadeHistogram::new();
         for x in [0.5, 3.0, 30.0, 40.0, 500.0, 20_000.0] {
@@ -305,18 +234,5 @@ mod tests {
         h.record(5.0);
         let text = h.to_string();
         assert!(text.contains("[1e0, 1e1): 1"));
-    }
-
-    #[test]
-    fn summary_quartiles() {
-        let s = Summary::from_samples((1..=100).map(f64::from));
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.p25, 25.0);
-        assert_eq!(s.median, 50.0);
-        assert_eq!(s.p75, 75.0);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.count, 100);
-        let text = s.to_string();
-        assert!(text.contains("median=50.00"));
     }
 }

@@ -26,20 +26,10 @@ use woha_model::{JobSpec, WorkflowSpec};
 /// module assert that they do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YahooTraceConfig {
-    /// Median of the per-job map task duration distribution, seconds.
-    pub map_duration_median_secs: f64,
-    /// Log-normal shape of map task durations.
-    pub map_duration_sigma: f64,
-    /// Median of the per-job reduce task duration distribution, seconds.
-    pub reduce_duration_median_secs: f64,
     /// Log-normal shape of reduce task durations.
     pub reduce_duration_sigma: f64,
-    /// Pareto tail index for mapper counts (smaller = heavier tail).
-    pub map_count_alpha: f64,
     /// Largest mapper count.
     pub map_count_max: u32,
-    /// Pareto tail index for reducer counts.
-    pub reduce_count_alpha: f64,
     /// Largest reducer count.
     pub reduce_count_max: u32,
 }
@@ -47,38 +37,40 @@ pub struct YahooTraceConfig {
 impl Default for YahooTraceConfig {
     fn default() -> Self {
         YahooTraceConfig {
-            map_duration_median_secs: 35.0,
-            map_duration_sigma: 0.75,
-            reduce_duration_median_secs: 140.0,
             reduce_duration_sigma: 1.4,
-            map_count_alpha: 0.12,
             map_count_max: 3_000,
-            reduce_count_alpha: 0.42,
             reduce_count_max: 400,
         }
     }
 }
 
+/// Median of the per-job map task duration distribution, seconds.
+const MAP_DURATION_MEDIAN_SECS: f64 = 35.0;
+/// Log-normal shape of map task durations.
+const MAP_DURATION_SIGMA: f64 = 0.75;
+/// Median of the per-job reduce task duration distribution, seconds.
+const REDUCE_DURATION_MEDIAN_SECS: f64 = 140.0;
+/// Pareto tail index for mapper counts (smaller = heavier tail).
+const MAP_COUNT_ALPHA: f64 = 0.12;
+/// Pareto tail index for reducer counts.
+const REDUCE_COUNT_ALPHA: f64 = 0.42;
+
 impl YahooTraceConfig {
     /// Draws one job from the trace distributions.
     pub fn sample_job(&self, name: impl Into<String>, rng: &mut Rng) -> JobSpec {
         let map_dur = Clamped::new(
-            LogNormal::from_median(self.map_duration_median_secs, self.map_duration_sigma),
+            LogNormal::from_median(MAP_DURATION_MEDIAN_SECS, MAP_DURATION_SIGMA),
             2.0,
             3_000.0,
         );
         let red_dur = Clamped::new(
-            LogNormal::from_median(self.reduce_duration_median_secs, self.reduce_duration_sigma),
+            LogNormal::from_median(REDUCE_DURATION_MEDIAN_SECS, self.reduce_duration_sigma),
             5.0,
             10_000.0,
         );
-        let map_count =
-            BoundedPareto::new(1.0, f64::from(self.map_count_max), self.map_count_alpha);
-        let red_count = BoundedPareto::new(
-            1.0,
-            f64::from(self.reduce_count_max),
-            self.reduce_count_alpha,
-        );
+        let map_count = BoundedPareto::new(1.0, f64::from(self.map_count_max), MAP_COUNT_ALPHA);
+        let red_count =
+            BoundedPareto::new(1.0, f64::from(self.reduce_count_max), REDUCE_COUNT_ALPHA);
 
         let mappers = map_count.sample(rng).round().max(1.0) as u32;
         let mut reducers = red_count.sample(rng).round() as u32;

@@ -4,9 +4,9 @@ use proptest::prelude::*;
 use woha_model::{JobSpec, SimDuration, SimTime};
 use woha_trace::stats::{Cdf, DecadeHistogram};
 use woha_trace::topology::{chain, fork_join, layered, random_layered};
-use woha_trace::workload::{lower_bound, DeadlineRule, ReleasePattern, Workload};
+use woha_trace::workload::{assign, lower_bound};
 use woha_trace::yahoo::{yahoo_workflows, YahooTraceConfig};
-use woha_trace::{BoundedPareto, Clamped, Distribution, LogNormal, Rng, Uniform};
+use woha_trace::{BoundedPareto, Clamped, Distribution, LogNormal, Rng};
 
 fn tiny_job(i: usize) -> JobSpec {
     JobSpec::new(
@@ -51,12 +51,9 @@ proptest! {
     #[test]
     fn distribution_supports(seed in 0u64..10_000) {
         let mut rng = Rng::new(seed);
-        let u = Uniform::new(3.0, 9.0);
         let p = BoundedPareto::new(2.0, 500.0, 0.7);
         let c = Clamped::new(LogNormal::from_median(50.0, 2.0), 10.0, 90.0);
         for _ in 0..64 {
-            let x = u.sample(&mut rng);
-            prop_assert!((3.0..9.0).contains(&x));
             let y = p.sample(&mut rng);
             prop_assert!((2.0..=500.0).contains(&y));
             let z = c.sample(&mut rng);
@@ -116,19 +113,17 @@ proptest! {
         let mut rng = Rng::new(seed);
         let flows = yahoo_workflows(&YahooTraceConfig::default(), &mut rng);
         let window = SimDuration::from_mins(30);
-        let workload = Workload::assign(
+        let workload = assign(
             &flows,
-            ReleasePattern::UniformWindow(window),
-            DeadlineRule::UniformRelative {
-                min: SimDuration::from_mins(5),
-                max: SimDuration::from_mins(20),
-                floor_stretch: 1.5,
-                reference_slots: 100,
-            },
+            window,
+            SimDuration::from_mins(5),
+            SimDuration::from_mins(20),
+            1.5,
+            100,
             &mut rng,
         );
         prop_assert_eq!(workload.len(), flows.len());
-        for (assigned, template) in workload.workflows().iter().zip(&flows) {
+        for (assigned, template) in workload.iter().zip(&flows) {
             prop_assert!(assigned.submit_time() < SimTime::ZERO + window);
             let floor = lower_bound(template, 100).mul_f64(1.5);
             prop_assert!(assigned.relative_deadline() >= floor.min(SimDuration::from_mins(5)));

@@ -76,7 +76,6 @@ pub mod prelude {
     pub use woha_sim::{ArrivalBuffer, Clock, ServiceStats, SimClock, SourceWait, WallClock};
     pub use woha_trace::{
         drain, to_jsonl,
-        workload::{DeadlineRule, ReleasePattern, Workload},
         yahoo::{yahoo_workflows, YahooTraceConfig},
         ChannelSource, FollowSource, GeneratorSource, JsonlSource, Rng, SourcePoll, SourceStop,
         VecSource, WorkloadSource,

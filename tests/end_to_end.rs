@@ -4,6 +4,7 @@
 
 use woha::prelude::*;
 use woha::trace::topology::{self, paper_fig7};
+use woha::trace::workload;
 
 fn demo_cluster() -> ClusterConfig {
     ClusterConfig::uniform(32, 2, 1)
@@ -630,7 +631,7 @@ fn batching_and_idle_runs_are_behavior_identical() {
     let cluster = ClusterConfig::with_totals(120, 120);
     let woha = || WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 240));
     let run = |s: &mut dyn WorkflowScheduler, config: &SimConfig| {
-        let (mut report, obs) = run_simulation_observed(workload.workflows(), s, &cluster, config);
+        let (mut report, obs) = run_simulation_observed(&workload, s, &cluster, config);
         assert!(report.completed, "{}", s.name());
         report.scheduler_nanos = 0;
         (serde_json::to_string(&report).unwrap(), obs.trace_jsonl())
@@ -675,25 +676,23 @@ fn yahoo_workload_end_to_end() {
         },
         &mut rng,
     );
-    let workload = Workload::assign(
+    let mut workflows = workload::assign(
         &flows,
-        ReleasePattern::UniformWindow(SimDuration::from_mins(12)),
-        DeadlineRule::UniformRelative {
-            min: SimDuration::from_mins(3),
-            max: SimDuration::from_mins(12),
-            floor_stretch: 1.2,
-            reference_slots: 100,
-        },
+        SimDuration::from_mins(12),
+        SimDuration::from_mins(3),
+        SimDuration::from_mins(12),
+        1.2,
+        100,
         &mut rng,
-    )
-    .without_single_jobs();
+    );
+    workflows.retain(|w| !w.is_single_job());
     let cluster = ClusterConfig::with_totals(240, 240);
     let config = SimConfig::default();
 
     let mut fifo = FifoScheduler::new();
-    let fifo_report = run_simulation(workload.workflows(), &mut fifo, &cluster, &config);
+    let fifo_report = run_simulation(&workflows, &mut fifo, &cluster, &config);
     let mut woha = WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 480));
-    let woha_report = run_simulation(workload.workflows(), &mut woha, &cluster, &config);
+    let woha_report = run_simulation(&workflows, &mut woha, &cluster, &config);
 
     assert!(fifo_report.completed && woha_report.completed);
     assert!(
@@ -706,7 +705,7 @@ fn yahoo_workload_end_to_end() {
 
 /// Yahoo-trace fixture shared by the observability identity tests: the
 /// same workload as `index_backends_and_batching_are_behavior_identical`.
-fn obs_yahoo_workload() -> Workload {
+fn obs_yahoo_workload() -> Vec<WorkflowSpec> {
     let mut rng = Rng::new(7);
     let flows = yahoo_workflows(
         &YahooTraceConfig {
@@ -716,18 +715,17 @@ fn obs_yahoo_workload() -> Workload {
         },
         &mut rng,
     );
-    Workload::assign(
+    let mut workflows = workload::assign(
         &flows,
-        ReleasePattern::UniformWindow(SimDuration::from_mins(10)),
-        DeadlineRule::UniformRelative {
-            min: SimDuration::from_mins(3),
-            max: SimDuration::from_mins(12),
-            floor_stretch: 1.2,
-            reference_slots: 100,
-        },
+        SimDuration::from_mins(10),
+        SimDuration::from_mins(3),
+        SimDuration::from_mins(12),
+        1.2,
+        100,
         &mut rng,
-    )
-    .without_single_jobs()
+    );
+    workflows.retain(|w| !w.is_single_job());
+    workflows
 }
 
 /// Satellite: the observability layer is invisible to the simulation. On
@@ -774,15 +772,15 @@ fn observability_off_and_on_leave_reports_byte_identical() {
                 ..base.clone()
             };
 
-            let plain = run_simulation(workload.workflows(), &mut *scheduler(), cluster, &base);
+            let plain = run_simulation(&workload, &mut *scheduler(), cluster, &base);
             assert!(plain.completed, "{label} batch={batch}");
 
             let (off, off_obs) =
-                run_simulation_observed(workload.workflows(), &mut *scheduler(), cluster, &base);
+                run_simulation_observed(&workload, &mut *scheduler(), cluster, &base);
             assert!(off_obs.trace.is_empty() && off_obs.metrics.is_none());
 
             let (on, on_obs) =
-                run_simulation_observed(workload.workflows(), &mut *scheduler(), cluster, &armed);
+                run_simulation_observed(&workload, &mut *scheduler(), cluster, &armed);
             assert!(!on_obs.trace.is_empty(), "{label} batch={batch}");
             assert!(on_obs.metrics.is_some(), "{label} batch={batch}");
 
@@ -1282,7 +1280,7 @@ fn follow_source_written_live_matches_batch_byte_for_byte() {
     // A live feed is chronological: sort by submit time so the sources'
     // nondecreasing-watermark clamp never has to rewrite a timestamp, and
     // use the same order for the batch reference.
-    let mut workflows = obs_yahoo_workload().workflows().to_vec();
+    let mut workflows = obs_yahoo_workload();
     workflows.sort_by_key(|w| w.submit_time());
     let jsonl = to_jsonl(&workflows).unwrap();
     let plain = ClusterConfig::with_totals(120, 120);
@@ -1998,10 +1996,7 @@ fn idle_runs_are_invisible() {
     ];
     let schedulers = |case: &Case| -> Vec<Box<dyn WorkflowScheduler>> {
         let mut woha = WohaConfig::new(PriorityPolicy::Lpf, 24);
-        woha.replan = case.replan.then(|| woha::core::ReplanConfig {
-            lag_fraction: 0.05,
-            min_interval: SimDuration::from_secs(20),
-        });
+        woha.replan = case.replan;
         let all: Vec<Box<dyn WorkflowScheduler>> = vec![
             Box::new(WohaScheduler::new(woha)),
             Box::new(FifoScheduler::new()),

@@ -413,12 +413,7 @@ fn fifo_and_fair_are_deadline_blind() {
     let workloads = [
         ("fig11", fig11_workflows()),
         ("fig12x3", fig12_workflows(3)),
-        (
-            "yahoo",
-            yahoo_workload(&YahooScenario::default())
-                .workflows()
-                .to_vec(),
-        ),
+        ("yahoo", yahoo_workload(&YahooScenario::default())),
     ];
     let faulty = demo_cluster().with_faults(FaultConfig::with_mtbf(
         SimDuration::from_mins(20),
@@ -467,12 +462,22 @@ fn fifo_and_fair_are_deadline_blind() {
 /// `k`, with the heartbeat and the submit latency, multiplies every
 /// completion time by `k`, under all six schedulers. The 3.2 s heartbeat
 /// over 32 nodes staggers node starts by an exact 100 ms.
+///
+/// Fig 11 also runs under scripted faults, every instant and duration
+/// scaled by `k`: node outages alone, and with two master crashes
+/// recovered through the WAL and without it. Stochastic MTBF/MTTR faults
+/// are the one exception to the relation: the fault stream truncates each
+/// exponential draw to whole milliseconds, and `k·⌊x⌋ ≠ ⌊k·x⌋`, so a scaled
+/// fault instant may sit up to `k − 1` ms off `k ×` the base's. A finish
+/// time then drifts by a few milliseconds, or by far more once the shift
+/// reorders a fault against another event.
 #[test]
 fn completion_times_scale_with_time() {
     use woha_bench::runner::run_one;
     use woha_bench::scenarios::{fig11_workflows, fig12_workflows};
     use woha_bench::SchedulerKind;
-    let finished = |kind: SchedulerKind, flows: &[WorkflowSpec], k: u64| {
+    let at = |t: SimTime, k: u64| SimTime::from_millis(t.as_millis() * k);
+    let run = |kind: SchedulerKind, flows: &[WorkflowSpec], faults: &FaultConfig, k: u64| {
         let flows: Vec<_> = flows
             .iter()
             .map(|w| {
@@ -482,36 +487,96 @@ fn completion_times_scale_with_time() {
                     job.reduce_duration = job.reduce_duration * k;
                 }
                 config.relative_deadline = config.relative_deadline.map(|d| d * k);
-                let submit = SimTime::from_millis(w.submit_time().as_millis() * k);
-                config.to_spec(submit).expect("scaled workflow is valid")
+                config
+                    .to_spec(at(w.submit_time(), k))
+                    .expect("scaled workflow is valid")
             })
             .collect();
+        let faults = FaultConfig {
+            mtbf: faults.mtbf.map(|d| d * k),
+            mttr: faults.mttr * k,
+            rack_mtbf: faults.rack_mtbf.map(|d| d * k),
+            rack_mttr: faults.rack_mttr.map(|d| d * k),
+            scripted: faults
+                .scripted
+                .iter()
+                .map(|f| ScriptedFault {
+                    nodes: f.nodes.clone(),
+                    down_at: at(f.down_at, k),
+                    up_at: f.up_at.map(|t| at(t, k)),
+                })
+                .collect(),
+            master: MasterFaultConfig {
+                mtbf: faults.master.mtbf.map(|d| d * k),
+                mttr: faults.master.mttr * k,
+                checkpoint_interval: faults.master.checkpoint_interval * k,
+                scripted: faults.master.scripted.iter().map(|&t| at(t, k)).collect(),
+                ..faults.master.clone()
+            },
+            ..faults.clone()
+        };
         let heartbeat = SimDuration::from_millis(3_200) * k;
-        let cluster = ClusterConfig::uniform(32, 2, 1).with_heartbeat(heartbeat);
+        let cluster = ClusterConfig::uniform(32, 2, 1)
+            .with_heartbeat(heartbeat)
+            .with_faults(faults);
         let config = SimConfig {
             submit_latency: SimDuration::from_secs(1) * k,
             ..SimConfig::default()
         };
-        let report = run_one(kind, &flows, &cluster, &config);
+        run_one(kind, &flows, &cluster, &config)
+    };
+    let finished = |report: &SimReport| {
         let ms = report
             .outcomes
             .iter()
             .map(|o| o.finished.map(SimTime::as_millis));
         ms.collect::<Vec<_>>()
     };
-    for (label, flows) in [
-        ("fig11", fig11_workflows()),
-        ("fig12x3", fig12_workflows(3)),
-    ] {
+    let secs = SimTime::from_secs;
+    let node_outages = FaultConfig::scripted(vec![
+        ScriptedFault::one(NodeId::new(3), secs(200), Some(secs(500))),
+        ScriptedFault::one(NodeId::new(7), secs(900), Some(secs(1300))),
+        ScriptedFault::group(
+            vec![NodeId::new(10), NodeId::new(11)],
+            secs(1500),
+            Some(secs(1700)),
+        ),
+    ]);
+    let master_crashes = |wal| FaultConfig {
+        master: MasterFaultConfig {
+            mttr: SimDuration::from_secs(40),
+            checkpoint_interval: SimDuration::from_secs(300),
+            wal,
+            scripted: vec![secs(650), secs(1450)],
+            ..MasterFaultConfig::default()
+        },
+        ..node_outages.clone()
+    };
+    let (fig11, fig12x3) = (fig11_workflows(), fig12_workflows(3));
+    let cells = [
+        ("fig11", &fig11, FaultConfig::default()),
+        ("fig12x3", &fig12x3, FaultConfig::default()),
+        ("fig11 node outages", &fig11, node_outages.clone()),
+        ("fig11 + master, WAL", &fig11, master_crashes(true)),
+        ("fig11 + master, no WAL", &fig11, master_crashes(false)),
+    ];
+    for (label, flows, faults) in &cells {
         for kind in SchedulerKind::ALL {
-            let base = finished(kind, &flows, 1);
+            let base = run(kind, flows, faults, 1);
+            let base_finished = finished(&base);
             assert!(
-                base.iter().all(Option::is_some),
+                base_finished.iter().all(Option::is_some),
                 "{label} {kind}: completes"
             );
+            let node_failures = if faults.scripted.is_empty() { 0 } else { 4 };
+            assert_eq!(base.node_failures, node_failures, "{label} {kind}");
+            let master_crashes = base.recovery.as_ref().map_or(0, |r| r.master_crashes);
+            let want_crashes = faults.master.scripted.len() as u64;
+            assert_eq!(master_crashes, want_crashes, "{label} {kind}");
             for k in [2, 3, 7] {
-                let want: Vec<_> = base.iter().map(|t| t.map(|ms| ms * k)).collect();
-                assert_eq!(finished(kind, &flows, k), want, "{label} {kind}: x{k}");
+                let want: Vec<_> = base_finished.iter().map(|t| t.map(|ms| ms * k)).collect();
+                let scaled = run(kind, flows, faults, k);
+                assert_eq!(finished(&scaled), want, "{label} {kind}: x{k}");
             }
         }
     }
