@@ -68,9 +68,9 @@ impl SchedulerKind {
             })) as Box<dyn WorkflowScheduler>
         };
         match self {
-            SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
-            SchedulerKind::Fair => Box::new(FairScheduler::new()),
-            SchedulerKind::Edf => Box::new(EdfScheduler::new()),
+            SchedulerKind::Fifo => Box::new(FifoScheduler),
+            SchedulerKind::Fair => Box::new(FairScheduler),
+            SchedulerKind::Edf => Box::new(EdfScheduler),
             SchedulerKind::WohaHlf => woha(PriorityPolicy::Hlf),
             SchedulerKind::WohaLpf => woha(PriorityPolicy::Lpf),
             SchedulerKind::WohaMpf => woha(PriorityPolicy::Mpf),

@@ -161,6 +161,16 @@ fn simulate(options: &SimulateOptions) -> Result<String, Box<dyn Error>> {
         .iter()
         .map(load)
         .collect::<Result<_, _>>()?;
+    // A run would turn such a workflow away; a named file is refused first.
+    for (arg, spec) in options.workflows.iter().zip(&specs) {
+        if let Some(kind) = run.cluster.missing_slots(spec) {
+            let node = run.cluster.nodes()[0];
+            let (n, m, r) = (run.cluster.node_count(), node.map_slots, node.reduce_slots);
+            let name = spec.name();
+            let why = format!("has {kind} tasks, but --cluster {n}x{m}x{r} has no {kind} slots");
+            return Err(format!("{}: workflow \"{name}\" {why}", arg.path).into());
+        }
+    }
     if options.config.observability.enabled() && run.schedulers.len() > 1 {
         return Err(
             "--trace-out/--metrics-out need a single scheduler, not --scheduler all".into(),

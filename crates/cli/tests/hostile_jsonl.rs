@@ -1,7 +1,9 @@
 //! A JSONL spec the workflow model rejects, fed to `simulate --arrivals`
 //! or `serve --follow`, ends the run with the model's error, its line
 //! number and exit status 1 — never a panic (101), and never a run. An
-//! XML workflow whose durations overflow exits 1 the same way.
+//! XML workflow whose durations overflow exits 1 the same way, and so does
+//! one `simulate` is asked to run on a cluster without slots of a kind it
+//! needs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -136,6 +138,38 @@ fn overflowing_xml_durations_exit_1() {
             let (code, stderr) = woha_cli(&[command, path]);
             assert_eq!(code, Some(1), "{command} {name}: {stderr}");
             assert!(stderr.contains(path) && stderr.contains(error), "{stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_xml_workflow_the_cluster_has_no_slots_for_exits_1() {
+    let dir = temp_dir("slotless");
+    let path = dir.join("one.xml");
+    std::fs::write(
+        &path,
+        r#"<workflow name="one" deadline="1h">
+             <job name="a" mappers="2" reducers="1" map-duration="10s" reduce-duration="10s"></job>
+           </workflow>"#,
+    )
+    .expect("write workflow");
+    let path = path.to_str().expect("utf-8 temp path");
+    for (cluster, kind) in [("2x2x0", "reduce"), ("2x0x2", "map")] {
+        for scheduler in ["fifo", "woha-lpf"] {
+            let (code, stderr) = woha_cli(&[
+                "simulate",
+                path,
+                "--cluster",
+                cluster,
+                "--scheduler",
+                scheduler,
+            ]);
+            assert_eq!(code, Some(1), "{cluster} {scheduler}: {stderr}");
+            let error = format!(
+                "error: {path}: workflow \"one\" has {kind} tasks, but --cluster {cluster} has no {kind} slots"
+            );
+            assert!(stderr.contains(&error), "{stderr}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,90 +6,36 @@
 //! prerequisites finish, and the scheduler sees jobs — not workflow
 //! topology. FIFO and Fair ignore deadlines entirely; EDF uses only the
 //! deadline, not the workflow's shape or progress.
+//!
+//! None keeps state: job order is the pool's activation ordinal
+//! ([`JobState::ordinal`](woha_sim::JobState::ordinal)).
 
-use serde::{Deserialize, Serialize, Value};
 use woha_model::{JobId, SimTime, SlotKind, WorkflowId};
 use woha_sim::{SchedulerState, WorkflowPool, WorkflowScheduler};
 
-/// Encodes an activation queue as an array of `[workflow, job]` pairs for
-/// the master-failover checkpoint (the vendored serde has no tuple impls).
-fn queue_to_value(queue: &[(WorkflowId, JobId)]) -> Value {
-    Value::Array(
-        queue
-            .iter()
-            .map(|&(wf, job)| Value::Array(vec![wf.to_value(), job.to_value()]))
-            .collect(),
-    )
+/// The eligible job of `wf` the pool activated first, with its ordinal.
+fn first_activated(pool: &WorkflowPool, wf: WorkflowId, kind: SlotKind) -> Option<(u64, JobId)> {
+    let w = pool.workflow(wf);
+    if !w.has_eligible_task(kind) {
+        return None;
+    }
+    w.active_jobs()
+        .filter(|&job| w.job(job).eligible_tasks(kind) > 0)
+        .map(|job| (w.job(job).ordinal().expect("an active job is stamped"), job))
+        .min()
 }
 
-/// Inverse of [`queue_to_value`]; malformed entries are dropped rather than
-/// failing recovery outright.
-fn queue_from_value(state: &Value) -> Vec<(WorkflowId, JobId)> {
-    state
-        .as_array()
-        .map(|pairs| {
-            pairs
-                .iter()
-                .filter_map(|pair| {
-                    let pair = pair.as_array()?;
-                    let wf = WorkflowId::from_value(pair.first()?).ok()?;
-                    let job = JobId::from_value(pair.get(1)?).ok()?;
-                    Some((wf, job))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Oozie + the default Hadoop `JobQueueTaskScheduler`: an ordered list of
-/// jobs by submission (activation) time; each free slot goes to the first
-/// job in the list with an available task.
+/// Oozie + the default Hadoop `JobQueueTaskScheduler`: jobs ordered by
+/// submission (activation) time; each free slot goes to the first job in
+/// that order with an available task.
 #[derive(Debug, Default)]
-pub struct FifoScheduler {
-    /// Active jobs in activation order.
-    queue: Vec<(WorkflowId, JobId)>,
-}
+pub struct FifoScheduler;
 
-impl FifoScheduler {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        FifoScheduler::default()
-    }
-}
-
-impl SchedulerState for FifoScheduler {
-    fn snapshot_state(&self) -> Value {
-        queue_to_value(&self.queue)
-    }
-
-    fn restore_state(&mut self, _pool: &WorkflowPool, state: &Value) {
-        self.queue = queue_from_value(state);
-    }
-}
+impl SchedulerState for FifoScheduler {}
 
 impl WorkflowScheduler for FifoScheduler {
     fn name(&self) -> &str {
         "FIFO"
-    }
-
-    fn on_job_activated(
-        &mut self,
-        _pool: &WorkflowPool,
-        wf: WorkflowId,
-        job: JobId,
-        _now: SimTime,
-    ) {
-        self.queue.push((wf, job));
-    }
-
-    fn on_job_completed(
-        &mut self,
-        _pool: &WorkflowPool,
-        wf: WorkflowId,
-        job: JobId,
-        _now: SimTime,
-    ) {
-        self.queue.retain(|&(w, j)| (w, j) != (wf, job));
     }
 
     fn assign_task(
@@ -101,10 +47,12 @@ impl WorkflowScheduler for FifoScheduler {
         if pool.ready_workflows(kind) == 0 {
             return None;
         }
-        self.queue
-            .iter()
-            .copied()
-            .find(|&(wf, job)| pool.eligible(wf, job, kind))
+        pool.incomplete()
+            .filter_map(|wf| {
+                first_activated(pool, wf, kind).map(|(ordinal, job)| (ordinal, wf, job))
+            })
+            .min()
+            .map(|(_, wf, job)| (wf, job))
     }
 }
 
@@ -113,51 +61,13 @@ impl WorkflowScheduler for FifoScheduler {
 /// the next slot to the eligible workflow currently running the fewest
 /// tasks. Within a workflow, jobs are served in activation order.
 #[derive(Debug, Default)]
-pub struct FairScheduler {
-    /// Activation order of jobs, used for intra-workflow ordering.
-    activation: Vec<(WorkflowId, JobId)>,
-}
+pub struct FairScheduler;
 
-impl FairScheduler {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        FairScheduler::default()
-    }
-}
-
-impl SchedulerState for FairScheduler {
-    fn snapshot_state(&self) -> Value {
-        queue_to_value(&self.activation)
-    }
-
-    fn restore_state(&mut self, _pool: &WorkflowPool, state: &Value) {
-        self.activation = queue_from_value(state);
-    }
-}
+impl SchedulerState for FairScheduler {}
 
 impl WorkflowScheduler for FairScheduler {
     fn name(&self) -> &str {
         "Fair"
-    }
-
-    fn on_job_activated(
-        &mut self,
-        _pool: &WorkflowPool,
-        wf: WorkflowId,
-        job: JobId,
-        _now: SimTime,
-    ) {
-        self.activation.push((wf, job));
-    }
-
-    fn on_job_completed(
-        &mut self,
-        _pool: &WorkflowPool,
-        wf: WorkflowId,
-        job: JobId,
-        _now: SimTime,
-    ) {
-        self.activation.retain(|&(w, j)| (w, j) != (wf, job));
     }
 
     fn assign_task(
@@ -175,10 +85,7 @@ impl WorkflowScheduler for FairScheduler {
             .incomplete()
             .filter(|&wf| pool.workflow(wf).has_eligible_task(kind))
             .min_by_key(|&wf| (pool.workflow(wf).running_tasks(), wf))?;
-        self.activation
-            .iter()
-            .copied()
-            .find(|&(wf, job)| wf == target && pool.eligible(wf, job, kind))
+        first_activated(pool, target, kind).map(|(_, job)| (target, job))
     }
 }
 
@@ -186,50 +93,13 @@ impl WorkflowScheduler for FairScheduler {
 /// absolute deadline wins every slot; jobs within it are served in
 /// activation order.
 #[derive(Debug, Default)]
-pub struct EdfScheduler {
-    activation: Vec<(WorkflowId, JobId)>,
-}
+pub struct EdfScheduler;
 
-impl EdfScheduler {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        EdfScheduler::default()
-    }
-}
-
-impl SchedulerState for EdfScheduler {
-    fn snapshot_state(&self) -> Value {
-        queue_to_value(&self.activation)
-    }
-
-    fn restore_state(&mut self, _pool: &WorkflowPool, state: &Value) {
-        self.activation = queue_from_value(state);
-    }
-}
+impl SchedulerState for EdfScheduler {}
 
 impl WorkflowScheduler for EdfScheduler {
     fn name(&self) -> &str {
         "EDF"
-    }
-
-    fn on_job_activated(
-        &mut self,
-        _pool: &WorkflowPool,
-        wf: WorkflowId,
-        job: JobId,
-        _now: SimTime,
-    ) {
-        self.activation.push((wf, job));
-    }
-
-    fn on_job_completed(
-        &mut self,
-        _pool: &WorkflowPool,
-        wf: WorkflowId,
-        job: JobId,
-        _now: SimTime,
-    ) {
-        self.activation.retain(|&(w, j)| (w, j) != (wf, job));
     }
 
     fn assign_task(
@@ -245,10 +115,7 @@ impl WorkflowScheduler for EdfScheduler {
             .incomplete()
             .filter(|&wf| pool.workflow(wf).has_eligible_task(kind))
             .min_by_key(|&wf| (pool.workflow(wf).spec().deadline(), wf))?;
-        self.activation
-            .iter()
-            .copied()
-            .find(|&(wf, job)| wf == target && pool.eligible(wf, job, kind))
+        first_activated(pool, target, kind).map(|(_, job)| (target, job))
     }
 }
 
@@ -286,9 +153,9 @@ mod tests {
     fn all_baselines_complete_work() {
         let workflows = vec![fat("a", 0, 900), fat("b", 5, 900)];
         for sched in [
-            &mut FifoScheduler::new() as &mut dyn WorkflowScheduler,
-            &mut FairScheduler::new(),
-            &mut EdfScheduler::new(),
+            &mut FifoScheduler as &mut dyn WorkflowScheduler,
+            &mut FairScheduler,
+            &mut EdfScheduler,
         ] {
             let report = run(sched, &workflows);
             assert!(report.completed, "{}", sched.name());
@@ -301,7 +168,7 @@ mod tests {
         // Two workflows contending for 4 map slots: FIFO finishes the first
         // arrival entirely before the second gets slots.
         let workflows = vec![fat("first", 0, 3_000), fat("second", 1, 3_000)];
-        let report = run(&mut FifoScheduler::new(), &workflows);
+        let report = run(&mut FifoScheduler, &workflows);
         let f1 = report.outcome_by_name("first").unwrap().finished.unwrap();
         let f2 = report.outcome_by_name("second").unwrap().finished.unwrap();
         assert!(f1 < f2, "FIFO must finish the earlier submission first");
@@ -315,8 +182,8 @@ mod tests {
             fat("late-deadline", 0, 3_000),
             fat("early-deadline", 1, 135),
         ];
-        let edf = run(&mut EdfScheduler::new(), &workflows);
-        let fifo = run(&mut FifoScheduler::new(), &workflows);
+        let edf = run(&mut EdfScheduler, &workflows);
+        let fifo = run(&mut FifoScheduler, &workflows);
         let edf_early = edf
             .outcome_by_name("early-deadline")
             .unwrap()
@@ -343,42 +210,68 @@ mod tests {
         // Under Fair, two equal workflows submitted together finish at
         // nearly the same time (and later than either would alone).
         let workflows = vec![fat("a", 0, 3_000), fat("b", 0, 3_000)];
-        let fair = run(&mut FairScheduler::new(), &workflows);
+        let fair = run(&mut FairScheduler, &workflows);
         let fa = fair.outcome_by_name("a").unwrap().finished.unwrap();
         let fb = fair.outcome_by_name("b").unwrap().finished.unwrap();
         let gap = if fa > fb { fa - fb } else { fb - fa };
         assert!(gap <= SimDuration::from_secs(35), "fair gap {gap}");
 
-        let alone = run(&mut FairScheduler::new(), &[fat("a", 0, 3_000)]);
+        let alone = run(&mut FairScheduler, &[fat("a", 0, 3_000)]);
         let solo = alone.outcome_by_name("a").unwrap().finished.unwrap();
         assert!(fa > solo, "sharing must slow both workflows down");
     }
 
     #[test]
-    fn activation_queue_survives_snapshot_restore() {
-        let mut pool = woha_sim::WorkflowPool::new();
+    fn activation_order_survives_a_checkpoint() {
+        use woha_sim::snapshot::{FaultSnapshot, SnapshotCounters};
+        use woha_sim::{MasterSnapshot, WorkflowPool};
+        // b's job activates before a's at the same instant: FIFO order is
+        // activation order, not workflow id.
+        let mut pool = WorkflowPool::new();
         let a = pool.register(fat("a", 0, 900));
         let b = pool.register(fat("b", 0, 900));
-        let mut sched = FifoScheduler::new();
-        sched.on_job_activated(&pool, b, JobId::new(0), SimTime::ZERO);
-        sched.on_job_activated(&pool, a, JobId::new(0), SimTime::from_secs(1));
-        let snap = sched.snapshot_state();
-        let mut restored = FifoScheduler::new();
-        restored.restore_state(&pool, &snap);
-        // Order (b before a) is part of FIFO's state and must survive.
-        assert_eq!(restored.queue, sched.queue);
-        assert_eq!(restored.queue[0].0, b);
+        let job = JobId::new(0);
+        for wf in [b, a] {
+            let mut w = pool.workflow_mut(wf);
+            w.begin_submitting(job);
+            w.activate(job);
+        }
+        let pick =
+            |pool: &WorkflowPool| FifoScheduler.assign_task(pool, SlotKind::Map, SimTime::ZERO);
+        assert_eq!(pick(&pool), Some((b, job)));
 
-        let mut edf = EdfScheduler::new();
-        edf.on_job_activated(&pool, a, JobId::new(0), SimTime::ZERO);
-        let mut edf_restored = EdfScheduler::new();
-        edf_restored.restore_state(&pool, &edf.snapshot_state());
-        assert_eq!(edf_restored.activation, edf.activation);
-
-        // A stateless default restores to empty.
-        let mut fair = FairScheduler::new();
-        fair.restore_state(&pool, &serde::Value::Null);
-        assert!(fair.activation.is_empty());
+        let snap = MasterSnapshot {
+            taken_at: SimTime::ZERO,
+            pool,
+            source_cursor: 2,
+            arrived: vec![true; 2],
+            attempts: Vec::new(),
+            groups: Vec::new(),
+            next_attempt: 1,
+            next_group: 1,
+            pending_map_ids: Vec::new(),
+            delay_skips: Vec::new(),
+            map_output_hosts: Vec::new(),
+            node_slots: Vec::new(),
+            busy_count: [0, 0],
+            completion_seq: 0,
+            counters: SnapshotCounters::default(),
+            fault: FaultSnapshot::default(),
+            scheduler: FifoScheduler.snapshot_state(),
+            health: None,
+            reshuffle_debt: Vec::new(),
+        };
+        let mut decoded = MasterSnapshot::decode(&snap.encode())
+            .expect("decodes")
+            .pool;
+        assert_eq!(decoded, snap.pool);
+        assert_eq!(pick(&decoded), Some((b, job)));
+        // The pool's counter is recounted: the next activation gets 2.
+        let c = decoded.register(fat("c", 0, 900));
+        let mut w = decoded.workflow_mut(c);
+        w.begin_submitting(job);
+        w.activate(job);
+        assert_eq!(w.job(job).ordinal(), Some(2));
     }
 
     #[test]
@@ -401,12 +294,8 @@ mod tests {
         b.add_dependency(a, z);
         b.relative_deadline(SimDuration::from_mins(10));
         let w = b.build().unwrap();
-        let mut sched = FifoScheduler::new();
-        let report = run(&mut sched, &[w]);
+        let report = run(&mut FifoScheduler, &[w]);
         assert!(report.completed);
-        assert!(
-            sched.queue.is_empty(),
-            "completed jobs must leave the queue"
-        );
+        assert_eq!(report.invalid_assignments, 0);
     }
 }

@@ -176,7 +176,7 @@ mod tests {
         let b = JobId::new(1);
         let t = SimTime::from_secs(1);
         pool.workflow_mut(wf).begin_submitting(a);
-        pool.workflow_mut(wf).activate(a, t);
+        pool.workflow_mut(wf).activate(a);
         for _ in 0..4 {
             pool.workflow_mut(wf).start_task(a, SlotKind::Map);
         }
@@ -191,7 +191,7 @@ mod tests {
         }
         assert!(pool.workflow_mut(wf).satisfy_prereq(b));
         pool.workflow_mut(wf).begin_submitting(b);
-        pool.workflow_mut(wf).activate(b, t);
+        pool.workflow_mut(wf).activate(b);
         pool.workflow_mut(wf).start_task(b, SlotKind::Map);
         pool
     }
@@ -239,7 +239,7 @@ mod tests {
         });
         let j = JobId::new(0);
         pool.workflow_mut(wf).begin_submitting(j);
-        pool.workflow_mut(wf).activate(j, SimTime::ZERO);
+        pool.workflow_mut(wf).activate(j);
         pool.workflow_mut(wf).start_task(j, SlotKind::Map);
         // Everything is scheduled (still running): nothing left to plan.
         let state = pool.workflow(wf);
@@ -263,7 +263,7 @@ mod tests {
         });
         let j = JobId::new(0);
         pool.workflow_mut(wf).begin_submitting(j);
-        pool.workflow_mut(wf).activate(j, SimTime::ZERO);
+        pool.workflow_mut(wf).activate(j);
         pool.workflow_mut(wf).start_task(j, SlotKind::Map);
         // Map scheduled but not finished; 3 reduces pending.
         let remaining = remaining_workflow(pool.workflow(wf)).unwrap();

@@ -91,10 +91,23 @@ impl WohaConfig {
 pub struct WohaScheduler {
     config: WohaConfig,
     name: String,
+    /// The master's bookkeeping, checkpointed as it stands.
+    state: WohaState,
+    /// Incremental index over the queued workflows: derived from
+    /// `state.records`, so rebuilt rather than checkpointed.
+    index: DslIndex,
+    /// Structured decision-trace buffer; `None` (the default) disables
+    /// tracing entirely, so the untraced hot path only pays an
+    /// `Option` check.
+    trace: Option<Vec<SchedTrace>>,
+}
+
+/// The WOHA master's own state: what a master-failover checkpoint holds
+/// for the scheduler (see [`SchedulerState`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct WohaState {
     /// Records indexed by dense workflow id; `None` once completed.
     records: Vec<Option<WorkflowProgress>>,
-    /// Incremental index over the queued workflows.
-    index: DslIndex,
     /// Last replan instant per workflow (dense by id).
     last_replan: Vec<SimTime>,
     /// Total replans performed (observable for tests and reports).
@@ -105,10 +118,6 @@ pub struct WohaScheduler {
     /// Plans (initial or replacement) generated with a nonzero failure
     /// pad (observable for tests and reports).
     plans_padded: u64,
-    /// Structured decision-trace buffer; `None` (the default) disables
-    /// tracing entirely, so the untraced hot path only pays an
-    /// `Option` check.
-    trace: Option<Vec<SchedTrace>>,
 }
 
 impl WohaScheduler {
@@ -117,25 +126,21 @@ impl WohaScheduler {
         WohaScheduler {
             name: format!("WOHA-{}", config.policy),
             config,
-            records: Vec::new(),
+            state: WohaState::default(),
             index: DslIndex::new(),
-            last_replan: Vec::new(),
-            replans: 0,
-            rho_rollbacks: 0,
-            plans_padded: 0,
             trace: None,
         }
     }
 
     /// Number of mid-flight replans performed so far.
     pub fn replans(&self) -> u64 {
-        self.replans
+        self.state.replans
     }
 
     /// Number of `ρ` rollbacks performed after task failures or node
     /// losses.
     pub fn rho_rollbacks(&self) -> u64 {
-        self.rho_rollbacks
+        self.state.rho_rollbacks
     }
 
     /// The scheduler's configuration.
@@ -151,20 +156,21 @@ impl WohaScheduler {
         };
         let fraction = rework_fraction(spec, pad);
         if fraction > 0.0 {
-            self.plans_padded += 1;
+            self.state.plans_padded += 1;
         }
         padded_budget(budget, fraction)
     }
 
     /// The progress record of a queued workflow (for inspection/tests).
     pub fn progress(&self, wf: WorkflowId) -> Option<&WorkflowProgress> {
-        self.records
+        self.state
+            .records
             .get(wf.as_u64() as usize)
             .and_then(Option::as_ref)
     }
 
     fn record_mut(&mut self, wf: WorkflowId) -> &mut WorkflowProgress {
-        self.records[wf.as_u64() as usize]
+        self.state.records[wf.as_u64() as usize]
             .as_mut()
             .expect("workflow is queued")
     }
@@ -176,7 +182,7 @@ impl WohaScheduler {
             if t > now {
                 break;
             }
-            let record = self.records[wf.as_u64() as usize]
+            let record = self.state.records[wf.as_u64() as usize]
                 .as_mut()
                 .expect("indexed workflow has a record");
             let (old_ct, old_lag) = (record.next_change(), record.lag());
@@ -204,7 +210,7 @@ impl WohaScheduler {
         kind: SlotKind,
         claimed: &[(WorkflowId, JobId)],
     ) -> Option<(WorkflowId, JobId, u32)> {
-        let records = &self.records;
+        let records = &self.state.records;
         let mut choice = None;
         let mut rank = 0u32;
         self.index.select(&mut |_, wf| {
@@ -243,12 +249,12 @@ impl WohaScheduler {
             return;
         }
         let slot = wf.as_u64() as usize;
-        let Some(record) = self.records.get(slot).and_then(Option::as_ref) else {
+        let Some(record) = self.state.records.get(slot).and_then(Option::as_ref) else {
             return;
         };
         let threshold = (record.plan().total_tasks() as f64 * LAG_FRACTION) as i64;
         if record.lag() <= threshold.max(1)
-            || now.saturating_since(self.last_replan[slot]) < MIN_INTERVAL
+            || now.saturating_since(self.state.last_replan[slot]) < MIN_INTERVAL
         {
             return;
         }
@@ -266,62 +272,34 @@ impl WohaScheduler {
         ) else {
             return;
         };
-        let old = self.records[slot].take().expect("record checked above");
+        let old = self.state.records[slot]
+            .take()
+            .expect("record checked above");
         self.index
             .remove(wf, old.next_change(), old.lag(), old.deadline());
         let new_record = WorkflowProgress::new(wf, new_plan, deadline, now);
         self.index
             .insert(wf, new_record.next_change(), new_record.lag(), deadline);
-        self.records[slot] = Some(new_record);
-        self.last_replan[slot] = now;
-        self.replans += 1;
+        self.state.records[slot] = Some(new_record);
+        self.state.last_replan[slot] = now;
+        self.state.replans += 1;
         if let Some(buf) = &mut self.trace {
             buf.push(SchedTrace::Replan { workflow: wf });
         }
     }
 }
 
-/// Serialized form of the WOHA master's private bookkeeping for the
-/// master-failover checkpoint. The incremental index is *not* serialized:
-/// it is derived state, rebuilt from the records on restore.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct WohaSnapshot {
-    records: Vec<Option<WorkflowProgress>>,
-    last_replan: Vec<SimTime>,
-    replans: u64,
-    rho_rollbacks: u64,
-    /// Defaulted so checkpoints taken before failure padding existed still
-    /// decode.
-    #[serde(default)]
-    plans_padded: u64,
-}
-
 impl SchedulerState for WohaScheduler {
-    /// The encoding of a `WohaSnapshot` of `self`, built from references
-    /// rather than from a cloned one.
     fn snapshot_state(&self) -> Value {
-        Value::Object(vec![
-            ("records".to_owned(), self.records.to_value()),
-            ("last_replan".to_owned(), self.last_replan.to_value()),
-            ("replans".to_owned(), self.replans.to_value()),
-            ("rho_rollbacks".to_owned(), self.rho_rollbacks.to_value()),
-            ("plans_padded".to_owned(), self.plans_padded.to_value()),
-        ])
+        self.state.to_value()
     }
 
     fn restore_state(&mut self, _pool: &WorkflowPool, state: &Value) {
-        let Ok(snap) = WohaSnapshot::from_value(state) else {
-            return;
-        };
-        self.records = snap.records;
-        self.last_replan = snap.last_replan;
-        self.replans = snap.replans;
-        self.rho_rollbacks = snap.rho_rollbacks;
-        self.plans_padded = snap.plans_padded;
+        self.state = WohaState::from_value(state).expect("a WOHA checkpoint decodes");
         // Rebuild the index by re-inserting every queued record under its
         // current keys, replacing whatever the index held before.
         self.index = DslIndex::new();
-        for record in self.records.iter().flatten() {
+        for record in self.state.records.iter().flatten() {
             self.index.insert(
                 record.id(),
                 record.next_change(),
@@ -372,14 +350,14 @@ impl WorkflowScheduler for WohaScheduler {
 
         // Master side: enqueue the record.
         let slot = wf.as_u64() as usize;
-        if self.records.len() <= slot {
-            self.records.resize_with(slot + 1, || None);
-            self.last_replan.resize(slot + 1, SimTime::ZERO);
+        if self.state.records.len() <= slot {
+            self.state.records.resize_with(slot + 1, || None);
+            self.state.last_replan.resize(slot + 1, SimTime::ZERO);
         }
-        self.last_replan[slot] = now;
+        self.state.last_replan[slot] = now;
         self.index
             .insert(wf, record.next_change(), record.lag(), record.deadline());
-        self.records[slot] = Some(record);
+        self.state.records[slot] = Some(record);
     }
 
     fn on_job_completed(&mut self, pool: &WorkflowPool, wf: WorkflowId, _job: JobId, now: SimTime) {
@@ -389,7 +367,7 @@ impl WorkflowScheduler for WohaScheduler {
     }
 
     fn on_workflow_completed(&mut self, _pool: &WorkflowPool, wf: WorkflowId, _now: SimTime) {
-        if let Some(record) = self.records[wf.as_u64() as usize].take() {
+        if let Some(record) = self.state.records[wf.as_u64() as usize].take() {
             self.index
                 .remove(wf, record.next_change(), record.lag(), record.deadline());
         }
@@ -424,14 +402,14 @@ impl WorkflowScheduler for WohaScheduler {
         // same way an assignment advanced them. Guarded: a late failure
         // notification for an already-completed workflow is a no-op.
         let slot = wf.as_u64() as usize;
-        let Some(record) = self.records.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(record) = self.state.records.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
         let (ct, old_lag, deadline) = (record.next_change(), record.lag(), record.deadline());
         record.on_task_failed();
         let new_lag = record.lag();
         self.index.update(wf, ct, old_lag, ct, new_lag, deadline);
-        self.rho_rollbacks += 1;
+        self.state.rho_rollbacks += 1;
         if let Some(buf) = &mut self.trace {
             buf.push(SchedTrace::RhoRollback { workflow: wf });
         }
@@ -446,6 +424,7 @@ impl WorkflowScheduler for WohaScheduler {
             return;
         }
         let queued: Vec<WorkflowId> = self
+            .state
             .records
             .iter()
             .flatten()
@@ -548,7 +527,7 @@ impl WorkflowScheduler for WohaScheduler {
     }
 
     fn plans_padded(&self) -> u64 {
-        self.plans_padded
+        self.state.plans_padded
     }
 }
 
@@ -730,7 +709,7 @@ mod tests {
         sched.on_workflow_submitted(&pool, wf, SimTime::ZERO);
         let job = JobId::new(0);
         pool.workflow_mut(wf).begin_submitting(job);
-        pool.workflow_mut(wf).activate(job, SimTime::from_secs(1));
+        pool.workflow_mut(wf).activate(job);
         sched.on_job_activated(&pool, wf, job, SimTime::from_secs(1));
         pool.workflow_mut(wf).start_task(job, SlotKind::Map);
         sched.on_task_assigned(&pool, wf, job, SlotKind::Map, SimTime::from_secs(2));
@@ -745,41 +724,6 @@ mod tests {
             restored.assign_task(&pool, SlotKind::Map, now),
             sched.assign_task(&pool, SlotKind::Map, now)
         );
-    }
-
-    #[test]
-    fn snapshot_state_encodes_what_a_cloned_snapshot_did() {
-        // Every field populated: queued and completed records, a replan, a
-        // rollback and a padded plan.
-        let mut pool = woha_sim::WorkflowPool::new();
-        let mut sched = WohaScheduler::new(WohaConfig {
-            replan: true,
-            padding: Some(PadConfig::new(SimDuration::from_mins(5))),
-            ..WohaConfig::new(PriorityPolicy::Lpf, 9)
-        });
-        for (at, name) in [(0, "a"), (1, "b"), (2, "c")] {
-            let wf = pool.register(chain_workflow(name, at, 240));
-            sched.on_workflow_submitted(&pool, wf, SimTime::from_secs(at));
-        }
-        let now = SimTime::from_secs(150);
-        let (wf, job) = (WorkflowId::new(0), JobId::new(0));
-        sched.on_task_assigned(&pool, wf, job, SlotKind::Map, now);
-        sched.on_task_failed(&pool, wf, job, SlotKind::Map, now);
-        let _ = sched.assign_task(&pool, SlotKind::Map, now); // refresh lags
-        sched.on_node_lost(&pool, woha_model::NodeId::new(0), now);
-        sched.on_workflow_completed(&pool, WorkflowId::new(1), now);
-        assert!(sched.replans() > 0 && sched.rho_rollbacks() > 0 && sched.plans_padded() > 0);
-        assert!(sched.records.iter().any(Option::is_none));
-
-        let cloned = WohaSnapshot {
-            records: sched.records.clone(),
-            last_replan: sched.last_replan.clone(),
-            replans: sched.replans,
-            rho_rollbacks: sched.rho_rollbacks,
-            plans_padded: sched.plans_padded,
-        }
-        .to_value();
-        assert_eq!(sched.snapshot_state(), cloned);
     }
 
     #[test]

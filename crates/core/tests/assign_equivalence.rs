@@ -171,7 +171,7 @@ impl Rig {
             self.now,
         ));
         self.pool.workflow_mut(wf).begin_submitting(JobId::new(0));
-        self.pool.workflow_mut(wf).activate(JobId::new(0), self.now);
+        self.pool.workflow_mut(wf).activate(JobId::new(0));
         self.ghost = Some(wf);
     }
 
@@ -199,7 +199,7 @@ impl Rig {
         }
         let (wf, job) = sites[site % sites.len()];
         let now = self.now;
-        self.pool.workflow_mut(wf).activate(job, now);
+        self.pool.workflow_mut(wf).activate(job);
         self.each(|s, pool| s.on_job_activated(pool, wf, job, now));
     }
 

@@ -3,7 +3,7 @@
 
 use crate::fault::FaultConfig;
 use serde::{Deserialize, Serialize};
-use woha_model::{NodeId, SimDuration, SlotKind};
+use woha_model::{NodeId, SimDuration, SlotKind, WorkflowSpec};
 
 /// Static description of one worker node (TaskTracker host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -229,6 +229,15 @@ impl ClusterConfig {
         self.nodes.iter().map(|n| n.slots(kind)).fold(0u32, |a, s| {
             a.checked_add(s).expect("cluster slot count overflows u32")
         })
+    }
+
+    /// A kind of task `spec` has but this cluster has no slot for, if
+    /// any: such a workflow could never finish here.
+    pub fn missing_slots(&self, spec: &WorkflowSpec) -> Option<SlotKind> {
+        let tasks = [spec.total_map_tasks(), spec.total_reduce_tasks()];
+        SlotKind::ALL
+            .into_iter()
+            .find(|&kind| tasks[kind as usize] > 0 && self.total_slots(kind) == 0)
     }
 
     /// Total slots of both kinds (the resource cap `n` handed to the

@@ -403,8 +403,8 @@ struct Sim<'a> {
     exhausted: bool,
     /// Admission gate at the front door; `None` admits everything.
     gate: Option<&'a mut dyn AdmissionGate>,
-    /// Workflows the gate turned away, by reason (sorted for deterministic
-    /// reports).
+    /// Workflows turned away at the front door (by the gate, or for lack of
+    /// slots), by reason (sorted for deterministic reports).
     rejections: BTreeMap<String, u64>,
     /// Where every trace record goes (see [`crate::obs`]); `None` when no
     /// consumer is on, and while the WAL replays during master recovery.
@@ -678,7 +678,7 @@ impl<'a> Sim<'a> {
         wf: WorkflowId,
         job: JobId,
     ) {
-        self.pool.workflow_mut(wf).activate(job, self.now);
+        self.pool.workflow_mut(wf).activate(job);
         if self.config.locality.is_some() {
             let maps = self.pool.workflow(wf).spec().job(job).map_tasks();
             self.data.activate_job(wf, job, maps);
@@ -1632,6 +1632,10 @@ fn simulate<'a>(
         sim.start_master(scheduler);
     }
 
+    // Whether arrivals must be checked for tasks no slot can run.
+    let slotless = SlotKind::ALL
+        .into_iter()
+        .any(|k| cluster.total_slots(k) == 0);
     // An elided beat is invisible only while an empty offer launches
     // nothing: see [`Sim::idle_run`].
     let idle_runs = config.speculation.is_none() && !sim.risk_placement_on();
@@ -1672,18 +1676,25 @@ fn simulate<'a>(
                 break;
             }
             let spec = source.next_workflow().expect("peeked source yields");
-            if let Some(gate) = sim.gate.as_deref_mut() {
-                if let Err(reason) = gate.admit(&spec, at) {
-                    *sim.rejections.entry(reason.clone()).or_insert(0) += 1;
-                    sim.emit_at(
-                        at,
-                        TraceEvent::AdmissionReject {
-                            workflow: spec.name().to_string(),
-                            reason,
-                        },
-                    );
-                    continue;
-                }
+            // A workflow with tasks no slot can run is turned away before
+            // the gate, which never sees it.
+            let admitted = match slotless.then(|| cluster.missing_slots(&spec)).flatten() {
+                Some(kind) => Err(format!("no_{kind}_slots")),
+                None => sim
+                    .gate
+                    .as_deref_mut()
+                    .map_or(Ok(()), |g| g.admit(&spec, at)),
+            };
+            if let Err(reason) = admitted {
+                *sim.rejections.entry(reason.clone()).or_insert(0) += 1;
+                sim.emit_at(
+                    at,
+                    TraceEvent::AdmissionReject {
+                        workflow: spec.name().to_string(),
+                        reason,
+                    },
+                );
+                continue;
             }
             let index = sim.workflows.len();
             sim.workflows.push(Arc::new(spec));
@@ -1774,7 +1785,7 @@ fn report(
         !completed || sim.data.tracked_entries() == 0,
         "every job finished, so the data plane holds nothing"
     );
-    let admission = sim.gate.is_some().then(|| AdmissionReport {
+    let admission = (sim.gate.is_some() || !sim.rejections.is_empty()).then(|| AdmissionReport {
         workflows_rejected: sim.rejections.values().sum(),
         rejections: sim
             .rejections

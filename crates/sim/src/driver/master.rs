@@ -4,7 +4,6 @@
 
 use super::Sim;
 use crate::event::Event;
-use crate::health::NodeHealth;
 use crate::obs::TraceEvent;
 use crate::scheduler::WorkflowScheduler;
 use crate::snapshot::{AttemptRecord, FaultSnapshot, GroupRecord, MasterSnapshot, NodeSlotsRecord};
@@ -40,7 +39,7 @@ impl Sim<'_> {
             counters: self.counters.clone(),
             fault: self.fault.clone(),
             scheduler: scheduler.snapshot_state(),
-            health: self.health.as_ref().map(NodeHealth::to_record),
+            health: self.health.clone(),
             reshuffle_debt: self.data.reshuffle_records(),
         }
     }
@@ -71,11 +70,9 @@ impl Sim<'_> {
         self.fault = snap.fault;
         let completed = self.pool.workflows().iter().filter(|w| w.is_complete());
         self.remaining = self.arrived.len() - completed.count();
-        if let (Some(health), Some(rec)) = (self.health.as_mut(), snap.health.as_ref()) {
-            // Propensity is logical (learned) state: restore the
-            // checkpoint and let WAL replay re-apply later crashes.
-            health.restore(rec);
-        }
+        // Propensity is logical (learned) state: restore the checkpoint
+        // and let WAL replay re-apply later crashes.
+        self.health = snap.health;
         scheduler.restore_state(&self.pool, &snap.scheduler);
     }
 

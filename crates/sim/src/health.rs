@@ -51,24 +51,6 @@ impl Default for PredictionConfig {
 /// Fault-free time after which a node's propensity score halves.
 pub const HALF_LIFE: SimDuration = SimDuration::from_mins(4 * 60);
 
-/// Serializable propensity state, checkpointed inside
-/// [`crate::MasterSnapshot`] so WAL recovery replays prediction decisions
-/// deterministically.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HealthRecord {
-    /// Per-node score as of the matching `anchor` entry.
-    pub score: Vec<f64>,
-    /// Per-node time of the last score update.
-    pub anchor: Vec<SimTime>,
-    /// Placements declined because the picked node was risky.
-    pub risk_averted: u64,
-    /// Speculative duplicates launched because the original attempt was
-    /// running on a risky node (rather than because it was overdue).
-    pub preemptive_speculations: u64,
-    /// Nodes blacklisted by the propensity-threshold policy.
-    pub adaptive_blacklists: u64,
-}
-
 /// The live propensity tracker owned by the simulator.
 ///
 /// Scores decay lazily: each node stores its score as of its last fault
@@ -76,10 +58,15 @@ pub struct HealthRecord {
 /// elapsed fault-free time on read. This keeps updates O(1) per fault and
 /// reads O(1) per query with no periodic decay events that could perturb
 /// the event stream.
-#[derive(Debug, Clone)]
+///
+/// The tracker is logical master state and is checkpointed as it stands
+/// inside [`crate::MasterSnapshot`], so WAL recovery replays prediction
+/// decisions deterministically.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeHealth {
-    /// Score as of `anchor[i]`.
+    /// Per-node score as of the matching `anchor` entry.
     score: Vec<f64>,
+    /// Per-node time of the last score update.
     anchor: Vec<SimTime>,
     /// Placements declined because the picked node was risky.
     pub risk_averted: u64,
@@ -133,27 +120,6 @@ impl NodeHealth {
         (0..self.score.len())
             .map(|i| self.score(NodeId::new(i as u32), now))
             .collect()
-    }
-
-    /// Snapshot of the full tracker state for checkpointing.
-    pub fn to_record(&self) -> HealthRecord {
-        HealthRecord {
-            score: self.score.clone(),
-            anchor: self.anchor.clone(),
-            risk_averted: self.risk_averted,
-            preemptive_speculations: self.preemptive_speculations,
-            adaptive_blacklists: self.adaptive_blacklists,
-        }
-    }
-
-    /// Restores the tracker from a checkpoint; WAL replay then re-applies
-    /// the post-checkpoint fault events deterministically.
-    pub fn restore(&mut self, rec: &HealthRecord) {
-        self.score = rec.score.clone();
-        self.anchor = rec.anchor.clone();
-        self.risk_averted = rec.risk_averted;
-        self.preemptive_speculations = rec.preemptive_speculations;
-        self.adaptive_blacklists = rec.adaptive_blacklists;
     }
 }
 
@@ -218,15 +184,26 @@ mod tests {
         h.risk_averted = 4;
         h.preemptive_speculations = 2;
         h.adaptive_blacklists = 1;
-        let rec = h.to_record();
-        let mut fresh = NodeHealth::new(3);
-        fresh.restore(&rec);
+        let fresh = NodeHealth::from_value(&h.to_value()).expect("decodes");
+        assert_eq!(fresh, h);
         let t = SimTime::from_mins(7);
         for i in 0..3 {
             assert_eq!(fresh.score(NodeId::new(i), t), h.score(NodeId::new(i), t));
         }
-        assert_eq!(fresh.risk_averted, 4);
-        assert_eq!(fresh.preemptive_speculations, 2);
-        assert_eq!(fresh.adaptive_blacklists, 1);
+        // The checkpoint encoding: field names and order are the format.
+        let serde::Value::Object(fields) = h.to_value() else {
+            panic!("the tracker encodes as an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "score",
+                "anchor",
+                "risk_averted",
+                "preemptive_speculations",
+                "adaptive_blacklists"
+            ]
+        );
     }
 }

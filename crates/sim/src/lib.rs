@@ -66,7 +66,7 @@ pub use driver::{
 pub use fault::{FaultConfig, FaultStream, MasterFaultConfig, ScriptedFault};
 pub use gate::AdmissionGate;
 pub use hash::{FastMap, FxBuildHasher, FxHasher};
-pub use health::{HealthRecord, NodeHealth, PredictionConfig, PredictionReport};
+pub use health::{NodeHealth, PredictionConfig, PredictionReport};
 pub use metrics::{
     AdmissionReport, Counter, Gauge, Histogram, MetricsRegistry, RecoveryReport, RejectCount,
     SimReport, Timelines, WorkflowOutcome,

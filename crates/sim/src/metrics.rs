@@ -228,19 +228,19 @@ pub struct RecoveryReport {
     pub jobs_resubmitted: u64,
 }
 
-/// Rejections attributed to one stable admission-gate reason label.
+/// Rejections attributed to one stable reason label.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RejectCount {
-    /// Stable, snake_case reason label produced by the gate (e.g.
-    /// `"critical_path_exceeds_deadline"`).
+    /// Stable, snake_case reason label: the gate's (e.g.
+    /// `"critical_path_exceeds_deadline"`) or `"no_{map,reduce}_slots"`.
     pub reason: String,
     /// Workflows rejected for this reason.
     pub count: u64,
 }
 
-/// What the admission gate at the driver's front door did over a run.
-/// Attached to [`SimReport::admission`] only when a gate was supplied, so
-/// ungated reports stay byte-identical.
+/// What the driver's front door turned away over a run. Attached to
+/// [`SimReport::admission`] only when a gate was supplied or something was
+/// turned away, so other reports stay byte-identical.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionReport {
     /// Workflows turned away at submission. Rejected workflows never enter
@@ -333,8 +333,8 @@ pub struct SimReport {
     /// output) unless master faults were enabled.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub recovery: Option<RecoveryReport>,
-    /// Admission-gate accounting; `None` (and omitted from serialized
-    /// output) unless an admission gate was supplied.
+    /// Admission accounting; `None` (and omitted from serialized output)
+    /// unless an admission gate was supplied or a workflow turned away.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub admission: Option<AdmissionReport>,
     /// Failure-prediction accounting (propensity table, padding and

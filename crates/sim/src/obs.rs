@@ -202,12 +202,12 @@ pub enum TraceEvent {
         /// WAL records superseded by (folded into) this checkpoint.
         wal_records: u64,
     },
-    /// The admission gate rejected a workflow at the driver's front door.
-    /// The workflow never enters the pool and produces no outcome.
+    /// The driver's front door turned a workflow away. The workflow never
+    /// enters the pool and produces no outcome.
     AdmissionReject {
         /// Name of the rejected workflow spec.
         workflow: String,
-        /// Stable rejection-reason label produced by the gate in use.
+        /// Stable rejection-reason label: the gate's, or `no_{map,reduce}_slots`.
         reason: String,
     },
     /// Risk-aware placement declined a slot offer: the node's failure

@@ -17,12 +17,12 @@ use woha_model::{JobId, SimTime, SlotKind, WorkflowId};
 
 /// Checkpoint support for scheduler-internal state, used by master
 /// failover: the JobTracker's periodic snapshot embeds the scheduler's
-/// private bookkeeping (WOHA's plan records and priority index, the
-/// baselines' activation queues) so a recovered master can resume
-/// scheduling without re-deriving it.
+/// private bookkeeping (WOHA's plan records and progress counters) so a
+/// recovered master can resume scheduling without re-deriving it.
 ///
 /// Both methods default to a stateless scheduler (nothing to save,
-/// nothing to restore), so purely pool-driven schedulers need no code.
+/// nothing to restore), so purely pool-driven schedulers — the baselines,
+/// which read job order off the pool — need no code.
 pub trait SchedulerState {
     /// Serializes the scheduler's internal state to a value tree.
     fn snapshot_state(&self) -> Value {

@@ -328,7 +328,7 @@ pub struct MasterSnapshot {
     /// stay byte-identical to pre-prediction ones and old checkpoints
     /// still decode.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub health: Option<crate::health::HealthRecord>,
+    pub health: Option<crate::health::NodeHealth>,
     /// Outstanding re-shuffle debt per wjob (map outputs a reducer must
     /// re-fetch after a node loss), sorted by (wf, job). Empty (and
     /// omitted) when re-shuffle charging is off.
@@ -491,26 +491,35 @@ mod tests {
     #[test]
     fn reread_is_the_whole_tree_round_trip() {
         use woha_model::{JobSpec, WorkflowBuilder};
-        let mut snap = sample();
-        for maps in 1..4 {
+        let job = JobId::new(0);
+        let activate = |pool: &mut WorkflowPool, maps: u32| {
             let mut b = WorkflowBuilder::new("w");
-            let job = b.add_job(JobSpec::new(
+            b.add_job(JobSpec::new(
                 "j",
                 maps,
                 1,
                 SimDuration::from_secs(10),
                 SimDuration::from_secs(20),
             ));
-            let wf = snap.pool.register(b.build().expect("valid workflow"));
-            // Ready totals differ per workflow, so a miscount would show.
-            let mut w = snap.pool.workflow_mut(wf);
+            let wf = pool.register(b.build().expect("valid workflow"));
+            let mut w = pool.workflow_mut(wf);
             w.begin_submitting(job);
-            w.activate(job, SimTime::from_secs(5));
-            w.start_task(job, SlotKind::Map);
+            w.activate(job);
+            w.job(job).ordinal()
+        };
+        let mut snap = sample();
+        for maps in 1..4 {
+            // Ready totals differ per workflow, so a miscount would show.
+            activate(&mut snap.pool, maps);
+            let last = WorkflowId::new(u64::from(maps) - 1);
+            snap.pool.workflow_mut(last).start_task(job, SlotKind::Map);
         }
         let whole = MasterSnapshot::decode(&snap.encode()).expect("round trip");
         assert_eq!(whole.pool.len(), 3);
-        assert_eq!(snap.reread().expect("reread"), whole);
+        let mut reread = snap.reread().expect("reread");
+        assert_eq!(reread, whole);
+        // The activation counter is recounted: the next job is the fourth.
+        assert_eq!(activate(&mut reread.pool, 1), Some(3));
     }
 
     #[test]

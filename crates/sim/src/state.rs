@@ -25,7 +25,8 @@
 //!   drops.
 //!
 //! The totals are derived state: they are not part of the serialized form
-//! and are recounted from the job counters on decode.
+//! and are recounted from the job counters on decode, as is the pool's
+//! activation counter (see [`JobState::ordinal`]).
 //!
 //! # Sharing
 //!
@@ -68,7 +69,8 @@ pub struct JobState {
     completed_reduces: u32,
     retried_maps: u32,
     retried_reduces: u32,
-    activated_at: Option<SimTime>,
+    /// Jobs the pool activated before this one; `None` until activated.
+    ordinal: Option<u64>,
     completed_at: Option<SimTime>,
 }
 
@@ -85,7 +87,7 @@ impl JobState {
             completed_reduces: 0,
             retried_maps: 0,
             retried_reduces: 0,
-            activated_at: None,
+            ordinal: None,
             completed_at: None,
         }
     }
@@ -156,9 +158,10 @@ impl JobState {
         }
     }
 
-    /// When the job became schedulable, if it has.
-    pub fn activated_at(&self) -> Option<SimTime> {
-        self.activated_at
+    /// How many jobs the pool activated before this one — its place in the
+    /// JobTracker's job list — or `None` until it is activated.
+    pub fn ordinal(&self) -> Option<u64> {
+        self.ordinal
     }
 
     /// When the job finished, if it has.
@@ -364,19 +367,6 @@ impl WorkflowState {
         });
     }
 
-    /// Moves a job from [`JobPhase::Submitting`] to [`JobPhase::Active`].
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic unless the job is submitting.
-    pub fn activate(&mut self, job: JobId, now: SimTime) {
-        self.update_job(job, |j| {
-            debug_assert_eq!(j.phase, JobPhase::Submitting);
-            j.phase = JobPhase::Active;
-            j.activated_at = Some(now);
-        });
-    }
-
     /// Records a task assignment; updates true progress.
     ///
     /// # Panics
@@ -542,10 +532,14 @@ pub struct WorkflowPool {
     workflows: Vec<Arc<WorkflowState>>,
     /// Derived from `workflows`; absent from the serialized form.
     ready: ReadyCounts,
+    /// Jobs activated so far: the next activation ordinal. Derived from
+    /// `workflows`; absent from the serialized form.
+    activated: u64,
 }
 
 // Hand-written for the same reason as `WorkflowState`'s: the encoding is
-// the `{ workflows }` object the derive produced, `ready` is recounted.
+// the `{ workflows }` object the derive produced, `ready` and `activated`
+// are recounted.
 impl Serialize for WorkflowPool {
     fn to_value(&self) -> Value {
         let workflows = self.workflows.iter().map(|w| w.to_value()).collect();
@@ -575,6 +569,7 @@ impl Deserialize for WorkflowPool {
 pub struct WorkflowMut<'a> {
     state: &'a mut WorkflowState,
     ready: &'a mut ReadyCounts,
+    activated: &'a mut u64,
     before: [u64; 2],
 }
 
@@ -589,6 +584,24 @@ impl Deref for WorkflowMut<'_> {
 impl DerefMut for WorkflowMut<'_> {
     fn deref_mut(&mut self) -> &mut WorkflowState {
         self.state
+    }
+}
+
+impl WorkflowMut<'_> {
+    /// Moves a job from [`JobPhase::Submitting`] to [`JobPhase::Active`],
+    /// stamping it with the pool's next activation ordinal.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic unless the job is submitting.
+    pub fn activate(&mut self, job: JobId) {
+        let ordinal = *self.activated;
+        self.state.update_job(job, |j| {
+            debug_assert_eq!(j.phase, JobPhase::Submitting);
+            j.phase = JobPhase::Active;
+            j.ordinal = Some(ordinal);
+        });
+        *self.activated += 1;
     }
 }
 
@@ -609,13 +622,18 @@ impl WorkflowPool {
         WorkflowPool::default()
     }
 
-    /// A pool of `workflows`, its ready totals recounted from them.
+    /// A pool of `workflows`, its ready totals and activation counter
+    /// recounted from them.
     fn from_workflows(workflows: Vec<Arc<WorkflowState>>) -> Self {
-        let mut ready = ReadyCounts::default();
-        for w in &workflows {
-            ready.replace([0; 2], w.eligible);
+        let mut pool = WorkflowPool {
+            workflows,
+            ..WorkflowPool::default()
+        };
+        for w in &pool.workflows {
+            pool.ready.replace([0; 2], w.eligible);
+            pool.activated += w.jobs.iter().filter(|j| j.ordinal.is_some()).count() as u64;
         }
-        WorkflowPool { workflows, ready }
+        pool
     }
 
     /// `Self::from_value(&self.to_value())` with one workflow's tree alive
@@ -666,6 +684,7 @@ impl WorkflowPool {
             before: state.eligible,
             state,
             ready: &mut self.ready,
+            activated: &mut self.activated,
         }
     }
 
@@ -768,7 +787,7 @@ mod tests {
 
         // Activate j0.
         pool.workflow_mut(id).begin_submitting(j0);
-        pool.workflow_mut(id).activate(j0, t);
+        pool.workflow_mut(id).activate(j0);
         assert_eq!(pool.workflow(id).job(j0).phase(), JobPhase::Active);
         assert!(pool.eligible(id, j0, SlotKind::Map));
         // Reduces not eligible while maps pending.
@@ -803,7 +822,7 @@ mod tests {
         // Unblock and run j1 (map-only).
         assert!(pool.workflow_mut(id).satisfy_prereq(j1));
         pool.workflow_mut(id).begin_submitting(j1);
-        pool.workflow_mut(id).activate(j1, SimTime::from_secs(31));
+        pool.workflow_mut(id).activate(j1);
         pool.workflow_mut(id).start_task(j1, SlotKind::Map);
         let done = pool
             .workflow_mut(id)
@@ -823,7 +842,7 @@ mod tests {
         let (mut pool, id) = pool_with_one();
         let j0 = JobId::new(0);
         pool.workflow_mut(id).begin_submitting(j0);
-        pool.workflow_mut(id).activate(j0, SimTime::ZERO);
+        pool.workflow_mut(id).activate(j0);
         let w = pool.workflow(id);
         assert_eq!(w.eligible_tasks(SlotKind::Map), 2);
         assert_eq!(w.eligible_tasks(SlotKind::Reduce), 0);
@@ -841,7 +860,7 @@ mod tests {
         {
             let mut w = pool.workflow_mut(id);
             w.begin_submitting(j0);
-            w.activate(j0, SimTime::ZERO);
+            w.activate(j0);
             w.start_task(j0, SlotKind::Map);
             assert_eq!(w.eligible_tasks(SlotKind::Map), 1);
         }
@@ -859,7 +878,7 @@ mod tests {
         for _ in 0..3 {
             let id = pool.register(two_job_spec());
             pool.workflow_mut(id).begin_submitting(j0);
-            pool.workflow_mut(id).activate(j0, SimTime::ZERO);
+            pool.workflow_mut(id).activate(j0);
         }
         let clone = pool.clone();
         let encoded = clone.to_value();

@@ -161,7 +161,7 @@ pub fn apply_op(pool: &mut WorkflowPool, (site, step): Op, now: SimTime) {
                 pool.register(spec);
             }
             Step::SubmitRoot => pool.workflow_mut(id).begin_submitting(job),
-            Step::Activate => pool.workflow_mut(id).activate(job, now),
+            Step::Activate => pool.workflow_mut(id).activate(job),
             Step::Start => pool.workflow_mut(id).start_task(job, kind),
             Step::Finish => finish(pool, wf, job, kind, now),
             Step::Fail => pool.workflow_mut(id).fail_task(job, kind),
@@ -196,7 +196,7 @@ pub fn drain(pool: &mut WorkflowPool, now: SimTime, mut check: impl FnMut(&Workf
                     check(pool);
                 }
                 if pool.workflow(id).job(job).phase() == JobPhase::Submitting {
-                    pool.workflow_mut(id).activate(job, now);
+                    pool.workflow_mut(id).activate(job);
                     check(pool);
                 }
                 for kind in SlotKind::ALL {

@@ -3,7 +3,8 @@
 
 use woha_model::{JobSpec, SimDuration, SimTime, SlotKind, WorkflowBuilder, WorkflowSpec};
 use woha_sim::{
-    run_simulation, ClusterConfig, ObservabilityConfig, SimConfig, SubmitOrderScheduler,
+    run_simulation, run_simulation_observed, ClusterConfig, ObservabilityConfig, RejectCount,
+    SimConfig, SubmitOrderScheduler, TraceEvent,
 };
 
 fn one_job(name: &str, maps: u32, reduces: u32, submit_s: u64) -> WorkflowSpec {
@@ -35,23 +36,63 @@ fn empty_workload_finishes_immediately() {
 }
 
 #[test]
-fn reduce_job_on_map_only_cluster_truncates() {
-    // No reduce slots anywhere: the job can never finish; the run must hit
-    // the cutoff and report the workflow unfinished rather than spin.
-    let config = SimConfig {
-        max_sim_time: SimTime::from_mins(5),
-        ..SimConfig::default()
-    };
-    let report = run_simulation(
-        &[one_job("w", 2, 1, 0)],
-        &mut SubmitOrderScheduler::new(),
-        &ClusterConfig::uniform(2, 2, 0),
-        &config,
-    );
-    assert!(!report.completed);
-    assert_eq!(report.outcomes[0].finished, None);
-    // The two maps did run.
-    assert_eq!(report.tasks_executed, 2);
+fn reduce_job_on_map_only_cluster_is_turned_away() {
+    // A workflow with tasks of a kind the cluster has no slots for could
+    // never finish: it is turned away at the front door, with no gate,
+    // instead of idling to the cutoff. The others run to completion.
+    let workflows = [one_job("reduces", 2, 1, 0), one_job("maps", 3, 0, 0)];
+    for (cluster, reason, runs) in [
+        (
+            ClusterConfig::uniform(2, 2, 0),
+            "no_reduce_slots",
+            &["maps"][..],
+        ),
+        (ClusterConfig::uniform(2, 0, 2), "no_map_slots", &[]),
+    ] {
+        let config = SimConfig {
+            observability: ObservabilityConfig {
+                trace: true,
+                ..ObservabilityConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        let (report, obs) = run_simulation_observed(
+            &workflows,
+            &mut SubmitOrderScheduler::new(),
+            &cluster,
+            &config,
+        );
+        assert!(report.completed, "{reason}");
+        let ran: Vec<&str> = report.outcomes.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(ran, runs, "{reason}");
+        assert!(report.outcomes.iter().all(|o| o.finished.is_some()));
+        let refused: Vec<&str> = workflows
+            .iter()
+            .map(WorkflowSpec::name)
+            .filter(|name| !runs.contains(name))
+            .collect();
+        let admission = report.admission.expect("the rejections are reported");
+        assert_eq!(admission.workflows_rejected, refused.len() as u64);
+        assert_eq!(
+            admission.rejections,
+            [RejectCount {
+                reason: reason.to_string(),
+                count: refused.len() as u64,
+            }]
+        );
+        let traced: Vec<(&str, &str)> = obs
+            .trace
+            .iter()
+            .filter_map(|r| match &r.event {
+                TraceEvent::AdmissionReject { workflow, reason } => {
+                    Some((workflow.as_str(), reason.as_str()))
+                }
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<(&str, &str)> = refused.iter().map(|&name| (name, reason)).collect();
+        assert_eq!(traced, expected);
+    }
 }
 
 #[test]

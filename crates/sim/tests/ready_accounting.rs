@@ -93,7 +93,7 @@ fn maps_done_flips_move_the_reduce_counters() {
     };
 
     pool.workflow_mut(wf).begin_submitting(j);
-    pool.workflow_mut(wf).activate(j, t);
+    pool.workflow_mut(wf).activate(j);
     assert_eq!(pool.eligible_task_count(SlotKind::Map), 1);
     pool.workflow_mut(wf).start_task(j, SlotKind::Map);
     pool.workflow_mut(wf).start_speculative(j, SlotKind::Map);

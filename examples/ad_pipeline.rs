@@ -95,7 +95,7 @@ fn main() {
         let mut fifo;
         let mut woha;
         let scheduler: &mut dyn WorkflowScheduler = if name == "FIFO" {
-            fifo = FifoScheduler::new();
+            fifo = FifoScheduler;
             &mut fifo
         } else {
             woha = WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 48));

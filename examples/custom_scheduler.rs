@@ -117,7 +117,7 @@ fn main() {
     let config = SimConfig::default();
 
     let mut llf = LeastLaxityFirst;
-    let mut edf = EdfScheduler::new();
+    let mut edf = EdfScheduler;
     let mut woha = WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 12));
     let schedulers: [&mut dyn WorkflowScheduler; 3] = [&mut llf, &mut edf, &mut woha];
 

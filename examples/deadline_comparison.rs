@@ -51,9 +51,9 @@ fn main() {
         );
     };
 
-    run("EDF", &mut EdfScheduler::new());
-    run("FIFO", &mut FifoScheduler::new());
-    run("Fair", &mut FairScheduler::new());
+    run("EDF", &mut EdfScheduler);
+    run("FIFO", &mut FifoScheduler);
+    run("Fair", &mut FairScheduler);
     for policy in [
         PriorityPolicy::Lpf,
         PriorityPolicy::Hlf,

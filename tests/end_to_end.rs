@@ -29,9 +29,9 @@ fn fig11_workflows() -> Vec<WorkflowSpec> {
 
 fn all_schedulers(total_slots: u32) -> Vec<Box<dyn WorkflowScheduler>> {
     let mut v: Vec<Box<dyn WorkflowScheduler>> = vec![
-        Box::new(EdfScheduler::new()),
-        Box::new(FifoScheduler::new()),
-        Box::new(FairScheduler::new()),
+        Box::new(EdfScheduler),
+        Box::new(FifoScheduler),
+        Box::new(FairScheduler),
     ];
     for policy in [
         PriorityPolicy::Lpf,
@@ -486,11 +486,11 @@ fn master_crash_with_wal_is_the_uninterrupted_run_shifted() {
     let workflows = fig11_workflows();
     let cluster = demo_cluster();
     let config = SimConfig::default();
-    let baseline = run_simulation(&workflows, &mut FifoScheduler::new(), &cluster, &config);
+    let baseline = run_simulation(&workflows, &mut FifoScheduler, &cluster, &config);
 
     // Byte-identical when the subsystem is off (acceptance criterion).
     let disabled = demo_cluster().with_faults(FaultConfig::default());
-    let off = run_simulation(&workflows, &mut FifoScheduler::new(), &disabled, &config);
+    let off = run_simulation(&workflows, &mut FifoScheduler, &disabled, &config);
     let strip = |mut r: SimReport| {
         r.scheduler_nanos = 0;
         serde_json::to_string(&r).unwrap()
@@ -506,7 +506,7 @@ fn master_crash_with_wal_is_the_uninterrupted_run_shifted() {
         },
         ..FaultConfig::default()
     });
-    let report = run_simulation(&workflows, &mut FifoScheduler::new(), &faulty, &config);
+    let report = run_simulation(&workflows, &mut FifoScheduler, &faulty, &config);
     assert!(report.completed);
     let rec = report.recovery.as_ref().expect("master faults on");
     assert_eq!(rec.master_crashes, 1);
@@ -582,13 +582,8 @@ fn failover_identity_holds_with_batched_heartbeats() {
     });
     let config = SimConfig::default();
 
-    let baseline = run_simulation(
-        &workflows,
-        &mut FifoScheduler::new(),
-        &demo_cluster(),
-        &config,
-    );
-    let report = run_simulation(&workflows, &mut FifoScheduler::new(), &faulty, &config);
+    let baseline = run_simulation(&workflows, &mut FifoScheduler, &demo_cluster(), &config);
+    let report = run_simulation(&workflows, &mut FifoScheduler, &faulty, &config);
     assert!(report.completed);
     let rec = report.recovery.as_ref().expect("master faults on");
     assert_eq!(rec.master_crashes, 1);
@@ -689,7 +684,7 @@ fn yahoo_workload_end_to_end() {
     let cluster = ClusterConfig::with_totals(240, 240);
     let config = SimConfig::default();
 
-    let mut fifo = FifoScheduler::new();
+    let mut fifo = FifoScheduler;
     let fifo_report = run_simulation(&workflows, &mut fifo, &cluster, &config);
     let mut woha = WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 480));
     let woha_report = run_simulation(&workflows, &mut woha, &cluster, &config);
@@ -1303,7 +1298,7 @@ fn follow_source_written_live_matches_batch_byte_for_byte() {
                 PriorityPolicy::Lpf,
                 240,
             ))),
-            Box::new(EdfScheduler::new()),
+            Box::new(EdfScheduler),
         ]
     };
 
@@ -1999,9 +1994,9 @@ fn idle_runs_are_invisible() {
         woha.replan = case.replan;
         let all: Vec<Box<dyn WorkflowScheduler>> = vec![
             Box::new(WohaScheduler::new(woha)),
-            Box::new(FifoScheduler::new()),
-            Box::new(FairScheduler::new()),
-            Box::new(EdfScheduler::new()),
+            Box::new(FifoScheduler),
+            Box::new(FairScheduler),
+            Box::new(EdfScheduler),
         ];
         if !case.per_slot {
             return all;

@@ -221,9 +221,9 @@ proptest! {
         };
         let expected: u64 = workflows.iter().map(|w| w.total_tasks()).sum();
         let mut schedulers: Vec<Box<dyn WorkflowScheduler>> = vec![
-            Box::new(FifoScheduler::new()),
-            Box::new(FairScheduler::new()),
-            Box::new(EdfScheduler::new()),
+            Box::new(FifoScheduler),
+            Box::new(FairScheduler),
+            Box::new(EdfScheduler),
             Box::new(WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 9))),
         ];
         for scheduler in &mut schedulers {
@@ -267,8 +267,8 @@ proptest! {
         let config = SimConfig { seed, ..SimConfig::default() };
         let expected: u64 = workflows.iter().map(|w| w.total_tasks()).sum();
         let mut schedulers: Vec<Box<dyn WorkflowScheduler>> = vec![
-            Box::new(FifoScheduler::new()),
-            Box::new(EdfScheduler::new()),
+            Box::new(FifoScheduler),
+            Box::new(EdfScheduler),
             Box::new(WohaScheduler::new(WohaConfig::new(PriorityPolicy::Lpf, 12))),
         ];
         for scheduler in &mut schedulers {
@@ -286,9 +286,9 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&report.overall_utilization()));
         }
         // Determinism: repeating one scheduler reproduces the outcomes.
-        let mut again = FifoScheduler::new();
+        let mut again = FifoScheduler;
         let second = run_simulation(&workflows, &mut again, &cluster, &config);
-        let mut first = FifoScheduler::new();
+        let mut first = FifoScheduler;
         let first = run_simulation(&workflows, &mut first, &cluster, &config);
         prop_assert_eq!(first.outcomes, second.outcomes);
         prop_assert_eq!(first.node_failures, second.node_failures);
@@ -437,9 +437,9 @@ fn fifo_and_fair_are_deadline_blind() {
             for fair in [false, true] {
                 let run = |flows: &[WorkflowSpec]| {
                     let mut s: Box<dyn WorkflowScheduler> = if fair {
-                        Box::new(FairScheduler::new())
+                        Box::new(FairScheduler)
                     } else {
-                        Box::new(FifoScheduler::new())
+                        Box::new(FifoScheduler)
                     };
                     let r = run_simulation(flows, &mut *s, &cluster, &SimConfig::default());
                     let finished: Vec<_> = r.outcomes.iter().map(|o| o.finished).collect();
