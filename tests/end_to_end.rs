@@ -1658,6 +1658,226 @@ fn rack_data_plane_survives_master_failover() {
     );
 }
 
+/// One cell of the failover licence grid: speculation twins racing under
+/// stragglers and risk placement, task failures, stochastic node crashes
+/// in two racks, locality, and two scripted master crashes recovered with
+/// or without the WAL. Returns the cell's digest line (canonical report,
+/// `scheduler_nanos` zeroed, and JSONL trace) and the report.
+fn licence_cell(
+    workflows: &[WorkflowSpec],
+    nodes: u32,
+    crashes: [SimTime; 2],
+    woha: bool,
+    wal: bool,
+    survivors: bool,
+    seed: u64,
+) -> (String, SimReport) {
+    let cluster = ClusterConfig::uniform(nodes, 2, 1)
+        .with_racks(2)
+        .with_faults(FaultConfig {
+            master: MasterFaultConfig {
+                mttr: SimDuration::from_secs(45),
+                checkpoint_interval: SimDuration::from_mins(4),
+                wal,
+                scripted: crashes.to_vec(),
+                ..MasterFaultConfig::default()
+            },
+            ..FaultConfig::with_mtbf(SimDuration::from_mins(25), SimDuration::from_mins(2))
+        });
+    let config = SimConfig {
+        duration_jitter: 0.15,
+        task_failure_prob: 0.02,
+        seed,
+        speculation: Some(SpeculationConfig {
+            straggler_prob: 0.2,
+            ..SpeculationConfig::default()
+        }),
+        prediction: Some(PredictionConfig {
+            risk_placement: true,
+            ..PredictionConfig::default()
+        }),
+        locality: Some(LocalityConfig {
+            prefer_survivors: survivors,
+            ..LocalityConfig::default()
+        }),
+        observability: ObservabilityConfig {
+            trace: true,
+            ..ObservabilityConfig::default()
+        },
+        ..SimConfig::default()
+    };
+    let mut scheduler: Box<dyn WorkflowScheduler> = if woha {
+        Box::new(WohaScheduler::new(WohaConfig::new(
+            PriorityPolicy::Lpf,
+            nodes * 3,
+        )))
+    } else {
+        Box::new(FifoScheduler)
+    };
+    let (mut report, obs) = run_simulation_observed(workflows, &mut *scheduler, &cluster, &config);
+    report.scheduler_nanos = 0;
+    let line = format!(
+        "{} wal={} survivors={} seed={}: report {} jsonl {}\n",
+        report.scheduler,
+        u8::from(wal),
+        u8::from(survivors),
+        seed,
+        digest(&serde_json::to_string(&report).unwrap()),
+        digest(&obs.trace_jsonl()),
+    );
+    (line, report)
+}
+
+/// Runs the licence grid — WOHA-LPF and FIFO, WAL on and off, survivor
+/// preference on and off, `seeds` — and checks that every run completes
+/// after both master crashes and that the grid as a whole launches and
+/// kills twins, loses nodes and requeues attempts at a WAL-less recovery.
+fn licence_grid(
+    workflows: &[WorkflowSpec],
+    nodes: u32,
+    crashes: [SimTime; 2],
+    seeds: u64,
+) -> String {
+    let mut got = String::new();
+    let (mut twins, mut nodes_lost, mut requeued) = (0, 0, 0);
+    for woha in [true, false] {
+        for wal in [true, false] {
+            for survivors in [false, true] {
+                for seed in 0..seeds {
+                    let (line, report) =
+                        licence_cell(workflows, nodes, crashes, woha, wal, survivors, seed);
+                    assert!(report.completed, "{line}");
+                    let rec = report.recovery.as_ref().expect("master faults on");
+                    assert_eq!(rec.master_crashes, 2, "{line}");
+                    twins += report.speculative_launched;
+                    nodes_lost += report.node_failures;
+                    requeued += rec.attempts_requeued;
+                    got += &line;
+                }
+            }
+        }
+    }
+    assert!(
+        twins > 0 && nodes_lost > 0 && requeued > 0,
+        "{twins} {nodes_lost} {requeued}"
+    );
+    got
+}
+
+/// Four short two-job workflows released 30 s apart, each later one
+/// with a tighter deadline.
+fn licence_workflows() -> Vec<WorkflowSpec> {
+    (0..4u64)
+        .map(|i| {
+            let mut b = WorkflowBuilder::new(format!("lic-{i}"));
+            let sec = SimDuration::from_secs;
+            let a = b.add_job(JobSpec::new("a", 10, 3, sec(40), sec(60)));
+            let c = b.add_job(JobSpec::new("b", 6, 2, sec(30), sec(45)));
+            b.add_dependency(a, c);
+            b.submit_at(SimTime::from_secs(30 * i))
+                .relative_deadline(SimDuration::from_mins(24 - 4 * i))
+                .build()
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Digests of the small licence grid, recorded on the commit where
+/// speculation twins were still grouped in a separate table and the
+/// checkpoint still carried slot occupancy and the arrival cursor. The
+/// attempt table and checkpoint may change shape; these may not move.
+const LICENCE_SMALL: &str = "\
+WOHA-LPF wal=1 survivors=0 seed=0: report 8758e7c3c32aa3e1 jsonl bc41a3a7fda3ddcd
+WOHA-LPF wal=1 survivors=0 seed=1: report c1f6d8761d25e67b jsonl a793b0de93f94937
+WOHA-LPF wal=1 survivors=1 seed=0: report f8769b56ea9d02c6 jsonl bc41a3a7fda3ddcd
+WOHA-LPF wal=1 survivors=1 seed=1: report ef3004110ad4a708 jsonl e5ed7d1d3a049535
+WOHA-LPF wal=0 survivors=0 seed=0: report a0907b1917331b10 jsonl afdac406064b3e78
+WOHA-LPF wal=0 survivors=0 seed=1: report 8abb766e78af0629 jsonl 2e0f738b61ef2e05
+WOHA-LPF wal=0 survivors=1 seed=0: report 53ea6502665a20bb jsonl b4206fddba8f9624
+WOHA-LPF wal=0 survivors=1 seed=1: report dadee19d9d2c18b4 jsonl 32ac01863e323b24
+FIFO wal=1 survivors=0 seed=0: report ce3fde99c0bf7cfe jsonl b57a36c1294ed921
+FIFO wal=1 survivors=0 seed=1: report af0831a6939b7615 jsonl 4cd5ec855a760a94
+FIFO wal=1 survivors=1 seed=0: report 13b1130ee58023b8 jsonl b57a36c1294ed921
+FIFO wal=1 survivors=1 seed=1: report 31d6ea4ca7485d01 jsonl 43ba918b4e556086
+FIFO wal=0 survivors=0 seed=0: report a2e1597fb9ed4ad8 jsonl 7cd657e64fee06d1
+FIFO wal=0 survivors=0 seed=1: report 4991f13ca80c3966 jsonl 52649811e16bc7d1
+FIFO wal=0 survivors=1 seed=0: report 066bb5ba6af85564 jsonl 19c9367b6e017896
+FIFO wal=0 survivors=1 seed=1: report afdb1708fce887e5 jsonl 53e77dcf04040239
+";
+
+/// The failover licence for the attempt table and the master checkpoint,
+/// small enough for a debug build, where every checkpoint also checks its
+/// own invariants: twins race, lose and die with their nodes, the master
+/// crashes twice, and reports and traces stay what they were.
+#[test]
+fn attempt_table_failover_licence() {
+    let crashes = [SimTime::from_mins(4), SimTime::from_millis(497_300)];
+    let got = licence_grid(&licence_workflows(), 8, crashes, 2);
+    assert_eq!(got, LICENCE_SMALL);
+}
+
+/// Digests of the full licence grid (Fig 11's workflows on the demo
+/// cluster), recorded alongside [`LICENCE_SMALL`].
+const LICENCE_FULL: &str = "\
+WOHA-LPF wal=1 survivors=0 seed=0: report 613085bb9bede250 jsonl 4b18fc00f4dd848b
+WOHA-LPF wal=1 survivors=0 seed=1: report 890b47d44b0ffa29 jsonl 710269877e90f69d
+WOHA-LPF wal=1 survivors=0 seed=2: report 52515dc1efdf4433 jsonl 7296bced9bd7ec3c
+WOHA-LPF wal=1 survivors=0 seed=3: report 44106c23ba6a02ff jsonl 174214b661ea5b7d
+WOHA-LPF wal=1 survivors=0 seed=4: report 938e90c0e702dc35 jsonl 7d53a61631cbbffe
+WOHA-LPF wal=1 survivors=0 seed=5: report 102dc5fcfc2b36d9 jsonl c4074b62ef0dbad3
+WOHA-LPF wal=1 survivors=1 seed=0: report 2d88ca756b2c88a1 jsonl 90b8b36bbde200fd
+WOHA-LPF wal=1 survivors=1 seed=1: report e7dd7553c86077b8 jsonl c7c5d987ea306954
+WOHA-LPF wal=1 survivors=1 seed=2: report 1134b419385784be jsonl 8833a7297c9847e2
+WOHA-LPF wal=1 survivors=1 seed=3: report 8721479801f5bd8f jsonl 4c109a758c1803df
+WOHA-LPF wal=1 survivors=1 seed=4: report 999daec2e83f5fab jsonl 970f4455d2142783
+WOHA-LPF wal=1 survivors=1 seed=5: report dd166340aabed45c jsonl 1e54d5fd1f49f29e
+WOHA-LPF wal=0 survivors=0 seed=0: report 83b78ebf977585a1 jsonl baf4c1f0f312f4bf
+WOHA-LPF wal=0 survivors=0 seed=1: report 2d56417cf7ca390b jsonl 1f1f5a13cef62603
+WOHA-LPF wal=0 survivors=0 seed=2: report 4a87d8476288e351 jsonl 24155db5a60e4f04
+WOHA-LPF wal=0 survivors=0 seed=3: report ccf8d730186b79b9 jsonl cde3e70bc6e65b26
+WOHA-LPF wal=0 survivors=0 seed=4: report 2d00f831f6de47fb jsonl 20182707e6e5ac82
+WOHA-LPF wal=0 survivors=0 seed=5: report f278b25c72b5ea42 jsonl 2587c1d063e39a3f
+WOHA-LPF wal=0 survivors=1 seed=0: report c66be709b2872c82 jsonl ae5e959ce8b64eae
+WOHA-LPF wal=0 survivors=1 seed=1: report f23a193bbd5e3e34 jsonl 17acb4707b2d4952
+WOHA-LPF wal=0 survivors=1 seed=2: report 6bab89105bef4288 jsonl 53b8a81d1c5d55db
+WOHA-LPF wal=0 survivors=1 seed=3: report caf1d998f808823d jsonl 52f86bee7e8af9da
+WOHA-LPF wal=0 survivors=1 seed=4: report 855d2b70ab7c6428 jsonl 93438463da42326f
+WOHA-LPF wal=0 survivors=1 seed=5: report e67639bbdfe0abad jsonl a6406893416a5659
+FIFO wal=1 survivors=0 seed=0: report 47c2706fe0d2a018 jsonl f2c17c81e3253797
+FIFO wal=1 survivors=0 seed=1: report 791d1bf57c72ffce jsonl bfb5b698c3c130cb
+FIFO wal=1 survivors=0 seed=2: report c9a0ec5197e55cde jsonl b31cce9496782747
+FIFO wal=1 survivors=0 seed=3: report 6299820a6d2c5f28 jsonl 9b6db5db1b023874
+FIFO wal=1 survivors=0 seed=4: report 4b5893c88fe9b515 jsonl 9d2433457e2654a5
+FIFO wal=1 survivors=0 seed=5: report 6229ebd307b85d0f jsonl fcbf3bf12880514a
+FIFO wal=1 survivors=1 seed=0: report 9d2a793663403725 jsonl 9b91d04e7a223211
+FIFO wal=1 survivors=1 seed=1: report 7bb026ab611dce03 jsonl 660c767009d9a7ca
+FIFO wal=1 survivors=1 seed=2: report 0261c653b014ba76 jsonl 6addefd427f01129
+FIFO wal=1 survivors=1 seed=3: report fbd189034223c982 jsonl db979326c2adc901
+FIFO wal=1 survivors=1 seed=4: report 7994db290d5c648d jsonl f930f9affdc2c60c
+FIFO wal=1 survivors=1 seed=5: report 8f04b0fb485497bd jsonl 865b8e79741576f2
+FIFO wal=0 survivors=0 seed=0: report 3a011a7b021e4e69 jsonl 13edaa4546bcdf35
+FIFO wal=0 survivors=0 seed=1: report be322441548e748e jsonl 718e602bfa5e246b
+FIFO wal=0 survivors=0 seed=2: report 2fe9741beedd5354 jsonl 0c2df602ed77ca7f
+FIFO wal=0 survivors=0 seed=3: report a9922612915aab90 jsonl 8381bea9b5892ce1
+FIFO wal=0 survivors=0 seed=4: report b4eb2ec4f8ab3fc3 jsonl 353eaffd72d69998
+FIFO wal=0 survivors=0 seed=5: report 9a90dfdd0e6ca33d jsonl b41c4f8e005e4ffb
+FIFO wal=0 survivors=1 seed=0: report 111e3772b7f70b63 jsonl cb6048484aa360a3
+FIFO wal=0 survivors=1 seed=1: report d513cdd4ccd275ca jsonl 331dd2ac1262e5bd
+FIFO wal=0 survivors=1 seed=2: report 00deb06f545a6c40 jsonl 7a2daca2d2c9ee2b
+FIFO wal=0 survivors=1 seed=3: report cb36f9ffd6797f22 jsonl 900210037ebdc0f5
+FIFO wal=0 survivors=1 seed=4: report bec94b4939940f86 jsonl 23d8293bb7e2810b
+FIFO wal=0 survivors=1 seed=5: report 291c1c3cee3cfaee jsonl 19cbd8e4a50fd3d1
+";
+
+/// The full licence grid: 48 runs, release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only; CI runs it")]
+fn attempt_table_failover_licence_full() {
+    let crashes = [SimTime::from_mins(10), SimTime::from_millis(1_923_000)];
+    let got = licence_grid(&fig11_workflows(), 32, crashes, 6);
+    assert_eq!(got, LICENCE_FULL);
+}
+
 /// A scheduler wrapper for `idle_runs_are_invisible`: counts the offers
 /// the driver actually makes and holds it to the coalescing contract of
 /// [`WorkflowScheduler::assign_task`].
