@@ -243,17 +243,12 @@ mod tests {
         let snap = MasterSnapshot {
             taken_at: SimTime::ZERO,
             pool,
-            source_cursor: 2,
             arrived: vec![true; 2],
             attempts: Vec::new(),
-            groups: Vec::new(),
             next_attempt: 1,
-            next_group: 1,
             pending_map_ids: Vec::new(),
             delay_skips: Vec::new(),
             map_output_hosts: Vec::new(),
-            node_slots: Vec::new(),
-            busy_count: [0, 0],
             completion_seq: 0,
             counters: SnapshotCounters::default(),
             fault: FaultSnapshot::default(),

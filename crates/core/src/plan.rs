@@ -226,7 +226,7 @@ impl SchedulingPlan {
 pub enum PlanDecodeError {
     /// Input ended mid-field.
     Truncated,
-    /// A varint ran longer than 10 bytes.
+    /// A varint ran longer than 10 bytes, or past `u64::MAX`.
     VarintOverflow,
     /// Unknown policy tag byte.
     BadPolicy(u8),
@@ -240,7 +240,7 @@ impl std::fmt::Display for PlanDecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanDecodeError::Truncated => f.write_str("plan encoding ends mid-field"),
-            PlanDecodeError::VarintOverflow => f.write_str("varint longer than 10 bytes"),
+            PlanDecodeError::VarintOverflow => f.write_str("varint overflows u64"),
             PlanDecodeError::BadPolicy(b) => write!(f, "unknown policy tag {b}"),
             PlanDecodeError::TrailingBytes(n) => {
                 write!(f, "{n} unexpected trailing bytes after plan")
@@ -323,6 +323,10 @@ fn read_varint(bytes: &[u8], cursor: &mut usize) -> Result<u64, PlanDecodeError>
     for shift_bytes in 0..10u32 {
         let byte = *bytes.get(*cursor).ok_or(PlanDecodeError::Truncated)?;
         *cursor += 1;
+        // The tenth byte carries bit 63 alone.
+        if shift_bytes == 9 && byte > 1 {
+            return Err(PlanDecodeError::VarintOverflow);
+        }
         value |= u64::from(byte & 0x7F) << (7 * shift_bytes);
         if byte & 0x80 == 0 {
             return Ok(value);
@@ -467,6 +471,108 @@ mod tests {
             SchedulingPlan::decode(&bytes).unwrap_err(),
             PlanDecodeError::VarintOverflow
         );
+        // A ten-byte varint past u64::MAX: 2^64 as the resource cap.
+        let mut bytes = vec![0u8];
+        bytes.extend([0x80; 9]);
+        bytes.push(0x02);
+        assert_eq!(
+            SchedulingPlan::decode(&bytes).unwrap_err(),
+            PlanDecodeError::VarintOverflow
+        );
+    }
+
+    /// Plan bytes are what a client ships the master: over seeded
+    /// mutations of an encoded plan — byte flips, truncations, inserted,
+    /// deleted and duplicated bytes, overlong varints, fields set to
+    /// `u64::MAX` and to `u64::MAX + 1` — decoding returns a plan or a
+    /// `PlanDecodeError`, and never panics.
+    #[test]
+    fn hostile_plan_bytes_never_panic() {
+        let p = plan(&[(3600, 4), (1800, 40), (600, 90), (0, 120)])
+            .with_job_order((0..6).map(JobId::new).collect());
+        let bytes = p.encode();
+        // Field boundaries: the policy byte, then one varint per field.
+        let ends: Vec<usize> = std::iter::once(1)
+            .chain(
+                (1..bytes.len())
+                    .filter(|&i| bytes[i] & 0x80 == 0)
+                    .map(|i| i + 1),
+            )
+            .collect();
+        let mut rng = proptest::TestRng::for_case("hostile_plan_bytes_never_panic", 0);
+        let mut pick = |n: usize| rng.range_u64(0, n as u64) as usize;
+        let mut outcomes = std::collections::BTreeMap::new();
+        for _ in 0..1600 {
+            let mut m = bytes.clone();
+            let at = pick(m.len());
+            let field = pick(ends.len() - 1);
+            let (start, end) = (ends[field], ends[field + 1]);
+            let kind = match pick(8) {
+                0 => {
+                    m[at] ^= 1 << pick(8);
+                    "byte flip"
+                }
+                1 => {
+                    m.truncate(at);
+                    "truncation"
+                }
+                2 => {
+                    m.insert(at, pick(256) as u8);
+                    "insertion"
+                }
+                3 => {
+                    m.remove(at);
+                    "deletion"
+                }
+                4 => {
+                    let run = m[at..]
+                        .iter()
+                        .take(1 + pick(8))
+                        .copied()
+                        .collect::<Vec<_>>();
+                    m.splice(at..at, run);
+                    "duplication"
+                }
+                5 => {
+                    m.splice(start..end, [0xFF; 11]);
+                    "overlong varint"
+                }
+                6 => {
+                    let mut max = Vec::new();
+                    push_varint(&mut max, u64::MAX);
+                    m.splice(start..end, max);
+                    "u64::MAX"
+                }
+                _ => {
+                    m.splice(start..end, [0x80; 9].into_iter().chain([0x02]));
+                    "u64::MAX + 1"
+                }
+            };
+            let outcome = std::panic::catch_unwind(|| match SchedulingPlan::decode(&m) {
+                Ok(back) if back == p => "same",
+                Ok(_) => "decoded",
+                Err(e) => {
+                    assert!(!e.to_string().is_empty());
+                    "error"
+                }
+            });
+            *outcomes
+                .entry((kind, outcome.unwrap_or("panic")))
+                .or_insert(0) += 1;
+        }
+        let classes = |wanted: &str| outcomes.keys().filter(|k| k.1 == wanted).count();
+        assert_eq!(classes("panic"), 0, "{outcomes:?}");
+        assert_eq!(
+            classes("error"),
+            8,
+            "every kind must break some plan: {outcomes:?}"
+        );
+        for kind in ["overlong varint", "u64::MAX + 1"] {
+            assert!(
+                outcomes.keys().all(|k| k.0 != kind || k.1 == "error"),
+                "{outcomes:?}"
+            );
+        }
     }
 
     #[test]

@@ -519,55 +519,39 @@ impl DataPlane {
 
     /// Key-sorted pending-map records for a [`MasterSnapshot`](crate::MasterSnapshot).
     pub(crate) fn pending_map_records(&self) -> Vec<PendingMapsRecord> {
-        let mut v: Vec<PendingMapsRecord> = self
-            .pending_map_ids
-            .iter()
-            .map(|(&(wf, job), ids)| PendingMapsRecord {
-                wf,
-                job,
-                ids: ids.clone(),
-            })
-            .collect();
-        v.sort_unstable_by_key(|r| (r.wf.as_u64(), r.job.as_u32()));
-        v
+        key_sorted(&self.pending_map_ids, |wf, job, ids| PendingMapsRecord {
+            wf,
+            job,
+            ids: ids.clone(),
+        })
     }
 
     /// Key-sorted delay-skip records.
     pub(crate) fn delay_skip_records(&self) -> Vec<DelaySkipRecord> {
-        let mut v: Vec<DelaySkipRecord> = self
-            .delay_skips
-            .iter()
-            .map(|(&(wf, job), &skips)| DelaySkipRecord { wf, job, skips })
-            .collect();
-        v.sort_unstable_by_key(|r| (r.wf.as_u64(), r.job.as_u32()));
-        v
+        key_sorted(&self.delay_skips, |wf, job, &skips| DelaySkipRecord {
+            wf,
+            job,
+            skips,
+        })
     }
 
     /// Key-sorted map-output records.
     pub(crate) fn map_output_records(&self) -> Vec<MapOutputRecord> {
-        let mut v: Vec<MapOutputRecord> = self
-            .map_outputs
-            .iter()
-            .map(|(&(wf, job), out)| MapOutputRecord {
-                wf,
-                job,
-                hosts: out.hosts.clone(),
-                tasks: out.tasks.clone(),
-            })
-            .collect();
-        v.sort_unstable_by_key(|r| (r.wf.as_u64(), r.job.as_u32()));
-        v
+        key_sorted(&self.map_outputs, |wf, job, out| MapOutputRecord {
+            wf,
+            job,
+            hosts: out.hosts.clone(),
+            tasks: out.tasks.clone(),
+        })
     }
 
     /// Key-sorted re-shuffle debt records.
     pub(crate) fn reshuffle_records(&self) -> Vec<ReshuffleRecord> {
-        let mut v: Vec<ReshuffleRecord> = self
-            .reshuffle_debt
-            .iter()
-            .map(|(&(wf, job), &lost)| ReshuffleRecord { wf, job, lost })
-            .collect();
-        v.sort_unstable_by_key(|r| (r.wf.as_u64(), r.job.as_u32()));
-        v
+        key_sorted(&self.reshuffle_debt, |wf, job, &lost| ReshuffleRecord {
+            wf,
+            job,
+            lost,
+        })
     }
 
     /// Replaces the plane's logical state with checkpoint records (the
@@ -626,6 +610,20 @@ pub struct DataPlaneReport {
     pub reshuffle_events: u64,
     /// Total simulated time charged to re-shuffles, in milliseconds.
     pub reshuffle_charged_ms: u64,
+}
+
+/// The entries of a per-wjob table as checkpoint records, in `(wf, job)`
+/// order: the one order every data-plane record list is kept in.
+fn key_sorted<V, R>(
+    table: &FastMap<(WorkflowId, JobId), V>,
+    record: impl Fn(WorkflowId, JobId, &V) -> R,
+) -> Vec<R> {
+    let mut entries: Vec<_> = table.iter().collect();
+    entries.sort_unstable_by_key(|(&(wf, job), _)| (wf.as_u64(), job.as_u32()));
+    entries
+        .into_iter()
+        .map(|(&(wf, job), v)| record(wf, job, v))
+        .collect()
 }
 
 #[cfg(test)]

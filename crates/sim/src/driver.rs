@@ -43,7 +43,7 @@
 //! record of are discarded as orphans.
 
 use crate::clock::{Clock, SimClock, SourceWait};
-use crate::cluster::ClusterConfig;
+use crate::cluster::{ClusterConfig, NodeConfig};
 use crate::dataplane::{DataPlane, DataPlaneReport};
 use crate::event::{Event, EventQueue};
 use crate::fault::{splitmix, FaultStream};
@@ -56,9 +56,7 @@ use crate::obs::{
     MemorySink, ObservabilityConfig, Observations, Observer, TraceEvent, TraceRecord, TraceSink,
 };
 use crate::scheduler::{SchedTrace, WorkflowScheduler};
-use crate::snapshot::{
-    AttemptRecord, FaultSnapshot, GroupRecord, MasterSnapshot, NodeSlotsRecord, SnapshotCounters,
-};
+use crate::snapshot::{AttemptRecord, FaultSnapshot, MasterSnapshot, SnapshotCounters};
 use crate::state::WorkflowPool;
 use std::collections::BTreeMap;
 
@@ -288,34 +286,70 @@ const DECISION_SAMPLE_STRIDE: u64 = 61;
 /// deadline-critical (see [`WorkflowScheduler::slack_fraction`]).
 const SLACK_THRESHOLD: f64 = 0.35;
 
-/// In-flight task attempts and their speculation groups, tracked whenever
-/// duplicates can race or a node can die under a running task.
+/// Free-slot counters of one node; the default is a node with no slots to
+/// offer (down or blacklisted). Derived from the attempts and the node's
+/// liveness ([`Sim::counted_slots`]), so never checkpointed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct NodeSlots {
+    /// Free map slots.
+    free_maps: u32,
+    /// Free reduce slots.
+    free_reduces: u32,
+}
+
+impl NodeSlots {
+    /// All of `node`'s slots free.
+    fn idle(node: &NodeConfig) -> Self {
+        NodeSlots {
+            free_maps: node.map_slots,
+            free_reduces: node.reduce_slots,
+        }
+    }
+
+    fn free(&self, kind: SlotKind) -> u32 {
+        match kind {
+            SlotKind::Map => self.free_maps,
+            SlotKind::Reduce => self.free_reduces,
+        }
+    }
+
+    fn take(&mut self, kind: SlotKind) {
+        match kind {
+            SlotKind::Map => self.free_maps -= 1,
+            SlotKind::Reduce => self.free_reduces -= 1,
+        }
+    }
+
+    fn release(&mut self, kind: SlotKind) {
+        match kind {
+            SlotKind::Map => self.free_maps += 1,
+            SlotKind::Reduce => self.free_reduces += 1,
+        }
+    }
+}
+
+/// In-flight task attempts, tracked whenever duplicates can race or a node
+/// can die under a running task. A speculative race is the pair of
+/// attempts whose `twin`s name each other.
 struct AttemptTable {
     attempts: FastMap<u64, AttemptRecord>,
-    groups: FastMap<u64, GroupRecord>,
     next_attempt: u64,
-    next_group: u64,
 }
 
 impl AttemptTable {
-    /// Running original attempts of `kind` that have no twin yet: the
+    /// Running original attempts of `kind` that never had a twin: the
     /// candidates for a speculative duplicate.
     fn unpaired(&self, kind: SlotKind) -> impl Iterator<Item = &AttemptRecord> {
-        self.attempts.values().filter(move |a| {
-            a.kind == kind && !a.speculative && !a.cancelled && {
-                let g = &self.groups[&a.group];
-                !g.done && !g.twin_launched
-            }
-        })
+        self.attempts
+            .values()
+            .filter(move |a| a.kind == kind && !a.speculative && !a.cancelled && a.twin.is_none())
     }
 
-    /// Whether a live attempt other than `id` is still racing in `group`.
-    fn twin_alive(&self, id: u64, group: u64) -> bool {
-        self.groups.get(&group).is_some_and(|g| {
-            g.attempts[..usize::from(g.attempt_count)]
-                .iter()
-                .any(|&o| o != id && self.attempts.get(&o).is_some_and(|t| !t.cancelled))
-        })
+    /// Whether `a`'s twin is still racing.
+    fn twin_alive(&self, a: &AttemptRecord) -> bool {
+        a.twin
+            .and_then(|t| self.attempts.get(&t))
+            .is_some_and(|t| !t.cancelled)
     }
 }
 
@@ -350,14 +384,15 @@ struct MasterState {
 
 /// The simulated master and the world around it. What a checkpoint carries
 /// is kept as the [`crate::snapshot`] types themselves (`counters`, `fault`,
-/// `table`'s records, `nodes`): [`Sim::build_snapshot`] clones them and
+/// `table`'s records): [`Sim::build_snapshot`] clones them and
 /// [`Sim::install_snapshot`] assigns them back.
 struct Sim<'a> {
     config: &'a SimConfig,
     cluster: &'a ClusterConfig,
     queue: EventQueue,
     pool: WorkflowPool,
-    nodes: Vec<NodeSlotsRecord>,
+    /// Free slots per node; with `busy_count`, recounted on restore.
+    nodes: Vec<NodeSlots>,
     remaining: usize,
     now: SimTime,
     /// Unified seeded stream behind failure, straggler, crash, and repair
@@ -511,6 +546,27 @@ impl<'a> Sim<'a> {
         self.touch_busy();
         self.busy_count[Self::kind_index(kind)] -= 1;
         self.nodes[node.index()].release(kind);
+    }
+
+    /// Slot occupancy recounted from the live attempts: free slots per node
+    /// (a node that is alive and not blacklisted offers its slots minus its
+    /// live attempts', any other node nothing) and busy slots per kind.
+    fn counted_slots(&self) -> (Vec<NodeSlots>, [u32; 2]) {
+        let mut nodes: Vec<NodeSlots> = (self.cluster.nodes().iter().enumerate())
+            .map(|(i, cfg)| {
+                if self.fault.alive[i] && !self.fault.blacklisted[i] {
+                    NodeSlots::idle(cfg)
+                } else {
+                    NodeSlots::default()
+                }
+            })
+            .collect();
+        let mut busy = [0, 0];
+        for a in self.table.attempts.values().filter(|a| !a.cancelled) {
+            busy[Self::kind_index(a.kind)] += 1;
+            nodes[a.node.index()].take(a.kind);
+        }
+        (nodes, busy)
     }
 
     /// Kills running attempt `id` — it lost its race, its node died, or a
@@ -710,22 +766,17 @@ impl<'a> Sim<'a> {
                 // slot was already freed when the attempt was killed.
                 return;
             }
-            // This attempt wins its group. Kill the twin, if racing.
-            let group = self.table.groups.remove(&info.group).expect("live group");
+            // This attempt wins its race. A twin a node crash already
+            // killed had its accounting settled then; a live one loses its
+            // slot immediately (Hadoop kills it).
             if info.speculative {
                 self.counters.speculative_wins += 1;
             }
-            for &other in &group.attempts[..usize::from(group.attempt_count)] {
-                // A twin a node crash already killed had its accounting
-                // settled then; a live one loses its slot immediately
-                // (Hadoop kills it).
-                let racing = |a: &AttemptRecord| !a.cancelled;
-                if other != attempt && self.table.attempts.get(&other).is_some_and(racing) {
-                    let loser = self.kill_attempt(other);
-                    self.pool
-                        .workflow_mut(loser.wf)
-                        .finish_speculative(loser.job, loser.kind);
-                }
+            if self.table.twin_alive(&info) {
+                let loser = self.kill_attempt(info.twin.expect("a live twin"));
+                self.pool
+                    .workflow_mut(loser.wf)
+                    .finish_speculative(loser.job, loser.kind);
             }
         }
         self.release_slot(node, kind);
@@ -916,8 +967,6 @@ impl<'a> Sim<'a> {
         let (attempt, straggle) = self.next_attempt();
         let factor = jitter * locality_factor * straggle;
         if self.track_attempts {
-            let group = self.table.next_group;
-            self.table.next_group += 1;
             self.table.attempts.insert(
                 attempt,
                 AttemptRecord {
@@ -926,22 +975,12 @@ impl<'a> Sim<'a> {
                     job,
                     kind,
                     node,
-                    group,
+                    twin: None,
                     started: self.now,
                     estimate,
                     speculative: false,
                     cancelled: false,
                     task: picked_task,
-                },
-            );
-            self.table.groups.insert(
-                group,
-                GroupRecord {
-                    id: group,
-                    done: false,
-                    twin_launched: false,
-                    attempts: [attempt, 0],
-                    attempt_count: 1,
                 },
             );
         }
@@ -1125,20 +1164,15 @@ impl<'a> Sim<'a> {
             AttemptRecord {
                 id: attempt,
                 node,
+                twin: Some(original_id),
                 started: self.now,
                 speculative: true,
                 cancelled: false,
                 ..original
             },
         );
-        let group = self
-            .table
-            .groups
-            .get_mut(&original.group)
-            .expect("live group");
-        group.twin_launched = true;
-        group.attempts[1] = attempt;
-        group.attempt_count = 2;
+        let original_record = self.table.attempts.get_mut(&original_id);
+        original_record.expect("registered").twin = Some(attempt);
         self.counters.speculative_launched += 1;
         if preemptive {
             if let Some(h) = self.health.as_mut() {
@@ -1567,7 +1601,7 @@ fn simulate<'a>(
         cluster,
         queue: EventQueue::new(),
         pool: WorkflowPool::new(),
-        nodes: cluster.nodes().iter().map(NodeSlotsRecord::idle).collect(),
+        nodes: cluster.nodes().iter().map(NodeSlots::idle).collect(),
         remaining: 0,
         now: SimTime::ZERO,
         rng: FaultStream::new(config.seed),
@@ -1582,9 +1616,7 @@ fn simulate<'a>(
         data: DataPlane::new(config.seed, cluster, config.locality),
         table: AttemptTable {
             attempts: FastMap::default(),
-            groups: FastMap::default(),
             next_attempt: 1,
-            next_group: 1,
         },
         // Survivor preference re-queues a failed map under its original
         // identity, which only the attempt record remembers.

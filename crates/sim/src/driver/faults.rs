@@ -1,11 +1,11 @@
 //! Node and rack fault handlers: crash, failure detection, repair, and
 //! the requeue of work a crash destroyed.
 
-use super::Sim;
+use super::{NodeSlots, Sim};
 use crate::event::Event;
 use crate::obs::TraceEvent;
 use crate::scheduler::WorkflowScheduler;
-use crate::snapshot::{LostTaskRecord, NodeSlotsRecord};
+use crate::snapshot::LostTaskRecord;
 use woha_model::{NodeId, SimDuration, SlotKind};
 
 /// Propensity score a node crash adds to the node.
@@ -93,21 +93,17 @@ impl Sim<'_> {
             let a = self.kill_attempt(id);
             self.counters.work_lost_slot_ms +=
                 u128::from(self.now.saturating_since(a.started).as_millis());
-            let twin_alive = self.table.twin_alive(id, a.group);
-            if !twin_alive {
-                self.table.groups.remove(&a.group);
-            }
             self.fault.lost_pending[i].push(LostTaskRecord {
                 wf: a.wf,
                 job: a.job,
                 kind: a.kind,
-                solo: !twin_alive,
+                solo: !self.table.twin_alive(&a),
                 task: a.task,
             });
         }
         // Slots leave the pool until the node re-registers (including the
         // ones the kills above just freed).
-        self.nodes[i] = NodeSlotsRecord::default();
+        self.nodes[i] = NodeSlots::default();
         let faults = self.cluster.faults();
         // Failure prediction: fold this crash, and the attempts it killed,
         // into the node's propensity score.
@@ -218,7 +214,7 @@ impl Sim<'_> {
             node: i,
             rack: self.cluster.rack_of(node),
         });
-        self.nodes[i] = NodeSlotsRecord::idle(&self.cluster.node(node));
+        self.nodes[i] = NodeSlots::idle(&self.cluster.node(node));
         if !self.fault.heartbeat_live[i] {
             self.fault.heartbeat_live[i] = true;
             self.schedule(self.now, Event::Heartbeat(node));

@@ -6,35 +6,28 @@ use super::Sim;
 use crate::event::Event;
 use crate::obs::TraceEvent;
 use crate::scheduler::WorkflowScheduler;
-use crate::snapshot::{AttemptRecord, FaultSnapshot, GroupRecord, MasterSnapshot, NodeSlotsRecord};
+use crate::snapshot::{AttemptRecord, FaultSnapshot, MasterSnapshot};
 use crate::state::JobPhase;
 use std::collections::HashSet;
 use woha_model::{JobId, NodeId, WorkflowId};
 
 impl Sim<'_> {
     /// Serializes the full master state (see [`crate::snapshot`]): clones
-    /// of the live groups, with the two attempt maps emitted as key-sorted
-    /// vectors so the encoding is deterministic. The pool's clone copies
+    /// of the live fields, with the attempt map emitted as an id-sorted
+    /// vector so the encoding is deterministic. The pool's clone copies
     /// pointers: its workflows are shared copy-on-write.
     fn build_snapshot(&self, scheduler: &dyn WorkflowScheduler) -> MasterSnapshot {
         let mut attempts: Vec<AttemptRecord> = self.table.attempts.values().copied().collect();
         attempts.sort_unstable_by_key(|a| a.id);
-        let mut groups: Vec<GroupRecord> = self.table.groups.values().copied().collect();
-        groups.sort_unstable_by_key(|g| g.id);
         MasterSnapshot {
             taken_at: self.now,
             pool: self.pool.clone(),
-            source_cursor: self.arrived.len() as u64,
             arrived: self.arrived.clone(),
             attempts,
-            groups,
             next_attempt: self.table.next_attempt,
-            next_group: self.table.next_group,
             pending_map_ids: self.data.pending_map_records(),
             delay_skips: self.data.delay_skip_records(),
             map_output_hosts: self.data.map_output_records(),
-            node_slots: self.nodes.clone(),
-            busy_count: self.busy_count,
             completion_seq: self.completion_seq,
             counters: self.counters.clone(),
             fault: self.fault.clone(),
@@ -44,30 +37,23 @@ impl Sim<'_> {
         }
     }
 
-    /// Replaces the master's logical state with a decoded checkpoint.
+    /// Replaces the master's logical state with a decoded checkpoint, and
+    /// recounts slot occupancy from it.
     fn install_snapshot(&mut self, scheduler: &mut dyn WorkflowScheduler, snap: MasterSnapshot) {
-        debug_assert_eq!(
-            snap.source_cursor as usize,
-            snap.arrived.len(),
-            "snapshot arrival cursor matches its arrival ledger"
-        );
         self.pool = snap.pool;
         self.arrived = snap.arrived;
         self.table.attempts = snap.attempts.into_iter().map(|a| (a.id, a)).collect();
-        self.table.groups = snap.groups.into_iter().map(|g| (g.id, g)).collect();
         self.table.next_attempt = snap.next_attempt;
-        self.table.next_group = snap.next_group;
         self.data.install(
             snap.pending_map_ids,
             snap.delay_skips,
             snap.map_output_hosts,
             snap.reshuffle_debt,
         );
-        self.nodes = snap.node_slots;
-        self.busy_count = snap.busy_count;
         self.completion_seq = snap.completion_seq;
         self.counters = snap.counters;
         self.fault = snap.fault;
+        (self.nodes, self.busy_count) = self.counted_slots();
         let completed = self.pool.workflows().iter().filter(|w| w.is_complete());
         self.remaining = self.arrived.len() - completed.count();
         // Propensity is logical (learned) state: restore the checkpoint
@@ -79,6 +65,10 @@ impl Sim<'_> {
     /// Takes a checkpoint: snapshots the current master state and
     /// truncates the WAL.
     fn take_checkpoint(&mut self, scheduler: &mut dyn WorkflowScheduler) {
+        debug_assert!(
+            self.counted_slots() == (self.nodes.clone(), self.busy_count),
+            "slot occupancy is what the attempts and node liveness say"
+        );
         let snap = self.build_snapshot(scheduler);
         let tree = cfg!(debug_assertions).then(|| snap.encode());
         debug_assert_eq!(
@@ -309,12 +299,11 @@ impl Sim<'_> {
             } else {
                 self.cancel_attempt(id)
             };
-            if self.table.twin_alive(id, a.group) {
+            if self.table.twin_alive(&a) {
                 self.pool
                     .workflow_mut(a.wf)
                     .finish_speculative(a.job, a.kind);
             } else {
-                self.table.groups.remove(&a.group);
                 self.fail_and_requeue(scheduler, a.wf, a.job, a.kind, a.task);
                 self.counters.tasks_requeued += 1;
                 self.master.recovery.attempts_requeued += 1;
@@ -348,23 +337,9 @@ impl Sim<'_> {
             }
         }
 
-        // Rebuild slot occupancy from the surviving attempts: the replayed
+        // Recount slot occupancy from the surviving attempts: the replayed
         // counts follow the node liveness the old master believed in.
-        self.busy_count = [0, 0];
-        for (i, (slots, cfg)) in self.nodes.iter_mut().zip(cluster.nodes()).enumerate() {
-            let up = self.fault.alive[i] && !self.fault.blacklisted[i];
-            *slots = if up {
-                NodeSlotsRecord::idle(cfg)
-            } else {
-                NodeSlotsRecord::default()
-            };
-        }
-        for a in self.table.attempts.values() {
-            if !a.cancelled {
-                self.busy_count[Self::kind_index(a.kind)] += 1;
-                self.nodes[a.node.index()].take(a.kind);
-            }
-        }
+        (self.nodes, self.busy_count) = self.counted_slots();
 
         // Rebuild the event queue: recovery fires first, then the frozen
         // future shifted by the outage. Orphaned completions (attempts the

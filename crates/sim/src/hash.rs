@@ -1,7 +1,7 @@
 //! A deterministic, DoS-hardening-free hasher for the driver's hot state
 //! tables.
 //!
-//! The simulator's per-attempt maps (`attempts`, `groups`,
+//! The simulator's per-attempt and per-wjob maps (`attempts`,
 //! `pending_map_ids`, …) are keyed by small integers and tuples of small
 //! integers, looked up on every heartbeat. `std`'s default SipHash-1-3
 //! spends most of each lookup hashing; since every key here is
@@ -13,7 +13,7 @@
 //!
 //! Determinism note: swapping the hasher can only change *iteration
 //! order* of a map, never its contents. The driver never iterates a
-//! [`FastMap`] in an order-sensitive way (the two iteration sites sort
+//! [`FastMap`] in an order-sensitive way (its iteration sites sort
 //! ids first or fold commutative counters), so simulation results are
 //! bit-identical to the SipHash build.
 

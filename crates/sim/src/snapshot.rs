@@ -2,27 +2,29 @@
 //!
 //! A [`MasterSnapshot`] captures everything the simulated JobTracker needs
 //! to resume scheduling after a crash: the workflow pool, in-flight task
-//! attempts, speculative-execution bookkeeping, slot occupancy, fault
-//! bookkeeping, and the scheduler's private state (via
-//! [`SchedulerState`](crate::SchedulerState)). The driver builds one on
-//! every checkpoint tick and appends processed events to an in-memory WAL
-//! between checkpoints; on recovery the latest snapshot is serialized,
-//! deserialized, and the WAL replayed on top of it.
+//! attempts (each naming its speculative twin), fault bookkeeping, and the
+//! scheduler's private state (via [`SchedulerState`](crate::SchedulerState)).
+//! The driver builds one on every checkpoint tick and appends processed
+//! events to an in-memory WAL between checkpoints; on recovery the latest
+//! snapshot is serialized, deserialized, and the WAL replayed on top of it.
 //!
 //! The snapshot deliberately excludes wall-clock measurement state
 //! (`busy_integral_ms`, `scheduler_nanos`, `events_processed`), the event
 //! queue (rebuilt from the crash-time pending set), and the recovery
 //! counters themselves — those describe the *physical* world or the report,
-//! not the master's logical state.
+//! not the master's logical state. It also leaves out slot occupancy (free
+//! slots per node, busy slots per kind), which recovery recounts from the
+//! attempts and the nodes' liveness.
 //!
 //! The driver keeps its master-logical state *in* these types: its counters
 //! are a [`SnapshotCounters`], its fault bookkeeping a [`FaultSnapshot`], its
-//! attempt tables hold [`AttemptRecord`]s and [`GroupRecord`]s. Building a
-//! snapshot clones them and installing one assigns them back, so a field
-//! added here is checkpointed and restored with no further code.
+//! attempt table holds [`AttemptRecord`]s. Building a snapshot clones them
+//! and installing one assigns them back, so a field added here is
+//! checkpointed and restored with no further code.
 //!
 //! All maps are stored as key-sorted vectors so a snapshot of a given
-//! master state is byte-for-byte deterministic.
+//! master state is byte-for-byte deterministic. Every field is encoded
+//! whether or not its feature is on: an empty list, a zero or a `null`.
 //!
 //! Decoded snapshots are trusted. Every one the driver installs was
 //! encoded by `build_snapshot` moments earlier, and nothing reads a
@@ -30,14 +32,13 @@
 //! field's shape and each workflow spec's invariants, but not that the
 //! fields agree with each other or with the cluster: `install_snapshot`'s
 //! `arrived.len() - completed` would underflow on a snapshot with more
-//! completed workflows than arrivals, and `node_slots` is never compared
-//! with the cluster's nodes. A restart-from-disk path would have to add
-//! those checks first.
+//! completed workflows than arrivals, and neither an attempt's node nor
+//! its twin is checked to exist. A restart-from-disk path would have to
+//! add those checks first.
 
 use serde::{Deserialize, Serialize, Value};
 use woha_model::{JobId, NodeId, SimDuration, SimTime, SlotKind, WorkflowId};
 
-use crate::cluster::NodeConfig;
 use crate::state::WorkflowPool;
 
 /// One in-flight task attempt, keyed by its attempt id.
@@ -53,8 +54,10 @@ pub struct AttemptRecord {
     pub kind: SlotKind,
     /// Node the attempt runs on.
     pub node: NodeId,
-    /// Speculation group the attempt belongs to.
-    pub group: u64,
+    /// The other attempt racing on the same task: the original names its
+    /// speculative duplicate, the duplicate its original. `None` until a
+    /// duplicate is launched; kept after either side ends.
+    pub twin: Option<u64>,
     /// Launch time.
     pub started: SimTime,
     /// Jittered run-time estimate (completion is `started + estimate`).
@@ -65,25 +68,7 @@ pub struct AttemptRecord {
     pub cancelled: bool,
     /// Original map-task index the attempt executes (locality mode only;
     /// survivor-preferring requeues need it to look up replica sets).
-    /// Trails the struct and is omitted when absent, so locality-off
-    /// snapshots stay byte-identical to pre-data-plane ones.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub task: Option<u32>,
-}
-
-/// One speculation group (original attempt + optional speculative twin).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GroupRecord {
-    /// Group id (the driver's `groups` map key).
-    pub id: u64,
-    /// Whether a member already completed the logical task.
-    pub done: bool,
-    /// Whether the speculative twin was launched.
-    pub twin_launched: bool,
-    /// Member attempt ids (only the first `attempt_count` are valid).
-    pub attempts: [u64; 2],
-    /// Number of valid members.
-    pub attempt_count: u8,
 }
 
 /// Pending map-task ids of one wjob (for locality-aware map picking).
@@ -119,50 +104,8 @@ pub struct MapOutputRecord {
     pub hosts: Vec<NodeId>,
     /// Original task index of each completed map, parallel to `hosts`.
     /// Populated only when the data plane prefers surviving replicas on
-    /// re-execution; empty (and omitted) otherwise.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// re-execution; empty otherwise.
     pub tasks: Vec<u32>,
-}
-
-/// Free-slot counters of one node at snapshot time; the default is a node
-/// with no slots to offer (down or blacklisted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeSlotsRecord {
-    /// Free map slots.
-    pub free_maps: u32,
-    /// Free reduce slots.
-    pub free_reduces: u32,
-}
-
-impl NodeSlotsRecord {
-    /// All of `node`'s slots free.
-    pub(crate) fn idle(node: &NodeConfig) -> Self {
-        NodeSlotsRecord {
-            free_maps: node.map_slots,
-            free_reduces: node.reduce_slots,
-        }
-    }
-
-    pub(crate) fn free(&self, kind: SlotKind) -> u32 {
-        match kind {
-            SlotKind::Map => self.free_maps,
-            SlotKind::Reduce => self.free_reduces,
-        }
-    }
-
-    pub(crate) fn take(&mut self, kind: SlotKind) {
-        match kind {
-            SlotKind::Map => self.free_maps -= 1,
-            SlotKind::Reduce => self.free_reduces -= 1,
-        }
-    }
-
-    pub(crate) fn release(&mut self, kind: SlotKind) {
-        match kind {
-            SlotKind::Map => self.free_maps += 1,
-            SlotKind::Reduce => self.free_reduces += 1,
-        }
-    }
 }
 
 /// A task lost to a node failure, awaiting requeue at failure detection.
@@ -174,13 +117,12 @@ pub struct LostTaskRecord {
     pub job: JobId,
     /// Map or reduce.
     pub kind: SlotKind,
-    /// Whether the attempt was the only live member of its speculation
-    /// group: a solo task is requeued as pending, while a non-solo one
-    /// only releases its running count because its twin is still racing.
+    /// Whether the attempt died without a live twin: a solo task is
+    /// requeued as pending, while a non-solo one only releases its running
+    /// count because its twin is still racing.
     pub solo: bool,
     /// Original map-task index (survivor-preference mode only; `None`
-    /// otherwise, and omitted so prior snapshots stay byte-identical).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// otherwise).
     pub task: Option<u32>,
 }
 
@@ -206,19 +148,9 @@ pub struct SnapshotCounters {
     pub tasks_requeued: u64,
     pub map_outputs_lost: u64,
     pub work_lost_slot_ms: u128,
-    #[serde(default, skip_serializing_if = "u64_is_zero")]
     pub reshuffle_events: u64,
-    #[serde(default, skip_serializing_if = "u64_is_zero")]
     pub reshuffle_charged_ms: u64,
-    #[serde(default, skip_serializing_if = "u64_is_zero")]
     pub survivor_requeues: u64,
-}
-
-/// `skip_serializing_if` predicate keeping zero-valued trailing counters
-/// out of the encoding (so reshuffle-off snapshots stay byte-identical to
-/// pre-data-plane ones).
-fn u64_is_zero(v: &u64) -> bool {
-    *v == 0
 }
 
 /// Fault-layer bookkeeping at snapshot time, indexed by node.
@@ -242,10 +174,7 @@ pub struct FaultSnapshot {
     /// Per-node tasks lost to an undetected failure, awaiting requeue.
     pub lost_pending: Vec<Vec<LostTaskRecord>>,
     /// Rack-switch outage bookkeeping, sorted by rack; only racks with a
-    /// non-trivial state (a past or ongoing outage) appear. Empty (and
-    /// omitted) when rack faults never fired, keeping flat-cluster
-    /// snapshots byte-identical to pre-rack ones.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// non-trivial state (a past or ongoing outage) appear.
     pub racks: Vec<RackStateRecord>,
 }
 
@@ -286,34 +215,22 @@ pub struct MasterSnapshot {
     pub taken_at: SimTime,
     /// The workflow pool: specs, job phases, task counts.
     pub pool: WorkflowPool,
-    /// Arrival cursor into the workload source: the number of workflows
-    /// pulled from the source when the checkpoint was taken. Recovery
-    /// replays arrivals deterministically from this cursor — workflows
-    /// pulled before the checkpoint are restored from the snapshot (and
-    /// the WAL), while workflows past the cursor are still unread in the
-    /// source and arrive normally. Always equals `arrived.len()`.
-    pub source_cursor: u64,
     /// Which pulled arrivals have had their arrival event processed, by
-    /// pull (source cursor) order.
+    /// pull order. Its length is the arrival cursor into the workload
+    /// source: workflows pulled before the checkpoint are restored from
+    /// the snapshot (and the WAL), while workflows past it are still
+    /// unread in the source and arrive normally.
     pub arrived: Vec<bool>,
     /// In-flight attempts, sorted by attempt id.
     pub attempts: Vec<AttemptRecord>,
-    /// Speculation groups, sorted by group id.
-    pub groups: Vec<GroupRecord>,
     /// Next attempt id to allocate.
     pub next_attempt: u64,
-    /// Next group id to allocate.
-    pub next_group: u64,
     /// Pending map-task queues, sorted by (wf, job).
     pub pending_map_ids: Vec<PendingMapsRecord>,
     /// Delay-scheduling skip counts, sorted by (wf, job).
     pub delay_skips: Vec<DelaySkipRecord>,
     /// Completed-map output locations, sorted by (wf, job).
     pub map_output_hosts: Vec<MapOutputRecord>,
-    /// Per-node free-slot counters.
-    pub node_slots: Vec<NodeSlotsRecord>,
-    /// Busy slots by kind (`[maps, reduces]`).
-    pub busy_count: [u32; 2],
     /// Completion sequence number (salts the failure RNG).
     pub completion_seq: u64,
     /// Cumulative report counters.
@@ -323,16 +240,11 @@ pub struct MasterSnapshot {
     /// Scheduler-private state from
     /// [`SchedulerState::snapshot_state`](crate::SchedulerState::snapshot_state).
     pub scheduler: Value,
-    /// Failure-propensity tracker state (prediction mode only). Trails the
-    /// struct and is omitted when absent, so prediction-off checkpoints
-    /// stay byte-identical to pre-prediction ones and old checkpoints
-    /// still decode.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// Failure-propensity tracker state (prediction mode only).
     pub health: Option<crate::health::NodeHealth>,
     /// Outstanding re-shuffle debt per wjob (map outputs a reducer must
-    /// re-fetch after a node loss), sorted by (wf, job). Empty (and
-    /// omitted) when re-shuffle charging is off.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// re-fetch after a node loss), sorted by (wf, job). Empty when
+    /// re-shuffle charging is off.
     pub reshuffle_debt: Vec<ReshuffleRecord>,
 }
 
@@ -400,7 +312,6 @@ mod tests {
         MasterSnapshot {
             taken_at: SimTime::from_secs(120),
             pool: WorkflowPool::new(),
-            source_cursor: 2,
             arrived: vec![true, false],
             attempts: vec![AttemptRecord {
                 id: 3,
@@ -408,22 +319,14 @@ mod tests {
                 job: JobId::new(1),
                 kind: SlotKind::Map,
                 node: NodeId::new(2),
-                group: 1,
+                twin: Some(4),
                 started: SimTime::from_secs(100),
                 estimate: SimDuration::from_secs(60),
                 speculative: false,
                 cancelled: false,
                 task: None,
             }],
-            groups: vec![GroupRecord {
-                id: 1,
-                done: false,
-                twin_launched: false,
-                attempts: [3, 0],
-                attempt_count: 1,
-            }],
-            next_attempt: 4,
-            next_group: 2,
+            next_attempt: 5,
             pending_map_ids: vec![PendingMapsRecord {
                 wf: WorkflowId::new(0),
                 job: JobId::new(1),
@@ -440,17 +343,6 @@ mod tests {
                 hosts: vec![NodeId::new(0), NodeId::new(2)],
                 tasks: Vec::new(),
             }],
-            node_slots: vec![
-                NodeSlotsRecord {
-                    free_maps: 1,
-                    free_reduces: 1,
-                },
-                NodeSlotsRecord {
-                    free_maps: 2,
-                    free_reduces: 0,
-                },
-            ],
-            busy_count: [1, 1],
             completion_seq: 7,
             counters: SnapshotCounters {
                 tasks_executed: 9,
@@ -547,23 +439,6 @@ mod tests {
     fn encoding_is_deterministic() {
         let snap = sample();
         assert_eq!(snap.encode(), snap.encode());
-    }
-
-    #[test]
-    fn data_plane_fields_are_invisible_when_off() {
-        // With every data-plane field at its default, the encoding must not
-        // mention them at all (off-is-invisible for checkpoints).
-        let v = sample().encode();
-        let text = format!("{v:?}");
-        for key in [
-            "\"racks\"",
-            "\"reshuffle_debt\"",
-            "\"reshuffle_events\"",
-            "\"survivor_requeues\"",
-            "\"task\"",
-        ] {
-            assert!(!text.contains(key), "unexpected key {key} in {text}");
-        }
     }
 
     #[test]
