@@ -1878,6 +1878,137 @@ fn attempt_table_failover_licence_full() {
     assert_eq!(got, LICENCE_FULL);
 }
 
+/// One cell of the replan failover licence: WOHA-LPF with mid-flight
+/// replanning and failure padding, whose plans are drawn up for
+/// `plan_slots` slots on a cluster of `nodes` nodes (three slots each), so
+/// they fall behind and get replaced; node crashes, task failures, and
+/// two scripted master crashes recovered with or without the WAL. Nothing
+/// keeps the driver off its idle runs. Returns the cell's digest line and
+/// checks that the run completes after both crashes and replans before
+/// the last one, so some checkpoint a crash restores holds a replaced
+/// plan.
+fn replan_licence_cell(
+    workflows: &[WorkflowSpec],
+    nodes: u32,
+    plan_slots: u32,
+    crashes: [SimTime; 2],
+    wal: bool,
+    seed: u64,
+) -> String {
+    let cluster = ClusterConfig::uniform(nodes, 2, 1).with_faults(FaultConfig {
+        master: MasterFaultConfig {
+            mttr: SimDuration::from_secs(40),
+            checkpoint_interval: SimDuration::from_mins(1),
+            wal,
+            scripted: crashes.to_vec(),
+            ..MasterFaultConfig::default()
+        },
+        ..FaultConfig::with_mtbf(SimDuration::from_mins(30), SimDuration::from_mins(2))
+    });
+    let config = SimConfig {
+        duration_jitter: 0.15,
+        task_failure_prob: 0.02,
+        seed,
+        observability: ObservabilityConfig {
+            trace: true,
+            ..ObservabilityConfig::default()
+        },
+        ..SimConfig::default()
+    };
+    let mut scheduler = WohaScheduler::new(WohaConfig {
+        replan: true,
+        padding: Some(PadConfig::new(SimDuration::from_mins(5))),
+        ..WohaConfig::new(PriorityPolicy::Lpf, plan_slots)
+    });
+    let (mut report, obs) = run_simulation_observed(workflows, &mut scheduler, &cluster, &config);
+    report.scheduler_nanos = 0;
+    let line = format!(
+        "{} wal={} seed={}: report {} jsonl {}\n",
+        report.scheduler,
+        u8::from(wal),
+        seed,
+        digest(&serde_json::to_string(&report).unwrap()),
+        digest(&obs.trace_jsonl()),
+    );
+    assert!(report.completed, "{line}");
+    let rec = report.recovery.as_ref().expect("master faults on");
+    assert_eq!(rec.master_crashes, 2, "{line}");
+    let last_crash = obs
+        .trace
+        .iter()
+        .rposition(|r| matches!(r.event, TraceEvent::MasterCrashed))
+        .expect("the master crashed");
+    let replans = obs.trace[..last_crash]
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::Replan { .. }))
+        .count();
+    assert!(replans > 0, "{line}: no replan before the last crash");
+    line
+}
+
+/// The replan licence over WAL on and off and `seeds`.
+fn replan_licence(
+    workflows: &[WorkflowSpec],
+    nodes: u32,
+    plan_slots: u32,
+    crashes: [SimTime; 2],
+    seeds: u64,
+) -> String {
+    let mut got = String::new();
+    for wal in [true, false] {
+        for seed in 0..seeds {
+            got += &replan_licence_cell(workflows, nodes, plan_slots, crashes, wal, seed);
+        }
+    }
+    got
+}
+
+/// Digests of the small replan licence, recorded on the commit where the
+/// WOHA checkpoint still carried every queued plan and the WAL logged each
+/// idle heartbeat as its own record. The checkpoint may change shape;
+/// these may not move.
+const REPLAN_SMALL: &str = "\
+WOHA-LPF wal=1 seed=0: report 63f99ac9726d9446 jsonl 75d5ac2221117eb2
+WOHA-LPF wal=1 seed=1: report 8db25087b95d9dac jsonl a0f00463edf7348e
+WOHA-LPF wal=0 seed=0: report 78892c7777c0956d jsonl f200a31ac38f5f34
+WOHA-LPF wal=0 seed=1: report 983c2d9c61f8f921 jsonl 91c5f5d403b694ae
+";
+
+/// The failover licence for WOHA's checkpointed state where a replan has
+/// replaced a plan: the idle-run chains' plans assume 24 slots on 9.
+#[test]
+fn replan_failover_licence() {
+    let crashes = [SimTime::from_mins(4), SimTime::from_millis(431_300)];
+    let got = replan_licence(&idle_run_workflows(3), 3, 24, crashes, 2);
+    assert_eq!(got, REPLAN_SMALL);
+}
+
+/// Digests of the full replan licence (Fig 11's workflows, planned for 96
+/// slots on 30), recorded alongside [`REPLAN_SMALL`].
+const REPLAN_FULL: &str = "\
+WOHA-LPF wal=1 seed=0: report 406d7f4e46bcdc78 jsonl bfac9ac155f596bc
+WOHA-LPF wal=1 seed=1: report 26fe027892b438a8 jsonl 2ba4d52ca6c2aec4
+WOHA-LPF wal=1 seed=2: report 6fd19baabc86d2c0 jsonl 6e20edc5608115c6
+WOHA-LPF wal=1 seed=3: report 56dc6c3864bef90e jsonl 530b228e4facf924
+WOHA-LPF wal=1 seed=4: report 7767e8abac660aaf jsonl 7ebea8b0f817d0dc
+WOHA-LPF wal=1 seed=5: report 315551e5c4348830 jsonl de50463123f2a8bc
+WOHA-LPF wal=0 seed=0: report 54d2f0c19bd4a1cf jsonl d1a2bf3762eaf91a
+WOHA-LPF wal=0 seed=1: report 64f1dfe122232954 jsonl a7f0307934bd241e
+WOHA-LPF wal=0 seed=2: report d3b7ee5896d13207 jsonl 2a6df1a72df24f12
+WOHA-LPF wal=0 seed=3: report 6df2d2668da85a59 jsonl 3ae4839515cee09f
+WOHA-LPF wal=0 seed=4: report 1630341ba7d08226 jsonl 7db6b9e85b03163e
+WOHA-LPF wal=0 seed=5: report a54d43453297b983 jsonl 027df8855de6a198
+";
+
+/// The full replan licence: 12 runs, release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only; CI runs it")]
+fn replan_failover_licence_full() {
+    let crashes = [SimTime::from_mins(25), SimTime::from_millis(2_863_000)];
+    let got = replan_licence(&fig11_workflows(), 10, 96, crashes, 6);
+    assert_eq!(got, REPLAN_FULL);
+}
+
 /// A scheduler wrapper for `idle_runs_are_invisible`: counts the offers
 /// the driver actually makes and holds it to the coalescing contract of
 /// [`WorkflowScheduler::assign_task`].
