@@ -4,11 +4,10 @@
 //! This is the `W_h.{t, i, p}` bookkeeping of the paper's Algorithm 2.
 
 use crate::plan::SchedulingPlan;
-use serde::{Deserialize, Serialize};
 use woha_model::{SimTime, WorkflowId};
 
 /// Runtime progress record of one queued workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowProgress {
     id: WorkflowId,
     plan: SchedulingPlan,
@@ -28,11 +27,24 @@ impl WorkflowProgress {
     /// plan and absolute deadline, with the plan cursor caught up to `now`.
     pub fn new(id: WorkflowId, plan: SchedulingPlan, deadline: SimTime, now: SimTime) -> Self {
         let index = plan.next_change_index(deadline, now);
+        Self::from_cursor(id, plan, deadline, 0, index)
+    }
+
+    /// Rebuilds a record from its plan, deadline and cursor — progress
+    /// `rho` and requirement index `index` — as a checkpoint holds it:
+    /// the lag and the next change instant follow from those.
+    pub fn from_cursor(
+        id: WorkflowId,
+        plan: SchedulingPlan,
+        deadline: SimTime,
+        rho: u64,
+        index: usize,
+    ) -> Self {
         let mut p = WorkflowProgress {
             id,
             plan,
             deadline,
-            rho: 0,
+            rho,
             index,
             lag: 0,
             next_change: SimTime::ZERO,
@@ -59,6 +71,11 @@ impl WorkflowProgress {
     /// True progress `ρ`.
     pub fn rho(&self) -> u64 {
         self.rho
+    }
+
+    /// Index of the next requirement entry to fire (the plan cursor).
+    pub fn index(&self) -> usize {
+        self.index
     }
 
     /// Current inter-workflow priority (progress lag). Larger = further

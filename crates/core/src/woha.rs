@@ -14,6 +14,7 @@
 //! comparators (pinned by `woha-core`'s `index_differential` test).
 
 use crate::index::{DslIndex, PriorityIndex};
+use crate::plan::SchedulingPlan;
 use crate::plangen::{
     generate_plan_with_budget, padded_budget, rework_fraction, CapMode, PadConfig,
 };
@@ -21,7 +22,7 @@ use crate::priority::{JobPriorities, PriorityPolicy};
 use crate::progress::WorkflowProgress;
 use crate::replan::{replan, LAG_FRACTION, MIN_INTERVAL};
 use serde::{Deserialize, Serialize, Value};
-use woha_model::{JobId, SimDuration, SimTime, SlotKind, WorkflowId};
+use woha_model::{JobId, SimDuration, SimTime, SlotKind, WorkflowId, WorkflowSpec};
 use woha_sim::{SchedTrace, SchedulerState, WorkflowPool, WorkflowScheduler};
 
 /// Configuration of the WOHA scheduler.
@@ -100,16 +101,23 @@ pub struct WohaScheduler {
     /// tracing entirely, so the untraced hot path only pays an
     /// `Option` check.
     trace: Option<Vec<SchedTrace>>,
+    /// Debug builds only (empty otherwise): each queued workflow's spec by
+    /// dense id, so `snapshot_state` can check that restore regenerates
+    /// every submission plan it leaves out.
+    specs: Vec<Option<WorkflowSpec>>,
 }
 
-/// The WOHA master's own state: what a master-failover checkpoint holds
-/// for the scheduler (see [`SchedulerState`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The WOHA master's own state (see [`SchedulerState`]); a checkpoint
+/// holds it as a [`WohaCheckpoint`].
+#[derive(Debug, Clone, Default)]
 struct WohaState {
     /// Records indexed by dense workflow id; `None` once completed.
     records: Vec<Option<WorkflowProgress>>,
     /// Last replan instant per workflow (dense by id).
     last_replan: Vec<SimTime>,
+    /// Whether a replan replaced the workflow's submission plan (dense by
+    /// id).
+    replanned: Vec<bool>,
     /// Total replans performed (observable for tests and reports).
     replans: u64,
     /// Total `ρ` rollbacks after task failures / node losses (observable
@@ -118,6 +126,76 @@ struct WohaState {
     /// Plans (initial or replacement) generated with a nonzero failure
     /// pad (observable for tests and reports).
     plans_padded: u64,
+}
+
+/// What a master-failover checkpoint holds of a [`WohaState`]: each queued
+/// record's cursor, the replan instants and the counters. A submission
+/// plan is a function of the workflow's spec and the configuration
+/// ([`submission_plan`]), and the checkpoint's pool carries the spec, so
+/// restore regenerates it; only a plan a replan put in place is stored.
+#[derive(Debug, Serialize, Deserialize)]
+struct WohaCheckpoint {
+    records: Vec<Option<PlanCursor>>,
+    last_replan: Vec<SimTime>,
+    replans: u64,
+    rho_rollbacks: u64,
+    plans_padded: u64,
+}
+
+/// One queued record in a [`WohaCheckpoint`]: the workflow, its progress
+/// `ρ` and plan cursor, and the plan itself only when a replan replaced
+/// the submission plan. The lag and the next change instant follow
+/// ([`WorkflowProgress::from_cursor`]).
+#[derive(Debug, Serialize, Deserialize)]
+struct PlanCursor {
+    id: WorkflowId,
+    rho: u64,
+    index: usize,
+    plan: Option<SchedulingPlan>,
+}
+
+/// The deadline a workflow's plans are generated and anchored against: a
+/// slightly earlier "effective deadline" (see [`WohaConfig::plan_slack`]).
+fn effective_deadline(spec: &WorkflowSpec, config: &WohaConfig) -> SimTime {
+    if spec.deadline() == SimTime::MAX {
+        return spec.deadline();
+    }
+    let slack = spec
+        .relative_deadline()
+        .mul_f64(config.plan_slack.clamp(0.0, 0.9));
+    spec.deadline().saturating_sub(slack)
+}
+
+/// A plan budget after the configured failure padding, and whether a
+/// nonzero pad shrank it.
+fn pad_budget(
+    spec: &WorkflowSpec,
+    config: &WohaConfig,
+    budget: SimDuration,
+) -> (SimDuration, bool) {
+    let Some(pad) = &config.padding else {
+        return (budget, false);
+    };
+    let fraction = rework_fraction(spec, pad);
+    (padded_budget(budget, fraction), fraction > 0.0)
+}
+
+/// Algorithm 1, the client side of a submission: the workflow's plan, the
+/// effective deadline it is anchored against, and whether it was padded.
+/// It reads nothing but `spec` and `config`, so submission and restore
+/// build the same plan.
+fn submission_plan(spec: &WorkflowSpec, config: &WohaConfig) -> (SchedulingPlan, SimTime, bool) {
+    let deadline = effective_deadline(spec, config);
+    let (budget, padded) = pad_budget(spec, config, deadline.saturating_since(spec.submit_time()));
+    let priorities = JobPriorities::compute(spec, config.policy);
+    let plan = generate_plan_with_budget(
+        spec,
+        &priorities,
+        config.total_slots,
+        config.cap_mode,
+        budget,
+    );
+    (plan, deadline, padded)
 }
 
 impl WohaScheduler {
@@ -129,6 +207,7 @@ impl WohaScheduler {
             state: WohaState::default(),
             index: DslIndex::new(),
             trace: None,
+            specs: Vec::new(),
         }
     }
 
@@ -148,17 +227,15 @@ impl WohaScheduler {
         &self.config
     }
 
-    /// Applies the configured failure padding to a plan budget, counting
-    /// the plans that actually received a nonzero pad.
-    fn pad_budget(&mut self, spec: &woha_model::WorkflowSpec, budget: SimDuration) -> SimDuration {
-        let Some(pad) = &self.config.padding else {
-            return budget;
-        };
-        let fraction = rework_fraction(spec, pad);
-        if fraction > 0.0 {
-            self.state.plans_padded += 1;
+    /// Debug builds only: keeps `wf`'s spec for `snapshot_state`'s check.
+    fn keep_spec(&mut self, wf: WorkflowId, spec: &WorkflowSpec) {
+        if cfg!(debug_assertions) {
+            let slot = wf.as_u64() as usize;
+            if self.specs.len() <= slot {
+                self.specs.resize(slot + 1, None);
+            }
+            self.specs[slot] = Some(spec.clone());
         }
-        padded_budget(budget, fraction)
     }
 
     /// The progress record of a queued workflow (for inspection/tests).
@@ -259,7 +336,12 @@ impl WohaScheduler {
             return;
         }
         let deadline = record.deadline();
-        let budget = self.pad_budget(pool.workflow(wf).spec(), deadline.saturating_since(now));
+        let (budget, padded) = pad_budget(
+            pool.workflow(wf).spec(),
+            &self.config,
+            deadline.saturating_since(now),
+        );
+        self.state.plans_padded += u64::from(padded);
         if budget.is_zero() {
             return; // already past the effective deadline; nothing to re-pace
         }
@@ -282,6 +364,7 @@ impl WohaScheduler {
             .insert(wf, new_record.next_change(), new_record.lag(), deadline);
         self.state.records[slot] = Some(new_record);
         self.state.last_replan[slot] = now;
+        self.state.replanned[slot] = true;
         self.state.replans += 1;
         if let Some(buf) = &mut self.trace {
             buf.push(SchedTrace::Replan { workflow: wf });
@@ -291,22 +374,86 @@ impl WohaScheduler {
 
 impl SchedulerState for WohaScheduler {
     fn snapshot_state(&self) -> Value {
-        self.state.to_value()
+        let state = &self.state;
+        let cursor = |record: &WorkflowProgress| {
+            let slot = record.id().as_u64() as usize;
+            let replanned = state.replanned[slot];
+            debug_assert!(
+                replanned || {
+                    let spec = self.specs[slot].as_ref().expect("queued workflow's spec");
+                    let (plan, deadline, _) = submission_plan(spec, &self.config);
+                    (&plan, deadline) == (record.plan(), record.deadline())
+                },
+                "restore regenerates {}'s submission plan",
+                record.id()
+            );
+            PlanCursor {
+                id: record.id(),
+                rho: record.rho(),
+                index: record.index(),
+                plan: replanned.then(|| record.plan().clone()),
+            }
+        };
+        WohaCheckpoint {
+            records: state
+                .records
+                .iter()
+                .map(|r| r.as_ref().map(cursor))
+                .collect(),
+            last_replan: state.last_replan.clone(),
+            replans: state.replans,
+            rho_rollbacks: state.rho_rollbacks,
+            plans_padded: state.plans_padded,
+        }
+        .to_value()
     }
 
-    fn restore_state(&mut self, _pool: &WorkflowPool, state: &Value) {
-        self.state = WohaState::from_value(state).expect("a WOHA checkpoint decodes");
-        // Rebuild the index by re-inserting every queued record under its
-        // current keys, replacing whatever the index held before.
+    fn restore_state(&mut self, pool: &WorkflowPool, state: &Value) {
+        let checkpoint = WohaCheckpoint::from_value(state).expect("a WOHA checkpoint decodes");
+        // Submission plans are regenerated from the pool's specs (the pads
+        // they were counted under are in `plans_padded` already), and the
+        // index is rebuilt by re-inserting every queued record under its
+        // keys, replacing whatever it held before.
+        let replanned = checkpoint
+            .records
+            .iter()
+            .map(|c| c.as_ref().is_some_and(|c| c.plan.is_some()))
+            .collect();
         self.index = DslIndex::new();
-        for record in self.state.records.iter().flatten() {
-            self.index.insert(
-                record.id(),
-                record.next_change(),
-                record.lag(),
-                record.deadline(),
-            );
-        }
+        self.specs.clear();
+        let records = checkpoint
+            .records
+            .into_iter()
+            .map(|cursor| {
+                let PlanCursor {
+                    id,
+                    rho,
+                    index,
+                    plan,
+                } = cursor?;
+                let spec = pool.workflow(id).spec();
+                let (plan, deadline) = match plan {
+                    Some(plan) => (plan, effective_deadline(spec, &self.config)),
+                    None => {
+                        let (plan, deadline, _) = submission_plan(spec, &self.config);
+                        (plan, deadline)
+                    }
+                };
+                self.keep_spec(id, spec);
+                let record = WorkflowProgress::from_cursor(id, plan, deadline, rho, index);
+                self.index
+                    .insert(id, record.next_change(), record.lag(), deadline);
+                Some(record)
+            })
+            .collect();
+        self.state = WohaState {
+            records,
+            last_replan: checkpoint.last_replan,
+            replanned,
+            replans: checkpoint.replans,
+            rho_rollbacks: checkpoint.rho_rollbacks,
+            plans_padded: checkpoint.plans_padded,
+        };
     }
 }
 
@@ -316,30 +463,10 @@ impl WorkflowScheduler for WohaScheduler {
     }
 
     fn on_workflow_submitted(&mut self, pool: &WorkflowPool, wf: WorkflowId, now: SimTime) {
-        // Client side: analyze the workflow and generate the plan. The
-        // plan is generated and anchored against a slightly earlier
-        // "effective deadline" (see [`WohaConfig::plan_slack`]).
+        // Client side: analyze the workflow and generate the plan.
         let spec = pool.workflow(wf).spec();
-        let priorities = JobPriorities::compute(spec, self.config.policy);
-        let effective_deadline = if spec.deadline() == woha_model::SimTime::MAX {
-            spec.deadline()
-        } else {
-            let slack = spec
-                .relative_deadline()
-                .mul_f64(self.config.plan_slack.clamp(0.0, 0.9));
-            spec.deadline().saturating_sub(slack)
-        };
-        let budget = self.pad_budget(
-            spec,
-            effective_deadline.saturating_since(spec.submit_time()),
-        );
-        let plan = generate_plan_with_budget(
-            spec,
-            &priorities,
-            self.config.total_slots,
-            self.config.cap_mode,
-            budget,
-        );
+        let (plan, effective_deadline, padded) = submission_plan(spec, &self.config);
+        self.state.plans_padded += u64::from(padded);
         let record = WorkflowProgress::new(wf, plan, effective_deadline, now);
         if let Some(buf) = &mut self.trace {
             buf.push(SchedTrace::PlanGenerated {
@@ -353,8 +480,11 @@ impl WorkflowScheduler for WohaScheduler {
         if self.state.records.len() <= slot {
             self.state.records.resize_with(slot + 1, || None);
             self.state.last_replan.resize(slot + 1, SimTime::ZERO);
+            self.state.replanned.resize(slot + 1, false);
         }
+        self.keep_spec(wf, spec);
         self.state.last_replan[slot] = now;
+        self.state.replanned[slot] = false;
         self.index
             .insert(wf, record.next_change(), record.lag(), record.deadline());
         self.state.records[slot] = Some(record);
@@ -367,6 +497,9 @@ impl WorkflowScheduler for WohaScheduler {
     }
 
     fn on_workflow_completed(&mut self, _pool: &WorkflowPool, wf: WorkflowId, _now: SimTime) {
+        if let Some(spec) = self.specs.get_mut(wf.as_u64() as usize) {
+            *spec = None;
+        }
         if let Some(record) = self.state.records[wf.as_u64() as usize].take() {
             self.index
                 .remove(wf, record.next_change(), record.lag(), record.deadline());
@@ -724,6 +857,109 @@ mod tests {
             restored.assign_task(&pool, SlotKind::Map, now),
             sched.assign_task(&pool, SlotKind::Map, now)
         );
+    }
+
+    /// A scheduler with three queued records — `plain` (tasks too short
+    /// for a pad), `padded`, and `replanned` (left idle past its plan and
+    /// replanned at a node loss) — with a rollback and progress on them.
+    fn three_kinds_of_record() -> (WorkflowPool, WohaScheduler, [WorkflowId; 3]) {
+        let mut pool = WorkflowPool::new();
+        let mut b = WorkflowBuilder::new("plain");
+        let ms = SimDuration::from_millis(1);
+        b.add_job(JobSpec::new("a", 4, 1, ms, ms));
+        b.relative_deadline(SimDuration::from_secs(600));
+        let plain = pool.register(b.build().unwrap());
+        let padded = pool.register(chain_workflow("padded", 0, 600));
+        let replanned = pool.register(chain_workflow("replanned", 0, 240));
+        let config = WohaConfig {
+            replan: true,
+            padding: Some(PadConfig::new(SimDuration::from_mins(30))),
+            ..WohaConfig::new(PriorityPolicy::Lpf, 9)
+        };
+        let mut sched = WohaScheduler::new(config);
+        for wf in [plain, padded, replanned] {
+            sched.on_workflow_submitted(&pool, wf, SimTime::ZERO);
+        }
+        let job = JobId::new(0);
+        for wf in [plain, padded] {
+            pool.workflow_mut(wf).begin_submitting(job);
+            pool.workflow_mut(wf).activate(job);
+            pool.workflow_mut(wf).start_task(job, SlotKind::Map);
+            sched.on_task_assigned(&pool, wf, job, SlotKind::Map, SimTime::from_secs(2));
+        }
+        sched.on_task_failed(&pool, padded, job, SlotKind::Map, SimTime::from_secs(3));
+        let now = SimTime::from_secs(150);
+        let _ = sched.assign_task(&pool, SlotKind::Map, now); // refresh lags
+        sched.on_node_lost(&pool, woha_model::NodeId::new(0), now);
+        (pool, sched, [plain, padded, replanned])
+    }
+
+    #[test]
+    fn plain_padded_and_replanned_records_survive_snapshot_restore() {
+        let (pool, sched, [plain, padded, replanned]) = three_kinds_of_record();
+        assert_eq!(sched.replans(), 1, "only the tight workflow replans");
+        assert_eq!(sched.rho_rollbacks(), 1);
+        // Two padded submissions, one padded replan; `plain` is unpadded.
+        assert_eq!(sched.plans_padded(), 3);
+        assert!(sched.state.replanned[replanned.as_u64() as usize]);
+
+        let mut restored = WohaScheduler::new(*sched.config());
+        restored.restore_state(&pool, &sched.snapshot_state());
+        for wf in [plain, padded, replanned] {
+            assert!(sched.progress(wf).is_some());
+            assert_eq!(restored.progress(wf), sched.progress(wf), "{wf}");
+        }
+        assert_eq!(restored.replans(), sched.replans());
+        assert_eq!(restored.rho_rollbacks(), sched.rho_rollbacks());
+        assert_eq!(restored.plans_padded(), sched.plans_padded());
+        assert_eq!(restored.snapshot_state(), sched.snapshot_state());
+        let mut sched = sched;
+        let now = SimTime::from_secs(151);
+        assert_eq!(
+            restored.assign_task(&pool, SlotKind::Map, now),
+            sched.assign_task(&pool, SlotKind::Map, now)
+        );
+    }
+
+    #[test]
+    fn only_a_replanned_record_encodes_its_plan() {
+        let (_, sched, [plain, padded, replanned]) = three_kinds_of_record();
+        let tree = sched.snapshot_state();
+        let records = tree.as_object().unwrap()[0].1.as_array().unwrap();
+        for wf in [plain, padded, replanned] {
+            let cursor = records[wf.as_u64() as usize].as_object().unwrap();
+            let keys: Vec<&str> = cursor.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["id", "rho", "index", "plan"]);
+            let text = serde_json::to_string(&Value::Object(cursor.to_vec())).unwrap();
+            assert_eq!(
+                text.contains("requirements"),
+                wf == replanned,
+                "{wf}: {text}"
+            );
+        }
+        let plan = &records[replanned.as_u64() as usize].as_object().unwrap()[3].1;
+        assert_eq!(
+            &SchedulingPlan::from_value(plan).unwrap(),
+            sched.progress(replanned).unwrap().plan()
+        );
+    }
+
+    #[test]
+    fn a_cursor_without_its_plan_field_is_an_error() {
+        let (_, sched, [plain, ..]) = three_kinds_of_record();
+        let mut tree = sched.snapshot_state();
+        let Value::Object(fields) = &mut tree else {
+            panic!("a WOHA checkpoint is an object");
+        };
+        let Value::Array(records) = &mut fields[0].1 else {
+            panic!("records are an array");
+        };
+        let Value::Object(cursor) = &mut records[plain.as_u64() as usize] else {
+            panic!("a queued record is an object");
+        };
+        cursor.retain(|(k, _)| k != "plan");
+        let err = WohaCheckpoint::from_value(&tree).unwrap_err();
+        assert!(err.to_string().contains("missing field `plan`"), "{err}");
     }
 
     #[test]

@@ -373,13 +373,38 @@ struct MasterState {
     /// crash handler checks that the checkpoint still encodes to it.
     checkpoint_tree: Option<serde::Value>,
     /// Events processed since the latest checkpoint (the write-ahead log).
-    wal: Vec<(SimTime, Event)>,
+    wal: Vec<WalRecord>,
     recovery: RecoveryReport,
     /// Accumulated master outages: the effective arrival time of a not yet
     /// pulled workflow is its submit time plus this shift. (A pending
     /// arrival already in the queue is shifted by the crash handler
     /// instead, exactly like every other pending event.)
     arrival_shift: SimDuration,
+}
+
+/// One write-ahead-log record.
+enum WalRecord {
+    /// An event the main loop dispatched, at its instant.
+    Event(SimTime, Event),
+    /// An idle run ([`Sim::idle_run`]): `beats` heartbeats, the last at
+    /// `last`, whose `calls` empty probes coalesced into `offers`, the last
+    /// offer of each kind (its instant and slot count).
+    IdleRun {
+        last: SimTime,
+        beats: u64,
+        calls: u64,
+        offers: [Option<(SimTime, u32)>; 2],
+    },
+}
+
+impl WalRecord {
+    /// The events the record logs: a run logs each of its beats.
+    fn events(&self) -> u64 {
+        match self {
+            WalRecord::Event(..) => 1,
+            WalRecord::IdleRun { beats, .. } => *beats,
+        }
+    }
 }
 
 /// The simulated master and the world around it. What a checkpoint carries
@@ -1239,6 +1264,8 @@ impl<'a> Sim<'a> {
     /// pool's ready counts hold throughout, and the schedulers' empty
     /// offers coalesce into the last one of each kind
     /// (see [`WorkflowScheduler::assign_task`]), made when the run ends.
+    /// With `logging` on, the run goes into the WAL as one record, which
+    /// replay applies through the same coalesced offers.
     fn idle_run(
         &mut self,
         scheduler: &mut dyn WorkflowScheduler,
@@ -1251,6 +1278,7 @@ impl<'a> Sim<'a> {
         let observed = self.obs.is_some();
         // The last elided offer of each kind: its instant and slot count.
         let mut last_offer = [None::<(SimTime, u32)>; 2];
+        let (events, calls) = (self.events_processed, self.counters.assign_calls);
         let mut consumed = false;
         while let Some((t, node)) = self.queue.peek_lane_beat() {
             let free = SlotKind::ALL.map(|kind| self.nodes[node.index()].free(kind));
@@ -1268,9 +1296,6 @@ impl<'a> Sim<'a> {
             }
             self.now = t;
             self.events_processed += 1;
-            if logging {
-                self.master.wal.push((t, Event::Heartbeat(node)));
-            }
             for k in 0..2 {
                 if free[k] > 0 {
                     self.counters.assign_calls += 1;
@@ -1280,8 +1305,27 @@ impl<'a> Sim<'a> {
             self.queue.rearm_lane_beat(interval);
             consumed = true;
         }
-        // Earlier offer first, Map before Reduce at equal instants: the
-        // scheduler never sees `now` step back.
+        if logging && consumed {
+            self.master.wal.push(WalRecord::IdleRun {
+                last: self.now,
+                beats: self.events_processed - events,
+                calls: self.counters.assign_calls - calls,
+                offers: last_offer,
+            });
+        }
+        self.coalesced_offers(scheduler, last_offer);
+        consumed
+    }
+
+    /// The empty offers an idle run's beats coalesce into: the last one of
+    /// each kind, `(instant, free slots)`, earlier offer first and Map
+    /// before Reduce at equal instants, so the scheduler never sees `now`
+    /// step back.
+    fn coalesced_offers(
+        &mut self,
+        scheduler: &mut dyn WorkflowScheduler,
+        last_offer: [Option<(SimTime, u32)>; 2],
+    ) {
         let mut kinds = SlotKind::ALL;
         if let [Some((map_at, _)), Some((reduce_at, _))] = last_offer {
             if reduce_at < map_at {
@@ -1308,7 +1352,6 @@ impl<'a> Sim<'a> {
                 scheduler.name()
             );
         }
-        consumed
     }
 
     /// What an observer hears of an elided beat of `node` at `t`: the
@@ -1777,7 +1820,7 @@ fn simulate<'a>(
                 Event::Checkpoint | Event::MasterCrash { .. } | Event::MasterRecovered { .. }
             )
         {
-            sim.master.wal.push((t, event.clone()));
+            sim.master.wal.push(WalRecord::Event(t, event.clone()));
         }
         sim.dispatch(scheduler, event);
     }

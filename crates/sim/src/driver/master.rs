@@ -2,7 +2,7 @@
 //! installing [`MasterSnapshot`]s, WAL replay, and reconciliation with the
 //! physical cluster.
 
-use super::Sim;
+use super::{Sim, WalRecord};
 use crate::event::Event;
 use crate::obs::TraceEvent;
 use crate::scheduler::WorkflowScheduler;
@@ -80,7 +80,7 @@ impl Sim<'_> {
         );
         self.master.checkpoint = Some(snap);
         self.master.checkpoint_tree = tree;
-        let superseded = self.master.wal.len() as u64;
+        let superseded = self.master.wal.iter().map(WalRecord::events).sum();
         self.master.wal.clear();
         self.master.recovery.checkpoints_taken += 1;
         self.emit(TraceEvent::CheckpointTaken {
@@ -212,11 +212,27 @@ impl Sim<'_> {
         if obs.is_some() {
             scheduler.set_tracing(false);
         }
-        let replayed = wal.len() as u64;
-        for (t, event) in wal {
-            self.now = t;
-            self.master.recovery.wal_records_replayed += 1;
-            self.dispatch(scheduler, event);
+        let replayed = wal.iter().map(WalRecord::events).sum();
+        for record in wal {
+            self.master.recovery.wal_records_replayed += record.events();
+            match record {
+                WalRecord::Event(t, event) => {
+                    self.now = t;
+                    self.dispatch(scheduler, event);
+                }
+                // What the run's beats did to the master: move `now`, count
+                // their probes, and make the offers they coalesce into.
+                WalRecord::IdleRun {
+                    last,
+                    calls,
+                    offers,
+                    ..
+                } => {
+                    self.now = last;
+                    self.counters.assign_calls += calls;
+                    self.coalesced_offers(scheduler, offers);
+                }
+            }
         }
         if obs.is_some() {
             // Re-arming also discards anything buffered during replay.

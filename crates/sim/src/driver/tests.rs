@@ -1390,6 +1390,54 @@ mod master {
     }
 
     #[test]
+    fn an_idle_run_is_one_wal_record_and_replays_every_beat() {
+        // The cluster idles between the two workflows, so the WAL since
+        // the checkpoint at 60 s is mostly idle runs when the master
+        // crashes at 100.123 s (off the heartbeat grid). The run cut just
+        // before the crash holds the same WAL.
+        let w = vec![
+            simple_workflow("w", 0, 3_000),
+            simple_workflow("x", 120, 3_000),
+        ];
+        let crash = SimTime::from_millis(100_123);
+        let cluster = cluster_with(MasterFaultConfig {
+            mttr: SimDuration::from_secs(10),
+            checkpoint_interval: SimDuration::from_secs(60),
+            scripted: vec![crash],
+            ..MasterFaultConfig::default()
+        });
+        let cut = SimConfig {
+            max_sim_time: crash.saturating_sub(SimDuration::from_millis(1)),
+            ..SimConfig::default()
+        };
+        let (sim, truncated) = simulate(
+            &mut VecSource::new(w.clone()),
+            &mut SubmitOrderScheduler::new(),
+            &cluster,
+            &cut,
+            None,
+            None,
+            &mut SimClock,
+        );
+        assert!(truncated);
+        let wal = &sim.master.wal;
+        let logged: u64 = wal.iter().map(WalRecord::events).sum();
+        let runs = wal
+            .iter()
+            .filter(|r| matches!(r, WalRecord::IdleRun { .. }))
+            .count();
+        assert!(runs > 0, "the WAL holds idle runs");
+        assert!((wal.len() as u64) < logged, "{} records", wal.len());
+
+        let report = run(&w, &cluster, &SimConfig::default());
+        assert!(report.completed);
+        let rec = report.recovery.as_ref().expect("master mode reports");
+        assert_eq!(rec.master_crashes, 1);
+        assert_eq!(rec.wal_records_replayed, logged);
+        assert_eq!(rec.attempts_requeued + rec.attempts_orphaned, 0, "lossless");
+    }
+
+    #[test]
     fn invalid_configs_are_rejected() {
         let w = vec![simple_workflow("w", 0, 600)];
         let mut s = SubmitOrderScheduler::new();

@@ -309,6 +309,37 @@ fn hostile_checkpoint_text_never_panics() {
     );
 }
 
+/// Removes the first field named `name` in a pre-order walk of `v`.
+fn delete_first(v: &mut Value, name: &str) -> bool {
+    match v {
+        Value::Object(fields) => {
+            if let Some(at) = fields.iter().position(|(k, _)| k == name) {
+                fields.remove(at);
+                return true;
+            }
+            fields.iter_mut().any(|(_, c)| delete_first(c, name))
+        }
+        Value::Array(items) => items.iter_mut().any(|c| delete_first(c, name)),
+        _ => false,
+    }
+}
+
+/// An optional field is as required as any other: a checkpoint with an
+/// attempt's `twin`, a job's activation `ordinal` or the propensity table
+/// (`health`) deleted is an error that names the field, not a different
+/// master state.
+#[test]
+fn a_deleted_optional_field_is_named() {
+    let mut rng = proptest::TestRng::for_case("a_deleted_optional_field_is_named", 0);
+    let tree = hostile_fixture(&mut rng).encode();
+    for name in ["twin", "ordinal", "health", "task"] {
+        let mut cut = tree.clone();
+        assert!(delete_first(&mut cut, name), "{name} is encoded");
+        let err = MasterSnapshot::decode(&cut).expect_err(name).to_string();
+        assert!(err.contains(&format!("missing field `{name}`")), "{err}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
